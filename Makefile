@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test coverage fuzz-smoke serve-smoke bench-smoke bench-batch bench-sharded bench-serving bench-adaptive bench-subscriptions bench-reshard bench-storage bench-aggregates bench-gate profile profile-smoke docs-check install-dev
+.PHONY: test coverage fuzz-smoke serve-smoke bench-smoke bench-batch bench-sharded bench-serving bench-adaptive bench-subscriptions bench-reshard bench-storage bench-aggregates bench-gate bench-e2e-quick bench-e2e profile profile-smoke docs-check install-dev
 
 ## Tier-1 verification: the coverage gate first — it runs the full test
 ## suite exactly once (fail-fast, under the line collector when pytest-cov
@@ -90,6 +90,15 @@ bench-aggregates:
 ## Re-run every asserted benchmark claim at reduced scale (the CI gate).
 bench-gate:
 	$(PY) tools/bench_gate.py --smoke
+
+## End-to-end serving benchmark (benchmarks/e2e, the contract in
+## BENCHMARK.json): smoke pass (~10 s, writes nothing).
+bench-e2e-quick:
+	$(PY) benchmarks/e2e/run.py --quick
+
+## The full set: 10 seeds x 4 workloads + traces -> benchmarks/e2e/results/.
+bench-e2e:
+	$(PY) benchmarks/e2e/run.py --seed 7
 
 ## Profile scenario ingestion under cProfile and refresh the committed
 ## hot-function report (benchmarks/results/profile_hotpath.txt).

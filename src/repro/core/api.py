@@ -226,6 +226,23 @@ class HierarchicalEngine:
     def rebalance_stats(self) -> Optional[RebalanceStats]:
         return self._driver.stats if self._driver is not None else None
 
+    @property
+    def snapshot_stats(self) -> Optional[Dict[str, int]]:
+        """How snapshot copy-on-write produced frozen content since ``load()``.
+
+        ``full_copies`` counts whole ``Relation.copy()`` calls,
+        ``replayed_entries`` the redo-log entries replayed onto trailing
+        replicas instead (see :mod:`repro.snapshot.cow`); ``None`` before
+        :meth:`load`.  Exported on ``/metrics`` as ``repro_snapshot_*``.
+        """
+        tracker = self._cow_tracker
+        if tracker is None:
+            return None
+        return {
+            "full_copies": tracker.full_copies,
+            "replayed_entries": tracker.replayed_entries,
+        }
+
     def expected_exponents(self) -> Dict[str, float]:
         """The asymptotic exponents of Theorems 2/4 for this query and ε."""
         return self.plan.expected_exponents(self.epsilon)

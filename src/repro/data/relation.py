@@ -48,6 +48,16 @@ from repro.data.schema import (
 from repro.exceptions import RejectedUpdateError, SchemaError
 
 
+# Snapshot copy-on-write rolls a frozen copy forward from its redo log only
+# while ``len(log) * COW_REPLAY_RATIO <= len(relation)``, and drops a log
+# (bounding its memory) once it outgrows that.  Sized from measurement on the
+# columnar backend: replaying one entry (``apply_delta``) takes 1.3-1.7 us,
+# ``copy()`` 15-30 ns per tuple up to 10k tuples and 75-90 ns at 140k, so the
+# break-even ratio runs from ~20 (large relations, where the saving matters)
+# to ~80 (small ones, where either branch costs microseconds).
+COW_REPLAY_RATIO = 32
+
+
 class Index:
     """A secondary index of a relation on a sub-schema (dict backend).
 
@@ -216,12 +226,19 @@ class Relation:
         # snapshot, `_cow_epoch` is the last tracker epoch this relation was
         # preserved at, `_change_ticks` counts content mutations (so frozen
         # copies can be shared between snapshots while the content is
-        # unchanged), and `_cow_cache` holds the most recent frozen copy as
-        # ``(change_ticks, Relation)``.
+        # unchanged), `_cow_cache` holds the most recent frozen copy as
+        # ``(change_ticks, Relation)``, and `_cow_log` is the redo log of
+        # that copy: the ``(tuple, delta)`` mutations applied since it was
+        # made, one per tick, which the tracker replays to roll the copy
+        # forward instead of copying again.  Only the columnar backend
+        # appends to it; any tick without an entry (``clear()``,
+        # ``set_payload()``, the dict backend) leaves the log shorter than
+        # the tick distance, which the tracker reads as "copy instead".
         self._cow = None
         self._cow_epoch = -1
         self._change_ticks = 0
         self._cow_cache: Optional[Tuple[int, "Relation"]] = None
+        self._cow_log: Optional[list] = None
         self._init_storage()
         if tuples:
             for tup, mult in tuples.items():

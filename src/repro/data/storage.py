@@ -39,7 +39,7 @@ from __future__ import annotations
 from array import array
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.data.relation import Relation, register_backend
+from repro.data.relation import COW_REPLAY_RATIO, Relation, register_backend
 from repro.data.schema import (
     Projector,
     Schema,
@@ -456,6 +456,15 @@ class ColumnarRelation(Relation):
                 cow.preserve(self)
                 self._cow_epoch = cow.epoch
             self._change_ticks += 1
+            # Redo log of the cached frozen copy (see Relation.__init__):
+            # one entry per tick, dropped once replaying it would cost more
+            # than copying the relation.
+            log = self._cow_log
+            if log is not None:
+                if len(log) * COW_REPLAY_RATIO < len(rids):
+                    log.append((tup, delta))
+                else:
+                    self._cow_log = None
             value_ids = self._value_ids
             free = self._free
             if free:
@@ -523,6 +532,12 @@ class ColumnarRelation(Relation):
             cow.preserve(self)
             self._cow_epoch = cow.epoch
         self._change_ticks += 1
+        log = self._cow_log
+        if log is not None:
+            if len(log) * COW_REPLAY_RATIO < len(rids):
+                log.append((tup, delta))
+            else:
+                self._cow_log = None
         if updated == 0:
             del rids[tup]
             # Inlined ColumnarIndex._remove_row (kept in sync with the

@@ -68,7 +68,10 @@ class StaleStateError(ReproError):
     ``engine.load()`` replaces the engine's database, views, and indicator
     structures wholesale; any :class:`repro.snapshot.Snapshot` or live
     enumerator created against the previous load would otherwise silently
-    read a mixture of old and new state.  Both raise this error instead.
+    read a mixture of old and new state.  Both raise this error instead, and
+    so does every read of a snapshot after its ``close()``: the frozen copies
+    it held go back to the copy-on-write tracker and move on to later
+    versions.
     """
 
 

@@ -4,7 +4,7 @@ The networked server answers plain ``GET /metrics`` HTTP requests on its
 one listening port (see :class:`repro.net.server.EngineTCPServer`) with
 the text exposition format (version 0.0.4): ``# HELP`` / ``# TYPE``
 comment lines followed by ``name value`` samples.  The export flattens
-four sources into one page:
+five sources into one page:
 
 * :class:`~repro.adaptive.telemetry.WorkloadTelemetry` — ingest/read
   traffic counters and EWMA costs (``repro_workload_*``),
@@ -13,6 +13,9 @@ four sources into one page:
 * :class:`~repro.core.serving.ServingStats` — commits, reads, auto-retunes
   served by the :class:`~repro.core.serving.EngineServer`
   (``repro_serving_*``),
+* :attr:`~repro.core.api.HierarchicalEngine.snapshot_stats` — what the
+  per-commit snapshot copy-on-write cost: whole-relation copies vs replayed
+  redo-log entries (``repro_snapshot_*``; single engines only),
 * the network layer's own counters (``repro_net_*``) plus engine gauges
   (``repro_engine_version``, ``repro_engine_epsilon``).
 
@@ -116,6 +119,11 @@ _SERVING_HELPS = {
     "reads_served": "Read tickets served.",
     "retunes_applied": "Auto-retunes triggered by the adaptive controller.",
     "reshards_applied": "Online reshards applied through the serving layer.",
+}
+
+_SNAPSHOT_HELPS = {
+    "full_copies": "Whole-relation copies made by snapshot copy-on-write.",
+    "replayed_entries": "Redo-log entries replayed onto frozen snapshot copies.",
 }
 
 _NET_HELPS = {
@@ -228,6 +236,17 @@ def render_server_metrics(
             _SERVING_HELPS,
         )
     )
+
+    snapshot_stats = getattr(engine, "snapshot_stats", None)
+    if snapshot_stats is not None:
+        samples.extend(
+            _prefixed(
+                "repro_snapshot",
+                snapshot_stats,
+                {key: "counter" for key in _SNAPSHOT_HELPS},
+                _SNAPSHOT_HELPS,
+            )
+        )
 
     if net_stats is not None:
         net_stats = dict(net_stats)

@@ -19,7 +19,7 @@ through the canonical k-way merge), and the serving facade
 :class:`repro.core.serving.EngineServer`.
 """
 
-from repro.snapshot.cow import CowTracker, SnapshotState, frozen_copy
+from repro.snapshot.cow import CowTracker, SnapshotState
 from repro.snapshot.versioned import Snapshot, capture_snapshot
 
 __all__ = [
@@ -27,5 +27,4 @@ __all__ = [
     "Snapshot",
     "SnapshotState",
     "capture_snapshot",
-    "frozen_copy",
 ]

@@ -28,6 +28,34 @@ itself (``_cow_cache``), which sidesteps ``id()`` aliasing after major
 rebalances replace view relations and lets dead relations take their cache
 entries with them.
 
+**Cost of the first write after a capture.**  The cached copy is a *trailing
+replica*: the columnar backend logs every ``(tuple, delta)`` it applies after
+the copy was made (``_cow_log``), and when the content is next frozen the
+tracker replays that log onto the copy — ``O(mutations since the previous
+capture)`` — instead of copying the relation again.  The replica is rolled
+forward only when it is free, i.e. no *open* snapshot still resolves the
+relation to it (a reader pinned on an older version keeps its copy
+untouched), and when replay is cheaper than copying
+(``len(log) * COW_REPLAY_RATIO <= len(relation)``).
+
+Everything else — no log yet, a log that outgrew that bound and was dropped,
+a ``clear()`` or ``set_payload()`` (ticks without a log entry), the dict
+backend, a replica still in use — takes the one fallback: an
+``O(|relation|)`` ``Relation.copy()`` and a fresh log.  The fresh log is
+skipped when the round that just ended was itself too long to replay: a
+batch writer that rewrites a large share of a view between captures should
+not pay for log entries that are thrown away.  A short round turns logging
+back on, at the price of one more copy.
+
+The replica's indexes are dropped when it is rolled forward, so readers
+rebuild them from content exactly as on a fresh copy and enumeration order
+does not depend on which branch ran.  Memory stays one cached copy per
+relation plus a log of at most ``len(relation) / COW_REPLAY_RATIO`` entries.
+Because a replica is reused once its last open snapshot is released, a
+snapshot must not be read after ``close()``
+(:class:`~repro.snapshot.versioned.Snapshot` raises
+:class:`~repro.exceptions.StaleStateError`).
+
 Thread-safety relies on the tracker lock plus CPython's GIL: the lock makes
 "check whether a frozen copy exists, else copy the content" atomic against
 the writer guard (``Relation.copy`` runs entirely under the lock).  Captures
@@ -43,26 +71,13 @@ import threading
 import weakref
 from typing import Dict, Iterable, List, Optional
 
-from repro.data.relation import Relation
+from repro.data.relation import COW_REPLAY_RATIO, Relation
+from repro.exceptions import StaleStateError
 
 # Epochs are globally unique so a relation that survives an ``engine.load()``
 # (``copy_database=False``) can never collide with a fresh tracker's epoch
 # through its stale ``_cow_epoch`` field.
 _EPOCHS = itertools.count(1)
-
-
-def frozen_copy(relation: Relation) -> Relation:
-    """Return an immutable-by-convention copy of ``relation``'s content.
-
-    Reuses the relation's cached copy when the content has not changed since
-    the cache entry was made.  Must be called under the tracker lock.
-    """
-    cached = relation._cow_cache
-    if cached is not None and cached[0] == relation._change_ticks:
-        return cached[1]
-    clone = relation.copy()
-    relation._cow_cache = (relation._change_ticks, clone)
-    return clone
 
 
 class SnapshotState:
@@ -83,6 +98,11 @@ class CowTracker:
         self.lock = threading.Lock()
         self.epoch = next(_EPOCHS)
         self._active: List["weakref.ref[SnapshotState]"] = []
+        # How frozen content was produced (exported on /metrics): whole
+        # ``Relation.copy()`` calls vs redo-log entries replayed onto a
+        # trailing replica.
+        self.full_copies = 0
+        self.replayed_entries = 0
 
     # -- capture (snapshot side, serialized against writes by the caller) ---
     def capture(self, relations: Iterable[Relation]) -> SnapshotState:
@@ -99,8 +119,14 @@ class CowTracker:
             self._active.append(weakref.ref(state))
             for relation in relations:
                 if relation._cow is not self:
+                    # Adopted from an older tracker (``load()`` without
+                    # copying the database): that tracker's snapshots may
+                    # still hold the cached copy, and this one cannot see
+                    # them, so it must never roll that copy forward.
                     relation._cow = self
                     relation._cow_epoch = -1
+                    relation._cow_cache = None
+                    relation._cow_log = None
         return state
 
     @staticmethod
@@ -119,6 +145,53 @@ class CowTracker:
                 ref for ref in self._active if self._live(ref) is not None
             ]
 
+    # -- frozen content (both sides, under the lock) ------------------------
+    def _frozen_copy(self, relation: Relation) -> Relation:
+        """Return an immutable-by-convention copy of ``relation``'s content.
+
+        Reuses the cached copy when the content has not changed since it was
+        made, rolls it forward from the redo log when it is free and the log
+        is short, and copies the relation otherwise (see the module
+        docstring).  Must be called under the tracker lock.
+        """
+        ticks = relation._change_ticks
+        cached = relation._cow_cache
+        if cached is not None and cached[0] == ticks:
+            return cached[1]
+        # Mutations since the cached copy was made.  A relation that took
+        # more of them than a replay may cost is not logged for the next
+        # round either: its writer would pay for entries that are thrown
+        # away (one without a cached copy yet is logged, optimistically).
+        distance = ticks - cached[0] if cached is not None else 0
+        replayable = distance * COW_REPLAY_RATIO <= len(relation)
+        log = relation._cow_log
+        if (
+            cached is not None
+            and log is not None
+            and replayable
+            and len(log) == distance
+            and not self._in_use(relation, cached[1])
+        ):
+            clone = cached[1]
+            clone.invalidate_indexes()
+            for tup, delta in log:
+                clone.apply_delta(tup, delta)
+            self.replayed_entries += len(log)
+        else:
+            clone = relation.copy()
+            self.full_copies += 1
+        relation._cow_cache = (ticks, clone)
+        relation._cow_log = [] if replayable else None
+        return clone
+
+    def _in_use(self, relation: Relation, clone: Relation) -> bool:
+        """Whether an open snapshot still resolves ``relation`` to ``clone``."""
+        for ref in self._active:
+            state = self._live(ref)
+            if state is not None and state.frozen.get(relation) is clone:
+                return True
+        return False
+
     # -- writer side --------------------------------------------------------
     def preserve(self, relation: Relation) -> None:
         """Store ``relation``'s current content into every open snapshot.
@@ -131,16 +204,20 @@ class CowTracker:
             for ref in self._active:
                 state = self._live(ref)
                 if state is not None and relation not in state.frozen:
-                    state.frozen[relation] = frozen_copy(relation)
+                    state.frozen[relation] = self._frozen_copy(relation)
 
     # -- reader side --------------------------------------------------------
     def freeze(self, state: SnapshotState, relation: Relation) -> Relation:
         """Resolve ``relation`` to its capture-time content for ``state``."""
         with self.lock:
+            if state.closed:
+                # The live content has moved on and nothing would protect a
+                # copy handed out now from being rolled forward.
+                raise StaleStateError("this snapshot has been closed")
             frozen = state.frozen.get(relation)
             if frozen is None:
                 # The writer guard has not fired for this relation since the
                 # capture, so its live content *is* the capture-time content.
-                frozen = frozen_copy(relation)
+                frozen = self._frozen_copy(relation)
                 state.frozen[relation] = frozen
             return frozen

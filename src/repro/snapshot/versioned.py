@@ -22,7 +22,9 @@ at version ``v`` is indistinguishable from a fresh engine that replayed the
 first ``v`` ingestion events and stopped.  After ``engine.load()`` replaces
 the database, every older snapshot raises
 :class:`~repro.exceptions.StaleStateError` instead of silently mixing old
-and new state.
+and new state — and so does a snapshot that has been closed: ``close()``
+hands its frozen copies back to the tracker, which rolls them forward to
+later versions (see :mod:`repro.snapshot.cow`).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.data.schema import ValueTuple
 from repro.enumeration.lookup import lookup_multiplicity
 from repro.enumeration.result import ResultEnumerator
+from repro.exceptions import StaleStateError
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.rings.spec import AggregateSpec
 from repro.snapshot.cow import CowTracker, SnapshotState
@@ -124,6 +127,10 @@ class Snapshot:
 
     # ------------------------------------------------------------------
     def _check_valid(self) -> None:
+        if self._state.closed:
+            raise StaleStateError(
+                "this snapshot has been closed; capture a new one"
+            )
         if self._validity is not None:
             self._validity()
 
@@ -151,8 +158,12 @@ class Snapshot:
     def enumerate(self) -> ResultEnumerator:
         """Enumerate the captured result in the live engine's order."""
         self._check_valid()
+        # The bound validator stops an enumerator mid-iteration once this
+        # snapshot is closed, and keeps the snapshot (hence its open state,
+        # which is what protects the frozen copies from being rolled
+        # forward) alive for as long as the enumerator is.
         return ResultEnumerator(
-            self._shadow_plan(), self._query, validator=self._validity
+            self._shadow_plan(), self._query, validator=self._check_valid
         )
 
     def result(self) -> Dict[ValueTuple, int]:
@@ -211,7 +222,11 @@ class Snapshot:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the snapshot so the writer stops preserving into it."""
+        """Release the snapshot so the writer stops preserving into it.
+
+        Idempotent.  Every later read — enumerators already handed out
+        included — raises :class:`~repro.exceptions.StaleStateError`.
+        """
         self._tracker.release(self._state)
         self._shadow = None
 

@@ -12,6 +12,7 @@ executors.
 from __future__ import annotations
 
 import random
+import sys
 import threading
 
 import pytest
@@ -139,6 +140,52 @@ class TestHierarchicalStress:
         server.stop_writer()
         assert not errors, errors[0]
         assert len(observed) == READERS * 8
+
+
+class TestTrailingReplicaStress:
+    """Single-tuple commits over a view large enough that the writer rolls
+    frozen copies forward from the redo log (see :mod:`repro.snapshot.cow`)
+    while readers enumerate them: more threads than cores, a shortened
+    switch interval, every read checked against the oracle at its version.
+    """
+
+    def test_replayed_replicas_are_never_read_torn(self):
+        side = 60
+        database = Database.from_dict(
+            {
+                "R": (("A", "B"), [(a, b) for a in range(side) for b in range(4)]),
+                "S": (("B", "C"), [(b, c) for b in range(4) for c in range(side)]),
+            }
+        )
+        commits = []
+        for i in range(60):  # each changes `side` tuples of the 3600-tuple view
+            commits.append([Update("R", (1_000 + i, i % 4), 1)])
+            commits.append([Update("R", (1_000 + i, i % 4), -1)])
+        oracle = NaiveRecomputeEngine(PATH_QUERY).load(database)
+        prefix = {0: dict(oracle.result())}
+        for version, batch in enumerate(commits, start=1):
+            oracle.apply_batch(batch)
+            prefix[version] = dict(oracle.result())
+
+        engine = HierarchicalEngine(PATH_QUERY, epsilon=1.0).load(database)
+        server = EngineServer(engine, mode="snapshot")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            writer = server.start_writer(commits)
+            tickets = server.run_readers(READERS, WINDOW_SECONDS)
+            writer.join(60.0)
+            assert not writer.is_alive()
+            server.stop_writer()
+        finally:
+            sys.setswitchinterval(interval)
+        tickets.append(server.read())
+        for ticket in tickets:
+            assert_ticket_untorn(ticket, prefix)
+        assert tickets[-1].version == len(commits)
+        stats = engine.snapshot_stats
+        assert stats["replayed_entries"] > 0, stats
+        assert len({ticket.version for ticket in tickets}) > 1
 
 
 class TestShardedStress:

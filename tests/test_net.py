@@ -440,6 +440,8 @@ def test_metrics_over_http_and_op():
                 "repro_serving_reads_served",
                 "repro_rebalance_batches",
                 "repro_workload_update_events",
+                "# TYPE repro_snapshot_full_copies counter",
+                "repro_snapshot_replayed_entries",
                 "repro_net_connections_current 1",
             ):
                 assert needle in text, f"{needle!r} missing:\n{text}"

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import Database, HierarchicalEngine, StaticEngine, Update
@@ -17,8 +17,11 @@ from repro.conformance import (
     random_labeled_query,
     random_update_stream,
 )
+from repro.core.serving import EngineServer
+from repro.data.relation import COW_REPLAY_RATIO, backend_class
 from repro.exceptions import ReproError, StaleStateError
 from repro.sharding import ShardedEngine
+from repro.snapshot import CowTracker
 
 PATH_QUERY = "Q(A, C) = R(A, B), S(B, C)"
 
@@ -282,6 +285,27 @@ class TestStaleAfterLoad:
             snapshot.result()
         engine.close()
 
+    def test_closed_snapshot_rejects_reads(self):
+        """The single-engine twin: a closed snapshot must not re-freeze the
+        *live* relations and serve them under its old version stamp."""
+        engine = HierarchicalEngine(PATH_QUERY).load(path_db(seed=1))
+        snapshot = engine.snapshot()
+        iterator = iter(snapshot.enumerate())
+        next(iterator)
+        snapshot.close()
+        snapshot.close()  # idempotent
+        for update in random_updates(seed=2, count=20):
+            engine.apply(update)
+        assert snapshot.version == 0
+        with pytest.raises(StaleStateError):
+            snapshot.result()
+        with pytest.raises(StaleStateError):
+            snapshot.count_distinct()
+        with pytest.raises(StaleStateError):
+            snapshot.lookup((1, 2))
+        with pytest.raises(StaleStateError):
+            next(iterator)
+
 
 class TestShardedSnapshots:
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
@@ -314,3 +338,336 @@ class TestShardedSnapshots:
         assert snapshot.lookup((object(), object())) == 0
         snapshot.close()
         engine.close()
+
+
+# ----------------------------------------------------------------------
+# trailing replicas: frozen copies rolled forward from the redo log
+# ----------------------------------------------------------------------
+KEY_SCHEMAS = (("A",), ("B",), ("A", "B"))
+
+
+def assert_same_frozen_content(frozen, expected):
+    """``frozen`` is observationally the ``copy()`` taken at capture time."""
+    assert list(frozen.items()) == list(expected.items())
+    assert list(frozen.payload_items()) == list(expected.payload_items())
+    for key_schema in KEY_SCHEMAS:
+        got, want = frozen.ensure_index(key_schema), expected.ensure_index(key_schema)
+        assert list(got.keys()) == list(want.keys())
+        for key in want.keys():
+            assert list(got.group(key)) == list(want.group(key))
+
+
+class ReplicaHarness:
+    """One relation under a bare tracker, with a ``copy()`` oracle per capture."""
+
+    def __init__(self, backend: str, prefill: int) -> None:
+        self.relation = backend_class(backend)("R", ("A", "B"))
+        for i in range(prefill):
+            self.relation.apply_delta((i, i % 7), 1)
+        self.tracker = CowTracker()
+        self.open = []  # (state, copy() taken at the capture point)
+
+    def capture(self) -> None:
+        state = self.tracker.capture([self.relation])
+        self.open.append((state, self.relation.copy()))
+
+    def read(self, index: int) -> None:
+        state, expected = self.open[index % len(self.open)]
+        frozen = self.tracker.freeze(state, self.relation)
+        assert_same_frozen_content(frozen, expected)
+
+    def close(self, index: int) -> None:
+        state, _ = self.open.pop(index % len(self.open))
+        self.tracker.release(state)
+
+    def drop(self, index: int) -> None:
+        # no close(): the tracker only holds the state weakly
+        self.open.pop(index % len(self.open))
+
+    def read_all(self) -> None:
+        for index in range(len(self.open)):
+            self.read(index)
+
+
+small_tuples = st.tuples(
+    st.integers(min_value=0, max_value=20), st.integers(min_value=0, max_value=6)
+)
+picks = st.integers(min_value=0, max_value=1 << 16)
+mutations = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), small_tuples),
+        st.tuples(st.just("insert"), small_tuples),
+        st.tuples(st.just("insert"), small_tuples),
+        st.tuples(st.just("delete"), picks),
+        st.tuples(st.just("delete"), picks),
+        st.tuples(st.just("delete"), picks),
+        st.tuples(st.just("payload"), picks),
+        st.tuples(st.just("clear"), picks),
+    ),
+    max_size=10,
+)
+# One round: how the round's snapshot is taken ("publish" is what
+# EngineServer does per commit — retire the old version, capture the new),
+# the writes that follow it, then reads/closes/drops of open snapshots.
+replica_rounds = st.lists(
+    st.tuples(
+        st.sampled_from(("publish", "publish", "capture", "none")),
+        mutations,
+        st.lists(
+            st.tuples(st.sampled_from(("read", "read", "close", "drop")), picks),
+            max_size=3,
+        ),
+    ),
+    max_size=12,
+)
+
+
+class TestTrailingReplica:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        backend=st.sampled_from(("columnar", "columnar", "dict")),
+        prefill=st.sampled_from((0, 40, 600, 600)),
+        rounds=replica_rounds,
+    )
+    # an index built on the replica, then a replayed delete of its first
+    # group's first member: a replica that kept its indexes would list the
+    # B = 0 group first where a fresh build lists it last
+    @example(
+        backend="columnar",
+        prefill=600,
+        rounds=[
+            ("publish", [("insert", (5, 3))], [("read", 0)]),
+            ("publish", [("delete", 0)], [("read", 0)]),
+            ("publish", [("insert", (20, 0))], [("read", 0)]),
+        ],
+    )
+    def test_frozen_content_equals_copy_at_capture(self, backend, prefill, rounds):
+        """Random insert/delete/re-insert streams with interleaved captures,
+        reads, closes, drops and held-open snapshots: whichever branch
+        (replay or copy) produced a frozen relation, it equals the
+        ``copy()`` taken at the capture point — entries, fresh index key and
+        group sequences, payloads."""
+        harness = ReplicaHarness(backend, prefill)
+        relation = harness.relation
+        for capture, writes, follow_ups in rounds:
+            if capture == "publish":
+                while harness.open:
+                    harness.close(0)
+            if capture != "none":
+                harness.capture()
+            for op, arg in writes:
+                if op == "insert":
+                    relation.apply_delta(arg, 1)
+                elif op == "clear":
+                    relation.clear()
+                elif len(relation):
+                    # oldest and newest tuples: deleting a group's first
+                    # member or re-inserting a fresh one is what reorders
+                    # index keys and free rows
+                    live = list(relation.tuples())
+                    pool = live[:24] + live[-24:]
+                    target = pool[arg % len(pool)]
+                    if op == "delete":
+                        relation.apply_delta(target, -1)
+                    else:
+                        relation.set_payload(target, ("payload", arg))
+            for op, arg in follow_ups:
+                if harness.open:
+                    getattr(harness, op)(arg)
+        harness.read_all()
+
+    @pytest.mark.parametrize("backend", ["columnar", "dict"])
+    def test_replay_and_fallback_branches(self, backend):
+        """Deterministic walk through every branch of the replay-or-copy rule."""
+        harness = ReplicaHarness(backend, prefill=800)
+        relation, tracker = harness.relation, harness.tracker
+        columnar = backend == "columnar"
+
+        def commit(base: int, count: int = 5) -> None:
+            harness.capture()
+            for i in range(count):
+                relation.apply_delta((base + i, 3), 1)
+            relation.apply_delta((base, 3), -1)  # delete ...
+            relation.apply_delta((base, 3), 2)  # ... and re-insert at the end
+
+        # published-then-closed snapshots, as EngineServer makes them: one
+        # full copy to seed the replica, then only replays
+        for round_ in range(10):
+            commit(10_000 + 10 * round_)
+            harness.read_all()
+            while harness.open:
+                harness.close(0)
+        if columnar:
+            assert tracker.full_copies == 1
+            assert tracker.replayed_entries == 9 * 7
+        else:
+            assert tracker.full_copies == 10
+            assert tracker.replayed_entries == 0
+
+        # a snapshot that resolved the replica and stays open pins it: the
+        # writer falls back to one copy, then trails the new replica
+        harness.capture()
+        harness.read(0)
+        held = harness.open[0]
+        copies = tracker.full_copies
+        for round_ in range(5):
+            commit(20_000 + 10 * round_)
+            harness.read_all()
+            while len(harness.open) > 1:
+                harness.close(1)
+        assert harness.open == [held]
+        assert tracker.full_copies == copies + 1 or not columnar
+        harness.read(0)
+
+        # a log longer than len(relation) / COW_REPLAY_RATIO stops being
+        # kept (bounded memory) and the next freeze copies
+        copies = tracker.full_copies
+        commit(30_000, count=len(relation) // COW_REPLAY_RATIO + 50)
+        assert relation._cow_log is None or not columnar
+        harness.capture()
+        relation.apply_delta((40_000, 1), 1)
+        assert tracker.full_copies == copies + 1 or not columnar
+        # ... and a relation that just outran the bound is not logged for
+        # the round that follows: one more copy, then replays resume
+        assert relation._cow_log is None
+        harness.capture()
+        relation.apply_delta((40_001, 1), 1)
+        assert tracker.full_copies == copies + 2 or not columnar
+        assert relation._cow_log is not None
+        harness.read_all()
+
+        # clear() and set_payload() tick without a log entry: the capture
+        # before them is still reached by replay, the one after by a copy
+        for mutate in (
+            lambda: relation.set_payload((40_000, 1), "p"),
+            relation.clear,
+        ):
+            while len(harness.open) > 1:
+                harness.close(1)
+            copies = tracker.full_copies
+            harness.capture()
+            mutate()
+            harness.capture()
+            relation.apply_delta((50_000, 2), 1)
+            assert tracker.full_copies == copies + 1 or not columnar
+            harness.read_all()
+
+    def test_tracker_refuses_to_freeze_for_a_released_state(self):
+        """``close()`` racing a reader that already passed its validity
+        check must not hand out (unprotected) live content."""
+        harness = ReplicaHarness("columnar", prefill=10)
+        harness.capture()
+        state, _ = harness.open[0]
+        harness.close(0)
+        with pytest.raises(StaleStateError):
+            harness.tracker.freeze(state, harness.relation)
+
+    def test_replay_across_auto_compaction(self):
+        """A stream freeing >1024 rows: ``compact()`` fires inside a replay."""
+        harness = ReplicaHarness("columnar", prefill=2000)
+        relation, tracker = harness.relation, harness.tracker
+        victims = list(relation.tuples())[:1600]
+        rows_before = len(relation._row_tuples)
+        # per-capture logs short enough to replay even at the final size
+        chunk = (len(relation) - len(victims)) // COW_REPLAY_RATIO - 2
+        for start in range(0, len(victims), chunk):
+            harness.capture()
+            for tup in victims[start : start + chunk]:
+                relation.apply_delta(tup, -1)
+            relation.apply_delta((9_000, start), 1)  # reuses a free row
+            relation.apply_delta((9_000, start), -1)
+            harness.read_all()
+            harness.close(0)
+        assert len(relation._row_tuples) < rows_before  # compacted
+        harness.capture()
+        harness.read_all()
+        assert tracker.full_copies == 1
+        assert tracker.replayed_entries >= len(victims)
+
+    def test_dropped_snapshot_with_live_enumerator_keeps_its_content(self):
+        """An enumerator outliving its (never closed) snapshot handle still
+        walks capture-time content while commits roll the replicas on."""
+        engine = HierarchicalEngine(PATH_QUERY).load(path_db(size=400, domain=8))
+        for update in random_updates(seed=3, count=4, domain=8):
+            engine.apply(update)
+            engine.snapshot().count_distinct()  # seeds the replicas
+        sequence = list(engine.enumerate())
+        iterator = iter(engine.snapshot().enumerate())
+        head = [next(iterator) for _ in range(5)]
+        for update in random_updates(seed=4, count=30, domain=8):
+            engine.apply(update)
+            engine.snapshot().count_distinct()
+        assert head + list(iterator) == sequence
+
+
+class TestServedCommitCopies:
+    """Count-based regression (no timing): served single-tuple commits do
+    not deep-copy the big result view once per commit."""
+
+    @staticmethod
+    def served_engine():
+        database = Database.from_dict(
+            {
+                "R": (("A", "B"), [(a, b) for a in range(110) for b in range(3)]),
+                "S": (("B", "C"), [(b, c) for b in range(3) for c in range(110)]),
+            }
+        )
+        # epsilon = 1: every key is light, the 12k-tuple result is a view
+        engine = HierarchicalEngine(PATH_QUERY, epsilon=1.0).load(database)
+        server = EngineServer(engine, mode="snapshot")
+        server.on_commit(lambda version, delta: None)
+        probe = engine.snapshot()
+        relations = {
+            id(relation): relation
+            for specs in probe._component_specs
+            for spec in specs
+            for relation in spec.relations()
+        }
+        probe.close()
+        largest = max(relations.values(), key=len)
+        assert len(largest) >= 10_000
+        copies = []
+        plain_copy = largest.copy
+        largest.copy = lambda name=None: copies.append(1) or plain_copy(name)
+        return engine, server, copies, len(relations)
+
+    @staticmethod
+    def commits(server, base: int, count: int) -> None:
+        # insert/delete pairs keep every degree and the database size where
+        # they are, so no rebalance replaces the view under the test
+        for i in range(count // 2):
+            server.apply_update(Update("R", (base + i, i % 3), 1))
+            server.apply_update(Update("R", (base + i, i % 3), -1))
+
+    def test_commits_replay_instead_of_copying(self):
+        engine, server, copies, relation_count = self.served_engine()
+        truth = dict(engine.result())
+        self.commits(server, 1_000, 200)
+        assert engine.version == 200
+        assert engine.rebalance_stats.major_rebalances == 0
+        assert len(copies) <= 2  # parent: one per commit
+        # the counters /metrics exports tell the same story: the view's
+        # ~110 changed tuples per commit are replayed; what is still copied
+        # per commit is the 3-tuple indicator, where copying is cheaper
+        stats = engine.snapshot_stats
+        assert stats["replayed_entries"] >= 200 * 100
+        assert stats["full_copies"] <= 200 + relation_count
+        assert server.read().result() == truth
+
+    def test_held_snapshot_forces_exactly_one_fallback_copy(self):
+        engine, server, copies, _ = self.served_engine()
+        self.commits(server, 1_000, 20)
+        held = server.snapshot()
+        truth = held.result()
+        sequence = list(held.enumerate())
+        before = len(copies)
+        self.commits(server, 2_000, 200)
+        # the held snapshot pins the replica it resolved; the writer copies
+        # once and trails the new replica from then on
+        assert len(copies) == before + 1
+        assert held.version == 20
+        assert held.result() == truth
+        assert list(held.enumerate()) == sequence
+        held.close()
+        self.commits(server, 3_000, 20)
+        assert len(copies) == before + 1
