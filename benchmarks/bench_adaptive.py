@@ -39,9 +39,11 @@ from repro.workloads import (
 from benchmarks.conftest import scaled
 
 SIZE = scaled(1200)
-# the floor keeps the write-phase savings visible at smoke scale, where
-# the per-phase adaptation overheads (one slow read + one retune) are fixed
-WRITES_PER_PHASE = max(scaled(4000), 1500)
+# Never scaled below the default: each phase change costs the adaptive engine
+# one slow read and one retune (~0.25 s a run, whatever the scale), and what
+# pays for them is writing at the small-ε rate — ~0.04 ms saved per write on
+# this database, so the saving only shows over several thousand writes.
+WRITES_PER_PHASE = max(scaled(4000), 4000)
 READS_PER_PHASE = 25
 READ_LIMIT = 100
 PHASES = 4

@@ -188,7 +188,7 @@ def payload_rows(figure_report):
         commits += 1
         # the plain push frame: every changed result tuple
         plain_payload = wire_pairs(delta.items())
-        plain_rows += len(plain_payload)
+        plain_rows += len(delta)
         plain_bytes += len(json.dumps(plain_payload).encode("utf-8"))
         # the aggregate push frame: net per-group support/element rows
         # (the repro.net.server wire shape)

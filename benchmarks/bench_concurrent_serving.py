@@ -11,15 +11,30 @@ keep serving while a batch is mid-flight and are no longer rate-limited by
 the maintenance cadence.
 
 The workload puts the engine in the regime where maintenance, not
-enumeration, is the bottleneck: a dense ``DOM × DOM`` path-query cube, where
-every join key has degree ``DOM``, ingested at ε = 1 (everything light, so
-each distinct batch delta pays ``O(DOM)`` propagation into the materialized
-views) while the result — and with it the cost of one full enumeration and
-of one copy-on-write view capture — stays at ``DOM²`` tuples.  A continuous
-writer applies consolidated batches of ``BATCH_SIZE`` updates; 4 reader
-sessions enumerate the full result as fast as they can for a fixed
+enumeration, is the bottleneck: a dense ``DOM × KEYS × DOM`` path-query cube
+(``R`` is the full ``DOM × KEYS`` grid, ``S`` the full ``KEYS × DOM`` one),
+where every join key has degree ``DOM``, ingested at ε = 1 (everything light,
+so each distinct batch delta pays ``O(DOM)`` propagation into the
+materialized views) while the result — and with it the cost of one full
+enumeration and of one copy-on-write view capture — stays at ``DOM²`` tuples.
+A continuous writer applies consolidated batches of ``BATCH_SIZE`` updates; 4
+reader sessions enumerate the full result as fast as they can for a fixed
 wall-clock window.  Both modes run the identical writer loop and the
 identical reader sessions; the only difference is the serving mode.
+
+*Sizing.*  The locked baseline serves four reads per batch cycle, so its
+rate is set by how long a batch holds the write lock, and the regime needs
+that hold to outlast four enumerations (~0.1 s here).  A batch holds the lock
+for its *net* delta — what is left of ``BATCH_SIZE`` updates once same-tuple
+updates have cancelled — so ``BATCH_SIZE`` buys lock time only while the
+updates land on distinct tuples, of which ``R`` has ``DOM × KEYS``.  The two
+are sized together for the speed of the compiled delta joins (~18 µs per net
+tuple on this cube): ~15 k net tuples, ~0.27 s of lock per batch.  With
+``KEYS = DOM`` the net delta saturates at ``DOM²`` ≈ 3 k tuples (~0.05 s,
+half of the four enumerations) whatever the batch size.  Snapshot-mode
+``reads_per_s`` depends on neither knob — the result and the reader sessions
+are the same — and is the number to compare between versions of the engine
+on one host.
 
 The recorded table asserts the headline claim: snapshot serving sustains at
 least 2× the aggregate enumeration throughput (completed full-result reads
@@ -30,6 +45,7 @@ engine version.
 
 import random
 import time
+from collections import deque
 
 import pytest
 
@@ -42,7 +58,8 @@ PATH_QUERY = "Q(A, C) = R(A, B), S(B, C)"
 # time, and shrinking the cube would let per-read capture overhead dominate
 # the regime this benchmark is about (REPRO_BENCH_SCALE > 1 still scales up).
 DOM = max(55, scaled(55))
-BATCH_SIZE = max(12000, scaled(12000))
+KEYS = 6 * DOM
+BATCH_SIZE = max(30000, scaled(30000))
 # The freshness scenario uses small batches so several versions commit (and
 # get served) inside its window even with readers sharing the interpreter.
 FRESH_BATCH_SIZE = 1000
@@ -54,18 +71,16 @@ ATTEMPTS = 2  # best-of-N: noise on a busy host only ever inflates a run
 
 
 def dense_cube_database() -> Database:
-    """The dense path-query cube: R = S = the full DOM x DOM grid."""
+    """The dense path-query cube: R = the full DOM x KEYS grid, S = KEYS x DOM."""
     return Database.from_dict(
         {
-            "R": (("A", "B"), [(a, b) for a in range(DOM) for b in range(DOM)]),
-            "S": (("B", "C"), [(b, c) for b in range(DOM) for c in range(DOM)]),
+            "R": (("A", "B"), [(a, b) for a in range(DOM) for b in range(KEYS)]),
+            "S": (("B", "C"), [(b, c) for b in range(KEYS) for c in range(DOM)]),
         }
     )
 
 
-def _endless_batches(
-    relation: str, arity: int, domain: int, seed: int, batch_size: int
-):
+def _endless_batches(relation: str, domains, seed: int, batch_size: int):
     """An infinite stream of valid consolidated batches of ``batch_size`` updates.
 
     Alternates fresh inserts with deletes of tuples inserted by *previous*
@@ -74,7 +89,7 @@ def _endless_batches(
     stationary across the measurement window.
     """
     rng = random.Random(seed)
-    inserted = []
+    inserted = deque()
     counter = 0
     while True:
         batch = []
@@ -83,9 +98,9 @@ def _endless_batches(
             counter += 1
             if deletable > 0 and counter % 2 == 1:
                 deletable -= 1
-                batch.append(Update(relation, inserted.pop(0), -1))
+                batch.append(Update(relation, inserted.popleft(), -1))
             else:
-                tup = tuple(rng.randrange(domain) for _ in range(arity))
+                tup = tuple(rng.randrange(domain) for domain in domains)
                 inserted.append(tup)
                 batch.append(Update(relation, tup, 1))
         yield batch
@@ -110,7 +125,7 @@ def _run_mode(
     engine = HierarchicalEngine(PATH_QUERY, epsilon=EPSILON)
     engine.load(database)
     server = EngineServer(engine, mode=mode)
-    batches = _endless_batches("R", 2, DOM, seed=303, batch_size=batch_size)
+    batches = _endless_batches("R", (DOM, KEYS), seed=303, batch_size=batch_size)
     server.start_writer(batches)
     started = time.perf_counter()
     tickets = server.run_readers(READERS, window)

@@ -4,11 +4,15 @@ Every benchmark reproduces one figure of the paper.  Besides the
 pytest-benchmark timings, each benchmark computes the figure's rows/series
 and records them through the :func:`figure_report` fixture; the recorded
 tables are printed in the terminal summary (so they appear in
-``bench_output.txt``) and written to ``benchmarks/results/<name>.txt``.
+``bench_output.txt``) and, at full scale only, written to
+``benchmarks/results/<name>.txt``.
 
 Benchmarks are sized to finish in a few minutes on a laptop; the sizes can be
-scaled up through the ``REPRO_BENCH_SCALE`` environment variable (a float
-multiplier applied to database sizes).
+scaled through the ``REPRO_BENCH_SCALE`` environment variable (a float
+multiplier applied to database sizes).  The committed tables under
+``benchmarks/results/`` are the full-scale (1.0) ones that
+``BENCH_trajectory.json`` cites: a run at any other scale — ``make
+bench-gate``, ``make bench-smoke`` — prints its tables and leaves them alone.
 """
 
 from __future__ import annotations
@@ -50,9 +54,10 @@ class FigureReport:
         text = format_table(rows, title=title)
         self.sections.append(text)
         _RECORDED.append(text)
-        RESULTS_DIR.mkdir(exist_ok=True)
-        path = RESULTS_DIR / f"{self.name}.txt"
-        path.write_text("\n\n".join(self.sections) + "\n")
+        if bench_scale() == 1.0:
+            RESULTS_DIR.mkdir(exist_ok=True)
+            path = RESULTS_DIR / f"{self.name}.txt"
+            path.write_text("\n\n".join(self.sections) + "\n")
         return text
 
 

@@ -95,8 +95,7 @@ class FirstOrderIVMEngine(BaselineEngine):
         )
         # apply the delta to the materialized result, then to the base relation
         for tup, mult in delta.items():
-            if mult != 0:
-                self._result.apply_delta(tup, mult)
+            self._result.apply_delta(tup, mult)
         for tup, mult in group.items():
             base.apply_delta(tup, mult)
 

@@ -67,9 +67,14 @@ class Index:
     the paper (constant-delay enumeration, constant-time removal).
     """
 
-    __slots__ = ("schema", "key_schema", "_projector", "_groups")
+    __slots__ = ("schema", "key_schema", "_projector", "_groups", "_data")
 
-    def __init__(self, schema: Schema, key_schema: Schema) -> None:
+    def __init__(
+        self,
+        schema: Schema,
+        key_schema: Schema,
+        data: Optional[Mapping[ValueTuple, int]] = None,
+    ) -> None:
         if not is_subschema(key_schema, schema):
             raise SchemaError(
                 f"index schema {key_schema!r} is not a subset of {schema!r}"
@@ -79,6 +84,9 @@ class Index:
         self._projector = Projector(schema, key_schema)
         # key tuple -> {full tuple: None}
         self._groups: Dict[ValueTuple, Dict[ValueTuple, None]] = {}
+        # The owning relation's tuple -> multiplicity map, read (never
+        # written) by group_items; a free-standing index has none.
+        self._data: Mapping[ValueTuple, int] = {} if data is None else data
 
     def add(self, tup: ValueTuple) -> None:
         """Register ``tup`` under its key (idempotent)."""
@@ -110,6 +118,12 @@ class Index:
     def group(self, key: ValueTuple) -> Iterable[ValueTuple]:
         """Constant-delay enumeration of ``σ_{S=key} R``."""
         return self._groups.get(key, {}).keys()
+
+    def group_items(self, key: ValueTuple) -> Iterator[Tuple[ValueTuple, int]]:
+        """Constant-delay ``(tuple, multiplicity)`` entries of ``σ_{S=key} R``."""
+        data = self._data
+        for tup in self._groups.get(key, ()):
+            yield tup, data[tup]
 
     def group_size(self, key: ValueTuple) -> int:
         """Constant-time ``|σ_{S=key} R|`` (number of distinct tuples)."""
@@ -544,7 +558,7 @@ class DictRelation(Relation):
 
     def copy(self, name: Optional[str] = None) -> "Relation":
         clone = type(self)(name or self.name, self.schema)
-        clone._data = dict(self._data)
+        clone._data.update(self._data)  # in place: indexes hold this dict
         if self._payloads:
             clone._payloads = dict(self._payloads)
         return clone
@@ -615,7 +629,7 @@ class DictRelation(Relation):
         key = self._normalise_key_schema(key_schema)
         index = self._indexes.get(key)
         if index is None:
-            index = Index(self.schema, key)
+            index = Index(self.schema, key, self._data)
             for tup in self._data:
                 index.add(tup)
             self._indexes[key] = index

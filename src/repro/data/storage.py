@@ -332,6 +332,23 @@ class ColumnarIndex:
         """Constant-delay enumeration of ``σ_{S=key} R``."""
         return _GroupView(self, key)
 
+    def group_items(self, key: ValueTuple) -> Iterator[Tuple[ValueTuple, int]]:
+        """Constant-delay ``(tuple, multiplicity)`` entries of ``σ_{S=key} R``.
+
+        Both halves of an entry are read from the row id the group list
+        yields, so a matched tuple is never hashed to find its multiplicity.
+        """
+        gid = self._group_ids.get(key)
+        if gid is None:
+            return
+        rows = self.relation._row_tuples
+        mults = self.relation._mults
+        nxt = self._nxt
+        rid = self._heads[gid]
+        while rid != _NO_ROW:
+            yield rows[rid], mults[rid]
+            rid = nxt[rid]
+
     def group_size(self, key: ValueTuple) -> int:
         """Constant-time ``|σ_{S=key} R|`` (number of distinct tuples)."""
         gid = self._group_ids.get(key)

@@ -1,22 +1,62 @@
-"""Multiplicity-aware joins over variable-named relations.
+"""Multiplicity-aware joins over variable-named relations, compiled per schema.
 
 The view trees name their columns with query variables, while the stored
 relations may use arbitrary column names; :class:`BoundRelation` provides the
 positional aliasing between the two and the probing primitives (point
-lookups and index slices by partial variable assignments) used by
-materialization, delta propagation, and enumeration alike.
+lookups and index slices by partial variable assignments) that enumeration
+uses.
 
-Joins are computed by folding children one at a time into an accumulator of
-``assignment-tuple → multiplicity`` entries, probing each next child through
-a hash index on the shared variables and projecting away variables that are
-needed neither by the output nor by the remaining children (an InsideOut-style
-early aggregation, which is what keeps the materialization costs within the
-bounds of Proposition 21 on the light parts).
+Every join in the library — materialization, delta propagation
+(``Apply``, Figure 17), the per-commit result delta, the baselines — is
+:func:`fold_join`: an accumulator of ``tuple → multiplicity`` entries is
+folded through the sibling relations one at a time, each tuple probing the
+next sibling through a hash index on the shared variables, and variables
+needed neither by the output nor by a later sibling are aggregated away as
+soon as they are joined (an InsideOut-style early aggregation, which is what
+keeps the materialization costs within the bounds of Proposition 21 on the
+light parts).
+
+**Plans.**  What such a fold does per tuple is fixed by three schemas: the
+start schema, the sibling schemas in probe order, and the output schema.
+:func:`compile_join` turns that signature into a :class:`JoinPlan` once and
+memoises it: one generated function per sibling holding the probe mode the
+schemas dictate — *point* lookup when the accumulator binds every sibling
+column, an *index* group on the shared columns when it binds some, a full
+*scan* when it binds none — with the key and the output tuple written as
+literal subscripts of the accumulator tuple ``a`` and the matched sibling
+tuple ``t``.  The output tuple of a step already omits every variable that no
+later step and no output column needs, and the last step emits in output
+order, so each joined tuple is built once and there is no separate projection
+or reordering pass.  A step costs one loop with the index resolved once, then
+one constant-time probe per accumulator tuple and one dictionary update per
+joined tuple — the unit the paper's ``O(N^{δε})`` update bound counts.
+
+**No invalidation.**  A plan reads nothing but schemas: not the data, not ε,
+not the heavy/light split, not which relation object stands behind a schema.
+Retunes, rebalances, reshards and ``invalidate_indexes()`` change contents
+and indexes, which a step looks up afresh on every call; the plan stays
+valid, and two views with the same schemas share one.
+
+**Smaller first.**  The order in which siblings are probed is still chosen
+per call, by current size, so the accumulator stays small; the choice only
+selects which memoised plan runs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.data.relation import Relation
 from repro.data.schema import Schema, ValueTuple
@@ -31,7 +71,7 @@ class BoundRelation:
     variable schema, which coincides with the stored order.
     """
 
-    __slots__ = ("variables", "relation", "_columns", "_key_memo")
+    __slots__ = ("variables", "relation", "_key_memo")
 
     def __init__(self, variables: Sequence[str], relation: Relation) -> None:
         self.variables: Schema = tuple(variables)
@@ -41,10 +81,7 @@ class BoundRelation:
                 f"{relation.name!r} with schema {relation.schema!r}"
             )
         self.relation = relation
-        self._columns = {
-            variable: relation.schema[i] for i, variable in enumerate(self.variables)
-        }
-        # Memo of _index_key results: fold/delta joins probe the same shared
+        # Memo of _index_key results: enumeration probes the same shared
         # variable sets over and over, and the normalisation is pure.
         self._key_memo: Dict[Tuple[str, ...], Tuple[Schema, Tuple[str, ...]]] = {}
 
@@ -82,13 +119,9 @@ class BoundRelation:
         cached = self._key_memo.get(memo_key)
         if cached is not None:
             return cached
-        columns = [self._columns[v] for v in shared]
-        column_set = set(columns)
-        normalised_columns = tuple(
-            c for c in self.relation.schema if c in column_set
-        )
-        column_to_var = {self._columns[v]: v for v in shared}
-        variable_order = tuple(column_to_var[c] for c in normalised_columns)
+        positions = sorted(self.variables.index(v) for v in shared)
+        normalised_columns = tuple(self.relation.schema[p] for p in positions)
+        variable_order = tuple(self.variables[p] for p in positions)
         self._key_memo[memo_key] = (normalised_columns, variable_order)
         return normalised_columns, variable_order
 
@@ -113,9 +146,7 @@ class BoundRelation:
             return
         columns, variable_order = self._index_key(shared)
         key = tuple(assignment[v] for v in variable_order)
-        index = self.relation.ensure_index(columns)
-        for tup in index.group(key):
-            yield tup, self.relation.multiplicity(tup)
+        yield from self.relation.ensure_index(columns).group_items(key)
 
     def count_matching(self, assignment: Mapping[str, object]) -> int:
         """Number of distinct tuples matching ``assignment`` (constant time)."""
@@ -138,82 +169,196 @@ class BoundRelation:
 
 
 # ----------------------------------------------------------------------
-# join folding
+# compiled join plans
 # ----------------------------------------------------------------------
-def _project_accumulator(
-    schema: Schema, acc: Dict[ValueTuple, int], keep: Schema
-) -> Tuple[Schema, Dict[ValueTuple, int]]:
-    """Project the accumulator onto ``keep`` (summing multiplicities)."""
-    if keep == schema:
-        return schema, acc
-    positions = [schema.index(v) for v in keep]
-    projected: Dict[ValueTuple, int] = {}
-    for tup, mult in acc.items():
-        key = tuple(tup[i] for i in positions)
-        projected[key] = projected.get(key, 0) + mult
-    return keep, projected
+def _tuple_source(parts: Sequence[str]) -> str:
+    """Source of a tuple display over ``parts`` (``(x,)`` for one part)."""
+    return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
+
+
+def _emit_source(out_schema: Schema, acc_schema: Schema, child: Schema) -> str:
+    """Source of the output tuple, read from ``a`` (accumulator) and ``t``."""
+    return _tuple_source(
+        [
+            f"a[{acc_schema.index(v)}]" if v in acc_schema else f"t[{child.index(v)}]"
+            for v in out_schema
+        ]
+    )
+
+
+def _label(acc_schema: Schema, child: Optional[Schema], out_schema: Schema) -> str:
+    """The file name a generated function reports in tracebacks and profiles."""
+    probed = "" if child is None else f" * {','.join(child)}"
+    return f"<join {','.join(acc_schema)}{probed} -> {','.join(out_schema)}>"
+
+
+def _build(source: str, label: str) -> Callable:
+    # The generated text holds positions (integer literals) and fixed names
+    # only; schema strings appear in the label, never in the code.
+    namespace: Dict[str, object] = {}
+    exec(compile(source, label, "exec"), namespace)  # noqa: S102 - own source
+    return namespace["step"]  # type: ignore[return-value]
+
+
+class _Step(NamedTuple):
+    mode: str
+    source: str
+    run: Callable[[Mapping[ValueTuple, int], Relation], Dict[ValueTuple, int]]
+
+
+@lru_cache(maxsize=4096)
+def _compile_step(acc_schema: Schema, child: Schema, out_schema: Schema) -> _Step:
+    """The function folding one sibling in, its probe mode and its source.
+
+    The function maps ``(acc, relation)`` to the next accumulator: one loop
+    over ``acc`` probing ``relation`` the way the schemas dictate, emitting
+    each joined tuple once, already projected onto ``out_schema``.
+    """
+    shared = [v for v in child if v in acc_schema]  # child order = index key order
+    key = _tuple_source([f"a[{acc_schema.index(v)}]" for v in shared])
+    emit = _emit_source(out_schema, acc_schema, child)
+    lines = ["def step(acc, relation):"]
+    if len(shared) == len(child):
+        mode = "point"
+        lines += [
+            "    multiplicity = relation.multiplicity",
+            "    out = {}",
+            "    get = out.get",
+            "    for a, m in acc.items():",
+            f"        c = multiplicity({key})",
+            "        if c:",
+            f"            k = {emit}",
+            "            out[k] = get(k, 0) + m * c",
+        ]
+    else:
+        if shared:
+            mode = "index"
+            columns = _tuple_source([f"schema[{child.index(v)}]" for v in shared])
+            lines += [
+                "    schema = relation.schema",
+                f"    probe = relation.ensure_index({columns}).group_items",
+            ]
+            matches = f"probe({key})"
+        else:
+            mode = "scan"
+            lines.append("    items = list(relation.items())")
+            matches = "items"
+        lines += [
+            "    out = {}",
+            "    get = out.get",
+            "    for a, m in acc.items():",
+            f"        for t, c in {matches}:",
+            f"            k = {emit}",
+            "            out[k] = get(k, 0) + m * c",
+        ]
+    lines.append("    return out")
+    source = "\n".join(lines)
+    return _Step(mode, source, _build(source, _label(acc_schema, child, out_schema)))
+
+
+def _compile_projection(acc_schema: Schema, out_schema: Schema) -> Tuple[str, Callable]:
+    """The plan of a join with no sibling: a bare projection of ``acc``."""
+    if acc_schema == out_schema:
+        source = "def step(acc):\n    return dict(acc)"
+    else:
+        emit = _emit_source(out_schema, acc_schema, ())
+        source = "\n".join(
+            [
+                "def step(acc):",
+                "    out = {}",
+                "    get = out.get",
+                "    for a, m in acc.items():",
+                f"        k = {emit}",
+                "        out[k] = get(k, 0) + m",
+                "    return out",
+            ]
+        )
+    return source, _build(source, _label(acc_schema, None, out_schema))
+
+
+class JoinPlan(NamedTuple):
+    """A join compiled for one schema signature (see the module docstring).
+
+    ``steps[i]`` folds the ``i``-th sibling (in probe order) into the
+    accumulator; ``project`` replaces them when there is no sibling.
+    ``modes`` and ``source`` are the readable side: the probe mode of every
+    step and the generated code.
+    """
+
+    steps: Tuple[Callable, ...]
+    project: Optional[Callable]
+    modes: Tuple[str, ...]
+    source: str
+
+
+@lru_cache(maxsize=4096)
+def compile_join(
+    start_schema: Schema, sibling_schemas: Tuple[Schema, ...], output_schema: Schema
+) -> JoinPlan:
+    """Compile ``π_out(start ⋈ sibling₁ ⋈ … ⋈ siblingₖ)``, siblings in probe order."""
+    available = set(start_schema).union(*sibling_schemas)
+    missing = sorted(set(output_schema) - available)
+    if missing:
+        raise SchemaError(
+            f"output schema {output_schema!r} requests variables {missing} "
+            f"not produced by the join of {start_schema!r} with {sibling_schemas!r}"
+        )
+    if not sibling_schemas:
+        source, project = _compile_projection(start_schema, output_schema)
+        return JoinPlan((), project, (), source)
+    steps: List[_Step] = []
+    acc_schema = start_schema
+    last = len(sibling_schemas) - 1
+    for position, child in enumerate(sibling_schemas):
+        if position == last:
+            out_schema = output_schema
+        else:
+            needed = set(output_schema).union(*sibling_schemas[position + 1 :])
+            out_schema = tuple(v for v in acc_schema if v in needed) + tuple(
+                v for v in child if v in needed and v not in acc_schema
+            )
+        steps.append(_compile_step(acc_schema, child, out_schema))
+        acc_schema = out_schema
+    return JoinPlan(
+        tuple(step.run for step in steps),
+        None,
+        tuple(step.mode for step in steps),
+        "\n\n".join(step.source for step in steps),
+    )
 
 
 def fold_join(
     start_schema: Schema,
-    start: Dict[ValueTuple, int],
+    start: Mapping[ValueTuple, int],
     children: Sequence[BoundRelation],
     output_schema: Schema,
 ) -> Dict[ValueTuple, int]:
     """Join ``start`` with every child and project to ``output_schema``.
 
-    The accumulator is probed against each child through an index on the
-    shared variables; after each step, variables not needed by the output or
-    the remaining children are aggregated away.
+    Smaller children are probed first so the accumulator stays small; the
+    order only selects which memoised plan runs.  ``start`` is not modified.
+    Entries whose multiplicities cancel are absent from the result.
     """
-    acc_schema: Schema = tuple(start_schema)
-    acc = dict(start)
-    remaining = list(children)
-    # Process smaller children first so the accumulator stays small.
-    remaining.sort(key=len)
-    for idx, child in enumerate(remaining):
-        later_vars: set = set()
-        for future in remaining[idx + 1 :]:
-            later_vars.update(future.variables)
-        needed = set(output_schema) | later_vars
-        child_new = tuple(
-            v for v in child.variables if v not in acc_schema and v in needed
-        )
-        shared = tuple(v for v in acc_schema if v in set(child.variables))
-        new_schema = acc_schema + child_new
-        joined: Dict[ValueTuple, int] = {}
-        shared_positions = [acc_schema.index(v) for v in shared]
-        child_positions = {v: child.variables.index(v) for v in child_new}
-        for tup, mult in acc.items():
-            assignment = {v: tup[p] for v, p in zip(shared, shared_positions)}
-            for child_tup, child_mult in child.matching(assignment):
-                extension = tuple(child_tup[child_positions[v]] for v in child_new)
-                key = tup + extension
-                joined[key] = joined.get(key, 0) + mult * child_mult
-        acc_schema, acc = new_schema, joined
-        keep = tuple(v for v in acc_schema if v in needed)
-        acc_schema, acc = _project_accumulator(acc_schema, acc, keep)
-        if not acc:
-            return {}
-    # final projection onto the requested output schema
-    final_schema = tuple(output_schema)
-    missing = set(final_schema) - set(acc_schema)
-    if missing:
-        raise SchemaError(
-            f"output schema {final_schema!r} requests variables {sorted(missing)} "
-            f"not produced by the join over {[c.variables for c in children]!r}"
-        )
-    _, projected = _project_accumulator(
-        acc_schema, acc, tuple(v for v in acc_schema if v in set(final_schema))
+    if len(children) > 1:
+        children = sorted(children, key=len)
+    plan = compile_join(
+        tuple(start_schema),
+        tuple([child.variables for child in children]),
+        tuple(output_schema),
     )
-    # reorder columns to match the requested output order
-    current = tuple(v for v in acc_schema if v in set(final_schema))
-    if current == final_schema:
-        return projected
-    positions = [current.index(v) for v in final_schema]
-    return {
-        tuple(tup[i] for i in positions): mult for tup, mult in projected.items()
-    }
+    if plan.project is not None:
+        acc = plan.project(start)
+    else:
+        acc = start
+        for step, child in zip(plan.steps, children):
+            acc = step(acc, child.relation)
+            if not acc:
+                return {}
+    if not all(acc.values()):
+        # Signed deltas cancelled.  Zeros are dropped here and not inside a
+        # step: an entry keeps the position its first contribution gave it.
+        acc = {tup: mult for tup, mult in acc.items() if mult}
+    return acc
 
 
 def join_children(
@@ -223,16 +368,13 @@ def join_children(
     if not children:
         return {(): 1}
     first, rest = children[0], children[1:]
-    start_needed = set(output_schema)
-    for child in rest:
-        start_needed.update(child.variables)
-    start_schema = tuple(v for v in first.variables if v in start_needed)
-    start_schema_full = first.variables
-    start: Dict[ValueTuple, int] = {}
-    positions = [start_schema_full.index(v) for v in start_schema]
-    for tup, mult in first.items():
-        key = tuple(tup[i] for i in positions)
-        start[key] = start.get(key, 0) + mult
+    needed = set(output_schema).union(*[child.variables for child in rest])
+    # Aggregate the first child down to what the rest of the join reads
+    # before anything probes with it.
+    start_schema = tuple(v for v in first.variables if v in needed)
+    start = first.relation.as_dict()
+    if start_schema != first.variables:
+        start = fold_join(first.variables, start, (), start_schema)
     return fold_join(start_schema, start, rest, output_schema)
 
 
@@ -242,8 +384,7 @@ def join_to_relation(
     """Join children into a freshly materialized relation."""
     result = Relation(name, output_schema)
     for tup, mult in join_children(children, output_schema).items():
-        if mult != 0:
-            result.apply_delta(tup, mult)
+        result.apply_delta(tup, mult)
     return result
 
 
@@ -259,7 +400,4 @@ def delta_join(
     a change of one of its children is the join of that change with the other
     children, projected to the view schema.
     """
-    start = {tup: mult for tup, mult in delta.items() if mult != 0}
-    if not start:
-        return {}
-    return fold_join(tuple(delta_schema), start, siblings, tuple(output_schema))
+    return fold_join(delta_schema, delta, siblings, output_schema)

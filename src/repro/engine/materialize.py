@@ -37,8 +37,7 @@ def materialize_tree(tree: ViewTreeNode) -> None:
         content = join_children(children, tree.schema)
         relation = tree.relation()
         for tup, mult in content.items():
-            if mult != 0:
-                relation.apply_delta(tup, mult)
+            relation.apply_delta(tup, mult)
 
 
 def materialize_indicator_triple(triple: IndicatorTriple) -> None:

@@ -15,8 +15,8 @@ from __future__ import annotations
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.data.schema import Schema, ValueTuple
-from repro.engine.join import BoundRelation, delta_join
-from repro.views.view import LeafNode, ViewNode, ViewTreeNode
+from repro.engine.join import BoundRelation, fold_join
+from repro.views.view import ViewTreeNode
 
 #: A delta maps tuples to *counting-ring* elements (signed multiplicities).
 #: The propagation below relies only on the abelian-group laws the counting
@@ -56,50 +56,38 @@ def propagate_delta(
     Returns ``(schema, delta)`` describing the induced change at the root of
     the tree, or ``None`` when the tree does not reference ``source_name``
     (in which case nothing is modified).  An empty delta short-circuits.
+
+    The delta arrives in the stored (positional) order of the relation,
+    which coincides with the changed leaf's variable order; it is read,
+    never modified.  The path from that leaf to the root is fixed for the
+    tree's lifetime (:meth:`~repro.views.view.ViewTreeNode.path_from`), so
+    each call is one delta join per view on it and no search.
     """
-    pruned = {tup: mult for tup, mult in delta.items() if mult != 0}
-    if not pruned:
+    path = tree.path_from(source_name)
+    if path is None:
         return None
-    return _propagate(tree, source_name, tuple(delta_schema), pruned)
-
-
-def _propagate(
-    node: ViewTreeNode,
-    source_name: str,
-    delta_schema: Schema,
-    delta: Delta,
-) -> Optional[Tuple[Schema, Delta]]:
-    if isinstance(node, LeafNode):
-        if node.source_name != source_name:
-            return None
-        # The delta arrives in the stored (positional) order of the relation,
-        # which coincides with the leaf's variable order.
-        return node.schema, dict(delta)
-    assert isinstance(node, ViewNode)
-    child_result = None
-    changed_child = None
-    for child in node.children:
-        result = _propagate(child, source_name, delta_schema, delta)
-        if result is not None:
-            child_result = result
-            changed_child = child
-            break
-    if child_result is None:
+    if not all(delta.values()):
+        delta = {tup: mult for tup, mult in delta.items() if mult}
+    if not delta:
         return None
-    child_schema, child_delta = child_result
-    if not child_delta:
-        return node.schema, {}
-    siblings = [
-        BoundRelation(sibling.schema, sibling.relation())
-        for sibling in node.children
-        if sibling is not changed_child
-    ]
-    view_delta = delta_join(child_schema, child_delta, siblings, node.schema)
-    relation = node.relation()
-    for tup, mult in view_delta.items():
-        if mult != 0:
-            relation.apply_delta(tup, mult)
-    return node.schema, view_delta
+    leaf, steps = path
+    if not steps:
+        return leaf.schema, dict(delta)
+    schema = leaf.schema
+    for view, siblings in steps:
+        delta = fold_join(
+            schema,
+            delta,
+            [BoundRelation(s.schema, s.relation()) for s in siblings],
+            view.schema,
+        )
+        if not delta:
+            return tree.schema, {}
+        apply_delta = view.relation().apply_delta
+        for tup, mult in delta.items():
+            apply_delta(tup, mult)
+        schema = view.schema
+    return schema, delta
 
 
 def delta_from_update(tuple_value: ValueTuple, multiplicity: int) -> Delta:

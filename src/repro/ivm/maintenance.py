@@ -60,7 +60,6 @@ from repro.ivm.delta import Delta, merge_delta, propagate_delta
 from repro.query.atom import Atom
 from repro.views.indicators import IndicatorTriple
 from repro.views.skew import SkewAwarePlan
-from repro.views.view import ViewTreeNode
 
 
 class UpdateProcessor:
@@ -153,11 +152,15 @@ class UpdateProcessor:
             for other in self.query.atoms
             if other is not atom
         ]
-        delta = delta_join(
-            atom.variables, group, siblings, tuple(self.query.head)
-        )
+        delta = delta_join(atom.variables, group, siblings, self.query.head)
         if capture is not None:
-            merge_delta(capture, delta)
+            if capture:
+                merge_delta(capture, delta)
+            else:
+                # The commit's first group (its only one, for a commit on a
+                # single relation): adopt the join's own dict, do not re-add
+                # its entries one by one into an empty accumulator.
+                self._result_capture = delta
         for listener in listeners:
             listener(delta)
 
@@ -189,9 +192,8 @@ class UpdateProcessor:
     def _propagate_to_light_indicator_trees(
         self, source_name: str, schema: Schema, delta: Delta
     ) -> None:
-        for triple in self.plan.indicator_triples:
-            if source_name in triple.light_tree.source_names():
-                propagate_delta(triple.light_tree, source_name, schema, delta)
+        for triple in self.plan.light_triples_referencing(source_name):
+            propagate_delta(triple.light_tree, source_name, schema, delta)
 
     def _refresh_indicator(
         self, triple: IndicatorTriple, key: ValueTuple
@@ -284,10 +286,9 @@ class UpdateProcessor:
         light_name = partition.light.name
         self._propagate_to_trees(light_name, schema, deltas)
         self._propagate_to_light_indicator_trees(light_name, schema, deltas)
-        for triple in self.plan.indicator_triples:
-            if light_name in triple.light_tree.source_names():
-                triple_key = self._triple_key(triple, relation_name, witness_tuple)
-                self._refresh_indicator(triple, triple_key)
+        for triple in self.plan.light_triples_referencing(light_name):
+            triple_key = self._triple_key(triple, relation_name, witness_tuple)
+            self._refresh_indicator(triple, triple_key)
 
 
 class BatchUpdateProcessor:
@@ -296,9 +297,6 @@ class BatchUpdateProcessor:
     The processor mirrors the five steps of :class:`UpdateProcessor` but
     amortizes all per-update overhead across the batch:
 
-    * which trees and indicator triples reference each relation is computed
-      once and cached (the plan's tree structure is fixed for its lifetime,
-      only view *contents* change);
     * the base relation, every strategy tree, and every indicator ``All``
       tree absorb one grouped delta per batch instead of one per tuple;
     * light-part routing and heavy-indicator refreshes are decided once per
@@ -319,39 +317,6 @@ class BatchUpdateProcessor:
         self.plan = plan
         self.database = database
         self.processor = processor or UpdateProcessor(plan, database)
-        self._trees_by_source: Dict[str, Tuple[ViewTreeNode, ...]] = {}
-        self._light_indicator_trees: Dict[str, Tuple[ViewTreeNode, ...]] = {}
-        self._triples_by_relation: Dict[str, Tuple[IndicatorTriple, ...]] = {}
-
-    # ------------------------------------------------------------------
-    # cached plan lookups
-    # ------------------------------------------------------------------
-    def _trees_for(self, source_name: str) -> Tuple[ViewTreeNode, ...]:
-        trees = self._trees_by_source.get(source_name)
-        if trees is None:
-            trees = self.plan.trees_referencing(source_name)
-            self._trees_by_source[source_name] = trees
-        return trees
-
-    def _light_indicator_trees_for(
-        self, source_name: str
-    ) -> Tuple[ViewTreeNode, ...]:
-        trees = self._light_indicator_trees.get(source_name)
-        if trees is None:
-            trees = tuple(
-                triple.light_tree
-                for triple in self.plan.indicator_triples
-                if source_name in triple.light_tree.source_names()
-            )
-            self._light_indicator_trees[source_name] = trees
-        return trees
-
-    def _triples_for(self, relation_name: str) -> Tuple[IndicatorTriple, ...]:
-        triples = self._triples_by_relation.get(relation_name)
-        if triples is None:
-            triples = self.plan.triples_referencing(relation_name)
-            self._triples_by_relation[relation_name] = triples
-        return triples
 
     # ------------------------------------------------------------------
     # main entry point
@@ -417,9 +382,8 @@ class BatchUpdateProcessor:
         self.processor._capture_group(relation_name, group)
 
         # (3) one grouped traversal per strategy tree and indicator All tree
-        for tree in self._trees_for(relation_name):
-            propagate_delta(tree, relation_name, schema, group)
-        triples = self._triples_for(relation_name)
+        self.processor._propagate_to_trees(relation_name, schema, group)
+        triples = self.plan.triples_referencing(relation_name)
         for triple in triples:
             propagate_delta(triple.all_tree, relation_name, schema, group)
 
@@ -432,10 +396,10 @@ class BatchUpdateProcessor:
             for tup, mult in light_delta.items():
                 partition.light.apply_delta(tup, mult)
             light_name = partition.light.name
-            for tree in self._trees_for(light_name):
-                propagate_delta(tree, light_name, schema, light_delta)
-            for tree in self._light_indicator_trees_for(light_name):
-                propagate_delta(tree, light_name, schema, light_delta)
+            self.processor._propagate_to_trees(light_name, schema, light_delta)
+            self.processor._propagate_to_light_indicator_trees(
+                light_name, schema, light_delta
+            )
 
         # (5) heavy-indicator refresh, once per distinct triple key
         for triple in triples:
@@ -444,15 +408,4 @@ class BatchUpdateProcessor:
                 for tup in group
             }
             for key in keys:
-                self._refresh_indicator(triple, key)
-
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
-    def _refresh_indicator(self, triple: IndicatorTriple, key: ValueTuple) -> None:
-        change = triple.refresh_key(key)
-        if change == 0:
-            return
-        source = triple.exists_heavy.name
-        for tree in self._trees_for(source):
-            propagate_delta(tree, source, triple.keys, {key: change})
+                self.processor._refresh_indicator(triple, key)

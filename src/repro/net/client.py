@@ -55,37 +55,37 @@ class SubscriptionState:
         self._lock = threading.Lock()
         self._changed = threading.Condition(self._lock)
         self.version = version
-        self._result: Dict[Tuple, int] = {tuple(t): m for t, m in pairs}
+        self._result: Dict[Tuple, int] = dict(pairs)
         self.deltas_applied = 0
         self.deltas_skipped = 0
         self.resyncs = 0
-        #: Every applied push, as ``(kind, version, pairs)`` — kept so
-        #: tests can replay the exact pushed history against an oracle.
-        self.events: List[Tuple[str, int, List]] = []
 
     def apply(self, kind: str, version: int, pairs) -> bool:
-        """Apply one push; returns True when the state changed."""
+        """Apply one push of decoded ``(tuple, multiplicity)`` pairs.
+
+        Returns True when the state changed.  Nothing of a push is kept
+        once it is applied; a caller that wants the pushed history wraps
+        this method.
+        """
         with self._changed:
             if kind == "resync":
-                self._result = {tuple(t): m for t, m in pairs}
+                self._result = dict(pairs)
                 self.version = version
                 self.resyncs += 1
-                self.events.append(("resync", version, list(pairs)))
                 self._changed.notify_all()
                 return True
             if version <= self.version:
                 self.deltas_skipped += 1
                 return False
+            result = self._result
             for tup, mult in pairs:
-                tup = tuple(tup)
-                updated = self._result.get(tup, 0) + mult
+                updated = result.get(tup, 0) + mult
                 if updated:
-                    self._result[tup] = updated
+                    result[tup] = updated
                 else:
-                    self._result.pop(tup, None)
+                    result.pop(tup, None)
             self.version = version
             self.deltas_applied += 1
-            self.events.append(("delta", version, list(pairs)))
             self._changed.notify_all()
             return True
 
@@ -140,9 +140,6 @@ class AggregateSubscriptionState:
         self.deltas_applied = 0
         self.deltas_skipped = 0
         self.resyncs = 0
-        #: Every applied push, as ``(kind, version, rows)`` — kept so tests
-        #: can replay the exact pushed history against an oracle.
-        self.events: List[Tuple[str, int, List]] = []
 
     def _unwire(self, rows) -> Dict[Tuple, Tuple[int, Any]]:
         ring = self.ring
@@ -158,7 +155,6 @@ class AggregateSubscriptionState:
                 self._elements = self._unwire(rows)
                 self.version = version
                 self.resyncs += 1
-                self.events.append(("resync", version, list(rows)))
                 self._changed.notify_all()
                 return True
             if version <= self.version:
@@ -176,7 +172,6 @@ class AggregateSubscriptionState:
                     self._elements.pop(group, None)
             self.version = version
             self.deltas_applied += 1
-            self.events.append(("delta", version, list(rows)))
             self._changed.notify_all()
             return True
 
@@ -584,7 +579,7 @@ class AsyncSubscription:
 
         self.sid = sid
         self.version = version
-        self.result: Dict[Tuple, int] = {tuple(t): m for t, m in pairs}
+        self.result: Dict[Tuple, int] = dict(pairs)
         self.deltas_applied = 0
         self.resyncs = 0
         self.max_result_size = len(self.result)
@@ -594,18 +589,19 @@ class AsyncSubscription:
         kind = message.get("kind")
         version = int(message["version"])
         if kind == "resync":
-            self.result = {tuple(t): m for t, m in unwire_pairs(message["result"])}
+            self.result = dict(unwire_pairs(message["result"]))
             self.version = version
             self.resyncs += 1
         elif kind == "delta":
             if version <= self.version:
                 return
+            result = self.result
             for tup, mult in unwire_pairs(message["delta"]):
-                updated = self.result.get(tup, 0) + mult
+                updated = result.get(tup, 0) + mult
                 if updated:
-                    self.result[tup] = updated
+                    result[tup] = updated
                 else:
-                    self.result.pop(tup, None)
+                    result.pop(tup, None)
             self.version = version
             self.deltas_applied += 1
         else:  # pragma: no cover - unknown push kind

@@ -16,9 +16,22 @@ Two message shapes flow over a connection:
   traffic (``"kind": "delta"`` or ``"kind": "resync"``) that the client
   demultiplexes to the matching subscription.
 
-JSON has no tuples, so result tuples cross the wire as lists and are
-re-tupled on arrival by :func:`unwire_pairs`; scenario values are scalars
-(ints/strings), which JSON round-trips exactly.
+JSON has no tuples.  A single tuple (a lookup key, an update) crosses the
+wire as a list; a *set of result tuples with multiplicities* — the payload
+of ``read``, ``snapshot_page``, a ``subscribe`` response, a resync and every
+per-commit delta push — crosses as one **columnar pair table**,
+``{"c": [column, …], "m": [multiplicity, …]}``: one list per result column
+plus the list of multiplicities, all of the same length.  Thousands of
+tuples then cost a handful of long scalar lists to encode and parse, not
+thousands of two-element lists of lists, and :func:`unwire_pairs` re-tuples
+them with two ``zip`` calls.  :func:`wire_pairs` and :func:`unwire_pairs` are
+the only code that knows this shape.  Values are JSON scalars (the
+scenarios' are ints and strings), which JSON round-trips exactly.
+
+``PROTOCOL_VERSION`` 2 is the columnar pair table; version 1 sent pairs as
+``[[values…], multiplicity]`` rows.  There is no negotiation: ``ping``
+reports the server's version and a version-1 peer's pair payloads are
+rejected as malformed.
 """
 
 from __future__ import annotations
@@ -26,12 +39,14 @@ from __future__ import annotations
 import json
 import socket
 import struct
+from itertools import repeat
+from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.data.update import Update
 from repro.exceptions import ReproError
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Frame header: one 4-byte big-endian unsigned payload length.
 HEADER = struct.Struct(">I")
@@ -165,22 +180,58 @@ def unwire_tuple(raw: Any) -> Tuple[Any, ...]:
     return tuple(raw)
 
 
-def wire_pairs(pairs: Iterable[Tuple[Sequence[Any], int]]) -> List[List[Any]]:
-    """Encode ``(tuple, multiplicity)`` pairs as ``[[values...], mult]``."""
-    return [[list(tup), int(mult)] for tup, mult in pairs]
+#: What a tuple value or a multiplicity may be once JSON has parsed it.
+_SCALARS = frozenset((int, float, str, bool, type(None)))
+_INT = frozenset((int,))
+
+
+def wire_pairs(pairs: Iterable[Tuple[Sequence[Any], int]]) -> Dict[str, List[Any]]:
+    """Encode ``(tuple, multiplicity)`` pairs as a columnar pair table.
+
+    ``{"c": [[first values…], [second values…], …], "m": [multiplicities…]}``;
+    tuples of arity 0 leave ``"c"`` empty and are counted by ``"m"`` alone.
+    """
+    # Written to allocate a handful of lists and nothing per pair: a commit's
+    # delta is thousands of pairs, and ``zip(*pairs)`` / ``zip(*tuples)`` would
+    # keep every pair alive and open one iterator per tuple — thousands of
+    # short-lived containers, which the collector answers with extra passes
+    # over the serving process's heap, under the engine's write lock.
+    tuples: List[Sequence[Any]] = []
+    mults: List[int] = []
+    for tup, mult in pairs:
+        tuples.append(tup)
+        mults.append(int(mult))
+    arity = len(tuples[0]) if tuples else 0
+    return {
+        "c": [list(map(itemgetter(i), tuples)) for i in range(arity)],
+        "m": mults,
+    }
 
 
 def unwire_pairs(raw: Any) -> List[Tuple[Tuple[Any, ...], int]]:
-    """Decode the output of :func:`wire_pairs`."""
-    if not isinstance(raw, list):
-        raise ProtocolError(f"expected a pair list on the wire, got {raw!r}")
-    pairs: List[Tuple[Tuple[Any, ...], int]] = []
-    for item in raw:
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise ProtocolError(f"malformed wire pair {item!r}")
-        tup, mult = item
-        pairs.append((unwire_tuple(tup), int(mult)))
-    return pairs
+    """Decode the output of :func:`wire_pairs` (``ProtocolError`` if malformed)."""
+    if not isinstance(raw, dict):
+        raise ProtocolError(
+            f"expected a pair table on the wire, got a {type(raw).__name__}"
+        )
+    columns, mults = raw.get("c"), raw.get("m")
+    if not isinstance(columns, list) or not isinstance(mults, list):
+        raise ProtocolError(
+            'a pair table needs a list of columns "c" and a list of '
+            f'multiplicities "m", got keys {sorted(map(str, raw))}'
+        )
+    if not set(map(type, mults)) <= _INT:
+        raise ProtocolError("pair table multiplicities must be integers")
+    count = len(mults)
+    for column in columns:
+        if not isinstance(column, list) or len(column) != count:
+            raise ProtocolError(
+                f"every pair table column must be a list of {count} values"
+            )
+        if not set(map(type, column)) <= _SCALARS:
+            raise ProtocolError("pair table values must be JSON scalars")
+    tuples = zip(*columns) if columns else repeat((), count)
+    return list(zip(tuples, mults))
 
 
 def wire_updates(updates: Iterable[Update]) -> List[List[Any]]:

@@ -57,6 +57,7 @@ from repro.exceptions import ReproError, UnsupportedQueryError
 from repro.net.metrics import render_server_metrics
 from repro.net.protocol import (
     HEADER,
+    PROTOCOL_VERSION,
     ConnectionClosedError,
     ProtocolError,
     encode_frame,
@@ -296,7 +297,15 @@ class EngineTCPServer:
         loop = self._loop
         if loop is None:
             return
-        payload = wire_pairs(delta.items())
+        # Nobody to serialise the tuple delta for?  Then do not: this runs
+        # under the engine's write lock.  A plain subscriber that registers
+        # after this check needs no frame for this commit — the commit is
+        # already published, and ``_op_subscribe`` registers before it
+        # reads, so its initial read is at this version or a later one.
+        # (``list`` snapshots the dict the event loop mutates.)
+        payload = None
+        if any(sub.spec is None for sub in list(self._subscribers.values())):
+            payload = wire_pairs(delta.items())
         agg_payloads: Dict[Tuple, list] = {}
         if self._agg_specs:
             head = tuple(self.serving.engine.query.head)
@@ -326,6 +335,8 @@ class EngineTCPServer:
                 # because the resync ratchet reads at >= latest_version.
                 continue
             if sub.spec is None:
+                if wire_delta is None:
+                    continue  # registered after the commit thread's check
                 item = ("delta", version, wire_delta)
             else:
                 # A spec registered after this commit was folded simply has
@@ -630,7 +641,7 @@ class EngineTCPServer:
     async def _op_ping(self, session: _Session, message: Dict) -> Dict:
         engine = self.serving.engine
         return {
-            "protocol": 1,
+            "protocol": PROTOCOL_VERSION,
             "query": str(engine.query),
             "mode": getattr(engine, "mode", None),
             "serving_mode": self.serving.mode,

@@ -66,6 +66,18 @@ class SkewAwarePlan:
     # byte-identical to the pre-ring engine; non-counting rings are carried
     # by the maintained aggregate states fed from the roots' result deltas.
     ring: Ring = COUNTING
+    # Memos of the three lookups below.  Which trees and triples reference a
+    # relation is fixed once the plan is built (only view *contents* change
+    # afterwards), and the maintenance layer asks on every update.
+    _trees_by_source: Dict[str, Tuple[ViewTreeNode, ...]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    _triples_by_relation: Dict[str, Tuple[IndicatorTriple, ...]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    _triples_by_light_source: Dict[str, Tuple[IndicatorTriple, ...]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def annotate_ring(self, ring: Ring) -> "SkewAwarePlan":
         """Annotate every tree of the plan with ``ring`` (returns ``self``).
@@ -87,17 +99,38 @@ class SkewAwarePlan:
 
     def trees_referencing(self, source_name: str) -> Tuple[ViewTreeNode, ...]:
         """Strategy trees whose leaves reference the relation ``source_name``."""
-        return tuple(
-            tree for tree in self.all_trees() if source_name in tree.source_names()
-        )
+        trees = self._trees_by_source.get(source_name)
+        if trees is None:
+            trees = self._trees_by_source[source_name] = tuple(
+                tree
+                for tree in self.all_trees()
+                if source_name in tree.source_names()
+            )
+        return trees
 
     def triples_referencing(self, relation_name: str) -> Tuple[IndicatorTriple, ...]:
         """Indicator triples whose All tree is fed by ``relation_name``."""
-        return tuple(
-            triple
-            for triple in self.indicator_triples
-            if relation_name in triple.relation_names
-        )
+        triples = self._triples_by_relation.get(relation_name)
+        if triples is None:
+            triples = self._triples_by_relation[relation_name] = tuple(
+                triple
+                for triple in self.indicator_triples
+                if relation_name in triple.relation_names
+            )
+        return triples
+
+    def light_triples_referencing(
+        self, source_name: str
+    ) -> Tuple[IndicatorTriple, ...]:
+        """Indicator triples whose light (``L``) tree reads ``source_name``."""
+        triples = self._triples_by_light_source.get(source_name)
+        if triples is None:
+            triples = self._triples_by_light_source[source_name] = tuple(
+                triple
+                for triple in self.indicator_triples
+                if source_name in triple.light_tree.source_names()
+            )
+        return triples
 
     def describe(self) -> str:
         """Human-readable rendering of the whole plan (used by ``explain``)."""

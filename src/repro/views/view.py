@@ -53,6 +53,8 @@ class ViewTreeNode:
         self.name = name
         self.schema: Schema = tuple(schema)
         self.ring: Ring = ring if ring is not None else COUNTING
+        # Memo of path_from: a tree's shape is fixed once it is built.
+        self._paths: Dict[str, Optional[PropagationPath]] = {}
 
     def annotate_ring(self, ring: Ring) -> "ViewTreeNode":
         """Annotate this subtree's payload ring (returns ``self``)."""
@@ -104,6 +106,33 @@ class ViewTreeNode:
         """Names of the relations referenced by the leaves of this subtree."""
         return frozenset(leaf.source_name for leaf in self.leaves())
 
+    def path_from(self, source_name: str) -> Optional["PropagationPath"]:
+        """The leaf-to-root path a change of ``source_name`` travels.
+
+        ``None`` when no leaf of this subtree references the relation;
+        otherwise the first such leaf in left-to-right order (a relation
+        occurs at most once per tree, footnote 2) and, for every view from
+        its parent up to this node, the view with the children that did not
+        change.  Computed on first use and memoised.
+        """
+        try:
+            return self._paths[source_name]
+        except KeyError:
+            pass
+        path: Optional[PropagationPath] = None
+        if isinstance(self, LeafNode):
+            if self.source_name == source_name:
+                path = (self, ())
+        else:
+            for child in self.children:
+                below = child.path_from(source_name)
+                if below is not None:
+                    siblings = tuple(c for c in self.children if c is not child)
+                    path = (below[0], below[1] + ((self, siblings),))
+                    break
+        self._paths[source_name] = path
+        return path
+
     def find_leaves(self, source_name: str) -> Tuple["LeafNode", ...]:
         """Leaves referencing the relation called ``source_name``."""
         return tuple(
@@ -123,6 +152,12 @@ class ViewTreeNode:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r}, schema={self.schema!r})"
+
+
+#: ``(changed leaf, ((view, unchanged children), …) from the leaf's parent up)``.
+PropagationPath = Tuple[
+    "LeafNode", Tuple[Tuple["ViewNode", Tuple[ViewTreeNode, ...]], ...]
+]
 
 
 class LeafNode(ViewTreeNode):

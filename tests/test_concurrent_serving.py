@@ -169,10 +169,27 @@ class TestTrailingReplicaStress:
 
         engine = HierarchicalEngine(PATH_QUERY, epsilon=1.0).load(database)
         server = EngineServer(engine, mode="snapshot")
+        # The writer's first commit waits for the first served read: a writer
+        # free to start ahead of the readers can finish all 120 commits
+        # before any of them reads, and then no read overlaps a replay.
+        first_read = threading.Event()
+        serve_read = server.read
+
+        def read_then_signal(limit=None):
+            ticket = serve_read(limit)
+            first_read.set()
+            return ticket
+
+        server.read = read_then_signal
+
+        def commits_after_first_read():
+            assert first_read.wait(30.0), "no read was served"
+            yield from commits
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            writer = server.start_writer(commits)
+            writer = server.start_writer(commits_after_first_read())
             tickets = server.run_readers(READERS, WINDOW_SECONDS)
             writer.join(60.0)
             assert not writer.is_alive()

@@ -196,3 +196,49 @@ class TestDynamicPropertyEquivalence:
             engine.update(name, (x, y), mult)
             shadow.relation(name).apply_delta((x, y), mult)
         assert engine.result() == evaluate_query_naive(query, shadow).as_dict()
+
+
+class TestNoTreeWalksPerUpdate:
+    """Which trees reference a relation is structure, fixed for a plan's
+    lifetime: single-tuple updates must not walk the trees to find out
+    again (counted, not timed)."""
+
+    def test_single_updates_stop_walking_the_trees(self, monkeypatch):
+        from repro.views.view import ViewTreeNode
+
+        text = "Q(A, C) = R(A, B), S(B, C)"
+        heavy = [(a, 0) for a in range(30)] + [(a, 1 + a % 3) for a in range(9)]
+        database = Database.from_dict(
+            {"R": (("A", "B"), heavy), "S": (("B", "C"), [(b, a) for a, b in heavy])}
+        )
+        engine = HierarchicalEngine(text, epsilon=0.5, enable_rebalancing=False)
+        engine.load(database)
+        processor = engine._driver.processor
+        assert engine._skew_plan.indicator_triples  # the plan has all three lookups
+
+        walks = {"leaves": 0, "source_names": 0}
+        for name in walks:
+            original = getattr(ViewTreeNode, name)
+
+            def counting(self, *args, _name=name, _original=original):
+                walks[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(ViewTreeNode, name, counting)
+
+        # heavy key, light keys and fresh keys, in and out again
+        touched = [("R", (100 + i, i % 5)) for i in range(20)]
+        touched += [("S", (i % 5, 200 + i)) for i in range(20)]
+        touched += [("R", (300, 77)), ("S", (77, 300))]
+        round_trip = [Update(n, t, 1) for n, t in touched]
+        round_trip += [Update(n, t, -1) for n, t in reversed(touched)]
+        for update in round_trip:
+            processor.apply_update(update)
+        assert walks["source_names"] > 0  # the first lookups did walk
+        after_first_round = dict(walks)
+        for _ in range(3):
+            for update in round_trip:
+                processor.apply_update(update)
+        assert walks == after_first_round
+        query = parse_query(text)
+        assert engine.result() == evaluate_query_naive(query, database).as_dict()

@@ -1,5 +1,7 @@
 """Tests for BoundRelation, the fold join, delta joins, and materialization."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,9 +9,13 @@ from hypothesis import strategies as st
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.engine.evaluator import evaluate_query_naive, evaluate_to_dict
+from repro.data.relation import DictRelation
+from repro.data.storage import ColumnarRelation
 from repro.engine.join import (
     BoundRelation,
+    compile_join,
     delta_join,
+    fold_join,
     join_children,
     join_to_relation,
 )
@@ -239,3 +245,136 @@ class TestJoinProperties:
                 if b == b2:
                     expected[(a, c)] = expected.get((a, c), 0) + m1 * m2
         assert result == expected
+
+
+# ----------------------------------------------------------------------
+# property-based: the compiled join against a nested-loop oracle
+# ----------------------------------------------------------------------
+VARIABLES = ("A", "B", "C", "D", "E")
+BACKENDS = {"dict": DictRelation, "columnar": ColumnarRelation}
+
+
+def schemas(max_size=3):
+    """Ordered subsets of ``VARIABLES`` (possibly empty)."""
+    return st.lists(
+        st.sampled_from(VARIABLES), unique=True, min_size=0, max_size=max_size
+    ).map(tuple)
+
+
+def contents(schema, mults):
+    """``{tuple: multiplicity}`` over ``schema`` with values from a tiny domain."""
+    return st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * len(schema)), mults, max_size=6
+    )
+
+
+@st.composite
+def join_cases(draw):
+    start_schema = draw(schemas())
+    sibling_schemas = draw(st.lists(schemas(), min_size=0, max_size=3))
+    available = sorted(set(start_schema).union(*sibling_schemas))
+    output_schema = tuple(draw(st.permutations(available)))[: draw(st.integers(0, 3))]
+    signed = st.integers(-2, 2)  # zero entries included: they must vanish
+    positive = st.integers(1, 3)
+    return {
+        "backend": draw(st.sampled_from(sorted(BACKENDS))),
+        "start_schema": start_schema,
+        "start": draw(contents(start_schema, signed)),
+        "siblings": [
+            (schema, draw(contents(schema, positive)), draw(contents(schema, positive)))
+            for schema in sibling_schemas
+        ],
+        "output_schema": output_schema,
+    }
+
+
+def nested_loop_join(start_schema, start, siblings, output_schema):
+    """Every combination of one entry per input, kept when the shared
+    variables agree; multiplicities multiply, projections add, zeros vanish."""
+    expected = {}
+    inputs = [(start_schema, start)] + [(b.variables, dict(b.items())) for b in siblings]
+    for combination in itertools.product(*[c.items() for _, c in inputs]):
+        assignment, weight, consistent = {}, 1, True
+        for (schema, _), (tup, mult) in zip(inputs, combination):
+            weight *= mult
+            for variable, value in zip(schema, tup):
+                if assignment.setdefault(variable, value) != value:
+                    consistent = False
+        if consistent:
+            key = tuple(assignment[v] for v in output_schema)
+            expected[key] = expected.get(key, 0) + weight
+    return {key: mult for key, mult in expected.items() if mult}
+
+
+class TestCompiledJoin:
+    @given(case=join_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_nested_loops_and_survives_content_changes(self, case):
+        bound = []
+        for position, (schema, rows, _) in enumerate(case["siblings"]):
+            # stored column names differ from the variables: binding is positional
+            columns = tuple(f"c{position}_{i}" for i in range(len(schema)))
+            relation = BACKENDS[case["backend"]](f"S{position}", columns, rows)
+            bound.append(BoundRelation(schema, relation))
+        arguments = (case["start_schema"], case["start"], bound, case["output_schema"])
+        before = dict(case["start"])
+        result = fold_join(*arguments)
+        assert result == nested_loop_join(*arguments)
+        assert all(result.values())  # cancelled entries are absent, not zero
+        assert case["start"] == before  # the caller's delta is not modified
+
+        # the same memoised plan, after the siblings changed under it and
+        # after their indexes were dropped
+        for child, (_, rows, more) in zip(bound, case["siblings"]):
+            for tup, mult in more.items():
+                child.relation.apply_delta(tup, mult)
+            for tup in list(rows)[::2]:
+                child.relation.apply_delta(tup, -child.relation.multiplicity(tup))
+        assert fold_join(*arguments) == nested_loop_join(*arguments)
+        for child in bound:
+            child.relation.invalidate_indexes()
+        assert fold_join(*arguments) == nested_loop_join(*arguments)
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_three_probe_modes_in_one_plan(self, backend):
+        make = BACKENDS[backend]
+        point = BoundRelation(("A", "B"), make("P", ("x", "y"), {(1, 2): 2, (1, 3): 1}))
+        index = BoundRelation(("B", "C"), make("I", ("x", "y"), {(2, 7): 1, (2, 8): 3, (9, 9): 1}))
+        scan = BoundRelation(("D",), make("F", ("x",), {(0,): 1, (5,): 2}))
+        signature = (("A", "B"), (("A", "B"), ("B", "C"), ("D",)), ("D", "C", "A"))
+        plan = compile_join(*signature)
+        assert plan.modes == ("point", "index", "scan")
+        assert compile_join(*signature) is plan  # memoised by schemas alone
+        delta = {(1, 2): 1, (1, 3): 5, (4, 4): 1}
+        # the steps run directly, in the signature's order (fold_join would
+        # probe the smaller ``scan`` relation before ``index``: another plan)
+        acc = delta
+        for step, child in zip(plan.steps, (point, index, scan)):
+            acc = step(acc, child.relation)
+        assert acc == {
+            (0, 7, 1): 2, (0, 8, 1): 6, (5, 7, 1): 4, (5, 8, 1): 12,
+        }
+        assert fold_join(("A", "B"), delta, [point, index, scan], ("D", "C", "A")) == acc
+
+    def test_projection_adds_and_signed_deltas_cancel(self):
+        s = BoundRelation(("B", "C"), Relation("S", ("B", "C"), {(1, 5): 2, (2, 5): 2, (3, 6): 1}))
+        delta = {("a", 1): 1, ("a", 2): -1, ("a", 3): 4}
+        # (a, 5) gets +2 and -2: absent.  (a, 6) survives.
+        assert fold_join(("A", "B"), delta, [s], ("A", "C")) == {("a", 6): 4}
+        # Boolean head: everything adds up on the empty tuple
+        assert fold_join(("A", "B"), {("a", 1): 1, ("b", 3): 2}, [s], ()) == {(): 4}
+
+    def test_empty_sibling_and_no_sibling(self):
+        empty = BoundRelation(("B",), Relation("S", ("B",)))
+        assert fold_join(("A", "B"), {(1, 2): 1}, [empty], ("A",)) == {}
+        assert fold_join(("A", "B"), {(1, 2): 1, (1, 3): 2, (2, 2): 0}, [], ("A",)) == {(1,): 3}
+        start = {(1, 2): 1}
+        same = fold_join(("A", "B"), start, [], ("A", "B"))
+        assert same == start and same is not start
+
+    def test_unknown_output_variable_is_a_schema_error(self):
+        s = BoundRelation(("B",), Relation("S", ("B",), {(2,): 1}))
+        with pytest.raises(SchemaError):
+            fold_join(("A", "B"), {(1, 2): 1}, [s], ("A", "Z"))
+        with pytest.raises(SchemaError):
+            fold_join(("A",), {}, [], ("Z",))  # raised by the plan, data or no data

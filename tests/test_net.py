@@ -19,6 +19,8 @@ import time
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Database, HierarchicalEngine, Update
 from repro.baselines.naive import NaiveRecomputeEngine
@@ -31,8 +33,10 @@ from repro.net import (
     ServerConfig,
     ServerThread,
 )
+from repro.net.client import SubscriptionState
 from repro.net.protocol import (
     MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
     ProtocolError,
     decode_payload,
     encode_frame,
@@ -115,6 +119,98 @@ def test_frame_header_guards():
         decode_payload(b"not json")
     with pytest.raises(ProtocolError):
         decode_payload(b"[1, 2, 3]")  # not an object
+
+
+WIRE_VALUES = st.one_of(
+    st.integers(-(2**40), 2**40), st.text(max_size=4), st.none()
+)
+
+
+@st.composite
+def pair_lists(draw):
+    arity = draw(st.integers(0, 3))
+    tuples = draw(
+        st.lists(st.tuples(*[WIRE_VALUES] * arity), unique=True, max_size=8)
+    )
+    return [(tup, draw(st.integers(-5, 5))) for tup in tuples]
+
+
+@given(pairs=pair_lists())
+@settings(max_examples=200, deadline=None)
+def test_pair_table_roundtrips_through_a_frame(pairs):
+    """Empty, arity 0, mixed int/str/None values, negative multiplicities."""
+    table = wire_pairs(pairs)
+    assert set(table) == {"c", "m"} and len(table["m"]) == len(pairs)
+    assert unwire_pairs(table) == pairs  # in memory, no JSON in between
+    frame = encode_frame({"sub": 1, "kind": "delta", "version": 3, "delta": table})
+    assert unwire_pairs(decode_payload(frame[4:])["delta"]) == pairs
+    assert unwire_pairs(wire_pairs(dict(pairs).items())) == pairs
+
+
+HOSTILE_PAIR_TABLES = [
+    pytest.param({"c": [[1, 2], [3]], "m": [1, 1]}, id="ragged-columns"),
+    pytest.param({"c": [[1, 2]], "m": [1]}, id="column-longer-than-m"),
+    pytest.param({"c": ["ab"], "m": [1, 1]}, id="string-column"),
+    pytest.param({"c": [7], "m": [1]}, id="scalar-column"),
+    pytest.param({"c": {"0": [1]}, "m": [1]}, id="columns-not-a-list"),
+    pytest.param({"c": [[1]]}, id="m-missing"),
+    pytest.param({"m": [1]}, id="c-missing"),
+    pytest.param({"c": [[1]], "m": 1}, id="m-not-a-list"),
+    pytest.param({"c": [[1]], "m": ["3"]}, id="m-string"),
+    pytest.param({"c": [[1]], "m": [2.5]}, id="m-float"),
+    pytest.param({"c": [[1]], "m": [True]}, id="m-bool"),
+    pytest.param({"c": [[[1, 2]]], "m": [1]}, id="nested-value"),
+    pytest.param({"c": [[{"a": 1}]], "m": [1]}, id="object-value"),
+    pytest.param([[[1, "x"], 2], [[3, 4], -1]], id="protocol-1-rows"),
+    pytest.param([], id="protocol-1-empty"),
+    pytest.param(None, id="null"),
+    pytest.param("pairs", id="string"),
+]
+
+
+@pytest.mark.parametrize("table", HOSTILE_PAIR_TABLES)
+def test_hostile_pair_table_is_a_protocol_error(table):
+    parsed = decode_payload(encode_frame({"delta": table})[4:])["delta"]
+    with pytest.raises(ProtocolError):
+        unwire_pairs(parsed)
+    # the mirrors raise the same error and keep their state
+    state = SubscriptionState(4, [((1,), 1)])
+    with pytest.raises(ProtocolError):
+        state.apply_push({"kind": "delta", "version": 5, "delta": parsed})
+    with pytest.raises(ProtocolError):
+        state.apply_push({"kind": "resync", "version": 5, "result": parsed})
+    assert state.version == 4 and state.result() == {(1,): 1}
+
+
+def test_hostile_pair_tables_fail_only_their_own_session():
+    """A live server fed every hostile table where it expects updates: the
+    sender gets an error per frame, nothing is applied, and a subscribed
+    session beside it never notices.  A frame that is not a JSON object
+    then costs the sender — and only the sender — its connection."""
+    tables = [param.values[0] for param in HOSTILE_PAIR_TABLES]
+    tables.remove([])  # as an update list, an empty list is a valid empty batch
+    with serve() as (serving, handle):
+        with EngineClient("127.0.0.1", handle.port) as healthy:
+            subscription = healthy.subscribe()
+            version = subscription.version
+            hostile = socket.create_connection(("127.0.0.1", handle.port), 5)
+            hostile.settimeout(10)
+            try:
+                for request_id, table in enumerate(tables, start=1):
+                    write_frame(
+                        hostile, {"op": "apply_batch", "id": request_id, "updates": table}
+                    )
+                    reply = read_frame(hostile)
+                    assert reply["id"] == request_id and reply["ok"] is False, reply
+                hostile.sendall(encode_frame({})[:3] + b"\x03[1]")
+                assert hostile.recv(1) == b""
+            finally:
+                hostile.close()
+            assert serving.engine.version == version
+            assert healthy.ping()["version"] == version
+            committed = healthy.apply_batch([Update("R", (0, 0), 1)])
+            assert subscription.wait_for_version(committed, 30.0)
+            assert healthy.server_stats()["net"]["connections_current"] == 1
 
 
 def test_pairs_and_updates_roundtrip():
@@ -221,7 +317,7 @@ def test_connection_limit_refuses_with_error_frame():
             finally:
                 refused.close()
             # the admitted session keeps working
-            assert client.ping()["protocol"] == 1
+            assert client.ping()["protocol"] == PROTOCOL_VERSION
             stats = client.server_stats()
             assert stats["net"]["connections_refused"] == 1
 
@@ -258,6 +354,25 @@ class RetuneOnceController:
         return None
 
 
+def record_applied_pushes(state):
+    """Wrap ``state.apply`` so every applied push lands in the returned list.
+
+    The mirror keeps no history of its own; nothing has been pushed yet when
+    a test calls this right after subscribing and before its first write.
+    """
+    events = []
+    apply = state.apply
+
+    def recording_apply(kind, version, pairs):
+        changed = apply(kind, version, pairs)
+        if changed:
+            events.append((kind, version, pairs))
+        return changed
+
+    state.apply = recording_apply
+    return events
+
+
 def test_subscription_conformance_across_retune():
     """Pushed deltas reproduce the oracle at every version, spanning an
     auto-retune that bumps the version mid-stream."""
@@ -270,6 +385,7 @@ def test_subscription_conformance_across_retune():
             subscription = client.subscribe(query=PATH_QUERY)
             initial = dict(subscription.result())
             assert initial == oracle.result()
+            events = record_applied_pushes(subscription.state)
 
             rng = random.Random(55)
             inserted = []
@@ -290,14 +406,14 @@ def test_subscription_conformance_across_retune():
             # must equal the oracle at each version stamp it passes through
             replay = dict(initial)
             matched = 0
-            for kind, version, pairs in subscription.state.events:
+            for kind, version, pairs in events:
                 assert kind == "delta"
                 for tup, mult in pairs:
-                    updated = replay.get(tuple(tup), 0) + mult
+                    updated = replay.get(tup, 0) + mult
                     if updated:
-                        replay[tuple(tup)] = updated
+                        replay[tup] = updated
                     else:
-                        replay.pop(tuple(tup), None)
+                        replay.pop(tup, None)
                 if version in trajectory:
                     assert replay == trajectory[version], (
                         f"pushed deltas diverged at version {version}"
@@ -334,6 +450,37 @@ def test_unsubscribe_stops_pushes():
             assert subscription.version < serving.engine.version
             stats = client.server_stats()
             assert stats["net"]["subscribers_current"] == 0
+
+
+def test_commit_delta_is_wired_only_for_plain_subscribers(monkeypatch):
+    """The commit listener runs under the engine's write lock: it builds the
+    pair table of a commit only while a plain (tuple) subscriber exists."""
+    import repro.net.server as server_module
+
+    wired = []
+
+    def counting_wire_pairs(pairs):
+        table = wire_pairs(pairs)
+        wired.append(len(table["m"]))
+        return table
+
+    with serve() as (serving, handle):
+        with EngineClient("127.0.0.1", handle.port) as client:
+            client.apply_batch([Update("R", (0, 1), 1), Update("S", (1, 0), 1)])
+            aggregate = client.subscribe_aggregate("counting")
+            version = client.apply_batch([Update("R", (0, 2), 1), Update("S", (2, 0), 1)])
+            assert aggregate.wait_for_version(version, 10.0)
+            monkeypatch.setattr(server_module, "wire_pairs", counting_wire_pairs)
+            version = client.apply_batch([Update("R", (0, 3), 1), Update("S", (3, 0), 1)])
+            assert aggregate.wait_for_version(version, 10.0)
+            assert wired == []  # nobody to serialise the tuple delta for
+
+            subscription = client.subscribe()
+            del wired[:]  # the subscribe response wired the initial result
+            version = client.apply_batch([Update("R", (0, 4), 1), Update("S", (4, 0), 1)])
+            assert subscription.wait_for_version(version, 10.0)
+            assert len(wired) == 1 and wired[0] > 0
+            assert subscription.result() == client.result()
 
 
 def test_slow_subscriber_coalesces_to_resync():
@@ -468,4 +615,4 @@ def test_server_survives_garbage_bytes():
         sock.close()
         # and a clean client still works afterwards
         with EngineClient("127.0.0.1", handle.port) as client:
-            assert client.ping()["protocol"] == 1
+            assert client.ping()["protocol"] == PROTOCOL_VERSION

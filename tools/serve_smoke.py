@@ -89,6 +89,18 @@ def scripted_session() -> None:
             initial_version = subscription.version
             initial_result = dict(subscription.result())
             assert initial_result == oracle.result(), "initial result diverged"
+            # The mirror keeps no history: record each applied push here, by
+            # wrapping its apply (nothing is pushed before the first write).
+            events = []
+            apply_push = subscription.state.apply
+
+            def recording_apply(kind, version, pairs):
+                changed = apply_push(kind, version, pairs)
+                if changed:
+                    events.append((kind, version, pairs))
+                return changed
+
+            subscription.state.apply = recording_apply
 
             # ring-aggregate subscriptions next to the plain one: the
             # server folds every commit per spec and pushes aggregate
@@ -140,10 +152,9 @@ def scripted_session() -> None:
             # must pass through the oracle's state at every version stamp
             replay = dict(initial_result)
             checked = 0
-            for kind, version, pairs in subscription.state.events:
+            for kind, version, pairs in events:
                 assert kind == "delta", f"unexpected {kind} push in smoke run"
                 for tup, mult in pairs:
-                    tup = tuple(tup)
                     updated = replay.get(tup, 0) + mult
                     if updated:
                         replay[tup] = updated
