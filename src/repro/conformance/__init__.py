@@ -18,7 +18,8 @@ every ε.  This package turns that claim into an executable oracle:
   deltas, enumeration invariants, internal structure invariants, and
   ring-aggregate answers (maintained, enumerate-and-fold, and snapshot
   paths against the fold over the oracle) at every checkpoint; its kill-mid-batch mode (:func:`run_crash_recovery_case`)
-  crashes a *durable* engine at a case-deterministic fault-injection point,
+  crashes a *durable* engine at a case-deterministic fault-injection point
+  (the checkpoint writer's included, stepped at a case-deterministic lag),
   recovers it from checkpoint + WAL, replays the rest of the workload, and
   diffs the outcome against the naive oracle and a never-crashed twin;
 * :mod:`repro.conformance.metamorphic` states the metamorphic properties

@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import sys
 import tempfile
 import zlib
 from dataclasses import dataclass, field
@@ -785,33 +786,72 @@ def case_failure(case: ConformanceCase) -> Optional[Mismatch]:
 #
 # The durable engine's claim is stronger than "no data loss": after a crash
 # at *any* instrumented point (WAL append, the torn half-write window, the
-# fsync gap, checkpoint write/fsync/rename, checkpoint cleanup), recovering
-# and replaying the not-yet-durable remainder of the workload must be
-# indistinguishable — result, version, AND enumeration order — from an
-# engine that never crashed.  ``run_crash_recovery_case`` turns one
-# ConformanceCase into that experiment: a case-deterministic crash point is
-# armed, the workload runs until the simulated kill, the engine is recovered
-# from disk, the remaining events (chosen by durable version, exactly like a
-# client resuming from acknowledgements) are replayed, and the final state
-# is diffed against the naive oracle and a never-crashed durable twin.
+# fsync gap, and — on the checkpoint writer, which trails the committing
+# thread — checkpoint write/fsync/rename and cleanup), recovering and
+# replaying the not-yet-durable remainder of the workload must land on the
+# state of an engine that never crashed: version, ε, threshold base, every
+# base relation's content and insertion order, the result, sound invariants
+# — and, once both are normalised, the same enumeration order.
+# ``run_crash_recovery_case`` turns one ConformanceCase into that experiment.
+
+#: "The writer has not run by the time the engine is closed."
+UNTIL_CLOSE = sys.maxsize
+
+#: Writer lags the sweep covers: inside the commit that scheduled the
+#: checkpoint, one whole commit later, and not before ``close()``.
+WRITER_LAGS = (0, 1, UNTIL_CLOSE)
+
+
+class SteppedWriter:
+    """Deterministic stand-in for the checkpoint writer thread.
+
+    Crash hits can only be enumerated if the writer's sites interleave with
+    the committer's the same way on every run, so jobs run on the calling
+    thread: inline on ``submit`` for ``lag=0``, else at the ``tick()`` after
+    ``lag`` further events — or at ``drain()`` if that comes first.
+    """
+
+    def __init__(self, lag: int) -> None:
+        self.lag = lag
+        self._job = None
+        self._wait = 0
+
+    def submit(self, job) -> None:
+        if self.lag == 0:
+            job()
+        else:
+            self._job, self._wait = job, self.lag + 1
+
+    def tick(self) -> None:
+        self._wait -= 1
+        if self._wait <= 0:
+            self.drain()
+
+    def drain(self) -> None:
+        job, self._job = self._job, None
+        if job is not None:
+            job()
 
 
 def _recovery_plan(
     case: ConformanceCase,
-) -> Tuple[int, List[Tuple[str, object]], int, float, bool]:
+) -> Tuple[int, List[Tuple[str, object]], float, int, float, bool]:
     """Derive the deterministic crash experiment encoded by a case.
 
-    Returns ``(digest, events, checkpoint_interval, epsilon, batched)``.
-    Every *event* — one update, one consolidated segment batch, or the
-    mid-case retune — ticks the durable version at most once, so the
-    recovered engine's version identifies exactly which events still need
-    replaying.  All knobs derive from the case's JSON digest, so a shrunk
-    repro file replays the same crash without carrying extra state.
+    Returns ``(digest, events, checkpoint_ratio, writer_lag, epsilon,
+    batched)``.  Every *event* — one update, one consolidated segment
+    batch, or the mid-case retune — ticks the durable version at most once,
+    so the recovered engine's version identifies exactly which events still
+    need replaying.  All knobs derive from the case's JSON digest, so a
+    shrunk repro file replays the same crash without carrying extra state.
+    The ratio makes these sub-kilobyte databases checkpoint every one to
+    three records.
     """
     digest = zlib.crc32(case.to_json().encode("utf-8"))
     segments = case.segments()
     batched = bool(digest & 1)
-    interval = 1 + digest % 5
+    ratio = (1 + digest % 5) / 20
+    lag = WRITER_LAGS[(digest >> 8) % len(WRITER_LAGS)]
     epsilon = case.epsilons[len(case.epsilons) // 2] if case.epsilons else 0.5
     retune_checkpoint = 1 + digest % len(segments) if segments else None
     target = RETUNE_EPSILONS[digest % len(RETUNE_EPSILONS)]
@@ -823,7 +863,7 @@ def _recovery_plan(
             events.extend(("update", update) for update in segment)
         if number == retune_checkpoint:
             events.append(("retune", target))
-    return digest, events, interval, epsilon, batched
+    return digest, events, ratio, lag, epsilon, batched
 
 
 def _apply_event(engine, event: Tuple[str, object]) -> bool:
@@ -847,14 +887,43 @@ def _apply_event(engine, event: Tuple[str, object]) -> bool:
     return True
 
 
-def count_crash_sites(case: ConformanceCase) -> int:
+def _run_events(engine, events, lag: int) -> List[int]:
+    """Run ``events`` on a durable engine under a stepped writer; returns the
+    version after each event (the map a resuming client works from)."""
+    writer = engine._durability.writer = SteppedWriter(lag)
+    versions = []
+    for event in events:
+        _apply_event(engine, event)
+        writer.tick()
+        versions.append(engine.version)
+    return versions
+
+
+def _durable_state(engine):
+    """What recovery promises to reproduce without normalising."""
+    return (
+        engine.epsilon,
+        engine._driver.threshold_base,
+        [(relation.name, list(relation.items())) for relation in engine.database],
+    )
+
+
+def _normalised_order(engine) -> List[Tuple[ValueTuple, int]]:
+    """Enumeration order after ``rematerialize()`` — a pure function of
+    :func:`_durable_state`, hence comparable across a crash."""
+    engine._driver.rematerialize()
+    return list(engine.enumerate())
+
+
+def count_crash_sites(case: ConformanceCase, writer_lag: Optional[int] = None) -> int:
     """Number of crash-point hits in one clean durable run of ``case``.
 
     This is the size of the kill-anywhere sweep: arming the k-th hit for
     every ``1 <= k <= count_crash_sites(case)`` crashes the workload at
-    every instrumented durability operation it performs.
+    every instrumented durability operation it performs, the writer's
+    included, at the given writer lag (default: the case's own).
     """
-    _digest, events, interval, epsilon, _batched = _recovery_plan(case)
+    _digest, events, ratio, lag, epsilon, _batched = _recovery_plan(case)
     recorder = CrashPointInjector(None)
     tmp = Path(tempfile.mkdtemp(prefix="repro-crash-probe-"))
     try:
@@ -862,13 +931,10 @@ def count_crash_sites(case: ConformanceCase) -> int:
             engine = HierarchicalEngine(
                 case.query,
                 epsilon=epsilon,
-                durability=DurabilityConfig(
-                    str(tmp / "wal"), checkpoint_interval=interval
-                ),
+                durability=DurabilityConfig(str(tmp / "wal"), checkpoint_ratio=ratio),
             )
             engine.load(case.database())
-            for event in events:
-                _apply_event(engine, event)
+            _run_events(engine, events, lag if writer_lag is None else writer_lag)
             engine.close()
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -877,22 +943,28 @@ def count_crash_sites(case: ConformanceCase) -> int:
 
 def run_crash_recovery_case(
     case: ConformanceCase,
-    crash_hit: Optional[int] = None,
+    crash_hit: Union[int, Sequence[int], None] = None,
     max_mismatches: int = 20,
+    writer_lag: Optional[int] = None,
 ) -> ConformanceReport:
     """Crash the case's durable workload, recover, resume, diff everything.
 
-    ``crash_hit`` arms the k-th crash-point hit (1-based); by default one
-    case-deterministic hit is chosen, so fuzzed cases cover the whole
-    matrix over time while each individual case replays identically.
+    ``crash_hit`` arms the k-th crash-point hit (1-based), or each of a
+    sequence of hits in turn against one shared never-crashed twin; by
+    default one case-deterministic hit is chosen, so fuzzed cases cover the
+    whole matrix over time while each individual case replays identically.
+    ``writer_lag`` (one of :data:`WRITER_LAGS`; default case-derived) is
+    how far the checkpoint writer trails the commits that schedule it.
     Reported mismatch kinds all start with ``recovery``:
 
     * ``recovery-unrecoverable`` — recovery itself failed although durable
       state should exist;
     * ``recovery-version`` — the resumed engine missed the oracle version;
     * ``recovery-result`` — final result diverges from the naive oracle;
-    * ``recovery-order`` — result matches but the enumeration order differs
-      from the never-crashed durable twin (the PR-5 purity contract);
+    * ``recovery-state`` — ε, the threshold base, or a base relation's
+      content or insertion order differs from the never-crashed twin;
+    * ``recovery-order`` — all of the above match but, after normalising
+      both engines, the enumeration order differs;
     * ``recovery-invariant`` — the deep invariant probe failed after resume;
     * ``recovery-oracle`` — the *clean* durable run already diverges from
       the naive oracle (durability hooks corrupted normal ingestion).
@@ -905,10 +977,26 @@ def run_crash_recovery_case(
             query=case.query, supported=False, engines=(), checkpoints_run=0
         )
     mismatches: List[Mismatch] = []
-    digest, events, interval, epsilon, batched = _recovery_plan(case)
+    digest, events, ratio, lag, epsilon, batched = _recovery_plan(case)
+    if writer_lag is not None:
+        lag = writer_lag
     engine_name = (
-        f"durable(eps={epsilon},{'batch' if batched else 'seq'},interval={interval})"
+        f"durable(eps={epsilon},{'batch' if batched else 'seq'},"
+        f"ratio={ratio},lag={'close' if lag == UNTIL_CLOSE else lag})"
     )
+
+    def report() -> ConformanceReport:
+        return ConformanceReport(
+            query=case.query,
+            supported=True,
+            engines=(engine_name,),
+            checkpoints_run=len(events),
+            mismatches=mismatches[:max_mismatches],
+        )
+
+    def flag(kind: str, detail: str) -> None:
+        mismatches.append(Mismatch(engine_name, -1, kind, detail))
+
     tmp = Path(tempfile.mkdtemp(prefix="repro-crash-"))
     try:
         # -- ground truth: the naive oracle over the same event sequence
@@ -923,39 +1011,28 @@ def run_crash_recovery_case(
                 pass
         truth = dict(naive.result())
 
-        # -- the never-crashed durable twin: exact-order oracle AND the
-        #    event->version map used to resume after recovery.  A recorder
-        #    injector counts the crash sites the workload passes through.
-        oracle_config = DurabilityConfig(
-            str(tmp / "oracle"), checkpoint_interval=interval
-        )
+        # -- the never-crashed durable twin: durable-state and normalised-
+        #    order oracle AND the event->version map used to resume after
+        #    recovery.  A recorder injector counts the crash sites the
+        #    workload passes through.
+        oracle_config = DurabilityConfig(str(tmp / "oracle"), checkpoint_ratio=ratio)
         recorder = CrashPointInjector(None)
         with injected(recorder):
             oracle = HierarchicalEngine(
                 case.query, epsilon=epsilon, durability=oracle_config
             )
             oracle.load(case.database())
-            post_versions: List[int] = []
-            for event in events:
-                _apply_event(oracle, event)
-                post_versions.append(oracle.version)
+            post_versions = _run_events(oracle, events, lag)
+            oracle.close()
         oracle_result = dict(oracle.result())
-        oracle_enum = list(oracle.enumerate())
         oracle_version = oracle.version
-        oracle.close()
+        oracle_state = _durable_state(oracle)
+        oracle_order = _normalised_order(oracle)
         total_hits = recorder.total_hits
         clean_diff = _diff(truth, oracle_result)
         if clean_diff is not None:
-            mismatches.append(
-                Mismatch(engine_name, -1, "recovery-oracle", clean_diff)
-            )
-            return ConformanceReport(
-                query=case.query,
-                supported=True,
-                engines=(engine_name,),
-                checkpoints_run=len(events),
-                mismatches=mismatches,
-            )
+            flag("recovery-oracle", clean_diff)
+            return report()
 
         # -- the durable-acknowledgement contract: a *cleanly closed*
         #    directory must recover to exactly the acknowledged state.  The
@@ -967,154 +1044,116 @@ def run_crash_recovery_case(
                 Path(oracle_config.directory), oracle_config
             )
         except DurabilityError as exc:
-            mismatches.append(
-                Mismatch(
-                    engine_name,
-                    -1,
-                    "recovery-durable-loss",
-                    f"cleanly closed directory failed to recover: {exc}",
-                )
+            flag(
+                "recovery-durable-loss",
+                f"cleanly closed directory failed to recover: {exc}",
             )
         else:
+            reopened_diff = _diff(oracle_result, dict(reopened.result()))
             if reopened.version != oracle_version:
-                mismatches.append(
-                    Mismatch(
-                        engine_name,
-                        -1,
-                        "recovery-durable-loss",
-                        f"clean close acknowledged version {oracle_version} "
-                        f"but only {reopened.version} was durable",
-                    )
+                flag(
+                    "recovery-durable-loss",
+                    f"clean close acknowledged version {oracle_version} "
+                    f"but only {reopened.version} was durable",
                 )
-            else:
-                reopened_diff = _diff(oracle_result, dict(reopened.result()))
-                if reopened_diff is not None:
-                    mismatches.append(
-                        Mismatch(
-                            engine_name,
-                            -1,
-                            "recovery-durable-loss",
-                            f"clean-close recovery result drifted: {reopened_diff}",
-                        )
-                    )
-                elif list(reopened.enumerate()) != oracle_enum:
-                    mismatches.append(
-                        Mismatch(
-                            engine_name,
-                            -1,
-                            "recovery-durable-loss",
-                            "clean-close recovery changed the enumeration order",
-                        )
-                    )
+            elif reopened_diff is not None:
+                flag(
+                    "recovery-durable-loss",
+                    f"clean-close recovery result drifted: {reopened_diff}",
+                )
+            elif _durable_state(reopened) != oracle_state:
+                flag(
+                    "recovery-durable-loss",
+                    "clean-close recovery changed ε, the threshold base or a "
+                    "base relation's insertion order",
+                )
+            elif _normalised_order(reopened) != oracle_order:
+                flag(
+                    "recovery-durable-loss",
+                    "clean-close recovery changed the normalised enumeration order",
+                )
             reopened.close()
         if mismatches:
-            return ConformanceReport(
-                query=case.query,
-                supported=True,
-                engines=(engine_name,),
-                checkpoints_run=len(events),
-                mismatches=mismatches,
-            )
+            return report()
 
-        # -- crash run: arm the chosen hit and run until the simulated kill
-        hit = crash_hit if crash_hit is not None else 1 + digest % max(1, total_hits)
-        crash_dir = tmp / "crash"
-        crash_config = DurabilityConfig(str(crash_dir), checkpoint_interval=interval)
-        crashed_site: Optional[str] = None
-        with injected(CrashPointInjector("any", hits=hit)):
-            try:
-                engine = HierarchicalEngine(
-                    case.query, epsilon=epsilon, durability=crash_config
-                )
-                engine.load(case.database())
-                for event in events:
-                    _apply_event(engine, event)
-                engine.close()
-            except SimulatedCrashError as exc:
-                crashed_site = exc.site
+        # -- per armed hit: crash, recover, resume, diff (the twin above is
+        #    shared, which is what keeps an exhaustive sweep affordable)
+        if crash_hit is None:
+            crash_hit = 1 + digest % max(1, total_hits)
+        for hit in [crash_hit] if isinstance(crash_hit, int) else crash_hit:
+            # -- crash run: arm the hit and run until the simulated kill (a
+            #    crash on the writer surfaces at the next commit or close())
+            crash_dir = tmp / f"crash-{hit}"
+            crash_config = DurabilityConfig(str(crash_dir), checkpoint_ratio=ratio)
+            crashed_site: Optional[str] = None
+            with injected(CrashPointInjector("any", hits=hit)):
+                try:
+                    engine = HierarchicalEngine(
+                        case.query, epsilon=epsilon, durability=crash_config
+                    )
+                    engine.load(case.database())
+                    _run_events(engine, events, lag)
+                    engine.close()
+                except SimulatedCrashError as exc:
+                    crashed_site = exc.site
 
-        # -- recover (or, for a crash that predates the first durable
-        #    checkpoint, restart from the source database like an operator
-        #    whose load never completed)
-        if crashed_site is None:
-            recovered, _report = recover_engine(crash_dir, crash_config)
-        else:
+            # -- recover (or, for a crash that predates the first durable
+            #    checkpoint, restart from the source database like an operator
+            #    whose load never completed)
             try:
                 recovered, _report = recover_engine(crash_dir, crash_config)
             except DurabilityError as exc:
+                if crashed_site is None:
+                    raise
                 if find_checkpoints(crash_dir):
-                    mismatches.append(
-                        Mismatch(
-                            engine_name,
-                            -1,
-                            "recovery-unrecoverable",
-                            f"crash at {crashed_site!r} (hit {hit}) left "
-                            f"checkpoints on disk but recovery failed: {exc}",
-                        )
+                    flag(
+                        "recovery-unrecoverable",
+                        f"crash at {crashed_site!r} (hit {hit}) left "
+                        f"checkpoints on disk but recovery failed: {exc}",
                     )
-                    return ConformanceReport(
-                        query=case.query,
-                        supported=True,
-                        engines=(engine_name,),
-                        checkpoints_run=len(events),
-                        mismatches=mismatches,
-                    )
+                    continue
                 shutil.rmtree(crash_dir, ignore_errors=True)
                 recovered = HierarchicalEngine(
                     case.query, epsilon=epsilon, durability=crash_config
                 )
                 recovered.load(case.database())
 
-        # -- resume: replay exactly the events past the durable version
-        durable_version = recovered.version
-        start = 0
-        while start < len(events) and post_versions[start] <= durable_version:
-            start += 1
-        for event in events[start:]:
-            _apply_event(recovered, event)
+            # -- resume: replay exactly the events past the durable version
+            durable_version = recovered.version
+            start = 0
+            while start < len(events) and post_versions[start] <= durable_version:
+                start += 1
+            _run_events(recovered, events[start:], lag)
+            recovered.close()
 
-        context = f"crash at {crashed_site!r} (hit {hit}/{total_hits})"
-        if recovered.version != oracle_version:
-            mismatches.append(
-                Mismatch(
-                    engine_name,
-                    -1,
+            context = f"crash at {crashed_site!r} (hit {hit}/{total_hits})"
+            if recovered.version != oracle_version:
+                flag(
                     "recovery-version",
                     f"{context}: resumed to version {recovered.version}, "
                     f"oracle reached {oracle_version}",
                 )
-            )
-        result_diff = _diff(truth, dict(recovered.result()))
-        if result_diff is not None:
-            mismatches.append(
-                Mismatch(
-                    engine_name, -1, "recovery-result", f"{context}: {result_diff}"
+            try:
+                recovered.check_invariants()
+            except ReproError as exc:
+                flag("recovery-invariant", f"{context}: {exc}")
+            result_diff = _diff(truth, dict(recovered.result()))
+            if result_diff is not None:
+                flag("recovery-result", f"{context}: {result_diff}")
+            elif _durable_state(recovered) != oracle_state:
+                flag(
+                    "recovery-state",
+                    f"{context}: result matches but ε, the threshold base or a base "
+                    "relation's insertion order diverges from the never-crashed "
+                    "durable engine",
                 )
-            )
-        elif list(recovered.enumerate()) != oracle_enum:
-            mismatches.append(
-                Mismatch(
-                    engine_name,
-                    -1,
+            elif _normalised_order(recovered) != oracle_order:
+                flag(
                     "recovery-order",
-                    f"{context}: result matches but the enumeration order "
-                    "diverges from the never-crashed durable engine",
+                    f"{context}: durable state matches but the normalised "
+                    "enumeration order diverges from the never-crashed durable engine",
                 )
-            )
-        try:
-            recovered.check_invariants()
-        except ReproError as exc:
-            mismatches.append(
-                Mismatch(engine_name, -1, "recovery-invariant", f"{context}: {exc}")
-            )
-        recovered.close()
-        return ConformanceReport(
-            query=case.query,
-            supported=True,
-            engines=(engine_name,),
-            checkpoints_run=len(events),
-            mismatches=mismatches[:max_mismatches],
-        )
+        return report()
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 

@@ -383,8 +383,7 @@ class HierarchicalEngine:
         """Rebuild the durable engine persisted in ``directory``.
 
         Loads the newest valid checkpoint, replays the WAL tail through
-        the normal ingestion paths (re-hitting the scheduled checkpoint
-        barriers at the same versions), verifies the final version, and
+        the normal ingestion paths, verifies the final version, and
         returns ``(engine, report)`` — the engine already appending to
         the recovered WAL.  See :mod:`repro.durability.recovery`.
         """
@@ -393,12 +392,12 @@ class HierarchicalEngine:
         return recover_engine(directory, durability)
 
     def checkpoint(self) -> Path:
-        """Write a checkpoint now (also an index-normalization barrier).
+        """Write a checkpoint now; returns once the file is durable.
 
-        Durable engines checkpoint automatically every
-        ``checkpoint_interval`` commits; this forces one between
-        schedule points — before a planned shutdown, say, so recovery
-        replays an empty tail.
+        Durable engines checkpoint in the background whenever the WAL
+        outgrows ``checkpoint_ratio`` × the last checkpoint; this forces
+        one between schedule points — before a planned shutdown, say, so
+        recovery replays an empty tail.  The engine itself is only read.
         """
         self._require_dynamic()
         if self._durability is None:
@@ -416,8 +415,10 @@ class HierarchicalEngine:
     def close(self) -> None:
         """Flush and close the durability manager, if any (idempotent).
 
-        The on-disk state stays recoverable; a closed engine can keep
-        serving reads but the next ``apply`` would raise.
+        Waits for a checkpoint still being written in the background, so
+        the directory is quiescent on return.  The on-disk state stays
+        recoverable; a closed engine can keep serving reads but the next
+        ``apply`` would raise.
         """
         if self._durability is not None:
             self._durability.close()

@@ -20,9 +20,9 @@ Layout:
   engine version: base relations in insertion order plus the driver
   state (version, Definition-51 threshold base, counters, telemetry).
 * :mod:`~repro.durability.manager` — the commit path: WAL append, the
-  version-keyed checkpoint schedule (each checkpoint doubles as an
-  index-normalization barrier, which is what makes replay byte-exact),
-  segment rotation, and retention.
+  size-proportional checkpoint schedule (capture on the committing
+  thread, write on a background writer; checkpoints only observe the
+  engine), segment rotation, and retention.
 * :mod:`~repro.durability.recovery` — newest valid checkpoint + WAL-tail
   replay through the normal ingestion paths, with the final version
   verified.

@@ -1,17 +1,24 @@
 """Checkpoint files: an atomic on-disk image of one engine version.
 
 A checkpoint is a single framed record (same ``[length][CRC32][JSON]``
-framing as the WAL, different magic) holding everything recovery needs
-to rebuild the engine *exactly* — not just the query answer:
+framing as the WAL, different magic) holding what recovery needs to
+rebuild the engine's *durable* state — not just the query answer:
 
 * the query text, ε, mode, and rebalancing flag (engine construction);
 * the base relations, serialized in database registration order with
-  tuples in relation insertion order — insertion order seeds index
-  iteration order, which seeds the light parts and view contents, so it
-  is part of the state;
+  tuples in relation insertion order — insertion order seeds a fresh
+  build's index order, and it is what the driver's normalisation pass
+  rebuilds from, so it is part of the state;
 * the maintenance driver's ``version``, ``threshold_base`` (Definition
   51's ``M`` must survive a restart; re-deriving ``2N+1`` would forget
   doublings), rebalance counters, and telemetry aggregates.
+
+Writing one is split so that the committing thread pays only the first
+half.  :func:`engine_state` is the *capture*: scalars plus a private
+``Relation.copy()`` of every base relation — tens of microseconds, and
+the engine is only read.  :func:`write_checkpoint` is everything
+proportional to the database (listify, JSON-encode, write, fsync,
+rename); the durability manager runs it on its checkpoint writer.
 
 Atomicity is rename-based: write to ``<name>.tmp``, flush, fsync,
 ``os.replace`` into place, fsync the directory.  A crash before the
@@ -59,23 +66,18 @@ def checkpoint_version(path: Path) -> Optional[int]:
 
 
 def engine_state(engine) -> Dict[str, Any]:
-    """Serialize a loaded dynamic :class:`HierarchicalEngine` to a state dict.
+    """Capture a loaded dynamic :class:`HierarchicalEngine` as a state dict.
 
-    Duck-typed on purpose: this module must not import
-    :mod:`repro.core.api` (the engine imports durability, not the other
-    way around).
+    ``"relations"`` holds private copies of the base relations, so the
+    dict stays a consistent image of this version while the engine moves
+    on; :func:`write_checkpoint` serializes them.  Duck-typed on purpose:
+    this module must not import :mod:`repro.core.api` (the engine imports
+    durability, not the other way around).
     """
     driver = engine._driver
     if driver is None:
         raise ValueError("only dynamic engines can be checkpointed")
-    relations = [
-        [
-            relation.name,
-            list(relation.schema),
-            [[list(tup), mult] for tup, mult in relation.items()],
-        ]
-        for relation in engine.database
-    ]
+    relations = [relation.copy() for relation in engine.database]
     telemetry = None
     if engine.telemetry is not None:
         telemetry = engine.telemetry.state_dict()
@@ -100,11 +102,21 @@ def write_checkpoint(directory: Path, state: Dict[str, Any], fsync: bool = True)
     flush but before fsync (``checkpoint-fsync``), and before the
     ``os.replace`` (``checkpoint-rename``).  The ``checkpoint-cleanup``
     site fires after the rename — a crash there leaves a valid new
-    checkpoint plus not-yet-rotated old files, which recovery tolerates
+    checkpoint plus not-yet-pruned old files, which recovery tolerates
     by construction.
     """
     directory = Path(directory)
-    data = json.dumps(state, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    relations = [
+        [
+            relation.name,
+            list(relation.schema),
+            [[list(tup), mult] for tup, mult in relation.items()],
+        ]
+        for relation in state["relations"]
+    ]
+    data = json.dumps(
+        dict(state, relations=relations), separators=(",", ":"), sort_keys=True
+    ).encode("utf-8")
     record = CHECKPOINT_MAGIC + _HEADER.pack(len(data), zlib.crc32(data)) + data
     final_path = directory / checkpoint_name(int(state["version"]))
     tmp_path = final_path.with_suffix(final_path.suffix + ".tmp")

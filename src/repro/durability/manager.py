@@ -1,32 +1,38 @@
 """The durability manager: the commit path between an engine and its disk.
 
 :class:`DurabilityConfig` names a directory and a policy (fsync per
-commit or not, checkpoint every N commits, how many checkpoints to
-keep); :class:`DurabilityManager` attaches that policy to one loaded
-dynamic engine.  The engine calls ``commit_update`` / ``commit_batch`` /
-``commit_retune`` *after* its in-memory ingest succeeded — the WAL is a
-redo log of **accepted** events, so a rejected over-delete is never
-logged and can never poison a replay — and the commit returns only once
-the record is flushed (and, with ``fsync=True``, fsynced).
+commit or not, how much WAL may accumulate per checkpoint byte, how many
+checkpoints to keep); :class:`DurabilityManager` attaches that policy to
+one loaded dynamic engine.  The engine calls ``commit_update`` /
+``commit_batch`` / ``commit_retune`` *after* its in-memory ingest
+succeeded — the WAL is a redo log of **accepted** events, so a rejected
+over-delete is never logged and can never poison a replay — and the
+commit returns only once the record is flushed (and, with
+``fsync=True``, fsynced).
 
-Checkpoints double as **index-normalization barriers**.  Before
-serializing, the manager asks the maintenance driver to
-:meth:`~repro.ivm.rebalance.MaintenanceDriver.rematerialize`: secondary
-indexes are dropped and every view rebuilt at the current threshold.
-After that, the live state is a pure function of (base-relation
-insertion order, threshold base, ε) — exactly what the checkpoint file
-captures — so a recovery that rebuilds from the file and replays the WAL
-tail reproduces the live engine *byte for byte*, enumeration order
-included.  Without the barrier, churn-evolved index iteration order
-(invisible to any serialization of the base relations) would diverge
-from the rebuilt order, the failure mode the retune path had to solve
-first (see :meth:`MaintenanceDriver.retune`).
+Checkpointing is a pure **observer**: it reads the base relations and a
+few scalars and changes nothing, so a durable engine is byte-identical —
+enumeration order included — to a non-durable one fed the same events.
+**The contract** for a recovered engine R and the never-crashed engine L
+at the same version: identical ``version``, ε, ``threshold_base``, every
+base relation's ``items()`` sequence (content *and* insertion order) and
+``result()``, and ``check_invariants()`` passes on R; after the
+maintenance driver's normalisation pass on both (a pure function of
+exactly that list), identical enumeration order too.  *Raw* enumeration
+order and rebalance counters of R vs L are not promised.
 
-Checkpoint schedule is version-keyed (``version - last_checkpoint ≥
-interval``), which makes the normalization points a deterministic
-function of the interval alone: a recovery that replays the WAL re-hits
-the same barriers at the same versions as the engine that never
-crashed — the property the kill-anywhere conformance harness asserts.
+**The schedule is proportional to size** — a checkpoint is due once the
+WAL bytes logged since the last one reach ``checkpoint_ratio`` × that
+checkpoint's byte size — so checkpoint work is ``O(N)`` per ``Ω(N)``
+logged bytes, ``O(1)`` amortised per update, and the replay tail is
+bounded alike for 65-byte updates and 1.3 KB batches.  **The committing
+thread pays a capture, not a checkpoint**: it copies the base relations,
+rotates the WAL segment and hands the capture to the *checkpoint writer*
+(a ``submit``/``drain`` object), which encodes, writes, fsyncs, renames
+and only then prunes.  At most one checkpoint is in flight; a writer
+failure is re-raised on the committing thread; pruning reasons only from
+checkpoints renamed into place.  ``docs/architecture.md`` §12 has the
+argument in full.
 
 This module never imports :mod:`repro.core.api` — the engine owns the
 manager, not the other way around; everything engine-shaped is
@@ -37,9 +43,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+import threading
+import time
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 from repro.durability import checkpoint as ckpt
 from repro.durability import wal as walmod
@@ -54,19 +62,23 @@ class DurabilityConfig:
     an order of magnitude cheaper per tuple, but a crash may lose the
     tail that the OS had not written back yet — see the "when fsync
     batching loses" discussion in ``docs/architecture.md`` §12.
-    ``checkpoint_interval=None`` (or 0) disables scheduled checkpoints;
-    manual ``engine.checkpoint()`` calls still work.
+    A checkpoint is scheduled once the WAL bytes logged since the last
+    one reach ``checkpoint_ratio`` × that checkpoint's size in bytes;
+    ``checkpoint_ratio=None`` disables scheduled checkpoints (manual
+    ``engine.checkpoint()`` calls still work).
     """
 
     directory: str
     fsync: bool = True
-    checkpoint_interval: Optional[int] = 64
+    checkpoint_ratio: Optional[float] = 1.0
     keep_checkpoints: int = 2
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "directory", str(self.directory))
         if self.keep_checkpoints < 1:
             raise ValueError("keep_checkpoints must be >= 1")
+        if self.checkpoint_ratio is not None and self.checkpoint_ratio < 0:
+            raise ValueError("checkpoint_ratio must be >= 0 (or None)")
 
     @property
     def path(self) -> Path:
@@ -150,22 +162,56 @@ def coerce_config(
 
 @dataclass
 class DurabilityStats:
-    """Counters describing durability activity (reported by benchmarks)."""
+    """Durability counters and gauges (``repro_durability_*`` on ``/metrics``).
+
+    The checkpoint fields are written by the checkpoint writer once a
+    checkpoint is renamed into place.
+    """
 
     wal_records: int = 0
     wal_bytes: int = 0
     checkpoints_written: int = 0
+    checkpoints_skipped_inflight: int = 0
+    checkpoint_failures: int = 0
     last_checkpoint_version: int = 0
+    checkpoint_bytes: int = 0
+    checkpoint_last_seconds: float = 0.0
     recovered_records: int = 0
+    #: ``wal_bytes`` when the last checkpoint was captured, and the clock
+    #: when it became durable — the two derived gauges count from these.
+    checkpoint_wal_mark: int = 0
+    checkpoint_time: float = 0.0
 
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "wal_records": self.wal_records,
-            "wal_bytes": self.wal_bytes,
-            "checkpoints_written": self.checkpoints_written,
-            "last_checkpoint_version": self.last_checkpoint_version,
-            "recovered_records": self.recovered_records,
-        }
+    @property
+    def wal_bytes_since_checkpoint(self) -> int:
+        """WAL bytes a recovery would replay on top of the last checkpoint."""
+        return self.wal_bytes - self.checkpoint_wal_mark
+
+    @property
+    def checkpoint_age_seconds(self) -> float:
+        return time.monotonic() - self.checkpoint_time
+
+
+class CheckpointWriter:
+    """Runs one checkpoint job at a time on a short-lived daemon thread.
+
+    Nothing exists until a checkpoint is due and no thread outlives its
+    job, so forked shard workers and engines dropped without ``close()``
+    leave nothing behind.
+    """
+
+    def __init__(self) -> None:
+        self._thread: Optional[threading.Thread] = None
+
+    def submit(self, job: Callable[[], None]) -> None:
+        self._thread = threading.Thread(target=job, name="repro-ckpt", daemon=True)
+        self._thread.start()
+
+    def drain(self) -> None:
+        """Return once the submitted job, if any, has finished."""
+        thread, self._thread = self._thread, None
+        if thread is not None:
+            thread.join()
 
 
 class DurabilityManager:
@@ -175,8 +221,11 @@ class DurabilityManager:
         self.engine = engine
         self.config = coerce_config(config)
         self.stats = DurabilityStats()
-        self.last_checkpoint_version = 0
+        #: ``submit(job)`` / ``drain()``; the crash harness swaps in a stepper
+        self.writer = CheckpointWriter()
         self._wal: Optional[walmod.WalWriter] = None
+        self._inflight = False
+        self._failure: Optional[Exception] = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -186,9 +235,8 @@ class DurabilityManager:
 
         Wipes previous durability files in the directory (a re-``load``
         replaces the engine's state wholesale, so the old history can
-        only mislead), writes the version-0 checkpoint, and opens the
-        first WAL segment.  No normalization barrier is needed: a just-
-        loaded engine's index order *is* the fresh-build order.
+        only mislead), writes the version-0 checkpoint — synchronously,
+        on the calling thread — and opens the first WAL segment.
         """
         directory = self.config.path
         directory.mkdir(parents=True, exist_ok=True)
@@ -198,30 +246,32 @@ class DurabilityManager:
             path.unlink()
         for stray in directory.glob("*.tmp"):
             stray.unlink()
-        version = self.engine.version
-        ckpt.write_checkpoint(
-            directory, ckpt.engine_state(self.engine), fsync=self.config.fsync
-        )
-        self.last_checkpoint_version = version
-        self.stats.checkpoints_written += 1
-        self.stats.last_checkpoint_version = version
+        state = ckpt.engine_state(self.engine)
+        self._write(state, 0)
+        self._raise_failure()
         self._wal = walmod.WalWriter.create(
-            directory / walmod.wal_name(version), fsync=self.config.fsync
+            directory / walmod.wal_name(int(state["version"])), fsync=self.config.fsync
         )
 
-    def adopt(self, last_checkpoint_version: int) -> None:
-        """Attach to an engine rebuilt by recovery (no writer yet).
+    def resume(
+        self,
+        checkpoint_version: int,
+        checkpoint_bytes: int,
+        segment_path: Optional[Path],
+        valid_length: int,
+        tail_bytes: int,
+    ) -> None:
+        """Attach to an engine recovery rebuilt and reopen its active segment.
 
-        Replay-mode checkpoints (scheduled barriers re-hit while the WAL
-        tail is replayed) write their files but never rotate or clean up
-        — the tail being replayed may still live in an old segment.
+        ``tail_bytes`` (the WAL recovery replayed) seeds ``wal_bytes``, so a
+        restart earns no fresh allowance from the schedule.  Nothing can be
+        in flight in a recovered directory: stray temp files are removed.
         """
-        self.last_checkpoint_version = last_checkpoint_version
-        self.stats.last_checkpoint_version = last_checkpoint_version
-        self._wal = None
-
-    def resume_writer(self, segment_path: Optional[Path], valid_length: int) -> None:
-        """Reopen the active WAL segment after recovery finished replaying."""
+        stats = self.stats
+        stats.last_checkpoint_version = checkpoint_version
+        stats.checkpoint_bytes = checkpoint_bytes
+        stats.checkpoint_time = time.monotonic()
+        stats.wal_bytes = tail_bytes
         directory = self.config.path
         if segment_path is None or valid_length < len(walmod.WAL_MAGIC):
             segment_path = directory / walmod.wal_name(self.engine.version)
@@ -230,85 +280,119 @@ class DurabilityManager:
             self._wal = walmod.WalWriter.resume(
                 segment_path, valid_length, fsync=self.config.fsync
             )
+        self._wal.bytes_written = tail_bytes
+        for stray in directory.glob("*.tmp"):
+            stray.unlink()
         self._cleanup()
 
     def close(self) -> None:
-        """Flush and close the WAL writer (the files remain recoverable)."""
+        """Drain the checkpoint writer, close the WAL, raise a stored failure."""
+        self.writer.drain()
         if self._wal is not None:
             self._wal.close()
             self._wal = None
+        self._raise_failure()
 
     # ------------------------------------------------------------------
     # the commit path
     # ------------------------------------------------------------------
     def commit_update(self, update, version: int) -> None:
         """Make one accepted single-tuple update durable."""
-        self._commit(walmod.encode_update(version, update), version)
+        self._commit(walmod.encode_update(version, update))
 
     def commit_batch(self, batch, version: int) -> None:
         """Make one accepted consolidated batch durable."""
-        self._commit(walmod.encode_batch(version, batch), version)
+        self._commit(walmod.encode_batch(version, batch))
 
     def commit_retune(self, epsilon: float, version: int) -> None:
         """Make one retune durable (ε is engine state too)."""
-        self._commit(walmod.encode_retune(version, epsilon), version)
+        self._commit(walmod.encode_retune(version, epsilon))
 
-    def _commit(self, payload: Dict[str, Any], version: int) -> None:
+    def _active_wal(self) -> walmod.WalWriter:
         if self._wal is None:
             raise ValueError("durability manager has no active WAL writer")
-        self._wal.append(payload)
-        self.stats.wal_records += 1
-        self.stats.wal_bytes = self._wal.bytes_written
-        self.maybe_checkpoint(version)
+        return self._wal
 
-    def maybe_checkpoint(self, version: int) -> None:
-        """Run the scheduled checkpoint if ``version`` crossed the interval."""
-        interval = self.config.checkpoint_interval
-        if not interval:
+    def _commit(self, payload: Dict[str, Any]) -> None:
+        wal = self._active_wal()
+        wal.append(payload)
+        stats = self.stats
+        stats.wal_records += 1
+        stats.wal_bytes = wal.bytes_written
+        # The record above is durable either way; a failure of the writer
+        # surfaces here, after it, so memory and log never part ways.
+        self._raise_failure()
+        ratio = self.config.checkpoint_ratio
+        since = stats.wal_bytes_since_checkpoint
+        if ratio is None or since < ratio * stats.checkpoint_bytes:
             return
-        if version - self.last_checkpoint_version >= interval:
-            self.checkpoint()
+        if self._inflight:
+            stats.checkpoints_skipped_inflight += 1
+        else:
+            self._submit()
 
     # ------------------------------------------------------------------
     # checkpoints
     # ------------------------------------------------------------------
-    def checkpoint(self, normalize: bool = True) -> Path:
-        """Normalize, persist, rotate, and prune — the full barrier.
-
-        In replay mode (no writer) rotation and pruning are skipped; see
-        :meth:`adopt`.
-        """
-        engine = self.engine
-        if normalize:
-            engine._driver.rematerialize()
-        state = ckpt.engine_state(engine)
-        version = int(state["version"])
-        path = ckpt.write_checkpoint(self.config.path, state, fsync=self.config.fsync)
-        self.last_checkpoint_version = version
-        self.stats.checkpoints_written += 1
-        self.stats.last_checkpoint_version = version
-        if self._wal is not None:
-            self._rotate(version)
-            self._cleanup()
+    def checkpoint(self) -> Path:
+        """Checkpoint now; returns once the file is durable and pruning done."""
+        self.writer.drain()
+        self._raise_failure()
+        path = self._submit()
+        self.writer.drain()
+        self._raise_failure()
         return path
 
-    def _rotate(self, version: int) -> None:
-        assert self._wal is not None
-        previous_bytes = self._wal.bytes_written
-        self._wal.close()
+    def _submit(self) -> Path:
+        """Capture the engine, rotate the WAL, hand the rest to the writer."""
+        self._active_wal().close()
+        state = ckpt.engine_state(self.engine)
+        version = int(state["version"])
+        wal_mark = self.stats.wal_bytes
         self._wal = walmod.WalWriter.create(
             self.config.path / walmod.wal_name(version), fsync=self.config.fsync
         )
-        self._wal.bytes_written = previous_bytes
+        self._wal.bytes_written = wal_mark
+        self._inflight = True
+        self.writer.submit(lambda: self._write(state, wal_mark))
+        return self.config.path / ckpt.checkpoint_name(version)
+
+    def _write(self, state: Dict[str, Any], wal_mark: int) -> None:
+        """The writer's job: persist one capture, then prune behind it."""
+        started = time.perf_counter()
+        stats = self.stats
+        try:
+            path = ckpt.write_checkpoint(
+                self.config.path, state, fsync=self.config.fsync
+            )
+            stats.checkpoint_bytes = path.stat().st_size
+            stats.checkpoint_wal_mark = wal_mark
+            stats.checkpoint_time = time.monotonic()
+            stats.last_checkpoint_version = int(state["version"])
+            stats.checkpoints_written += 1
+            self._cleanup()
+            stats.checkpoint_last_seconds = time.perf_counter() - started
+        except Exception as exc:  # noqa: BLE001 - re-raised by the committer
+            stats.checkpoint_failures += 1
+            self._failure = exc
+        finally:
+            self._inflight = False
+
+    def _raise_failure(self) -> None:
+        failure = self._failure
+        if failure is not None:  # cleared only once seen: the writer sets it
+            self._failure = None
+            raise failure
 
     def _cleanup(self) -> None:
         """Prune checkpoints beyond the keep policy and retired WAL segments.
 
-        A segment is retired only when recovery from the *oldest kept*
-        checkpoint could never need it: all segments strictly before the
-        last segment whose start version is ≤ that checkpoint's version.
-        (The crash site here models a death between the rename and the
-        pruning — recovery tolerates the leftovers by construction.)
+        Reasons only from checkpoints renamed into place.  A segment is
+        retired only when recovery from the *oldest kept* checkpoint could
+        never need it: all segments strictly before the last segment whose
+        start version is ≤ that checkpoint's version.  (The crash site
+        models a death between the rename and the pruning.)  Temp files are
+        left alone: one may belong to a write in flight.
         """
         directory = self.config.path
         checkpoints = ckpt.find_checkpoints(directory)
@@ -327,5 +411,3 @@ class DurabilityManager:
         for start, path in segments[:last_covering]:
             crash_point("checkpoint-cleanup")
             path.unlink()
-        for stray in directory.glob("*.tmp"):
-            stray.unlink()

@@ -7,23 +7,25 @@ from a durability directory:
    (corrupt crash residue falls back to the previous one), rebuild the
    base relations in their serialized insertion order, restore the
    driver's version / threshold base / counters / telemetry, and
-   materialize the views at the restored threshold.  Because every
-   checkpoint was written right after an index-normalization barrier,
-   this rebuild reproduces the live engine's post-barrier state exactly.
+   materialize the views at the restored threshold.
 2. **WAL tail** — scan the segments that can hold records past the
    checkpoint (torn tails and corrupt records truncate the scan with a
    logged warning) and replay each record through the engine's normal
-   ingestion paths.  Scheduled checkpoint barriers are *re-hit at the
-   same versions* during replay — normalization is part of the durable
-   state machine, so skipping it would make the recovered engine diverge
-   from the engine that never crashed.
+   ingestion paths; nothing is written meanwhile.  The checkpoint may
+   be older than the newest WAL rotation (the process died with a
+   checkpoint in flight): the chain of segments from the one covering
+   it onward is replayed.
 3. **Verify** — the replayed engine must land exactly on the last
    durable record's version; anything else is a
    :class:`~repro.exceptions.DurabilityError`, never a silent divergence.
 
-The function returns the engine with a live :class:`DurabilityManager`
-already attached (appending resumes on the truncated active segment), so
-``engine.apply(...)`` keeps committing where the dead process stopped.
+What comes back equals the engine that never crashed in everything
+durable — version, ε, threshold base, each base relation's content and
+insertion order, the result — and, once both are normalised, in
+enumeration order (the contract: :mod:`repro.durability.manager`).  It
+has a live :class:`DurabilityManager` attached, appending to the
+truncated active segment, so ``engine.apply(...)`` keeps committing
+where the dead process stopped.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ class RecoveryReport:
     replayed_records: int
     final_version: int
     truncated_bytes: int
-    checkpoints_rewritten: int
     warnings: List[str] = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, Any]:
@@ -60,18 +61,18 @@ class RecoveryReport:
             "replayed_records": self.replayed_records,
             "final_version": self.final_version,
             "truncated_bytes": self.truncated_bytes,
-            "checkpoints_rewritten": self.checkpoints_rewritten,
             "warnings": list(self.warnings),
         }
 
 
 def scan_tail(
     directory: Path, after_version: int
-) -> Tuple[List[Dict[str, Any]], Optional[Path], int, int, List[str]]:
+) -> Tuple[List[Dict[str, Any]], Optional[Path], int, int, int, List[str]]:
     """Collect every durable WAL record with version > ``after_version``.
 
-    Returns ``(records, active_segment, active_valid_length,
-    truncated_bytes, warnings)``.  Only segments from the last one whose
+    Returns ``(records, active_segment, its valid_length, tail_bytes,
+    truncated_bytes, warnings)`` — ``tail_bytes`` being the valid bytes
+    of every scanned segment.  Only segments from the last one whose
     start version is ≤ ``after_version`` onward can hold such records
     (rotation happens at checkpoints); earlier ones are skipped.  Cross-
     segment version continuity is enforced — a discontinuity truncates
@@ -85,15 +86,17 @@ def scan_tail(
     records: List[Dict[str, Any]] = []
     warnings: List[str] = []
     truncated = 0
+    tail_bytes = 0
     active_segment: Optional[Path] = None
-    active_valid_length = 0
+    valid_length = 0
     last_version: Optional[int] = None
     for start, path in segments[first:]:
         scan = walmod.scan_wal(path, last_version=last_version)
         warnings.extend(scan.warnings)
         truncated += scan.truncated_bytes
         active_segment = path
-        active_valid_length = scan.valid_length
+        valid_length = scan.valid_length
+        tail_bytes += valid_length
         if scan.records:
             last_version = int(scan.records[-1]["v"])
         elif last_version is None:
@@ -105,7 +108,7 @@ def scan_tail(
             # Everything past a defect is unreachable crash residue; a
             # later segment cannot legitimately continue from it.
             break
-    return records, active_segment, active_valid_length, truncated, warnings
+    return records, active_segment, valid_length, tail_bytes, truncated, warnings
 
 
 def _apply_record(engine, record: Dict[str, Any]) -> None:
@@ -129,7 +132,7 @@ def recover_engine(
     """Rebuild the durable engine in ``directory``; returns ``(engine, report)``.
 
     ``durability`` overrides the config the recovered engine resumes
-    with (fsync policy, checkpoint interval, keep count); by default the
+    with (fsync policy, checkpoint ratio, keep count); by default the
     directory itself with default policy.  Raises
     :class:`~repro.exceptions.DurabilityError` when the directory's
     contents cannot be a crash residue of this code (no valid checkpoint
@@ -141,7 +144,9 @@ def recover_engine(
     directory = Path(directory)
     config = coerce_config(durability if durability is not None else directory)
     try:
-        state, _, ckpt_warnings = ckpt.load_newest_checkpoint(directory)
+        state, checkpoint_path, ckpt_warnings = ckpt.load_newest_checkpoint(
+            directory
+        )
     except FileNotFoundError as exc:
         raise DurabilityError(str(exc)) from exc
     checkpoint_version = int(state["version"])
@@ -156,8 +161,8 @@ def recover_engine(
     )
     engine._restore_from_checkpoint(state)
 
-    records, active_segment, valid_length, truncated, warnings = scan_tail(
-        directory, checkpoint_version
+    records, active_segment, valid_length, tail_bytes, truncated, warnings = (
+        scan_tail(directory, checkpoint_version)
     )
     if records and int(records[0]["v"]) != checkpoint_version + 1:
         raise DurabilityError(
@@ -165,27 +170,29 @@ def recover_engine(
             f"is at {checkpoint_version}; the log does not extend the checkpoint"
         )
 
-    manager = DurabilityManager(engine, config)
-    manager.adopt(checkpoint_version)
-    checkpoints_before = manager.stats.checkpoints_written
     for record in records:
         _apply_record(engine, record)
-        manager.maybe_checkpoint(int(record["v"]))
 
     final_version = int(records[-1]["v"]) if records else checkpoint_version
     if engine.version != final_version:
         raise DurabilityError(
             f"replay landed on version {engine.version}, expected {final_version}"
         )
+    manager = DurabilityManager(engine, config)
     manager.stats.recovered_records = len(records)
-    manager.resume_writer(active_segment, valid_length)
+    manager.resume(
+        checkpoint_version,
+        checkpoint_path.stat().st_size,
+        active_segment,
+        valid_length,
+        tail_bytes,
+    )
     engine._attach_durability(manager)
     report = RecoveryReport(
         checkpoint_version=checkpoint_version,
         replayed_records=len(records),
         final_version=final_version,
         truncated_bytes=truncated,
-        checkpoints_rewritten=manager.stats.checkpoints_written - checkpoints_before,
         warnings=[*ckpt_warnings, *warnings],
     )
     return engine, report

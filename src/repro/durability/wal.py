@@ -128,6 +128,9 @@ class WalWriter:
         self.records_written = 0
         self.bytes_written = 0
         self._fh: Optional[io.BufferedWriter] = None
+        # bytes handed to the OS since the last fsync; close() syncs only
+        # when there are some, so a rotation does not pay a redundant fsync
+        self._dirty = False
 
     @classmethod
     def create(cls, path: Path, fsync: bool = True) -> "WalWriter":
@@ -162,6 +165,7 @@ class WalWriter:
         if self._fh is None:
             raise ValueError("WAL writer is closed")
         record = _frame(payload)
+        self._dirty = True
         crash_point("wal-append")
         if would_crash("wal-torn"):
             # Model a death halfway through the write: leave a real torn
@@ -174,13 +178,14 @@ class WalWriter:
         crash_point("wal-fsync")
         if self.fsync:
             os.fsync(self._fh.fileno())
+            self._dirty = False
         self.records_written += 1
         self.bytes_written += len(record)
 
     def close(self) -> None:
         if self._fh is not None:
             self._fh.flush()
-            if self.fsync:
+            if self.fsync and self._dirty:
                 os.fsync(self._fh.fileno())
             self._fh.close()
             self._fh = None

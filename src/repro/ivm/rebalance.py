@@ -207,9 +207,10 @@ class MaintenanceDriver:
         parts, view contents, and hence enumeration order — is a pure
         function of (base-relation insertion order, ``threshold_base``,
         ε), with no residue of pre-call churn.  :meth:`retune` uses this
-        after re-anchoring ``M``; the durability layer uses it as the
-        checkpoint barrier that makes WAL replay byte-exact
-        (:class:`repro.durability.DurabilityManager`).
+        after re-anchoring ``M``; the durability contract is stated with
+        it (a recovered engine and the one that never crashed enumerate
+        identically once both are normalised), though the durability layer
+        itself never calls it (:class:`repro.durability.DurabilityManager`).
         """
         for relation in self.database:
             relation.invalidate_indexes()

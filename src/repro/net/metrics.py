@@ -4,7 +4,7 @@ The networked server answers plain ``GET /metrics`` HTTP requests on its
 one listening port (see :class:`repro.net.server.EngineTCPServer`) with
 the text exposition format (version 0.0.4): ``# HELP`` / ``# TYPE``
 comment lines followed by ``name value`` samples.  The export flattens
-five sources into one page:
+six sources into one page:
 
 * :class:`~repro.adaptive.telemetry.WorkloadTelemetry` — ingest/read
   traffic counters and EWMA costs (``repro_workload_*``),
@@ -16,6 +16,10 @@ five sources into one page:
 * :attr:`~repro.core.api.HierarchicalEngine.snapshot_stats` — what the
   per-commit snapshot copy-on-write cost: whole-relation copies vs replayed
   redo-log entries (``repro_snapshot_*``; single engines only),
+* :attr:`~repro.core.api.HierarchicalEngine.durability_stats` — how much
+  WAL a recovery would replay, checkpoint age, the background writer's
+  last duration, skips and failures (``repro_durability_*``; durable
+  single engines only),
 * the network layer's own counters (``repro_net_*``) plus engine gauges
   (``repro_engine_version``, ``repro_engine_epsilon``).
 
@@ -124,6 +128,17 @@ _SERVING_HELPS = {
 _SNAPSHOT_HELPS = {
     "full_copies": "Whole-relation copies made by snapshot copy-on-write.",
     "replayed_entries": "Redo-log entries replayed onto frozen snapshot copies.",
+}
+
+#: ``repro_durability_<name>`` -> help; the DurabilityStats attribute is the
+#: name without its ``_total`` suffix.
+_DURABILITY_HELPS = {
+    "wal_bytes_since_checkpoint": "WAL bytes a recovery would replay.",
+    "checkpoint_age_seconds": "Seconds since the last checkpoint became durable.",
+    "checkpoint_last_seconds": "Write-and-prune time of the last checkpoint.",
+    "checkpoints_written_total": "Checkpoints written.",
+    "checkpoints_skipped_inflight_total": "Due checkpoints skipped: one in flight.",
+    "checkpoint_failures_total": "Checkpoint writes that failed.",
 }
 
 _NET_HELPS = {
@@ -247,6 +262,14 @@ def render_server_metrics(
                 _SNAPSHOT_HELPS,
             )
         )
+
+    durability = getattr(engine, "durability_stats", None)
+    if durability is not None:
+        for name, help_text in _DURABILITY_HELPS.items():
+            attribute, total, _ = name.partition("_total")
+            value = float(getattr(durability, attribute))
+            mtype = "counter" if total else "gauge"
+            samples.append((f"repro_durability_{name}", mtype, help_text, value))
 
     if net_stats is not None:
         net_stats = dict(net_stats)

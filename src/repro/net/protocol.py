@@ -174,15 +174,18 @@ def wire_tuple(tup: Sequence[Any]) -> List[Any]:
     return list(tup)
 
 
-def unwire_tuple(raw: Any) -> Tuple[Any, ...]:
-    if not isinstance(raw, (list, tuple)):
-        raise ProtocolError(f"expected a tuple on the wire, got {raw!r}")
-    return tuple(raw)
-
-
 #: What a tuple value or a multiplicity may be once JSON has parsed it.
 _SCALARS = frozenset((int, float, str, bool, type(None)))
 _INT = frozenset((int,))
+
+
+def unwire_tuple(raw: Any) -> Tuple[Any, ...]:
+    """Decode one tuple (``ProtocolError`` unless a list of JSON scalars)."""
+    if not isinstance(raw, (list, tuple)):
+        raise ProtocolError(f"expected a tuple on the wire, got {raw!r}")
+    if not set(map(type, raw)) <= _SCALARS:
+        raise ProtocolError(f"tuple values must be JSON scalars, got {raw!r}")
+    return tuple(raw)
 
 
 def wire_pairs(pairs: Iterable[Tuple[Sequence[Any], int]]) -> Dict[str, List[Any]]:

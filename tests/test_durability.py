@@ -39,13 +39,38 @@ def make_database(pairs_r=((1, 1), (1, 2), (2, 3)), pairs_s=((1, 5), (2, 5), (3,
     return database
 
 
-def durable_engine(tmp_path, interval=3, epsilon=0.5, fsync=True):
+#: With the sub-kilobyte checkpoints of these databases and ~60-byte WAL
+#: records, this schedules a checkpoint every second or third commit.
+FREQUENT = 0.15
+
+
+def durable_engine(tmp_path, ratio=FREQUENT, epsilon=0.5, fsync=True):
     config = DurabilityConfig(
-        str(tmp_path / "wal"), checkpoint_interval=interval, fsync=fsync
+        str(tmp_path / "wal"), checkpoint_ratio=ratio, fsync=fsync
     )
     engine = HierarchicalEngine(PATH_QUERY, epsilon=epsilon, durability=config)
     engine.load(make_database())
     return engine, config
+
+
+def durable_state(engine):
+    """Everything recovery reproduces without normalising (the contract)."""
+    return (
+        engine.version,
+        engine.epsilon,
+        engine._driver.threshold_base,
+        [(rel.name, list(rel.items())) for rel in engine.database],
+        dict(engine.result()),
+    )
+
+
+def assert_recovered_like(recovered, live):
+    """The durability contract between a recovered and a live engine."""
+    assert durable_state(recovered) == durable_state(live)
+    recovered.check_invariants()
+    recovered._driver.rematerialize()
+    live._driver.rematerialize()
+    assert list(recovered.enumerate()) == list(live.enumerate())
 
 
 STREAM = [
@@ -262,18 +287,21 @@ class TestDurabilityConfig:
         assert coerce_config(Path(tmp_path / "y")).directory.endswith("y")
 
     def test_for_shard_nests_directories(self, tmp_path):
-        config = DurabilityConfig(str(tmp_path), checkpoint_interval=9, fsync=False)
+        config = DurabilityConfig(str(tmp_path), checkpoint_ratio=0.5, fsync=False)
         shard = config.for_shard(2)
         assert shard.directory.endswith("shard-2")
-        assert shard.checkpoint_interval == 9
+        assert shard.checkpoint_ratio == 0.5
         assert shard.fsync is False
 
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
             DurabilityConfig(str(tmp_path), keep_checkpoints=0)
-        # interval 0/None is legal: it disables *scheduled* checkpoints
-        assert DurabilityConfig(str(tmp_path), checkpoint_interval=0)
-        assert DurabilityConfig(str(tmp_path), checkpoint_interval=None)
+        with pytest.raises(ValueError):
+            DurabilityConfig(str(tmp_path), checkpoint_ratio=-0.5)
+        # None is legal: it disables *scheduled* checkpoints; 0 checkpoints
+        # on every commit the writer is free for
+        assert DurabilityConfig(str(tmp_path), checkpoint_ratio=None)
+        assert DurabilityConfig(str(tmp_path), checkpoint_ratio=0)
 
     def test_static_mode_engine_rejects_durability(self, tmp_path):
         with pytest.raises(DurabilityError):
@@ -284,24 +312,18 @@ class TestDurabilityConfig:
 
 class TestEngineRecovery:
     def test_clean_close_recovers_exact_state(self, tmp_path):
-        engine, config = durable_engine(tmp_path, interval=3)
+        engine, config = durable_engine(tmp_path)
         for update in STREAM:
             engine.apply(update)
         engine.retune(0.75)
-        expected = (engine.version, dict(engine.result()), list(engine.enumerate()))
         engine.close()
         recovered, report = recover_engine(config.directory, config)
-        assert (
-            recovered.version,
-            dict(recovered.result()),
-            list(recovered.enumerate()),
-        ) == expected
-        assert report.final_version == expected[0]
-        recovered.check_invariants()
+        assert report.final_version == engine.version
+        assert_recovered_like(recovered, engine)
         recovered.close()
 
     def test_recovery_is_idempotent(self, tmp_path):
-        engine, config = durable_engine(tmp_path, interval=2)
+        engine, config = durable_engine(tmp_path, ratio=0.05)
         for update in STREAM:
             engine.apply(update)
         expected = dict(engine.result())
@@ -312,7 +334,7 @@ class TestEngineRecovery:
             recovered.close()
 
     def test_recovered_engine_keeps_committing(self, tmp_path):
-        engine, config = durable_engine(tmp_path, interval=3)
+        engine, config = durable_engine(tmp_path)
         for update in STREAM[:4]:
             engine.apply(update)
         engine.close()
@@ -326,7 +348,7 @@ class TestEngineRecovery:
         again.close()
 
     def test_recovery_with_torn_tail_resumes_before_it(self, tmp_path, caplog):
-        engine, config = durable_engine(tmp_path, interval=100)
+        engine, config = durable_engine(tmp_path, ratio=None)
         for update in STREAM:
             engine.apply(update)
         engine.close()
@@ -345,7 +367,7 @@ class TestEngineRecovery:
             recover_engine(tmp_path)
 
     def test_wal_not_extending_checkpoint_raises(self, tmp_path):
-        engine, config = durable_engine(tmp_path, interval=100)
+        engine, config = durable_engine(tmp_path, ratio=None)
         for update in STREAM[:3]:
             engine.apply(update)
         engine.close()
@@ -362,7 +384,7 @@ class TestEngineRecovery:
             recover_engine(config.directory, config)
 
     def test_manual_checkpoint_and_stats(self, tmp_path):
-        engine, config = durable_engine(tmp_path, interval=1000)
+        engine, config = durable_engine(tmp_path, ratio=None)
         for update in STREAM[:3]:
             engine.apply(update)
         before = engine.durability_stats.checkpoints_written
@@ -381,13 +403,15 @@ class TestEngineRecovery:
 
     def test_retention_prunes_checkpoints_and_segments(self, tmp_path):
         config = DurabilityConfig(
-            str(tmp_path / "wal"), checkpoint_interval=2, keep_checkpoints=2
+            str(tmp_path / "wal"), checkpoint_ratio=0.05, keep_checkpoints=2
         )
         engine = HierarchicalEngine(PATH_QUERY, epsilon=0.5, durability=config)
         engine.load(make_database())
         for index in range(12):
             engine.apply(Update("R", (90 + index, 90 + index), 1))
+            engine._durability.writer.drain()  # let every scheduled one land
         engine.close()
+        assert engine.durability_stats.checkpoints_written > 3
         checkpoints = ckpt.find_checkpoints(config.path)
         assert len(checkpoints) == 2
         oldest_kept = checkpoints[0][0]
@@ -410,7 +434,7 @@ class TestEngineRecovery:
         recovered.close()
 
     def test_reload_starts_a_fresh_durable_history(self, tmp_path):
-        engine, config = durable_engine(tmp_path, interval=2)
+        engine, config = durable_engine(tmp_path, ratio=0.05)
         for update in STREAM:
             engine.apply(update)
         engine.load(make_database())  # wipe: a new history begins at version 0

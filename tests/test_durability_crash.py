@@ -3,12 +3,16 @@
 Three layers of evidence that the durability subsystem actually works:
 
 1. an **exhaustive sweep** over every instrumented crash point of a small
-   seeded conformance case — the harness arms hit k for every k in
-   ``1..count_crash_sites(case)`` and demands a byte-identical recovery;
+   seeded conformance case, the checkpoint writer's included, at every
+   writer lag (inside the scheduling commit, one commit behind, not before
+   ``close()``) — the harness arms hit k for every k in
+   ``1..count_crash_sites(case, lag)`` and demands the durability contract:
+   version, ε, threshold base, base relations in insertion order, result,
+   invariants, and the normalised enumeration order of a never-crashed twin;
 2. a **Hypothesis property**: random (database, stream, ε, crash point)
    cases, single-engine and cold sharded recovery at 1/2/4 shards with
-   forced rebalances, always matching a never-crashed twin in enumeration
-   order and passing ``check_invariants``;
+   forced rebalances, always matching a never-crashed twin and passing
+   ``check_invariants``;
 3. a **mutation catch**: a WAL-record-dropping bug injected into
    ``DurabilityManager._commit`` must be detected by the harness (as
    silent durable loss, which a naive kill-and-resume loop would mask)
@@ -27,6 +31,7 @@ from repro.conformance import (
     crash_recovery_failure,
     run_crash_recovery_case,
 )
+from repro.conformance.runner import UNTIL_CLOSE, WRITER_LAGS, SteppedWriter
 from repro.conformance.shrink import shrink_case
 from repro.data.update import Update
 from repro.durability.manager import DurabilityManager
@@ -65,35 +70,58 @@ SEEDED_CASE = make_case(
 )
 
 
+LAG_IDS = ["lag0", "lag1", "until-close"]
+
+
 class TestExhaustiveSweep:
-    def test_every_crash_point_recovers(self):
-        """Arm every hit 1..N of the seeded case; each must round-trip."""
-        total = count_crash_sites(SEEDED_CASE)
+    @pytest.mark.parametrize("lag", WRITER_LAGS, ids=LAG_IDS)
+    def test_every_crash_point_recovers(self, lag):
+        """Arm every hit 1..N of the seeded case at this writer lag."""
+        total = count_crash_sites(SEEDED_CASE, writer_lag=lag)
         # the workload must be big enough to reach WAL appends, fsyncs,
         # and at least one full checkpoint cycle
         assert total >= 10
-        failures = []
-        for hit in range(1, total + 1):
-            report = run_crash_recovery_case(SEEDED_CASE, crash_hit=hit)
-            assert report.supported
-            if report.mismatches:
-                failures.append((hit, report.mismatches[0]))
-        assert failures == []
+        report = run_crash_recovery_case(
+            SEEDED_CASE, crash_hit=range(1, total + 1), writer_lag=lag
+        )
+        assert report.supported
+        assert report.mismatches == []
 
-    def test_site_coverage_of_the_sweep(self, tmp_path):
-        """The seeded workload exercises both WAL sites and checkpoint sites."""
+    @pytest.mark.parametrize("lag", WRITER_LAGS, ids=LAG_IDS)
+    def test_site_coverage_of_the_sweep(self, tmp_path, lag):
+        """Every WAL and checkpoint site is hit at every lag — and the
+        lagging writer really dies in the two windows the contract names:
+        WAL rotated but checkpoint not renamed, renamed but not pruned."""
         from repro.core.api import HierarchicalEngine
         from repro.durability import CrashPointInjector, DurabilityConfig, injected
+        from repro.durability import checkpoint as ckpt
+        from repro.durability import wal as walmod
 
-        config = DurabilityConfig(str(tmp_path / "wal"), checkpoint_interval=2)
-        recorder = CrashPointInjector(None)
+        config = DurabilityConfig(str(tmp_path / "wal"), checkpoint_ratio=0.2)
+        windows = set()
+
+        class Spy(CrashPointInjector):
+            def hit(self, site):
+                checkpoints = ckpt.find_checkpoints(config.path)
+                segments = walmod.wal_segments(config.path)
+                if site == "checkpoint-rename" and segments:  # none yet at load()
+                    if segments[-1][0] > checkpoints[-1][0]:
+                        windows.add("rotated-not-renamed")
+                if site == "checkpoint-cleanup":
+                    if len(checkpoints) > config.keep_checkpoints:
+                        windows.add("renamed-not-pruned")
+                super().hit(site)
+
+        recorder = Spy(None)
         with injected(recorder):
             engine = HierarchicalEngine(
                 PATH_QUERY, epsilon=0.5, durability=config
             )
             engine.load(SEEDED_CASE.database())
+            writer = engine._durability.writer = SteppedWriter(lag)
             for update in SEEDED_CASE.update_objects():
                 engine.apply(update)
+                writer.tick()
             engine.close()
         hit_sites = {site for site, count in recorder.counts.items() if count}
         assert {
@@ -105,6 +133,13 @@ class TestExhaustiveSweep:
             "checkpoint-rename",
             "checkpoint-cleanup",
         } <= hit_sites
+        # a writer that only runs at close() writes one checkpoint, so it
+        # never has anything to prune
+        expected = {"rotated-not-renamed"}
+        if lag != UNTIL_CLOSE:
+            expected.add("renamed-not-pruned")
+        assert windows == expected
+        assert list(config.path.glob("*.tmp")) == []
 
     def test_case_deterministic_default_hit(self):
         report = run_crash_recovery_case(SEEDED_CASE)
@@ -154,11 +189,12 @@ def test_crash_anywhere_property(
     """Random case, random crash point: recovery always matches the twin.
 
     The harness itself asserts the full contract — recovered version,
-    result, enumeration order vs a never-crashed durable twin (which
-    re-hits the same index-normalization barriers), invariants, and
-    durable-acknowledgement on a clean close; crashes between WAL append
-    and fsync, mid-checkpoint, and mid-rename are all reachable because
-    the crash hit ranges over every instrumented site the workload hits.
+    result, ε / threshold base / base-relation insertion order and the
+    normalised enumeration order vs a never-crashed durable twin,
+    invariants, and durable-acknowledgement on a clean close; crashes
+    between WAL append and fsync, mid-checkpoint, and mid-rename are all
+    reachable because the crash hit ranges over every instrumented site
+    the workload hits, at the case's own checkpoint-writer lag.
     """
     case = make_case(r_rows, s_rows, updates, epsilons, checkpoints)
     total = count_crash_sites(case)
@@ -245,10 +281,10 @@ class TestMutationCatch:
     def _dropping_commit():
         real_commit = DurabilityManager._commit
 
-        def dropping(self, payload, version):
-            if version % 3 == 0:
+        def dropping(self, payload):
+            if payload["v"] % 3 == 0:
                 return  # the bug: silently drop every third commit
-            real_commit(self, payload, version)
+            real_commit(self, payload)
 
         return mock.patch.object(DurabilityManager, "_commit", dropping)
 

@@ -43,6 +43,7 @@ from repro.net.protocol import (
     parse_header,
     read_frame,
     unwire_pairs,
+    unwire_tuple,
     unwire_updates,
     wire_pairs,
     wire_updates,
@@ -211,6 +212,56 @@ def test_hostile_pair_tables_fail_only_their_own_session():
             committed = healthy.apply_batch([Update("R", (0, 0), 1)])
             assert subscription.wait_for_version(committed, 30.0)
             assert healthy.server_stats()["net"]["connections_current"] == 1
+
+
+HOSTILE_TUPLES = [
+    pytest.param([[1, 2], 3], id="nested-list"),
+    pytest.param([{"a": 1}, 3], id="object-value"),
+    pytest.param([1, [2]], id="nested-last"),
+    pytest.param({"0": 1, "1": 2}, id="object"),
+    pytest.param("12", id="string"),
+    pytest.param(12, id="number"),
+    pytest.param(None, id="null"),
+]
+
+
+@pytest.mark.parametrize("raw", HOSTILE_TUPLES)
+def test_hostile_tuple_is_a_protocol_error(raw):
+    parsed = decode_payload(encode_frame({"tuple": raw})[4:])["tuple"]
+    with pytest.raises(ProtocolError):
+        unwire_tuple(parsed)
+    with pytest.raises(ProtocolError):
+        unwire_updates([["R", parsed, 1]])
+    assert unwire_tuple([1, "x", None, 2.5, True]) == (1, "x", None, 2.5, True)
+
+
+def test_hostile_tuples_are_refused_as_protocol_errors_by_a_live_server():
+    """Unhashable tuple values used to reach the engine and come back as an
+    ``InternalError``; every op that takes a tuple now refuses them by name."""
+    tuples = [param.values[0] for param in HOSTILE_TUPLES]
+    with serve() as (serving, handle):
+        version = serving.engine.version
+        hostile = socket.create_connection(("127.0.0.1", handle.port), 5)
+        hostile.settimeout(10)
+        try:
+            write_frame(hostile, {"op": "snapshot_open", "id": 0})
+            snap = read_frame(hostile)["snap"]
+            requests = []
+            for raw in tuples:
+                requests.append({"op": "lookup", "tuple": raw})
+                requests.append({"op": "snapshot_lookup", "snap": snap, "tuple": raw})
+                requests.append({"op": "apply_update", "update": ["R", raw, 1]})
+                requests.append({"op": "apply_batch", "updates": [["R", raw, 1]]})
+            for request_id, request in enumerate(requests, start=1):
+                write_frame(hostile, dict(request, id=request_id))
+                reply = read_frame(hostile)
+                assert reply["id"] == request_id and reply["ok"] is False, reply
+                assert reply["kind"] == "ProtocolError", (request, reply)
+            write_frame(hostile, {"op": "lookup", "id": 999, "tuple": [0, 0]})
+            assert read_frame(hostile)["ok"] is True
+        finally:
+            hostile.close()
+        assert serving.engine.version == version
 
 
 def test_pairs_and_updates_roundtrip():
@@ -606,6 +657,36 @@ def test_metrics_over_http_and_op():
             assert stats["net"]["http_requests"] >= 1
             assert stats["serving"]["batches_applied"] == 1
             assert stats["version"] == serving.engine.version
+
+
+def test_durability_metrics_family_only_when_served_durable(tmp_path):
+    from repro.durability import DurabilityConfig
+
+    with serve() as (_serving, handle):
+        with EngineClient("127.0.0.1", handle.port) as client:
+            assert "repro_durability_" not in client.metrics()
+    config = DurabilityConfig(str(tmp_path / "wal"), checkpoint_ratio=None)
+    engine = HierarchicalEngine(PATH_QUERY, epsilon=0.5, durability=config)
+    engine.load(make_database())
+    with serve(engine) as (_serving, handle):
+        with EngineClient("127.0.0.1", handle.port) as client:
+            client.apply_batch([Update("R", (0, 0), 1)])
+            unchecked = engine.durability_stats.wal_bytes
+            text = client.metrics()
+            for needle in (
+                "# TYPE repro_durability_wal_bytes_since_checkpoint gauge",
+                f"repro_durability_wal_bytes_since_checkpoint {unchecked}",
+                "# TYPE repro_durability_checkpoint_age_seconds gauge",
+                "# TYPE repro_durability_checkpoints_written_total counter",
+                "repro_durability_checkpoints_written_total 1",
+                "repro_durability_checkpoints_skipped_inflight_total 0",
+                "repro_durability_checkpoint_last_seconds",
+                "repro_durability_checkpoint_failures_total 0",
+            ):
+                assert needle in text, f"{needle!r} missing:\n{text}"
+            engine.checkpoint()
+            assert "repro_durability_wal_bytes_since_checkpoint 0" in client.metrics()
+    engine.close()
 
 
 def test_server_survives_garbage_bytes():

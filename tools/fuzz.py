@@ -20,11 +20,13 @@ other, planner gate checked), ~18% metamorphic property checks, ~12%
 differential runs on a scenario sampled from the workload matrix, and ~10%
 kill-mid-batch crash-recovery runs: a durable engine is crashed at a
 case-deterministic fault-injection point (WAL append, the torn half-write
-window, the fsync gap, checkpoint write/fsync/rename, cleanup), recovered
-from checkpoint + WAL, resumed from its durable version, and diffed —
-result, version, and enumeration order — against the naive oracle and a
-never-crashed durable twin.  ``recovery*`` repro files replay the same
-crash point deterministically.
+window, the fsync gap, and — on the checkpoint writer, stepped at a
+case-deterministic lag behind the commits — checkpoint write/fsync/rename
+and cleanup), recovered from checkpoint + WAL, resumed from its durable
+version, and diffed against the naive oracle and a never-crashed durable
+twin: result, version, ε, threshold base, base relations in insertion
+order, invariants, and — after normalising both — enumeration order.
+``recovery*`` repro files replay the same crash point deterministically.
 
 Differential runs put :class:`repro.sharding.ShardedEngine` under test at
 shard counts {1, 2, 4, 7} next to the single engines and the baselines, and

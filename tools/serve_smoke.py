@@ -1,7 +1,8 @@
 """Networked-serving smoke test: one scripted client session, oracle-checked.
 
 Boots an :class:`~repro.net.server.EngineTCPServer` on an ephemeral port
-(fronting a dynamic engine on a small two-relation database), runs one
+(fronting a *durable* dynamic engine on a small two-relation database,
+checkpointing in the background every few commits), runs one
 scripted :class:`~repro.net.client.EngineClient` session —
 
 1. handshake (``ping``) and a paged snapshot enumeration,
@@ -18,6 +19,8 @@ version stamp, the final mirrored state equals the oracle's final state,
 and every aggregate answer — the subscriptions' ring-folded mirrors and
 the one-shot read — equals the one true fold
 (:func:`repro.rings.spec.fold_result`) over the oracle's enumeration.
+The scrape must carry the ``repro_durability_*`` family, and the closed
+directory must recover to the oracle's final state.
 Exit status 0 on success; any divergence raises.
 
 Wired into ``make serve-smoke`` (and thereby ``make test``/CI)::
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import random
 import sys
+import tempfile
 import urllib.request
 from pathlib import Path
 
@@ -39,6 +43,7 @@ from repro.core.api import HierarchicalEngine  # noqa: E402
 from repro.core.serving import EngineServer  # noqa: E402
 from repro.data.database import Database  # noqa: E402
 from repro.data.update import Update  # noqa: E402
+from repro.durability import DurabilityConfig, recover_engine  # noqa: E402
 from repro.net import EngineClient, ServerConfig, ServerThread  # noqa: E402
 from repro.rings.spec import AggregateSpec, answer_map, fold_result  # noqa: E402
 
@@ -65,7 +70,13 @@ def make_database(seed: int = 11, rows: int = 80) -> Database:
 
 
 def scripted_session() -> None:
-    engine = HierarchicalEngine(QUERY, epsilon=0.5).load(make_database())
+    with tempfile.TemporaryDirectory(prefix="repro-serve-smoke-") as directory:
+        durable_session(DurabilityConfig(directory, checkpoint_ratio=0.1))
+
+
+def durable_session(durability: DurabilityConfig) -> None:
+    engine = HierarchicalEngine(QUERY, epsilon=0.5, durability=durability)
+    engine.load(make_database())
     oracle = NaiveRecomputeEngine(QUERY)
     oracle.load(make_database())
     serving = EngineServer(engine, mode="snapshot")
@@ -211,6 +222,12 @@ def scripted_session() -> None:
                 "repro_aggregate_reads_total",
                 'repro_net_aggregate_deltas_pushed_total{ring="sum"}',
                 'repro_net_aggregate_deltas_pushed_total{ring="counting"}',
+                "repro_durability_wal_bytes_since_checkpoint",
+                "repro_durability_checkpoint_age_seconds",
+                "repro_durability_checkpoints_written_total",
+                "repro_durability_checkpoints_skipped_inflight_total",
+                "repro_durability_checkpoint_last_seconds",
+                "repro_durability_checkpoint_failures_total 0",
             ):
                 assert needle in text, f"{needle} missing from /metrics"
             stats = client.server_stats()
@@ -221,6 +238,16 @@ def scripted_session() -> None:
                 f"{stats['net']['deltas_pushed']} deltas pushed)"
             )
     engine.close()
+    assert engine.durability_stats.checkpoints_written > 1, "no background checkpoint"
+    recovered, _report = recover_engine(durability.directory, durability)
+    assert recovered.version == engine.version
+    assert dict(recovered.result()) == oracle.result(), "recovered state diverged"
+    recovered.close()
+    print(
+        "serve-smoke: durability ok "
+        f"({engine.durability_stats.checkpoints_written} checkpoints, recovered "
+        f"version {recovered.version})"
+    )
 
 
 def main() -> int:
