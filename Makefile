@@ -4,7 +4,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test coverage fuzz-smoke serve-smoke bench-smoke bench-batch bench-sharded bench-serving bench-adaptive bench-subscriptions bench-reshard bench-storage bench-aggregates bench-gate bench-e2e-quick bench-e2e profile profile-smoke docs-check install-dev
+.PHONY: test coverage fuzz-smoke serve-smoke bench-smoke bench-batch bench-sharded bench-serving bench-adaptive bench-subscriptions bench-reshard bench-storage bench-aggregates bench-gate bench-e2e-quick bench-e2e profile profile-smoke docs-check loc install-dev
 
 ## Tier-1 verification: the coverage gate first — it runs the full test
 ## suite exactly once (fail-fast, under the line collector when pytest-cov
@@ -112,6 +112,10 @@ profile-smoke:
 ## Fail if any public module under src/repro/ lacks a module docstring.
 docs-check:
 	$(PY) tools/check_docstrings.py
+
+## The tracked size metric of ROADMAP/CHANGES: lines of Python under src/.
+loc:
+	@find src -name '*.py' | xargs cat | wc -l
 
 ## Editable install (after which PYTHONPATH=src is no longer needed).
 install-dev:

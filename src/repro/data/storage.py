@@ -65,6 +65,16 @@ _NO_ROW = -1
 _ID_MAX = 1 << 40
 _POOL_BASE = 1 << 41
 
+
+def _self_id(value: object) -> Optional[int]:
+    """The in-range int a non-int ``value`` equals (``2.0`` → ``2``), if any."""
+    try:
+        as_int = int(value)  # type: ignore[call-overload]
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return as_int if as_int == value and -_ID_MAX < as_int < _ID_MAX else None
+
+
 # Auto-compaction policy: rebuild the row arrays once the free-list holds
 # more than _COMPACT_MIN_FREE rows and outnumbers live rows by
 # _COMPACT_RATIO to one.  Compaction is observationally invisible.
@@ -290,8 +300,8 @@ class ColumnarIndex:
             if type(value) is int and -_ID_MAX < value < _ID_MAX:
                 return self._gid_by_idkey.get(value)
             vid = value_ids.get(value)
-            if vid is None:
-                return None
+            if vid is None:  # never interned, yet 2.0 finds a stored 2
+                vid = _self_id(value)
             return self._gid_by_idkey.get(vid)
         ids = []
         for p in self._positions:
@@ -300,7 +310,7 @@ class ColumnarIndex:
                 ids.append(value)
                 continue
             vid = value_ids.get(value)
-            if vid is None:
+            if vid is None and (vid := _self_id(value)) is None:
                 return None
             ids.append(vid)
         return self._gid_by_idkey.get(tuple(ids))
@@ -600,13 +610,10 @@ class ColumnarRelation(Relation):
         Values that compare equal to an in-range int are cached under that
         int's self-id so id equality keeps matching Python value equality.
         """
-        try:
-            as_int = int(value)  # type: ignore[call-overload]
-            if as_int == value and -_ID_MAX < as_int < _ID_MAX:
-                self._value_ids[value] = as_int
-                return as_int
-        except (TypeError, ValueError, OverflowError):
-            pass
+        as_int = _self_id(value)
+        if as_int is not None:
+            self._value_ids[value] = as_int
+            return as_int
         vid = _POOL_BASE + len(self._values)
         self._value_ids[value] = vid
         self._values.append(value)
@@ -750,7 +757,7 @@ class ColumnarRelation(Relation):
             if type(value) is int and -_ID_MAX < value < _ID_MAX:
                 return value in index._gid_by_idkey
             vid = self._value_ids.get(value)
-            return vid is not None and vid in index._gid_by_idkey
+            return (_self_id(value) if vid is None else vid) in index._gid_by_idkey
         return index._probe_gid(tup) is not None
 
     def degree_of(self, key_schema: Schema, tup: ValueTuple) -> int:
@@ -767,7 +774,7 @@ class ColumnarRelation(Relation):
                 gid = index._gid_by_idkey.get(value)
             else:
                 vid = self._value_ids.get(value)
-                gid = index._gid_by_idkey.get(vid) if vid is not None else None
+                gid = index._gid_by_idkey.get(_self_id(value) if vid is None else vid)
         else:
             gid = index._probe_gid(tup)
         return index._sizes[gid] if gid is not None else 0

@@ -12,10 +12,11 @@ single-tuple updates (same-tuple deltas are merged, zero-multiplicity no-ops
 are dropped) grouped by relation.  Because delta propagation is linear in the
 delta for fixed sibling contents, replaying a batch relation group by
 relation group yields the same final query result as replaying the source
-updates one by one — the batched maintenance path
-(:class:`repro.ivm.maintenance.BatchUpdateProcessor`) exploits this to
-amortize per-update overhead.  ``UpdateStream.batches(size)`` chunks a
-recorded stream into consecutive batches.
+updates one by one — the maintenance path
+(:meth:`repro.ivm.maintenance.UpdateProcessor.apply_group`) works on such
+groups, and a single :class:`Update` is a group of one.
+``UpdateStream.batches(size)`` chunks a recorded stream into consecutive
+batches.
 """
 
 from __future__ import annotations
@@ -156,9 +157,7 @@ class UpdateBatch:
     ) -> Dict[ValueTuple, Dict[ValueTuple, int]]:
         """Group one relation's net delta by a partition key projection.
 
-        ``key_of`` is typically :meth:`repro.data.partition.Partition.key_of`;
-        the maintenance layer uses the grouping to make one routing and one
-        rebalancing decision per partition key instead of one per tuple.
+        ``key_of`` is typically :meth:`repro.data.partition.Partition.key_of`.
         """
         grouped: Dict[ValueTuple, Dict[ValueTuple, int]] = {}
         for tup, mult in self.delta_for(relation).items():

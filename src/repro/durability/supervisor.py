@@ -6,16 +6,21 @@ native code).  With per-shard durability each worker logs its own WAL
 and checkpoints into ``<directory>/shard-<i>``, so the shard's state
 survives its process.  :class:`ShardSupervisor` closes the loop:
 
-* every mutation and read goes through the supervisor, which tracks the
-  per-shard versions it has seen acknowledged;
+* the supervisor installs itself as the sharded engine's *round runner*:
+  every shard round of the facade's one ingest protocol
+  (:meth:`~repro.sharding.ShardedEngine._dispatch`) executes through
+  :meth:`ShardSupervisor._run_round`, which tracks the per-shard versions
+  it has seen acknowledged; routing, the validate round, the reshard tail
+  buffer, the version tick and telemetry stay the facade's;
 * a :class:`~repro.exceptions.WorkerDiedError` (a pipe breaking
   mid-command) triggers ``executor.restart_shard(i)`` — a fresh worker
   that *recovers* from the shard's durability directory instead of
   loading a database — while the other shards' pipes stay untouched;
-* the interrupted command is then reconciled per shard: if the recovered
-  worker's version equals the version the supervisor last saw, the dying
-  worker never made the command durable and it is re-sent; if it is one
-  ahead, the command committed but its acknowledgement was lost with the
+* an interrupted read-only round is simply re-asked; an interrupted
+  mutating round is reconciled per dead shard: if the recovered worker's
+  version equals the version the supervisor last saw, the dying worker
+  never made the command durable and it is re-sent; if it is one ahead,
+  the command committed but its acknowledgement was lost with the
   process, and re-sending would double-apply — so it is skipped.  Any
   other version is a real divergence and raises
   :class:`~repro.exceptions.DurabilityError`.
@@ -28,6 +33,12 @@ kill raises :class:`~repro.exceptions.StaleStateError` on its next read
 touching the restarted shard — honest semantics, asserted by the
 process-kill integration test — while a snapshot captured *after* the
 recovery serves the same merged result as the never-killed oracle.
+
+Only live rounds on the current fleet are guarded.  A worker of the *new*
+fleet dying while a reshard builds it or replays the tail onto it is not
+handled: the reshard raises and the caller aborts it, as before
+supervision existed.  After a completed reshard the supervisor re-reads
+the per-shard versions of the new fleet on its next round.
 
 This module deliberately never imports :mod:`repro.sharding` at module
 level (the sharded engine imports :mod:`repro.core.api`, which imports
@@ -57,6 +68,8 @@ class ShardSupervisor:
         self.recoveries = 0
         self._lock = threading.RLock()
         self._versions: List[int] = list(engine.shard_versions())
+        self._epoch: int = engine.epoch
+        engine._run_round = self._run_round
         self._watch_interval = watch_interval
         self._stop = threading.Event()
         self._watcher: Optional[threading.Thread] = None
@@ -89,7 +102,34 @@ class ShardSupervisor:
                 f"supervisor last acknowledged {expected}; the shard's "
                 "durability directory does not belong to this deployment"
             )
-        self._versions[shard] = expected + 1
+
+    def _run_round(
+        self, executor, commands: Dict[int, Tuple[str, Any]], mutating: bool
+    ) -> None:
+        """One shard round of the facade's ingest protocol, repairing deaths.
+
+        Survivors of an interrupted round already ran their command (the
+        executor drains every live pipe before raising); each dead shard
+        is restarted, then re-asked (read-only round) or reconciled by its
+        durable version (mutating round).  Either way every commanded
+        shard has acknowledged a mutating round exactly once afterwards.
+        """
+        if self.engine.epoch != self._epoch:
+            # a reshard swapped the fleet: its shards count from their own 0
+            self._versions = list(self.shard_versions())
+            self._epoch = self.engine.epoch
+        try:
+            executor.map(commands)
+        except WorkerDiedError as exc:
+            self._recover_shards(exc.shard_indexes)
+            for shard in exc.shard_indexes:
+                if mutating:
+                    self._reconcile(shard, *commands[shard])
+                else:
+                    executor.call(shard, *commands[shard])
+        if mutating:
+            for shard in commands:
+                self._versions[shard] += 1
 
     def check_and_recover(self) -> List[int]:
         """Repair any currently-dead workers; returns the shards recovered."""
@@ -113,111 +153,26 @@ class ShardSupervisor:
     def apply(self, update: Update) -> None:
         """Route one update to its shard, recovering the shard if it dies."""
         with self._lock:
-            engine = self.engine
-            executor = engine._require_loaded()
-            shard = engine.router.shard_of_update(update)
-            payload = (update.relation, update.tuple, update.multiplicity)
-            try:
-                executor.call(shard, "update", payload)
-                self._versions[shard] += 1
-            except WorkerDiedError as exc:
-                self._recover_shards(exc.shard_indexes)
-                self._reconcile(shard, "update", payload)
-            engine._version += 1
+            self.engine.apply(update)
 
     apply_update = apply
 
     def apply_batch(self, updates: Union[UpdateBatch, Iterable[Update]]) -> None:
-        """The sharded two-phase batch path with per-shard fault handling.
-
-        Mirrors :meth:`ShardedEngine.apply_batch` (route, validate
-        everywhere, then apply everywhere); a worker death during the
-        apply round is reconciled per shard — survivors already applied
-        (the executor drains every live pipe before raising), dead shards
-        re-send or skip based on their recovered durable version.
-        """
+        """The sharded two-phase batch path with per-shard fault handling."""
         with self._lock:
-            engine = self.engine
-            executor = engine._require_loaded()
-            if isinstance(updates, UpdateBatch):
-                sub_batches = engine.router.split_batch(updates)
-            else:
-                sub_batches = engine.router.split_updates(updates)
-            if not sub_batches:
-                engine._version += 1
-                return
-            pre_validated = len(sub_batches) > 1
-            if pre_validated:
-                commands = {
-                    shard: ("validate", batch)
-                    for shard, batch in sub_batches.items()
-                }
-                try:
-                    executor.map(commands)
-                except WorkerDiedError as exc:
-                    # validation is read-only: recover and simply re-ask
-                    self._recover_shards(exc.shard_indexes)
-                    for shard in exc.shard_indexes:
-                        if shard in sub_batches:
-                            executor.call(shard, "validate", sub_batches[shard])
-            commands = {
-                shard: ("batch", (batch, pre_validated))
-                for shard, batch in sub_batches.items()
-            }
-            try:
-                executor.map(commands)
-                for shard in sub_batches:
-                    self._versions[shard] += 1
-            except WorkerDiedError as exc:
-                dead = set(exc.shard_indexes)
-                self._recover_shards(dead)
-                for shard in sub_batches:
-                    if shard in dead:
-                        self._reconcile(shard, "batch", commands[shard][1])
-                    else:
-                        self._versions[shard] += 1
-            engine._version += 1
+            self.engine.apply_batch(updates)
 
     def apply_stream(
         self, updates: Iterable[Update], batch_size: Optional[int] = None
     ) -> None:
         """Apply a sequence of updates, optionally chunked into batches."""
-        if batch_size is not None:
-            chunk: List[Update] = []
-            for update in updates:
-                chunk.append(update)
-                if len(chunk) >= batch_size:
-                    self.apply_batch(chunk)
-                    chunk = []
-            if chunk:
-                self.apply_batch(chunk)
-            return
-        for update in updates:
-            self.apply(update)
+        with self._lock:
+            self.engine.apply_stream(updates, batch_size)
 
     def retune(self, epsilon: float) -> None:
         """Broadcast a shard-local retune, recovering any dead worker."""
         with self._lock:
-            engine = self.engine
-            executor = engine._require_loaded()
-            commands = {
-                shard: ("retune", epsilon)
-                for shard in range(executor.shard_count)
-            }
-            try:
-                executor.map(commands)
-                for shard in commands:
-                    self._versions[shard] += 1
-            except WorkerDiedError as exc:
-                dead = set(exc.shard_indexes)
-                self._recover_shards(dead)
-                for shard in commands:
-                    if shard in dead:
-                        self._reconcile(shard, "retune", epsilon)
-                    else:
-                        self._versions[shard] += 1
-            engine.epsilon = epsilon
-            engine._version += 1
+            self.engine.retune(epsilon)
 
     # ------------------------------------------------------------------
     # reads

@@ -1,21 +1,18 @@
 """Incremental view maintenance: delta propagation, updates, rebalancing.
 
-Two ingestion paths share the same propagation primitives: single-tuple
-processing (:class:`UpdateProcessor`, the paper's Figure 19) and batched
-processing (:class:`BatchUpdateProcessor`), which applies a whole
-consolidated :class:`~repro.data.update.UpdateBatch` per view-tree traversal
-and defers rebalancing to one check per batch.
+One ingestion path: :class:`UpdateProcessor` runs the paper's Figure 19 on
+a relation group ``δR`` (a single-tuple update is a group of one, a
+consolidated :class:`~repro.data.update.UpdateBatch` one group per relation)
+and :class:`MaintenanceDriver` runs the Figure 22 trigger once per event.
 """
 
-from repro.ivm.delta import delta_from_update, propagate_delta
-from repro.ivm.maintenance import BatchUpdateProcessor, UpdateProcessor
+from repro.ivm.delta import propagate_delta
+from repro.ivm.maintenance import UpdateProcessor
 from repro.ivm.rebalance import MaintenanceDriver, RebalanceStats
 
 __all__ = [
-    "BatchUpdateProcessor",
     "MaintenanceDriver",
     "RebalanceStats",
     "UpdateProcessor",
-    "delta_from_update",
     "propagate_delta",
 ]

@@ -88,8 +88,3 @@ def propagate_delta(
             apply_delta(tup, mult)
         schema = view.schema
     return schema, delta
-
-
-def delta_from_update(tuple_value: ValueTuple, multiplicity: int) -> Delta:
-    """Build the single-entry delta ``{x → m}`` of the paper's update model."""
-    return {tuple(tuple_value): multiplicity}

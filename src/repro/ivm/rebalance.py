@@ -12,13 +12,14 @@ The dynamic engine keeps a *threshold base* ``M`` with the size invariant
   thresholds of Definition 11: its tuples are moved into or out of the light
   part and the affected views and indicators are refreshed (Proposition 26).
 
-The batched ingestion path (:meth:`MaintenanceDriver.on_batch`) defers both
-checks to once per batch: after a whole
-:class:`~repro.data.update.UpdateBatch` has been absorbed, the size
-invariant is restored (doubling/halving ``M`` as often as needed, since one
-batch can overshoot more than one doubling) and each partition key touched
-by the batch gets exactly one minor-rebalance check.  Between the batch's
-internal updates the loose invariants may transiently be violated; they are
+Both checks run once per ingestion event, after the whole event — one update
+(:meth:`MaintenanceDriver.on_update`) or one consolidated
+:class:`~repro.data.update.UpdateBatch` (:meth:`MaintenanceDriver.on_batch`)
+— has been absorbed: the size invariant is restored (doubling/halving ``M``
+as often as needed, since one batch can overshoot more than one doubling;
+one update never needs more than one) and each partition key the event
+touched gets exactly one minor-rebalance check.  Between a batch's internal
+updates the loose invariants may transiently be violated; they are
 re-established before the call returns, which is all the amortized analysis
 needs.
 """
@@ -26,15 +27,16 @@ needs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Union
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Mapping
 
 from repro.data.database import Database
 from repro.data.partition import Partition
 from repro.data.schema import ValueTuple
-from repro.data.update import Update, UpdateBatch, as_batch
+from repro.data.update import Update, UpdateBatch
 from repro.engine.materialize import materialize_plan
-from repro.ivm.maintenance import BatchUpdateProcessor, UpdateProcessor
+from repro.ivm.delta import Delta
+from repro.ivm.maintenance import KeyedGroup, UpdateProcessor
 from repro.views.skew import SkewAwarePlan
 
 
@@ -108,7 +110,6 @@ class MaintenanceDriver:
         self.epsilon = epsilon
         self.enable_rebalancing = enable_rebalancing
         self.processor = UpdateProcessor(plan, database)
-        self.batch_processor = BatchUpdateProcessor(plan, database, self.processor)
         self.stats = RebalanceStats()
         # Optional repro.adaptive.WorkloadTelemetry: when present, every
         # ingestion event records its source-update count and wall-clock
@@ -218,67 +219,42 @@ class MaintenanceDriver:
 
     # ------------------------------------------------------------------
     def on_update(self, update: Update) -> None:
-        """Process one update and rebalance if necessary (Figure 22)."""
-        if self.telemetry is None:
-            self._ingest_update(update)
-            return
-        started = time.perf_counter()
-        self._ingest_update(update)
-        self.telemetry.record_update(1, time.perf_counter() - started)
+        """Process one update and rebalance if necessary (Figure 22).
 
-    def _ingest_update(self, update: Update) -> None:
-        self.processor.apply_update(update)
-        self.stats.updates += 1
-        self.version += 1
-        if not self.enable_rebalancing:
-            return
-        size = self.database.size
-        if size >= self.threshold_base:
-            self.threshold_base = 2 * self.threshold_base
-            self._major_rebalance()
-            return
-        if size < (self.threshold_base // 4):
-            self.threshold_base = max(1, self.threshold_base // 2 - 1)
-            self._major_rebalance()
-            return
-        self._minor_rebalance(update)
-
-    def apply_stream(self, updates) -> None:
-        """Process a sequence of updates in order."""
-        for update in updates:
-            self.on_update(update)
-
-    def on_batch(
-        self,
-        batch: Union[UpdateBatch, Iterable[Update]],
-        validated: bool = False,
-    ) -> None:
-        """Process one consolidated batch with a single deferred rebalance check.
-
-        The whole batch is absorbed through
-        :class:`~repro.ivm.maintenance.BatchUpdateProcessor` first; the size
-        invariant and the per-key loose thresholds are then restored in one
-        pass over the touched keys instead of once per source update.
-        ``validated=True`` forwards the sharded engine's pre-validation so
-        the batch processor skips its own redundant pass.
+        ``|δR| = 1``: a one-entry group through the same path as a batch.
+        A rejected update raises with nothing touched.
         """
-        batch = as_batch(batch)
-        if self.telemetry is None:
-            self._ingest_batch(batch, validated)
-            return
-        started = time.perf_counter()
-        self._ingest_batch(batch, validated)
-        self.telemetry.record_update(
-            batch.source_count, time.perf_counter() - started
-        )
+        self._ingest({update.relation: {update.tuple: update.multiplicity}}, 1)
 
-    def _ingest_batch(self, batch: UpdateBatch, validated: bool) -> None:
-        self.batch_processor.apply_batch(batch, validated=validated)
-        self.stats.updates += batch.source_count
+    def on_batch(self, batch: UpdateBatch) -> None:
+        """Process one consolidated batch: all of it, or none of it.
+
+        The batch is validated up front, so a rejected one raises before
+        any relation, view or indicator is touched (unlike a stream of
+        single updates, where a mid-stream rejection keeps the updates that
+        preceded it).
+        """
+        self.processor.validate(batch)
+        self._ingest(batch.deltas_by_relation(), batch.source_count)
         self.stats.batches += 1
+
+    def _ingest(self, groups: Mapping[str, Delta], source_count: int) -> None:
+        """One ingestion event: ``UpdateTrees`` per group, then one trigger."""
+        started = time.perf_counter()
+        touched: List[KeyedGroup] = []
+        for relation_name, group in groups.items():
+            touched.extend(self.processor.apply_group(relation_name, group))
+        self.stats.updates += source_count
         self.version += 1
-        if not self.enable_rebalancing:
-            return
+        if self.enable_rebalancing:
+            self._rebalance(touched)
+        if self.telemetry is not None:
+            self.telemetry.record_update(
+                source_count, time.perf_counter() - started
+            )
+
+    def _rebalance(self, touched: List[KeyedGroup]) -> None:
+        """The trigger of Figure 22 for the keys one event ``touched``."""
         size = self.database.size
         resized = False
         while size >= self.threshold_base:
@@ -294,15 +270,12 @@ class MaintenanceDriver:
             self._major_rebalance()
             return
         threshold = self.threshold
-        for relation_name in batch.relations():
-            for partition in self.plan.partitions.partitions_of(relation_name):
-                witnesses: Dict[ValueTuple, ValueTuple] = {}
-                for tup in batch.delta_for(relation_name):
-                    witnesses.setdefault(partition.key_of(tup), tup)
-                for key, witness in witnesses.items():
-                    self._check_partition_key(
-                        partition, key, witness, relation_name, threshold
-                    )
+        for partition, by_key in touched:
+            name = partition.base.name
+            for key, key_group in by_key.items():
+                self._check_partition_key(
+                    partition, key, next(iter(key_group)), name, threshold
+                )
 
     # ------------------------------------------------------------------
     def _major_rebalance(self) -> None:
@@ -310,48 +283,30 @@ class MaintenanceDriver:
         self.stats.major_rebalances += 1
         materialize_plan(self.plan, self.threshold)
 
-    def _minor_rebalance(self, update: Update) -> None:
-        """Figure 21/22: move one partition key across the heavy/light border."""
-        relation = self.database.relation(update.relation)
-        threshold = self.threshold
-        for partition in self.plan.partitions.partitions_of(relation.name):
-            self._check_partition_key(
-                partition, None, update.tuple, update.relation, threshold
-            )
-
     def _check_partition_key(
         self,
         partition: Partition,
-        key: Optional[ValueTuple],
+        key: ValueTuple,
         witness: ValueTuple,
         relation_name: str,
         threshold: float,
     ) -> None:
-        """Move one key across the heavy/light border if it drifted.
+        """Figure 21/22: move one key across the heavy/light border if it drifted.
 
-        ``key`` may be ``None``: degrees are then probed tuple-addressed via
-        the witness tuple (the columnar backend answers those from the row
-        table) and the key tuple is only built when a move actually fires.
+        ``witness`` is any update tuple carrying ``key``; the move projects
+        it onto the keys of the indicator triples it refreshes.
         """
-        if key is None:
-            light_degree = partition.light.degree_of(partition.keys, witness)
-            base_degree = partition.base.degree_of(partition.keys, witness)
-        else:
-            light_degree = partition.light_degree(key)
-            base_degree = partition.base_degree(key)
+        light_degree = partition.light_degree(key)
+        base_degree = partition.base_degree(key)
         if light_degree == 0 and 0 < base_degree < 0.5 * threshold:
             self.stats.minor_rebalances += 1
             self.stats.moved_to_light += base_degree
-            if key is None:
-                key = partition.key_of(witness)
             self.processor.move_partition_key(
                 partition, key, True, witness, relation_name
             )
         elif light_degree >= 1.5 * threshold:
             self.stats.minor_rebalances += 1
             self.stats.moved_to_heavy += light_degree
-            if key is None:
-                key = partition.key_of(witness)
             self.processor.move_partition_key(
                 partition, key, False, witness, relation_name
             )

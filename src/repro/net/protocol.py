@@ -251,5 +251,8 @@ def unwire_updates(raw: Any) -> List[Update]:
         if not isinstance(item, (list, tuple)) or len(item) != 3:
             raise ProtocolError(f"malformed wire update {item!r}")
         relation, tup, mult = item
-        updates.append(Update(str(relation), unwire_tuple(tup), int(mult)))
+        # No coercion: 2.7 is not 2 copies, True is not 1, 7 is not a name.
+        if not isinstance(relation, str) or type(mult) is not int or mult == 0:
+            raise ProtocolError(f"malformed wire update {item!r}")
+        updates.append(Update(relation, unwire_tuple(tup), mult))
     return updates

@@ -7,9 +7,11 @@ facade over a fleet of per-shard engines:
   shard key (a variable occurring in every atom, see
   :func:`repro.core.planner.choose_shard_key`), so joins, delta propagation,
   and minor/major rebalancing are shard-local by construction;
-* **updates** — ``apply_update`` routes one update to its shard;
-  ``apply_batch`` splits a batch (or folds a raw stream) into per-shard
-  sub-batches and dispatches them through the executor in one round;
+* **updates** — every mutation is one *event* (an update, a batch, a raw
+  update list, a retune) through one protocol, :meth:`ShardedEngine._dispatch`:
+  route it, dry-run it on every involved shard when it spans several, then
+  apply it in one executor round; live calls, the reshard tail replay and
+  :class:`~repro.durability.supervisor.ShardSupervisor` all share it;
 * **enumeration** — every shard enumerates its result in the canonical
   order and :func:`repro.enumeration.union.merge_shards` performs an
   order-preserving k-way merge, summing multiplicities of tuples produced
@@ -81,6 +83,13 @@ from repro.views.build import DYNAMIC_MODE
 # per-update pipe/pickle overhead of worker processes only amortizes once
 # shards hold enough data for maintenance work to dominate dispatch.
 SMALL_N_THRESHOLD = 50_000
+
+
+def _map_round(
+    executor: ShardExecutor, commands: Dict[int, Tuple[str, Any]], mutating: bool
+) -> None:
+    """The default round runner: one executor round, a dead worker raises."""
+    executor.map(commands)
 
 
 class ShardMergeEnumerator:
@@ -197,16 +206,12 @@ class _ReshardPlan:
     :meth:`ShardedEngine.finish_reshard` (tail replay + barrier + swap).
     """
 
-    __slots__ = ("new_count", "cut_version", "cut_epsilon", "payloads", "router", "fleet", "epoch")
+    __slots__ = ("new_count", "cut_epsilon", "payloads", "fleet", "epoch")
 
-    def __init__(
-        self, new_count: int, cut_version: int, cut_epsilon: float, payloads: List[Any]
-    ) -> None:
+    def __init__(self, new_count: int, cut_epsilon: float, payloads: List[Any]) -> None:
         self.new_count = new_count
-        self.cut_version = cut_version
         self.cut_epsilon = cut_epsilon
         self.payloads = payloads
-        self.router: Optional[ShardRouter] = None
         self.fleet: Optional[_FleetHandle] = None
         self.epoch = 0
 
@@ -410,6 +415,10 @@ class ShardedEngine:
         # close() force-closes them so worker processes never outlive the
         # deployment.
         self._retired_fleets: List[_FleetHandle] = []
+        # How a live event's shard rounds are executed (see _dispatch).
+        # ShardSupervisor installs its guarded runner here — the whole
+        # interface between supervision and the facade.
+        self._run_round = _map_round
         # Bumped by every load(); snapshots and enumerators created against
         # an earlier load raise StaleStateError instead of silently reading
         # the replaced deployment.
@@ -441,9 +450,52 @@ class ShardedEngine:
             and database_size >= SMALL_N_THRESHOLD
         ):
             return "process"
-        # threaded fallback for small N (and single-core hosts): same
-        # concurrent dispatch path, none of the pipe/pickle overhead
-        return "thread" if self.shards > 1 else "serial"
+        # small N (and single-core hosts): the plain in-process loop — the
+        # thread pool measured no faster on any workload (ROADMAP item 5)
+        return "serial"
+
+    def _start_fleet(
+        self,
+        router: ShardRouter,
+        databases: List[Optional[Database]],
+        database_size: int,
+        epsilon: float,
+        epoch: int,
+    ) -> _FleetHandle:
+        """Start one executor with a shard engine per entry of ``databases``.
+
+        ``None`` entries recover from the shard's durability directory
+        instead of loading; durable fleets log under ``epoch``'s tree.
+        """
+        executor_name = self._resolve_executor(database_size)
+        executor = EXECUTORS[executor_name]()
+        executor.start(
+            str(self.query),
+            {
+                "epsilon": epsilon,
+                "mode": self.mode,
+                "enable_rebalancing": self.enable_rebalancing,
+                "copy_database": False,
+            },
+            databases,
+            router.shard_key,
+            None if self.durability is None else self.durability.for_epoch(epoch),
+        )
+        return _FleetHandle(executor, router, executor_name, epoch)
+
+    def _adopt_fleet(self, fleet: _FleetHandle) -> None:
+        """Make ``fleet`` the live one, with the facade's serving state on it."""
+        if self._capture_deltas:
+            fleet.executor.broadcast("set_delta_capture", True)
+        for spec in self._agg_specs.values():
+            fleet.executor.broadcast("register_aggregate", spec.to_wire())
+        self.router = fleet.router
+        self.shards = fleet.router.shards
+        self.shard_key = fleet.router.shard_key
+        self.executor_name = fleet.executor_name
+        self._executor = fleet.executor
+        self._fleet = fleet
+        self._epoch = fleet.epoch
 
     def load(self, database: Database) -> "ShardedEngine":
         """Split ``database`` across the shards and preprocess each shard.
@@ -455,31 +507,18 @@ class ShardedEngine:
             self.close()
         self._generation += 1
         self._version = 0
-        self._epoch = 0
         self._reshard_tail = None
         if self.durability is not None:
             self._wipe_fleet_history()
-        shard_databases = self.router.split_database(database)
-        self.executor_name = self._resolve_executor(database.size)
-        self._executor = EXECUTORS[self.executor_name]()
-        self._executor.start(
-            str(self.query),
-            {
-                "epsilon": self.epsilon,
-                "mode": self.mode,
-                "enable_rebalancing": self.enable_rebalancing,
-                "copy_database": False,
-            },
-            shard_databases,
-            self.router.shard_key,
-            self.durability,
+        self._adopt_fleet(
+            self._start_fleet(
+                self.router,
+                self.router.split_database(database),
+                database.size,
+                self.epsilon,
+                0,
+            )
         )
-        self._fleet = _FleetHandle(
-            self._executor, self.router, self.executor_name, 0
-        )
-        if self._capture_deltas:
-            self._executor.broadcast("set_delta_capture", True)
-        self._broadcast_aggregates(self._executor)
         return self
 
     def recover(self) -> "ShardedEngine":
@@ -510,43 +549,26 @@ class ShardedEngine:
         meta = read_fleet_meta(self.durability.directory)
         baselines: Optional[List[int]] = None
         meta_version = 0
-        if meta is None:
-            self._epoch = 0
-        else:
+        epoch = 0
+        if meta is not None:
             count = int(meta["shards"])
-            self._epoch = int(meta.get("epoch", 0))
+            epoch = int(meta.get("epoch", 0))
             meta_version = int(meta.get("version", 0))
             if count != self.shards:
                 self.router = ShardRouter(self.query, count, self._shard_key_choice)
                 self.shards = count
-                self.shard_key = self.router.shard_key
             raw = meta.get("shard_versions")
             if isinstance(raw, list) and len(raw) == count:
                 baselines = [int(value) for value in raw]
-        self.executor_name = (
-            self._resolve_executor(SMALL_N_THRESHOLD)
-            if self.executor_choice == "auto"
-            else self.executor_choice
+        self._adopt_fleet(
+            self._start_fleet(
+                self.router,
+                [None] * self.shards,
+                SMALL_N_THRESHOLD,
+                self.epsilon,
+                epoch,
+            )
         )
-        self._executor = EXECUTORS[self.executor_name]()
-        self._executor.start(
-            str(self.query),
-            {
-                "epsilon": self.epsilon,
-                "mode": self.mode,
-                "enable_rebalancing": self.enable_rebalancing,
-                "copy_database": False,
-            },
-            [None] * self.shards,
-            self.router.shard_key,
-            self.durability.for_epoch(self._epoch),
-        )
-        self._fleet = _FleetHandle(
-            self._executor, self.router, self.executor_name, self._epoch
-        )
-        if self._capture_deltas:
-            self._executor.broadcast("set_delta_capture", True)
-        self._broadcast_aggregates(self._executor)
         shard_versions = self.shard_versions()
         if meta is None:
             self._version = max(shard_versions)
@@ -571,8 +593,6 @@ class ShardedEngine:
         if self._fleet is not None:
             self._fleet.force_close()
             self._fleet = None
-        elif self._executor is not None:
-            self._executor.close()
         self._executor = None
         for fleet in self._retired_fleets:
             fleet.force_close()
@@ -618,79 +638,88 @@ class ShardedEngine:
         """Delete ``multiplicity`` copies of ``tup`` from ``relation``."""
         self.update(relation, tup, -abs(multiplicity))
 
+    def _dispatch(
+        self, fleet: _FleetHandle, kind: str, payload: Any, run_round=_map_round
+    ) -> int:
+        """The sharded ingest protocol, once: route, validate round, apply round.
+
+        ``kind`` is ``"update"`` (one :class:`Update`), ``"batch"`` (an
+        :class:`UpdateBatch`, split by net entry — an empty net effect is
+        no shard work at all), ``"updates"`` (raw source updates, routed
+        *before* consolidation so per-shard ``source_count`` is exact; a
+        sub-batch that cancels still reaches, and ticks, its shard like the
+        unsharded driver) or ``"retune"`` (an ε for every shard).  Returns
+        the number of source updates routed.  ``run_round(executor,
+        commands, mutating)`` executes one ``{shard: (command, payload)}``
+        round: live events pass the facade's runner, which a supervisor may
+        have replaced; the reshard tail replay keeps the default.
+        """
+        executor, router = fleet.executor, fleet.router
+        if kind == "retune":
+            commands = {
+                shard: ("retune", payload) for shard in range(executor.shard_count)
+            }
+            source_count = 0
+        elif kind == "update":
+            commands = {
+                router.shard_of_update(payload): (
+                    "update",
+                    (payload.relation, payload.tuple, payload.multiplicity),
+                )
+            }
+            source_count = 1
+        else:
+            split = router.split_batch if kind == "batch" else router.split_updates
+            subs = split(payload)
+            if len(subs) > 1:
+                # All-or-nothing across shards, like the single engine's
+                # batch path: every involved shard dry-runs its over-delete
+                # checks before any shard applies anything, so a rejected
+                # sub-batch raises with no shard modified.
+                validations = {shard: ("validate", sub) for shard, sub in subs.items()}
+                run_round(executor, validations, False)
+            commands = {shard: ("batch", sub) for shard, sub in subs.items()}
+            source_count = sum(sub.source_count for sub in subs.values())
+        if commands:
+            run_round(executor, commands, True)
+        return source_count
+
+    def _commit(self, kind: str, payload: Any) -> None:
+        """One live event: the protocol on the current fleet, then bookkeeping."""
+        self._require_loaded()
+        started = time.perf_counter()
+        source_count = self._dispatch(self._fleet, kind, payload, self._run_round)
+        if self._reshard_tail is not None:
+            # A reshard is in flight: buffer the event for replay onto the
+            # new fleet.  Only what the current fleet accepted gets here —
+            # a rejected over-delete raised above and must not replay either.
+            self._reshard_tail.append((kind, payload))
+        self._version += 1
+        if self.telemetry is not None and kind != "retune":
+            self.telemetry.record_update(
+                source_count, time.perf_counter() - started
+            )
+
     def apply(self, update: Update) -> None:
         """Route one update to its shard and apply it there."""
-        executor = self._require_loaded()
-        started = time.perf_counter() if self.telemetry is not None else 0.0
-        executor.call(
-            self.router.shard_of_update(update),
-            "update",
-            (update.relation, update.tuple, update.multiplicity),
-        )
-        if self._reshard_tail is not None:
-            self._reshard_tail.append(("update", update))
-        self._version += 1
-        if self.telemetry is not None:
-            self.telemetry.record_update(1, time.perf_counter() - started)
+        self._commit("update", update)
 
     apply_update = apply
 
     def apply_batch(self, updates: Union[UpdateBatch, Iterable[Update]]) -> None:
         """Split a batch by shard and ingest every sub-batch in one round.
 
-        Raw iterables and streams are routed *before* consolidation so each
-        shard's ``source_count`` accounting is exact (a shard whose updates
-        all cancel still receives its empty-net batch, mirroring the
-        unsharded driver's bookkeeping).  An already-consolidated
-        :class:`UpdateBatch` splits by net entry; if its net effect is
-        empty, no shard receives any work at all.
-
-        Ingestion is all-or-nothing across shards, like the single engine's
-        batch path: when a batch spans several shards, a validation round
-        (dry-run over-delete checks on every involved shard) runs before
-        any shard applies anything, so a rejected sub-batch raises with no
-        shard modified.
+        Raw iterables and streams are routed as source updates, an
+        already-consolidated :class:`UpdateBatch` by net entry (see
+        :meth:`_dispatch` for what that means for per-shard accounting).
+        Ingestion is all-or-nothing across shards: a rejected sub-batch
+        raises with no shard modified.
         """
-        executor = self._require_loaded()
-        started = time.perf_counter() if self.telemetry is not None else 0.0
         if isinstance(updates, UpdateBatch):
-            sub_batches = self.router.split_batch(updates)
-            tail_event: Tuple[str, Any] = ("batch", updates)
+            self._commit("batch", updates)
         else:
-            if self._reshard_tail is not None:
-                # Materialize the iterable: it must be routed twice (now,
-                # and again through the new router at tail replay).
-                updates = list(updates)
-            sub_batches = self.router.split_updates(updates)
-            tail_event = ("updates", updates)
-        source_count = sum(batch.source_count for batch in sub_batches.values())
-        if not sub_batches:
-            if self._reshard_tail is not None:
-                self._reshard_tail.append(tail_event)
-            self._version += 1
-            if self.telemetry is not None:
-                self.telemetry.record_update(0, time.perf_counter() - started)
-            return
-        pre_validated = len(sub_batches) > 1
-        if pre_validated:
-            executor.map(
-                {shard: ("validate", batch) for shard, batch in sub_batches.items()}
-            )
-        executor.map(
-            {
-                shard: ("batch", (batch, pre_validated))
-                for shard, batch in sub_batches.items()
-            }
-        )
-        if self._reshard_tail is not None:
-            # Buffer only what the current fleet accepted: a rejected
-            # over-delete raised above and must not replay either.
-            self._reshard_tail.append(tail_event)
-        self._version += 1
-        if self.telemetry is not None:
-            self.telemetry.record_update(
-                source_count, time.perf_counter() - started
-            )
+            # a list: a reshard in flight routes it a second time, at replay
+            self._commit("updates", list(updates))
 
     def apply_stream(
         self, updates: Iterable[Update], batch_size: Optional[int] = None
@@ -821,11 +850,6 @@ class ShardedEngine:
     # ------------------------------------------------------------------
     # ring-annotated aggregates
     # ------------------------------------------------------------------
-    def _broadcast_aggregates(self, executor: ShardExecutor) -> None:
-        """Re-register every known aggregate spec on a (re)built fleet."""
-        for spec in self._agg_specs.values():
-            executor.broadcast("register_aggregate", spec.to_wire())
-
     def _coerce_spec(
         self, ring: Union[Ring, str, AggregateSpec], value, group_by
     ) -> AggregateSpec:
@@ -940,12 +964,8 @@ class ShardedEngine:
         """
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
-        executor = self._require_loaded()
-        executor.broadcast("retune", epsilon)
-        if self._reshard_tail is not None:
-            self._reshard_tail.append(("retune", epsilon))
+        self._commit("retune", epsilon)
         self.epsilon = epsilon
-        self._version += 1
 
     # ------------------------------------------------------------------
     # elastic resharding
@@ -1006,7 +1026,6 @@ class ShardedEngine:
         self._reshard_tail = []
         return _ReshardPlan(
             new_count=new_count,
-            cut_version=self._version,
             cut_epsilon=self.epsilon,
             payloads=payloads,
         )
@@ -1034,37 +1053,23 @@ class ShardedEngine:
                     relation = combined.create_relation(name, schema)
                 for tup, mult in rows:
                     relation.apply_delta(tuple(tup), mult)
-        plan.router = ShardRouter(self.query, plan.new_count, self._shard_key_choice)
+        router = ShardRouter(self.query, plan.new_count, self._shard_key_choice)
         plan.epoch = self._epoch + 1
-        durability = (
-            None if self.durability is None else self.durability.for_epoch(plan.epoch)
+        plan.fleet = self._start_fleet(
+            router,
+            router.split_database(combined),
+            combined.size,
+            plan.cut_epsilon,
+            plan.epoch,
         )
-        shard_databases = plan.router.split_database(combined)
-        executor_name = self._resolve_executor(combined.size)
-        executor = EXECUTORS[executor_name]()
-        executor.start(
-            str(self.query),
-            {
-                "epsilon": plan.cut_epsilon,
-                "mode": self.mode,
-                "enable_rebalancing": self.enable_rebalancing,
-                "copy_database": False,
-            },
-            shard_databases,
-            plan.router.shard_key,
-            durability,
-        )
-        plan.fleet = _FleetHandle(executor, plan.router, executor_name, plan.epoch)
 
     def finish_reshard(self, plan: _ReshardPlan) -> None:
         """Phase 3/3: replay the tail, write the barrier, swap the fleet.
 
-        Must not race a mutating call.  The tail replays through the same
-        routing paths as live ingestion — raw update lists re-route
-        pre-consolidation (a sub-batch whose net effect cancels still
-        ticks its destination shard), consolidated batches re-split by
-        net entry — so the new fleet's per-shard version accounting
-        matches a fresh deployment fed the same stream.  Durable
+        Must not race a mutating call.  The tail replays through
+        :meth:`_dispatch`, the function live events go through, so the new
+        fleet's per-shard version accounting matches a fresh deployment
+        fed the same stream.  Durable
         deployments then publish the fleet barrier record: its atomic
         rename is the commit point — recovery lands at the old fleet
         before it and the new fleet after it, never a hybrid.  Finally
@@ -1072,43 +1077,13 @@ class ShardedEngine:
         retires the old fleet (closed when its last snapshot pin drains).
         """
         self._require_loaded()
-        if plan.fleet is None or plan.router is None:
+        if plan.fleet is None:
             raise ReproError("finish_reshard called before build_reshard")
         new_executor = plan.fleet.executor
-        router = plan.router
-        tail = self._reshard_tail or []
         crash_point("reshard-prepare")
-        for kind, payload in tail:
+        for kind, payload in self._reshard_tail or []:
             crash_point("reshard-tail")
-            if kind == "update":
-                new_executor.call(
-                    router.shard_of_update(payload),
-                    "update",
-                    (payload.relation, payload.tuple, payload.multiplicity),
-                )
-            elif kind == "retune":
-                new_executor.broadcast("retune", payload)
-            else:
-                if kind == "batch":
-                    sub_batches = router.split_batch(payload)
-                else:  # "updates": raw source updates, routed pre-consolidation
-                    sub_batches = router.split_updates(payload)
-                if not sub_batches:
-                    continue  # consolidated-empty: no shard work, as in apply_batch
-                pre_validated = len(sub_batches) > 1
-                if pre_validated:
-                    new_executor.map(
-                        {
-                            shard: ("validate", batch)
-                            for shard, batch in sub_batches.items()
-                        }
-                    )
-                new_executor.map(
-                    {
-                        shard: ("batch", (batch, pre_validated))
-                        for shard, batch in sub_batches.items()
-                    }
-                )
+            self._dispatch(plan.fleet, kind, payload)
         version_after = self._version + 1  # the reshard ticks once, like retune
         if self.durability is not None:
             write_fleet_meta(
@@ -1123,26 +1098,14 @@ class ShardedEngine:
                 fsync=self.durability.fsync,
             )
         crash_point("reshard-swap")
-        if self._capture_deltas:
-            new_executor.broadcast("set_delta_capture", True)
-        self._broadcast_aggregates(new_executor)
         old_fleet = self._fleet
-        self.router = router
-        self.shards = plan.new_count
-        self.shard_key = router.shard_key
-        self.executor_name = plan.fleet.executor_name
-        self._executor = new_executor
-        self._fleet = plan.fleet
-        self._epoch = plan.epoch
+        self._adopt_fleet(plan.fleet)
         self._reshard_tail = None
         self._version = version_after
-        if old_fleet is not None:
-            old_fleet.retire()
-            if not old_fleet.closed:
-                self._retired_fleets.append(old_fleet)
-            self._retired_fleets = [
-                fleet for fleet in self._retired_fleets if not fleet.closed
-            ]
+        old_fleet.retire()
+        self._retired_fleets = [
+            fleet for fleet in (*self._retired_fleets, old_fleet) if not fleet.closed
+        ]
         if self.durability is not None:
             self._cleanup_old_epochs(keep=plan.epoch)
 

@@ -122,15 +122,10 @@ class _ShardServer:
             payload.validate_against(self.engine.database)
             return None
         if command == "batch":
-            batch, validated = payload
-            self.engine._require_dynamic()
-            self.engine._driver.on_batch(batch, validated=validated)
-            # Mirror HierarchicalEngine.apply_batch's commit hook: this
-            # path bypasses the facade (pre-validated two-phase ingest),
-            # so a durable shard must log the sub-batch itself or lose it
-            # on the next crash.
-            if self.engine._durability is not None:
-                self.engine._durability.commit_batch(batch, self.engine.version)
+            # second phase: the shard's own public commit — it re-validates
+            # its sub-batch (a walk far cheaper than the apply it precedes)
+            # and, when durable, logs it as one WAL record
+            self.engine.apply_batch(payload)
             return None
         if command == "enumerate":
             return sort_shard_result(self.engine.enumerate())
@@ -453,6 +448,8 @@ class ThreadExecutor(SerialExecutor):
         )
 
     def map(self, commands):
+        if len(commands) < 2:
+            return super().map(commands)  # nothing to overlap: skip the pool hop
         futures = {
             index: self._pool.submit(self.call, index, command, payload)
             for index, (command, payload) in commands.items()

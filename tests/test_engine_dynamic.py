@@ -213,7 +213,6 @@ class TestNoTreeWalksPerUpdate:
         )
         engine = HierarchicalEngine(text, epsilon=0.5, enable_rebalancing=False)
         engine.load(database)
-        processor = engine._driver.processor
         assert engine._skew_plan.indicator_triples  # the plan has all three lookups
 
         walks = {"leaves": 0, "source_names": 0}
@@ -233,12 +232,12 @@ class TestNoTreeWalksPerUpdate:
         round_trip = [Update(n, t, 1) for n, t in touched]
         round_trip += [Update(n, t, -1) for n, t in reversed(touched)]
         for update in round_trip:
-            processor.apply_update(update)
+            engine.apply(update)
         assert walks["source_names"] > 0  # the first lookups did walk
         after_first_round = dict(walks)
         for _ in range(3):
             for update in round_trip:
-                processor.apply_update(update)
+                engine.apply(update)
         assert walks == after_first_round
         query = parse_query(text)
         assert engine.result() == evaluate_query_naive(query, database).as_dict()

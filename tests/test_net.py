@@ -235,9 +235,33 @@ def test_hostile_tuple_is_a_protocol_error(raw):
     assert unwire_tuple([1, "x", None, 2.5, True]) == (1, "x", None, 2.5, True)
 
 
+HOSTILE_UPDATES = [
+    pytest.param(["R", [1, 2], 2.7], id="float-multiplicity"),
+    pytest.param(["R", [1, 2], True], id="bool-multiplicity"),
+    pytest.param(["R", [1, 2], "3"], id="string-multiplicity"),
+    pytest.param(["R", [1, 2], None], id="null-multiplicity"),
+    pytest.param(["R", [1, 2], [1]], id="list-multiplicity"),
+    pytest.param(["R", [1, 2], 0], id="zero-multiplicity"),
+    pytest.param([7, [1, 2], 1], id="number-relation"),
+    pytest.param([None, [1, 2], 1], id="null-relation"),
+    pytest.param([["R"], [1, 2], 1], id="list-relation"),
+]
+
+
+@pytest.mark.parametrize("raw", HOSTILE_UPDATES)
+def test_hostile_update_is_a_protocol_error(raw):
+    """Multiplicities and relation names are taken as sent or refused —
+    never truncated, coerced or stringified on the way in."""
+    parsed = decode_payload(encode_frame({"update": raw})[4:])["update"]
+    with pytest.raises(ProtocolError):
+        unwire_updates([parsed])
+    assert unwire_updates([["R", [1, 2], -3]]) == [Update("R", (1, 2), -3)]
+
+
 def test_hostile_tuples_are_refused_as_protocol_errors_by_a_live_server():
     """Unhashable tuple values used to reach the engine and come back as an
-    ``InternalError``; every op that takes a tuple now refuses them by name."""
+    ``InternalError``; every op that takes a tuple now refuses them by name.
+    So do the update ops for a multiplicity or relation of the wrong type."""
     tuples = [param.values[0] for param in HOSTILE_TUPLES]
     with serve() as (serving, handle):
         version = serving.engine.version
@@ -252,6 +276,9 @@ def test_hostile_tuples_are_refused_as_protocol_errors_by_a_live_server():
                 requests.append({"op": "snapshot_lookup", "snap": snap, "tuple": raw})
                 requests.append({"op": "apply_update", "update": ["R", raw, 1]})
                 requests.append({"op": "apply_batch", "updates": [["R", raw, 1]]})
+            for param in HOSTILE_UPDATES:
+                requests.append({"op": "apply_update", "update": param.values[0]})
+                requests.append({"op": "apply_batch", "updates": [param.values[0]]})
             for request_id, request in enumerate(requests, start=1):
                 write_frame(hostile, dict(request, id=request_id))
                 reply = read_frame(hostile)

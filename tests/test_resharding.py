@@ -30,7 +30,12 @@ from repro.core.api import HierarchicalEngine
 from repro.core.serving import EngineServer
 from repro.data.database import Database
 from repro.data.update import Update, UpdateBatch, UpdateStream
-from repro.durability import CrashPointInjector, SimulatedCrashError, injected
+from repro.durability import (
+    CrashPointInjector,
+    ShardSupervisor,
+    SimulatedCrashError,
+    injected,
+)
 from repro.durability.manager import read_fleet_meta
 from repro.exceptions import ReproError
 from repro.net.client import EngineClient
@@ -568,6 +573,84 @@ class TestDurableReshard:
         recovered.check_invariants()
         recovered.close()
         engine.close()
+
+
+    @pytest.mark.parametrize("via", ["apply", "apply_batch", "apply_stream", "retune"])
+    def test_supervised_write_during_reshard_reaches_the_new_fleet(
+        self, tmp_path, via
+    ):
+        """A write acknowledged by the supervisor between the cut and the
+        swap is buffered for tail replay like any facade write — it must
+        not vanish when the fleet swaps."""
+        engine = live_fleet(shards=2, durability=str(tmp_path / "wal"))
+        supervisor = ShardSupervisor(engine)
+        late = [Update("R", (1000, 3), 1), Update("S", (3, 1001), 1)]
+        plan = engine.begin_reshard(4)
+        engine.build_reshard(plan)
+        if via == "apply":
+            for update in late:
+                supervisor.apply(update)
+        elif via == "apply_batch":
+            supervisor.apply_batch(UpdateBatch(late))
+        elif via == "apply_stream":
+            supervisor.apply_stream(late, batch_size=2)
+        else:
+            supervisor.retune(0.25)
+            supervisor.apply_batch(late)
+        engine.finish_reshard(plan)
+        assert engine.shards == 4
+        assert dict(engine.result()) == oracle_result(STREAM + late)
+        assert sum(1 for tup in engine.result() if tup[0] == 1000) == 3
+        if via == "retune":
+            assert engine.epsilon == 0.25
+            fresh = fresh_fleet_enumeration(4, STREAM + late, epsilon=0.25)
+            assert list(engine.enumerate()) == fresh
+        # the supervisor follows the swap: it tracks the new fleet's shards
+        supervisor.apply(Update("R", (1001, 3), 1))
+        assert supervisor.shard_versions() == engine.shard_versions()
+        assert tuple(supervisor._versions) == engine.shard_versions()
+        engine.check_invariants()
+        supervisor.close()
+
+
+class TestSupervisedIngestionIsTheFacades:
+    """The supervisor contributes fault handling only: everything else a
+    supervised write does is what the same write through the facade does."""
+
+    def test_supervised_applies_survive_a_two_to_four_reshard(self, tmp_path):
+        engine = live_fleet(shards=2, durability=str(tmp_path / "wal"))
+        supervisor = ShardSupervisor(engine)
+        engine.reshard(4)
+        late = [Update("R", (2000 + i, 1 + i % 3), 1) for i in range(30)]
+        for update in late:
+            supervisor.apply(update)
+        assert supervisor.shard_versions() == engine.shard_versions()
+        assert tuple(supervisor._versions) == engine.shard_versions()
+        assert dict(supervisor.result()) == oracle_result(STREAM + late)
+        supervisor.close()
+
+    @pytest.mark.parametrize("batch_size", [0, -1, True, 2.5])
+    def test_apply_stream_rejects_bad_batch_sizes_like_the_facade(
+        self, tmp_path, batch_size
+    ):
+        engine = live_fleet(shards=2, durability=str(tmp_path / "wal"))
+        supervisor = ShardSupervisor(engine)
+        before = engine.version
+        with pytest.raises(ValueError, match="batch size"):
+            supervisor.apply_stream([Update("R", (10, 1), 1)], batch_size=batch_size)
+        assert engine.version == before
+        supervisor.close()
+
+    def test_supervised_ingestion_records_facade_telemetry(self, tmp_path):
+        engine = live_fleet(shards=2, updates=(), durability=str(tmp_path / "wal"))
+        supervisor = ShardSupervisor(engine)
+        assert engine.telemetry.update_events == 0
+        supervisor.apply(STREAM[0])
+        supervisor.apply_batch(STREAM[1:4])
+        supervisor.apply_stream(STREAM[4:], batch_size=4)
+        assert engine.telemetry.update_tuples == len(STREAM)
+        assert engine.telemetry.update_events == engine.version == 1 + 1 + 2
+        supervisor.close()
 
 
 # ---------------------------------------------------------------------------
