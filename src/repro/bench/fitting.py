@@ -67,8 +67,3 @@ def theoretical_exponents(
         "delay": 1 - epsilon,
         "update": dynamic_width * epsilon,
     }
-
-
-def relative_factor(value: float, baseline: float) -> float:
-    """``value / baseline`` guarded against division by ~zero."""
-    return value / max(baseline, 1e-12)

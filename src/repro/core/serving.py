@@ -124,6 +124,34 @@ class _PublishedVersion:
             self.snapshot.close()
 
 
+class PinnedVersion:
+    """One reader's hold on a served version (see :meth:`EngineServer.pin`).
+
+    ``snapshot`` stays readable until :meth:`close`, which is idempotent and
+    safe from any thread.  On a published version it drops this reader's pin
+    (the snapshot is shared and closes once superseded and unpinned); a
+    private capture it closes outright.
+    """
+
+    def __init__(self, snapshot, release: Callable[[], None]) -> None:
+        self.snapshot = snapshot
+        self.version: int = snapshot.version
+        self._release: Optional[Callable[[], None]] = release
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        with self._lock:
+            release, self._release = self._release, None
+        if release is not None:
+            release()
+
+    def __enter__(self) -> "PinnedVersion":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
 @dataclass(frozen=True)
 class ReadTicket:
     """One served read: the observed engine version and the enumerated prefix
@@ -391,22 +419,37 @@ class EngineServer:
         with self._write_lock:
             return self.engine.snapshot()
 
-    def _current_pinned(self) -> "_PublishedVersion":
-        """Pin and return the published entry, capturing version 0 if needed.
+    def pin(self) -> PinnedVersion:
+        """Hold the last committed version for one reader; ``close()`` it.
 
-        The pin is taken under the publish lock, so a concurrent
-        :meth:`_publish_locked` either swaps before (we pin the newer
-        entry) or retires the entry only after our pin is counted.
+        Snapshot mode pins the *published* version: no write lock, no
+        capture, so a reader never waits for the commit in flight — and
+        since a commit publishes before it returns, an acked write is in
+        the version pinned next.  The pin is counted under the publish
+        lock: a concurrent publish either swaps first (the newer entry is
+        pinned) or retires the entry only after the pin is in.  Only before
+        the first commit is nothing published yet; version 0 is then
+        captured under the write lock.  Locked mode publishes nothing: the
+        handle owns a private capture (see :meth:`snapshot`).
         """
+        if self.mode != "snapshot":
+            snapshot = self.snapshot()
+            return PinnedVersion(snapshot, snapshot.close)
         while True:
             with self._publish_lock:
                 entry = self._published
                 if entry is not None:
                     entry._pins += 1
-                    return entry
+                    return PinnedVersion(entry.snapshot, entry.unpin)
             with self._write_lock:
                 if self._published is None:
                     self._publish_locked()
+
+    @property
+    def cold(self) -> bool:
+        """Snapshot mode with nothing published yet: the next :meth:`pin`
+        takes the write lock, and its reader makes the first frozen copies."""
+        return self.mode == "snapshot" and self._published is None
 
     @staticmethod
     def _consume(enumerator, limit: Optional[int]) -> Tuple:
@@ -437,12 +480,9 @@ class EngineServer:
         self.check_writer()
         started = time.perf_counter()
         if self.mode == "snapshot":
-            entry = self._current_pinned()
-            try:
-                pairs = self._consume(entry.snapshot.enumerate(), limit)
-                version = entry.snapshot.version
-            finally:
-                entry.unpin()
+            with self.pin() as pinned:
+                pairs = self._consume(pinned.snapshot.enumerate(), limit)
+                version = pinned.version
             # snapshot reads bypass engine.enumerate(), so record the read
             # into the engine's telemetry here (live reads in locked mode
             # record themselves through the enumerator)

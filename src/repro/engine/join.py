@@ -171,14 +171,14 @@ class BoundRelation:
 # ----------------------------------------------------------------------
 # compiled join plans
 # ----------------------------------------------------------------------
-def _tuple_source(parts: Sequence[str]) -> str:
+def tuple_source(parts: Sequence[str]) -> str:
     """Source of a tuple display over ``parts`` (``(x,)`` for one part)."""
     return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
 
 
 def _emit_source(out_schema: Schema, acc_schema: Schema, child: Schema) -> str:
     """Source of the output tuple, read from ``a`` (accumulator) and ``t``."""
-    return _tuple_source(
+    return tuple_source(
         [
             f"a[{acc_schema.index(v)}]" if v in acc_schema else f"t[{child.index(v)}]"
             for v in out_schema
@@ -215,7 +215,7 @@ def _compile_step(acc_schema: Schema, child: Schema, out_schema: Schema) -> _Ste
     each joined tuple once, already projected onto ``out_schema``.
     """
     shared = [v for v in child if v in acc_schema]  # child order = index key order
-    key = _tuple_source([f"a[{acc_schema.index(v)}]" for v in shared])
+    key = tuple_source([f"a[{acc_schema.index(v)}]" for v in shared])
     emit = _emit_source(out_schema, acc_schema, child)
     lines = ["def step(acc, relation):"]
     if len(shared) == len(child):
@@ -233,7 +233,7 @@ def _compile_step(acc_schema: Schema, child: Schema, out_schema: Schema) -> _Ste
     else:
         if shared:
             mode = "index"
-            columns = _tuple_source([f"schema[{child.index(v)}]" for v in shared])
+            columns = tuple_source([f"schema[{child.index(v)}]" for v in shared])
             lines += [
                 "    schema = relation.schema",
                 f"    probe = relation.ensure_index({columns}).group_items",

@@ -1,27 +1,14 @@
-"""Enumeration: view-tree iterators, Union and Product algorithms, results."""
+"""Enumeration: plans compiled per view-tree shape, Union, result enumeration."""
 
-from repro.enumeration.iterators import (
-    DirectIterator,
-    GroundedIterator,
-    IterateIterator,
-    ProductIterator,
-    TreeIterator,
-    build_iterator,
-)
-from repro.enumeration.lookup import lookup_multiplicity
+from repro.enumeration.plan import EnumerationPlan, compile_enumeration
 from repro.enumeration.result import ResultEnumerator
 from repro.enumeration.union import CallbackSource, UnionIterator, UnionSource
 
 __all__ = [
     "CallbackSource",
-    "DirectIterator",
-    "GroundedIterator",
-    "IterateIterator",
-    "ProductIterator",
+    "EnumerationPlan",
     "ResultEnumerator",
-    "TreeIterator",
     "UnionIterator",
     "UnionSource",
-    "build_iterator",
-    "lookup_multiplicity",
+    "compile_enumeration",
 ]

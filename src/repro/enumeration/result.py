@@ -4,73 +4,59 @@ Per connected component of the query, the strategy trees produced by τ are
 combined with the Union algorithm (their bound-variable valuations are
 disjoint, so summing multiplicities yields the component's result); across
 components the Product algorithm assembles the final tuples (Section 5).
+Each tree is enumerated by the plan compiled for its shape
+(:mod:`repro.enumeration.plan`), bound to the tree's relations when an
+iteration starts: an enumerator that is never consumed opens nothing.
 
 The enumerator yields ``(tuple, multiplicity)`` pairs where the tuple follows
-the order of the query head.  It also offers ``to_dict``/``count`` helpers
-and per-``next`` timing hooks used by the benchmark harness to measure the
-enumeration delay.
+the order of the query head.  It also offers ``to_dict``/``count`` helpers;
+the enumeration delay is timed by
+:func:`repro.bench.timing.measure_enumeration_delay`, from outside.
 """
 
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.data.relation import Relation
 from repro.data.schema import ValueTuple
-from repro.enumeration.iterators import TreeIterator, build_iterator
-from repro.enumeration.lookup import lookup_head_multiplicity, lookup_multiplicity
-from repro.enumeration.union import UnionIterator, UnionSource
+from repro.enumeration.plan import compile_enumeration
+from repro.enumeration.union import CallbackSource, UnionIterator
 from repro.exceptions import SchemaError
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.rings.spec import AggregateSpec, answer_map, fold_result
-from repro.views.skew import SkewAwarePlan
-from repro.views.view import ViewTreeNode
+
+# One strategy tree bound to its relations: ``open()`` and ``lookup(key)``.
+_BoundTree = Tuple[Callable[[], Iterator], Callable[[ValueTuple], int]]
+# One connected component: the variables its keys range over, its trees.
+_Component = Tuple[Tuple[str, ...], List[_BoundTree]]
 
 
-class _TreeSource(UnionSource):
-    """A strategy tree opened with the empty context, seen as a union source."""
-
-    def __init__(self, tree: ViewTreeNode, free_order: Tuple[str, ...]) -> None:
-        self.tree = tree
-        self.free_order = free_order
-        self._free_set = frozenset(free_order)
-        self.iterator: TreeIterator = build_iterator(tree, free_order)
-        self.iterator.open({})
-        self.out_vars = self.iterator.out_vars
-
-    def next(self) -> Optional[Tuple[ValueTuple, int]]:
-        return self.iterator.next()
-
-    def lookup(self, key: ValueTuple) -> int:
-        assignment = dict(zip(self.out_vars, key))
-        return lookup_multiplicity(self.tree, self._free_set, assignment)
-
-
-class _ComponentEnumerator:
-    """Union of the strategy trees of one connected component."""
-
-    def __init__(self, trees: Sequence[ViewTreeNode], free_order: Tuple[str, ...]) -> None:
-        self.trees = tuple(trees)
-        self.free_order = free_order
-        self.reset()
-
-    def reset(self) -> None:
-        self._sources = [_TreeSource(tree, self.free_order) for tree in self.trees]
-        self.out_vars = self._sources[0].out_vars if self._sources else ()
-        self._union = UnionIterator(self._sources) if self._sources else None
-
-    def next(self) -> Optional[Tuple[ValueTuple, int]]:
-        if self._union is None:
-            return None
-        return self._union.next()
+def _union(trees: Sequence[_BoundTree]) -> Iterator[Tuple[ValueTuple, int]]:
+    """The Union of freshly opened strategy trees."""
+    if not trees:
+        return iter(())
+    return iter(
+        UnionIterator(
+            [CallbackSource(partial(next, open_(), None), lookup) for open_, lookup in trees]
+        )
+    )
 
 
 class ResultEnumerator:
-    """Enumerates the distinct result tuples of a query with multiplicities."""
+    """Enumerates the distinct result tuples of a query with multiplicities.
+
+    ``plan.component_trees`` lists, per connected component, strategy trees
+    offering ``shape()`` and ``relations()`` — the
+    :class:`~repro.views.view.ViewTreeNode` roots of a
+    :class:`~repro.views.skew.SkewAwarePlan`, or a snapshot's captured trees.
+    """
 
     def __init__(
         self,
-        plan: SkewAwarePlan,
+        plan,
         query: ConjunctiveQuery,
         validator: Optional[Callable[[], None]] = None,
         telemetry=None,
@@ -81,16 +67,12 @@ class ResultEnumerator:
         # Called before every produced tuple; the engine passes a generation
         # check that raises StaleStateError once load() has replaced the
         # state this enumerator walks (mid-iteration included).
-        self._validator = validator
+        self._check_valid: Callable[[], None] = validator or (lambda: None)
         # Optional repro.adaptive.WorkloadTelemetry: each iteration records
         # how many tuples it produced and how long it ran — partial reads
         # included, via the generator's finalization — so the adaptive ε
         # controller sees real enumeration costs.
         self._telemetry = telemetry
-        self._components = [
-            _ComponentEnumerator(trees, self.head) for trees in plan.component_trees
-        ]
-        self._delays: List[float] = []
 
     # ------------------------------------------------------------------
     def __iter__(self) -> Iterator[Tuple[ValueTuple, int]]:
@@ -98,55 +80,85 @@ class ResultEnumerator:
             return self._iterate()
         return self._telemetry.recorded_read(self._iterate())
 
-    def _check_valid(self) -> None:
-        if self._validator is not None:
-            self._validator()
+    def _relations(self, tree) -> Tuple[Relation, ...]:
+        """The relations a read of ``tree`` walks, in pre-order."""
+        return tree.relations()
+
+    def _components(self) -> List[_Component]:
+        """Bind every strategy tree's compiled plan to its relations."""
+        components: List[_Component] = []
+        for trees in self.plan.component_trees:
+            plans = [compile_enumeration(tree.shape(), self.head) for tree in trees]
+            components.append(
+                (
+                    plans[0].out_vars if plans else (),
+                    [plan.bind(self._relations(tree)) for plan, tree in zip(plans, trees)],
+                )
+            )
+        return components
 
     def _iterate(self) -> Iterator[Tuple[ValueTuple, int]]:
-        self._check_valid()
-        if not self._components:
+        check = self._check_valid
+        check()
+        components = self._components()
+        if not components:
             return
-        if len(self._components) == 1:
-            component = self._components[0]
-            component.reset()
+        if len(components) == 1 and components[0][0] == self.head:
+            union = _union(components[0][1])
             while True:
-                self._check_valid()
-                started = time.perf_counter()
-                item = component.next()
-                self._delays.append(time.perf_counter() - started)
+                check()
+                item = next(union, None)
                 if item is None:
                     return
-                key, mult = item
-                yield self._reorder(component.out_vars, key), mult
-            return
-        yield from self._cartesian(0, {}, 1)
+                yield item
+        # Where each head value is read from: (component, position in its
+        # key); on a shared variable the later component wins.
+        where = {
+            v: (index, position)
+            for index, (out_vars, _) in enumerate(components)
+            for position, v in enumerate(out_vars)
+        }
+        yield from self._cartesian(components, [where[v] for v in self.head], (), 1)
 
     def _cartesian(
-        self, index: int, assignment: Dict[str, object], mult: int
+        self,
+        components: List[_Component],
+        picks: List[Tuple[int, int]],
+        keys: Tuple[ValueTuple, ...],
+        mult: int,
     ) -> Iterator[Tuple[ValueTuple, int]]:
         """Product across connected components (Figure 16 with empty context)."""
-        if index == len(self._components):
-            yield tuple(assignment[v] for v in self.head), mult
+        if len(keys) == len(components):
+            yield tuple([keys[index][position] for index, position in picks]), mult
             return
-        component = self._components[index]
-        component.reset()
+        union = _union(components[len(keys)][1])
         while True:
             self._check_valid()
-            started = time.perf_counter()
-            item = component.next()
-            self._delays.append(time.perf_counter() - started)
+            item = next(union, None)
             if item is None:
                 return
-            key, component_mult = item
-            extended = dict(assignment)
-            extended.update(zip(component.out_vars, key))
-            yield from self._cartesian(index + 1, extended, mult * component_mult)
+            yield from self._cartesian(components, picks, keys + (item[0],), mult * item[1])
 
-    def _reorder(self, out_vars: Tuple[str, ...], key: ValueTuple) -> ValueTuple:
-        if out_vars == self.head:
-            return key
-        assignment = dict(zip(out_vars, key))
-        return tuple(assignment[v] for v in self.head)
+    def lookup(self, tup: ValueTuple) -> int:
+        """Multiplicity of one fully-specified head tuple.
+
+        The point-lookup counterpart of full enumeration: per connected
+        component, the tuple's multiplicity is the sum over that component's
+        strategy trees (their valuations are disjoint, exactly as in the
+        Union algorithm); across components it is the product (the Product
+        algorithm with every variable fixed).  Cost is a constant number of
+        view lookups plus heavy-indicator passes — never an enumeration —
+        within the ``O(N^{1−ε})`` budget of Proposition 22.
+        """
+        position = {v: p for p, v in enumerate(self.head)}
+        components = self._components()
+        total = 1 if components else 0
+        for out_vars, trees in components:
+            key = tuple([tup[position[v]] for v in out_vars])
+            total *= sum(lookup(key) for _, lookup in trees)
+            if total == 0:
+                return 0
+        return total
 
     # ------------------------------------------------------------------
     # aggregation (the enumerate-and-fold answer path)
@@ -172,9 +184,8 @@ class ResultEnumerator:
         Returns ``(support, answer)``.  Only specs whose ``group_by`` is a
         permutation of the full head qualify — the group then *is* a result
         tuple, so its support comes from constant-time view lookups
-        (:func:`~repro.enumeration.lookup.lookup_head_multiplicity`)
-        instead of an enumeration.  An absent group answers the ring's
-        zero answer with support 0.
+        (:meth:`lookup`) instead of an enumeration.  An absent group answers
+        the ring's zero answer with support 0.
         """
         positions = spec.group_positions(self.head)
         if sorted(positions) != list(range(len(self.head))):
@@ -193,9 +204,7 @@ class ResultEnumerator:
             head_tup[position] = value
         tup = tuple(head_tup)
         ring = spec.ring
-        support = lookup_head_multiplicity(
-            self.plan.component_trees, self.head, tup
-        )
+        support = self.lookup(tup)
         if support == 0:
             element = ring.zero()
         else:
@@ -212,8 +221,3 @@ class ResultEnumerator:
     def count_distinct(self) -> int:
         """Number of distinct result tuples."""
         return sum(1 for _ in self)
-
-    @property
-    def recorded_delays(self) -> Tuple[float, ...]:
-        """Per-``next`` wall-clock delays recorded during iteration."""
-        return tuple(self._delays)

@@ -43,55 +43,74 @@ class UnionSource:
 
 
 class UnionIterator(UnionSource):
-    """Distinct-tuple enumeration of the union of several sources."""
+    """Distinct-tuple enumeration of the union of several sources.
+
+    Level ``i`` of Figure 15 is the union of sources ``0..i``; its "left"
+    input is level ``i − 1``.  The levels are walked in a loop, not by one
+    nested iterator per source, so thousands of sources (one per heavy key
+    as ε → 0) cost no Python stack.  Iterate it, or call :meth:`next`.
+    """
 
     def __init__(self, sources: Sequence[UnionSource]) -> None:
         if not sources:
             raise ValueError("UnionIterator needs at least one source")
-        self._sources: Tuple[UnionSource, ...] = tuple(sources)
-        if len(self._sources) == 1:
-            self._left: Optional[UnionIterator] = None
-            self._left_sources: Tuple[UnionSource, ...] = ()
-            self._last: UnionSource = self._sources[0]
-        else:
-            self._left = UnionIterator(self._sources[:-1])
-            self._left_sources = self._sources[:-1]
-            self._last = self._sources[-1]
-        self._left_exhausted = False
+        self._lookups = [source.lookup for source in sources]
+        # The generator holds the sources, not this object: no reference
+        # cycle, so an abandoned enumeration (and the frozen relations its
+        # sources read) is freed by reference count, not by the collector.
+        self._items = _advance([source.next for source in sources], self._lookups)
 
-    # ------------------------------------------------------------------
-    def lookup(self, key: ValueTuple) -> int:
-        """Total multiplicity of ``key`` across all sources."""
-        return sum(source.lookup(key) for source in self._sources)
-
-    def _total_with_left(self, key: ValueTuple, last_mult: int) -> int:
-        return last_mult + sum(source.lookup(key) for source in self._left_sources)
+    def __iter__(self) -> Iterator[Tuple[ValueTuple, int]]:
+        return self._items
 
     def next(self) -> Optional[Tuple[ValueTuple, int]]:
-        if self._left is None:
-            return self._last.next()
-        while not self._left_exhausted:
-            item = self._left.next()
+        return next(self._items, None)
+
+    def lookup(self, key: ValueTuple) -> int:
+        """Total multiplicity of ``key`` across all sources."""
+        return sum(lookup(key) for lookup in self._lookups)
+
+
+def _advance(
+    nexts: Sequence[Callable[[], Optional[Tuple[ValueTuple, int]]]],
+    lookups: Sequence[Callable[[ValueTuple], int]],
+) -> Iterator[Tuple[ValueTuple, int]]:
+    """Figure 15 over ``len(nexts)`` sources, the levels walked in a loop."""
+    count = len(nexts)
+    # The highest level whose left input is exhausted: the sources below it
+    # are drained, so every advance starts at this source.
+    base = 0
+    while True:
+        item = nexts[base]()
+        # ``item`` is source ``fresh``'s own next tuple; the sources below
+        # ``fresh`` have yet to be summed into its multiplicity.
+        fresh = base
+        for level in range(base + 1, count):
             if item is None:
-                self._left_exhausted = True
-                break
-            key, left_mult = item
-            last_mult = self._last.lookup(key)
-            if last_mult == 0:
-                return key, left_mult
-            nxt = self._last.next()
-            if nxt is None:
-                # Defensive: the invariant guarantees the last source is not
-                # exhausted while collisions remain; fall back to emitting the
-                # collided tuple with its full multiplicity.
-                return key, left_mult + last_mult
-            last_key, mult = nxt
-            return last_key, self._total_with_left(last_key, mult)
-        nxt = self._last.next()
-        if nxt is None:
-            return None
-        last_key, mult = nxt
-        return last_key, self._total_with_left(last_key, mult)
+                base = fresh = level
+                item = nexts[level]()
+                continue
+            collided = lookups[level](item[0])
+            if collided:
+                # The tuple also occurs in this source: output this source's
+                # next tuple instead (new by construction); the skipped one
+                # is produced when this source reaches it.
+                swapped = nexts[level]()
+                if swapped is None:
+                    # Defensive: the invariant guarantees the source is not
+                    # exhausted while collisions remain; fall back to the
+                    # collided tuple with its full multiplicity.
+                    item = item[0], item[1] + collided
+                else:
+                    item, fresh = swapped, level
+        if item is None:
+            return
+        if fresh:
+            key, mult = item
+            for index in range(fresh):
+                mult += lookups[index](key)
+            item = key, mult
+        yield item
 
 
 # ----------------------------------------------------------------------
@@ -218,11 +237,7 @@ class CallbackSource(UnionSource):
         next_fn: Callable[[], Optional[Tuple[ValueTuple, int]]],
         lookup_fn: Callable[[ValueTuple], int],
     ) -> None:
-        self._next_fn = next_fn
-        self._lookup_fn = lookup_fn
-
-    def next(self) -> Optional[Tuple[ValueTuple, int]]:
-        return self._next_fn()
-
-    def lookup(self, key: ValueTuple) -> int:
-        return self._lookup_fn(key)
+        # Instance attributes shadow the interface methods, so the union
+        # calls the callables themselves with no frame in between.
+        self.next = next_fn  # type: ignore[method-assign]
+        self.lookup = lookup_fn  # type: ignore[method-assign]

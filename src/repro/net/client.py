@@ -263,7 +263,7 @@ class Subscription:
 
 
 class RemoteSnapshot:
-    """Handle on a server-side private snapshot (paged enumeration)."""
+    """Handle on a server-side pinned version (paged enumeration)."""
 
     def __init__(self, client: "EngineClient", snap: int, version: int) -> None:
         self._client = client

@@ -170,10 +170,6 @@ async def read_frame_async(reader, header: Optional[bytes] = None) -> Dict[str, 
 # ----------------------------------------------------------------------
 # value conversion: engine objects <-> JSON-safe structures
 # ----------------------------------------------------------------------
-def wire_tuple(tup: Sequence[Any]) -> List[Any]:
-    return list(tup)
-
-
 #: What a tuple value or a multiplicity may be once JSON has parsed it.
 _SCALARS = frozenset((int, float, str, bool, type(None)))
 _INT = frozenset((int,))

@@ -10,8 +10,8 @@ three kinds of traffic:
   ``snapshot_close``), ``subscribe``/``subscribe_aggregate``/
   ``unsubscribe``, ``metrics`` and ``stats``.  Each connection's
   requests are dispatched sequentially;
-  blocking engine work runs on a thread pool so the event loop never
-  stalls on enumeration or maintenance.
+  blocking engine work runs on a thread pool (commits on one thread of
+  their own) so the event loop never stalls on enumeration or maintenance.
 * **Push-based subscriptions** — a subscription receives the full result
   once (in the ``subscribe`` response) and then one consolidated delta
   frame per engine commit, computed from the batch's net effect by the
@@ -89,13 +89,13 @@ class ServerConfig:
     max_connections: int = 256
     #: Total concurrent subscriptions across all connections.
     max_subscriptions: int = 1024
-    #: Private snapshots a single session may hold open.
+    #: Snapshot handles (pinned versions) a single session may hold open.
     max_snapshots_per_session: int = 16
     #: Bound of each subscriber's send queue (frames); overflowing it
     #: switches the subscriber to the coalescing resync path.  A client
     #: may request a *smaller* queue in its subscribe op.
     subscriber_queue_size: int = 32
-    #: Threads for blocking engine work (reads, maintenance, snapshots).
+    #: Pool threads for blocking read-side work; commits have their own.
     executor_threads: int = 4
     #: When set, shrink each accepted connection's kernel send buffer and
     #: the asyncio transport's write high-water mark to this many bytes.
@@ -214,6 +214,7 @@ class EngineTCPServer:
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._pool: Optional[ThreadPoolExecutor] = None
+        self._writer: Optional[ThreadPoolExecutor] = None
         self._sessions: Dict[int, _Session] = {}
         self._subscribers: Dict[int, _Subscriber] = {}
         self._next_session = 0
@@ -242,6 +243,7 @@ class EngineTCPServer:
             max_workers=self.config.executor_threads,
             thread_name_prefix="repro-net",
         )
+        self._writer = ThreadPoolExecutor(1, thread_name_prefix="repro-net-writer")
         self._closed = False
         if not self._listener_installed:
             # EngineServer keeps listeners for its lifetime; ``_closed``
@@ -275,9 +277,10 @@ class EngineTCPServer:
         for session in list(self._sessions.values()):
             await self._teardown_session(session)
         self._sessions.clear()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        for lane in (self._pool, self._writer):
+            if lane is not None:
+                lane.shutdown(wait=True)
+        self._pool = self._writer = None
 
     # ------------------------------------------------------------------
     # commit fan-out (the push hub)
@@ -421,10 +424,19 @@ class EngineTCPServer:
     # ------------------------------------------------------------------
     # connection handling
     # ------------------------------------------------------------------
-    async def _run(self, fn: Callable, *args) -> Any:
-        """Run blocking engine work on the pool."""
+    async def _run(self, fn: Callable, *args, write: bool = False) -> Any:
+        """Run blocking engine work off the loop: reads on the pool, commits
+        (``write``) on the one writer thread.  The write lock serializes
+        commits anyway, and made by one thread the writer's large copies
+        (:mod:`repro.snapshot.cow`) reuse each other's space — malloc keeps
+        an arena per thread, so with commits hopping between pool threads
+        peak RSS differed by 10 MB between identical runs.  A read that
+        finds the server cold runs there too: it captures version 0 and
+        makes the first copies, the ones the writer goes on to roll forward
+        and replace (docs/architecture.md, Section 13)."""
         assert self._loop is not None and self._pool is not None
-        return await self._loop.run_in_executor(self._pool, fn, *args)
+        lane = self._writer if write or self.serving.cold else self._pool
+        return await self._loop.run_in_executor(lane, fn, *args)
 
     async def _send(self, session: _Session, message: Dict[str, Any]) -> None:
         data = encode_frame(message)
@@ -658,24 +670,9 @@ class EngineTCPServer:
     async def _op_lookup(self, session: _Session, message: Dict) -> Dict:
         self.serving.check_writer()
         tup = unwire_tuple(message.get("tuple"))
-        if self.serving.mode == "snapshot":
-            entry = self.serving._current_pinned()
-            try:
-                multiplicity = await self._run(entry.snapshot.lookup, tup)
-                version = entry.snapshot.version
-            finally:
-                entry.unpin()
-        else:  # locked mode has no published version; capture one briefly
-
-            def locked_lookup():
-                snapshot = self.serving.snapshot()
-                try:
-                    return snapshot.version, snapshot.lookup(tup)
-                finally:
-                    snapshot.close()
-
-            version, multiplicity = await self._run(locked_lookup)
-        return {"version": version, "multiplicity": multiplicity}
+        with await self._pin() as pinned:
+            multiplicity = await self._run(pinned.snapshot.lookup, tup)
+            return {"version": pinned.version, "multiplicity": multiplicity}
 
     async def _op_aggregate(self, session: _Session, message: Dict) -> Dict:
         """One consistent aggregate read: ``{group: (support, element)}`` rows.
@@ -697,20 +694,20 @@ class EngineTCPServer:
 
     async def _op_apply_batch(self, session: _Session, message: Dict) -> Dict:
         updates = unwire_updates(message.get("updates"))
-        await self._run(self.serving.apply_batch, updates)
+        await self._run(self.serving.apply_batch, updates, write=True)
         return {"version": getattr(self.serving.engine, "version", 0)}
 
     async def _op_apply_update(self, session: _Session, message: Dict) -> Dict:
         updates = unwire_updates([message.get("update")])
-        await self._run(self.serving.apply_update, updates[0])
+        await self._run(self.serving.apply_update, updates[0], write=True)
         return {"version": getattr(self.serving.engine, "version", 0)}
 
     async def _op_reshard(self, session: _Session, message: Dict) -> Dict:
         """Reshard the served fleet online; subscribers ride through it.
 
-        Runs on the pool like any write, so reads keep flowing during the
-        build phase; the serving layer publishes the post-swap version
-        with an empty delta (same contract as a retune).
+        Runs on the pool, not on the writer thread, so commits and reads
+        keep flowing during the build phase; the serving layer publishes the
+        post-swap version with an empty delta (same contract as a retune).
         """
         shards = message.get("shards")
         if not isinstance(shards, int) or isinstance(shards, bool) or shards <= 0:
@@ -723,6 +720,14 @@ class EngineTCPServer:
         }
 
     # -- snapshot paging ------------------------------------------------
+    async def _pin(self):
+        """``EngineServer.pin()``: right here on the loop once snapshot mode
+        has published a version (it takes no write lock), off the loop in
+        locked mode and while cold (it may wait for a commit)."""
+        if self.serving.mode == "snapshot" and not self.serving.cold:
+            return self.serving.pin()
+        return await self._run(self.serving.pin)
+
     async def _op_snapshot_open(self, session: _Session, message: Dict) -> Dict:
         self.serving.check_writer()
         if len(session.snapshots) >= self.config.max_snapshots_per_session:
@@ -730,12 +735,12 @@ class EngineTCPServer:
                 "session snapshot limit reached "
                 f"({self.config.max_snapshots_per_session}); close one first"
             )
-        snapshot = await self._run(self.serving.snapshot)
+        pinned = await self._pin()
         self._next_snapshot += 1
         sid = self._next_snapshot
-        session.snapshots[sid] = snapshot
-        session.iterators[sid] = iter(snapshot.enumerate())
-        return {"snap": sid, "version": snapshot.version}
+        session.snapshots[sid] = pinned
+        session.iterators[sid] = iter(pinned.snapshot.enumerate())
+        return {"snap": sid, "version": pinned.version}
 
     def _session_snapshot(self, session: _Session, message: Dict):
         sid = message.get("snap")
@@ -768,10 +773,10 @@ class EngineTCPServer:
         }
 
     async def _op_snapshot_lookup(self, session: _Session, message: Dict) -> Dict:
-        sid, snapshot = self._session_snapshot(session, message)
+        sid, pinned = self._session_snapshot(session, message)
         tup = unwire_tuple(message.get("tuple"))
-        multiplicity = await self._run(snapshot.lookup, tup)
-        return {"snap": sid, "version": snapshot.version, "multiplicity": multiplicity}
+        multiplicity = await self._run(pinned.snapshot.lookup, tup)
+        return {"snap": sid, "version": pinned.version, "multiplicity": multiplicity}
 
     async def _op_snapshot_close(self, session: _Session, message: Dict) -> Dict:
         sid, snapshot = self._session_snapshot(session, message)

@@ -10,8 +10,8 @@ same ordering guarantees as the live engine while updates keep flowing.
 * :mod:`repro.snapshot.cow` — the copy-on-write machinery: a per-engine
   :class:`CowTracker` that freezes relation contents lazily, from whichever
   side (writer guard or snapshot read) touches them first;
-* :mod:`repro.snapshot.versioned` — the :class:`Snapshot` handle and the
-  frozen shadow trees it enumerates.
+* :mod:`repro.snapshot.versioned` — the :class:`Snapshot` handle: the
+  captured tree shapes and relations its reads bind compiled plans to.
 
 Entry points: :meth:`repro.core.api.HierarchicalEngine.snapshot`,
 :meth:`repro.sharding.ShardedEngine.snapshot` (per-shard capture merged

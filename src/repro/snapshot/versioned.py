@@ -1,19 +1,19 @@
 """Versioned snapshot handles over a materialized skew-aware plan.
 
-:meth:`repro.core.api.HierarchicalEngine.snapshot` walks the plan's strategy
-trees, registers every reachable relation with the engine's
-:class:`~repro.snapshot.cow.CowTracker`, and records the *structure* of the
-trees (node names, schemas, and live relation references) — an ``O(plan)``
-capture that copies no data.  The returned :class:`Snapshot` then answers
-``enumerate()`` / ``result()`` / ``lookup()`` against a private *shadow* of
-those trees, built on first read, in which every node's relation is resolved
-to its frozen capture-time content through the tracker.
+:meth:`repro.core.api.HierarchicalEngine.snapshot` records, for every
+strategy tree of the plan, its *shape* and the relation object behind each
+of its nodes, and registers those relations with the engine's
+:class:`~repro.snapshot.cow.CowTracker` — an ``O(plan)`` capture that copies
+no data.  The returned :class:`Snapshot` then answers ``enumerate()`` /
+``result()`` / ``lookup()`` with the plan compiled for that shape
+(:mod:`repro.enumeration.plan`, the one the live engine runs), bound on every
+read to the relations' frozen capture-time content, resolved through the
+tracker.
 
-Because the shadow reuses the exact tree shapes (including
-:class:`~repro.views.view.IndicatorLeaf` children, which select the grounded
-enumeration case), a snapshot enumerates with the same Union/Product order
-guarantees as the live engine at the moment of capture: same tuples, same
-multiplicities, same sequence.
+Because the compiled plan and the frozen contents are those of the live
+engine at the moment of capture, a snapshot enumerates with the same
+Union/Product order guarantees: same tuples, same multiplicities, same
+sequence.
 
 The version stamp comes from the engine's
 :class:`~repro.ivm.rebalance.MaintenanceDriver`, which counts ingestion
@@ -31,70 +31,40 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.data.relation import Relation
 from repro.data.schema import ValueTuple
-from repro.enumeration.lookup import lookup_multiplicity
 from repro.enumeration.result import ResultEnumerator
 from repro.exceptions import StaleStateError
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.rings.spec import AggregateSpec
 from repro.snapshot.cow import CowTracker, SnapshotState
-from repro.views.view import IndicatorLeaf, LeafNode, ViewTreeNode
-
-
-class _FrozenView(ViewTreeNode):
-    """A shadow inner node: same name/schema/children, frozen content."""
-
-    def __init__(self, name, schema, children, relation) -> None:
-        super().__init__(name, schema)
-        self._children: Tuple[ViewTreeNode, ...] = tuple(children)
-        self._relation = relation
-
-    @property
-    def children(self) -> Tuple[ViewTreeNode, ...]:
-        return self._children
-
-    def relation(self):
-        return self._relation
+from repro.views.view import ViewTreeNode
 
 
 class _Spec:
-    """Capture-time record of one tree node: structure + live relation ref."""
+    """Capture-time record of one strategy tree: its shape and, in
+    pre-order, the live relations that were behind its nodes."""
 
-    __slots__ = ("name", "schema", "relation", "children", "is_indicator")
+    __slots__ = ("_shape", "_relations")
 
-    def __init__(self, node: ViewTreeNode) -> None:
-        self.name = node.name
-        self.schema = node.schema
-        self.relation = node.relation()
-        self.is_indicator = isinstance(node, IndicatorLeaf)
-        self.children = tuple(_Spec(child) for child in node.children)
+    def __init__(self, tree: ViewTreeNode) -> None:
+        self._shape = tree.shape()
+        self._relations = tree.relations()
 
-    def relations(self) -> Iterator:
-        yield self.relation
-        for child in self.children:
-            yield from child.relations()
+    def shape(self):
+        return self._shape
 
-    def build(
-        self, resolve: Callable[[object], object]
-    ) -> ViewTreeNode:
-        frozen = resolve(self.relation)
-        if self.is_indicator:
-            return IndicatorLeaf(self.schema, frozen)
-        if not self.children:
-            return LeafNode(self.name, self.schema, frozen)
-        return _FrozenView(
-            self.name,
-            self.schema,
-            [child.build(resolve) for child in self.children],
-            frozen,
-        )
+    def relations(self) -> Tuple[Relation, ...]:
+        return self._relations
 
 
-class _ShadowPlan:
-    """The minimal plan surface :class:`ResultEnumerator` consumes."""
+class _SnapshotEnumerator(ResultEnumerator):
+    """Enumerates a snapshot: every relation read is its frozen content."""
 
-    def __init__(self, component_trees: List[List[ViewTreeNode]]) -> None:
-        self.component_trees = component_trees
+    def _relations(self, spec: _Spec) -> Tuple[Relation, ...]:
+        snapshot: Snapshot = self.plan
+        freeze, state = snapshot._tracker.freeze, snapshot._state
+        return tuple([freeze(state, relation) for relation in spec.relations()])
 
 
 class Snapshot:
@@ -118,12 +88,12 @@ class Snapshot:
     ) -> None:
         self._tracker = tracker
         self._state = state
-        self._component_specs = component_specs
+        # (``component_trees`` is the name ResultEnumerator binds from)
+        self.component_trees = self._component_specs = component_specs
         self._query = query
         self._head: Tuple[str, ...] = tuple(query.head)
         self.version = version
         self._validity = validity
-        self._shadow: Optional[_ShadowPlan] = None
 
     # ------------------------------------------------------------------
     def _check_valid(self) -> None:
@@ -133,24 +103,6 @@ class Snapshot:
             )
         if self._validity is not None:
             self._validity()
-
-    def _resolve(self, relation):
-        return self._tracker.freeze(self._state, relation)
-
-    def _shadow_plan(self) -> _ShadowPlan:
-        # Benign build race between reader threads sharing one snapshot:
-        # both shadows resolve to the same frozen relations, the last
-        # assignment wins.
-        shadow = self._shadow
-        if shadow is None:
-            shadow = _ShadowPlan(
-                [
-                    [spec.build(self._resolve) for spec in specs]
-                    for specs in self._component_specs
-                ]
-            )
-            self._shadow = shadow
-        return shadow
 
     # ------------------------------------------------------------------
     # reads
@@ -162,9 +114,7 @@ class Snapshot:
         # snapshot is closed, and keeps the snapshot (hence its open state,
         # which is what protects the frozen copies from being rolled
         # forward) alive for as long as the enumerator is.
-        return ResultEnumerator(
-            self._shadow_plan(), self._query, validator=self._check_valid
-        )
+        return _SnapshotEnumerator(self, self._query, validator=self._check_valid)
 
     def result(self) -> Dict[ValueTuple, int]:
         """Materialize the captured result as ``{tuple: multiplicity}``."""
@@ -202,20 +152,7 @@ class Snapshot:
                 f"lookup tuple {tup!r} has arity {len(tup)}; the query head "
                 f"is {self._head!r}"
             )
-        assignment = dict(zip(self._head, tup))
-        free = frozenset(self._head)
-        components = self._shadow_plan().component_trees
-        if not components:
-            return 0
-        total = 1
-        for trees in components:
-            component = sum(
-                lookup_multiplicity(tree, free, assignment) for tree in trees
-            )
-            if component == 0:
-                return 0
-            total *= component
-        return total
+        return _SnapshotEnumerator(self, self._query).lookup(tup)
 
     def __iter__(self) -> Iterator[Tuple[ValueTuple, int]]:
         return iter(self.enumerate())
@@ -228,7 +165,6 @@ class Snapshot:
         included — raises :class:`~repro.exceptions.StaleStateError`.
         """
         self._tracker.release(self._state)
-        self._shadow = None
 
     def __enter__(self) -> "Snapshot":
         return self
@@ -256,9 +192,10 @@ def capture_snapshot(
     component_specs = [
         [_Spec(tree) for tree in trees] for trees in component_trees
     ]
-    relations = []
-    for specs in component_specs:
-        for spec in specs:
-            relations.extend(spec.relations())
-    state = tracker.capture(relations)
+    state = tracker.capture(
+        relation
+        for specs in component_specs
+        for spec in specs
+        for relation in spec.relations()
+    )
     return Snapshot(tracker, state, component_specs, query, version, validity)

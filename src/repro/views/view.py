@@ -53,8 +53,11 @@ class ViewTreeNode:
         self.name = name
         self.schema: Schema = tuple(schema)
         self.ring: Ring = ring if ring is not None else COUNTING
-        # Memo of path_from: a tree's shape is fixed once it is built.
+        # Memos of path_from, shape and the pre-order list of descendants:
+        # a tree's shape is fixed once it is built.
         self._paths: Dict[str, Optional[PropagationPath]] = {}
+        self._shape: Optional[Shape] = None
+        self._descendants: Optional[Tuple["ViewTreeNode", ...]] = None
 
     def annotate_ring(self, ring: Ring) -> "ViewTreeNode":
         """Annotate this subtree's payload ring (returns ``self``)."""
@@ -88,6 +91,37 @@ class ViewTreeNode:
         yield self
         for child in self.children:
             yield from child.nodes()
+
+    def shape(self) -> "Shape":
+        """``(kind, schema, child shapes)`` of the subtree, memoised.
+
+        The kind is ``"view"`` for a node with children, ``"indicator"`` for
+        a heavy-indicator leaf and ``"leaf"`` for any other leaf.  It is all
+        that :func:`repro.enumeration.plan.compile_enumeration` reads of a
+        tree, so trees of equal shape share one compiled plan.
+        """
+        if self._shape is None:
+            if self.children:
+                kind = "view"
+            else:
+                kind = "indicator" if isinstance(self, IndicatorLeaf) else "leaf"
+            self._shape = (
+                kind,
+                self.schema,
+                tuple(child.shape() for child in self.children),
+            )
+        return self._shape
+
+    def relations(self) -> Tuple[Relation, ...]:
+        """The relation currently behind every node of the subtree, pre-order.
+
+        Resolved on every call: a major rebalance replaces the relations of
+        inner views (:meth:`ViewNode.reset`), never the nodes.
+        """
+        if self._descendants is None:
+            # (without the node itself: the memo is no reference cycle)
+            self._descendants = tuple(self.nodes())[1:]
+        return (self.relation(), *[node.relation() for node in self._descendants])
 
     def views(self) -> Iterator["ViewNode"]:
         """All inner (materialized) view nodes of the subtree in pre-order."""
@@ -133,12 +167,6 @@ class ViewTreeNode:
         self._paths[source_name] = path
         return path
 
-    def find_leaves(self, source_name: str) -> Tuple["LeafNode", ...]:
-        """Leaves referencing the relation called ``source_name``."""
-        return tuple(
-            leaf for leaf in self.leaves() if leaf.source_name == source_name
-        )
-
     def pretty(self, indent: int = 0) -> str:
         """Render the tree as an indented string (used by ``explain`` and docs)."""
         pad = "  " * indent
@@ -153,6 +181,9 @@ class ViewTreeNode:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r}, schema={self.schema!r})"
 
+
+#: ``(kind, schema, child shapes)`` — see :meth:`ViewTreeNode.shape`.
+Shape = Tuple[str, Schema, Tuple]
 
 #: ``(changed leaf, ((view, unchanged children), …) from the leaf's parent up)``.
 PropagationPath = Tuple[
@@ -275,8 +306,3 @@ class ViewNode(ViewTreeNode):
         return ViewNode(
             name, self.schema, new_children, is_aux=self.is_aux, ring=self.ring
         )
-
-
-def subtree_free_variables(node: ViewTreeNode, free: FrozenSet[str]) -> FrozenSet[str]:
-    """Free query variables occurring anywhere in the subtree of ``node``."""
-    return frozenset(node.variables() & free)

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import random
-from typing import Dict, Sequence, Tuple
+import time
+from typing import Callable, Dict, Sequence, Tuple
 
 import pytest
 
@@ -84,3 +85,13 @@ def path_database() -> Database:
     rows_s = [(b, c) for b in range(4) for c in range(5) if (b * c) % 3 != 1]
     rows_s += [(0, c) for c in range(5, 12)]  # value 0 is heavy in S as well
     return Database.from_dict({"R": (("A", "B"), rows_r), "S": (("B", "C"), rows_s)})
+
+
+def wait_until(predicate: Callable[[], bool], timeout: float = 10.0) -> bool:
+    """Poll ``predicate`` until it holds or ``timeout`` seconds passed."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.02)
+    return predicate()

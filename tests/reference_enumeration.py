@@ -1,36 +1,190 @@
-"""View-tree iterators: the open/next/close protocol of Figures 13–14.
+"""The tree-walking enumeration interpreter, kept as the order oracle.
 
-Each iterator enumerates, for a given context (an assignment of the variables
-fixed by its ancestors), the *distinct* tuples over the free query variables
-contributed by its subtree, together with their multiplicities.  Three cases
-arise, mirroring the paper:
+This is the code ``repro.enumeration`` consisted of before enumeration was
+compiled per view-tree shape (``iterators.py``, ``lookup.py``, the recursive
+``UnionIterator`` and the component/source glue of ``result.py``), moved
+here unchanged: it interprets the view tree per tuple with assignment
+dicts.  Enumeration *order* is a contract (recovery byte-identity, snapshot
+== live order, the sharded canonical merge), so the compiled plans are
+tested against this interpreter as sequences, never against themselves —
+see ``tests/test_enumeration_plan.py``.
 
-* **direct** — the root view's schema already covers all free variables of
-  the subtree: enumerate the matching view entries;
-* **grounded** — the node has a heavy-indicator child ``∃H``: ground the
-  indicator (one bucket per heavy key matching the context) and take the
-  Union of the buckets, projecting away the grounded bound values so that
-  identical free tuples coming from different heavy keys are deduplicated
-  (cf. Example 28);
-* **iterate** — otherwise: iterate over the root view's entries matching the
-  context (each adds the node's free variable) and, for each, produce the
-  Product of the children's iterators.
-
-Iterators are re-openable: ``open(ctx)`` can be called again after ``close``,
-which is what the Product odometer relies on.
+Entry points: :func:`reference_enumerate` (what ``ResultEnumerator``
+iterated) and :func:`lookup_head_multiplicity` (what point lookups used).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator as TypingIterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, Iterator as TypingIterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.data.schema import ValueTuple
 from repro.engine.join import BoundRelation
-from repro.enumeration.lookup import lookup_multiplicity
-from repro.enumeration.union import UnionIterator, UnionSource
 from repro.exceptions import EnumerationError
 from repro.views.view import IndicatorLeaf, ViewTreeNode
 
+
+# ----------------------------------------------------------------------
+# union.py: the recursive Union (one nested iterator per source)
+# ----------------------------------------------------------------------
+class UnionSource:
+    """Interface expected from union inputs.
+
+    ``next`` returns ``(key, multiplicity)`` pairs with pairwise-distinct
+    keys, or ``None`` when exhausted; ``lookup`` returns the multiplicity of
+    a key in this source (0 when absent).
+    """
+
+    def next(self) -> Optional[Tuple[ValueTuple, int]]:  # pragma: no cover - interface
+        raise NotImplementedError
+
+    def lookup(self, key: ValueTuple) -> int:  # pragma: no cover - interface
+        raise NotImplementedError
+
+
+class UnionIterator(UnionSource):
+    """Distinct-tuple enumeration of the union of several sources."""
+
+    def __init__(self, sources: Sequence[UnionSource]) -> None:
+        if not sources:
+            raise ValueError("UnionIterator needs at least one source")
+        self._sources: Tuple[UnionSource, ...] = tuple(sources)
+        if len(self._sources) == 1:
+            self._left: Optional[UnionIterator] = None
+            self._left_sources: Tuple[UnionSource, ...] = ()
+            self._last: UnionSource = self._sources[0]
+        else:
+            self._left = UnionIterator(self._sources[:-1])
+            self._left_sources = self._sources[:-1]
+            self._last = self._sources[-1]
+        self._left_exhausted = False
+
+    # ------------------------------------------------------------------
+    def lookup(self, key: ValueTuple) -> int:
+        """Total multiplicity of ``key`` across all sources."""
+        return sum(source.lookup(key) for source in self._sources)
+
+    def _total_with_left(self, key: ValueTuple, last_mult: int) -> int:
+        return last_mult + sum(source.lookup(key) for source in self._left_sources)
+
+    def next(self) -> Optional[Tuple[ValueTuple, int]]:
+        if self._left is None:
+            return self._last.next()
+        while not self._left_exhausted:
+            item = self._left.next()
+            if item is None:
+                self._left_exhausted = True
+                break
+            key, left_mult = item
+            last_mult = self._last.lookup(key)
+            if last_mult == 0:
+                return key, left_mult
+            nxt = self._last.next()
+            if nxt is None:
+                # Defensive: the invariant guarantees the last source is not
+                # exhausted while collisions remain; fall back to emitting the
+                # collided tuple with its full multiplicity.
+                return key, left_mult + last_mult
+            last_key, mult = nxt
+            return last_key, self._total_with_left(last_key, mult)
+        nxt = self._last.next()
+        if nxt is None:
+            return None
+        last_key, mult = nxt
+        return last_key, self._total_with_left(last_key, mult)
+
+
+# ----------------------------------------------------------------------
+# lookup.py
+# ----------------------------------------------------------------------
+def _direct_lookup(
+    tree: ViewTreeNode, assignment: Mapping[str, object]
+) -> int:
+    """Multiplicity of the assignment in the node's own materialized content."""
+    bound = BoundRelation(tree.schema, tree.relation())
+    missing = [v for v in tree.schema if v not in assignment]
+    if not missing:
+        return bound.multiplicity_of_assignment(assignment)
+    # Defensive fallback: some schema variable is not fixed by the assignment
+    # (this does not happen for the trees built by τ, but keeps the function
+    # total); aggregate over the matching entries.
+    total = 0
+    for _tup, mult in bound.matching(assignment):
+        total += mult
+    return total
+
+
+def lookup_head_multiplicity(
+    component_trees, head, tup
+) -> int:
+    """Multiplicity of one fully-specified head tuple across components.
+
+    The point-lookup counterpart of full enumeration: per connected
+    component, the tuple's multiplicity is the sum over that component's
+    strategy trees (their valuations are disjoint, exactly as in the Union
+    algorithm); across components it is the product (the Product
+    algorithm with every variable fixed).  Cost is a constant number of
+    view lookups plus heavy-indicator passes — never an enumeration — so
+    the aggregate answer path can probe single groups within the
+    ``O(N^{1−ε})`` budget of Proposition 22.
+    """
+    assignment = dict(zip(head, tup))
+    free = frozenset(head)
+    total = 1
+    for trees in component_trees:
+        component_total = 0
+        for tree in trees:
+            component_total += lookup_multiplicity(tree, free, assignment)
+        if component_total == 0:
+            return 0
+        total *= component_total
+    return total
+
+
+def lookup_multiplicity(
+    tree: ViewTreeNode,
+    free: FrozenSet[str],
+    assignment: Mapping[str, object],
+) -> int:
+    """Multiplicity of ``assignment`` (covering the tree's free variables)
+    in the join encoded by ``tree``.
+
+    The recursion mirrors the enumeration cases: views that already cover all
+    free variables of their subtree are probed directly; views with a heavy
+    indicator child sum over the matching heavy keys; all other views
+    factorise into the product of their children's lookups (the children only
+    share variables that are fixed by the assignment).
+    """
+    free_in_subtree = tree.variables() & free
+    if tree.is_leaf() or free_in_subtree <= set(tree.schema):
+        return _direct_lookup(tree, assignment)
+    indicator = next(
+        (c for c in tree.children if isinstance(c, IndicatorLeaf)), None
+    )
+    if indicator is not None:
+        others = [c for c in tree.children if c is not indicator]
+        bound = BoundRelation(indicator.schema, indicator.relation())
+        total = 0
+        for key_tuple, _mult in bound.matching(assignment):
+            grounded: Dict[str, object] = dict(assignment)
+            grounded.update(zip(indicator.schema, key_tuple))
+            product = 1
+            for child in others:
+                product *= lookup_multiplicity(child, free, grounded)
+                if product == 0:
+                    break
+            total += product
+        return total
+    product = 1
+    for child in tree.children:
+        product *= lookup_multiplicity(child, free, assignment)
+        if product == 0:
+            return 0
+    return product
+
+
+# ----------------------------------------------------------------------
+# iterators.py
+# ----------------------------------------------------------------------
 Assignment = Dict[str, object]
 
 
@@ -346,3 +500,91 @@ def build_iterator(
     if any(isinstance(child, IndicatorLeaf) for child in tree.children):
         return GroundedIterator(tree, free_order)
     return IterateIterator(tree, free_order)
+
+
+# ----------------------------------------------------------------------
+# result.py: the component/source glue
+# ----------------------------------------------------------------------
+class _TreeSource(UnionSource):
+    """A strategy tree opened with the empty context, seen as a union source."""
+
+    def __init__(self, tree: ViewTreeNode, free_order: Tuple[str, ...]) -> None:
+        self.tree = tree
+        self.free_order = free_order
+        self._free_set = frozenset(free_order)
+        self.iterator: TreeIterator = build_iterator(tree, free_order)
+        self.iterator.open({})
+        self.out_vars = self.iterator.out_vars
+
+    def next(self) -> Optional[Tuple[ValueTuple, int]]:
+        return self.iterator.next()
+
+    def lookup(self, key: ValueTuple) -> int:
+        assignment = dict(zip(self.out_vars, key))
+        return lookup_multiplicity(self.tree, self._free_set, assignment)
+
+
+class _ComponentEnumerator:
+    """Union of the strategy trees of one connected component."""
+
+    def __init__(self, trees: Sequence[ViewTreeNode], free_order: Tuple[str, ...]) -> None:
+        self.trees = tuple(trees)
+        self.free_order = free_order
+        self.reset()
+
+    def reset(self) -> None:
+        self._sources = [_TreeSource(tree, self.free_order) for tree in self.trees]
+        self.out_vars = self._sources[0].out_vars if self._sources else ()
+        self._union = UnionIterator(self._sources) if self._sources else None
+
+    def next(self) -> Optional[Tuple[ValueTuple, int]]:
+        if self._union is None:
+            return None
+        return self._union.next()
+
+
+def reference_enumerate(
+    component_trees, head: Tuple[str, ...]
+) -> Iterator[Tuple[ValueTuple, int]]:
+    """``ResultEnumerator._iterate`` without validator, telemetry and timing."""
+    head = tuple(head)
+    components = [_ComponentEnumerator(trees, head) for trees in component_trees]
+    if not components:
+        return
+    if len(components) == 1:
+        component = components[0]
+        component.reset()
+        while True:
+            item = component.next()
+            if item is None:
+                return
+            key, mult = item
+            yield _reorder(head, component.out_vars, key), mult
+        return
+    yield from _cartesian(components, head, 0, {}, 1)
+
+
+def _cartesian(
+    components, head, index: int, assignment: Dict[str, object], mult: int
+) -> Iterator[Tuple[ValueTuple, int]]:
+    """Product across connected components (Figure 16 with empty context)."""
+    if index == len(components):
+        yield tuple(assignment[v] for v in head), mult
+        return
+    component = components[index]
+    component.reset()
+    while True:
+        item = component.next()
+        if item is None:
+            return
+        key, component_mult = item
+        extended = dict(assignment)
+        extended.update(zip(component.out_vars, key))
+        yield from _cartesian(components, head, index + 1, extended, mult * component_mult)
+
+
+def _reorder(head, out_vars: Tuple[str, ...], key: ValueTuple) -> ValueTuple:
+    if out_vars == head:
+        return key
+    assignment = dict(zip(out_vars, key))
+    return tuple(assignment[v] for v in head)

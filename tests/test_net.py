@@ -26,6 +26,7 @@ from repro import Database, HierarchicalEngine, Update
 from repro.baselines.naive import NaiveRecomputeEngine
 from repro.core.api import StaticEngine
 from repro.core.serving import EngineServer
+from repro.exceptions import StaleStateError
 from repro.net import (
     AsyncEngineClient,
     EngineClient,
@@ -49,6 +50,7 @@ from repro.net.protocol import (
     wire_updates,
     write_frame,
 )
+from tests.conftest import wait_until
 
 PATH_QUERY = "Q(A, C) = R(A, B), S(B, C)"
 DOMAIN = 8
@@ -410,6 +412,213 @@ def test_locked_mode_serves_over_the_wire():
             assert client.read()[0] == version + 1
             probe = next(iter(engine.result()))
             assert client.lookup(probe) == engine.result()[probe]
+    engine.close()
+
+
+# ----------------------------------------------------------------------
+# snapshot_open pins the published version
+# ----------------------------------------------------------------------
+def record_published(serving) -> list:
+    """Every ``_PublishedVersion`` the server publishes from now on."""
+    published = [serving._published] if serving._published is not None else []
+    publish = serving._publish_locked
+
+    def recording():
+        entry = publish()
+        published.append(entry)
+        return entry
+
+    serving._publish_locked = recording
+    return published
+
+
+def count_captures(engine) -> list:
+    """One entry per ``engine.snapshot()`` call from now on."""
+    captures = []
+    capture = engine.snapshot
+    engine.snapshot = lambda: captures.append(1) or capture()
+    return captures
+
+
+def test_snapshot_open_and_page_answer_while_the_write_lock_is_held():
+    """Snapshot mode pins the last committed version: it waits neither for
+    the write lock (a commit in flight) nor for a capture."""
+    with serve() as (serving, handle):
+        with EngineClient("127.0.0.1", handle.port) as client:
+            version = client.apply_update(Update("R", (3, 3), 1))  # publishes
+            expected = serving.engine.result()
+            answers = {}
+
+            def reader():
+                with client.open_snapshot() as snap:
+                    answers["version"] = snap.version
+                    answers["page"], _ = snap.page(5)
+                    answers["rest"] = list(snap.pairs(page_size=50))
+                answers["lookup"] = client.lookup(next(iter(expected)))
+                answers["read"] = client.read()[0]
+
+            thread = threading.Thread(target=reader)
+            with serving._write_lock:  # what a commit holds while it maintains
+                thread.start()
+                thread.join(10.0)
+                assert not thread.is_alive(), "a read waited for the write lock"
+            assert answers["version"] == answers["read"] == version
+            assert len(answers["page"]) == 5
+            assert dict(answers["page"] + answers["rest"]) == expected
+            assert answers["lookup"] == expected[next(iter(expected))]
+
+
+def test_an_acked_commit_is_visible_in_the_next_snapshot_open():
+    """Publish precedes the ack, so read-your-acked-writes holds across
+    connections with no lock taken on the read side."""
+    with serve() as (serving, handle):
+        with EngineClient("127.0.0.1", handle.port) as writer, EngineClient(
+            "127.0.0.1", handle.port
+        ) as reader:
+            for step in range(25):
+                acked = writer.apply_update(Update("R", (100 + step, step % DOMAIN), 1))
+                with reader.open_snapshot() as snap:
+                    assert snap.version == acked
+                    assert snap.result() == serving.engine.result()
+                assert reader.read()[0] == acked
+
+
+def test_wire_reads_capture_nothing_in_snapshot_mode():
+    with serve() as (serving, handle):
+        with EngineClient("127.0.0.1", handle.port) as client:
+            client.apply_update(Update("R", (3, 3), 1))
+            client.read()
+            captures = count_captures(serving.engine)
+            stats = dict(serving.engine.snapshot_stats)
+            published = serving._published
+            probe = next(iter(serving.engine.result()))
+            for _ in range(10):
+                with client.open_snapshot() as snap:
+                    snap.page(5)
+                    snap.lookup(probe)
+                client.lookup(probe)
+                client.read(limit=5)
+            assert captures == []
+            assert serving._published is published and published._pins == 0
+            # the one published version froze what it read once, then no more
+            assert serving.engine.snapshot_stats == stats
+
+
+def test_sessions_leave_no_pin_behind():
+    """Disconnect mid-page, a handle closed twice, the session limit hit:
+    every published version ends with zero pins, and every superseded one
+    closed."""
+    config = ServerConfig(max_snapshots_per_session=3)
+    with serve(config=config) as (serving, handle):
+        published = record_published(serving)
+        with EngineClient("127.0.0.1", handle.port) as writer:
+            writer.apply_update(Update("R", (3, 3), 1))
+            client = EngineClient("127.0.0.1", handle.port)
+            first = client.open_snapshot()
+            first.page(2)  # mid-page: the iterator is half-drained
+            writer.apply_update(Update("R", (4, 4), 1))  # supersedes what `first` pins
+            second = client.open_snapshot()
+            client.open_snapshot()
+            with pytest.raises(RemoteError, match="snapshot limit"):
+                client.open_snapshot()
+            second.close()
+            with pytest.raises(RemoteError, match="unknown snapshot"):
+                client._request("snapshot_close", snap=second.snap)
+            writer.apply_update(Update("R", (5, 5), 1))
+            assert first.version < serving.engine.version
+            assert first.page(2)[0]  # still readable: pinned, not yet closed
+            # abrupt socket death: no snapshot_close, no clean goodbye
+            client._sock.shutdown(socket.SHUT_RDWR)
+            client._sock.close()
+            assert wait_until(lambda: all(entry._pins == 0 for entry in published))
+            assert len(published) >= 3
+            current = serving._published
+            for entry in published:
+                assert entry._closed == (entry is not current)
+                assert entry.snapshot._state.closed == (entry is not current)
+
+
+def test_pin_close_is_idempotent_across_threads():
+    engine = HierarchicalEngine(PATH_QUERY).load(make_database())
+    serving = EngineServer(engine, mode="snapshot")
+    for _ in range(50):
+        pinned = serving.pin()
+        entry = serving._published
+        assert entry._pins == 1 and pinned.version == engine.version
+        barrier = threading.Barrier(3)
+
+        def close():
+            barrier.wait()
+            pinned.close()
+
+        threads = [threading.Thread(target=close) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(5.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert entry._pins == 0 and not entry._closed
+        serving.apply_update(Update("R", (0, 0), 1))  # retires it
+        assert entry._closed and entry.snapshot._state.closed
+
+
+def test_commits_and_the_cold_read_share_the_writer_thread():
+    """Every commit runs on the one writer thread, and so does the read
+    that finds nothing published yet — it makes the first frozen copies,
+    the ones the writer rolls forward and replaces from then on.  Once a
+    version is published, reads run on the pool."""
+    with serve() as (serving, handle):
+        where = []
+        read = serving.read
+
+        def recording_read(*args):
+            where.append(("read", threading.current_thread().name))
+            return read(*args)
+
+        serving.read = recording_read
+        serving.on_commit(
+            lambda version, delta: where.append(("commit", threading.current_thread().name))
+        )
+        assert serving.cold
+        with EngineClient("127.0.0.1", handle.port) as client:
+            client.read()  # captures version 0 and freezes what it binds
+            assert not serving.cold
+            assert serving.engine.snapshot_stats["full_copies"] > 0
+            for step in range(5):
+                client.apply_update(Update("R", (200 + step, step % DOMAIN), 1))
+            client.apply_batch([Update("S", (1, 300), 1)])
+            client.read()
+        (_, cold_read), *commits, (_, warm_read) = where
+        assert [kind for kind, _ in commits] == ["commit"] * 6
+        assert cold_read.startswith("repro-net-writer")
+        assert {thread for _, thread in commits} == {cold_read}
+        assert not warm_read.startswith("repro-net-writer")
+    engine = HierarchicalEngine(PATH_QUERY).load(make_database())
+    assert not EngineServer(engine, mode="locked").cold  # it publishes nothing
+    engine.close()
+
+
+def test_locked_mode_keeps_the_private_capture():
+    """No version is published in locked mode: a wire snapshot is a capture
+    of its own, taken under the write lock and closed with the handle."""
+    engine = HierarchicalEngine(PATH_QUERY).load(make_database())
+    with serve(engine=engine, mode="locked") as (serving, handle):
+        captures = count_captures(engine)
+        with EngineClient("127.0.0.1", handle.port) as client:
+            before = engine.result()
+            with client.open_snapshot() as snap:
+                client.apply_batch([Update("R", (0, 0), 1), Update("S", (0, 7), 1)])
+                assert snap.result() == before
+            assert len(captures) == 1
+            client.lookup(next(iter(before)))
+            assert len(captures) == 2
+        assert serving._published is None
+        pinned = serving.pin()
+        assert pinned.snapshot.result() == engine.result()
+        pinned.close()
+        pinned.close()
+        with pytest.raises(StaleStateError):
+            pinned.snapshot.result()
     engine.close()
 
 

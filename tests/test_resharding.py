@@ -41,6 +41,7 @@ from repro.exceptions import ReproError
 from repro.net.client import EngineClient
 from repro.net.server import ServerConfig, ServerThread
 from repro.sharding import ShardedEngine
+from tests.conftest import wait_until
 
 PATH_QUERY = "Q(A, C) = R(A, B), S(B, C)"
 
@@ -669,15 +670,6 @@ def shard_side_snapshot_count(engine):
     return sum(len(server._snapshots) for server in engine._executor._servers)
 
 
-def wait_until(predicate, timeout=10.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.02)
-    return predicate()
-
-
 class TestNetReshard:
     def test_client_reshard_with_subscriber_and_pinned_snapshot(self):
         engine = live_fleet(shards=2, executor="thread", updates=STREAM[:5])
@@ -739,11 +731,14 @@ class TestSessionTeardownAccounting:
                 # (shutdown sends the FIN the kernel would send on a kill)
                 client._sock.shutdown(socket.SHUT_RDWR)
                 client._sock.close()
-            # every engine-side handle must drain as the server reaps the
-            # dead sessions — this is what keeps the registries bounded
-            assert wait_until(lambda: shard_side_snapshot_count(engine) == 0), (
-                f"{shard_side_snapshot_count(engine)} snapshot handles leaked"
+            # every pin must drain as the server reaps the dead sessions;
+            # sessions pin the published version, so all that stays
+            # registered is that one version (a handle per shard) — this
+            # is what keeps the registries bounded
+            assert wait_until(lambda: serving._published._pins == 0), (
+                f"{serving._published._pins} pins leaked"
             )
+            assert shard_side_snapshot_count(engine) == engine.shards
             # and a well-behaved client still gets its full allowance
             client = EngineClient("127.0.0.1", handle.port)
             opened = [client.open_snapshot() for _ in range(4)]
@@ -835,6 +830,9 @@ class TestSessionTeardownAccounting:
         # stopping the server cancels the connection tasks mid-session;
         # teardown must still release the engine-side handles
         handle.close()
-        assert wait_until(lambda: shard_side_snapshot_count(engine) == 0)
+        assert wait_until(lambda: serving._published._pins == 0)
+        # (the EngineServer outlives the TCP server and keeps its one
+        # published version: a handle per shard, no more)
+        assert shard_side_snapshot_count(engine) == engine.shards
         client.close()
         engine.close()
