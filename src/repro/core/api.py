@@ -230,9 +230,11 @@ class HierarchicalEngine:
     def snapshot_stats(self) -> Optional[Dict[str, int]]:
         """How snapshot copy-on-write produced frozen content since ``load()``.
 
-        ``full_copies`` counts whole ``Relation.copy()`` calls,
-        ``replayed_entries`` the redo-log entries replayed onto trailing
-        replicas instead (see :mod:`repro.snapshot.cow`); ``None`` before
+        ``full_copies`` counts whole-relation copies, ``carried_indexes``
+        the indexes those copies inherited from the live relation instead of
+        leaving them to a reader to rebuild, ``replayed_entries`` the
+        redo-log entries replayed onto trailing replicas in place of a copy
+        (see :mod:`repro.snapshot.cow`); ``None`` before
         :meth:`load`.  Exported on ``/metrics`` as ``repro_snapshot_*``.
         """
         tracker = self._cow_tracker
@@ -240,6 +242,7 @@ class HierarchicalEngine:
             return None
         return {
             "full_copies": tracker.full_copies,
+            "carried_indexes": tracker.carried_indexes,
             "replayed_entries": tracker.replayed_entries,
         }
 

@@ -299,9 +299,24 @@ class Relation:
         """Return a deep copy of the relation content (indexes not copied).
 
         The copy uses the same storage backend as the source, regardless of
-        the current default.
+        the current default.  The first probe of the copy builds the index
+        it needs; snapshot copy-on-write, which copies the same relation
+        again and again, uses :meth:`copy_with_indexes` instead.
         """
         raise NotImplementedError
+
+    def copy_with_indexes(self, key_schemas: Iterable[Schema]) -> "Relation":
+        """:meth:`copy`, plus a copy of every index held on one of ``key_schemas``.
+
+        ``key_schemas`` are normalised key schemas (keys of another copy's
+        ``_indexes``); one this relation holds no index on is left for the
+        copy's first reader to build.  A carried index lists each group in
+        the order a fresh build would (see :mod:`repro.data.storage`), its
+        *keys* in this relation's historical order.  Only the columnar
+        backend carries anything: the ``dict`` backend, the reference, keeps
+        the plain :meth:`copy`.
+        """
+        return self.copy()
 
     def clear(self) -> None:
         """Remove all tuples and index entries."""

@@ -30,6 +30,20 @@ moving the per-touch work onto flat arrays addressed by dense row ids:
   ``_sizes`` array, so index maintenance on a row transition never re-hashes
   the full tuple.
 
+**What index order depends on.**  A group's member order is a function of
+the relation's content alone: building an index walks ``_rids`` in order and
+tail-appends; maintaining one tail-appends on insert (where ``_rids`` also
+appends), unlinks on delete, and :meth:`ColumnarRelation.compact` preserves
+both — so a group always lists ``_rids`` order restricted to the group,
+whether the index was built now, maintained since long ago, or copied
+(:meth:`ColumnarRelation.copy_with_indexes`).  Only the order of the *keys*
+(``ColumnarIndex.keys()``) remembers history: a group that partially empties
+keeps its position, where a fresh build orders keys by first occurrence.
+Every read path — the compiled enumeration and join plans — reaches an index
+through ``group_items(key)`` / ``group_size(key)`` with a key it already
+holds and never iterates ``keys()``; the one caller that does, ``Partition``
+on live base relations, is why retuning calls ``invalidate_indexes()``.
+
 numpy is optional: when importable it accelerates a few bulk operations,
 otherwise the stdlib ``array`` module carries everything.
 """
@@ -273,6 +287,31 @@ class ColumnarIndex:
         self._keys_by_gid[gid] = None
         self._free_gids.append(gid)
 
+    def _copy_for(self, relation: "ColumnarRelation") -> "ColumnarIndex":
+        """This index re-pointed at ``relation``, a ``copy()`` of its owner.
+
+        ``copy()`` keeps every row id, so the ten containers carry over
+        verbatim — built-in copies, no per-row Python work.
+        """
+        clone = object.__new__(ColumnarIndex)
+        clone.relation = relation
+        clone.schema = self.schema
+        clone.key_schema = self.key_schema
+        clone._projector = self._projector
+        clone._positions = self._positions
+        clone._pos0 = self._pos0
+        clone._group_ids = dict(self._group_ids)
+        clone._gid_by_idkey = dict(self._gid_by_idkey)
+        clone._keys_by_gid = list(self._keys_by_gid)
+        clone._sizes = array("q", self._sizes)
+        clone._heads = array("q", self._heads)
+        clone._tails = array("q", self._tails)
+        clone._free_gids = list(self._free_gids)
+        clone._group_of = array("q", self._group_of)
+        clone._nxt = array("q", self._nxt)
+        clone._prv = array("q", self._prv)
+        return clone
+
     def _clear(self) -> None:
         num_rows = len(self.relation._row_tuples)
         self._group_of = array("q", [_NO_GROUP]) * num_rows
@@ -442,6 +481,15 @@ class ColumnarRelation(Relation):
         clone._value_ids = dict(self._value_ids)
         if self._payload_rows:
             clone._payload_rows = dict(self._payload_rows)
+        return clone
+
+    def copy_with_indexes(self, key_schemas: Iterable[Schema]) -> "Relation":
+        clone = self.copy()
+        for key in key_schemas:
+            index = self._indexes.get(key)
+            if index is not None:
+                clone._indexes[key] = index._copy_for(clone)
+        clone._index_list = tuple(clone._indexes.values())
         return clone
 
     def clear(self) -> None:

@@ -14,8 +14,9 @@ six sources into one page:
   served by the :class:`~repro.core.serving.EngineServer`
   (``repro_serving_*``),
 * :attr:`~repro.core.api.HierarchicalEngine.snapshot_stats` — what the
-  per-commit snapshot copy-on-write cost: whole-relation copies vs replayed
-  redo-log entries (``repro_snapshot_*``; single engines only),
+  per-commit snapshot copy-on-write cost: whole-relation copies, the indexes
+  they inherited, replayed redo-log entries (``repro_snapshot_*``; single
+  engines only),
 * :attr:`~repro.core.api.HierarchicalEngine.durability_stats` — how much
   WAL a recovery would replay, checkpoint age, the background writer's
   last duration, skips and failures (``repro_durability_*``; durable
@@ -127,6 +128,7 @@ _SERVING_HELPS = {
 
 _SNAPSHOT_HELPS = {
     "full_copies": "Whole-relation copies made by snapshot copy-on-write.",
+    "carried_indexes": "Indexes those copies inherited from the live relation.",
     "replayed_entries": "Redo-log entries replayed onto frozen snapshot copies.",
 }
 

@@ -41,24 +41,55 @@ untouched), and when replay is cheaper than copying
 Everything else — no log yet, a log that outgrew that bound and was dropped,
 a ``clear()`` or ``set_payload()`` (ticks without a log entry), the dict
 backend, a replica still in use — takes the one fallback: an
-``O(|relation|)`` ``Relation.copy()`` and a fresh log.  The fresh log is
-skipped when the round that just ended was itself too long to replay: a
-batch writer that rewrites a large share of a view between captures should
-not pay for log entries that are thrown away.  A short round turns logging
-back on, at the price of one more copy.
+``O(|relation|)`` copy and a fresh log.  The fresh log is skipped when the
+round that just ended was itself too long to replay: a batch writer that
+rewrites a large share of a view between captures should not pay for log
+entries that are thrown away.  A short round turns logging back on, at the
+price of one more copy.
 
-The replica's indexes are dropped when it is rolled forward, so readers
-rebuild them from content exactly as on a fresh copy and enumeration order
-does not depend on which branch ran.  Memory stays one cached copy per
-relation plus a log of at most ``len(relation) / COW_REPLAY_RATIO`` entries.
-Because a replica is reused once its last open snapshot is released, a
-snapshot must not be read after ``close()``
-(:class:`~repro.snapshot.versioned.Snapshot` raises
+**Indexes.**  A reader never rebuilds an index an earlier reader already
+built for that relation.  A frozen copy starts without indexes and the
+first reader that probes it builds what it needs (``ensure_index``); from
+then on both branches keep them.  *Replay* runs through ``apply_delta``,
+which maintains the replica's indexes exactly as it does a live relation's,
+``compact()`` included — the writer pays per changed tuple, not the next
+reader per stored tuple.  The *fallback copy* takes the old replica's index
+key schemas as the record of what readers probe and inherits, for each, the
+live relation's index on the same key when it has one (
+:meth:`~repro.data.relation.Relation.copy_with_indexes`: built-in copies of
+the index arrays, counted in ``carried_indexes``); a key the live relation
+does not index is built by the next reader, as before.  The ``dict`` backend
+carries nothing and stays the reference.
+
+None of this can change what a snapshot enumerates.  The compiled plans read
+a relation through ``items()``, ``multiplicity()`` and
+``ensure_index(cols).group_items(key)`` only, and a group lists its members
+in the relation's own order whether its index was built, maintained or
+copied (:mod:`repro.data.storage` states the invariant).  What does differ
+is the order of ``index.keys()`` — a maintained index remembers the order in
+which groups appeared, a fresh build does not — so that order is *not* part
+of a frozen copy's contract: content, per-key group sequences and the
+enumerated sequence of a whole tree are
+(``tests/test_snapshot.py::TestTrailingReplica``).
+
+A columnar replica that carries indexes is a reference cycle
+(``ColumnarIndex.relation`` ↔ ``relation._indexes``), so a replica the
+tracker lets go of — replaced by a fallback copy, or released by the last
+snapshot that held a superseded one — has its indexes dropped on the spot
+instead of waiting, whole, for the cyclic collector.  Memory stays one
+cached copy per relation, its indexes, plus a log of at most
+``len(relation) / COW_REPLAY_RATIO`` entries.  Because a replica is reused
+once its last open snapshot is released, a snapshot must not be read after
+``close()`` (:class:`~repro.snapshot.versioned.Snapshot` raises
 :class:`~repro.exceptions.StaleStateError`).
 
 Thread-safety relies on the tracker lock plus CPython's GIL: the lock makes
 "check whether a frozen copy exists, else copy the content" atomic against
-the writer guard (``Relation.copy`` runs entirely under the lock).  Captures
+the writer guard (the copy runs entirely under the lock).  A held replica
+may be in a reader's hands — ``ensure_index`` inserting into its
+``_indexes`` — while the tracker reads its key schemas, so it takes them in
+one step (``tuple(old._indexes)``); the live relation's indexes only change
+with its content, which the guard holds still.  Captures
 (:meth:`CowTracker.capture`) must not run concurrently with a mutating call —
 :class:`repro.core.serving.EngineServer` serializes capture against its
 writer for exactly this reason.
@@ -99,9 +130,10 @@ class CowTracker:
         self.epoch = next(_EPOCHS)
         self._active: List["weakref.ref[SnapshotState]"] = []
         # How frozen content was produced (exported on /metrics): whole
-        # ``Relation.copy()`` calls vs redo-log entries replayed onto a
-        # trailing replica.
+        # relation copies, the indexes those copies inherited from the live
+        # relation, and redo-log entries replayed onto a trailing replica.
         self.full_copies = 0
+        self.carried_indexes = 0
         self.replayed_entries = 0
 
     # -- capture (snapshot side, serialized against writes by the caller) ---
@@ -140,10 +172,14 @@ class CowTracker:
         """Close a snapshot so the writer stops preserving into it."""
         with self.lock:
             state.closed = True
-            state.frozen = {}
+            frozen, state.frozen = state.frozen, {}
             self._active = [
                 ref for ref in self._active if self._live(ref) is not None
             ]
+            for relation, clone in frozen.items():
+                cached = relation._cow_cache
+                if cached is None or cached[1] is not clone:
+                    self._let_go(relation, clone)
 
     # -- frozen content (both sides, under the lock) ------------------------
     def _frozen_copy(self, relation: Relation) -> Relation:
@@ -173,16 +209,28 @@ class CowTracker:
             and not self._in_use(relation, cached[1])
         ):
             clone = cached[1]
-            clone.invalidate_indexes()
             for tup, delta in log:
                 clone.apply_delta(tup, delta)
             self.replayed_entries += len(log)
         else:
-            clone = relation.copy()
+            # What readers built on the old replica is what they will probe
+            # on the new one.
+            old = cached[1] if cached is not None else None
+            clone = relation.copy_with_indexes(
+                tuple(old._indexes) if old is not None else ()
+            )
             self.full_copies += 1
+            self.carried_indexes += len(clone._indexes)
+            if old is not None:
+                self._let_go(relation, old)
         relation._cow_cache = (ticks, clone)
         relation._cow_log = [] if replayable else None
         return clone
+
+    def _let_go(self, relation: Relation, replica: Relation) -> None:
+        """Break a superseded replica's index cycle unless a snapshot holds it."""
+        if not self._in_use(relation, replica):
+            replica.invalidate_indexes()
 
     def _in_use(self, relation: Relation, clone: Relation) -> bool:
         """Whether an open snapshot still resolves ``relation`` to ``clone``."""

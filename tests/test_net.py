@@ -875,6 +875,7 @@ def test_metrics_over_http_and_op():
                 "repro_rebalance_batches",
                 "repro_workload_update_events",
                 "# TYPE repro_snapshot_full_copies counter",
+                "# TYPE repro_snapshot_carried_indexes counter",
                 "repro_snapshot_replayed_entries",
                 "repro_net_connections_current 1",
             ):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -18,10 +19,18 @@ from repro.conformance import (
     random_update_stream,
 )
 from repro.core.serving import EngineServer
-from repro.data.relation import COW_REPLAY_RATIO, backend_class
+from repro.data.relation import (
+    COW_REPLAY_RATIO,
+    backend_class,
+    get_default_backend,
+    storage_backend,
+)
+from repro.data.storage import ColumnarIndex, ColumnarRelation
 from repro.exceptions import ReproError, StaleStateError
 from repro.sharding import ShardedEngine
 from repro.snapshot import CowTracker
+from repro.views.view import IndicatorLeaf, LeafNode, ViewNode
+from tests.reference_enumeration import reference_enumerate
 
 PATH_QUERY = "Q(A, C) = R(A, B), S(B, C)"
 
@@ -38,6 +47,16 @@ def path_db(seed: int = 5, size: int = 60, domain: int = 12) -> Database:
                 ("B", "C"),
                 [(rng.randrange(domain), rng.randrange(domain * 3)) for _ in range(size)],
             ),
+        }
+    )
+
+
+def grid_db() -> Database:
+    """Three B values of degree 110 on both sides: 12 100 result tuples."""
+    return Database.from_dict(
+        {
+            "R": (("A", "B"), [(a, b) for a in range(110) for b in range(3)]),
+            "S": (("B", "C"), [(b, c) for b in range(3) for c in range(110)]),
         }
     )
 
@@ -347,14 +366,25 @@ KEY_SCHEMAS = (("A",), ("B",), ("A", "B"))
 
 
 def assert_same_frozen_content(frozen, expected):
-    """``frozen`` is observationally the ``copy()`` taken at capture time."""
+    """``frozen`` is observationally the ``copy()`` taken at capture time.
+
+    Entries, payloads and every index group are compared as sequences.  The
+    order of ``keys()`` is the one thing a kept index (maintained through a
+    replay, or inherited from the live relation) may not share with a fresh
+    build, and nothing that reads a frozen copy iterates it — so the keys
+    are compared as a duplicate-free set.
+    """
     assert list(frozen.items()) == list(expected.items())
     assert list(frozen.payload_items()) == list(expected.payload_items())
     for key_schema in KEY_SCHEMAS:
         got, want = frozen.ensure_index(key_schema), expected.ensure_index(key_schema)
-        assert list(got.keys()) == list(want.keys())
-        for key in want.keys():
+        keys = list(got.keys())
+        assert len(keys) == len(set(keys)) == got.num_keys()
+        assert set(keys) == set(want.keys())
+        for key in keys:
             assert list(got.group(key)) == list(want.group(key))
+            assert list(got.group_items(key)) == list(want.group_items(key))
+            assert got.group_size(key) == want.group_size(key)
 
 
 class ReplicaHarness:
@@ -430,8 +460,9 @@ class TestTrailingReplica:
         rounds=replica_rounds,
     )
     # an index built on the replica, then a replayed delete of its first
-    # group's first member: a replica that kept its indexes would list the
-    # B = 0 group first where a fresh build lists it last
+    # group's first member: the replica keeps its indexes, so its B index
+    # still lists the B = 0 group first where a fresh build lists it last —
+    # the key sequences differ, every group sequence does not
     @example(
         backend="columnar",
         prefill=600,
@@ -445,8 +476,8 @@ class TestTrailingReplica:
         """Random insert/delete/re-insert streams with interleaved captures,
         reads, closes, drops and held-open snapshots: whichever branch
         (replay or copy) produced a frozen relation, it equals the
-        ``copy()`` taken at the capture point — entries, fresh index key and
-        group sequences, payloads."""
+        ``copy()`` taken at the capture point — entries, index key sets and
+        per-key group sequences, payloads."""
         harness = ReplicaHarness(backend, prefill)
         relation = harness.relation
         for capture, writes, follow_ups in rounds:
@@ -568,6 +599,12 @@ class TestTrailingReplica:
         relation, tracker = harness.relation, harness.tracker
         victims = list(relation.tuples())[:1600]
         rows_before = len(relation._row_tuples)
+        # a reader's index on the replica, built before the stream: every
+        # replay below maintains it, the compacting one remaps it
+        harness.capture()
+        replica = tracker.freeze(harness.open[0][0], relation)
+        index = replica.ensure_index(("B",))
+        harness.close(0)
         # per-capture logs short enough to replay even at the final size
         chunk = (len(relation) - len(victims)) // COW_REPLAY_RATIO - 2
         for start in range(0, len(victims), chunk):
@@ -579,10 +616,13 @@ class TestTrailingReplica:
             harness.read_all()
             harness.close(0)
         assert len(relation._row_tuples) < rows_before  # compacted
+        assert len(replica._row_tuples) < rows_before  # ... inside a replay
         harness.capture()
         harness.read_all()
         assert tracker.full_copies == 1
         assert tracker.replayed_entries >= len(victims)
+        assert tracker.freeze(harness.open[0][0], relation) is replica
+        assert replica.ensure_index(("B",)) is index
 
     def test_dropped_snapshot_with_live_enumerator_keeps_its_content(self):
         """An enumerator outliving its (never closed) snapshot handle still
@@ -606,12 +646,7 @@ class TestServedCommitCopies:
 
     @staticmethod
     def served_engine():
-        database = Database.from_dict(
-            {
-                "R": (("A", "B"), [(a, b) for a in range(110) for b in range(3)]),
-                "S": (("B", "C"), [(b, c) for b in range(3) for c in range(110)]),
-            }
-        )
+        database = grid_db()
         # epsilon = 1: every key is light, the 12k-tuple result is a view
         engine = HierarchicalEngine(PATH_QUERY, epsilon=1.0).load(database)
         server = EngineServer(engine, mode="snapshot")
@@ -645,6 +680,9 @@ class TestServedCommitCopies:
         self.commits(server, 1_000, 200)
         assert engine.version == 200
         assert engine.rebalance_stats.major_rebalances == 0
+        assert server.read().result() == truth
+        if get_default_backend() != "columnar":
+            return  # no redo log: every commit copies, by design
         assert len(copies) <= 2  # parent: one per commit
         # the counters /metrics exports tell the same story: the view's
         # ~110 changed tuples per commit are replayed; what is still copied
@@ -652,10 +690,10 @@ class TestServedCommitCopies:
         stats = engine.snapshot_stats
         assert stats["replayed_entries"] >= 200 * 100
         assert stats["full_copies"] <= 200 + relation_count
-        assert server.read().result() == truth
 
     def test_held_snapshot_forces_exactly_one_fallback_copy(self):
         engine, server, copies, _ = self.served_engine()
+        columnar = get_default_backend() == "columnar"
         self.commits(server, 1_000, 20)
         held = server.snapshot()
         truth = held.result()
@@ -663,11 +701,257 @@ class TestServedCommitCopies:
         before = len(copies)
         self.commits(server, 2_000, 200)
         # the held snapshot pins the replica it resolved; the writer copies
-        # once and trails the new replica from then on
-        assert len(copies) == before + 1
+        # once and trails the new replica from then on (without a redo log,
+        # the dict backend, it copies per commit either way)
+        assert len(copies) == before + 1 or not columnar
         assert held.version == 20
         assert held.result() == truth
         assert list(held.enumerate()) == sequence
         held.close()
         self.commits(server, 3_000, 20)
-        assert len(copies) == before + 1
+        assert len(copies) == before + 1 or not columnar
+
+
+def count_frozen_index_builds(monkeypatch):
+    """Record ``(relation name, key schema)`` of every :class:`ColumnarIndex`
+    built from now on over a relation no tracker watches.  Called once the
+    engine's first snapshot exists (from then on every live relation is
+    watched), those are the builds on frozen copies."""
+    builds = []
+    build = ColumnarIndex.__init__
+
+    def counting(index, relation, key_schema):
+        if relation._cow is None:
+            builds.append((relation.name, key_schema))
+        build(index, relation, key_schema)
+
+    monkeypatch.setattr(ColumnarIndex, "__init__", counting)
+    return builds
+
+
+class TestFrozenIndexBuilds:
+    """Count-based regression (no timing): a reader builds an index on
+    frozen content once per (relation, key schema) its plan probes — not
+    once per version, on the replay branch or on the fallback branch."""
+
+    @staticmethod
+    def served_engine():
+        # epsilon = 0.5: all three B keys are heavy (degree 110 over a
+        # threshold of ~26), so every first page probes R and S by B
+        database = grid_db()
+        engine = HierarchicalEngine(PATH_QUERY, epsilon=0.5).load(database)
+        return engine, EngineServer(engine, mode="snapshot")
+
+    @staticmethod
+    def singles(server, base: int, count: int):
+        for i in range(count // 2):
+            for sign in (1, -1):
+                server.apply_update(Update("R", (base + i, i % 3), sign))
+                assert len(server.read(limit=100).pairs) == 100
+
+    def test_single_tuple_commits_build_each_probed_index_once(self, monkeypatch):
+        with storage_backend("columnar"):
+            engine, server = self.served_engine()
+            builds = count_frozen_index_builds(monkeypatch)
+            self.singles(server, 1_000, 10)
+            warm = list(builds)
+            assert warm and len(warm) == len(set(warm))
+            self.singles(server, 2_000, 60)
+            assert builds == warm  # parent: grows with every version read
+            assert engine.snapshot_stats["replayed_entries"] >= 60
+            assert engine.rebalance_stats.major_rebalances == 0
+
+    def test_fallback_copies_inherit_and_replaced_replicas_are_not_garbage(
+        self, monkeypatch
+    ):
+        with storage_backend("columnar"):
+            engine, server = self.served_engine()
+            builds = count_frozen_index_builds(monkeypatch)
+            self.singles(server, 1_000, 10)
+            warm = list(builds)
+            # what readers probe, the live relations index too (the
+            # partition key): every fallback copy below can inherit
+            assert warm and all(
+                engine.database.relation(name).has_index(key) for name, key in warm
+            )
+            gc.collect()
+            gc.disable()
+            try:
+                # batches that outgrow the redo log of R (660 / 32 entries)
+                before = dict(engine.snapshot_stats)
+                for round_ in range(6):
+                    base = 2_000 + 100 * round_
+                    rows = [(base + i, i % 3) for i in range(40)]
+                    for sign in (1, -1):
+                        server.apply_batch([Update("R", row, sign) for row in rows])
+                        assert len(server.read(limit=100).pairs) == 100
+                stats = engine.snapshot_stats
+                assert stats["replayed_entries"] == before["replayed_entries"]
+                assert stats["full_copies"] >= before["full_copies"] + 12
+                assert stats["carried_indexes"] >= before["carried_indexes"] + 12
+                assert builds == warm
+                # a snapshot held open across 50 commits pins the replicas
+                # it resolved: one fallback copy each, inheriting again
+                held = server.snapshot()
+                sequence = list(held.enumerate())
+                carried = stats["carried_indexes"]
+                self.singles(server, 3_000, 50)
+                assert engine.snapshot_stats["carried_indexes"] > carried
+                assert builds == warm
+                assert list(held.enumerate()) == sequence
+                held.close()
+                self.singles(server, 4_000, 4)
+                assert builds == warm
+                assert engine.rebalance_stats.major_rebalances == 0
+                # every replica that was replaced or released had its index
+                # cycle broken by hand: nothing is left to the collector
+                del held
+                gc.set_debug(gc.DEBUG_SAVEALL)
+                gc.collect()
+                leaked = [o for o in gc.garbage if isinstance(o, ColumnarRelation)]
+            finally:
+                gc.set_debug(0)
+                gc.garbage.clear()
+                gc.enable()
+            assert leaked == []
+
+
+# ----------------------------------------------------------------------
+# the order contract at the level where it is observable: a whole tree
+# ----------------------------------------------------------------------
+TREE_QUERIES = (PATH_QUERY, "Q(A, C, D) = R(A, B), S(B, C), T(B, D)")
+
+
+def frozen_tree(shape, relations):
+    """A view tree of ``shape`` over ``relations`` (an iterator, pre-order)."""
+    kind, schema, child_shapes = shape
+    relation = next(relations)
+    if kind == "indicator":
+        return IndicatorLeaf(schema, relation)
+    if kind == "leaf":
+        return LeafNode(relation.name, schema, relation)
+    node = ViewNode(
+        relation.name, schema, [frozen_tree(child, relations) for child in child_shapes]
+    )
+    node._relation = relation
+    return node
+
+
+def reference_sequence(snapshot):
+    """What the interpreter enumerates over fresh ``copy()``s — no index
+    older than this call — of the content ``snapshot`` froze."""
+    freeze, state = snapshot._tracker.freeze, snapshot._state
+    trees = [
+        [
+            frozen_tree(
+                spec.shape(),
+                iter([freeze(state, relation).copy() for relation in spec.relations()]),
+            )
+            for spec in specs
+        ]
+        for specs in snapshot._component_specs
+    ]
+    return list(reference_enumerate(trees, tuple(snapshot._query.head)))
+
+
+# One step: a write, then what a reader does — read-and-close is what a
+# served read is; "hold" keeps the snapshot open, so the next write to what
+# it resolved takes the fallback branch.
+tree_steps = st.lists(
+    st.tuples(
+        st.sampled_from(("insert", "insert", "delete", "delete", "batch", "none")),
+        st.sampled_from(("read", "read", "read", "hold", "check", "close")),
+        picks,
+    ),
+    min_size=4,
+    max_size=12,
+)
+
+
+class TestTreeOrderAcrossBranches:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        backend=st.sampled_from(("columnar", "columnar", "dict")),
+        query=st.sampled_from(TREE_QUERIES),
+        epsilon=st.sampled_from((0.0, 0.5, 1.0)),
+        seed=st.integers(min_value=0, max_value=1 << 16),
+        steps=tree_steps,
+    )
+    def test_snapshot_enumerates_like_the_interpreter_over_fresh_copies(
+        self, backend, query, epsilon, seed, steps
+    ):
+        """Insert / delete streams with reads at random points, snapshots
+        held open (the fallback branch) and batches that outgrow the redo
+        log: whichever branch froze a relation and whichever index it kept,
+        a snapshot enumerates the sequence the live engine did at capture,
+        which is the interpreter's over index-free copies of that content."""
+        rng = random.Random(seed)
+        with storage_backend(backend):
+            engine = HierarchicalEngine(query, epsilon=epsilon)
+            names = [atom.relation for atom in engine.query.atoms]
+            present = {name: {} for name in names}
+
+            def fresh_row(name):
+                # B is the join variable of every atom: a few hot values
+                a, b = rng.randrange(40), min(rng.randrange(8), rng.randrange(8))
+                return (a, b) if name == "R" else (b, a)
+
+            def insert(name):
+                row = fresh_row(name)
+                present[name][row] = present[name].get(row, 0) + 1
+                return Update(name, row, 1)
+
+            def delete(name, pick):
+                rows = list(present[name])
+                row = rows[pick % len(rows)]
+                present[name][row] -= 1
+                if not present[name][row]:
+                    del present[name][row]
+                return Update(name, row, -1)
+
+            engine.load(
+                Database.from_dict(
+                    {
+                        name: (
+                            ("A", "B") if name == "R" else ("B", name),
+                            [insert(name).tuple for _ in range(70)],
+                        )
+                        for name in names
+                    }
+                )
+            )
+            held = []  # (snapshot, list(engine.enumerate()) at its capture)
+
+            def check(snapshot, live):
+                got = list(snapshot.enumerate())
+                assert got == live
+                assert got == reference_sequence(snapshot)
+
+            def capture():
+                return engine.snapshot(), list(engine.enumerate())
+
+            for write, read, pick in steps:
+                name = names[pick % len(names)]
+                if write == "insert":
+                    engine.apply(insert(name))
+                elif write == "delete" and present[name]:
+                    engine.apply(delete(name, pick))
+                elif write == "batch":
+                    # 12 changes against ~70 tuples: no log survives it
+                    engine.apply_batch([insert(name) for _ in range(12)])
+                if read == "read":
+                    snapshot, live = capture()
+                    check(snapshot, live)
+                    snapshot.close()
+                elif read == "hold":
+                    held.append(capture())
+                    check(*held[-1])
+                elif held:
+                    snapshot, live = held[pick % len(held)]
+                    check(snapshot, live)
+                    if read == "close":
+                        held.remove((snapshot, live))
+                        snapshot.close()
+            for snapshot, live in held + [capture()]:
+                check(snapshot, live)
+                snapshot.close()

@@ -220,6 +220,7 @@ def durable_session(durability: DurabilityConfig) -> None:
                 "repro_serving_batches_applied",
                 "repro_net_deltas_pushed",
                 "repro_aggregate_reads_total",
+                "repro_snapshot_carried_indexes",
                 'repro_net_aggregate_deltas_pushed_total{ring="sum"}',
                 'repro_net_aggregate_deltas_pushed_total{ring="counting"}',
                 "repro_durability_wal_bytes_since_checkpoint",
