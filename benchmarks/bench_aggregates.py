@@ -18,10 +18,11 @@ Two headline series on the iot sliding-window workload:
   **>= 5x**.  Maintenance cost rides along in the table: the maintained
   engine's ingest time includes folding every delta into the state, so the
   speedup is not bought by shifting work into ingestion.
-* **subscription payload bytes** (context) — per-commit wire frames for a
-  plain subscription (every changed result tuple) vs an aggregate
-  subscription (net per-group support/element rows, the
-  :mod:`repro.net.server` shape) on the registered ``iot_rolling_sum``
+* **subscription frame bytes** (context) — per-commit push frames, each
+  sized as :func:`~repro.net.protocol.encode_frame` puts it on the wire, for
+  a plain subscription (every changed result tuple, binary column blocks)
+  vs an aggregate subscription (net per-group support/element rows, JSON:
+  the :mod:`repro.net.server` shape) on the registered ``iot_rolling_sum``
   scenario, whose 24 hot sites make many result rows coalesce into few
   group rows.  Aggregate frames must never be the larger ones in total.
 
@@ -31,7 +32,6 @@ must equal the fold over a fresh enumeration, group for group.
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Dict, List, Tuple
 
@@ -39,7 +39,7 @@ import pytest
 
 from benchmarks.conftest import scaled
 from repro.core.api import HierarchicalEngine
-from repro.net.protocol import wire_pairs
+from repro.net.protocol import encode_frame, wire_pairs
 from repro.rings.spec import AggregateSpec, fold_delta
 from repro.workloads.scenarios import (
     IOT_QUERY,
@@ -167,6 +167,10 @@ def _delta(previous: Dict, current: Dict) -> Dict:
     return out
 
 
+def _push_frame(version: int, payload) -> bytes:
+    return encode_frame({"sub": 1, "kind": "delta", "version": version, "delta": payload})
+
+
 @pytest.fixture(scope="module")
 def payload_rows(figure_report):
     scenario = get_scenario("iot_rolling_sum")
@@ -186,12 +190,11 @@ def payload_rows(figure_report):
         if not delta:
             continue
         commits += 1
-        # the plain push frame: every changed result tuple
-        plain_payload = wire_pairs(delta.items())
+        # Both frames as the server sends them (repro.net.server's message
+        # shapes).  The plain push frame: every changed result tuple.
         plain_rows += len(delta)
-        plain_bytes += len(json.dumps(plain_payload).encode("utf-8"))
+        plain_bytes += len(_push_frame(commits, wire_pairs(delta.items())))
         # the aggregate push frame: net per-group support/element rows
-        # (the repro.net.server wire shape)
         agg_payload = [
             [list(group), support, ring.to_wire(element)]
             for group, (support, element) in fold_delta(
@@ -199,7 +202,7 @@ def payload_rows(figure_report):
             ).items()
         ]
         agg_rows += len(agg_payload)
-        agg_bytes += len(json.dumps(agg_payload).encode("utf-8"))
+        agg_bytes += len(_push_frame(commits, agg_payload))
     rows = [
         {
             "frame": "plain delta",
@@ -217,9 +220,9 @@ def payload_rows(figure_report):
         },
     ]
     figure_report.record(
-        "Subscription payload bytes per commit: plain result deltas vs "
-        f"ring-folded aggregate frames (iot_rolling_sum, {commits} commits "
-        f"of {PAYLOAD_BATCH} updates)",
+        "Subscription push frame bytes: plain result deltas (binary column "
+        "blocks, protocol 3) vs ring-folded aggregate frames (JSON rows) "
+        f"(iot_rolling_sum, {commits} commits of {PAYLOAD_BATCH} updates)",
         rows,
     )
     return rows

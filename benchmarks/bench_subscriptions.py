@@ -48,13 +48,20 @@ QUEUE_BOUND = 16
 SEED = 4242
 
 
+#: Result tuples a hot-key insert adds.  Sized in bytes, not tuples: a delta
+#: frame must be wide enough (about 6 KB, 4 bytes a tuple in protocol 3's
+#: column blocks) that the slow subscriber's stalled connection runs out
+#: of kernel and transport buffering within the smoke run's 12 commits.
+HOT_FANOUT = 1600
+
+
 def seed_database() -> Database:
     """A join with a hot key so per-commit deltas have real fan-out."""
     rng = random.Random(SEED)
     database = Database()
     database.create_relation("R", ("A", "B"))
     database.create_relation("S", ("B", "C"))
-    for c in range(600):
+    for c in range(HOT_FANOUT):
         database.relation("S").apply_delta((0, c), 1)
     for _ in range(150):
         database.relation("R").apply_delta(

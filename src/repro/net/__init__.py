@@ -3,8 +3,9 @@
 The network layer puts a wire in front of the in-process serving stack
 (:class:`~repro.core.serving.EngineServer`):
 
-* :mod:`repro.net.protocol` — length-prefixed JSON frames and the wire
-  encodings for tuples, pairs, and updates.
+* :mod:`repro.net.protocol` — length-prefixed frames (JSON messages; result
+  sets and deltas as typed binary column blocks) and the wire encodings
+  for tuples, pairs, and updates.
 * :mod:`repro.net.server` — :class:`EngineTCPServer` (asyncio) plus the
   :class:`ServerThread` adapter for synchronous hosts; serves requests,
   paged snapshot enumeration, push subscriptions with bounded-queue

@@ -40,6 +40,7 @@ from repro.data.update import Update, UpdateBatch
 from repro.net.protocol import (
     ConnectionClosedError,
     RemoteError,
+    iter_pairs,
     read_frame,
     unwire_pairs,
     wire_updates,
@@ -63,9 +64,11 @@ class SubscriptionState:
     def apply(self, kind: str, version: int, pairs) -> bool:
         """Apply one push of decoded ``(tuple, multiplicity)`` pairs.
 
-        Returns True when the state changed.  Nothing of a push is kept
-        once it is applied; a caller that wants the pushed history wraps
-        this method.
+        ``pairs`` is any iterable of them; off the wire it is the push's
+        pair table itself, read in place and iterable again by a caller
+        that wraps this method to keep the pushed history (nothing of a
+        push is kept here once it is applied).  Returns True when the state
+        changed.
         """
         with self._changed:
             if kind == "resync":
@@ -110,11 +113,11 @@ class SubscriptionState:
         kind = message.get("kind")
         if kind == "delta":
             self.apply(
-                "delta", int(message["version"]), unwire_pairs(message["delta"])
+                "delta", int(message["version"]), iter_pairs(message["delta"])
             )
         elif kind == "resync":
             self.apply(
-                "resync", int(message["version"]), unwire_pairs(message["result"])
+                "resync", int(message["version"]), iter_pairs(message["result"])
             )
 
 
@@ -477,7 +480,7 @@ class EngineClient:
         reply = self._request("subscribe", query=query, queue=queue)
         sid = int(reply["sub"])
         state = SubscriptionState(
-            int(reply["version"]), unwire_pairs(reply["result"])
+            int(reply["version"]), iter_pairs(reply["result"])
         )
         with self._route_lock:
             self._subscriptions[sid] = state
@@ -589,14 +592,14 @@ class AsyncSubscription:
         kind = message.get("kind")
         version = int(message["version"])
         if kind == "resync":
-            self.result = dict(unwire_pairs(message["result"]))
+            self.result = dict(iter_pairs(message["result"]))
             self.version = version
             self.resyncs += 1
         elif kind == "delta":
             if version <= self.version:
                 return
             result = self.result
-            for tup, mult in unwire_pairs(message["delta"]):
+            for tup, mult in iter_pairs(message["delta"]):
                 updated = result.get(tup, 0) + mult
                 if updated:
                     result[tup] = updated
@@ -708,7 +711,7 @@ class AsyncEngineClient:
         reply = await self.request("subscribe", query=query, queue=queue)
         sid = int(reply["sub"])
         state = AsyncSubscription(
-            sid, int(reply["version"]), unwire_pairs(reply["result"])
+            sid, int(reply["version"]), iter_pairs(reply["result"])
         )
         self._subscriptions[sid] = state
         for push in self._orphan_pushes.pop(sid, []):

@@ -153,6 +153,7 @@ _NET_HELPS = {
     "subscriptions_total": "Subscriptions opened since server start.",
     "subscribers_current": "Subscriptions currently active.",
     "deltas_pushed": "Per-commit delta frames enqueued to subscribers.",
+    "push_bytes_total": "Bytes of per-commit delta frames written to subscribers.",
     "resyncs": "Slow-subscriber resyncs (queue overflow coalescing).",
     "commits_observed": "Engine commits observed by the push hub.",
     "max_queue_depth": "High-water mark of any subscriber send queue.",
@@ -288,6 +289,8 @@ def render_server_metrics(
                     float(aggregate_reads),
                 )
             )
+        if "push_bytes" in net_stats:
+            net_stats["push_bytes_total"] = net_stats.pop("push_bytes")
         net_types: Dict[str, str] = {
             key: "gauge"
             if key

@@ -1,6 +1,6 @@
 """Asyncio TCP front-end for an :class:`~repro.core.serving.EngineServer`.
 
-:class:`EngineTCPServer` serves the length-prefixed JSON frame protocol of
+:class:`EngineTCPServer` serves the length-prefixed frame protocol of
 :mod:`repro.net.protocol` on one listening port.  Connections multiplex
 three kinds of traffic:
 
@@ -119,6 +119,7 @@ class NetServerStats:
         "subscriptions_total",
         "subscribers_current",
         "deltas_pushed",
+        "push_bytes",
         "resyncs",
         "commits_observed",
         "max_queue_depth",
@@ -300,6 +301,11 @@ class EngineTCPServer:
         loop = self._loop
         if loop is None:
             return
+        # The commit's pair table is built here, once, whatever the number
+        # of subscribers: its column blocks are the bytes every one of
+        # their frames carries, and a sender only formats the small header
+        # around them.  Here and not on the event loop, because the loop is
+        # what every session's reads and acks wait for.
         # Nobody to serialise the tuple delta for?  Then do not: this runs
         # under the engine's write lock.  A plain subscriber that registers
         # after this check needs no frame for this commit — the commit is
@@ -371,7 +377,7 @@ class EngineTCPServer:
                 item = await sub.queue.get()
                 if item[0] in ("delta", "agg_delta"):
                     _, version, wire_delta = item
-                    await self._send(
+                    sent = await self._send(
                         sub.session,
                         {
                             "sub": sub.sid,
@@ -380,6 +386,7 @@ class EngineTCPServer:
                             "delta": wire_delta,
                         },
                     )
+                    self.stats.add("push_bytes", sent)
                 elif sub.spec is not None:  # aggregate resync marker
                     while True:
                         version, elements = await self._run(
@@ -438,12 +445,14 @@ class EngineTCPServer:
         lane = self._writer if write or self.serving.cold else self._pool
         return await self._loop.run_in_executor(lane, fn, *args)
 
-    async def _send(self, session: _Session, message: Dict[str, Any]) -> None:
+    async def _send(self, session: _Session, message: Dict[str, Any]) -> int:
+        """Write one frame to the session; returns its size in bytes."""
         data = encode_frame(message)
         async with session.write_lock:
             session.writer.write(data)
             await session.writer.drain()
         self.stats.add("frames_sent")
+        return len(data)
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

@@ -12,8 +12,10 @@ and asserts the coalesce-to-resync path re-converges it.
 from __future__ import annotations
 
 import contextlib
+import json
 import random
 import socket
+import struct
 import threading
 import time
 import urllib.request
@@ -38,9 +40,13 @@ from repro.net.client import SubscriptionState
 from repro.net.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
+    PairTable,
     ProtocolError,
+    decode_column,
     decode_payload,
+    encode_column,
     encode_frame,
+    iter_pairs,
     parse_header,
     read_frame,
     unwire_pairs,
@@ -50,6 +56,7 @@ from repro.net.protocol import (
     wire_updates,
     write_frame,
 )
+from tests import reference_pair_table as reference
 from tests.conftest import wait_until
 
 PATH_QUERY = "Q(A, C) = R(A, B), S(B, C)"
@@ -124,30 +131,105 @@ def test_frame_header_guards():
         decode_payload(b"[1, 2, 3]")  # not an object
 
 
-WIRE_VALUES = st.one_of(
-    st.integers(-(2**40), 2**40), st.text(max_size=4), st.none()
-)
+#: The width boundaries of the b / h / i / q blocks, and beyond int64.
+INT_EDGES = [
+    edge + step
+    for bits in (7, 15, 31, 63)
+    for edge in (-(2**bits), 2**bits)
+    for step in (-1, 0, 1)
+] + [0, 2**70, -(2**70)]
+INTS = st.one_of(st.sampled_from(INT_EDGES), st.integers(-(2**40), 2**40))
+FLOATS = st.one_of(st.just(-0.0), st.floats(allow_nan=False))
+TEXTS = st.one_of(st.sampled_from(["", "a", "a", "é", "日本", "😀"]), st.text(max_size=4))
+WIRE_VALUES = st.one_of(INTS, FLOATS, TEXTS, st.none(), st.booleans())
+#: One strategy per column, so that typed blocks (all-int of each width,
+#: all-float, all-str) come up as often as the JSON fallbacks (all-None,
+#: all-bool, mixed) do.
+COLUMN_KINDS = [
+    st.integers(-100, 100),
+    st.integers(-30_000, 30_000),
+    INTS,
+    FLOATS,
+    TEXTS,
+    st.none(),
+    st.booleans(),
+    WIRE_VALUES,
+]
 
 
 @st.composite
 def pair_lists(draw):
     arity = draw(st.integers(0, 3))
-    tuples = draw(
-        st.lists(st.tuples(*[WIRE_VALUES] * arity), unique=True, max_size=8)
-    )
+    rows = draw(st.integers(0, 8))
+    columns = [
+        draw(st.lists(draw(st.sampled_from(COLUMN_KINDS)), min_size=rows, max_size=rows))
+        for _ in range(arity)
+    ]
+    tuples = list(dict.fromkeys(zip(*columns))) if arity else [()] * min(rows, 1)
     return [(tup, draw(st.integers(-5, 5))) for tup in tuples]
+
+
+def framed(table, key="delta"):
+    """``table`` through one frame and back."""
+    frame = encode_frame({"sub": 1, "kind": "delta", "version": 3, key: table})
+    return decode_payload(frame[4:])[key]
 
 
 @given(pairs=pair_lists())
 @settings(max_examples=200, deadline=None)
 def test_pair_table_roundtrips_through_a_frame(pairs):
-    """Empty, arity 0, mixed int/str/None values, negative multiplicities."""
+    """Empty, arity 0, every block kind, negative multiplicities — and the
+    JSON table of protocol 2 as the oracle: equal values, equal *types*
+    (``repr`` tells ``True`` from ``1``, ``1.0`` from ``1``, ``-0.0`` from
+    ``0.0``)."""
     table = wire_pairs(pairs)
-    assert set(table) == {"c", "m"} and len(table["m"]) == len(pairs)
-    assert unwire_pairs(table) == pairs  # in memory, no JSON in between
-    frame = encode_frame({"sub": 1, "kind": "delta", "version": 3, "delta": table})
-    assert unwire_pairs(decode_payload(frame[4:])["delta"]) == pairs
+    assert type(table) is PairTable and len(table) == len(pairs)
+    assert unwire_pairs(table) == pairs  # in memory, no frame in between
+    assert unwire_pairs(framed(table)) == pairs
     assert unwire_pairs(wire_pairs(dict(pairs).items())) == pairs
+    oracle = reference.unwire_pairs(json.loads(json.dumps(reference.wire_pairs(pairs))))
+    assert oracle == reference.unwire_pairs(reference.wire_pairs(pairs)) == pairs
+    assert repr(unwire_pairs(table)) == repr(unwire_pairs(framed(table))) == repr(oracle)
+    # a table off the wire can be read twice and framed again
+    received = framed(table)
+    assert list(iter_pairs(received)) == list(iter_pairs(received)) == pairs
+    assert repr(unwire_pairs(framed(received, key="result"))) == repr(oracle)
+
+
+@pytest.mark.parametrize(
+    "column, tag",
+    [
+        ([-128, 127], "b"), ([-129], "h"), ([128], "h"),
+        ([-(2**15), 2**15 - 1], "h"), ([2**15], "i"), ([-(2**15) - 1], "i"),
+        ([-(2**31), 2**31 - 1], "i"), ([2**31], "q"), ([-(2**31) - 1], "q"),
+        ([-(2**63), 2**63 - 1], "q"), ([2**63], "j"), ([-(2**63) - 1], "j"),
+        ([0, 0, 300], "h"), ([0, 0, 2**40], "q"), ([0, 0, 2**70], "j"),  # found late
+        ([1.5, -0.0], "d"), (["a", "é", "a"], "s"),
+        ([True, False], "j"), ([1, True], "j"), ([True, 1], "j"), ([None, None], "j"),
+        ([1, 2.0], "j"), ([1, "1"], "j"),
+    ],
+)  # fmt: skip
+def test_column_blocks_are_the_narrowest_that_round_trip(column, tag):
+    descriptor, block = encode_column(column)
+    assert descriptor[:2] == [tag, len(block)]
+    decoded = list(decode_column(descriptor, block, len(column)))
+    assert repr(decoded) == repr(column)
+    if tag in "bhiqd":
+        assert len(block) == {"b": 1, "h": 2, "i": 4, "q": 8, "d": 8}[tag] * len(column)
+    if tag == "s":  # one dictionary entry per distinct string
+        assert json.loads(block[: descriptor[2]]) == list(dict.fromkeys(column))
+
+
+def test_frames_without_a_table_are_the_json_frames_of_protocol_2():
+    message = {"op": "apply_batch", "id": 7, "updates": [["R", [1, "é"], -1]]}
+    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    assert encode_frame(message) == struct.pack(">I", len(payload)) + payload
+    table = wire_pairs([((1, 2), 1)])
+    assert encode_frame({"id": 1, "pairs": table})[4:5] == b"\x01"
+    with pytest.raises(ProtocolError):
+        encode_frame({"delta": table, "result": table})  # one table per message
+    with pytest.raises(ProtocolError):
+        wire_pairs([((1,), 2**63)])  # multiplicities are an integer block
 
 
 HOSTILE_PAIR_TABLES = [
@@ -185,13 +267,147 @@ def test_hostile_pair_table_is_a_protocol_error(table):
     assert state.version == 4 and state.result() == {(1,): 1}
 
 
+def table_payload(header, *blocks, header_length=None) -> bytes:
+    """A pair-table frame payload put together by hand (any header, any blocks)."""
+    encoded = header if isinstance(header, bytes) else json.dumps(header).encode()
+    length = len(encoded) if header_length is None else header_length
+    return b"\x01" + struct.pack(">I", length) + encoded + b"".join(blocks)
+
+
+def table_header(count, *descriptors, message=None, key="delta"):
+    return {"m": {"sub": 1} if message is None else message, "k": key, "n": count, "b": list(descriptors)}
+
+
+H2 = struct.pack("<2h", 7, 8)  # one "h" block of two items
+B2 = b"\x01\x01"  # one "b" block of two items: the multiplicities
+NAMES = json.dumps(["x", "y"]).encode()
+I2 = struct.pack("<2I", 0, 1)
+
+#: The binary twins of ``HOSTILE_PAIR_TABLES``: frame payloads, not objects.
+HOSTILE_TABLE_PAYLOADS = [
+    pytest.param(table_payload(table_header(2, ["h", 2], ["b", 2]), H2[:2], B2), id="block-shorter-than-items"),
+    pytest.param(table_payload(table_header(2, ["h", 6], ["b", 2]), H2 + b"\x00\x00", B2), id="block-longer-than-items"),
+    pytest.param(table_payload(table_header(2, ["h", 3], ["b", 2]), H2[:3], B2), id="block-not-a-multiple-of-itemsize"),
+    pytest.param(table_payload(table_header(2, ["h", 4], ["b", 200]), H2, B2), id="lengths-overrun-payload"),
+    pytest.param(table_payload(table_header(2, ["h", 4], ["b", 2]), H2, B2, b"\x00"), id="trailing-bytes"),
+    pytest.param(table_payload(table_header(2, ["h", 4], ["b", 2]), H2, B2, header_length=10_000), id="header-length-past-payload"),
+    pytest.param(b"\x01\x00\x00", id="prefix-truncated"),
+    pytest.param(table_payload(table_header(-2, ["h", 4], ["b", 2]), H2, B2), id="negative-n"),
+    pytest.param(table_payload(table_header(True, ["b", 1]), b"\x01"), id="bool-n"),
+    pytest.param(table_payload(table_header(2.0, ["h", 4], ["b", 2]), H2, B2), id="float-n"),
+    pytest.param(table_payload(table_header(None, ["b", 0])), id="n-missing"),
+    pytest.param(table_payload(table_header(10**30, ["b", 2]), B2), id="n-astronomical"),
+    pytest.param(table_payload(table_header(2, ["x", 4], ["b", 2]), H2, B2), id="unknown-tag"),
+    pytest.param(table_payload(table_header(2, ["I", 8], ["b", 2]), I2, B2), id="index-tag-as-a-column"),
+    pytest.param(table_payload(table_header(2, ["", 4], ["b", 2]), H2, B2), id="empty-tag"),
+    pytest.param(table_payload(table_header(2, ["hi", 4], ["b", 2]), H2, B2), id="two-letter-tag"),
+    pytest.param(table_payload(table_header(2, ["h", 4], ["bh", 2]), H2, B2), id="m-two-letter-tag"),
+    pytest.param(table_payload(table_header(2, [["h"], 4], ["b", 2]), H2, B2), id="tag-not-a-string"),
+    pytest.param(table_payload(table_header(2, ["h", "4"], ["b", 2]), H2, B2), id="length-not-an-integer"),
+    pytest.param(table_payload(table_header(2, ["h", -4], ["b", 2]), H2, B2), id="negative-length"),
+    pytest.param(table_payload(table_header(2, ["h", True], ["b", 2]), H2[:1], B2), id="bool-length"),
+    pytest.param(table_payload(table_header(2, "h", ["b", 2]), B2), id="descriptor-not-a-list"),
+    pytest.param(table_payload(table_header(2, ["h"], ["b", 2]), B2), id="descriptor-too-short"),
+    pytest.param(table_payload(table_header(2)), id="no-multiplicity-block"),
+    pytest.param(table_payload({"m": {"sub": 1}, "k": "delta", "n": 2, "b": {"h": 4}}, H2), id="descriptors-not-a-list"),
+    pytest.param(table_payload(table_header(2, ["h", 4], ["d", 16]), H2, struct.pack("<2d", 1.0, 1.0)), id="m-float-block"),
+    pytest.param(table_payload(table_header(2, ["h", 4], ["s", len(NAMES) + 8, len(NAMES)]), H2, NAMES, I2), id="m-string-block"),
+    pytest.param(table_payload(table_header(2, ["h", 4], ["j", 5]), H2, b"[1,1]"), id="m-json-block"),
+    pytest.param(table_payload(table_header(2, ["s", len(NAMES) + 8, len(NAMES)], ["b", 2]), NAMES, struct.pack("<2I", 0, 2), B2), id="index-out-of-range"),
+    pytest.param(table_payload(table_header(2, ["s", 10, 2], ["b", 2]), b"[]", I2, B2), id="index-into-empty-dictionary"),
+    pytest.param(table_payload(table_header(2, ["s", 17, 9], ["b", 2]), b'["x", 7] ', I2, B2), id="dictionary-holds-a-number"),
+    pytest.param(table_payload(table_header(2, ["s", 19, 11], ["b", 2]), b'{"x": "y"} ', I2, B2), id="dictionary-not-a-list"),
+    pytest.param(table_payload(table_header(2, ["s", 12, 4], ["b", 2]), b"\xff\xfe[]", I2, B2), id="dictionary-not-utf8"),
+    pytest.param(table_payload(table_header(2, ["s", len(NAMES) + 8, 99], ["b", 2]), NAMES, I2, B2), id="dictionary-length-past-block"),
+    pytest.param(table_payload(table_header(2, ["s", len(NAMES) + 8, -1], ["b", 2]), NAMES, I2, B2), id="dictionary-length-negative"),
+    pytest.param(table_payload(table_header(2, ["s", len(NAMES) + 8], ["b", 2]), NAMES, I2, B2), id="dictionary-length-missing"),
+    pytest.param(table_payload(table_header(2, ["s", len(NAMES) + 4, len(NAMES)], ["b", 2]), NAMES, I2[:4], B2), id="index-block-too-short"),
+    pytest.param(table_payload(table_header(2, ["j", 3], ["b", 2]), b"[1]", B2), id="json-block-too-few"),
+    pytest.param(table_payload(table_header(2, ["j", 7], ["b", 2]), b"[1,2,3]", B2), id="json-block-too-many"),
+    pytest.param(table_payload(table_header(2, ["j", 7], ["b", 2]), b"[1,[2]]", B2), id="json-block-nested-list"),
+    pytest.param(table_payload(table_header(2, ["j", 10], ["b", 2]), b'[1,{"a":2}', B2), id="json-block-truncated"),
+    pytest.param(table_payload(table_header(2, ["j", 9], ["b", 2]), b'{"0":1}  ', B2), id="json-block-not-a-list"),
+    pytest.param(table_payload(table_header(1, ["j", 4000], ["b", 1]), b"[" * 2000 + b"]" * 2000, b"\x01"), id="json-block-nesting-bomb"),
+    pytest.param(table_payload(table_header(2, ["h", 4], ["b", 2], message={"sub": 1, "delta": []}), H2, B2), id="two-values-for-the-table-key"),
+    pytest.param(table_payload(table_header(2, ["h", 4], ["b", 2], key=None), H2, B2), id="key-missing"),
+    pytest.param(table_payload(table_header(2, ["h", 4], ["b", 2], key=7), H2, B2), id="key-not-a-string"),
+    pytest.param(table_payload(table_header(2, ["h", 4], ["b", 2], message=[1]), H2, B2), id="message-not-an-object"),
+    pytest.param(table_payload([{"sub": 1}, "delta", 2, [["b", 2]]], B2), id="header-not-an-object"),
+    pytest.param(table_payload(b"null", B2), id="header-null"),
+    pytest.param(table_payload(b'{"m": {"sub": 1}, "k": "del', B2), id="header-truncated-json"),
+    pytest.param(table_payload(b"\xff\xfe{}", B2), id="header-not-utf8"),
+]  # fmt: skip
+
+
+def test_a_handmade_table_payload_decodes():
+    """The hostile payloads below are each one defect away from this one."""
+    payload = table_payload(table_header(2, ["h", 4], ["b", 2]), H2, B2)
+    assert unwire_pairs(decode_payload(payload)["delta"]) == [((7,), 1), ((8,), 1)]
+    payload = table_payload(
+        table_header(2, ["s", len(NAMES) + 8, len(NAMES)], ["j", 8], ["b", 2]), NAMES, I2, b"[null,1]", B2
+    )
+    assert unwire_pairs(decode_payload(payload)["delta"]) == [(("x", None), 1), (("y", 1), 1)]
+
+
+@pytest.mark.parametrize("payload", HOSTILE_TABLE_PAYLOADS)
+def test_hostile_table_payload_is_a_protocol_error(payload):
+    with pytest.raises(ProtocolError):
+        decode_payload(payload)
+    # off a socket it is the same error, so a client's reader ends with it
+    # before any mirror has seen a byte of the push
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        theirs.sendall(struct.pack(">I", len(payload)) + payload)
+        with pytest.raises(ProtocolError):
+            read_frame(ours)
+
+
+def is_wire_scalar(value) -> bool:
+    return type(value) in (int, float, str, bool, type(None))
+
+
+@given(pairs=pair_lists(), data=st.data())
+@settings(max_examples=500, deadline=None)
+def test_mutated_table_frames_decode_to_typed_pairs_or_a_protocol_error(pairs, data):
+    """Truncate, flip or splice any byte of a valid frame: what comes out is
+    well-typed pairs or ``ProtocolError`` — never ``struct.error``,
+    ``ValueError``, ``IndexError``, ``OverflowError`` or ``MemoryError``."""
+    payload = encode_frame({"sub": 1, "kind": "delta", "version": 3, "delta": wire_pairs(pairs)})[4:]
+    position = data.draw(st.integers(0, len(payload) - 1), label="position")
+    mutation = data.draw(st.sampled_from(("truncate", "flip", "splice")), label="mutation")
+    if mutation == "truncate":
+        mutated = payload[:position]
+    elif mutation == "flip":
+        bits = data.draw(st.integers(1, 255), label="bits")
+        mutated = payload[:position] + bytes([payload[position] ^ bits]) + payload[position + 1 :]
+    else:
+        inserted = data.draw(st.binary(max_size=8), label="inserted")
+        dropped = data.draw(st.integers(0, 8), label="dropped")
+        mutated = payload[:position] + inserted + payload[position + dropped :]
+    try:
+        message = decode_payload(mutated)
+        tables = [value for value in message.values() if type(value) is PairTable]
+        decoded = [unwire_pairs(table) for table in tables]
+    except ProtocolError:
+        return
+    for table, table_pairs in zip(tables, decoded):
+        assert len(table_pairs) == len(table)
+        for tup, mult in table_pairs:
+            assert type(tup) is tuple and all(map(is_wire_scalar, tup))
+            assert type(mult) is int
+
+
 def test_hostile_pair_tables_fail_only_their_own_session():
     """A live server fed every hostile table where it expects updates: the
     sender gets an error per frame, nothing is applied, and a subscribed
-    session beside it never notices.  A frame that is not a JSON object
-    then costs the sender — and only the sender — its connection."""
+    session beside it never notices.  So does a well-formed binary table
+    where updates belong.  A frame that is not a JSON object, or a binary
+    table frame with a defect, then costs the sender — and only the sender
+    — its connection."""
     tables = [param.values[0] for param in HOSTILE_PAIR_TABLES]
     tables.remove([])  # as an update list, an empty list is a valid empty batch
+    tables.append(wire_pairs([(("R", 0, 0), 1)]))
+    payloads = [param.values[0] for param in HOSTILE_TABLE_PAYLOADS]
     with serve() as (serving, handle):
         with EngineClient("127.0.0.1", handle.port) as healthy:
             subscription = healthy.subscribe()
@@ -209,6 +425,11 @@ def test_hostile_pair_tables_fail_only_their_own_session():
                 assert hostile.recv(1) == b""
             finally:
                 hostile.close()
+            for payload in payloads:
+                with socket.create_connection(("127.0.0.1", handle.port), 5) as hostile:
+                    hostile.settimeout(10)
+                    hostile.sendall(struct.pack(">I", len(payload)) + payload)
+                    assert hostile.recv(1) == b""
             assert serving.engine.version == version
             assert healthy.ping()["version"] == version
             committed = healthy.apply_batch([Update("R", (0, 0), 1)])
@@ -748,7 +969,7 @@ def test_commit_delta_is_wired_only_for_plain_subscribers(monkeypatch):
 
     def counting_wire_pairs(pairs):
         table = wire_pairs(pairs)
-        wired.append(len(table["m"]))
+        wired.append(len(table))
         return table
 
     with serve() as (serving, handle):
@@ -768,6 +989,60 @@ def test_commit_delta_is_wired_only_for_plain_subscribers(monkeypatch):
             assert subscription.wait_for_version(version, 10.0)
             assert len(wired) == 1 and wired[0] > 0
             assert subscription.result() == client.result()
+
+
+def test_a_commit_is_encoded_once_however_many_subscribers(monkeypatch):
+    """Column encodes per commit do not depend on the subscriber count: the
+    commit's table is built once, in the committing thread, and every
+    subscriber's frame carries the same blocks."""
+    import repro.net.protocol as protocol_module
+
+    encodes, threads = [], set()
+    encode = protocol_module.encode_column
+
+    def counting_encode_column(values):
+        encodes.append(len(values))
+        threads.add(threading.current_thread().name)
+        return encode(values)
+
+    commits = 6
+
+    def column_encodes(subscribers: int) -> int:
+        with serve() as (serving, handle):
+            with contextlib.ExitStack() as stack:
+                clients = [
+                    stack.enter_context(EngineClient("127.0.0.1", handle.port))
+                    for _ in range(subscribers)
+                ]
+                mirrors = [client.subscribe() for client in clients]
+                pushed = [record_applied_pushes(mirror.state) for mirror in mirrors]
+                del encodes[:]  # the subscribe responses wired the initial result
+                threads.clear()
+                for step in range(commits):
+                    version = clients[0].apply_batch(
+                        [Update("R", (0, step), 1), Update("S", (step, 0), 1)]
+                    )
+                for mirror in mirrors:
+                    assert mirror.wait_for_version(version, 10.0)
+                    assert mirror.state.deltas_applied == commits
+                    assert mirror.result() == serving.engine.result()
+                # ``push_bytes`` is the frames the subscribers were sent: a
+                # received table frames again to the size it arrived in
+                sent = sum(
+                    len(encode_frame({"sub": mirror.sid, "kind": kind, "version": at, "delta": table}))
+                    for mirror, events in zip(mirrors, pushed)
+                    for kind, at, table in events
+                )
+                stats = handle.server.stats.as_dict
+                assert wait_until(lambda: stats()["push_bytes"] == sent), (stats(), sent)
+                assert stats()["deltas_pushed"] == subscribers * commits
+                return len(encodes)
+
+    monkeypatch.setattr(protocol_module, "encode_column", counting_encode_column)
+    assert column_encodes(1) == commits * 3  # two result columns and the multiplicities
+    assert threads == {"repro-net-writer_0"}  # the committing thread
+    assert column_encodes(20) == commits * 3
+    assert threads == {"repro-net-writer_0"}
 
 
 def test_slow_subscriber_coalesces_to_resync():
@@ -878,6 +1153,8 @@ def test_metrics_over_http_and_op():
                 "# TYPE repro_snapshot_carried_indexes counter",
                 "repro_snapshot_replayed_entries",
                 "repro_net_connections_current 1",
+                "# TYPE repro_net_push_bytes_total counter",
+                "repro_net_push_bytes_total 0",
             ):
                 assert needle in text, f"{needle!r} missing:\n{text}"
             http = urllib.request.urlopen(

@@ -219,6 +219,7 @@ def durable_session(durability: DurabilityConfig) -> None:
                 "repro_engine_version",
                 "repro_serving_batches_applied",
                 "repro_net_deltas_pushed",
+                "repro_net_push_bytes_total",
                 "repro_aggregate_reads_total",
                 "repro_snapshot_carried_indexes",
                 'repro_net_aggregate_deltas_pushed_total{ring="sum"}',
@@ -233,10 +234,12 @@ def durable_session(durability: DurabilityConfig) -> None:
                 assert needle in text, f"{needle} missing from /metrics"
             stats = client.server_stats()
             assert stats["net"]["deltas_pushed"] >= BATCHES
+            assert stats["net"]["push_bytes"] > 0
             print(
                 "serve-smoke: metrics ok "
                 f"({len(text.splitlines())} exposition lines, "
-                f"{stats['net']['deltas_pushed']} deltas pushed)"
+                f"{stats['net']['deltas_pushed']} deltas pushed, "
+                f"{stats['net']['push_bytes']} push bytes)"
             )
     engine.close()
     assert engine.durability_stats.checkpoints_written > 1, "no background checkpoint"
