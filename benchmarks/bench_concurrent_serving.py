@@ -3,10 +3,12 @@
 Without snapshots every enumeration walks live view state, so a reader and a
 maintenance batch cannot overlap: reads serialize behind the in-flight batch
 and — worse — each reader gets at most one read per batch cycle, because the
-write lock alternates between the writer and the queued readers (exactly what
-``EngineServer(mode="locked")`` enforces).  With versioned snapshots
-(``mode="snapshot"``) a reader captures the engine version in ``O(plan)``
-under the lock and enumerates the immutable capture *outside* it, so readers
+one lock alternates between the writer and the queued readers.  That loop is
+the baseline, built here and nowhere else (``_run_serialized``): one
+``threading.Lock`` held around ``engine.apply_batch`` and around each full
+``engine.enumerate()``.  With versioned snapshots (``EngineServer``) the
+writer publishes a capture of each committed version in ``O(plan)`` under its
+lock and a reader enumerates that immutable capture *outside* it, so readers
 keep serving while a batch is mid-flight and are no longer rate-limited by
 the maintenance cadence.
 
@@ -19,12 +21,13 @@ materialized views) while the result — and with it the cost of one full
 enumeration and of one copy-on-write view capture — stays at ``DOM²`` tuples.
 A continuous writer applies consolidated batches of ``BATCH_SIZE`` updates; 4
 reader sessions enumerate the full result as fast as they can for a fixed
-wall-clock window.  Both modes run the identical writer loop and the
-identical reader sessions; the only difference is the serving mode.
+wall-clock window.  Both sides run the same writer loop and the same reader
+sessions; the only difference is what a read holds while it enumerates.
 
-*Sizing.*  The locked baseline serves four reads per batch cycle, so its
-rate is set by how long a batch holds the write lock, and the regime needs
-that hold to outlast four enumerations (~0.1 s here).  A batch holds the lock
+*Sizing.*  The serialized baseline (the ``locked`` row) serves four reads
+per batch cycle, so its rate is set by how long a batch holds the lock, and
+the regime needs that hold to outlast four enumerations (~0.1 s here).  A
+batch holds the lock
 for its *net* delta — what is left of ``BATCH_SIZE`` updates once same-tuple
 updates have cancelled — so ``BATCH_SIZE`` buys lock time only while the
 updates land on distinct tuples, of which ``R`` has ``DOM × KEYS``.  The two
@@ -44,13 +47,14 @@ engine version.
 """
 
 import random
+import threading
 import time
 from collections import deque
 
 import pytest
 
 from repro import Database, HierarchicalEngine, Update
-from repro.core.serving import EngineServer
+from repro.core.serving import EngineServer, ReadTicket
 from benchmarks.conftest import scaled
 
 PATH_QUERY = "Q(A, C) = R(A, B), S(B, C)"
@@ -115,22 +119,7 @@ def _check_ticket(ticket) -> None:
         seen.add(tup)
 
 
-def _run_mode(
-    mode: str,
-    database,
-    batch_size: int = BATCH_SIZE,
-    window: float = WINDOW_SECONDS,
-) -> dict:
-    """One serving window: continuous writer + READERS full-read sessions."""
-    engine = HierarchicalEngine(PATH_QUERY, epsilon=EPSILON)
-    engine.load(database)
-    server = EngineServer(engine, mode=mode)
-    batches = _endless_batches("R", (DOM, KEYS), seed=303, batch_size=batch_size)
-    server.start_writer(batches)
-    started = time.perf_counter()
-    tickets = server.run_readers(READERS, window)
-    elapsed = time.perf_counter() - started
-    server.stop_writer()
+def _row(mode: str, tickets, elapsed: float, batches: int) -> dict:
     for ticket in tickets[:: max(1, len(tickets) // 16)]:
         _check_ticket(ticket)
     tuples = sum(len(ticket.pairs) for ticket in tickets)
@@ -138,17 +127,75 @@ def _run_mode(
         "mode": mode,
         "readers": READERS,
         "reads": len(tickets),
-        "batches": server.stats.batches_applied,
+        "batches": batches,
         "reads_per_s": len(tickets) / elapsed,
         "tuples_per_s": tuples / elapsed,
         "versions_seen": len({ticket.version for ticket in tickets}),
     }
 
 
-def _best_of(mode: str, database) -> dict:
+def _run_snapshot(
+    database,
+    batch_size: int = BATCH_SIZE,
+    window: float = WINDOW_SECONDS,
+) -> dict:
+    """One serving window: continuous writer + READERS full-read sessions."""
+    engine = HierarchicalEngine(PATH_QUERY, epsilon=EPSILON)
+    engine.load(database)
+    server = EngineServer(engine)
+    batches = _endless_batches("R", (DOM, KEYS), seed=303, batch_size=batch_size)
+    server.start_writer(batches)
+    started = time.perf_counter()
+    tickets = server.run_readers(READERS, window)
+    elapsed = time.perf_counter() - started
+    server.stop_writer()
+    return _row("snapshot", tickets, elapsed, server.stats.batches_applied)
+
+
+def _run_serialized(database) -> dict:
+    """The same window with no snapshots: one lock, held by the writer for
+    each batch and by a reader for each whole enumeration of the live views."""
+    engine = HierarchicalEngine(PATH_QUERY, epsilon=EPSILON)
+    engine.load(database)
+    lock = threading.Lock()
+    stop = threading.Event()
+    applied = []
+
+    def writer() -> None:
+        for batch in _endless_batches("R", (DOM, KEYS), seed=303, batch_size=BATCH_SIZE):
+            if stop.is_set():
+                return
+            with lock:
+                engine.apply_batch(batch)
+            applied.append(1)
+
+    sessions = [[] for _ in range(READERS)]
+
+    def reader(tickets: list) -> None:
+        while time.perf_counter() < deadline:
+            with lock:
+                tickets.append(ReadTicket(engine.version, tuple(engine.enumerate())))
+
+    threads = [threading.Thread(target=writer, daemon=True)] + [
+        threading.Thread(target=reader, args=(tickets,)) for tickets in sessions
+    ]
+    started = time.perf_counter()
+    deadline = started + WINDOW_SECONDS
+    for thread in threads:
+        thread.start()
+    for thread in threads[1:]:
+        thread.join()
+    elapsed = time.perf_counter() - started
+    stop.set()
+    threads[0].join()
+    tickets = [ticket for session in sessions for ticket in session]
+    return _row("locked", tickets, elapsed, len(applied))
+
+
+def _best_of(run, database) -> dict:
     best = None
     for _ in range(ATTEMPTS):
-        row = _run_mode(mode, database)
+        row = run(database)
         if best is None or row["reads_per_s"] > best["reads_per_s"]:
             best = row
     return best
@@ -158,8 +205,8 @@ def _best_of(mode: str, database) -> dict:
 def serving_rows(figure_report):
     database = dense_cube_database()
     rows = [
-        _best_of("locked", database),
-        _best_of("snapshot", database),
+        _best_of(_run_serialized, database),
+        _best_of(_run_snapshot, database),
     ]
     locked = rows[0]
     for row in rows:
@@ -184,8 +231,7 @@ def test_snapshot_readers_observe_multiple_versions(figure_report, benchmark):
     """Snapshot reads must track the writer: several committed versions get
     served inside one window once commits are frequent enough."""
     benchmark(lambda: None)
-    row = _run_mode(
-        "snapshot",
+    row = _run_snapshot(
         dense_cube_database(),
         batch_size=FRESH_BATCH_SIZE,
         window=FRESH_WINDOW_SECONDS,

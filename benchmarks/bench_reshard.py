@@ -63,7 +63,7 @@ def _run_online_reshard(size):
     """One attempt: reshard 2→4 under a live writer; return the metrics."""
     engine = ShardedEngine(QUERY, shards=2, epsilon=EPSILON, executor="thread")
     engine.load(make_database(size))
-    server = EngineServer(engine, mode="locked")
+    server = EngineServer(engine)
 
     commits = []  # (started, latency) per writer commit
     stop = threading.Event()

@@ -178,7 +178,7 @@ def test_subscription_fanout_and_backpressure(figure_report):
     engine = HierarchicalEngine(QUERY, epsilon=0.5).load(seed_database())
     oracle = NaiveRecomputeEngine(QUERY)
     oracle.load(seed_database())
-    serving = EngineServer(engine, mode="snapshot")
+    serving = EngineServer(engine)
     config = ServerConfig(
         max_connections=SUBSCRIBERS + 16,
         max_subscriptions=SUBSCRIBERS + 16,

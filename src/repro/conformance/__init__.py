@@ -54,7 +54,6 @@ from repro.conformance.queries import (
 )
 from repro.conformance.runner import (
     ConformanceCase,
-    ConformanceError,
     ConformanceReport,
     Mismatch,
     aggregate_specs_for,
@@ -68,7 +67,6 @@ from repro.conformance.shrink import load_case, shrink_case, write_repro
 
 __all__ = [
     "ConformanceCase",
-    "ConformanceError",
     "ConformanceReport",
     "DataProfile",
     "LabeledQuery",

@@ -530,11 +530,7 @@ def check_aggregate_equivalence(
     with storage_backend("dict"):
         # database rebuilt inside the context so relations, partitions,
         # and views all live on the dict backend (mirrors the runner)
-        dict_database = Database()
-        for relation in database:
-            clone = dict_database.create_relation(relation.name, tuple(relation.schema))
-            for tup, mult in relation.items():
-                clone.apply_delta(tuple(tup), mult)
+        dict_database = Database.from_rows(database.to_rows())
         engines.append(
             (
                 f"ivm-dict-storage(eps={mid})",

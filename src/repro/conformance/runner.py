@@ -148,17 +148,10 @@ class ConformanceCase:
         aggregates: Sequence[Tuple[str, object, Sequence[str]]] = (),
     ) -> "ConformanceCase":
         """Capture a database + stream into a replayable case."""
-        relations = {
-            relation.name: (
-                tuple(relation.schema),
-                [(tup, mult) for tup, mult in relation.items()],
-            )
-            for relation in database
-        }
         updates = [(u.relation, u.tuple, u.multiplicity) for u in stream]
         return cls(
             query=query,
-            relations=relations,
+            relations=database.to_rows(),
             updates=updates,
             epsilons=tuple(epsilons),
             checkpoints=checkpoints,
@@ -169,12 +162,7 @@ class ConformanceCase:
 
     def database(self) -> Database:
         """Materialize a fresh database from the captured contents."""
-        db = Database()
-        for name, (schema, rows) in self.relations.items():
-            relation = db.create_relation(name, schema)
-            for tup, mult in rows:
-                relation.apply_delta(tuple(tup), mult)
-        return db
+        return Database.from_rows(self.relations)
 
     def update_objects(self) -> List[Update]:
         return [Update(rel, tuple(tup), mult) for rel, tup, mult in self.updates]
@@ -246,16 +234,6 @@ class Mismatch:
         )
 
 
-class ConformanceError(ReproError):
-    """Raised when a differential run diverges; carries the mismatches."""
-
-    def __init__(self, mismatches: Sequence[Mismatch]) -> None:
-        super().__init__(
-            "; ".join(str(m) for m in mismatches) or "conformance failure"
-        )
-        self.mismatches = tuple(mismatches)
-
-
 @dataclass
 class ConformanceReport:
     """Outcome of one differential run."""
@@ -269,10 +247,6 @@ class ConformanceReport:
     @property
     def ok(self) -> bool:
         return not self.mismatches
-
-    def raise_if_failed(self) -> None:
-        if self.mismatches:
-            raise ConformanceError(self.mismatches)
 
 
 class _Runner:

@@ -343,11 +343,9 @@ class HierarchicalEngine:
         constructor picks.  Only :mod:`repro.durability.recovery` calls
         this.
         """
-        database = Database()
-        for name, schema, rows in state["relations"]:
-            relation = database.create_relation(name, tuple(schema))
-            for tup, mult in rows:
-                relation.apply_delta(tuple(tup), int(mult))
+        database = Database.from_rows(
+            {name: (schema, rows) for name, schema, rows in state["relations"]}
+        )
         self._generation += 1
         self._cow_tracker = CowTracker()
         self._database = database
@@ -626,18 +624,6 @@ class HierarchicalEngine:
     # ------------------------------------------------------------------
     # ring-annotated aggregates
     # ------------------------------------------------------------------
-    def _coerce_spec(
-        self, ring: Union[Ring, str, AggregateSpec], value, group_by
-    ) -> AggregateSpec:
-        if isinstance(ring, AggregateSpec):
-            if value is not None or group_by is not None:
-                raise ValueError(
-                    "pass either an AggregateSpec or ring/value/group_by, "
-                    "not both"
-                )
-            return ring
-        return AggregateSpec(ring, value, group_by)
-
     def _aggregate_listener(self, state: MaintainedAggregate):
         def _on_delta(delta: Dict[ValueTuple, int]) -> None:
             state.on_delta(delta.items())
@@ -724,7 +710,7 @@ class HierarchicalEngine:
         their read cost into the engine's workload telemetry.
         """
         self._require_loaded()
-        spec = self._coerce_spec(ring, value, group_by)
+        spec = AggregateSpec.coerce(ring, value, group_by)
         if not maintained or self.mode != DYNAMIC_MODE or self._driver is None:
             return self.enumerate().aggregate(spec)
         state = self.register_aggregate(spec)

@@ -3,21 +3,19 @@
 :class:`EngineServer` wraps a :class:`~repro.core.api.HierarchicalEngine` or
 :class:`~repro.sharding.ShardedEngine` for multi-threaded deployments where
 one *writer* ingests update batches while any number of *reader sessions*
-enumerate results concurrently.  Two serving modes bound the design space:
+enumerate results concurrently.
 
-* ``mode="snapshot"`` — publish-on-commit serving.  After every batch the
-  writer captures a :class:`~repro.snapshot.Snapshot` (an ``O(plan)``
-  bookkeeping step, done while it still holds the write lock) and publishes
-  it; a read grabs the currently published handle and enumerates it with
-  *no* lock at all.  The write lock is held only for maintenance plus
-  capture, never for enumeration, so readers overlap batch maintenance and
-  each other, serving the last committed version while the next batch is
-  mid-flight; copy-on-write keeps every published version intact.
-* ``mode="locked"`` — the classical serialized read-after-write loop: a read
-  holds the write lock for its entire enumeration, so every reader waits for
-  the in-flight batch and blocks the writer (and all other readers) while it
-  enumerates.  This is the baseline
-  ``benchmarks/bench_concurrent_serving.py`` measures against.
+Serving is publish-on-commit.  After every batch the writer captures a
+:class:`~repro.snapshot.Snapshot` (an ``O(plan)`` bookkeeping step, done
+while it still holds the write lock) and publishes it; a read grabs the
+currently published handle and enumerates it with *no* lock at all.  The
+write lock is held only for maintenance plus capture, never for
+enumeration, so readers overlap batch maintenance and each other, serving
+the last committed version while the next batch is mid-flight;
+copy-on-write keeps every published version intact.  (The classical
+alternative — one lock held around each commit and around each whole
+enumeration — is the baseline ``benchmarks/bench_concurrent_serving.py``
+builds for itself and measures this against.)
 
 Reads return a :class:`ReadTicket` carrying the observed engine version, so
 callers can assert that every served result corresponds to a prefix of the
@@ -29,7 +27,7 @@ Example::
     from repro.core.serving import EngineServer
 
     engine = HierarchicalEngine("Q(A, C) = R(A, B), S(B, C)").load(db)
-    server = EngineServer(engine)                 # snapshot mode
+    server = EngineServer(engine)
     writer = server.start_writer(stream.batches(500))
     ticket = server.read()                        # never blocks on the writer
     print(ticket.version, len(ticket.pairs))
@@ -42,12 +40,11 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.data.schema import ValueTuple
 from repro.exceptions import WriterFailedError
-
-SERVING_MODES = ("snapshot", "locked")
 
 # A commit listener: called after every committed ingestion event with
 # ``(version, result_delta)`` — see EngineServer.on_commit.
@@ -128,9 +125,8 @@ class PinnedVersion:
     """One reader's hold on a served version (see :meth:`EngineServer.pin`).
 
     ``snapshot`` stays readable until :meth:`close`, which is idempotent and
-    safe from any thread.  On a published version it drops this reader's pin
-    (the snapshot is shared and closes once superseded and unpinned); a
-    private capture it closes outright.
+    safe from any thread: it drops this reader's pin (the snapshot is shared
+    and closes once superseded and unpinned).
     """
 
     def __init__(self, snapshot, release: Callable[[], None]) -> None:
@@ -164,16 +160,32 @@ class ReadTicket:
         return {tup: mult for tup, mult in self.pairs}
 
 
+def check_limit(limit, error=ValueError) -> Optional[int]:
+    """The ``limit`` of a read or of a page: ``None`` (none) or a positive
+    ``int``; anything else raises ``error``."""
+    if limit is not None and (type(limit) is not int or limit <= 0):
+        raise error(f"limit must be None or a positive integer, got {limit!r}")
+    return limit
+
+
+def take(enumerator, limit: Optional[int]) -> Tuple:
+    """The first ``limit`` items of ``enumerator`` (all of them for ``None``):
+    a served read, or one page of a paged one."""
+    return tuple(enumerator if limit is None else islice(enumerator, limit))
+
+
 class EngineServer:
     """Serve one loaded engine to a writer thread and N reader sessions."""
 
     def __init__(self, engine, mode: str = "snapshot", controller=None) -> None:
-        if mode not in SERVING_MODES:
+        # ``mode`` has one value left.  The keyword stays accepted only
+        # because benchmarks/e2e/ passes it and that directory is frozen
+        # outside a [benchmark] PR (ROADMAP item 5(a) drops both).
+        if mode != "snapshot":
             raise ValueError(
-                f"unknown serving mode {mode!r}; choose one of {SERVING_MODES}"
+                f"unknown serving mode {mode!r}; there is only 'snapshot'"
             )
         self.engine = engine
-        self.mode = mode
         # Optional repro.adaptive.AdaptiveController: consulted after every
         # committed batch (while the write lock is still held, before the
         # new version is published), so the served ε tracks the observed
@@ -187,8 +199,8 @@ class EngineServer:
         self._writer_thread: Optional[threading.Thread] = None
         self._writer_stop = threading.Event()
         self._writer_error: Optional[BaseException] = None
-        # The currently published snapshot (snapshot mode): swapped by the
-        # writer after each commit, read without holding the write lock.
+        # The currently published snapshot: swapped by the writer after
+        # each commit, read without holding the write lock.
         # Superseded snapshots cannot simply be dropped: readers may still
         # be enumerating them, and sharded snapshots hold shard-local
         # registry entries by strong reference (only the single-engine
@@ -269,8 +281,7 @@ class EngineServer:
                     pending_reshard = propose()
                     if pending_reshard is not None:
                         self._resharding = True
-            if self.mode == "snapshot":
-                self._publish_locked()
+            self._publish_locked()
             if self._commit_listeners:
                 drain = getattr(self.engine, "drain_result_delta", None)
                 delta = drain() if drain is not None else {}
@@ -328,8 +339,7 @@ class EngineServer:
             raise
         with self._write_lock:
             self.engine.finish_reshard(plan)
-            if self.mode == "snapshot":
-                self._publish_locked()
+            self._publish_locked()
             if self._commit_listeners:
                 version = self.engine.version
                 for listener in self._commit_listeners:
@@ -422,19 +432,15 @@ class EngineServer:
     def pin(self) -> PinnedVersion:
         """Hold the last committed version for one reader; ``close()`` it.
 
-        Snapshot mode pins the *published* version: no write lock, no
-        capture, so a reader never waits for the commit in flight — and
-        since a commit publishes before it returns, an acked write is in
-        the version pinned next.  The pin is counted under the publish
-        lock: a concurrent publish either swaps first (the newer entry is
-        pinned) or retires the entry only after the pin is in.  Only before
-        the first commit is nothing published yet; version 0 is then
-        captured under the write lock.  Locked mode publishes nothing: the
-        handle owns a private capture (see :meth:`snapshot`).
+        Pins the *published* version: no write lock, no capture, so a
+        reader never waits for the commit in flight — and since a commit
+        publishes before it returns, an acked write is in the version
+        pinned next.  The pin is counted under the publish lock: a
+        concurrent publish either swaps first (the newer entry is pinned)
+        or retires the entry only after the pin is in.  Only before the
+        first commit is nothing published yet; version 0 is then captured
+        under the write lock.
         """
-        if self.mode != "snapshot":
-            snapshot = self.snapshot()
-            return PinnedVersion(snapshot, snapshot.close)
         while True:
             with self._publish_lock:
                 entry = self._published
@@ -447,52 +453,33 @@ class EngineServer:
 
     @property
     def cold(self) -> bool:
-        """Snapshot mode with nothing published yet: the next :meth:`pin`
-        takes the write lock, and its reader makes the first frozen copies."""
-        return self.mode == "snapshot" and self._published is None
-
-    @staticmethod
-    def _consume(enumerator, limit: Optional[int]) -> Tuple:
-        if limit is None:
-            return tuple(enumerator)
-        pairs = []
-        for item in enumerator:
-            pairs.append(item)
-            if len(pairs) >= limit:
-                break
-        return tuple(pairs)
+        """Nothing published yet: the next :meth:`pin` takes the write lock,
+        and its reader makes the first frozen copies."""
+        return self._published is None
 
     def read(self, limit: Optional[int] = None) -> ReadTicket:
         """Serve one consistent read session.
 
-        In snapshot mode the read enumerates the currently *published*
-        snapshot — the last committed version — without taking any lock, so
-        it never waits for an in-flight batch; in locked mode the whole
-        enumeration happens under the write lock (the serialized
-        read-after-write baseline).  Either way the returned ticket's
-        ``pairs`` are a torn-read-free enumeration prefix of one engine
-        version — the full result with ``limit=None``, or the first
-        ``limit`` tuples (a page, in the paper's constant-delay enumeration
-        model) otherwise.  Raises
+        The read enumerates the currently *published* snapshot — the last
+        committed version — without taking any lock, so it never waits for
+        an in-flight batch.  The returned ticket's ``pairs`` are a
+        torn-read-free enumeration prefix of one engine version — the full
+        result with ``limit=None``, or the first ``limit`` tuples (a page,
+        in the paper's constant-delay enumeration model) otherwise.  Raises
         :class:`~repro.exceptions.WriterFailedError` if a started writer
         loop has died (see :meth:`check_writer`).
         """
+        check_limit(limit)
         self.check_writer()
         started = time.perf_counter()
-        if self.mode == "snapshot":
-            with self.pin() as pinned:
-                pairs = self._consume(pinned.snapshot.enumerate(), limit)
-                version = pinned.version
-            # snapshot reads bypass engine.enumerate(), so record the read
-            # into the engine's telemetry here (live reads in locked mode
-            # record themselves through the enumerator)
-            telemetry = getattr(self.engine, "telemetry", None)
-            if telemetry is not None:
-                telemetry.record_read(len(pairs), time.perf_counter() - started)
-        else:
-            with self._write_lock:
-                version = self.engine.version
-                pairs = self._consume(self.engine.enumerate(), limit)
+        with self.pin() as pinned:
+            pairs = take(pinned.snapshot.enumerate(), limit)
+            version = pinned.version
+        # snapshot reads bypass engine.enumerate(), so record the read
+        # into the engine's telemetry here
+        telemetry = getattr(self.engine, "telemetry", None)
+        if telemetry is not None:
+            telemetry.record_read(len(pairs), time.perf_counter() - started)
         self.stats.count_read()
         return ReadTicket(version=version, pairs=pairs)
 
@@ -500,9 +487,8 @@ class EngineServer:
         """One consistent aggregate read: ``(version, {group: (support, element)})``.
 
         Commits mutate the engine's maintained aggregate state under the
-        write lock, so the read takes it too (in *both* serving modes) —
-        the returned elements and version always belong to one committed
-        engine state.  Maintained reads are O(groups), so the lock hold is
+        write lock, so the read takes it too — the returned elements and
+        version always belong to one committed engine state.  Maintained reads are O(groups), so the lock hold is
         brief even when the result itself is huge; the networked server's
         aggregate ops and subscription resyncs all come through here.
         """

@@ -14,6 +14,12 @@ from repro.data.schema import ValueTuple
 from repro.exceptions import UnknownRelationError
 
 
+#: ``{name: (schema, [(tuple, multiplicity), ...])}`` — a database as plain
+#: picklable, JSON-able rows (:meth:`Database.to_rows`, worker pipes,
+#: checkpoints, conformance cases).
+DatabaseRows = Mapping[str, Tuple[Sequence[str], Iterable[Tuple[Sequence, int]]]]
+
+
 class Database:
     """A named collection of :class:`~repro.data.relation.Relation` objects."""
 
@@ -42,6 +48,35 @@ class Database:
                 relation.insert(tuple(tup))
             database.add_relation(relation)
         return database
+
+    @classmethod
+    def from_rows(cls, contents: DatabaseRows) -> "Database":
+        """Build a database from :meth:`to_rows` output."""
+        return cls().add_rows(contents)
+
+    def add_rows(self, contents: DatabaseRows) -> "Database":
+        """Apply every ``(tuple, multiplicity)`` row, creating the relations
+        that are missing; returns ``self``.
+
+        Rows are applied one by one in the order given: insertion order
+        seeds index iteration order and hence enumeration order, which
+        recovery promises to reproduce.
+        """
+        for name, (schema, rows) in contents.items():
+            if name in self._relations:
+                relation = self._relations[name]
+            else:
+                relation = self.create_relation(name, tuple(schema))
+            for tup, mult in rows:
+                relation.apply_delta(tuple(tup), mult)
+        return self
+
+    def to_rows(self) -> DatabaseRows:
+        """Flatten into picklable primitives (the inverse of :meth:`from_rows`)."""
+        return {
+            relation.name: (tuple(relation.schema), list(relation.items()))
+            for relation in self._relations.values()
+        }
 
     def add_relation(self, relation: Relation) -> None:
         """Register a relation (replacing any previous one with the same name)."""

@@ -119,11 +119,6 @@ class UpdateBatch:
         else:
             group[tup] = merged
 
-    @classmethod
-    def from_updates(cls, updates: Iterable[Update]) -> "UpdateBatch":
-        """Consolidate any iterable of updates (alias of the constructor)."""
-        return cls(updates)
-
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
@@ -151,18 +146,6 @@ class UpdateBatch:
     def deltas_by_relation(self) -> Dict[str, Dict[ValueTuple, int]]:
         """A copy of all per-relation net deltas."""
         return {name: dict(group) for name, group in self._deltas.items()}
-
-    def grouped_by_key(
-        self, relation: str, key_of: Callable[[ValueTuple], ValueTuple]
-    ) -> Dict[ValueTuple, Dict[ValueTuple, int]]:
-        """Group one relation's net delta by a partition key projection.
-
-        ``key_of`` is typically :meth:`repro.data.partition.Partition.key_of`.
-        """
-        grouped: Dict[ValueTuple, Dict[ValueTuple, int]] = {}
-        for tup, mult in self.delta_for(relation).items():
-            grouped.setdefault(key_of(tup), {})[tup] = mult
-        return grouped
 
     def updates(self) -> Iterator[Update]:
         """The net updates, grouped by relation (one per surviving entry)."""

@@ -97,16 +97,6 @@ class BoundRelation:
         """Multiplicity of a tuple given in variable order."""
         return self.relation.multiplicity(tup)
 
-    def multiplicity_of_assignment(self, assignment: Mapping[str, object]) -> int:
-        """Multiplicity of the tuple described by a (complete) assignment."""
-        try:
-            tup = tuple(assignment[v] for v in self.variables)
-        except KeyError:
-            raise SchemaError(
-                f"assignment {assignment!r} does not cover schema {self.variables!r}"
-            )
-        return self.relation.multiplicity(tup)
-
     # ------------------------------------------------------------------
     def _index_key(self, shared: Sequence[str]) -> Tuple[Schema, Tuple[str, ...]]:
         """Translate shared variables into the underlying index key schema.
@@ -147,22 +137,6 @@ class BoundRelation:
         columns, variable_order = self._index_key(shared)
         key = tuple(assignment[v] for v in variable_order)
         yield from self.relation.ensure_index(columns).group_items(key)
-
-    def count_matching(self, assignment: Mapping[str, object]) -> int:
-        """Number of distinct tuples matching ``assignment`` (constant time)."""
-        shared = [v for v in self.variables if v in assignment]
-        if len(shared) == len(self.variables):
-            tup = tuple(assignment[v] for v in self.variables)
-            return 1 if self.relation.multiplicity(tup) else 0
-        if not shared:
-            return len(self.relation)
-        columns, variable_order = self._index_key(shared)
-        key = tuple(assignment[v] for v in variable_order)
-        return self.relation.ensure_index(columns).group_size(key)
-
-    def contains_assignment(self, assignment: Mapping[str, object]) -> bool:
-        """Constant-time membership test of the assignment's key projection."""
-        return self.count_matching(assignment) > 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BoundRelation({self.variables!r} -> {self.relation.name!r})"

@@ -16,7 +16,6 @@ the enumeration delay is timed by
 
 from __future__ import annotations
 
-import time
 from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -24,7 +23,6 @@ from repro.data.relation import Relation
 from repro.data.schema import ValueTuple
 from repro.enumeration.plan import compile_enumeration
 from repro.enumeration.union import CallbackSource, UnionIterator
-from repro.exceptions import SchemaError
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.rings.spec import AggregateSpec, answer_map, fold_result
 
@@ -177,41 +175,6 @@ class ResultEnumerator:
     def aggregate(self, spec: AggregateSpec) -> Dict[ValueTuple, object]:
         """User-facing ``{group: answer}`` by enumerate-and-fold."""
         return answer_map(spec, self.aggregate_elements(spec))
-
-    def aggregate_group(self, spec: AggregateSpec, group: ValueTuple):
-        """Point aggregate of one group when the group key covers the head.
-
-        Returns ``(support, answer)``.  Only specs whose ``group_by`` is a
-        permutation of the full head qualify — the group then *is* a result
-        tuple, so its support comes from constant-time view lookups
-        (:meth:`lookup`) instead of an enumeration.  An absent group answers
-        the ring's zero answer with support 0.
-        """
-        positions = spec.group_positions(self.head)
-        if sorted(positions) != list(range(len(self.head))):
-            raise SchemaError(
-                f"point aggregate lookups need group_by to cover the full "
-                f"head {self.head!r}; got {spec.group_by!r}"
-            )
-        if len(group) != len(positions):
-            raise SchemaError(
-                f"group {group!r} does not match group_by {spec.group_by!r}"
-            )
-        self._check_valid()
-        started = time.perf_counter()
-        head_tup: List[object] = [None] * len(self.head)
-        for value, position in zip(group, positions):
-            head_tup[position] = value
-        tup = tuple(head_tup)
-        ring = spec.ring
-        support = self.lookup(tup)
-        if support == 0:
-            element = ring.zero()
-        else:
-            element = ring.lift(spec.value_extractor(self.head)(tup), support)
-        if self._telemetry is not None:
-            self._telemetry.record_read(1, time.perf_counter() - started)
-        return support, ring.answer(element)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[ValueTuple, int]:

@@ -10,9 +10,12 @@ The network layer puts a wire in front of the in-process serving stack
   :class:`ServerThread` adapter for synchronous hosts; serves requests,
   paged snapshot enumeration, push subscriptions with bounded-queue
   backpressure, and ``GET /metrics`` on the same port.
-* :mod:`repro.net.client` — the blocking :class:`EngineClient` and the
-  asyncio :class:`AsyncEngineClient`, both mirroring subscriptions
-  through the delta/resync state machine.
+* :mod:`repro.net.client` — :class:`AsyncEngineClient`, the one
+  implementation of the wire client, and :class:`EngineClient`, the same
+  client run on a private loop thread for blocking callers; subscriptions
+  are mirrored by one delta/resync state machine
+  (:class:`AsyncSubscription`, with ring addition as the merge rule in
+  :class:`AsyncAggregateSubscription`).
 * :mod:`repro.net.metrics` — Prometheus text-format export.
 
 See ``docs/architecture.md`` section 13 for the protocol contract, and
@@ -20,14 +23,13 @@ See ``docs/architecture.md`` section 13 for the protocol contract, and
 """
 
 from repro.net.client import (
-    AggregateSubscription,
-    AggregateSubscriptionState,
+    AsyncAggregateSubscription,
     AsyncEngineClient,
+    AsyncRemoteSnapshot,
     AsyncSubscription,
     EngineClient,
     RemoteSnapshot,
     Subscription,
-    SubscriptionState,
 )
 from repro.net.metrics import render_server_metrics
 from repro.net.protocol import (
@@ -48,9 +50,9 @@ from repro.net.server import (
 )
 
 __all__ = [
-    "AggregateSubscription",
-    "AggregateSubscriptionState",
+    "AsyncAggregateSubscription",
     "AsyncEngineClient",
+    "AsyncRemoteSnapshot",
     "AsyncSubscription",
     "ConnectionClosedError",
     "EngineClient",
@@ -63,7 +65,6 @@ __all__ = [
     "ServerConfig",
     "ServerThread",
     "Subscription",
-    "SubscriptionState",
     "render_server_metrics",
     "unwire_pairs",
     "unwire_updates",

@@ -2,9 +2,9 @@
 
 Every message on the wire is one *frame*: a 4-byte big-endian unsigned
 length followed by that many payload bytes encoding a single message
-object.  The same framing is used in both directions and by both the
-blocking (:mod:`socket`) client and the :mod:`asyncio` server, so the
-helpers here come in sync and async flavours sharing one encoder.
+object.  The same framing is used in both directions.  Client and server
+are :mod:`asyncio` code; tests and benchmarks play a raw peer with the
+blocking (:mod:`socket`) helpers.  Both flavours share one encoder.
 
 Two message shapes flow over a connection:
 

@@ -22,7 +22,11 @@ three kinds of traffic:
   :class:`~repro.rings.spec.AggregateSpec` into per-group ``(support
   delta, ring-element delta)`` rows — usually a few groups instead of
   thousands of tuples — and a lagging subscriber resyncs from one
-  O(groups) maintained read instead of a full enumeration.
+  O(groups) maintained read instead of a full enumeration.  Both flavours
+  are one code path: ``_open_subscription`` registers, reads and replies,
+  ``_read_full`` is the full read behind the reply and behind every
+  resync, and a commit reaches the subscribers as one dict of payloads
+  keyed ``None`` (the pair table) or ``spec.key()`` (folded rows).
 * **Plain HTTP** — the server peeks the first four bytes of every
   connection; ``GET `` switches the connection to a minimal HTTP/1.0
   responder so ``GET /metrics`` (Prometheus text format, see
@@ -49,10 +53,10 @@ import asyncio
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.planner import coerce_query
-from repro.core.serving import EngineServer
+from repro.core.serving import EngineServer, check_limit, take
 from repro.exceptions import ReproError, UnsupportedQueryError
 from repro.net.metrics import render_server_metrics
 from repro.net.protocol import (
@@ -312,32 +316,31 @@ class EngineTCPServer:
         # already published, and ``_op_subscribe`` registers before it
         # reads, so its initial read is at this version or a later one.
         # (``list`` snapshots the dict the event loop mutates.)
-        payload = None
+        payloads: Dict[Optional[Tuple], Any] = {}
         if any(sub.spec is None for sub in list(self._subscribers.values())):
-            payload = wire_pairs(delta.items())
-        agg_payloads: Dict[Tuple, list] = {}
+            payloads[None] = wire_pairs(delta.items())
         if self._agg_specs:
             head = tuple(self.serving.engine.query.head)
             items = list(delta.items())
             for key, (spec, _count) in list(self._agg_specs.items()):
-                agg_payloads[key] = _wire_elements(
+                payloads[key] = _wire_elements(
                     spec.ring, fold_delta(spec, head, items)
                 )
         try:
-            loop.call_soon_threadsafe(
-                self._publish_commit, version, payload, agg_payloads
-            )
+            loop.call_soon_threadsafe(self._publish_commit, version, payloads)
         except RuntimeError:  # pragma: no cover - loop torn down mid-commit
             pass
 
-    def _publish_commit(
-        self, version: int, wire_delta, agg_payloads: Optional[Dict] = None
-    ) -> None:
-        """Fan one commit out to every subscriber; runs on the event loop."""
+    def _publish_commit(self, version: int, payloads: Dict) -> None:
+        """Fan one commit out to every subscriber; runs on the event loop.
+
+        ``payloads`` holds the commit's pair table under ``None`` and one
+        folded row list per subscribed aggregate under its ``spec.key()``.
+        """
         if version > self.latest_version:
             self.latest_version = version
         self.stats.add("commits_observed")
-        agg_payloads = agg_payloads or {}
+        wire_delta = payloads.get(None)
         for sub in list(self._subscribers.values()):
             if sub.lagging:
                 # Coalesced: the pending resync marker covers this commit,
@@ -350,7 +353,7 @@ class EngineTCPServer:
             else:
                 # A spec registered after this commit was folded simply has
                 # no payload here; the subscriber's initial read covers it.
-                item = ("agg_delta", version, agg_payloads.get(sub.spec.key(), []))
+                item = ("delta", version, payloads.get(sub.spec.key(), []))
             try:
                 sub.queue.put_nowait(item)
             except asyncio.QueueFull:
@@ -370,12 +373,22 @@ class EngineTCPServer:
                     self.stats.add_ring_delta(sub.spec.ring.name)
                 self.stats.note_queue_depth(sub.queue.qsize())
 
+    async def _read_full(self, sub: _Subscriber) -> Tuple[int, Any]:
+        """One full read of what ``sub`` mirrors, ``(version, wire result)``:
+        the subscribe response and every resync frame carry one."""
+        if sub.spec is None:
+            ticket = await self._run(self.serving.read)
+            return ticket.version, wire_pairs(ticket.pairs)
+        version, elements = await self._run(self.serving.aggregate, sub.spec)
+        self.stats.add("aggregate_reads")
+        return version, _wire_elements(sub.spec.ring, elements)
+
     async def _subscription_sender(self, sub: _Subscriber) -> None:
         """Drain one subscriber's queue onto its connection."""
         try:
             while True:
                 item = await sub.queue.get()
-                if item[0] in ("delta", "agg_delta"):
+                if item[0] == "delta":
                     _, version, wire_delta = item
                     sent = await self._send(
                         sub.session,
@@ -387,28 +400,10 @@ class EngineTCPServer:
                         },
                     )
                     self.stats.add("push_bytes", sent)
-                elif sub.spec is not None:  # aggregate resync marker
-                    while True:
-                        version, elements = await self._run(
-                            self.serving.aggregate, sub.spec
-                        )
-                        if self.latest_version <= version:
-                            sub.lagging = False
-                            break
-                    self.stats.add("aggregate_reads")
-                    await self._send(
-                        sub.session,
-                        {
-                            "sub": sub.sid,
-                            "kind": "resync",
-                            "version": version,
-                            "result": _wire_elements(sub.spec.ring, elements),
-                        },
-                    )
                 else:  # resync marker
                     while True:
-                        ticket = await self._run(self.serving.read)
-                        if self.latest_version <= ticket.version:
+                        version, result = await self._read_full(sub)
+                        if self.latest_version <= version:
                             # Checked on the event loop with no await
                             # before the flag flip: no commit can land in
                             # between, so re-arming here is gap-free.
@@ -419,8 +414,8 @@ class EngineTCPServer:
                         {
                             "sub": sub.sid,
                             "kind": "resync",
-                            "version": ticket.version,
-                            "result": wire_pairs(ticket.pairs),
+                            "version": version,
+                            "result": result,
                         },
                     )
         except asyncio.CancelledError:
@@ -589,6 +584,12 @@ class EngineTCPServer:
     # ------------------------------------------------------------------
     # the HTTP side door
     # ------------------------------------------------------------------
+    def _metrics_text(self) -> str:
+        """The Prometheus exposition, for ``GET /metrics`` and the ``metrics`` op."""
+        return render_server_metrics(
+            self.serving, self.stats.as_dict(), ring_deltas=self.stats.ring_deltas()
+        )
+
     async def _serve_http(
         self,
         first: bytes,
@@ -606,13 +607,7 @@ class EngineTCPServer:
             parts = request_line.decode("latin-1").split()
             path = parts[1] if len(parts) >= 2 else "/"
             if path.split("?")[0] == "/metrics":
-                body = (
-                    render_server_metrics(
-                        self.serving,
-                        self.stats.as_dict(),
-                        ring_deltas=self.stats.ring_deltas(),
-                    )
-                ).encode("utf-8")
+                body = self._metrics_text().encode("utf-8")
                 status = "200 OK"
                 content_type = "text/plain; version=0.0.4; charset=utf-8"
             else:
@@ -665,14 +660,13 @@ class EngineTCPServer:
             "protocol": PROTOCOL_VERSION,
             "query": str(engine.query),
             "mode": getattr(engine, "mode", None),
-            "serving_mode": self.serving.mode,
             "epsilon": getattr(engine, "epsilon", None),
             "shards": getattr(engine, "shards", 1),
             "version": getattr(engine, "version", 0),
         }
 
     async def _op_read(self, session: _Session, message: Dict) -> Dict:
-        limit = message.get("limit")
+        limit = check_limit(message.get("limit"), ProtocolError)
         ticket = await self._run(self.serving.read, limit)
         return {"version": ticket.version, "pairs": wire_pairs(ticket.pairs)}
 
@@ -730,10 +724,10 @@ class EngineTCPServer:
 
     # -- snapshot paging ------------------------------------------------
     async def _pin(self):
-        """``EngineServer.pin()``: right here on the loop once snapshot mode
-        has published a version (it takes no write lock), off the loop in
-        locked mode and while cold (it may wait for a commit)."""
-        if self.serving.mode == "snapshot" and not self.serving.cold:
+        """``EngineServer.pin()``: right here on the loop once a version is
+        published (it takes no write lock), off the loop while cold (it may
+        wait for a commit)."""
+        if not self.serving.cold:
             return self.serving.pin()
         return await self._run(self.serving.pin)
 
@@ -760,25 +754,13 @@ class EngineTCPServer:
 
     async def _op_snapshot_page(self, session: _Session, message: Dict) -> Dict:
         sid, snapshot = self._session_snapshot(session, message)
-        limit = int(message.get("limit", 100))
-        if limit <= 0:
-            raise ProtocolError(f"page limit must be positive, got {limit}")
-        iterator = session.iterators[sid]
-
-        def pull():
-            page = []
-            for pair in iterator:
-                page.append(pair)
-                if len(page) >= limit:
-                    return page, False
-            return page, True
-
-        page, done = await self._run(pull)
+        limit = check_limit(message.get("limit"), ProtocolError) or 100
+        page = await self._run(take, session.iterators[sid], limit)
         return {
             "snap": sid,
             "version": snapshot.version,
             "pairs": wire_pairs(page),
-            "done": done,
+            "done": len(page) < limit,  # the cursor ran out inside this page
         }
 
     async def _op_snapshot_lookup(self, session: _Session, message: Dict) -> Dict:
@@ -795,7 +777,26 @@ class EngineTCPServer:
         return {"snap": sid, "closed": True}
 
     # -- subscriptions --------------------------------------------------
-    async def _op_subscribe(self, session: _Session, message: Dict) -> Optional[Dict]:
+    async def _op_subscribe(self, session: _Session, message: Dict) -> None:
+        engine = self.serving.engine
+        requested = message.get("query")
+        if requested is not None and coerce_query(requested) != engine.query:
+            raise UnsupportedQueryError(
+                f"this server serves {str(engine.query)!r}; subscribe to it "
+                f"(got {requested!r})"
+            )
+        await self._open_subscription(session, message, None)
+
+    async def _op_subscribe_aggregate(self, session: _Session, message: Dict) -> None:
+        """Open one aggregate subscription: full elements now, folded
+        group deltas per commit after (see :meth:`_on_engine_commit`)."""
+        spec = AggregateSpec.from_wire(message.get("spec") or {})
+        await self._open_subscription(session, message, spec)
+
+    async def _open_subscription(
+        self, session: _Session, message: Dict, spec: Optional[AggregateSpec]
+    ) -> None:
+        """Register a subscriber, answer with the full state, start its sender."""
         self.serving.check_writer()
         engine = self.serving.engine
         if getattr(engine, "mode", None) != "dynamic":
@@ -804,12 +805,6 @@ class EngineTCPServer:
                 f"a {getattr(engine, 'mode', 'unknown')!r}-mode engine with "
                 "no per-commit delta capture"
             )
-        requested = message.get("query")
-        if requested is not None and coerce_query(requested) != engine.query:
-            raise UnsupportedQueryError(
-                f"this server serves {str(engine.query)!r}; subscribe to it "
-                f"(got {requested!r})"
-            )
         if len(self._subscribers) >= self.config.max_subscriptions:
             raise ProtocolError(
                 f"subscription limit reached ({self.config.max_subscriptions})"
@@ -819,77 +814,27 @@ class EngineTCPServer:
         if requested_queue is not None:
             queue_size = max(1, min(int(requested_queue), queue_size))
         self._next_subscription += 1
-        sub = _Subscriber(self._next_subscription, session, queue_size)
-        # Register FIRST, then read: every commit after this point is
-        # queued, and the read observes at least every commit before it —
-        # the client skips pushed versions <= the initial version, so the
-        # overlap is deduplicated and there is no gap.
+        sub = _Subscriber(self._next_subscription, session, queue_size, spec)
+        # Register FIRST — subscriber and spec in one event-loop step — then
+        # read: every commit after this point is queued (the committing
+        # thread folds the spec for it), and the read observes at least
+        # every commit before it.  The client skips pushed versions <= the
+        # initial version, so the overlap is deduplicated and there is no gap.
         self._subscribers[sub.sid] = sub
         session.subscribers[sub.sid] = sub
-        self.stats.add("subscriptions_total")
-        self.stats.add("subscribers_current")
-        try:
-            ticket = await self._run(self.serving.read)
-        except BaseException:
-            self._drop_subscriber(sub)
-            raise
-        await self._send(
-            session,
-            {
-                "id": message.get("id"),
-                "ok": True,
-                "sub": sub.sid,
-                "version": ticket.version,
-                "result": wire_pairs(ticket.pairs),
-            },
-        )
-        assert self._loop is not None
-        sub.task = self._loop.create_task(self._subscription_sender(sub))
-        return None  # response already sent (before the sender could race it)
-
-    async def _op_subscribe_aggregate(
-        self, session: _Session, message: Dict
-    ) -> Optional[Dict]:
-        """Open one aggregate subscription: full elements now, folded
-        group deltas per commit after (see :meth:`_on_engine_commit`)."""
-        self.serving.check_writer()
-        engine = self.serving.engine
-        if getattr(engine, "mode", None) != "dynamic":
-            raise UnsupportedQueryError(
-                "aggregate subscriptions require a dynamic engine; this "
-                f"server fronts a {getattr(engine, 'mode', 'unknown')!r}-mode "
-                "engine with no per-commit delta capture"
-            )
-        spec = AggregateSpec.from_wire(message.get("spec") or {})
-        if len(self._subscribers) >= self.config.max_subscriptions:
-            raise ProtocolError(
-                f"subscription limit reached ({self.config.max_subscriptions})"
-            )
-        queue_size = self.config.subscriber_queue_size
-        requested_queue = message.get("queue")
-        if requested_queue is not None:
-            queue_size = max(1, min(int(requested_queue), queue_size))
-        self._next_subscription += 1
-        sub = _Subscriber(self._next_subscription, session, queue_size, spec=spec)
-        # Register subscriber AND spec first (one event-loop step, so the
-        # committing thread either folds this spec for a commit or the
-        # initial read below observes that commit), then read; the client
-        # skips pushed versions <= the initial version, closing the overlap.
-        self._subscribers[sub.sid] = sub
-        session.subscribers[sub.sid] = sub
-        entry = self._agg_specs.get(spec.key())
-        if entry is None:
-            self._agg_specs[spec.key()] = [spec, 1]
+        if spec is None:
+            self.stats.add("subscriptions_total")
+            self.stats.add("subscribers_current")
         else:
-            entry[1] += 1
-        self.stats.add("agg_subscriptions_total")
-        self.stats.add("agg_subscribers_current")
+            self._agg_specs.setdefault(spec.key(), [spec, 0])[1] += 1
+            self.stats.add("agg_subscriptions_total")
+            self.stats.add("agg_subscribers_current")
         try:
-            version, elements = await self._run(self.serving.aggregate, spec)
+            version, result = await self._read_full(sub)
         except BaseException:
             self._drop_subscriber(sub)
             raise
-        self.stats.add("aggregate_reads")
+        # The response goes out here, before the sender could race it.
         await self._send(
             session,
             {
@@ -897,12 +842,11 @@ class EngineTCPServer:
                 "ok": True,
                 "sub": sub.sid,
                 "version": version,
-                "result": _wire_elements(spec.ring, elements),
+                "result": result,
             },
         )
         assert self._loop is not None
         sub.task = self._loop.create_task(self._subscription_sender(sub))
-        return None  # response already sent (before the sender could race it)
 
     async def _op_unsubscribe(self, session: _Session, message: Dict) -> Dict:
         sid = message.get("sub")
@@ -914,12 +858,7 @@ class EngineTCPServer:
 
     # -- introspection --------------------------------------------------
     async def _op_metrics(self, session: _Session, message: Dict) -> Dict:
-        text = render_server_metrics(
-            self.serving,
-            self.stats.as_dict(),
-            ring_deltas=self.stats.ring_deltas(),
-        )
-        return {"text": text}
+        return {"text": self._metrics_text()}
 
     async def _op_stats(self, session: _Session, message: Dict) -> Dict:
         serving = self.serving.stats

@@ -95,6 +95,20 @@ class AggregateSpec:
         else:
             self.group_by = tuple(group_by)
 
+    @classmethod
+    def coerce(cls, ring, value=None, group_by=None) -> "AggregateSpec":
+        """The spec behind every ``aggregate(ring, value, group_by)`` surface:
+        ``ring`` is either a prebuilt spec (then the other two must be left
+        out) or a ring to build one from."""
+        if isinstance(ring, cls):
+            if value is not None or group_by is not None:
+                raise ValueError(
+                    "pass either an AggregateSpec or ring/value/group_by, "
+                    "not both"
+                )
+            return ring
+        return cls(ring, value, group_by)
+
     # ------------------------------------------------------------------
     # identity / wire form
     # ------------------------------------------------------------------

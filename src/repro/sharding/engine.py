@@ -288,11 +288,7 @@ class ShardedSnapshot:
         ``maintained=False``), so the answer is frozen at the captured
         version regardless of how far the live fleet has moved on.
         """
-        spec = (
-            ring
-            if isinstance(ring, AggregateSpec)
-            else AggregateSpec(ring, value, group_by)
-        )
+        spec = AggregateSpec.coerce(ring, value, group_by)
         head = tuple(self._engine.query.head)
         return answer_map(spec, fold_result(spec, head, self.enumerate()))
 
@@ -850,18 +846,11 @@ class ShardedEngine:
     # ------------------------------------------------------------------
     # ring-annotated aggregates
     # ------------------------------------------------------------------
+    @staticmethod
     def _coerce_spec(
-        self, ring: Union[Ring, str, AggregateSpec], value, group_by
+        ring: Union[Ring, str, AggregateSpec], value=None, group_by=None
     ) -> AggregateSpec:
-        if isinstance(ring, AggregateSpec):
-            if value is not None or group_by is not None:
-                raise ValueError(
-                    "pass either an AggregateSpec or ring/value/group_by, "
-                    "not both"
-                )
-            spec = ring
-        else:
-            spec = AggregateSpec(ring, value, group_by)
+        spec = AggregateSpec.coerce(ring, value, group_by)
         # Fail the way the shard pipe would, but at the facade: callable
         # value selectors cannot cross a worker boundary.
         spec.to_wire()
@@ -881,7 +870,7 @@ class ShardedEngine:
                 "maintained aggregates require the dynamic engine; a static "
                 "deployment answers by enumerate-and-fold via aggregate()"
             )
-        spec = self._coerce_spec(spec, None, None)
+        spec = self._coerce_spec(spec)
         self._agg_specs[spec.key()] = spec
         if self._executor is not None:
             self._executor.broadcast("register_aggregate", spec.to_wire())
@@ -1046,13 +1035,7 @@ class ShardedEngine:
         """
         combined = Database()
         for payload in plan.payloads:
-            for name, (schema, rows) in payload.items():
-                if name in combined:
-                    relation = combined.relation(name)
-                else:
-                    relation = combined.create_relation(name, schema)
-                for tup, mult in rows:
-                    relation.apply_delta(tuple(tup), mult)
+            combined.add_rows(payload)
         router = ShardRouter(self.query, plan.new_count, self._shard_key_choice)
         plan.epoch = self._epoch + 1
         plan.fleet = self._start_fleet(

@@ -44,7 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro.exceptions as repro_exceptions
 from repro.core.api import HierarchicalEngine
-from repro.data.database import Database
+from repro.data.database import Database, DatabaseRows
 from repro.durability.crashpoints import (
     SimulatedCrashError,
     _injector_from_env,
@@ -56,29 +56,6 @@ from repro.exceptions import WorkerDiedError
 from repro.ivm.rebalance import RebalanceStats
 from repro.rings.spec import AggregateSpec
 from repro.sharding.router import ShardRouter
-
-DatabasePayload = Dict[str, Tuple[Tuple[str, ...], List[Tuple[Tuple, int]]]]
-
-
-def database_to_payload(database: Database) -> DatabasePayload:
-    """Flatten a database into picklable primitives for a worker pipe."""
-    return {
-        relation.name: (
-            tuple(relation.schema),
-            [(tup, mult) for tup, mult in relation.items()],
-        )
-        for relation in database
-    }
-
-
-def database_from_payload(payload: DatabasePayload) -> Database:
-    """Rebuild a database from :func:`database_to_payload` output."""
-    database = Database()
-    for name, (schema, rows) in payload.items():
-        relation = database.create_relation(name, schema)
-        for tup, mult in rows:
-            relation.apply_delta(tuple(tup), mult)
-    return database
 
 
 class _ShardServer:
@@ -133,7 +110,7 @@ class _ShardServer:
             # Reshard cut: the shard's full base data as a picklable
             # payload.  The caller stops routing writes to this fleet
             # before exporting, so the payload is a consistent cut.
-            return database_to_payload(self.engine.database)
+            return self.engine.database.to_rows()
         if command == "snapshot":
             self._snapshot_seq += 1
             self._snapshots[self._snapshot_seq] = [self.engine.snapshot(), None]
@@ -265,7 +242,7 @@ def _worker_main(
     shard_index: int,
     shard_count: int,
     shard_key: Optional[str],
-    payload: Optional[DatabasePayload],
+    payload: Optional[DatabaseRows],
     durability: Optional[DurabilityConfig] = None,
 ) -> None:
     """Entry point of one shard worker process: a command loop over a pipe.
@@ -289,7 +266,7 @@ def _worker_main(
             shard_index,
             shard_count,
             shard_key,
-            None if payload is None else database_from_payload(payload),
+            None if payload is None else Database.from_rows(payload),
             durability,
         )
         connection.send(("ok", None))
@@ -490,14 +467,14 @@ class ProcessExecutor(ShardExecutor):
         self._conn_locks = [threading.Lock() for _ in databases]
         for index, database in enumerate(databases):
             connection, process = self._spawn_worker(
-                index, None if database is None else database_to_payload(database)
+                index, None if database is None else database.to_rows()
             )
             self._connections.append(connection)
             self._processes.append(process)
         for connection in self._connections:
             self._receive(connection)
 
-    def _spawn_worker(self, index: int, payload: Optional[DatabasePayload]):
+    def _spawn_worker(self, index: int, payload: Optional[DatabaseRows]):
         """Fork one shard worker (``payload=None`` → recovery mode)."""
         query_text, engine_kwargs, shard_key, durability = self._start_args
         parent_end, child_end = self._context.Pipe()

@@ -136,11 +136,7 @@ class Snapshot:
         :class:`~repro.exceptions.StaleStateError`, exactly like its
         enumeration.
         """
-        spec = (
-            ring
-            if isinstance(ring, AggregateSpec)
-            else AggregateSpec(ring, value, group_by)
-        )
+        spec = AggregateSpec.coerce(ring, value, group_by)
         return self.enumerate().aggregate(spec)
 
     def lookup(self, tup: ValueTuple) -> int:

@@ -82,9 +82,6 @@ class VariableNode(VONode):
     def variable_children(self) -> Tuple["VariableNode", ...]:
         return tuple(c for c in self.children if isinstance(c, VariableNode))
 
-    def atom_children(self) -> Tuple[AtomNode, ...]:
-        return tuple(c for c in self.children if isinstance(c, AtomNode))
-
     def subtree_variables(self) -> FrozenSet[str]:
         """All variables in the subtree rooted at this node (including itself)."""
         result = {self.variable}
@@ -238,9 +235,6 @@ class VariableOrder:
     # ------------------------------------------------------------------
     # misc
     # ------------------------------------------------------------------
-    def component_roots(self) -> Tuple[VONode, ...]:
-        return self.roots
-
     def pretty(self) -> str:
         """Render the forest as an indented string (used in docs and debugging)."""
         lines: List[str] = []

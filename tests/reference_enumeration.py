@@ -103,7 +103,7 @@ def _direct_lookup(
     bound = BoundRelation(tree.schema, tree.relation())
     missing = [v for v in tree.schema if v not in assignment]
     if not missing:
-        return bound.multiplicity_of_assignment(assignment)
+        return bound.multiplicity(tuple(assignment[v] for v in tree.schema))
     # Defensive fallback: some schema variable is not fixed by the assignment
     # (this does not happen for the trees built by τ, but keeps the function
     # total); aggregate over the matching entries.

@@ -211,3 +211,25 @@ def test_sharded_facade_rejects_callable_specs_eagerly():
     with pytest.raises(TypeError, match="cannot cross"):
         sharded.register_aggregate(AggregateSpec("sum", lambda tup: tup[0]))
     sharded.close()
+
+
+def test_a_prebuilt_spec_excludes_value_and_group_by_on_every_surface():
+    """One coercion (`AggregateSpec.coerce`): engines and snapshots, single
+    and sharded, refuse a spec passed together with `value` / `group_by`."""
+    spec = SPECS[1]
+    assert AggregateSpec.coerce(spec) is spec
+    assert AggregateSpec.coerce("sum", "C", ("A",)).key() == spec.key()
+    single = HierarchicalEngine(QUERY, epsilon=0.5).load(make_database())
+    sharded = ShardedEngine(QUERY, shards=2, epsilon=0.5, executor="serial")
+    sharded.load(make_database())
+    snapshots = [single.snapshot(), sharded.snapshot()]
+    for surface in (single, sharded, *snapshots):
+        with pytest.raises(ValueError, match="not both"):
+            surface.aggregate(spec, value="A")
+        with pytest.raises(ValueError, match="not both"):
+            surface.aggregate(spec, group_by=("C",))
+        assert surface.aggregate(spec) == surface.aggregate("sum", "C", ("A",))
+    for snapshot in snapshots:
+        snapshot.close()
+    sharded.close()
+    single.close()

@@ -55,20 +55,6 @@ class TestUpdateBatchConsolidation:
             (u.relation, u.tuple, u.multiplicity) for u in batch.updates()
         ) == [("R", (1, 2), 1), ("R", (4, 5), -1), ("S", (2, 3), 1)]
 
-    def test_grouped_by_key(self):
-        batch = UpdateBatch(
-            [
-                Update("R", (1, 10), 1),
-                Update("R", (2, 10), 1),
-                Update("R", (3, 20), 1),
-            ]
-        )
-        grouped = batch.grouped_by_key("R", key_of=lambda tup: (tup[1],))
-        assert grouped == {
-            (10,): {(1, 10): 1, (2, 10): 1},
-            (20,): {(3, 20): 1},
-        }
-
     def test_apply_to_database(self):
         database = Database.from_dict({"R": (("A", "B"), [(1, 2)])})
         batch = UpdateBatch(

@@ -93,7 +93,7 @@ def run_stress(engine, workload) -> int:
     """Writer thread + READERS reader threads; returns the number of reads."""
     database, batches, prefix = workload
     engine.load(database)
-    server = EngineServer(engine, mode="snapshot")
+    server = EngineServer(engine)
     writer = server.start_writer(batches)
     tickets = server.run_readers(READERS, WINDOW_SECONDS)
     writer.join()  # drain the full stream so every version is well-defined
@@ -116,7 +116,7 @@ class TestHierarchicalStress:
         """Readers capturing their own snapshots (not the published one)."""
         database, batches, prefix = workload
         engine = HierarchicalEngine(PATH_QUERY, epsilon=0.5).load(database)
-        server = EngineServer(engine, mode="snapshot")
+        server = EngineServer(engine)
         errors = []
         observed = []
 
@@ -169,7 +169,7 @@ class TestTrailingReplicaStress:
             prefix[version] = dict(oracle.result())
 
         engine = HierarchicalEngine(PATH_QUERY, epsilon=1.0).load(database)
-        server = EngineServer(engine, mode="snapshot")
+        server = EngineServer(engine)
         # The writer's first commit waits for the first served read: a writer
         # free to start ahead of the readers can finish all 120 commits
         # before any of them reads, and then no read overlaps a replay.
@@ -251,5 +251,6 @@ class TestWriterErrorSurfacing:
     def test_unknown_mode_rejected(self, workload):
         database, _batches, _prefix = workload
         engine = HierarchicalEngine(PATH_QUERY).load(database)
-        with pytest.raises(ValueError):
-            EngineServer(engine, mode="optimistic")
+        for mode in ("optimistic", "locked"):
+            with pytest.raises(ValueError):
+                EngineServer(engine, mode=mode)

@@ -43,6 +43,21 @@ class TestDatabase:
         clone.relation("R").insert((2,))
         assert (2,) not in db.relation("R")
 
+    def test_rows_roundtrip_keeps_order_and_merges_into_existing_relations(self):
+        rows = {
+            "S": (("B", "C"), [((3, 1), 2), ((1, 9), 1), ((2, 2), 5)]),
+            "R": (("A",), [([7], 1), ([4], 3)]),  # JSON hands tuples back as lists
+        }
+        db = Database.from_rows(rows)
+        assert db.names() == ("S", "R")
+        assert list(db.relation("S").items()) == rows["S"][1]
+        assert list(db.relation("R").items()) == [((7,), 1), ((4,), 3)]
+        assert Database.from_rows(db.to_rows()).to_rows() == db.to_rows()
+        # add_rows merges: an existing relation takes the rows, a new one is created
+        assert db.add_rows({"R": (("A",), [((7,), -1), ((5,), 1)]), "T": (("X",), [])}) is db
+        assert list(db.relation("R").items()) == [((4,), 3), ((5,), 1)]
+        assert db.names() == ("S", "R", "T") and len(db.relation("T")) == 0
+
     def test_getitem_and_iter(self):
         db = Database.from_dict({"R": (("A",), [(1,)]), "S": (("B",), [(2,)])})
         assert db["R"].name == "R"

@@ -39,7 +39,6 @@ class TestBoundRelation:
     def test_multiplicity_lookup(self):
         bound = self.make_bound()
         assert bound.multiplicity((1, 3)) == 2
-        assert bound.multiplicity_of_assignment({"A": 1, "B": 2}) == 1
 
     def test_matching_with_partial_assignment(self):
         bound = self.make_bound()
@@ -58,12 +57,6 @@ class TestBoundRelation:
     def test_matching_ignores_unrelated_context_variables(self):
         bound = self.make_bound()
         assert dict(bound.matching({"Z": 5, "A": 4})) == {(4, 2): 1}
-
-    def test_count_and_contains(self):
-        bound = self.make_bound()
-        assert bound.count_matching({"A": 1}) == 2
-        assert bound.contains_assignment({"B": 2})
-        assert not bound.contains_assignment({"B": 99})
 
 
 class TestJoinChildren:

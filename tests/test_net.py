@@ -28,7 +28,6 @@ from repro import Database, HierarchicalEngine, Update
 from repro.baselines.naive import NaiveRecomputeEngine
 from repro.core.api import StaticEngine
 from repro.core.serving import EngineServer
-from repro.exceptions import StaleStateError
 from repro.net import (
     AsyncEngineClient,
     EngineClient,
@@ -36,7 +35,7 @@ from repro.net import (
     ServerConfig,
     ServerThread,
 )
-from repro.net.client import SubscriptionState
+from repro.net.client import AsyncSubscription
 from repro.net.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -95,11 +94,11 @@ def mixed_batch(rng: random.Random, inserted) -> list:
 
 
 @contextlib.contextmanager
-def serve(engine=None, config=None, mode="snapshot", controller=None):
+def serve(engine=None, config=None, controller=None):
     owns_engine = engine is None
     if engine is None:
         engine = HierarchicalEngine(PATH_QUERY, epsilon=0.5).load(make_database())
-    serving = EngineServer(engine, mode=mode, controller=controller)
+    serving = EngineServer(engine, controller=controller)
     handle = ServerThread(serving, config or ServerConfig()).start()
     try:
         yield serving, handle
@@ -259,12 +258,12 @@ def test_hostile_pair_table_is_a_protocol_error(table):
     with pytest.raises(ProtocolError):
         unwire_pairs(parsed)
     # the mirrors raise the same error and keep their state
-    state = SubscriptionState(4, [((1,), 1)])
+    state = AsyncSubscription(1, 4, wire_pairs([((1,), 1)]))
     with pytest.raises(ProtocolError):
-        state.apply_push({"kind": "delta", "version": 5, "delta": parsed})
+        state.apply({"kind": "delta", "version": 5, "delta": parsed})
     with pytest.raises(ProtocolError):
-        state.apply_push({"kind": "resync", "version": 5, "result": parsed})
-    assert state.version == 4 and state.result() == {(1,): 1}
+        state.apply({"kind": "resync", "version": 5, "result": parsed})
+    assert state.version == 4 and state.result == {(1,): 1}
 
 
 def table_payload(header, *blocks, header_length=None) -> bytes:
@@ -558,7 +557,7 @@ def test_paged_snapshot_enumeration():
                 assert tail == [] and done
             # closed handle is gone server-side
             with pytest.raises(RemoteError):
-                client._request("snapshot_page", snap=snap.snap, limit=5)
+                client.request("snapshot_page", snap=snap.snap, limit=5)
 
 
 def test_snapshot_is_isolated_from_later_commits():
@@ -601,9 +600,9 @@ def test_unknown_op_and_bad_snapshot_handle():
     with serve() as (_, handle):
         with EngineClient("127.0.0.1", handle.port) as client:
             with pytest.raises(RemoteError, match="unknown op"):
-                client._request("frobnicate")
+                client.request("frobnicate")
             with pytest.raises(RemoteError, match="unknown snapshot"):
-                client._request("snapshot_page", snap=999, limit=5)
+                client.request("snapshot_page", snap=999, limit=5)
 
 
 def test_connection_limit_refuses_with_error_frame():
@@ -621,19 +620,6 @@ def test_connection_limit_refuses_with_error_frame():
             assert client.ping()["protocol"] == PROTOCOL_VERSION
             stats = client.server_stats()
             assert stats["net"]["connections_refused"] == 1
-
-
-def test_locked_mode_serves_over_the_wire():
-    engine = HierarchicalEngine(PATH_QUERY).load(make_database())
-    with serve(engine=engine, mode="locked") as (serving, handle):
-        with EngineClient("127.0.0.1", handle.port) as client:
-            version, pairs = client.read()
-            assert {t: m for t, m in pairs} == engine.result()
-            client.apply_batch([Update("R", (1, 1), 1)])
-            assert client.read()[0] == version + 1
-            probe = next(iter(engine.result()))
-            assert client.lookup(probe) == engine.result()[probe]
-    engine.close()
 
 
 # ----------------------------------------------------------------------
@@ -744,13 +730,14 @@ def test_sessions_leave_no_pin_behind():
                 client.open_snapshot()
             second.close()
             with pytest.raises(RemoteError, match="unknown snapshot"):
-                client._request("snapshot_close", snap=second.snap)
+                client.request("snapshot_close", snap=second.snap)
             writer.apply_update(Update("R", (5, 5), 1))
             assert first.version < serving.engine.version
             assert first.page(2)[0]  # still readable: pinned, not yet closed
             # abrupt socket death: no snapshot_close, no clean goodbye
-            client._sock.shutdown(socket.SHUT_RDWR)
-            client._sock.close()
+            # (the close after the abort only stops the dead client's loop thread)
+            client._loop.call_soon_threadsafe(client._async._writer.transport.abort)
+            client.close()
             assert wait_until(lambda: all(entry._pins == 0 for entry in published))
             assert len(published) >= 3
             current = serving._published
@@ -761,7 +748,7 @@ def test_sessions_leave_no_pin_behind():
 
 def test_pin_close_is_idempotent_across_threads():
     engine = HierarchicalEngine(PATH_QUERY).load(make_database())
-    serving = EngineServer(engine, mode="snapshot")
+    serving = EngineServer(engine)
     for _ in range(50):
         pinned = serving.pin()
         entry = serving._published
@@ -814,33 +801,6 @@ def test_commits_and_the_cold_read_share_the_writer_thread():
         assert cold_read.startswith("repro-net-writer")
         assert {thread for _, thread in commits} == {cold_read}
         assert not warm_read.startswith("repro-net-writer")
-    engine = HierarchicalEngine(PATH_QUERY).load(make_database())
-    assert not EngineServer(engine, mode="locked").cold  # it publishes nothing
-    engine.close()
-
-
-def test_locked_mode_keeps_the_private_capture():
-    """No version is published in locked mode: a wire snapshot is a capture
-    of its own, taken under the write lock and closed with the handle."""
-    engine = HierarchicalEngine(PATH_QUERY).load(make_database())
-    with serve(engine=engine, mode="locked") as (serving, handle):
-        captures = count_captures(engine)
-        with EngineClient("127.0.0.1", handle.port) as client:
-            before = engine.result()
-            with client.open_snapshot() as snap:
-                client.apply_batch([Update("R", (0, 0), 1), Update("S", (0, 7), 1)])
-                assert snap.result() == before
-            assert len(captures) == 1
-            client.lookup(next(iter(before)))
-            assert len(captures) == 2
-        assert serving._published is None
-        pinned = serving.pin()
-        assert pinned.snapshot.result() == engine.result()
-        pinned.close()
-        pinned.close()
-        with pytest.raises(StaleStateError):
-            pinned.snapshot.result()
-    engine.close()
 
 
 # ----------------------------------------------------------------------
@@ -871,10 +831,12 @@ def record_applied_pushes(state):
     events = []
     apply = state.apply
 
-    def recording_apply(kind, version, pairs):
-        changed = apply(kind, version, pairs)
+    def recording_apply(message):
+        changed = apply(message)
         if changed:
-            events.append((kind, version, pairs))
+            kind = message["kind"]
+            pairs = message["delta" if kind == "delta" else "result"]
+            events.append((kind, message["version"], pairs))
         return changed
 
     state.apply = recording_apply

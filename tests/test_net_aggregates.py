@@ -26,7 +26,7 @@ from repro.net import (
     ServerConfig,
     ServerThread,
 )
-from repro.net.client import AggregateSubscriptionState
+from repro.net.client import AsyncAggregateSubscription
 from repro.net.protocol import read_frame, write_frame
 from repro.rings import AggregateSpec, answer_map, fold_result
 
@@ -58,7 +58,7 @@ def oracle_answers(oracle: NaiveRecomputeEngine, spec: AggregateSpec):
 
 
 def serve(engine):
-    serving = EngineServer(engine, mode="snapshot")
+    serving = EngineServer(engine)
     return ServerThread(serving, ServerConfig()).start()
 
 
@@ -159,7 +159,7 @@ def test_slow_aggregate_subscriber_coalesces_to_resync():
     # grouped by C: every commit's folded frame carries ~400 group rows,
     # so a non-reading subscriber actually wedges its bounded queue
     spec = AggregateSpec("sum", "A", ("C",))
-    serving = EngineServer(engine, mode="snapshot")
+    serving = EngineServer(engine)
     config = ServerConfig(subscriber_queue_size=2, send_buffer_bytes=4096)
     handle = ServerThread(serving, config).start()
     try:
@@ -175,8 +175,8 @@ def test_slow_aggregate_subscriber_coalesces_to_resync():
         assert reply["ok"], reply
         # drive the mirror exactly as the client library would, from the
         # raw wire frames
-        state = AggregateSubscriptionState(
-            spec, int(reply["version"]), reply["result"]
+        state = AsyncAggregateSubscription(
+            int(reply["sub"]), int(reply["version"]), reply["result"], spec
         )
 
         # every commit touches 400 result tuples at the wedged subscriber
@@ -190,7 +190,7 @@ def test_slow_aggregate_subscriber_coalesces_to_resync():
         while state.version < final:
             message = read_frame(wedged)
             if "sub" in message:
-                state.apply_push(message)
+                state.apply(message)
         wedged.close()
 
         assert state.answers() == oracle_answers(oracle, spec), (

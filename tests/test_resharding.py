@@ -14,7 +14,6 @@ serving/networking integration.
 """
 
 import asyncio
-import socket
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -452,7 +451,7 @@ class TestServingReshard:
     def test_server_reshard_publishes_empty_delta(self):
         engine = live_fleet(shards=2, updates=[])
         engine.set_delta_capture(True)
-        server = EngineServer(engine, mode="snapshot")
+        server = EngineServer(engine)
         server.apply_batch(STREAM[:5])
         seen = []
         server.on_commit(lambda version, delta: seen.append((version, dict(delta))))
@@ -471,7 +470,7 @@ class TestServingReshard:
         engine = live_fleet(shards=2, updates=[], telemetry=True)
         policy = ShardCapacityConfig(shard_capacity=2, over_commit_ratio=1.0)
         controller = make_controller(engine, policy, cooldown=1)
-        server = EngineServer(engine, mode="snapshot", controller=controller)
+        server = EngineServer(engine, controller=controller)
         for update in STREAM:
             server.apply_update(update)
         assert controller.reshards_applied >= 1
@@ -658,7 +657,7 @@ class TestSupervisedIngestionIsTheFacades:
 # networking: reshard over the wire, and session-teardown accounting
 # ---------------------------------------------------------------------------
 def open_server(engine, **server_kwargs):
-    serving = EngineServer(engine, mode="snapshot")
+    serving = EngineServer(engine)
     handle = ServerThread(
         serving, ServerConfig(host="127.0.0.1", port=0, **server_kwargs)
     )
@@ -728,9 +727,12 @@ class TestSessionTeardownAccounting:
                     snapshot = client.open_snapshot()
                     snapshot.page(limit=2)  # mid-page: iterator half-drained
                 # abrupt socket death: no snapshot_close, no clean goodbye
-                # (shutdown sends the FIN the kernel would send on a kill)
-                client._sock.shutdown(socket.SHUT_RDWR)
-                client._sock.close()
+                # (the abort resets the connection, as a kill would); the
+                # close after it only stops the dead client's loop thread
+                client._loop.call_soon_threadsafe(
+                    client._async._writer.transport.abort
+                )
+                client.close()
             # every pin must drain as the server reaps the dead sessions;
             # sessions pin the published version, so all that stays
             # registered is that one version (a handle per shard) — this
@@ -761,7 +763,7 @@ class TestSessionTeardownAccounting:
         from repro.net.server import EngineTCPServer, _Session
 
         engine = live_fleet(shards=2, executor="thread", updates=[])
-        serving = EngineServer(engine, mode="snapshot")
+        serving = EngineServer(engine)
         server = EngineTCPServer(serving, ServerConfig(host="127.0.0.1", port=0))
 
         class _DeadWriter:
@@ -792,7 +794,7 @@ class TestSessionTeardownAccounting:
         from repro.net.server import EngineTCPServer, _Session
 
         engine = live_fleet(shards=2, executor="thread", updates=[])
-        serving = EngineServer(engine, mode="snapshot")
+        serving = EngineServer(engine)
         server = EngineTCPServer(serving, ServerConfig(host="127.0.0.1", port=0))
 
         class _DeadWriter:

@@ -64,7 +64,7 @@ class CountingController:
 def test_apply_update_uses_unified_commit_path():
     engine = HierarchicalEngine(PATH_QUERY).load(make_database())
     controller = CountingController(engine)
-    server = EngineServer(engine, mode="snapshot", controller=controller)
+    server = EngineServer(engine, controller=controller)
 
     before = server.read()
     server.apply_update(Update("R", (0, 0), 1))
@@ -234,7 +234,7 @@ class SnapshotFactory:
 
 def test_publish_retire_race_closes_each_snapshot_exactly_once():
     engine = SnapshotFactory()
-    server = EngineServer(engine, mode="snapshot")
+    server = EngineServer(engine)
     stop = threading.Event()
     errors = []
 

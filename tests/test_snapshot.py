@@ -649,7 +649,7 @@ class TestServedCommitCopies:
         database = grid_db()
         # epsilon = 1: every key is light, the 12k-tuple result is a view
         engine = HierarchicalEngine(PATH_QUERY, epsilon=1.0).load(database)
-        server = EngineServer(engine, mode="snapshot")
+        server = EngineServer(engine)
         server.on_commit(lambda version, delta: None)
         probe = engine.snapshot()
         relations = {
@@ -740,7 +740,7 @@ class TestFrozenIndexBuilds:
         # threshold of ~26), so every first page probes R and S by B
         database = grid_db()
         engine = HierarchicalEngine(PATH_QUERY, epsilon=0.5).load(database)
-        return engine, EngineServer(engine, mode="snapshot")
+        return engine, EngineServer(engine)
 
     @staticmethod
     def singles(server, base: int, count: int):

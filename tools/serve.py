@@ -71,12 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=0, help="TCP port (0 = ephemeral)"
     )
     parser.add_argument(
-        "--mode",
-        default="snapshot",
-        choices=("snapshot", "locked"),
-        help="serving mode (default: snapshot)",
-    )
-    parser.add_argument(
         "--controller",
         action="store_true",
         help="attach the adaptive epsilon controller",
@@ -121,7 +115,7 @@ def build_serving(args):
         engine = HierarchicalEngine(scenario.query, epsilon=args.epsilon)
     engine.load(database)
     controller = AdaptiveController(engine) if args.controller else None
-    return EngineServer(engine, mode=args.mode, controller=controller), database
+    return EngineServer(engine, controller=controller), database
 
 
 def drive_writer(serving: EngineServer, database, args) -> threading.Thread:
@@ -153,7 +147,7 @@ def main(argv=None) -> int:
     print(
         f"serving {args.scenario!r} — {engine.query} — "
         f"on {args.host}:{handle.port} "
-        f"(mode={args.mode}, epsilon={args.epsilon}, shards={args.shards})",
+        f"(epsilon={args.epsilon}, shards={args.shards})",
         flush=True,
     )
     print(f"metrics: http://{args.host}:{handle.port}/metrics", flush=True)

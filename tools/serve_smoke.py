@@ -79,7 +79,7 @@ def durable_session(durability: DurabilityConfig) -> None:
     engine.load(make_database())
     oracle = NaiveRecomputeEngine(QUERY)
     oracle.load(make_database())
-    serving = EngineServer(engine, mode="snapshot")
+    serving = EngineServer(engine)
     with ServerThread(serving, ServerConfig()) as handle:
         with EngineClient("127.0.0.1", handle.port) as client:
             hello = client.ping()
@@ -105,10 +105,12 @@ def durable_session(durability: DurabilityConfig) -> None:
             events = []
             apply_push = subscription.state.apply
 
-            def recording_apply(kind, version, pairs):
-                changed = apply_push(kind, version, pairs)
+            def recording_apply(message):
+                changed = apply_push(message)
                 if changed:
-                    events.append((kind, version, pairs))
+                    kind = message["kind"]
+                    pairs = message["delta" if kind == "delta" else "result"]
+                    events.append((kind, message["version"], pairs))
                 return changed
 
             subscription.state.apply = recording_apply
