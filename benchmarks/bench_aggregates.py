@@ -40,7 +40,7 @@ import pytest
 from benchmarks.conftest import scaled
 from repro.core.api import HierarchicalEngine
 from repro.net.protocol import encode_frame, wire_pairs
-from repro.rings.spec import AggregateSpec, fold_delta
+from repro.rings.spec import AggregateSpec, fold_delta, wire_elements
 from repro.workloads.scenarios import (
     IOT_QUERY,
     get_scenario,
@@ -195,12 +195,7 @@ def payload_rows(figure_report):
         plain_rows += len(delta)
         plain_bytes += len(_push_frame(commits, wire_pairs(delta.items())))
         # the aggregate push frame: net per-group support/element rows
-        agg_payload = [
-            [list(group), support, ring.to_wire(element)]
-            for group, (support, element) in fold_delta(
-                SPEC, head, delta.items()
-            ).items()
-        ]
+        agg_payload = wire_elements(ring, fold_delta(SPEC, head, delta.items()))
         agg_rows += len(agg_payload)
         agg_bytes += len(_push_frame(commits, agg_payload))
     rows = [

@@ -37,8 +37,8 @@ DBToaster lineage classically check):
   segmented stream, ``engine.aggregate()`` answered from maintained ring
   state must equal :func:`repro.rings.spec.fold_result` over the naive
   oracle's enumeration — across an ε grid, through a mid-stream retune,
-  on both relation-storage backends, and through the sharded facade's
-  per-shard partial-aggregate merge at shard counts {1, 2, 4}.
+  and through the sharded facade's per-shard partial-aggregate merge at
+  shard counts {1, 2, 4}.
 
 Each check takes an ``engine_factory`` so it runs identically against
 :class:`~repro.core.api.HierarchicalEngine` at any ε and against every
@@ -56,7 +56,6 @@ from repro.conformance.runner import aggregate_specs_for
 from repro.core.api import HierarchicalEngine
 from repro.core.planner import is_shardable
 from repro.data.database import Database
-from repro.data.relation import storage_backend
 from repro.data.update import Update
 from repro.enumeration.union import sort_shard_result
 from repro.exceptions import UnsupportedQueryError
@@ -485,14 +484,17 @@ def check_aggregate_equivalence(
       ring state — the specs are registered before any update, so the
       answers come from incremental maintenance, never a re-fold — and
       the ``maintained=False`` enumerate-and-fold path is probed too;
-    * one engine runs entirely on the ``dict`` relation-storage backend,
-      so both payload-channel implementations face the same stream;
     * the sharded facade at every ``shard_counts`` answers by merging
-      per-shard partial aggregates with ring ``combine`` — grouped
-      aggregation must be a homomorphism of the shard decomposition;
+      per-shard partial aggregates (:func:`repro.rings.spec.merge_elements`)
+      — grouped aggregation must be a homomorphism of the shard
+      decomposition;
     * at the halfway checkpoint every engine **retunes** to a different ε
-      mid-stream, so the strict repartition must carry payloads through
-      unchanged (retraction-sensitive rings like min/max included).
+      mid-stream, so the strict repartition must leave the maintained
+      states exact (retraction-sensitive rings like min/max included).
+
+    (Aggregate state lives in no relation, so the storage backend is not
+    a dimension here; the differential runner covers the ``dict``
+    backend, aggregates included.)
 
     ``extra_specs`` takes ``(ring name, value, group_by)`` triples, e.g. a
     scenario's natural aggregates.  Non-hierarchical queries are skipped
@@ -527,16 +529,6 @@ def check_aggregate_equivalence(
         (f"ivm(eps={eps})", HierarchicalEngine(query, epsilon=eps).load(database))
         for eps in epsilons
     ]
-    with storage_backend("dict"):
-        # database rebuilt inside the context so relations, partitions,
-        # and views all live on the dict backend (mirrors the runner)
-        dict_database = Database.from_rows(database.to_rows())
-        engines.append(
-            (
-                f"ivm-dict-storage(eps={mid})",
-                HierarchicalEngine(query, epsilon=mid).load(dict_database),
-            )
-        )
     if is_shardable(probe.query):
         for shards in shard_counts:
             engines.append(

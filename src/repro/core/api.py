@@ -81,7 +81,13 @@ from repro.core.planner import (
     plan_query,
 )
 from repro.rings.base import Ring
-from repro.rings.spec import AggregateSpec, MaintainedAggregate
+from repro.rings.spec import (
+    AggregateSpec,
+    Elements,
+    MaintainedAggregate,
+    answer_map,
+    fold_result,
+)
 from repro.snapshot.cow import CowTracker
 from repro.snapshot.versioned import Snapshot, capture_snapshot
 from repro.views.build import DYNAMIC_MODE, STATIC_MODE
@@ -624,12 +630,6 @@ class HierarchicalEngine:
     # ------------------------------------------------------------------
     # ring-annotated aggregates
     # ------------------------------------------------------------------
-    def _aggregate_listener(self, state: MaintainedAggregate):
-        def _on_delta(delta: Dict[ValueTuple, int]) -> None:
-            state.on_delta(delta.items())
-
-        return _on_delta
-
     def _reattach_aggregates(self) -> None:
         """Refold and re-subscribe maintained aggregates after a (re)load.
 
@@ -651,7 +651,7 @@ class HierarchicalEngine:
         assert self._skew_plan is not None
         for state in self._aggregates.values():
             state.rebuild(ResultEnumerator(self._skew_plan, self.query))
-            self._driver.add_delta_listener(self._aggregate_listener(state))
+            self._driver.add_delta_listener(state.on_delta)
 
     def register_aggregate(self, spec: AggregateSpec) -> MaintainedAggregate:
         """Install (or fetch) the maintained state for ``spec``.
@@ -670,7 +670,7 @@ class HierarchicalEngine:
         if state is None:
             state = MaintainedAggregate(spec, self.query.head)
             state.rebuild(ResultEnumerator(self._skew_plan, self.query))
-            self._driver.add_delta_listener(self._aggregate_listener(state))
+            self._driver.add_delta_listener(state.on_delta)
             self._aggregates[key] = state
         return state
 
@@ -707,43 +707,33 @@ class HierarchicalEngine:
         mode — the answer is one enumerate-and-fold over a fresh
         enumerator, which also serves as the oracle the conformance
         harness checks maintained answers against.  Both paths record
-        their read cost into the engine's workload telemetry.
+        their read cost into the engine's workload telemetry.  A group
+        holding a value the spec's ring cannot lift raises that ring's
+        error here, on read; the commits that put it there succeeded.
         """
-        self._require_loaded()
         spec = AggregateSpec.coerce(ring, value, group_by)
-        if not maintained or self.mode != DYNAMIC_MODE or self._driver is None:
-            return self.enumerate().aggregate(spec)
-        state = self.register_aggregate(spec)
-        started = time.perf_counter()
-        answers = state.answers()
-        if self.telemetry is not None:
-            self.telemetry.record_read(
-                len(answers), time.perf_counter() - started
-            )
-        return answers
+        return answer_map(spec, self.aggregate_elements(spec, maintained))
 
     def aggregate_elements(
         self, spec: AggregateSpec, maintained: bool = True
-    ) -> Dict[ValueTuple, Tuple[int, Any]]:
+    ) -> Elements:
         """Raw ``{group: (support, element)}`` for this engine's result.
 
-        The shard-merge / wire shape: supports and un-finalized ring
-        elements, combinable across engines with
-        :func:`repro.enumeration.union.merge_shard_aggregates`.  The
-        sharded facade and the shard servers call this; local callers
-        normally want :meth:`aggregate`.
+        The read behind :meth:`aggregate`, and the shard-merge / wire
+        shape: supports and un-finalized ring elements, combinable across
+        engines with :func:`repro.rings.spec.merge_elements`.  The sharded
+        facade, the shard servers and the serving layer call this; local
+        callers normally want :meth:`aggregate`.
         """
         self._require_loaded()
-        if maintained and self.mode == DYNAMIC_MODE and self._driver is not None:
-            state = self.register_aggregate(spec)
-            started = time.perf_counter()
-            elements = state.elements()
-            if self.telemetry is not None:
-                self.telemetry.record_read(
-                    len(elements), time.perf_counter() - started
-                )
-            return elements
-        return self.enumerate().aggregate_elements(spec)
+        if not maintained or self._driver is None:
+            return fold_result(spec, self.query.head, self.enumerate())
+        state = self.register_aggregate(spec)
+        started = time.perf_counter()
+        elements = state.elements()
+        if self.telemetry is not None:
+            self.telemetry.record_read(len(elements), time.perf_counter() - started)
+        return elements
 
     # ------------------------------------------------------------------
     # adaptive retuning

@@ -245,9 +245,9 @@ class Relation:
         # that copy: the ``(tuple, delta)`` mutations applied since it was
         # made, one per tick, which the tracker replays to roll the copy
         # forward instead of copying again.  Only the columnar backend
-        # appends to it; any tick without an entry (``clear()``,
-        # ``set_payload()``, the dict backend) leaves the log shorter than
-        # the tick distance, which the tracker reads as "copy instead".
+        # appends to it; any tick without an entry (``clear()``, the dict
+        # backend) leaves the log shorter than the tick distance, which the
+        # tracker reads as "copy instead".
         self._cow = None
         self._cow_epoch = -1
         self._change_ticks = 0
@@ -405,32 +405,6 @@ class Relation:
             self.apply_delta(tup, sign * mult)
 
     # ------------------------------------------------------------------
-    # per-tuple payloads (ring-annotated aggregate views)
-    # ------------------------------------------------------------------
-    def set_payload(self, tup: ValueTuple, payload: object) -> None:
-        """Attach an opaque payload to a *live* tuple.
-
-        Payloads are the ring-element channel of aggregate views
-        (:mod:`repro.rings`): the relation's multiplicity stays the
-        counting-ring support while the payload carries the group's ring
-        element.  The payload follows the tuple's lifecycle — it is dropped
-        when the tuple's multiplicity reaches zero, copied by :meth:`copy`,
-        and cleared by :meth:`clear`.  Attaching to an absent tuple raises
-        ``KeyError`` (a payload without support is unrepresentable by
-        design).  Relations that never call this pay nothing on the
-        maintenance hot path.
-        """
-        raise NotImplementedError
-
-    def payload_of(self, tup: ValueTuple, default: object = None) -> object:
-        """Return the payload attached to ``tup`` (``default`` when none)."""
-        raise NotImplementedError
-
-    def payload_items(self) -> Iterable[Tuple[ValueTuple, object]]:
-        """Enumerate ``(tuple, payload)`` for tuples carrying a payload."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
     # indexes
     # ------------------------------------------------------------------
     def _normalise_key_schema(self, key_schema: Iterable[str]) -> Schema:
@@ -542,10 +516,6 @@ class DictRelation(Relation):
     def _init_storage(self) -> None:
         self._data: Dict[ValueTuple, int] = {}
         self._indexes: Dict[Schema, Index] = {}
-        # Per-tuple payload channel (ring elements); empty unless an
-        # aggregate view attaches payloads, so the hot path's only cost is
-        # one falsy check on removals.
-        self._payloads: Dict[ValueTuple, object] = {}
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -574,8 +544,6 @@ class DictRelation(Relation):
     def copy(self, name: Optional[str] = None) -> "Relation":
         clone = type(self)(name or self.name, self.schema)
         clone._data.update(self._data)  # in place: indexes hold this dict
-        if self._payloads:
-            clone._payloads = dict(self._payloads)
         return clone
 
     def clear(self) -> None:
@@ -583,7 +551,6 @@ class DictRelation(Relation):
         if self._data:
             self._change_ticks += 1
         self._data.clear()
-        self._payloads.clear()
         for index in self._indexes.values():
             index._groups.clear()
 
@@ -605,8 +572,6 @@ class DictRelation(Relation):
         self._change_ticks += 1
         if updated == 0:
             del self._data[tup]
-            if self._payloads:
-                self._payloads.pop(tup, None)
             for index in self._indexes.values():
                 index.remove(tup)
         else:
@@ -617,25 +582,6 @@ class DictRelation(Relation):
             else:
                 self._data[tup] = updated
         return updated
-
-    # ------------------------------------------------------------------
-    # per-tuple payloads
-    # ------------------------------------------------------------------
-    def set_payload(self, tup: ValueTuple, payload: object) -> None:
-        if tup not in self._data:
-            raise KeyError(
-                f"cannot attach a payload to absent tuple {tup!r} in "
-                f"relation {self.name!r}"
-            )
-        self._cow_guard()
-        self._change_ticks += 1
-        self._payloads[tup] = payload
-
-    def payload_of(self, tup: ValueTuple, default: object = None) -> object:
-        return self._payloads.get(tup, default)
-
-    def payload_items(self) -> Iterable[Tuple[ValueTuple, object]]:
-        return self._payloads.items()
 
     # ------------------------------------------------------------------
     # indexes

@@ -436,11 +436,6 @@ class ColumnarRelation(Relation):
         # tuple), skipping re-normalisation on the maintenance hot path.
         self._index_memo: Dict[Schema, ColumnarIndex] = {}
         self._arity = len(self.schema)
-        # Per-tuple payload channel (ring elements), addressed by row id so
-        # a payload read never re-hashes the tuple once the rid is known.
-        # Empty unless an aggregate view attaches payloads; compact()
-        # remaps the keys alongside every other rid-addressed structure.
-        self._payload_rows: Dict[int, object] = {}
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -479,8 +474,6 @@ class ColumnarRelation(Relation):
         clone._free = list(self._free)
         clone._values = list(self._values)
         clone._value_ids = dict(self._value_ids)
-        if self._payload_rows:
-            clone._payload_rows = dict(self._payload_rows)
         return clone
 
     def copy_with_indexes(self, key_schemas: Iterable[Schema]) -> "Relation":
@@ -503,7 +496,6 @@ class ColumnarRelation(Relation):
         self._free = []
         self._values = []
         self._value_ids = {}
-        self._payload_rows = {}
         for index in self._indexes.values():
             index._clear()
 
@@ -642,8 +634,6 @@ class ColumnarRelation(Relation):
                     index._retire_group(gid)
             mults[rid] = 0
             self._row_tuples[rid] = None
-            if self._payload_rows:
-                self._payload_rows.pop(rid, None)
             self._free.append(rid)
             free = len(self._free)
             if free > _COMPACT_MIN_FREE and free > _COMPACT_RATIO * len(rids):
@@ -696,10 +686,6 @@ class ColumnarRelation(Relation):
         self._mults = new_mults
         self._cols = new_cols
         self._free = []
-        if self._payload_rows:
-            self._payload_rows = {
-                remap[rid]: payload for rid, payload in self._payload_rows.items()
-            }
         num_rows = len(new_rows)
         for index in self._indexes.values():
             old_group_of = index._group_of
@@ -724,32 +710,6 @@ class ColumnarRelation(Relation):
                     continue
                 heads[gid] = remap[heads[gid]]
                 tails[gid] = remap[tails[gid]]
-
-    # ------------------------------------------------------------------
-    # per-tuple payloads
-    # ------------------------------------------------------------------
-    def set_payload(self, tup: ValueTuple, payload: object) -> None:
-        rid = self._rids.get(tup)
-        if rid is None:
-            raise KeyError(
-                f"cannot attach a payload to absent tuple {tup!r} in "
-                f"relation {self.name!r}"
-            )
-        self._cow_guard()
-        self._change_ticks += 1
-        self._payload_rows[rid] = payload
-
-    def payload_of(self, tup: ValueTuple, default: object = None) -> object:
-        rid = self._rids.get(tup)
-        if rid is None:
-            return default
-        return self._payload_rows.get(rid, default)
-
-    def payload_items(self) -> Iterable[Tuple[ValueTuple, object]]:
-        rows = self._row_tuples
-        return (
-            (rows[rid], payload) for rid, payload in self._payload_rows.items()
-        )
 
     # ------------------------------------------------------------------
     # indexes

@@ -24,7 +24,6 @@ from repro.data.schema import ValueTuple
 from repro.enumeration.plan import compile_enumeration
 from repro.enumeration.union import CallbackSource, UnionIterator
 from repro.query.conjunctive import ConjunctiveQuery
-from repro.rings.spec import AggregateSpec, answer_map, fold_result
 
 # One strategy tree bound to its relations: ``open()`` and ``lookup(key)``.
 _BoundTree = Tuple[Callable[[], Iterator], Callable[[ValueTuple], int]]
@@ -157,24 +156,6 @@ class ResultEnumerator:
             if total == 0:
                 return 0
         return total
-
-    # ------------------------------------------------------------------
-    # aggregation (the enumerate-and-fold answer path)
-    # ------------------------------------------------------------------
-    def aggregate_elements(self, spec: AggregateSpec):
-        """Fold the enumeration into raw ``{group: (support, element)}``.
-
-        This is the enumerate-and-fold path: O(result) per call, but exact
-        at any ε and the oracle every maintained answer is checked against.
-        Iterating through ``self`` keeps the validator and telemetry
-        semantics of a paged enumeration (the fold's read cost is recorded
-        like any other full read).
-        """
-        return fold_result(spec, self.head, self)
-
-    def aggregate(self, spec: AggregateSpec) -> Dict[ValueTuple, object]:
-        """User-facing ``{group: answer}`` by enumerate-and-fold."""
-        return answer_map(spec, self.aggregate_elements(spec))
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[ValueTuple, int]:

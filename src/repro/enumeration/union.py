@@ -197,38 +197,6 @@ def merge_shards(
             yield tup, mult
 
 
-def merge_shard_aggregates(partials, ring):
-    """Merge per-shard partial aggregates with the ring's ``combine``.
-
-    Each partial is a mapping ``{group: (support, element)}`` computed over
-    one shard's slice of the result.  Grouped aggregation is a ring
-    homomorphism of the shard decomposition — supports add, elements merge
-    with :meth:`~repro.rings.base.Ring.combine` — so the merged map equals
-    the single-engine aggregate without materializing any enumeration.
-    This is the aggregate counterpart of :func:`merge_shards`: O(groups)
-    instead of an order-preserving k-way merge over the full result.
-    Groups whose merged support cancels to zero are dropped (a group
-    produced by several shards exists iff tuples survive somewhere).
-    """
-    merged: dict = {}
-    for partial in partials:
-        items = partial.items() if hasattr(partial, "items") else partial
-        for group, (support, element) in items:
-            present = merged.get(group)
-            if present is None:
-                merged[group] = (support, element)
-            else:
-                merged[group] = (
-                    present[0] + support,
-                    ring.combine(present[1], element),
-                )
-    return {
-        group: (support, element)
-        for group, (support, element) in merged.items()
-        if support != 0
-    }
-
-
 class CallbackSource(UnionSource):
     """Adapter turning ``next``/``lookup`` callables into a union source."""
 

@@ -12,7 +12,7 @@ maintenance layer before propagation.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.data.schema import Schema, ValueTuple
 from repro.engine.join import BoundRelation, fold_join
@@ -29,14 +29,20 @@ from repro.views.view import ViewTreeNode
 Delta = Dict[ValueTuple, int]
 
 
-def merge_delta(accumulator: Delta, delta: Mapping[ValueTuple, int]) -> Delta:
-    """Fold ``delta`` into ``accumulator`` in place (group addition).
+def merge_delta(
+    accumulator: Delta, pairs: Iterable[Tuple[ValueTuple, int]]
+) -> Delta:
+    """Fold ``(tuple, multiplicity)`` pairs into ``accumulator`` in place.
 
-    Entries that cancel to the identity are removed rather than stored as
-    zeros, keeping "absent" and "present at zero" indistinguishable — the
-    invariant every consumer of a drained delta relies on.
+    The one merge of multiplicities (group addition in the counting
+    ring): a commit's result delta into the capture accumulator, per-shard
+    drains into the fleet's delta, a pushed delta into a subscriber's
+    mirror.  Entries that cancel to the identity are removed rather than
+    stored as zeros, keeping "absent" and "present at zero"
+    indistinguishable — the invariant every consumer of a drained delta
+    relies on.
     """
-    for tup, mult in delta.items():
+    for tup, mult in pairs:
         updated = accumulator.get(tup, 0) + mult
         if updated:
             accumulator[tup] = updated

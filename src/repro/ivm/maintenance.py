@@ -151,7 +151,7 @@ class UpdateProcessor:
         delta = delta_join(atom.variables, group, siblings, self.query.head)
         if capture is not None:
             if capture:
-                merge_delta(capture, delta)
+                merge_delta(capture, delta.items())
             else:
                 # The commit's first group (its only one, for a commit on a
                 # single relation): adopt the join's own dict, do not re-add

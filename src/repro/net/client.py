@@ -44,6 +44,7 @@ import time
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.data.update import Update, UpdateBatch
+from repro.ivm.delta import merge_delta
 from repro.net.protocol import (
     ConnectionClosedError,
     RemoteError,
@@ -53,18 +54,15 @@ from repro.net.protocol import (
     unwire_pairs,
     wire_updates,
 )
-from repro.rings.spec import AggregateSpec, answer_map
+from repro.rings.spec import (
+    AggregateSpec,
+    Elements,
+    answer_map,
+    merge_elements,
+    unwire_elements,
+)
 
 Pairs = List[Tuple[Tuple, int]]
-Elements = Dict[Tuple, Tuple[int, Any]]
-
-
-def unwire_elements(ring, rows) -> Elements:
-    """``{group: (support, ring element)}`` from the wire's group rows."""
-    return {
-        tuple(group): (int(support), ring.from_wire(element))
-        for group, support, element in rows
-    }
 
 
 # ----------------------------------------------------------------------
@@ -91,13 +89,7 @@ class AsyncSubscription:
         return dict(iter_pairs(table))
 
     def _merge(self, table) -> None:
-        result = self.result
-        for tup, mult in iter_pairs(table):
-            updated = result.get(tup, 0) + mult
-            if updated:
-                result[tup] = updated
-            else:
-                result.pop(tup, None)
+        merge_delta(self.result, iter_pairs(table))
 
     def apply(self, message: Dict) -> bool:
         """Apply one push frame; returns True when the state changed."""
@@ -139,9 +131,10 @@ class AsyncAggregateSubscription(AsyncSubscription):
     """The same mirror over ``{group: (support, ring element)}``.
 
     That is the shape :class:`~repro.rings.spec.MaintainedAggregate` keeps
-    server-side; the server's folded group deltas merge by ring addition.
-    A group is present iff its support is positive; a zero element with
-    live support stays (its answer is the ring's zero answer).
+    server-side, and the server's folded group deltas merge into it with
+    the same :func:`~repro.rings.spec.merge_elements`.  A group is present
+    iff its support is positive; a zero element with live support stays
+    (its answer is the ring's zero answer).
     """
 
     def __init__(self, sid: int, version: int, payload, spec: AggregateSpec) -> None:
@@ -153,16 +146,7 @@ class AsyncAggregateSubscription(AsyncSubscription):
 
     def _merge(self, rows) -> None:
         ring = self.spec.ring
-        elements = self.result
-        for group, support_delta, element_wire in rows:
-            group = tuple(group)
-            support, element = elements.get(group, (0, ring.zero()))
-            support += int(support_delta)
-            element = ring.add(element, ring.from_wire(element_wire))
-            if support > 0:
-                elements[group] = (support, element)
-            else:
-                elements.pop(group, None)
+        merge_elements(ring, self.result, unwire_elements(ring, rows).items())
 
     def elements(self) -> Elements:
         """Raw ``{group: (support, element)}`` at the mirrored version."""

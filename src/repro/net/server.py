@@ -70,17 +70,7 @@ from repro.net.protocol import (
     unwire_updates,
     wire_pairs,
 )
-from repro.rings.spec import AggregateSpec, fold_delta
-
-
-def _wire_elements(ring, elements) -> list:
-    """Encode ``{group: (support, element)}`` as ``[[group...], support, wire]``
-    rows — the aggregate counterpart of :func:`~repro.net.protocol.wire_pairs`,
-    used for initial reads, per-commit folded deltas, and resyncs alike."""
-    return [
-        [list(group), support, ring.to_wire(element)]
-        for group, (support, element) in elements.items()
-    ]
+from repro.rings.spec import AggregateSpec, fold_delta, wire_elements
 
 
 @dataclass(frozen=True)
@@ -298,7 +288,9 @@ class EngineTCPServer:
         result delta) — the fold happens here, in the committing thread,
         so the event-loop fan-out stays O(subscribers) and the folded
         group deltas are exact no matter how the engine maintains its own
-        aggregate state.
+        aggregate state.  The fold does not raise for a value a ring
+        cannot lift (:class:`~repro.rings.spec.Unliftable`), so no
+        subscription can fail the commit it is told about.
         """
         if self._closed:
             return
@@ -323,7 +315,7 @@ class EngineTCPServer:
             head = tuple(self.serving.engine.query.head)
             items = list(delta.items())
             for key, (spec, _count) in list(self._agg_specs.items()):
-                payloads[key] = _wire_elements(
+                payloads[key] = wire_elements(
                     spec.ring, fold_delta(spec, head, items)
                 )
         try:
@@ -381,7 +373,7 @@ class EngineTCPServer:
             return ticket.version, wire_pairs(ticket.pairs)
         version, elements = await self._run(self.serving.aggregate, sub.spec)
         self.stats.add("aggregate_reads")
-        return version, _wire_elements(sub.spec.ring, elements)
+        return version, wire_elements(sub.spec.ring, elements)
 
     async def _subscription_sender(self, sub: _Subscriber) -> None:
         """Drain one subscriber's queue onto its connection."""
@@ -692,7 +684,7 @@ class EngineTCPServer:
         self.stats.add("aggregate_reads")
         return {
             "version": version,
-            "elements": _wire_elements(spec.ring, elements),
+            "elements": wire_elements(spec.ring, elements),
         }
 
     async def _op_apply_batch(self, session: _Session, message: Dict) -> Dict:

@@ -30,7 +30,7 @@ maintained aggregate, so the laws are checked, not assumed.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Sequence, Tuple
+from typing import Any, Callable, Dict, Sequence, Tuple
 
 
 class Ring:
@@ -55,7 +55,10 @@ class Ring:
         ``value`` is whatever the :class:`~repro.rings.spec.AggregateSpec`
         extracted from the result tuple (``None`` for count-style specs).
         ``lift(v, -m)`` must equal ``negate(lift(v, m))`` — deletions are
-        negated insertions everywhere in the engine.
+        negated insertions everywhere in the engine.  A value the ring
+        cannot lift raises ``TypeError``, ``ValueError`` or an
+        ``ArithmeticError``; the folds keep such a contribution as a
+        :class:`~repro.rings.spec.Unliftable` element instead of failing.
         """
         raise NotImplementedError
 
@@ -73,10 +76,6 @@ class Ring:
     def answer(self, a: Any) -> Any:
         """The user-facing value of an element (e.g. Fraction → float)."""
         return a
-
-    def combine(self, a: Any, b: Any) -> Any:
-        """Merge two *partial aggregates* (per-shard merge = addition)."""
-        return self.add(a, b)
 
     def to_wire(self, a: Any) -> Any:
         """JSON-safe encoding of an element (shard pipes, net frames)."""
@@ -152,10 +151,3 @@ def check_ring_laws(
             ring.lift(value, -mult), ring.negate(ring.lift(value, mult))
         ), f"{ring.name}: lift({value!r}, -{mult}) is not the negated lift"
 
-
-def fold_elements(ring: Ring, elements: Iterable[Any]) -> Any:
-    """Fold elements with ``add`` starting from ``zero()``."""
-    total = ring.zero()
-    for element in elements:
-        total = ring.add(total, element)
-    return total

@@ -1,4 +1,4 @@
-"""Aggregate specifications and the maintained aggregate state.
+"""Aggregate specifications and the one ``{group: (support, element)}`` state.
 
 An :class:`AggregateSpec` names *what* to aggregate over the query result:
 a :class:`~repro.rings.base.Ring`, a value extractor over result tuples,
@@ -8,30 +8,46 @@ shard pipes and network frames in wire form (:meth:`AggregateSpec.to_wire`),
 and has a canonical :meth:`AggregateSpec.key` so every layer that keeps a
 registry of maintained aggregates deduplicates the same way.
 
-:class:`MaintainedAggregate` is the O(1)-read state behind
-``engine.aggregate()``: a :class:`~repro.data.relation.Relation` whose
-tuples are the group keys, whose multiplicity is the group's *support*
-(total result multiplicity — a group exists iff its support is positive),
-and whose per-tuple payload (the PR-10 payload channel of both storage
-backends) is the group's ring element.  Support and element are tracked
-separately on purpose: a sum that cancels to the ring zero while tuples
-remain in the group must still be reported with answer 0, and a group
-whose support drains to 0 must disappear even when retraction left a
-non-trivial element behind (it cannot, for lawful rings — but the support
-is what makes that an invariant rather than an assumption).
+Everything that holds an aggregate — the engine's maintained state, a
+shard's partial, a per-commit delta, a subscriber's mirror — holds the
+same shape, :data:`Elements`: ``{group: (support, ring element)}``.  The
+support is the group's total result multiplicity (a group exists iff it
+is positive) and is kept apart from the element on purpose: a sum that
+cancels to the ring zero while tuples remain in the group must still be
+reported with answer 0.  Four operations are all there is to that shape:
 
-The module-level folds (:func:`fold_result`, :func:`fold_delta`) are the
-single definition of "aggregate of an enumeration": the oracle side of the
-conformance checks, the ``maintained=False`` path, snapshot aggregation,
-and resyncs of aggregate subscriptions all call them, so a maintained
-answer is compared against the exact same fold everywhere.
+* :func:`fold_delta` / :func:`fold_result` — the single definition of
+  "aggregate of an enumeration" (the oracle side of the conformance
+  checks, the ``maintained=False`` path, snapshot aggregation, and the
+  per-commit payload of aggregate subscriptions all call them);
+* :func:`merge_elements` — the one merge: a commit's folded delta into a
+  maintained state or a mirror, a shard's partial into the merged answer;
+* :func:`wire_elements` / :func:`unwire_elements` — the one wire form,
+  ``[[group...], support, wire element]`` rows;
+* :func:`answer_map` — the one read: ``{group: user-facing answer}``.
+
+A result tuple whose value the spec's ring cannot lift (a string under
+``sum``, ``None`` under ``min``) does not fail the fold — the fold runs
+inside a commit, which must not break half-way.  Its contribution is kept
+as an :class:`Unliftable` element instead, exact under every merge, and
+only :func:`answer_map` raises — with the ring's own error — for as long
+as the value is in its group.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
-from repro.data.relation import Relation
 from repro.data.schema import ValueTuple
 from repro.exceptions import SchemaError
 from repro.rings.base import Ring, get_ring
@@ -124,7 +140,7 @@ class AggregateSpec:
         return (self.ring.name, value_key, self.group_by)
 
     def describe(self) -> str:
-        """Short human-readable form (used in relation names and errors)."""
+        """Short human-readable form (used in errors and mismatch reports)."""
         parts = [self.ring.name]
         if self.value is not None:
             parts.append(f"value={self.value!r}")
@@ -180,6 +196,46 @@ class AggregateSpec:
 
 
 # ----------------------------------------------------------------------
+# values the ring cannot lift
+# ----------------------------------------------------------------------
+class Unliftable(NamedTuple):
+    """A ring element plus signed counts of values its ring rejected.
+
+    The pair lives in the direct sum of the ring and the free abelian
+    group on the rejected values, so it is an invertible element like any
+    other: deleting the offending tuple cancels its count, and once no
+    count is left the group holds a plain ring element again.
+    """
+
+    element: Any
+    values: Dict[Any, int]
+
+
+def _add_elements(ring: Ring, a: Any, b: Any) -> Any:
+    """``ring.add`` extended to :class:`Unliftable` elements."""
+    if type(a) is not Unliftable and type(b) is not Unliftable:
+        return ring.add(a, b)
+    a_element, values = a if type(a) is Unliftable else (a, {})
+    b_element, b_values = b if type(b) is Unliftable else (b, {})
+    values = dict(values)
+    for value, count in b_values.items():
+        count += values.get(value, 0)
+        if count:
+            values[value] = count
+        else:
+            del values[value]
+    element = ring.add(a_element, b_element)
+    return Unliftable(element, values) if values else element
+
+
+def _raise_unliftable(ring: Ring, element: Unliftable) -> Any:
+    """Re-raise what the ring said when the fold lifted the value."""
+    value, count = next(iter(element.values.items()))
+    ring.lift(value, count)
+    raise TypeError(f"the {ring.name} ring cannot lift {value!r}")
+
+
+# ----------------------------------------------------------------------
 # folds — the single definition of "aggregate of an enumeration"
 # ----------------------------------------------------------------------
 def fold_delta(
@@ -191,24 +247,36 @@ def fold_delta(
 
     Keeps every group whose support delta or element delta is non-zero,
     so a delta that only moves the element (support-neutral churn inside
-    a group) still reaches subscribers and maintained states.
+    a group) still reaches subscribers and maintained states.  Never
+    raises for a value the ring rejects (see :class:`Unliftable`).
     """
     ring = spec.ring
+    lift = ring.lift
     positions = spec.group_positions(head)
     extract = spec.value_extractor(head)
-    folded: Elements = {}
     zero = ring.zero()
+    folded: Elements = {}
     for tup, mult in pairs:
-        group = tuple(tup[p] for p in positions)
-        support, element = folded.get(group, (0, zero))
-        folded[group] = (
-            support + mult,
-            ring.add(element, ring.lift(extract(tup), mult)),
-        )
+        group = tuple([tup[p] for p in positions])
+        value = extract(tup)
+        try:
+            element = lift(value, mult)
+        except (TypeError, ValueError, ArithmeticError):
+            element = Unliftable(zero, {value: mult})
+        present = folded.get(group)
+        if present is None:
+            folded[group] = (mult, element)
+        else:
+            folded[group] = (
+                present[0] + mult,
+                _add_elements(ring, present[1], element),
+            )
     return {
         group: (support, element)
         for group, (support, element) in folded.items()
-        if support != 0 or not ring.is_zero(element)
+        if support != 0
+        or type(element) is Unliftable
+        or not ring.is_zero(element)
     }
 
 
@@ -231,81 +299,121 @@ def fold_result(
     }
 
 
+def merge_elements(
+    ring: Ring,
+    into: Elements,
+    rows: Iterable[Tuple[ValueTuple, Tuple[int, Any]]],
+) -> Elements:
+    """Add ``(group, (support, element))`` rows into the state ``into``.
+
+    The one merge: supports add as integers, elements by ring addition,
+    and a group is kept iff its support stays positive.  Folds a commit's
+    delta into a maintained state or a subscriber's mirror and a shard's
+    partial into the merged answer — grouped aggregation is a homomorphism
+    of the shard decomposition, so partials merge in O(groups).  Mutates
+    and returns ``into``.
+    """
+    for group, (support, element) in rows:
+        present = into.get(group)
+        if present is not None:
+            support += present[0]
+            element = _add_elements(ring, present[1], element)
+        if support > 0:
+            into[group] = (support, element)
+        elif present is not None:
+            del into[group]
+    return into
+
+
 def answer_map(spec: AggregateSpec, elements: Elements) -> Dict[ValueTuple, Any]:
-    """User-facing ``{group: answer}`` of raw elements."""
+    """User-facing ``{group: answer}`` of raw elements.
+
+    Raises the ring's error for a group holding a value it cannot lift.
+    """
     ring = spec.ring
     return {
-        group: ring.answer(element)
+        group: (
+            ring.answer(element)
+            if type(element) is not Unliftable
+            else _raise_unliftable(ring, element)
+        )
         for group, (_support, element) in elements.items()
     }
+
+
+# ----------------------------------------------------------------------
+# the wire form
+# ----------------------------------------------------------------------
+def wire_elements(ring: Ring, elements: Elements) -> list:
+    """``{group: (support, element)}`` as JSON-safe ``[[group...], support,
+    wire element]`` rows — the aggregate counterpart of
+    :func:`repro.net.protocol.wire_pairs`.  An :class:`Unliftable` element
+    travels as ``{"element": wire, "unliftable": [[value, count], ...]}``."""
+    rows = []
+    for group, (support, element) in elements.items():
+        if type(element) is Unliftable:
+            wire: Any = {
+                "element": ring.to_wire(element.element),
+                "unliftable": [
+                    [list(value) if isinstance(value, tuple) else value, count]
+                    for value, count in element.values.items()
+                ],
+            }
+        else:
+            wire = ring.to_wire(element)
+        rows.append([list(group), support, wire])
+    return rows
+
+
+def unwire_elements(ring: Ring, rows) -> Elements:
+    """Inverse of :func:`wire_elements`."""
+    elements: Elements = {}
+    for group, support, wire in rows:
+        if isinstance(wire, dict):
+            element: Any = Unliftable(
+                ring.from_wire(wire["element"]),
+                {
+                    tuple(value) if isinstance(value, list) else value: int(count)
+                    for value, count in wire["unliftable"]
+                },
+            )
+        else:
+            element = ring.from_wire(wire)
+        elements[tuple(group)] = (int(support), element)
+    return elements
 
 
 # ----------------------------------------------------------------------
 # the maintained state
 # ----------------------------------------------------------------------
 class MaintainedAggregate:
-    """Relation-backed aggregate state maintained from result deltas.
+    """The maintained ``{group: (support, element)}`` state of one spec.
 
-    The backing relation stores one tuple per live group: multiplicity is
-    the support, the payload channel carries the ring element.  Reads are
-    O(groups); each commit's result delta is absorbed in O(delta).
+    Reads are O(groups); each commit's result delta is folded and merged
+    in O(delta).  Neither step raises for a value the ring cannot lift,
+    so a registered aggregate never fails the commit that feeds it.
     """
 
-    __slots__ = ("spec", "head", "ring", "state", "_positions", "_extract")
+    __slots__ = ("spec", "head", "groups")
 
     def __init__(self, spec: AggregateSpec, head: Iterable[str]) -> None:
         self.spec = spec
         self.head = tuple(head)
-        self.ring = spec.ring
-        self._positions = spec.group_positions(self.head)
-        self._extract = spec.value_extractor(self.head)
-        schema = tuple(f"g{i}" for i in range(len(self._positions)))
-        self.state = Relation(f"agg[{spec.describe()}]", schema)
+        self.groups: Elements = {}
 
-    # ------------------------------------------------------------------
     def rebuild(self, pairs: Iterable[Tuple[ValueTuple, int]]) -> None:
         """Reinitialize from a full result enumeration (one O(result) fold)."""
-        self.state.clear()
-        self.on_delta(pairs)
+        self.groups = fold_result(self.spec, self.head, pairs)
 
-    def on_delta(self, pairs: Iterable[Tuple[ValueTuple, int]]) -> None:
-        """Absorb one result delta (or any additive slice of one).
+    def on_delta(self, delta: Mapping[ValueTuple, int]) -> None:
+        """Absorb one result delta (or any additive slice of one): the
+        maintenance layer's result-delta listener."""
+        merge_elements(
+            self.spec.ring,
+            self.groups,
+            fold_delta(self.spec, self.head, delta.items()).items(),
+        )
 
-        Folds the delta per group first, then touches the state once per
-        group: the net support delta can never drive a group's support
-        negative (result multiplicities are non-negative), so the
-        relation's over-delete rejection doubles as a corruption tripwire.
-        """
-        state = self.state
-        ring = self.ring
-        for group, (support_delta, element_delta) in fold_delta(
-            self.spec, self.head, pairs
-        ).items():
-            old = state.payload_of(group)
-            element = ring.add(old, element_delta) if old is not None else element_delta
-            support = state.apply_delta(group, support_delta)
-            if support != 0:
-                state.set_payload(group, element)
-
-    # ------------------------------------------------------------------
     def elements(self) -> Elements:
-        """Raw ``{group: (support, element)}`` (shard-merge / wire shape)."""
-        state = self.state
-        zero = self.ring.zero()
-        return {
-            group: (support, state.payload_of(group, zero))
-            for group, support in state.items()
-        }
-
-    def answers(self) -> Dict[ValueTuple, Any]:
-        """User-facing ``{group: answer}`` at the current version."""
-        ring = self.ring
-        state = self.state
-        zero = ring.zero()
-        return {
-            group: ring.answer(state.payload_of(group, zero))
-            for group in state
-        }
-
-    def group_count(self) -> int:
-        return len(self.state)
+        """A copy of the state at the current version."""
+        return dict(self.groups)

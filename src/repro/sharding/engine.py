@@ -65,16 +65,23 @@ from repro.durability.manager import (
     read_fleet_meta,
     write_fleet_meta,
 )
-from repro.enumeration.union import merge_shard_aggregates, merge_shards
+from repro.enumeration.union import merge_shards
 from repro.exceptions import (
     DurabilityError,
     ReproError,
     StaleStateError,
     UnsupportedQueryError,
 )
+from repro.ivm.delta import merge_delta
 from repro.ivm.rebalance import RebalanceStats
 from repro.rings.base import Ring
-from repro.rings.spec import AggregateSpec, answer_map, fold_result
+from repro.rings.spec import (
+    AggregateSpec,
+    Elements,
+    answer_map,
+    fold_result,
+    merge_elements,
+)
 from repro.sharding.executor import EXECUTORS, ShardExecutor
 from repro.sharding.router import ShardRouter
 from repro.views.build import DYNAMIC_MODE
@@ -834,13 +841,7 @@ class ShardedEngine:
         executor = self._require_loaded()
         merged: Dict[ValueTuple, int] = {}
         for pairs in executor.broadcast("drain_delta"):
-            for tup, mult in pairs:
-                tup = tuple(tup)
-                updated = merged.get(tup, 0) + mult
-                if updated:
-                    merged[tup] = updated
-                else:
-                    merged.pop(tup, None)
+            merge_delta(merged, pairs)
         return merged
 
     # ------------------------------------------------------------------
@@ -882,31 +883,23 @@ class ShardedEngine:
 
     def aggregate_elements(
         self, spec: AggregateSpec, maintained: bool = True
-    ) -> Dict[ValueTuple, Tuple[int, Any]]:
+    ) -> Elements:
         """Merged raw ``{group: (support, element)}`` across all shards.
 
-        One executor round collects every shard's partial aggregate in
-        wire form (supports + un-finalized ring elements), then
-        :func:`~repro.enumeration.union.merge_shard_aggregates` combines
-        them — grouped aggregation is a ring homomorphism of the shard
-        decomposition, so the merge is O(groups), never an enumeration.
+        One executor round collects every shard's partial aggregate
+        (supports + un-finalized ring elements), then
+        :func:`~repro.rings.spec.merge_elements` adds them up — grouped
+        aggregation is a ring homomorphism of the shard decomposition, so
+        the merge is O(groups), never an enumeration.
         """
         executor = self._require_loaded()
         if maintained and self.mode == DYNAMIC_MODE:
             if spec.key() not in self._agg_specs:
                 self.register_aggregate(spec)
-        ring = spec.ring
-        partials = []
-        for rows in executor.broadcast(
-            "aggregate", (spec.to_wire(), maintained)
-        ):
-            partials.append(
-                [
-                    (tuple(group), (support, ring.from_wire(element)))
-                    for group, support, element in rows
-                ]
-            )
-        return merge_shard_aggregates(partials, ring)
+        merged: Elements = {}
+        for partial in executor.broadcast("aggregate", (spec.to_wire(), maintained)):
+            merge_elements(spec.ring, merged, partial.items())
+        return merged
 
     def aggregate(
         self,

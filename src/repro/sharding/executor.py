@@ -5,8 +5,8 @@ The sharded engine talks to its shards through a tiny command set —
 ``check`` (engine invariants + placement), ``stats``, ``view_size``,
 ``size``, ``threshold``, ``retune`` (shard-local ε switch), ``version``,
 the aggregate pair ``register_aggregate`` / ``aggregate`` (per-shard
-partial aggregates as wire-form supports and ring elements, merged at the
-facade with :func:`repro.enumeration.union.merge_shard_aggregates`),
+partial aggregates as raw supports and ring elements, merged at the
+facade with :func:`repro.rings.spec.merge_elements`),
 plus the snapshot quartet
 ``snapshot`` / ``snap_enumerate`` / ``snap_lookup`` / ``snap_release``
 (shard-local :class:`repro.snapshot.Snapshot` handles held in a per-worker
@@ -150,18 +150,14 @@ class _ShardServer:
             self.engine.register_aggregate(AggregateSpec.from_wire(payload))
             return None
         if command == "aggregate":
-            # One shard's partial aggregate in wire form: supports and ring
-            # elements, NOT answers — partials from different shards must
-            # still combine at the facade (min of mins is lawful, but only
-            # the ring knows that; answers in general do not compose).
+            # One shard's partial aggregate: supports and ring elements,
+            # NOT answers — partials from different shards must still
+            # merge at the facade (min of mins is lawful, but only the ring
+            # knows that; answers in general do not compose).
             spec_wire, maintained = payload
-            spec = AggregateSpec.from_wire(spec_wire)
-            ring = spec.ring
-            elements = self.engine.aggregate_elements(spec, maintained=maintained)
-            return [
-                [list(group), support, ring.to_wire(element)]
-                for group, (support, element) in elements.items()
-            ]
+            return self.engine.aggregate_elements(
+                AggregateSpec.from_wire(spec_wire), maintained=maintained
+            )
         if command == "version":
             return self.engine.version
         if command == "check":

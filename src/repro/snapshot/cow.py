@@ -39,7 +39,7 @@ untouched), and when replay is cheaper than copying
 (``len(log) * COW_REPLAY_RATIO <= len(relation)``).
 
 Everything else — no log yet, a log that outgrew that bound and was dropped,
-a ``clear()`` or ``set_payload()`` (ticks without a log entry), the dict
+a ``clear()`` (ticks without a log entry), the dict
 backend, a replica still in use — takes the one fallback: an
 ``O(|relation|)`` copy and a fresh log.  The fresh log is skipped when the
 round that just ended was itself too long to replay: a batch writer that

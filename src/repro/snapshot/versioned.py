@@ -36,7 +36,7 @@ from repro.data.schema import ValueTuple
 from repro.enumeration.result import ResultEnumerator
 from repro.exceptions import StaleStateError
 from repro.query.conjunctive import ConjunctiveQuery
-from repro.rings.spec import AggregateSpec
+from repro.rings.spec import AggregateSpec, answer_map, fold_result
 from repro.snapshot.cow import CowTracker, SnapshotState
 from repro.views.view import ViewTreeNode
 
@@ -137,7 +137,7 @@ class Snapshot:
         enumeration.
         """
         spec = AggregateSpec.coerce(ring, value, group_by)
-        return self.enumerate().aggregate(spec)
+        return answer_map(spec, fold_result(spec, self._head, self.enumerate()))
 
     def lookup(self, tup: ValueTuple) -> int:
         """Multiplicity of one full result tuple in the captured version."""

@@ -233,3 +233,41 @@ def test_a_prebuilt_spec_excludes_value_and_group_by_on_every_surface():
         snapshot.close()
     sharded.close()
     single.close()
+
+
+@pytest.mark.parametrize("deployment", ["single", "durable", "sharded"])
+def test_a_value_the_ring_cannot_lift_does_not_break_a_commit(deployment, tmp_path):
+    """A string under a registered `sum`: the commit lands whole (result,
+    invariants, WAL), reading the aggregate raises the ring's error on the
+    maintained and the fold path alike, and deleting the value brings the
+    maintained answer back (a recovered engine registers the spec anew, so
+    its state is rebuilt with the value in it, then cancels it)."""
+    spec = AggregateSpec("sum", "C", ("A",))
+    if deployment == "sharded":
+        engine = ShardedEngine(QUERY, shards=2, epsilon=0.5, executor="serial")
+    else:
+        durability = tmp_path if deployment == "durable" else None
+        engine = HierarchicalEngine(QUERY, epsilon=0.5, durability=durability)
+    engine.load(make_database())
+    oracle = NaiveRecomputeEngine(QUERY)
+    oracle.load(make_database())
+    engine.register_aggregate(spec)
+    bad = [Update("R", (0, 0), 1), Update("S", (0, "x"), 1)]
+    engine.apply_batch(bad)
+    for update in bad:
+        oracle.update(update.relation, update.tuple, update.multiplicity)
+    assert engine.result() == dict(oracle.result())
+    engine.check_invariants()
+    for maintained in (True, False):
+        with pytest.raises(TypeError, match="numeric values, got str"):
+            engine.aggregate(spec, maintained=maintained)
+    if deployment == "durable":
+        engine.close()
+        engine, _report = HierarchicalEngine.recover(tmp_path)
+        assert engine.result() == dict(oracle.result())
+        engine.register_aggregate(spec)
+    engine.apply(Update("S", (0, "x"), -1))
+    oracle.update("S", (0, "x"), -1)
+    assert engine.aggregate(spec) == oracle_answers(oracle, spec)
+    assert engine.aggregate(spec, maintained=False) == oracle_answers(oracle, spec)
+    engine.close()

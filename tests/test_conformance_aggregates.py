@@ -87,20 +87,19 @@ def test_runner_diffs_scenario_aggregate_triples_clean():
 def test_injected_maintenance_bug_trips_the_aggregate_diff(monkeypatch):
     """A maintained state whose elements drift must be caught.
 
-    The bug corrupts only the payload channel (support stays right, so
-    the relation's over-delete tripwire cannot fire): the maintained
+    The bug corrupts only elements (supports stay right): the maintained
     answers silently diverge from the fold, which is exactly the failure
     mode only the runner's aggregate diff can see.
     """
     real = MaintainedAggregate.on_delta
     rng = random.Random(0)
 
-    def drifting(self, pairs):
-        real(self, pairs)
-        if rng.random() < 0.7 and len(self.state):
-            group = next(iter(self.state))
-            element = self.state.payload_of(group, self.ring.zero())
-            self.state.set_payload(group, self.ring.add(element, element))
+    def drifting(self, delta):
+        real(self, delta)
+        if rng.random() < 0.7 and self.groups:
+            group = next(iter(self.groups))
+            support, element = self.groups[group]
+            self.groups[group] = (support, self.spec.ring.add(element, element))
 
     monkeypatch.setattr(MaintainedAggregate, "on_delta", drifting)
     database, stream = _workload(seed=4, count=30)

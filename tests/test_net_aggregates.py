@@ -204,3 +204,39 @@ def test_slow_aggregate_subscriber_coalesces_to_resync():
     finally:
         handle.close()
         engine.close()
+
+
+def test_a_value_the_ring_cannot_lift_does_not_break_a_served_commit():
+    """A string under a subscribed `sum`: the commit is acked and pushed to
+    both mirrors, the answer raises on read (as the engine's own does), and
+    deleting the value brings the answer back."""
+    engine = HierarchicalEngine(QUERY, epsilon=0.5).load(make_database())
+    oracle = NaiveRecomputeEngine(QUERY)
+    oracle.load(make_database())
+    spec = AggregateSpec("sum", "C", ("A",))
+    engine.register_aggregate(spec)
+    handle = serve(engine)
+    try:
+        with EngineClient("127.0.0.1", handle.port) as client:
+            sub = client.subscribe_aggregate(spec)
+            plain = client.subscribe()
+            bad = [Update("R", (0, 0), 1), Update("S", (0, "x"), 1)]
+            version = client.apply_batch(bad)
+            for update in bad:
+                oracle.update(update.relation, update.tuple, update.multiplicity)
+            assert sub.wait_for_version(version, timeout=15.0)
+            assert plain.wait_for_version(version, timeout=15.0)
+            assert plain.result() == dict(oracle.result())
+            with pytest.raises(TypeError, match="numeric values, got str"):
+                sub.answers()
+            with pytest.raises(TypeError, match="numeric values, got str"):
+                client.aggregate(spec)
+            assert sub.elements() == client.aggregate_read(spec)[1]
+            version = client.apply_update(Update("S", (0, "x"), -1))
+            oracle.update("S", (0, "x"), -1)
+            assert sub.wait_for_version(version, timeout=15.0)
+            assert sub.answers() == oracle_answers(oracle, spec)
+            assert client.aggregate(spec) == oracle_answers(oracle, spec)
+    finally:
+        handle.close()
+        engine.close()

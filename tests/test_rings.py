@@ -1,11 +1,12 @@
-"""The commutative-ring payload layer: laws, specs, folds, payloads.
+"""The commutative-ring payload layer: laws, specs, folds, the one state.
 
 Every registered ring must satisfy the abelian-group laws the engine
 relies on (a broken law would silently corrupt every maintained
 aggregate), `AggregateSpec` must have a stable identity and a faithful
 wire form, the module-level folds must implement the one true definition
-of "aggregate of an enumeration", and the per-tuple payload channel of
-both storage backends must follow the tuple lifecycle exactly.
+of "aggregate of an enumeration", and the `{group: (support, element)}`
+shape must merge, travel and answer the same way everywhere — including
+for values its ring cannot lift.
 """
 
 from __future__ import annotations
@@ -15,17 +16,20 @@ from fractions import Fraction
 
 import pytest
 
-from repro.data.relation import Relation, storage_backend
 from repro.exceptions import SchemaError
 from repro.rings import (
     AggregateSpec,
     MaintainedAggregate,
+    Unliftable,
     answer_map,
     check_ring_laws,
     fold_delta,
     fold_result,
     get_ring,
+    merge_elements,
     ring_names,
+    unwire_elements,
+    wire_elements,
 )
 
 #: Lawful ``(value, multiplicity)`` samples per registered ring —
@@ -156,43 +160,74 @@ def test_maintained_aggregate_tracks_deltas_and_drops_drained_groups():
     spec = AggregateSpec("max", "V", ("G",))
     state = MaintainedAggregate(spec, ("G", "V"))
     state.rebuild([(("a", 5), 1), (("a", 3), 1), (("b", 7), 2)])
-    assert state.answers() == {("a",): 5, ("b",): 7}
-    assert state.group_count() == 2
-    state.on_delta([(("a", 5), -1)])  # retraction re-derives
-    state.on_delta([(("b", 7), -2)])  # drained group disappears
-    assert state.answers() == {("a",): 3}
+    assert answer_map(spec, state.elements()) == {("a",): 5, ("b",): 7}
+    assert len(state.groups) == 2
+    state.on_delta({("a", 5): -1})  # retraction re-derives
+    state.on_delta({("b", 7): -2})  # drained group disappears
+    assert answer_map(spec, state.elements()) == {("a",): 3}
     assert state.elements() == {("a",): (1, {3: 1})}
     state.rebuild([(("c", 1), 1)])
-    assert state.answers() == {("c",): 1}
+    assert answer_map(spec, state.elements()) == {("c",): 1}
 
 
-# ----------------------------------------------------------------------
-# the payload channel, on both storage backends
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["dict", "columnar"])
-def test_payload_follows_the_tuple_lifecycle(backend):
-    with storage_backend(backend):
-        relation = Relation("R", ("A", "B"))
-        relation.apply_delta((1, 2), 2)
-        relation.apply_delta((3, 4), 1)
-        relation.set_payload((1, 2), {"elem": 10})
-        assert relation.payload_of((1, 2)) == {"elem": 10}
-        assert relation.payload_of((3, 4), "absent") == "absent"
-        assert dict(relation.payload_items()) == {(1, 2): {"elem": 10}}
-        # payloads are unrepresentable without support
-        with pytest.raises(KeyError):
-            relation.set_payload((9, 9), "orphan")
-        # clones carry payloads; the original stays independent
-        clone = relation.copy()
-        clone.set_payload((3, 4), "cloned")
-        assert relation.payload_of((3, 4)) is None
-        assert clone.payload_of((1, 2)) == {"elem": 10}
-        # a multiplicity bump keeps the payload; deletion drops it
-        relation.apply_delta((1, 2), -1)
-        assert relation.payload_of((1, 2)) == {"elem": 10}
-        relation.apply_delta((1, 2), -1)
-        assert relation.payload_of((1, 2)) is None
-        relation.apply_delta((1, 2), 1)
-        assert relation.payload_of((1, 2)) is None  # re-insert starts clean
-        relation.clear()
-        assert dict(relation.payload_items()) == {}
+def test_merge_elements_adds_supports_and_elements_and_drops_drained_groups():
+    ring = get_ring("sum")
+    state = {("a",): (2, 10), ("b",): (1, 4)}
+    merged = merge_elements(ring, state, [(("a",), (1, 5)), (("b",), (-1, -4)), (("c",), (3, 0))])
+    assert merged is state
+    assert state == {("a",): (3, 15), ("c",): (3, 0)}
+    # partials merge like deltas: shard-style sums of positive supports
+    total = {}
+    for partial in ({("a",): (1, 2)}, {("a",): (2, 3), ("b",): (1, 1)}):
+        merge_elements(ring, total, partial.items())
+    assert total == {("a",): (3, 5), ("b",): (1, 1)}
+
+
+def test_wire_elements_round_trip_through_json_for_every_ring():
+    specs = (
+        AggregateSpec("counting", None, ("G",)),
+        AggregateSpec("sum", "V", ("G",)),
+        AggregateSpec("max", "V", ("G",)),
+        AggregateSpec("sum_product", ("V", "V"), ("G",)),
+    )
+    pairs = [(("a", 0.5), 2), (("a", 3), 1), (("b", 10**20), 1)]
+    for spec in specs:
+        elements = fold_result(spec, ("G", "V"), pairs)
+        rows = json.loads(json.dumps(wire_elements(spec.ring, elements)))
+        assert unwire_elements(spec.ring, rows) == elements, spec.describe()
+
+
+def test_a_value_the_ring_cannot_lift_is_carried_exactly_and_raises_on_read():
+    """The fold never raises for a rejected value: it counts the value
+    next to the element, merges cancel it, and only the answer raises —
+    with the ring's own error — while the value is in its group."""
+    spec = AggregateSpec("sum", "V", ("G",))
+    head = ("G", "V")
+    state = MaintainedAggregate(spec, head)
+    state.rebuild([(("a", 1), 1), (("b", 2), 1)])
+    state.on_delta({("a", "x"): 2, ("b", 5): 1})
+    support, element = state.groups[("a",)]
+    assert support == 3 and element == Unliftable(1, {"x": 2})
+    with pytest.raises(TypeError, match="numeric values, got str: 'x'"):
+        answer_map(spec, state.elements())
+    # the maintained state equals the fold over the same result
+    result = [(("a", 1), 1), (("a", "x"), 2), (("b", 2), 1), (("b", 5), 1)]
+    assert state.elements() == fold_result(spec, head, result)
+    # it travels like any element
+    rows = json.loads(json.dumps(wire_elements(spec.ring, state.elements())))
+    assert unwire_elements(spec.ring, rows) == state.elements()
+    # deleting the value cancels it: a plain element again
+    state.on_delta({("a", "x"): -2})
+    assert state.groups[("a",)] == (1, 1)
+    assert answer_map(spec, state.elements()) == {("a",): 1, ("b",): 7}
+    # so does a float no Fraction can hold
+    infinite = fold_result(spec, head, [(("c", float("inf")), 1)])
+    assert infinite == {("c",): (1, Unliftable(0, {float("inf"): 1}))}
+    # min/max reject a missing value the same way
+    extremum = AggregateSpec("max", None)
+    with pytest.raises(TypeError, match="needs a value"):
+        answer_map(extremum, fold_result(extremum, head, result))
+    # support-neutral churn that swaps a rejected value for another still
+    # reaches a delta (the element moved)
+    churn = fold_delta(spec, head, [(("a", "x"), 1), (("a", "y"), -1)])
+    assert churn == {("a",): (0, Unliftable(0, {"x": 1, "y": -1}))}

@@ -368,14 +368,13 @@ KEY_SCHEMAS = (("A",), ("B",), ("A", "B"))
 def assert_same_frozen_content(frozen, expected):
     """``frozen`` is observationally the ``copy()`` taken at capture time.
 
-    Entries, payloads and every index group are compared as sequences.  The
+    Entries and every index group are compared as sequences.  The
     order of ``keys()`` is the one thing a kept index (maintained through a
     replay, or inherited from the live relation) may not share with a fresh
     build, and nothing that reads a frozen copy iterates it — so the keys
     are compared as a duplicate-free set.
     """
     assert list(frozen.items()) == list(expected.items())
-    assert list(frozen.payload_items()) == list(expected.payload_items())
     for key_schema in KEY_SCHEMAS:
         got, want = frozen.ensure_index(key_schema), expected.ensure_index(key_schema)
         keys = list(got.keys())
@@ -431,7 +430,6 @@ mutations = st.lists(
         st.tuples(st.just("delete"), picks),
         st.tuples(st.just("delete"), picks),
         st.tuples(st.just("delete"), picks),
-        st.tuples(st.just("payload"), picks),
         st.tuples(st.just("clear"), picks),
     ),
     max_size=10,
@@ -477,7 +475,7 @@ class TestTrailingReplica:
         reads, closes, drops and held-open snapshots: whichever branch
         (replay or copy) produced a frozen relation, it equals the
         ``copy()`` taken at the capture point — entries, index key sets and
-        per-key group sequences, payloads."""
+        per-key group sequences."""
         harness = ReplicaHarness(backend, prefill)
         relation = harness.relation
         for capture, writes, follow_ups in rounds:
@@ -497,11 +495,7 @@ class TestTrailingReplica:
                     # index keys and free rows
                     live = list(relation.tuples())
                     pool = live[:24] + live[-24:]
-                    target = pool[arg % len(pool)]
-                    if op == "delete":
-                        relation.apply_delta(target, -1)
-                    else:
-                        relation.set_payload(target, ("payload", arg))
+                    relation.apply_delta(pool[arg % len(pool)], -1)
             for op, arg in follow_ups:
                 if harness.open:
                     getattr(harness, op)(arg)
@@ -567,21 +561,17 @@ class TestTrailingReplica:
         assert relation._cow_log is not None
         harness.read_all()
 
-        # clear() and set_payload() tick without a log entry: the capture
-        # before them is still reached by replay, the one after by a copy
-        for mutate in (
-            lambda: relation.set_payload((40_000, 1), "p"),
-            relation.clear,
-        ):
-            while len(harness.open) > 1:
-                harness.close(1)
-            copies = tracker.full_copies
-            harness.capture()
-            mutate()
-            harness.capture()
-            relation.apply_delta((50_000, 2), 1)
-            assert tracker.full_copies == copies + 1 or not columnar
-            harness.read_all()
+        # clear() ticks without a log entry: the capture before it is still
+        # reached by replay, the one after by a copy
+        while len(harness.open) > 1:
+            harness.close(1)
+        copies = tracker.full_copies
+        harness.capture()
+        relation.clear()
+        harness.capture()
+        relation.apply_delta((50_000, 2), 1)
+        assert tracker.full_copies == copies + 1 or not columnar
+        harness.read_all()
 
     def test_tracker_refuses_to_freeze_for_a_released_state(self):
         """``close()`` racing a reader that already passed its validity
