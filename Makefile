@@ -116,7 +116,7 @@ docs-check:
 ## The tracked size metric of ROADMAP/CHANGES: lines of Python under src/.
 ## A ratchet: prints the count and fails above LOC_BUDGET.  A PR that
 ## shrinks src/ lowers the budget to its own result; nothing raises it.
-LOC_BUDGET := 21569
+LOC_BUDGET := 21495
 loc:
 	@loc=$$(find src -name '*.py' | xargs cat | wc -l); echo $$loc; \
 	if [ $$loc -gt $(LOC_BUDGET) ]; then \

@@ -27,7 +27,7 @@ from repro.core.api import DynamicEngine, HierarchicalEngine, StaticEngine
 from repro.core.serving import EngineServer
 from repro.data.database import Database
 from repro.data.relation import Relation
-from repro.data.update import Update, UpdateBatch, UpdateStream
+from repro.data.update import Retune, Update, UpdateBatch, UpdateStream
 from repro.snapshot import Snapshot
 from repro.query.atom import Atom, atom
 from repro.query.classes import classify
@@ -54,6 +54,7 @@ __all__ = [
     "ShardedEngine",
     "Snapshot",
     "StaticEngine",
+    "Retune",
     "Update",
     "UpdateBatch",
     "UpdateStream",

@@ -82,7 +82,7 @@ from repro.core.planner import is_shardable
 from repro.data.database import Database
 from repro.data.relation import storage_backend
 from repro.data.schema import ValueTuple
-from repro.data.update import Update, UpdateStream
+from repro.data.update import Event, Retune, Update, UpdateStream
 from repro.durability import (
     CrashPointInjector,
     DurabilityConfig,
@@ -809,17 +809,18 @@ class SteppedWriter:
 
 def _recovery_plan(
     case: ConformanceCase,
-) -> Tuple[int, List[Tuple[str, object]], float, int, float, bool]:
+) -> Tuple[int, List[Event], float, int, float, bool]:
     """Derive the deterministic crash experiment encoded by a case.
 
     Returns ``(digest, events, checkpoint_ratio, writer_lag, epsilon,
-    batched)``.  Every *event* — one update, one consolidated segment
-    batch, or the mid-case retune — ticks the durable version at most once,
-    so the recovered engine's version identifies exactly which events still
-    need replaying.  All knobs derive from the case's JSON digest, so a
-    shrunk repro file replays the same crash without carrying extra state.
-    The ratio makes these sub-kilobyte databases checkpoint every one to
-    three records.
+    batched)``.  Every *event* — one update, one segment as a raw update
+    list (consolidated by the engine into one batch), or the mid-case
+    :class:`Retune` — ticks the durable version at most once, so the
+    recovered engine's version identifies exactly which events still need
+    replaying.  All knobs derive from the case's JSON digest, so a shrunk
+    repro file replays the same crash without carrying extra state.  The
+    ratio makes these sub-kilobyte databases checkpoint every one to three
+    records.
     """
     digest = zlib.crc32(case.to_json().encode("utf-8"))
     segments = case.segments()
@@ -829,45 +830,33 @@ def _recovery_plan(
     epsilon = case.epsilons[len(case.epsilons) // 2] if case.epsilons else 0.5
     retune_checkpoint = 1 + digest % len(segments) if segments else None
     target = RETUNE_EPSILONS[digest % len(RETUNE_EPSILONS)]
-    events: List[Tuple[str, object]] = []
+    events: List[Event] = []
     for number, segment in enumerate(segments, start=1):
         if batched:
-            events.append(("batch", segment))
+            events.append(list(segment))
         else:
-            events.extend(("update", update) for update in segment)
+            events.extend(segment)
         if number == retune_checkpoint:
-            events.append(("retune", target))
+            events.append(Retune(target))
     return digest, events, ratio, lag, epsilon, batched
 
 
-def _apply_event(engine, event: Tuple[str, object]) -> bool:
-    """Apply one plan event; a deterministically rejected event is skipped.
+def _run_events(engine, events: Sequence[Event], lag: int) -> List[int]:
+    """Commit ``events`` on a durable engine under a stepped writer; returns
+    the version after each event (the map a resuming client works from).
 
-    Rejections (an over-delete the stream made invalid) depend only on the
-    engine's state, which the crash run, the oracle run, and the post-
-    recovery replay all share at the corresponding version — so "skipped"
-    is itself replayed faithfully.  Returns whether the event was accepted.
+    A rejected event (an over-delete the stream made invalid) is skipped.
+    Rejections depend only on the engine's state, which the crash run, the
+    oracle run, and the post-recovery replay all share at the corresponding
+    version — so "skipped" is itself replayed faithfully.
     """
-    kind, payload = event
-    try:
-        if kind == "update":
-            engine.apply(payload)
-        elif kind == "batch":
-            engine.apply_batch(list(payload))
-        else:
-            engine.retune(payload)
-    except RejectedUpdateError:
-        return False
-    return True
-
-
-def _run_events(engine, events, lag: int) -> List[int]:
-    """Run ``events`` on a durable engine under a stepped writer; returns the
-    version after each event (the map a resuming client works from)."""
     writer = engine._durability.writer = SteppedWriter(lag)
     versions = []
     for event in events:
-        _apply_event(engine, event)
+        try:
+            engine.commit(event)
+        except RejectedUpdateError:
+            pass
         writer.tick()
         versions.append(engine.version)
     return versions
@@ -975,12 +964,12 @@ def run_crash_recovery_case(
     try:
         # -- ground truth: the naive oracle over the same event sequence
         naive = NaiveRecomputeEngine(case.query).load(case.database())
-        for kind, payload in events:
+        for event in events:
             try:
-                if kind == "update":
-                    naive.apply(payload)
-                elif kind == "batch":
-                    naive.apply_batch(list(payload))
+                if isinstance(event, Update):
+                    naive.apply(event)
+                elif not isinstance(event, Retune):
+                    naive.apply_batch(event)
             except RejectedUpdateError:
                 pass
         truth = dict(naive.result())

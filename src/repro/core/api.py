@@ -53,11 +53,18 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 from repro.data.database import Database
 from repro.data.schema import ValueTuple
-from repro.data.update import Update, UpdateBatch, UpdateStream, as_batch, iter_batches
+from repro.data.update import (
+    Event,
+    MutationSurface,
+    Retune,
+    Update,
+    as_batch,
+    check_epsilon,
+)
 from repro.engine.materialize import materialize_plan, total_view_size
 from repro.enumeration.result import ResultEnumerator
 from repro.exceptions import (
@@ -94,7 +101,7 @@ from repro.views.build import DYNAMIC_MODE, STATIC_MODE
 from repro.views.skew import SkewAwarePlan
 
 
-class HierarchicalEngine:
+class HierarchicalEngine(MutationSurface):
     """Static and dynamic evaluation of hierarchical queries with the ε trade-off."""
 
     def __init__(
@@ -107,9 +114,7 @@ class HierarchicalEngine:
         telemetry: Union[WorkloadTelemetry, bool, None] = None,
         durability: Union[DurabilityConfig, str, Path, None] = None,
     ) -> None:
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
-        self.epsilon = epsilon
+        self.epsilon = check_epsilon(epsilon)
         self.mode = mode
         self.enable_rebalancing = enable_rebalancing
         self.copy_database = copy_database
@@ -517,70 +522,31 @@ class HierarchicalEngine:
     # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
-    def update(self, relation: str, tup: ValueTuple, multiplicity: int = 1) -> None:
-        """Apply a single-tuple update ``δR = {tup → multiplicity}``."""
-        self.apply(Update(relation, tuple(tup), multiplicity))
+    def commit(self, event: Event) -> None:
+        """Ingest one event, then make it durable; every mutation lands here.
 
-    def insert(self, relation: str, tup: ValueTuple, multiplicity: int = 1) -> None:
-        """Insert ``multiplicity`` copies of ``tup`` into ``relation``."""
-        self.update(relation, tup, abs(multiplicity))
-
-    def delete(self, relation: str, tup: ValueTuple, multiplicity: int = 1) -> None:
-        """Delete ``multiplicity`` copies of ``tup`` from ``relation``."""
-        self.update(relation, tup, -abs(multiplicity))
-
-    def apply(self, update: Update) -> None:
-        """Apply one :class:`~repro.data.update.Update`.
-
-        On a durable engine the update is ingested first, then committed
-        to the WAL (append + flush + fsync) before this call returns: the
-        log holds only *accepted* updates, so a rejected over-delete can
-        never poison a recovery replay.  A crash between ingest and
-        commit loses exactly the unacknowledged update.
+        An :class:`~repro.data.update.Update` is the paper's single-tuple
+        ``δR = {x → m}``; an :class:`~repro.data.update.UpdateBatch` — or a
+        raw list of updates, consolidated here — is ingested in one
+        grouped pass, all or nothing; a :class:`~repro.data.update.Retune`
+        switches ε in one major-rebalance pass (see :meth:`retune`).  The
+        version ticks once per event.  On a durable engine the event is
+        then one WAL record, appended, flushed and fsynced before this
+        returns: the log holds only *accepted* events, so a rejected
+        over-delete can never poison a recovery replay, and a crash between
+        ingest and log loses exactly the unacknowledged event.
         """
         self._require_dynamic()
-        self._driver.on_update(update)
+        if isinstance(event, Update):
+            self._driver.on_update(event)
+        elif isinstance(event, Retune):
+            self._driver.retune(event.epsilon)
+            self.epsilon = event.epsilon
+        else:
+            event = as_batch(event)
+            self._driver.on_batch(event)
         if self._durability is not None:
-            self._durability.commit_update(update, self.version)
-
-    def apply_batch(self, updates: Union[UpdateBatch, Iterable[Update]]) -> None:
-        """Consolidate ``updates`` into one batch and ingest it in one pass.
-
-        Accepts an :class:`~repro.data.update.UpdateBatch`, an
-        :class:`~repro.data.update.UpdateStream`, or any iterable of
-        :class:`~repro.data.update.Update`.  Same-tuple deltas are merged and
-        cancelled pairs dropped before any maintenance work happens; the
-        surviving per-relation deltas are applied to the base relations and
-        propagated through each affected view tree in a single grouped
-        traversal, followed by one deferred rebalance check.  The resulting
-        query result is identical to applying the same updates one by one.
-
-        On a durable engine the whole consolidated batch is one WAL
-        record (one fsync per batch — this is where WAL overhead
-        amortizes; see ``benchmarks/bench_durability.py``).
-        """
-        self._require_dynamic()
-        batch = as_batch(updates)
-        self._driver.on_batch(batch)
-        if self._durability is not None:
-            self._durability.commit_batch(batch, self.version)
-
-    def apply_stream(
-        self, updates: Iterable[Update], batch_size: Optional[int] = None
-    ) -> None:
-        """Apply a sequence of updates, optionally chunked into batches.
-
-        With ``batch_size=None`` every update is processed individually (the
-        paper's single-tuple model); with a positive ``batch_size`` the
-        stream is cut into consecutive consolidated batches of that many
-        source updates and ingested through :meth:`apply_batch`.
-        """
-        if batch_size is not None:
-            for batch in iter_batches(updates, batch_size):
-                self.apply_batch(batch)
-            return
-        for update in updates:
-            self.apply(update)
+            self._durability.commit(event, self.version)
 
     def _require_dynamic(self) -> None:
         self._require_loaded()
@@ -734,43 +700,6 @@ class HierarchicalEngine:
         if self.telemetry is not None:
             self.telemetry.record_read(len(elements), time.perf_counter() - started)
         return elements
-
-    # ------------------------------------------------------------------
-    # adaptive retuning
-    # ------------------------------------------------------------------
-    def retune(self, epsilon: float) -> None:
-        """Switch the live engine to a new ε without replaying the workload.
-
-        Reuses the major-rebalance machinery: the threshold base is
-        re-anchored at ``M = 2N + 1`` (what :meth:`load` would choose for
-        the current database), every partition is strictly repartitioned at
-        the new ``M^ε``, and every view is recomputed.  The retuned engine
-        is equivalent — same result, same enumeration order — to a fresh
-        engine constructed at ``epsilon`` over the current database, so
-        callers can flip the update/enumeration trade-off mid-stream as the
-        workload shifts (see :class:`repro.adaptive.AdaptiveController` for
-        the telemetry-driven policy, and ``benchmarks/bench_adaptive.py``
-        for what it buys on a phase-shifting workload).
-
-        Open snapshots keep serving their capture-time state (the retune
-        flows through the same copy-on-write guards as any major
-        rebalance); the engine version ticks once, and snapshots or
-        enumerators only go stale on :meth:`load`, exactly as before.
-        Costs one preprocessing pass — ``O(N^{1+(w−1)ε})`` — so it should
-        be driven by a hysteresis policy, not per update.  Static engines
-        cannot retune (re-``load`` instead); ``epsilon`` outside ``[0, 1]``
-        raises :class:`ValueError`.
-        """
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
-        self._require_dynamic()
-        assert self._driver is not None
-        self._driver.retune(epsilon)
-        self.epsilon = epsilon
-        if self._durability is not None:
-            # ε is engine state: a replay that skipped the retune would
-            # rebuild different partitions than the engine that crashed.
-            self._durability.commit_retune(epsilon, self.version)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -44,6 +44,7 @@ from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.data.schema import ValueTuple
+from repro.data.update import Event, MutationSurface
 from repro.exceptions import WriterFailedError
 
 # A commit listener: called after every committed ingestion event with
@@ -57,7 +58,7 @@ class ServingStats:
 
     ``batches_applied`` counts *commits* — consolidated batches and
     single-tuple updates alike, since both flow through the same unified
-    commit path (:meth:`EngineServer._commit`).
+    commit path (:meth:`EngineServer.commit`).
     """
 
     batches_applied: int = 0
@@ -174,7 +175,7 @@ def take(enumerator, limit: Optional[int]) -> Tuple:
     return tuple(enumerator if limit is None else islice(enumerator, limit))
 
 
-class EngineServer:
+class EngineServer(MutationSurface):
     """Serve one loaded engine to a writer thread and N reader sessions."""
 
     def __init__(self, engine, mode: str = "snapshot", controller=None) -> None:
@@ -251,20 +252,20 @@ class EngineServer:
                 set_capture(True)
         self._commit_listeners.append(listener)
 
-    def _commit(self, ingest: Callable[[], None]) -> None:
-        """The single commit path shared by batches and single updates.
+    def commit(self, event: Event) -> None:
+        """The one commit path of every update, batch and retune served.
 
-        Ingest, consult the adaptive controller (the commit may auto-retune
-        the engine — the published snapshot then already serves the new ε,
-        so readers never observe a half-retuned version), publish, and
-        notify commit listeners — all under the write lock; then count the
-        commit.  Keeping single-tuple updates on this exact path is what
-        makes them auto-retune and appear in :class:`ServingStats` like any
-        batch (they previously bypassed all three).
+        Commit ``event`` on the engine, consult the adaptive controller
+        (the commit may auto-retune the engine — the published snapshot
+        then already serves the new ε, so readers never observe a
+        half-retuned version), publish, and notify commit listeners — all
+        under the write lock; then count the commit.  Every spelling of the
+        inherited update API (``apply_update``, ``apply_batch``, ``retune``,
+        …) is one call of this method.
         """
         pending_reshard: Optional[int] = None
         with self._write_lock:
-            ingest()
+            self.engine.commit(event)
             if self.controller is not None:
                 if self.controller.maybe_retune() is not None:
                     self.stats.count_retune()
@@ -295,19 +296,6 @@ class EngineServer:
                 self.controller.record_reshard(pending_reshard)
             finally:
                 self._resharding = False
-
-    def apply_batch(self, updates) -> None:
-        """Ingest one consolidated batch, then publish the new version."""
-        self._commit(lambda: self.engine.apply_batch(updates))
-
-    def apply_update(self, update) -> None:
-        """Ingest one single-tuple update through the same commit path.
-
-        Identical contract to :meth:`apply_batch` — controller consult,
-        retune counting, publish, listener notification, and
-        ``stats.count_batch()`` (a single update is a commit of one).
-        """
-        self._commit(lambda: self.engine.apply(update))
 
     def reshard(self, new_count: int) -> None:
         """Change the sharded engine's shard count while serving.

@@ -17,6 +17,12 @@ updates one by one — the maintenance path
 groups, and a single :class:`Update` is a group of one.
 ``UpdateStream.batches(size)`` chunks a recorded stream into consecutive
 batches.
+
+A commit is one value — an :class:`Update`, an :class:`UpdateBatch`, a raw
+update list, or a :class:`Retune` (the live ε switch, reusing major
+rebalancing) — passed unchanged through every engine-shaped class's one
+``commit(event)`` (:class:`MutationSurface` spells the update API over it),
+the shard pipe, the reshard tail and the WAL codec.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    Optional,
     Sequence,
     Tuple,
     Union,
@@ -65,6 +72,27 @@ class Update:
         if self.multiplicity == 0:
             raise ValueError("an update must have a non-zero multiplicity")
         object.__setattr__(self, "tuple", tuple(self.tuple))
+
+
+def check_epsilon(epsilon: float) -> float:
+    """Return ``epsilon`` when it lies in ``[0, 1]``; raise ``ValueError`` else."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError("epsilon must lie in [0, 1]")
+    return epsilon
+
+
+@dataclass(frozen=True)
+class Retune:
+    """A live switch of the trade-off knob to ``epsilon``, committed like an update.
+
+    ε is engine state: a retune ticks the version once, is logged to the
+    WAL and replayed by recovery in order with the updates around it.
+    """
+
+    epsilon: float
+
+    def __post_init__(self) -> None:
+        check_epsilon(self.epsilon)
 
 
 class UpdateBatch:
@@ -227,41 +255,117 @@ def as_batch(updates: Union["UpdateBatch", Iterable[Update]]) -> "UpdateBatch":
     return UpdateBatch(updates)
 
 
-def validate_batch_size(size: int) -> int:
-    """Reject non-integer or non-positive batch sizes with a uniform error.
+def iter_chunks(updates: Iterable[Update], size: int) -> Iterator[List[Update]]:
+    """Cut any iterable of updates into consecutive lists of ``size`` updates.
 
-    Shared by :func:`iter_batches` and the sharded engine's stream chunking
-    so both ingestion paths accept exactly the same sizes.  Returns the
-    validated size.
+    The last chunk may be shorter.  Raises :class:`ValueError`
+    *immediately* for a non-integer or non-positive ``size`` — at call
+    time, not lazily at the first ``next()`` — so a bad batch size can
+    never be mistaken for an empty stream.
     """
     if not isinstance(size, int) or isinstance(size, bool):
         raise ValueError(f"batch size must be an integer, got {size!r}")
     if size <= 0:
         raise ValueError(f"batch size must be positive, got {size}")
-    return size
+    return _iter_chunks(updates, size)
 
 
-def iter_batches(
-    updates: Iterable[Update], size: int
-) -> Iterator["UpdateBatch"]:
-    """Chunk any iterable of updates into consecutive consolidated batches.
-
-    Raises :class:`ValueError` *immediately* for ``size <= 0`` — the check
-    happens at call time, not lazily at the first ``next()``, so a bad batch
-    size can never be mistaken for an empty stream.
-    """
-    return _iter_batches(updates, validate_batch_size(size))
-
-
-def _iter_batches(updates: Iterable[Update], size: int) -> Iterator["UpdateBatch"]:
-    batch = UpdateBatch()
+def _iter_chunks(updates: Iterable[Update], size: int) -> Iterator[List[Update]]:
+    chunk: List[Update] = []
     for update in updates:
-        batch.add(update)
-        if batch.source_count >= size:
-            yield batch
-            batch = UpdateBatch()
-    if batch.source_count:
-        yield batch
+        chunk.append(update)
+        if len(chunk) >= size:
+            yield chunk
+            chunk = []
+    if chunk:
+        yield chunk
+
+
+def iter_batches(updates: Iterable[Update], size: int) -> Iterator["UpdateBatch"]:
+    """Chunk any iterable of updates into consecutive consolidated batches."""
+    return map(UpdateBatch, iter_chunks(updates, size))
+
+
+#: What ``commit(event)`` takes (see :class:`MutationSurface`).
+Event = Union[Update, UpdateBatch, Retune, List[Update]]
+
+
+class MutationSurface:
+    """The update API of every engine-shaped class, written once over ``commit``.
+
+    A subclass implements :meth:`commit` for one event — an
+    :class:`Update`, an :class:`UpdateBatch`, a raw list of updates, or a
+    :class:`Retune`; every method here only spells an event.  A raw list
+    is a batch not yet consolidated: a single engine consolidates it on
+    entry, the sharded facade routes it first so each shard's
+    ``source_count`` stays exact.
+    """
+
+    def commit(self, event: Event) -> None:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def update(self, relation: str, tup: ValueTuple, multiplicity: int = 1) -> None:
+        """Apply a single-tuple update ``δR = {tup → multiplicity}``."""
+        self.commit(Update(relation, tuple(tup), multiplicity))
+
+    def insert(self, relation: str, tup: ValueTuple, multiplicity: int = 1) -> None:
+        """Insert ``multiplicity`` copies of ``tup`` into ``relation``."""
+        self.update(relation, tup, abs(multiplicity))
+
+    def delete(self, relation: str, tup: ValueTuple, multiplicity: int = 1) -> None:
+        """Delete ``multiplicity`` copies of ``tup`` from ``relation``."""
+        self.update(relation, tup, -abs(multiplicity))
+
+    def apply(self, update: Update) -> None:
+        """Commit one :class:`Update`."""
+        self.commit(update)
+
+    apply_update = apply
+
+    def apply_batch(self, updates: Union[UpdateBatch, Iterable[Update]]) -> None:
+        """Commit many updates as one event, all or nothing.
+
+        An :class:`UpdateBatch` is committed as it is; a stream or any
+        other iterable as a raw list.  Same-tuple deltas merge and
+        cancelled pairs drop before any maintenance work, the survivors
+        are propagated in one grouped traversal followed by one deferred
+        rebalance check, and the result equals applying the updates one by
+        one; a rejected over-delete raises with nothing applied.  On a
+        durable engine the batch is one WAL record (one fsync per batch).
+        """
+        self.commit(updates if isinstance(updates, UpdateBatch) else list(updates))
+
+    def apply_stream(
+        self, updates: Iterable[Update], batch_size: Optional[int] = None
+    ) -> None:
+        """Commit a sequence of updates one by one, or in chunks.
+
+        With ``batch_size=None`` every update is its own commit (the
+        paper's single-tuple model); otherwise each run of ``batch_size``
+        consecutive updates is committed as one raw list (see
+        :meth:`apply_batch`).
+        """
+        if batch_size is None:
+            for update in updates:
+                self.commit(update)
+            return
+        for chunk in iter_chunks(updates, batch_size):
+            self.commit(chunk)
+
+    def retune(self, epsilon: float) -> None:
+        """Switch the live engine to a new ε without replaying the workload.
+
+        One major-rebalance pass: the threshold base is re-anchored at
+        ``M = 2N + 1``, every partition is strictly repartitioned at the
+        new ``M^ε`` and every view recomputed, so the result and the
+        enumeration order equal a fresh engine built at ``epsilon`` over
+        the current data.  The version ticks once; open snapshots keep
+        their capture-time state.  It costs a preprocessing pass —
+        ``O(N^{1+(w−1)ε})`` — so a hysteresis policy should drive it
+        (:class:`repro.adaptive.AdaptiveController`), not every update.
+        ``epsilon`` outside ``[0, 1]`` raises :class:`ValueError`.
+        """
+        self.commit(Retune(epsilon))
 
 
 class UpdateStream:

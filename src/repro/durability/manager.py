@@ -3,12 +3,11 @@
 :class:`DurabilityConfig` names a directory and a policy (fsync per
 commit or not, how much WAL may accumulate per checkpoint byte, how many
 checkpoints to keep); :class:`DurabilityManager` attaches that policy to
-one loaded dynamic engine.  The engine calls ``commit_update`` /
-``commit_batch`` / ``commit_retune`` *after* its in-memory ingest
-succeeded — the WAL is a redo log of **accepted** events, so a rejected
-over-delete is never logged and can never poison a replay — and the
-commit returns only once the record is flushed (and, with
-``fsync=True``, fsynced).
+one loaded dynamic engine.  The engine calls ``commit(event, version)``
+*after* its in-memory ingest succeeded — the WAL is a redo log of
+**accepted** events, so a rejected over-delete is never logged and can
+never poison a replay — and the commit returns only once the record is
+flushed (and, with ``fsync=True``, fsynced).
 
 Checkpointing is a pure **observer**: it reads the base relations and a
 few scalars and changes nothing, so a durable engine is byte-identical —
@@ -296,26 +295,15 @@ class DurabilityManager:
     # ------------------------------------------------------------------
     # the commit path
     # ------------------------------------------------------------------
-    def commit_update(self, update, version: int) -> None:
-        """Make one accepted single-tuple update durable."""
-        self._commit(walmod.encode_update(version, update))
-
-    def commit_batch(self, batch, version: int) -> None:
-        """Make one accepted consolidated batch durable."""
-        self._commit(walmod.encode_batch(version, batch))
-
-    def commit_retune(self, epsilon: float, version: int) -> None:
-        """Make one retune durable (ε is engine state too)."""
-        self._commit(walmod.encode_retune(version, epsilon))
-
     def _active_wal(self) -> walmod.WalWriter:
         if self._wal is None:
             raise ValueError("durability manager has no active WAL writer")
         return self._wal
 
-    def _commit(self, payload: Dict[str, Any]) -> None:
+    def commit(self, event, version: int) -> None:
+        """Make one accepted event (update, batch or retune) durable at ``version``."""
         wal = self._active_wal()
-        wal.append(payload)
+        wal.append(walmod.encode(version, event))
         stats = self.stats
         stats.wal_records += 1
         stats.wal_bytes = wal.bytes_written

@@ -10,8 +10,9 @@ from a durability directory:
    materialize the views at the restored threshold.
 2. **WAL tail** — scan the segments that can hold records past the
    checkpoint (torn tails and corrupt records truncate the scan with a
-   logged warning) and replay each record through the engine's normal
-   ingestion paths; nothing is written meanwhile.  The checkpoint may
+   logged warning) and replay each record's event through the engine's
+   one ingestion path, ``engine.commit(wal.decode(record))``; nothing is
+   written meanwhile.  The checkpoint may
    be older than the newest WAL rotation (the process died with a
    checkpoint in flight): the chain of segments from the one covering
    it onward is replayed.
@@ -34,7 +35,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.data.update import Update
 from repro.durability import checkpoint as ckpt
 from repro.durability import wal as walmod
 from repro.durability.manager import (
@@ -111,20 +111,6 @@ def scan_tail(
     return records, active_segment, valid_length, tail_bytes, truncated, warnings
 
 
-def _apply_record(engine, record: Dict[str, Any]) -> None:
-    kind = record["kind"]
-    if kind == "update":
-        engine.apply(
-            Update(record["rel"], tuple(record["tup"]), int(record["m"]))
-        )
-    elif kind == "batch":
-        engine.apply_batch(walmod.decode_batch(record))
-    elif kind == "retune":
-        engine.retune(float(record["eps"]))
-    else:
-        raise DurabilityError(f"unknown WAL record kind {kind!r}")
-
-
 def recover_engine(
     directory: Union[str, Path],
     durability: Optional[Union[DurabilityConfig, str, Path]] = None,
@@ -171,7 +157,7 @@ def recover_engine(
         )
 
     for record in records:
-        _apply_record(engine, record)
+        engine.commit(walmod.decode(record))
 
     final_version = int(records[-1]["v"]) if records else checkpoint_version
     if engine.version != final_version:

@@ -48,13 +48,13 @@ this package); everything engine-shaped is duck-typed.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.data.update import Update, UpdateBatch
+from repro.data.update import Event, MutationSurface
 from repro.exceptions import DurabilityError, WorkerDiedError
 
 
-class ShardSupervisor:
+class ShardSupervisor(MutationSurface):
     """Routes commands to a sharded engine, repairing dead workers en route."""
 
     def __init__(self, engine, watch_interval: Optional[float] = None) -> None:
@@ -150,29 +150,14 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
     # mutations
     # ------------------------------------------------------------------
-    def apply(self, update: Update) -> None:
-        """Route one update to its shard, recovering the shard if it dies."""
-        with self._lock:
-            self.engine.apply(update)
+    def commit(self, event: Event) -> None:
+        """Commit one event on the sharded engine, recovering dead shards.
 
-    apply_update = apply
-
-    def apply_batch(self, updates: Union[UpdateBatch, Iterable[Update]]) -> None:
-        """The sharded two-phase batch path with per-shard fault handling."""
+        The lock is held per commit, so a chunked ``apply_stream`` lets a
+        watcher repair (or a reader recover) between chunks.
+        """
         with self._lock:
-            self.engine.apply_batch(updates)
-
-    def apply_stream(
-        self, updates: Iterable[Update], batch_size: Optional[int] = None
-    ) -> None:
-        """Apply a sequence of updates, optionally chunked into batches."""
-        with self._lock:
-            self.engine.apply_stream(updates, batch_size)
-
-    def retune(self, epsilon: float) -> None:
-        """Broadcast a shard-local retune, recovering any dead worker."""
-        with self._lock:
-            self.engine.retune(epsilon)
+            self.engine.commit(event)
 
     # ------------------------------------------------------------------
     # reads

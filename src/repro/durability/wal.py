@@ -10,7 +10,9 @@ segment starts *after*)::
 
 Each payload carries the engine version it produced (``"v"``) and one of
 three kinds — ``update``, ``batch`` (relation-grouped net deltas in
-first-touched order, plus the source-update count), or ``retune``.
+first-touched order, plus the source-update count), or ``retune`` — one
+per commit event; :func:`encode` and :func:`decode` are the only code that
+knows the shape.
 Versions are strictly increasing by one within and across segments, so a
 duplicate or out-of-order version is corruption by construction and the
 scanner truncates there, exactly as it does for a torn tail or a CRC
@@ -39,8 +41,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.data.update import Update, UpdateBatch
+from repro.data.update import Event, Retune, Update, UpdateBatch
 from repro.durability.crashpoints import crash_point, would_crash
+from repro.exceptions import DurabilityError
 
 LOGGER = logging.getLogger("repro.durability")
 
@@ -75,42 +78,46 @@ def wal_segments(directory: Path) -> "List[tuple]":
     return sorted(found)
 
 
-def encode_update(version: int, update: Update) -> Dict[str, Any]:
-    """WAL payload for a single-tuple update committed at ``version``."""
-    return {
-        "v": version,
-        "kind": "update",
-        "rel": update.relation,
-        "tup": list(update.tuple),
-        "m": update.multiplicity,
-    }
+def encode(version: int, event: Event) -> Dict[str, Any]:
+    """The WAL payload of one accepted event committed at ``version``.
 
-
-def encode_batch(version: int, batch: UpdateBatch) -> Dict[str, Any]:
-    """WAL payload for a consolidated batch committed at ``version``.
-
-    Relation groups and tuples keep their first-touched order — batch
-    ingestion order is part of the state the replay must reproduce.
+    An :class:`Update` is an ``update`` record, an :class:`UpdateBatch` a
+    ``batch`` record — relation groups and tuples in first-touched order
+    (batch ingestion order is part of the state the replay must
+    reproduce) plus the source-update count — and a :class:`Retune` a
+    ``retune`` record.
     """
+    if isinstance(event, Update):
+        return {
+            "v": version,
+            "kind": "update",
+            "rel": event.relation,
+            "tup": list(event.tuple),
+            "m": event.multiplicity,
+        }
+    if isinstance(event, Retune):
+        return {"v": version, "kind": "retune", "eps": event.epsilon}
     deltas = [
         [relation, [[list(tup), mult] for tup, mult in group.items()]]
-        for relation, group in batch.deltas_by_relation().items()
+        for relation, group in event.deltas_by_relation().items()
     ]
-    return {"v": version, "kind": "batch", "deltas": deltas, "src": batch.source_count}
+    return {"v": version, "kind": "batch", "deltas": deltas, "src": event.source_count}
 
 
-def encode_retune(version: int, epsilon: float) -> Dict[str, Any]:
-    """WAL payload for a retune committed at ``version``."""
-    return {"v": version, "kind": "retune", "eps": epsilon}
-
-
-def decode_batch(payload: Dict[str, Any]) -> UpdateBatch:
-    """Rebuild the :class:`UpdateBatch` of a ``batch`` payload."""
+def decode(record: Dict[str, Any]) -> Event:
+    """The event a scanned record logged: the inverse of :func:`encode`."""
+    kind = record["kind"]
+    if kind == "update":
+        return Update(record["rel"], tuple(record["tup"]), int(record["m"]))
+    if kind == "retune":
+        return Retune(float(record["eps"]))
+    if kind != "batch":
+        raise DurabilityError(f"unknown WAL record kind {kind!r}")
     batch = UpdateBatch()
-    for relation, entries in payload["deltas"]:
+    for relation, entries in record["deltas"]:
         for tup, mult in entries:
             batch.add_delta(relation, tuple(tup), mult)
-    batch._source_count = int(payload["src"])
+    batch._source_count = int(record["src"])
     return batch
 
 

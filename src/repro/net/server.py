@@ -689,12 +689,12 @@ class EngineTCPServer:
 
     async def _op_apply_batch(self, session: _Session, message: Dict) -> Dict:
         updates = unwire_updates(message.get("updates"))
-        await self._run(self.serving.apply_batch, updates, write=True)
+        await self._run(self.serving.commit, updates, write=True)
         return {"version": getattr(self.serving.engine, "version", 0)}
 
     async def _op_apply_update(self, session: _Session, message: Dict) -> Dict:
         updates = unwire_updates([message.get("update")])
-        await self._run(self.serving.apply_update, updates[0], write=True)
+        await self._run(self.serving.commit, updates[0], write=True)
         return {"version": getattr(self.serving.engine, "version", 0)}
 
     async def _op_reshard(self, session: _Session, message: Dict) -> Dict:
@@ -804,7 +804,11 @@ class EngineTCPServer:
         queue_size = self.config.subscriber_queue_size
         requested_queue = message.get("queue")
         if requested_queue is not None:
-            queue_size = max(1, min(int(requested_queue), queue_size))
+            if type(requested_queue) is not int or requested_queue <= 0:
+                raise ProtocolError(
+                    f"queue must be a positive integer, got {requested_queue!r}"
+                )
+            queue_size = min(requested_queue, queue_size)
         self._next_subscription += 1
         sub = _Subscriber(self._next_subscription, session, queue_size, spec)
         # Register FIRST — subscriber and spec in one event-loop step — then

@@ -7,10 +7,12 @@ facade over a fleet of per-shard engines:
   shard key (a variable occurring in every atom, see
   :func:`repro.core.planner.choose_shard_key`), so joins, delta propagation,
   and minor/major rebalancing are shard-local by construction;
-* **updates** — every mutation is one *event* (an update, a batch, a raw
-  update list, a retune) through one protocol, :meth:`ShardedEngine._dispatch`:
-  route it, dry-run it on every involved shard when it spans several, then
-  apply it in one executor round; live calls, the reshard tail replay and
+* **updates** — every mutation is one *event* value (an update, a batch, a
+  raw update list, a retune) committed through one protocol,
+  :meth:`ShardedEngine._dispatch`, which routes it by type, dry-runs it on
+  every involved shard when it spans several, then sends each shard its
+  part as one ``commit`` command in one executor round; live commits, the
+  reshard tail replay and
   :class:`~repro.durability.supervisor.ShardSupervisor` all share it;
 * **enumeration** — every shard enumerates its result in the canonical
   order and :func:`repro.enumeration.union.merge_shards` performs an
@@ -50,13 +52,20 @@ import shutil
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.adaptive.telemetry import WorkloadTelemetry
 from repro.core.planner import QueryPlan, coerce_query, plan_query
 from repro.data.database import Database
 from repro.data.schema import ValueTuple
-from repro.data.update import Update, UpdateBatch, validate_batch_size
+from repro.data.update import (
+    Event,
+    MutationSurface,
+    Retune,
+    Update,
+    UpdateBatch,
+    check_epsilon,
+)
 from repro.durability.crashpoints import SimulatedCrashError, crash_point
 from repro.durability.manager import (
     FLEET_META_NAME,
@@ -341,7 +350,7 @@ class ShardedSnapshot:
         self.close()
 
 
-class ShardedEngine:
+class ShardedEngine(MutationSurface):
     """Hash-partitioned evaluation of one hierarchical query over k shards."""
 
     def __init__(
@@ -358,10 +367,6 @@ class ShardedEngine:
     ) -> None:
         if shards <= 0:
             raise ValueError(f"shard count must be positive, got {shards}")
-        if not 0.0 <= epsilon <= 1.0:
-            # fail here like the single-engine facade, not later inside a
-            # worker process
-            raise ValueError("epsilon must lie in [0, 1]")
         if executor not in ("auto", *EXECUTORS):
             raise ValueError(
                 f"unknown executor {executor!r}; choose one of "
@@ -370,7 +375,8 @@ class ShardedEngine:
         self.plan: QueryPlan = plan_query(coerce_query(query), mode)
         self.query = self.plan.query
         self.shards = shards
-        self.epsilon = epsilon
+        # fail here like the single-engine facade, not in a worker process
+        self.epsilon = check_epsilon(epsilon)
         self.mode = mode
         self.enable_rebalancing = enable_rebalancing
         self.executor_choice = executor
@@ -413,7 +419,7 @@ class ShardedEngine:
         # While a reshard is in flight (between begin_reshard and
         # finish_reshard) every mutating call is buffered here, after it
         # applied to the current fleet, for tail replay onto the new one.
-        self._reshard_tail: Optional[List[Tuple[str, Any]]] = None
+        self._reshard_tail: Optional[List[Event]] = None
         # Fleets retired by reshard but still pinned by live snapshots;
         # close() force-closes them so worker processes never outlive the
         # deployment.
@@ -536,7 +542,9 @@ class ShardedEngine:
         the crash of every process that knew about it.  Each worker
         recovers independently (newest valid checkpoint + WAL-tail
         replay, see :func:`repro.durability.recovery.recover_engine`);
-        the facade's ingestion counter resumes at the barrier version
+        the facade adopts the ε the shards recovered at (shards that
+        disagree raise :class:`DurabilityError`), and its ingestion
+        counter resumes at the barrier version
         plus the maximum per-shard progress since the barrier — an exact
         count when all shards die together (every facade event ticks
         every involved shard at most once), and a lower bound otherwise.
@@ -572,6 +580,17 @@ class ShardedEngine:
                 epoch,
             )
         )
+        # ε is shard state: a retune committed after the barrier lives only
+        # in the shards' WALs, and the next reshard cuts at self.epsilon.
+        epsilons = self._executor.broadcast("epsilon")
+        if len(set(epsilons)) > 1:
+            self.close()
+            raise DurabilityError(
+                "the shards recovered at different ε ("
+                + ", ".join(f"shard {i}: {eps}" for i, eps in enumerate(epsilons))
+                + "); their durability directories do not share one history"
+            )
+        self.epsilon = epsilons[0]
         shard_versions = self.shard_versions()
         if meta is None:
             self._version = max(shard_versions)
@@ -629,51 +648,35 @@ class ShardedEngine:
     # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
-    def update(self, relation: str, tup: ValueTuple, multiplicity: int = 1) -> None:
-        """Apply a single-tuple update ``δR = {tup → multiplicity}``."""
-        self.apply(Update(relation, tuple(tup), multiplicity))
-
-    def insert(self, relation: str, tup: ValueTuple, multiplicity: int = 1) -> None:
-        """Insert ``multiplicity`` copies of ``tup`` into ``relation``."""
-        self.update(relation, tup, abs(multiplicity))
-
-    def delete(self, relation: str, tup: ValueTuple, multiplicity: int = 1) -> None:
-        """Delete ``multiplicity`` copies of ``tup`` from ``relation``."""
-        self.update(relation, tup, -abs(multiplicity))
-
     def _dispatch(
-        self, fleet: _FleetHandle, kind: str, payload: Any, run_round=_map_round
+        self, fleet: _FleetHandle, event: Event, run_round=_map_round
     ) -> int:
         """The sharded ingest protocol, once: route, validate round, apply round.
 
-        ``kind`` is ``"update"`` (one :class:`Update`), ``"batch"`` (an
-        :class:`UpdateBatch`, split by net entry — an empty net effect is
-        no shard work at all), ``"updates"`` (raw source updates, routed
-        *before* consolidation so per-shard ``source_count`` is exact; a
-        sub-batch that cancels still reaches, and ticks, its shard like the
-        unsharded driver) or ``"retune"`` (an ε for every shard).  Returns
-        the number of source updates routed.  ``run_round(executor,
-        commands, mutating)`` executes one ``{shard: (command, payload)}``
-        round: live events pass the facade's runner, which a supervisor may
-        have replaced; the reshard tail replay keeps the default.
+        An :class:`Update` goes to its shard; an :class:`UpdateBatch` is
+        split by net entry (an empty net effect is no shard work at all); a
+        raw update list is routed *before* consolidation, so per-shard
+        ``source_count`` is exact (a sub-batch that cancels still reaches,
+        and ticks, its shard like the unsharded driver); a :class:`Retune`
+        goes to every shard.  Every shard receives its part as one
+        ``("commit", event)`` command.  Returns the number of source
+        updates routed.  ``run_round(executor, commands, mutating)``
+        executes one ``{shard: (command, payload)}`` round: live events
+        pass the facade's runner, which a supervisor may have replaced; the
+        reshard tail replay keeps the default.
         """
         executor, router = fleet.executor, fleet.router
-        if kind == "retune":
-            commands = {
-                shard: ("retune", payload) for shard in range(executor.shard_count)
-            }
+        if isinstance(event, Retune):
+            commands = {shard: ("commit", event) for shard in range(executor.shard_count)}
             source_count = 0
-        elif kind == "update":
-            commands = {
-                router.shard_of_update(payload): (
-                    "update",
-                    (payload.relation, payload.tuple, payload.multiplicity),
-                )
-            }
+        elif isinstance(event, Update):
+            commands = {router.shard_of_update(event): ("commit", event)}
             source_count = 1
         else:
-            split = router.split_batch if kind == "batch" else router.split_updates
-            subs = split(payload)
+            if isinstance(event, UpdateBatch):
+                subs = router.split_batch(event)
+            else:
+                subs = router.split_updates(event)
             if len(subs) > 1:
                 # All-or-nothing across shards, like the single engine's
                 # batch path: every involved shard dry-runs its over-delete
@@ -681,72 +684,36 @@ class ShardedEngine:
                 # sub-batch raises with no shard modified.
                 validations = {shard: ("validate", sub) for shard, sub in subs.items()}
                 run_round(executor, validations, False)
-            commands = {shard: ("batch", sub) for shard, sub in subs.items()}
+            commands = {shard: ("commit", sub) for shard, sub in subs.items()}
             source_count = sum(sub.source_count for sub in subs.values())
         if commands:
             run_round(executor, commands, True)
         return source_count
 
-    def _commit(self, kind: str, payload: Any) -> None:
-        """One live event: the protocol on the current fleet, then bookkeeping."""
+    def commit(self, event: Event) -> None:
+        """One live event: the protocol on the current fleet, then bookkeeping.
+
+        Ingestion is all-or-nothing across shards: a rejected sub-batch
+        raises with no shard modified.  The facade version ticks once per
+        event; a :class:`Retune` switches every shard's ε in one round
+        (each a shard-local retune), and the merged enumeration afterwards
+        equals a fresh sharded deployment built at that ε.
+        """
         self._require_loaded()
         started = time.perf_counter()
-        source_count = self._dispatch(self._fleet, kind, payload, self._run_round)
+        source_count = self._dispatch(self._fleet, event, self._run_round)
         if self._reshard_tail is not None:
             # A reshard is in flight: buffer the event for replay onto the
             # new fleet.  Only what the current fleet accepted gets here —
             # a rejected over-delete raised above and must not replay either.
-            self._reshard_tail.append((kind, payload))
+            self._reshard_tail.append(event)
         self._version += 1
-        if self.telemetry is not None and kind != "retune":
+        if isinstance(event, Retune):
+            self.epsilon = event.epsilon
+        elif self.telemetry is not None:
             self.telemetry.record_update(
                 source_count, time.perf_counter() - started
             )
-
-    def apply(self, update: Update) -> None:
-        """Route one update to its shard and apply it there."""
-        self._commit("update", update)
-
-    apply_update = apply
-
-    def apply_batch(self, updates: Union[UpdateBatch, Iterable[Update]]) -> None:
-        """Split a batch by shard and ingest every sub-batch in one round.
-
-        Raw iterables and streams are routed as source updates, an
-        already-consolidated :class:`UpdateBatch` by net entry (see
-        :meth:`_dispatch` for what that means for per-shard accounting).
-        Ingestion is all-or-nothing across shards: a rejected sub-batch
-        raises with no shard modified.
-        """
-        if isinstance(updates, UpdateBatch):
-            self._commit("batch", updates)
-        else:
-            # a list: a reshard in flight routes it a second time, at replay
-            self._commit("updates", list(updates))
-
-    def apply_stream(
-        self, updates: Iterable[Update], batch_size: Optional[int] = None
-    ) -> None:
-        """Apply a sequence of updates, optionally chunked into batches.
-
-        Chunks are routed as *raw* update lists (consolidation happens per
-        shard), so every shard's ``source_count`` accounting matches the
-        unsharded driver exactly — unlike pre-consolidated batches, whose
-        original update counts are no longer reconstructible.
-        """
-        if batch_size is not None:
-            validate_batch_size(batch_size)
-            chunk: List[Update] = []
-            for update in updates:
-                chunk.append(update)
-                if len(chunk) >= batch_size:
-                    self.apply_batch(chunk)
-                    chunk = []
-            if chunk:
-                self.apply_batch(chunk)
-            return
-        for update in updates:
-            self.apply(update)
 
     # ------------------------------------------------------------------
     # enumeration
@@ -931,25 +898,6 @@ class ShardedEngine:
         return answers
 
     # ------------------------------------------------------------------
-    # adaptive retuning
-    # ------------------------------------------------------------------
-    def retune(self, epsilon: float) -> None:
-        """Switch every shard to a new ε in one executor round.
-
-        Each shard runs its own shard-local
-        :meth:`~repro.core.api.HierarchicalEngine.retune` — re-anchored
-        threshold base, strict repartition, view recompute — so the merged
-        enumeration afterwards equals a fresh sharded deployment built at
-        ``epsilon`` over the current data.  The facade version ticks once;
-        open sharded snapshots keep serving their capture-time state
-        through the shard-local copy-on-write trackers.
-        """
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
-        self._commit("retune", epsilon)
-        self.epsilon = epsilon
-
-    # ------------------------------------------------------------------
     # elastic resharding
     # ------------------------------------------------------------------
     @property
@@ -1057,9 +1005,9 @@ class ShardedEngine:
             raise ReproError("finish_reshard called before build_reshard")
         new_executor = plan.fleet.executor
         crash_point("reshard-prepare")
-        for kind, payload in self._reshard_tail or []:
+        for event in self._reshard_tail or []:
             crash_point("reshard-tail")
-            self._dispatch(plan.fleet, kind, payload)
+            self._dispatch(plan.fleet, event)
         version_after = self._version + 1  # the reshard ticks once, like retune
         if self.durability is not None:
             write_fleet_meta(

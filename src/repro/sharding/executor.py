@@ -1,9 +1,11 @@
 """Shard executors: serial, thread-pool, and multiprocessing backends.
 
-The sharded engine talks to its shards through a tiny command set —
-``load``, ``update``, ``batch``, ``result``, ``enumerate`` (sorted),
-``check`` (engine invariants + placement), ``stats``, ``view_size``,
-``size``, ``threshold``, ``retune`` (shard-local ε switch), ``version``,
+The sharded engine talks to its shards through a tiny command set — one
+mutating command, ``commit`` (the shard's part of one update, batch or
+retune event, see :mod:`repro.data.update`), plus ``validate`` (its
+dry-run), ``enumerate`` (sorted), ``export``, ``check`` (engine invariants
++ placement), ``stats``, ``view_size``, ``size``, ``threshold``,
+``version``, ``epsilon``,
 the aggregate pair ``register_aggregate`` / ``aggregate`` (per-shard
 partial aggregates as raw supports and ring elements, merged at the
 facade with :func:`repro.rings.spec.merge_elements`),
@@ -84,9 +86,12 @@ class _ShardServer:
         self._snapshot_seq = 0
 
     def handle(self, command: str, payload: Any) -> Any:
-        if command == "update":
-            relation, tup, mult = payload
-            self.engine.update(relation, tuple(tup), mult)
+        if command == "commit":
+            # the shard's part of one facade event — an Update, a sub-batch
+            # or a Retune — through the shard engine's own public commit,
+            # which re-validates a sub-batch (a walk far cheaper than the
+            # apply it precedes) and, when durable, logs it as one WAL record
+            self.engine.commit(payload)
             return None
         if command == "validate":
             # dry-run over-delete check: the first phase of the sharded
@@ -97,12 +102,6 @@ class _ShardServer:
             # rejected updates to relations outside the query.)
             self.engine._require_dynamic()
             payload.validate_against(self.engine.database)
-            return None
-        if command == "batch":
-            # second phase: the shard's own public commit — it re-validates
-            # its sub-batch (a walk far cheaper than the apply it precedes)
-            # and, when durable, logs it as one WAL record
-            self.engine.apply_batch(payload)
             return None
         if command == "enumerate":
             return sort_shard_result(self.engine.enumerate())
@@ -127,12 +126,6 @@ class _ShardServer:
             entry = self._snapshots.pop(payload, None)
             if entry is not None:
                 entry[0].close()
-            return None
-        if command == "retune":
-            # the facade's live ε switch: every shard re-anchors its own
-            # threshold base and strictly rematerializes, exactly like a
-            # shard-local HierarchicalEngine.retune
-            self.engine.retune(payload)
             return None
         if command == "set_delta_capture":
             self.engine.set_delta_capture(bool(payload))
@@ -160,6 +153,8 @@ class _ShardServer:
             )
         if command == "version":
             return self.engine.version
+        if command == "epsilon":
+            return self.engine.epsilon
         if command == "check":
             self.engine.check_invariants()
             self.router.check_placement(self.engine.database, self.shard_index)

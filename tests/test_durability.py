@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.api import HierarchicalEngine
 from repro.data.database import Database
-from repro.data.update import Update
+from repro.data.update import Retune, Update
 from repro.durability import (
     DurabilityConfig,
     coerce_config,
@@ -89,7 +89,7 @@ class TestWalFormat:
         path = tmp_path / walmod.wal_name(0)
         writer = walmod.WalWriter.create(path)
         for version, update in enumerate(STREAM, start=1):
-            writer.append(walmod.encode_update(version, update))
+            writer.append(walmod.encode(version, update))
         writer.close()
         scan = walmod.scan_wal(path)
         assert [record["v"] for record in scan.records] == list(
@@ -98,10 +98,7 @@ class TestWalFormat:
         assert scan.truncated_bytes == 0
         assert scan.warnings == []
         assert scan.valid_length == path.stat().st_size
-        decoded = [
-            Update(r["rel"], tuple(r["tup"]), r["m"]) for r in scan.records
-        ]
-        assert decoded == STREAM
+        assert [walmod.decode(record) for record in scan.records] == STREAM
 
     def test_batch_round_trip_preserves_order_and_source_count(self, tmp_path):
         from repro.data.update import as_batch
@@ -111,12 +108,19 @@ class TestWalFormat:
         )
         path = tmp_path / walmod.wal_name(0)
         writer = walmod.WalWriter.create(path)
-        writer.append(walmod.encode_batch(1, batch))
+        writer.append(walmod.encode(1, batch))
         writer.close()
         (record,) = walmod.scan_wal(path).records
-        rebuilt = walmod.decode_batch(record)
+        rebuilt = walmod.decode(record)
         assert rebuilt.source_count == batch.source_count
         assert list(rebuilt.deltas_by_relation()) == list(batch.deltas_by_relation())
+
+    def test_retune_round_trip_and_unknown_kind(self):
+        record = walmod.encode(3, Retune(0.25))
+        assert record == {"v": 3, "kind": "retune", "eps": 0.25}
+        assert walmod.decode(record) == Retune(0.25)
+        with pytest.raises(DurabilityError, match="unknown WAL record kind"):
+            walmod.decode({"v": 4, "kind": "reshard"})
 
     def test_segment_listing_sorts_and_skips_noise(self, tmp_path):
         for version in (7, 0, 21):
@@ -132,7 +136,7 @@ class TestWalCorruptionRegressions:
         path = tmp_path / walmod.wal_name(0)
         writer = walmod.WalWriter.create(path)
         for version, update in enumerate(STREAM[:count], start=1):
-            writer.append(walmod.encode_update(version, update))
+            writer.append(walmod.encode(version, update))
         writer.close()
         return path
 
@@ -166,9 +170,9 @@ class TestWalCorruptionRegressions:
     def test_duplicate_version_record(self, tmp_path, caplog):
         path = tmp_path / walmod.wal_name(0)
         writer = walmod.WalWriter.create(path)
-        writer.append(walmod.encode_update(1, STREAM[0]))
-        writer.append(walmod.encode_update(2, STREAM[1]))
-        writer.append(walmod.encode_update(2, STREAM[2]))  # duplicate
+        writer.append(walmod.encode(1, STREAM[0]))
+        writer.append(walmod.encode(2, STREAM[1]))
+        writer.append(walmod.encode(2, STREAM[2]))  # duplicate
         writer.close()
         with caplog.at_level(logging.WARNING, logger="repro.durability"):
             scan = walmod.scan_wal(path, last_version=0)
@@ -178,8 +182,8 @@ class TestWalCorruptionRegressions:
     def test_version_gap_record(self, tmp_path):
         path = tmp_path / walmod.wal_name(0)
         writer = walmod.WalWriter.create(path)
-        writer.append(walmod.encode_update(1, STREAM[0]))
-        writer.append(walmod.encode_update(5, STREAM[1]))  # gap
+        writer.append(walmod.encode(1, STREAM[0]))
+        writer.append(walmod.encode(5, STREAM[1]))  # gap
         writer.close()
         scan = walmod.scan_wal(path, last_version=0)
         assert [r["v"] for r in scan.records] == [1]

@@ -205,7 +205,7 @@ def test_recovery_resumes_the_schedule_where_the_log_left_it(tmp_path):
 
 def test_wal_close_skips_the_fsync_when_nothing_is_unsynced(tmp_path):
     writer = walmod.WalWriter.create(tmp_path / walmod.wal_name(0))
-    writer.append(walmod.encode_update(1, Update("R", (1, 1), 1)))
+    writer.append(walmod.encode(1, Update("R", (1, 1), 1)))
     with mock.patch.object(walmod.os, "fsync") as fsync:
         writer.close()
     assert fsync.call_count == 0
@@ -214,6 +214,6 @@ def test_wal_close_skips_the_fsync_when_nothing_is_unsynced(tmp_path):
         # a death between flush and fsync leaves dirty bytes behind
         with mock.patch.object(walmod, "crash_point", side_effect=[None, None, OSError]):
             with pytest.raises(OSError):
-                unsynced.append(walmod.encode_update(2, Update("R", (1, 1), 1)))
+                unsynced.append(walmod.encode(2, Update("R", (1, 1), 1)))
         unsynced.close()
     assert fsync.call_count == 1

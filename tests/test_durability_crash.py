@@ -279,14 +279,14 @@ class TestMutationCatch:
 
     @staticmethod
     def _dropping_commit():
-        real_commit = DurabilityManager._commit
+        real_commit = DurabilityManager.commit
 
-        def dropping(self, payload):
-            if payload["v"] % 3 == 0:
+        def dropping(self, event, version):
+            if version % 3 == 0:
                 return  # the bug: silently drop every third commit
-            real_commit(self, payload)
+            real_commit(self, event, version)
 
-        return mock.patch.object(DurabilityManager, "_commit", dropping)
+        return mock.patch.object(DurabilityManager, "commit", dropping)
 
     def test_unmutated_case_is_clean(self):
         assert crash_recovery_failure(SEEDED_CASE) is None

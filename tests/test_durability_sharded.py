@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.api import HierarchicalEngine
 from repro.data.database import Database
-from repro.data.update import Update
+from repro.data.update import Update, UpdateStream
 from repro.durability import ShardSupervisor
 from repro.durability.crashpoints import ENV_VAR
 from repro.exceptions import DurabilityError, StaleStateError
@@ -280,6 +280,53 @@ class TestColdShardedRecovery:
         assert dict(engine.result()) == expected
         engine.check_invariants()
         engine.close()
+
+    def test_recover_adopts_a_durable_retune(self, tmp_path):
+        """The facade used to keep its constructor's ε while the recovered
+        shards ran at the logged one, so the next reshard cut at the wrong
+        ε (thresholds 7.42 / 4.36 / 4.58 where a fresh fleet has 2.72 /
+        2.09 / 2.09)."""
+        directory = str(tmp_path / "wal")
+        engine = ShardedEngine(
+            PATH_QUERY, shards=2, epsilon=0.5, executor="serial", durability=directory
+        )
+        engine.load(make_database())
+        engine.apply_stream(STREAM)
+        engine.retune(0.25)
+        engine.close()
+
+        recovered = ShardedEngine(
+            PATH_QUERY, shards=2, epsilon=0.5, executor="serial", durability=directory
+        )
+        recovered.recover()
+        assert recovered.epsilon == 0.25
+        recovered.reshard(3)
+        final = make_database()
+        UpdateStream(STREAM).apply_to(final)
+        fresh = ShardedEngine(PATH_QUERY, shards=3, epsilon=0.25, executor="serial")
+        fresh.load(final)
+        try:
+            assert recovered.thresholds() == pytest.approx(fresh.thresholds())
+            assert dict(recovered.result()) == dict(fresh.result())
+        finally:
+            recovered.close()
+            fresh.close()
+
+    def test_recover_refuses_shards_at_different_epsilons(self, tmp_path):
+        directory = str(tmp_path / "wal")
+        engine = ShardedEngine(
+            PATH_QUERY, shards=2, epsilon=0.5, executor="serial", durability=directory
+        )
+        engine.load(make_database())
+        engine._executor._servers[1].engine.retune(0.25)  # one shard only
+        engine.close()
+
+        recovered = ShardedEngine(
+            PATH_QUERY, shards=2, epsilon=0.5, executor="serial", durability=directory
+        )
+        with pytest.raises(DurabilityError, match=r"shard 0: 0\.5, shard 1: 0\.25"):
+            recovered.recover()
+        recovered.close()
 
     def test_recover_without_durability_raises(self):
         engine = ShardedEngine(PATH_QUERY, shards=2, executor="serial")

@@ -36,6 +36,7 @@ from repro.net import (
     ServerThread,
 )
 from repro.net.client import AsyncSubscription
+from repro.rings.spec import AggregateSpec
 from repro.net.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -511,6 +512,35 @@ def test_hostile_tuples_are_refused_as_protocol_errors_by_a_live_server():
         finally:
             hostile.close()
         assert serving.engine.version == version
+
+
+def test_a_malformed_subscription_queue_is_a_protocol_error():
+    """``queue`` used to go through ``int()``: a list or a dict came back as
+    an ``InternalError``, and ``"7"``, ``True`` or ``2.9`` were silently
+    coerced.  Both subscription ops now refuse anything but a positive
+    integer by name, and the connection stays usable."""
+    spec = AggregateSpec.coerce("counting").to_wire()
+    with serve() as (serving, handle):
+        hostile = socket.create_connection(("127.0.0.1", handle.port), 5)
+        hostile.settimeout(10)
+        try:
+            request_id = 0
+            for queue in ([1], {"a": 1}, "7", True, 2.9, 0, -3):
+                for request in (
+                    {"op": "subscribe"},
+                    {"op": "subscribe_aggregate", "spec": spec},
+                ):
+                    request_id += 1
+                    write_frame(hostile, dict(request, id=request_id, queue=queue))
+                    reply = read_frame(hostile)
+                    assert reply["id"] == request_id and reply["ok"] is False, reply
+                    assert reply["kind"] == "ProtocolError", (queue, reply)
+                    assert "queue" in reply["error"]
+            write_frame(hostile, {"op": "subscribe", "id": 999, "queue": 2})
+            reply = read_frame(hostile)
+            assert reply["id"] == 999 and reply["ok"] is True, reply
+        finally:
+            hostile.close()
 
 
 def test_pairs_and_updates_roundtrip():

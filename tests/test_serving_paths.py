@@ -6,7 +6,7 @@ pin/retire race coverage the snapshot-publish accounting always deserved:
 1. ``apply_update`` used to bypass the commit path ``apply_batch`` took —
    no controller consult, no retune counting, no ``stats.count_batch()``
    (and in snapshot mode its version was published only as a side effect
-   of the *next* batch).  Both now flow through one ``_commit``.
+   of the *next* batch).  Both now flow through one ``commit``.
 2. A writer-loop exception was swallowed until ``stop_writer``; readers
    kept serving a frozen version indefinitely.  ``check_writer()`` now
    raises from every ``read()``.
@@ -227,7 +227,7 @@ class SnapshotFactory:
             self.all_snapshots.append(snapshot)
             return snapshot
 
-    def apply_batch(self, updates) -> None:
+    def commit(self, event) -> None:
         with self._lock:
             self.version += 1
 
