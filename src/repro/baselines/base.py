@@ -1,18 +1,21 @@
 """Common scaffolding for baseline engines.
 
 Baselines implement the same external interface as
-:class:`repro.core.api.HierarchicalEngine` — ``load``, ``update`` /
-``apply`` / ``apply_stream`` / ``apply_batch``, ``enumerate``, ``result`` —
-so the benchmark harness can swap them in and out when reproducing the
-comparison tables (Figures 4 and 5 of the paper), and so batched-ingestion
-comparisons stay apples-to-apples across all engines.
+:class:`repro.core.api.HierarchicalEngine` — ``load``, the update API of
+:class:`~repro.data.update.MutationSurface` over one ``commit(event)``,
+``enumerate``, ``result`` — so the benchmark harness can swap them in and
+out when reproducing the comparison tables (Figures 4 and 5 of the paper),
+and so batched-ingestion comparisons stay apples-to-apples across all
+engines.
 
 Subclasses implement three hooks: ``_preprocess`` (build whatever state the
 strategy maintains), ``_apply_update`` (absorb one single-tuple update), and
 optionally ``_apply_batch`` (absorb one consolidated
 :class:`~repro.data.update.UpdateBatch`; the default replays the batch's net
 updates through ``_apply_update``, which already benefits from cancelled
-insert/delete pairs).
+insert/delete pairs).  A baseline has no ε, so a
+:class:`~repro.data.update.Retune` (``retune(eps)``) raises
+:class:`~repro.exceptions.UnsupportedQueryError`.
 
 Usage::
 
@@ -29,16 +32,23 @@ Usage::
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.core.planner import coerce_query
 from repro.data.database import Database
 from repro.data.schema import ValueTuple
-from repro.data.update import Update, UpdateBatch, as_batch, iter_batches
-from repro.exceptions import ReproError
+from repro.data.update import (
+    Event,
+    MutationSurface,
+    Retune,
+    Update,
+    UpdateBatch,
+    as_batch,
+)
+from repro.exceptions import ReproError, UnsupportedQueryError
 
 
-class BaselineEngine:
+class BaselineEngine(MutationSurface):
     """Abstract base class of the baseline evaluation strategies."""
 
     name = "baseline"
@@ -84,28 +94,15 @@ class BaselineEngine:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    def update(self, relation: str, tup: ValueTuple, multiplicity: int = 1) -> None:
-        self.apply(Update(relation, tuple(tup), multiplicity))
-
-    def apply(self, update: Update) -> None:
+    def commit(self, event: Event) -> None:
+        """Absorb one update, or one batch consolidated to its net effect."""
+        if isinstance(event, Retune):
+            raise UnsupportedQueryError(f"{self.name} has no ε to retune")
         self._require_loaded()
-        self._apply_update(update)
-
-    def apply_batch(self, updates: Union[UpdateBatch, Iterable[Update]]) -> None:
-        """Consolidate ``updates`` into a net-effect batch and absorb it."""
-        self._require_loaded()
-        self._apply_batch(as_batch(updates))
-
-    def apply_stream(
-        self, updates: Iterable[Update], batch_size: Optional[int] = None
-    ) -> None:
-        """Apply a stream one by one, or in consolidated batches of ``batch_size``."""
-        if batch_size is not None:
-            for batch in iter_batches(updates, batch_size):
-                self.apply_batch(batch)
-            return
-        for update in updates:
-            self.apply(update)
+        if isinstance(event, Update):
+            self._apply_update(event)
+        else:
+            self._apply_batch(as_batch(event))
 
     def result(self) -> Dict[ValueTuple, int]:
         """Materialize the result as ``{tuple: multiplicity}``."""

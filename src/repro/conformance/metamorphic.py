@@ -492,10 +492,6 @@ def check_aggregate_equivalence(
       mid-stream, so the strict repartition must leave the maintained
       states exact (retraction-sensitive rings like min/max included).
 
-    (Aggregate state lives in no relation, so the storage backend is not
-    a dimension here; the differential runner covers the ``dict``
-    backend, aggregates included.)
-
     ``extra_specs`` takes ``(ring name, value, group_by)`` triples, e.g. a
     scenario's natural aggregates.  Non-hierarchical queries are skipped
     (the engines under test reject them at the fragment gate).

@@ -12,10 +12,6 @@ case executes the same workload through:
   :class:`~repro.baselines.full_materialization.FullMaterializationEngine`;
 * :class:`~repro.baselines.free_connex.FreeConnexEngine` when the query is
   free-connex;
-* a :class:`~repro.core.api.HierarchicalEngine` running entirely on the
-  ``dict`` relation-storage backend (database, partitions, and views all
-  dict-backed), so the two storage layouts are diffed against each other
-  on every fuzzed workload;
 * :class:`~repro.sharding.ShardedEngine` at shard counts
   :data:`SHARD_COUNTS` when the query is shardable, alternating sequential
   and batched ingestion — sharded execution must be indistinguishable from
@@ -80,7 +76,6 @@ from repro.baselines.naive import NaiveRecomputeEngine
 from repro.core.api import HierarchicalEngine
 from repro.core.planner import is_shardable
 from repro.data.database import Database
-from repro.data.relation import storage_backend
 from repro.data.schema import ValueTuple
 from repro.data.update import Event, Retune, Update, UpdateStream
 from repro.durability import (
@@ -427,22 +422,6 @@ def _build_runners(
         runners.append(
             _Runner("free-connex", FreeConnexEngine(case.query).load(database), False)
         )
-    if supported and case.epsilons:
-        # Storage-backend differential: one engine runs entirely on the
-        # dict backend (database built inside the context so every
-        # relation, partition, and view it derives stays dict-backed) and
-        # must be indistinguishable from the columnar-backed runners.
-        epsilon = case.epsilons[len(case.epsilons) // 2]
-        with storage_backend("dict"):
-            runners.append(
-                _Runner(
-                    f"ivm-dict-storage(eps={epsilon})",
-                    HierarchicalEngine(case.query, epsilon=epsilon).load(
-                        case.database()
-                    ),
-                    False,
-                )
-            )
     if supported and is_shardable(case.query):
         epsilon = case.epsilons[len(case.epsilons) // 2] if case.epsilons else 0.5
         for index, shards in enumerate(SHARD_COUNTS):

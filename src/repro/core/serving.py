@@ -252,7 +252,7 @@ class EngineServer(MutationSurface):
                 set_capture(True)
         self._commit_listeners.append(listener)
 
-    def commit(self, event: Event) -> None:
+    def commit(self, event: Event) -> int:
         """The one commit path of every update, batch and retune served.
 
         Commit ``event`` on the engine, consult the adaptive controller
@@ -261,7 +261,9 @@ class EngineServer(MutationSurface):
         half-retuned version), publish, and notify commit listeners — all
         under the write lock; then count the commit.  Every spelling of the
         inherited update API (``apply_update``, ``apply_batch``, ``retune``,
-        …) is one call of this method.
+        …) is one call of this method.  Returns the version this commit
+        published, read under the write lock: ``engine.version`` read later
+        may already belong to another session's commit.
         """
         pending_reshard: Optional[int] = None
         with self._write_lock:
@@ -283,10 +285,10 @@ class EngineServer(MutationSurface):
                     if pending_reshard is not None:
                         self._resharding = True
             self._publish_locked()
+            version = getattr(self.engine, "version", 0)
             if self._commit_listeners:
                 drain = getattr(self.engine, "drain_result_delta", None)
                 delta = drain() if drain is not None else {}
-                version = self.engine.version
                 for listener in self._commit_listeners:
                     listener(version, delta)
         self.stats.count_batch()
@@ -296,6 +298,7 @@ class EngineServer(MutationSurface):
                 self.controller.record_reshard(pending_reshard)
             finally:
                 self._resharding = False
+        return version
 
     def reshard(self, new_count: int) -> None:
         """Change the sharded engine's shard count while serving.

@@ -2,15 +2,7 @@
 
 from repro.data.database import Database
 from repro.data.partition import Partition, PartitionRegistry, light_part_name
-from repro.data.relation import (
-    DictRelation,
-    Index,
-    Relation,
-    get_default_backend,
-    set_default_backend,
-    storage_backend,
-)
-from repro.data.storage import ColumnarIndex, ColumnarRelation
+from repro.data.relation import Index, Relation
 from repro.data.schema import (
     Projector,
     Schema,
@@ -39,14 +31,8 @@ from repro.data.update import (
 )
 
 __all__ = [
-    "ColumnarIndex",
-    "ColumnarRelation",
     "Database",
-    "DictRelation",
     "Index",
-    "get_default_backend",
-    "set_default_backend",
-    "storage_backend",
     "Partition",
     "PartitionRegistry",
     "Projector",

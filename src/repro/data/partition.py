@@ -97,9 +97,7 @@ class Partition:
         self.keys: Schema = tuple(var for var in base.schema if var in set(keys))
         if not self.keys:
             raise ValueError("a partition needs a non-empty key schema")
-        # The light part uses the base relation's storage backend so a
-        # database loaded under a pinned backend stays homogeneous.
-        self.light = type(base)(light_part_name(base.name, self.keys), base.schema)
+        self.light = Relation(light_part_name(base.name, self.keys), base.schema)
         # indexes used for degree queries
         self.base.ensure_index(self.keys)
         self.light.ensure_index(self.keys)

@@ -12,31 +12,29 @@ This module implements the data-structure contract of Section 3 of the paper
   time, (6) return ``|σ_{S=t} R|`` in constant time, and (7) insert and
   delete index entries in constant time.
 
-Two interchangeable storage backends satisfy the contract:
+The layout is that construction as written: a dict of tuples to
+multiplicities plus dict-of-dict indexes.  Python dictionaries preserve
+insertion order and give amortized O(1) lookup/insert/delete, which matches
+the hash-table-with-chaining construction of the paper up to amortization.
+Dict equality is Python equality, so ``1``, ``1.0`` and ``True`` are one key
+in the relation and in every index.
 
-* ``dict`` — the original layout: a dict of tuples to multiplicities plus
-  dict-of-dict indexes.  Python dictionaries preserve insertion order and
-  give amortized O(1) lookup/insert/delete, which matches the
-  hash-table-with-chaining construction described in the paper up to
-  amortization.
-* ``columnar`` (:mod:`repro.data.storage`, the default) — an array-backed
-  layout with interned values, flat multiplicity/degree arrays addressed by
-  row id, and intrusive linked lists for index groups.  Observationally
-  identical to ``dict`` (including enumeration order) but with a much
-  smaller constant on the maintenance hot path.
-
-The backend is selected with ``REPRO_STORAGE=dict|columnar`` (environment),
-:func:`set_default_backend`, or the :func:`storage_backend` context manager.
-Constructing ``Relation(...)`` dispatches to the selected backend class;
-instantiating :class:`DictRelation` (or the columnar class) directly pins a
-backend regardless of the default.
+**What order depends on.**  The relation enumerates in insertion order; a
+tuple deleted and inserted again moves to the end.  A group lists its
+members in the relation's order restricted to the group, whether its index
+was built now, maintained since long ago, or copied
+(:meth:`Relation.copy_with_indexes`): building walks ``_data`` in order,
+maintaining appends on insert (where ``_data`` also appends) and pops on
+delete.  Only the order of an index's *keys* remembers history — a group
+that partially empties keeps its position, where a fresh build orders keys
+by first occurrence — which is why retuning calls
+:meth:`Relation.invalidate_indexes`.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Type
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.data.schema import (
     Projector,
@@ -50,16 +48,18 @@ from repro.exceptions import RejectedUpdateError, SchemaError
 
 # Snapshot copy-on-write rolls a frozen copy forward from its redo log only
 # while ``len(log) * COW_REPLAY_RATIO <= len(relation)``, and drops a log
-# (bounding its memory) once it outgrows that.  Sized from measurement on the
-# columnar backend: replaying one entry (``apply_delta``) takes 1.3-1.7 us,
-# ``copy()`` 15-30 ns per tuple up to 10k tuples and 75-90 ns at 140k, so the
-# break-even ratio runs from ~20 (large relations, where the saving matters)
-# to ~80 (small ones, where either branch costs microseconds).
+# (bounding its memory) once it outgrows that.  Sized from measurement on this
+# layout (CPython on a 2-vCPU Xeon VM, a binary relation with one index, which
+# a replica carries): replaying one entry (``apply_delta``, index included)
+# takes 1.4-2.8 us, ``copy_with_indexes`` 18-36 ns per tuple up to 10k tuples
+# and 55-80 ns at 140k (the content alone 5-13 ns), so the break-even ratio
+# runs from ~25-35 at 140k tuples, where the saving matters, to 55-130 on
+# smaller relations, where either branch is cheap.
 COW_REPLAY_RATIO = 32
 
 
 class Index:
-    """A secondary index of a relation on a sub-schema (dict backend).
+    """A secondary index of a relation on a sub-schema.
 
     Maps every key tuple ``t`` over the index schema to the group of full
     tuples of the relation that agree with ``t``, stored as an
@@ -85,7 +85,9 @@ class Index:
         # key tuple -> {full tuple: None}
         self._groups: Dict[ValueTuple, Dict[ValueTuple, None]] = {}
         # The owning relation's tuple -> multiplicity map, read (never
-        # written) by group_items; a free-standing index has none.
+        # written) by group_items; a free-standing index has none.  Holding
+        # the map rather than the relation keeps relation and index free of
+        # a reference cycle, so a dropped relation is freed by refcount.
         self._data: Mapping[ValueTuple, int] = {} if data is None else data
 
     def add(self, tup: ValueTuple) -> None:
@@ -142,73 +144,17 @@ class Index:
         return f"Index({self.key_schema!r}, keys={len(self._groups)})"
 
 
-# ----------------------------------------------------------------------
-# storage backend selection
-# ----------------------------------------------------------------------
-_BACKENDS: Dict[str, Type["Relation"]] = {}
-_BACKEND_NAMES = ("dict", "columnar")
-_DEFAULT_BACKEND: Optional[str] = None  # resolved lazily from REPRO_STORAGE
-
-
-def _validate_backend(name: str) -> str:
-    if name not in _BACKEND_NAMES:
-        raise ValueError(
-            f"unknown storage backend {name!r}; expected one of {_BACKEND_NAMES}"
-        )
-    return name
-
-
-def get_default_backend() -> str:
-    """Return the current default backend name (``dict`` or ``columnar``).
-
-    Resolved from the ``REPRO_STORAGE`` environment variable on first use;
-    later changes go through :func:`set_default_backend`.
-    """
-    global _DEFAULT_BACKEND
-    if _DEFAULT_BACKEND is None:
-        name = os.environ.get("REPRO_STORAGE", "").strip().lower() or "columnar"
-        _DEFAULT_BACKEND = _validate_backend(name)
-    return _DEFAULT_BACKEND
-
-
-def set_default_backend(name: str) -> str:
-    """Select the backend used by ``Relation(...)``; return the previous one.
-
-    Also mirrors the choice into ``os.environ['REPRO_STORAGE']`` so worker
-    processes spawned by the sharded executors inherit the same backend.
-    """
-    global _DEFAULT_BACKEND
-    previous = get_default_backend()
-    _DEFAULT_BACKEND = _validate_backend(name)
-    os.environ["REPRO_STORAGE"] = _DEFAULT_BACKEND
-    return previous
-
-
 @contextmanager
 def storage_backend(name: str):
-    """Context manager pinning the default storage backend within a block."""
-    previous = set_default_backend(name)
-    try:
-        yield
-    finally:
-        set_default_backend(previous)
+    """Accept the one storage layout by name; anything else is a ValueError.
 
-
-def register_backend(name: str, cls: Type["Relation"]) -> None:
-    _BACKENDS[_validate_backend(name)] = cls
-
-
-def backend_class(name: str) -> Type["Relation"]:
-    """Return the Relation subclass implementing backend ``name``."""
-    _validate_backend(name)
-    cls = _BACKENDS.get(name)
-    if cls is None:
-        # The columnar backend lives in repro.data.storage, which imports
-        # this module; load it lazily to register its class.
-        from repro.data import storage  # noqa: F401
-
-        cls = _BACKENDS[name]
-    return cls
+    A no-op kept because ``benchmarks/e2e/trace.py`` still names the layout;
+    it leaves together with ``EngineServer``'s ``mode`` parameter (ROADMAP
+    item 5(a)).
+    """
+    if name != "dict":
+        raise ValueError(f"unknown storage backend {name!r}; the one layout is 'dict'")
+    yield
 
 
 class Relation:
@@ -216,16 +162,8 @@ class Relation:
 
     The relation also owns any number of secondary index objects, created on
     demand via :meth:`ensure_index` and kept consistent by all mutating
-    operations.  ``Relation(...)`` is a factory: it instantiates the storage
-    backend selected by :func:`get_default_backend`.
+    operations.
     """
-
-    backend = "abstract"
-
-    def __new__(cls, *args, **kwargs):
-        if cls is Relation:
-            cls = backend_class(get_default_backend())
-        return object.__new__(cls)
 
     def __init__(
         self,
@@ -235,6 +173,8 @@ class Relation:
     ) -> None:
         self.name = name
         self.schema: Schema = make_schema(schema)
+        self._data: Dict[ValueTuple, int] = {}
+        self._indexes: Dict[Schema, Index] = {}
         # Copy-on-write hooks used by repro.snapshot: `_cow` points at the
         # engine's CowTracker once the relation has been captured by a
         # snapshot, `_cow_epoch` is the last tracker epoch this relation was
@@ -244,22 +184,17 @@ class Relation:
         # ``(change_ticks, Relation)``, and `_cow_log` is the redo log of
         # that copy: the ``(tuple, delta)`` mutations applied since it was
         # made, one per tick, which the tracker replays to roll the copy
-        # forward instead of copying again.  Only the columnar backend
-        # appends to it; any tick without an entry (``clear()``, the dict
-        # backend) leaves the log shorter than the tick distance, which the
-        # tracker reads as "copy instead".
+        # forward instead of copying again.  A tick without an entry
+        # (``clear()``) leaves the log shorter than the tick distance, which
+        # the tracker reads as "copy instead".
         self._cow = None
         self._cow_epoch = -1
         self._change_ticks = 0
         self._cow_cache: Optional[Tuple[int, "Relation"]] = None
         self._cow_log: Optional[list] = None
-        self._init_storage()
         if tuples:
             for tup, mult in tuples.items():
                 self.apply_delta(tup, mult)
-
-    def _init_storage(self) -> None:
-        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -271,39 +206,40 @@ class Relation:
 
     def __len__(self) -> int:
         """Number of distinct tuples with non-zero multiplicity (``|R|``)."""
-        raise NotImplementedError
+        return len(self._data)
 
     def __contains__(self, tup: ValueTuple) -> bool:
-        raise NotImplementedError
+        return tup in self._data
 
     def __iter__(self) -> Iterator[ValueTuple]:
-        raise NotImplementedError
+        return iter(self._data)
 
     def multiplicity(self, tup: ValueTuple) -> int:
         """Return ``R(x)``; 0 when the tuple is absent."""
-        raise NotImplementedError
+        return self._data.get(tup, 0)
 
     def items(self) -> Iterable[Tuple[ValueTuple, int]]:
         """Enumerate ``(tuple, multiplicity)`` entries with constant delay."""
-        raise NotImplementedError
+        return self._data.items()
 
     def tuples(self) -> Iterable[ValueTuple]:
         """Enumerate the tuples with non-zero multiplicity."""
-        raise NotImplementedError
+        return self._data.keys()
 
     def total_multiplicity(self) -> int:
         """Sum of all multiplicities (useful for COUNT-style assertions)."""
-        return sum(mult for _, mult in self.items())
+        return sum(self._data.values())
 
     def copy(self, name: Optional[str] = None) -> "Relation":
         """Return a deep copy of the relation content (indexes not copied).
 
-        The copy uses the same storage backend as the source, regardless of
-        the current default.  The first probe of the copy builds the index
-        it needs; snapshot copy-on-write, which copies the same relation
-        again and again, uses :meth:`copy_with_indexes` instead.
+        The first probe of the copy builds the index it needs; snapshot
+        copy-on-write, which copies the same relation again and again, uses
+        :meth:`copy_with_indexes` instead.
         """
-        raise NotImplementedError
+        clone = Relation(name or self.name, self.schema)
+        clone._data.update(self._data)  # in place: indexes hold this dict
+        return clone
 
     def copy_with_indexes(self, key_schemas: Iterable[Schema]) -> "Relation":
         """:meth:`copy`, plus a copy of every index held on one of ``key_schemas``.
@@ -311,16 +247,28 @@ class Relation:
         ``key_schemas`` are normalised key schemas (keys of another copy's
         ``_indexes``); one this relation holds no index on is left for the
         copy's first reader to build.  A carried index lists each group in
-        the order a fresh build would (see :mod:`repro.data.storage`), its
-        *keys* in this relation's historical order.  Only the columnar
-        backend carries anything: the ``dict`` backend, the reference, keeps
-        the plain :meth:`copy`.
+        the order a fresh build would, its *keys* in this relation's
+        historical order (see the module docstring).
         """
-        return self.copy()
+        clone = self.copy()
+        for key in key_schemas:
+            index = self._indexes.get(key)
+            if index is not None:
+                carried = Index(self.schema, key, clone._data)
+                carried._groups = {
+                    value: dict(group) for value, group in index._groups.items()
+                }
+                clone._indexes[key] = carried
+        return clone
 
     def clear(self) -> None:
         """Remove all tuples and index entries."""
-        raise NotImplementedError
+        self._cow_guard()
+        if self._data:
+            self._change_ticks += 1
+        self._data.clear()
+        for index in self._indexes.values():
+            index._groups.clear()
 
     def _cow_guard(self) -> None:
         """Preserve the pre-mutation content into every active snapshot.
@@ -353,7 +301,37 @@ class Relation:
         multiplicity of zero removes the tuple from the relation and from all
         indexes.
         """
-        raise NotImplementedError
+        self._check_arity(tup)
+        data = self._data
+        current = data.get(tup, 0)
+        if delta == 0:
+            return current
+        updated = current + delta
+        if updated < 0:
+            raise RejectedUpdateError(
+                f"delete of {-delta} copies of {tup!r} rejected: relation "
+                f"{self.name!r} holds only {current}"
+            )
+        self._cow_guard()
+        self._change_ticks += 1
+        # Redo log of the cached frozen copy (see __init__): one entry per
+        # tick, dropped once replaying it would cost more than copying.
+        log = self._cow_log
+        if log is not None:
+            if len(log) * COW_REPLAY_RATIO < len(data):
+                log.append((tup, delta))
+            else:
+                self._cow_log = None
+        if updated == 0:
+            del data[tup]
+            for index in self._indexes.values():
+                index.remove(tup)
+        else:
+            data[tup] = updated
+            if current == 0:
+                for index in self._indexes.values():
+                    index.add(tup)
+        return updated
 
     def set_multiplicity(self, tup: ValueTuple, mult: int) -> None:
         """Set the multiplicity of ``tup`` to exactly ``mult`` (≥ 0).
@@ -415,7 +393,7 @@ class Relation:
             )
         return key
 
-    def ensure_index(self, key_schema: Iterable[str]):
+    def ensure_index(self, key_schema: Iterable[str]) -> Index:
         """Return (building if necessary) the index on ``key_schema``.
 
         The key schema is normalised to the ordering induced by the relation
@@ -424,7 +402,14 @@ class Relation:
         to the index directly) must therefore be built in relation-schema
         order, not in the caller's variable order.
         """
-        raise NotImplementedError
+        key = self._normalise_key_schema(key_schema)
+        index = self._indexes.get(key)
+        if index is None:
+            index = Index(self.schema, key, self._data)
+            for tup in self._data:
+                index.add(tup)
+            self._indexes[key] = index
+        return index
 
     def has_index(self, key_schema: Iterable[str]) -> bool:
         key = tuple(var for var in self.schema if var in set(key_schema))
@@ -463,141 +448,17 @@ class Relation:
         """Constant-time test ``key ∈ π_S R``."""
         return self.ensure_index(key_schema).contains_key(key)
 
-    def contains_key_of(self, key_schema: Schema, tup: ValueTuple) -> bool:
-        """Tuple-addressed form of :meth:`contains_key`.
-
-        Tests whether ``tup``'s projection onto ``key_schema`` appears in
-        ``π_S R`` without the caller having to build the key tuple (the
-        maintenance hot path asks this about the update tuple itself, which
-        lets the columnar backend answer from the row table for live
-        tuples).
-        """
-        index = self.ensure_index(key_schema)
-        return index.contains_key(index.key_of(tup))
-
-    def degree_of(self, key_schema: Schema, tup: ValueTuple) -> int:
-        """Tuple-addressed form of :meth:`slice_size`.
-
-        Returns ``|σ_{S=key_of(tup)} R|`` — the degree of the key group that
-        ``tup`` belongs (or would belong) to.
-        """
-        index = self.ensure_index(key_schema)
-        return index.group_size(index.key_of(tup))
-
     def project(self, target_schema: Schema, name: Optional[str] = None) -> "Relation":
         """Return a new relation ``π_target R`` summing multiplicities."""
         projector = Projector(self.schema, target_schema)
-        result = type(self)(name or f"π({self.name})", target_schema)
+        result = Relation(name or f"π({self.name})", target_schema)
         for tup, mult in self.items():
             result.apply_delta(projector(tup), mult)
         return result
 
     def as_dict(self) -> Dict[ValueTuple, int]:
         """Return a copy of the underlying tuple → multiplicity mapping."""
-        return dict(self.items())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Relation({self.name!r}, schema={self.schema!r}, size={len(self)}, "
-            f"backend={self.backend!r})"
-        )
-
-
-class DictRelation(Relation):
-    """The original dict-of-tuples storage backend.
-
-    Kept unchanged as the reference implementation: the conformance runner
-    diffs it against the columnar backend, and ``REPRO_STORAGE=dict``
-    selects it engine-wide.
-    """
-
-    backend = "dict"
-
-    def _init_storage(self) -> None:
-        self._data: Dict[ValueTuple, int] = {}
-        self._indexes: Dict[Schema, Index] = {}
-
-    # ------------------------------------------------------------------
-    # basic accessors
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, tup: ValueTuple) -> bool:
-        return tup in self._data
-
-    def __iter__(self) -> Iterator[ValueTuple]:
-        return iter(self._data)
-
-    def multiplicity(self, tup: ValueTuple) -> int:
-        return self._data.get(tup, 0)
-
-    def items(self) -> Iterable[Tuple[ValueTuple, int]]:
-        return self._data.items()
-
-    def tuples(self) -> Iterable[ValueTuple]:
-        return self._data.keys()
-
-    def total_multiplicity(self) -> int:
-        return sum(self._data.values())
-
-    def copy(self, name: Optional[str] = None) -> "Relation":
-        clone = type(self)(name or self.name, self.schema)
-        clone._data.update(self._data)  # in place: indexes hold this dict
-        return clone
-
-    def clear(self) -> None:
-        self._cow_guard()
-        if self._data:
-            self._change_ticks += 1
-        self._data.clear()
-        for index in self._indexes.values():
-            index._groups.clear()
-
-    # ------------------------------------------------------------------
-    # mutation
-    # ------------------------------------------------------------------
-    def apply_delta(self, tup: ValueTuple, delta: int) -> int:
-        self._check_arity(tup)
-        if delta == 0:
-            return self._data.get(tup, 0)
-        current = self._data.get(tup, 0)
-        updated = current + delta
-        if updated < 0:
-            raise RejectedUpdateError(
-                f"delete of {-delta} copies of {tup!r} rejected: relation "
-                f"{self.name!r} holds only {current}"
-            )
-        self._cow_guard()
-        self._change_ticks += 1
-        if updated == 0:
-            del self._data[tup]
-            for index in self._indexes.values():
-                index.remove(tup)
-        else:
-            if current == 0:
-                self._data[tup] = updated
-                for index in self._indexes.values():
-                    index.add(tup)
-            else:
-                self._data[tup] = updated
-        return updated
-
-    # ------------------------------------------------------------------
-    # indexes
-    # ------------------------------------------------------------------
-    def ensure_index(self, key_schema: Iterable[str]) -> Index:
-        key = self._normalise_key_schema(key_schema)
-        index = self._indexes.get(key)
-        if index is None:
-            index = Index(self.schema, key, self._data)
-            for tup in self._data:
-                index.add(tup)
-            self._indexes[key] = index
-        return index
-
-    def as_dict(self) -> Dict[ValueTuple, int]:
         return dict(self._data)
 
-
-register_backend("dict", DictRelation)
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Relation({self.name!r}, schema={self.schema!r}, size={len(self)})"

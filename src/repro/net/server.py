@@ -689,13 +689,11 @@ class EngineTCPServer:
 
     async def _op_apply_batch(self, session: _Session, message: Dict) -> Dict:
         updates = unwire_updates(message.get("updates"))
-        await self._run(self.serving.commit, updates, write=True)
-        return {"version": getattr(self.serving.engine, "version", 0)}
+        return {"version": await self._run(self.serving.commit, updates, write=True)}
 
     async def _op_apply_update(self, session: _Session, message: Dict) -> Dict:
         updates = unwire_updates([message.get("update")])
-        await self._run(self.serving.commit, updates[0], write=True)
-        return {"version": getattr(self.serving.engine, "version", 0)}
+        return {"version": await self._run(self.serving.commit, updates[0], write=True)}
 
     async def _op_reshard(self, session: _Session, message: Dict) -> Dict:
         """Reshard the served fleet online; subscribers ride through it.

@@ -29,8 +29,8 @@ rebalances replace view relations and lets dead relations take their cache
 entries with them.
 
 **Cost of the first write after a capture.**  The cached copy is a *trailing
-replica*: the columnar backend logs every ``(tuple, delta)`` it applies after
-the copy was made (``_cow_log``), and when the content is next frozen the
+replica*: the relation logs every ``(tuple, delta)`` it applies after the
+copy was made (``_cow_log``), and when the content is next frozen the
 tracker replays that log onto the copy — ``O(mutations since the previous
 capture)`` — instead of copying the relation again.  The replica is rolled
 forward only when it is free, i.e. no *open* snapshot still resolves the
@@ -39,48 +39,44 @@ untouched), and when replay is cheaper than copying
 (``len(log) * COW_REPLAY_RATIO <= len(relation)``).
 
 Everything else — no log yet, a log that outgrew that bound and was dropped,
-a ``clear()`` (ticks without a log entry), the dict
-backend, a replica still in use — takes the one fallback: an
-``O(|relation|)`` copy and a fresh log.  The fresh log is skipped when the
-round that just ended was itself too long to replay: a batch writer that
-rewrites a large share of a view between captures should not pay for log
-entries that are thrown away.  A short round turns logging back on, at the
-price of one more copy.
+a ``clear()`` (ticks without a log entry), a replica still in use — takes
+the one fallback: an ``O(|relation|)`` copy and a fresh log.  The fresh log
+is skipped when the round that just ended was itself too long to replay: a
+batch writer that rewrites a large share of a view between captures should
+not pay for log entries that are thrown away.  A short round turns logging
+back on, at the price of one more copy.
 
 **Indexes.**  A reader never rebuilds an index an earlier reader already
 built for that relation.  A frozen copy starts without indexes and the
 first reader that probes it builds what it needs (``ensure_index``); from
 then on both branches keep them.  *Replay* runs through ``apply_delta``,
-which maintains the replica's indexes exactly as it does a live relation's,
-``compact()`` included — the writer pays per changed tuple, not the next
-reader per stored tuple.  The *fallback copy* takes the old replica's index
-key schemas as the record of what readers probe and inherits, for each, the
-live relation's index on the same key when it has one (
-:meth:`~repro.data.relation.Relation.copy_with_indexes`: built-in copies of
-the index arrays, counted in ``carried_indexes``); a key the live relation
-does not index is built by the next reader, as before.  The ``dict`` backend
-carries nothing and stays the reference.
+which maintains the replica's indexes exactly as it does a live relation's
+— the writer pays per changed tuple, not the next reader per stored tuple.
+The *fallback copy* takes the old replica's index key schemas as the record
+of what readers probe and inherits, for each, the live relation's index on
+the same key when it has one (
+:meth:`~repro.data.relation.Relation.copy_with_indexes`: a copy of each
+group, counted in ``carried_indexes``); a key the live relation does not
+index is built by the next reader, as before.
 
 None of this can change what a snapshot enumerates.  The compiled plans read
 a relation through ``items()``, ``multiplicity()`` and
 ``ensure_index(cols).group_items(key)`` only, and a group lists its members
 in the relation's own order whether its index was built, maintained or
-copied (:mod:`repro.data.storage` states the invariant).  What does differ
+copied (:mod:`repro.data.relation` states the invariant).  What does differ
 is the order of ``index.keys()`` — a maintained index remembers the order in
 which groups appeared, a fresh build does not — so that order is *not* part
 of a frozen copy's contract: content, per-key group sequences and the
 enumerated sequence of a whole tree are
 (``tests/test_snapshot.py::TestTrailingReplica``).
 
-A columnar replica that carries indexes is a reference cycle
-(``ColumnarIndex.relation`` ↔ ``relation._indexes``), so a replica the
+An index holds its relation's tuple map, not the relation, so a replica the
 tracker lets go of — replaced by a fallback copy, or released by the last
-snapshot that held a superseded one — has its indexes dropped on the spot
-instead of waiting, whole, for the cyclic collector.  Memory stays one
-cached copy per relation, its indexes, plus a log of at most
-``len(relation) / COW_REPLAY_RATIO`` entries.  Because a replica is reused
-once its last open snapshot is released, a snapshot must not be read after
-``close()`` (:class:`~repro.snapshot.versioned.Snapshot` raises
+snapshot that held a superseded one — is freed by refcount, indexes and
+all.  Memory stays one cached copy per relation, its indexes, plus a log of
+at most ``len(relation) / COW_REPLAY_RATIO`` entries.  Because a replica is
+reused once its last open snapshot is released, a snapshot must not be read
+after ``close()`` (:class:`~repro.snapshot.versioned.Snapshot` raises
 :class:`~repro.exceptions.StaleStateError`).
 
 Thread-safety relies on the tracker lock plus CPython's GIL: the lock makes
@@ -172,14 +168,10 @@ class CowTracker:
         """Close a snapshot so the writer stops preserving into it."""
         with self.lock:
             state.closed = True
-            frozen, state.frozen = state.frozen, {}
+            state.frozen = {}
             self._active = [
                 ref for ref in self._active if self._live(ref) is not None
             ]
-            for relation, clone in frozen.items():
-                cached = relation._cow_cache
-                if cached is None or cached[1] is not clone:
-                    self._let_go(relation, clone)
 
     # -- frozen content (both sides, under the lock) ------------------------
     def _frozen_copy(self, relation: Relation) -> Relation:
@@ -221,16 +213,9 @@ class CowTracker:
             )
             self.full_copies += 1
             self.carried_indexes += len(clone._indexes)
-            if old is not None:
-                self._let_go(relation, old)
         relation._cow_cache = (ticks, clone)
         relation._cow_log = [] if replayable else None
         return clone
-
-    def _let_go(self, relation: Relation, replica: Relation) -> None:
-        """Break a superseded replica's index cycle unless a snapshot holds it."""
-        if not self._in_use(relation, replica):
-            replica.invalidate_indexes()
 
     def _in_use(self, relation: Relation, clone: Relation) -> bool:
         """Whether an open snapshot still resolves ``relation`` to ``clone``."""

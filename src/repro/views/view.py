@@ -279,13 +279,8 @@ class ViewNode(ViewTreeNode):
         return self._relation
 
     def reset(self) -> None:
-        """Discard the materialized content (used by major rebalancing).
-
-        The fresh relation keeps the storage backend of the one it replaces,
-        so an engine loaded under a pinned backend stays on that backend
-        through major rebalances regardless of the current default.
-        """
-        self._relation = type(self._relation)(self.name, self.schema)
+        """Discard the materialized content (used by major rebalancing)."""
+        self._relation = Relation(self.name, self.schema)
 
     def copy(self, namer: Optional[NameGenerator] = None) -> "ViewNode":
         """Deep-copy the inner view structure; leaves stay shared.

@@ -64,6 +64,16 @@ class TestBaselineCorrectness:
         with pytest.raises(ReproError):
             engine.update("R", (1, 2), 1)
 
+    @pytest.mark.parametrize("engine_cls", ALL_BASELINES)
+    def test_baselines_refuse_retune(self, engine_cls):
+        database, stream = make_workload(PATH)
+        engine = engine_cls(PATH).load(database)
+        before = engine.result()
+        with pytest.raises(UnsupportedQueryError):
+            engine.retune(0.25)
+        assert engine.result() == before
+        engine.apply_stream(stream, batch_size=7)  # still serves updates
+
     def test_preprocessing_time_recorded(self):
         database, _ = make_workload(PATH)
         engine = FirstOrderIVMEngine(PATH).load(database)

@@ -20,7 +20,6 @@ import pytest
 from repro import Database, HierarchicalEngine, Update
 from repro.baselines import NaiveRecomputeEngine
 from repro.core.serving import EngineServer, ReadTicket
-from repro.data.relation import get_default_backend
 from repro.sharding import ShardedEngine
 
 PATH_QUERY = "Q(A, C) = R(A, B), S(B, C)"
@@ -201,9 +200,8 @@ class TestTrailingReplicaStress:
         for ticket in tickets:
             assert_ticket_untorn(ticket, prefix)
         assert tickets[-1].version == len(commits)
-        # (only the columnar backend keeps the redo log replicas replay)
         stats = engine.snapshot_stats
-        assert stats["replayed_entries"] > 0 or get_default_backend() == "dict", stats
+        assert stats["replayed_entries"] > 0, stats
         assert len({ticket.version for ticket in tickets}) > 1
 
 

@@ -1,8 +1,8 @@
 """Conformance coverage of ring aggregates: the checks check, bugs trip.
 
 Three layers: the `check_aggregate_equivalence` metamorphic property runs
-clean on a real workload (every engine variant, a mid-stream retune, the
-dict-backend engine, sharded facades); case JSON stays digest-stable by
+clean on a real workload (every engine variant, a mid-stream retune,
+sharded facades); case JSON stays digest-stable by
 omitting empty aggregate triples while round-tripping non-empty ones; and
 an injected maintenance bug — a maintained state that silently drops
 deltas — is caught by the differential runner as an ``aggregate``

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.engine.evaluator import evaluate_query_naive, evaluate_to_dict
-from repro.data.relation import DictRelation
-from repro.data.storage import ColumnarRelation
 from repro.engine.join import (
     BoundRelation,
     compile_join,
@@ -244,7 +242,6 @@ class TestJoinProperties:
 # property-based: the compiled join against a nested-loop oracle
 # ----------------------------------------------------------------------
 VARIABLES = ("A", "B", "C", "D", "E")
-BACKENDS = {"dict": DictRelation, "columnar": ColumnarRelation}
 
 
 def schemas(max_size=3):
@@ -270,7 +267,6 @@ def join_cases(draw):
     signed = st.integers(-2, 2)  # zero entries included: they must vanish
     positive = st.integers(1, 3)
     return {
-        "backend": draw(st.sampled_from(sorted(BACKENDS))),
         "start_schema": start_schema,
         "start": draw(contents(start_schema, signed)),
         "siblings": [
@@ -307,7 +303,7 @@ class TestCompiledJoin:
         for position, (schema, rows, _) in enumerate(case["siblings"]):
             # stored column names differ from the variables: binding is positional
             columns = tuple(f"c{position}_{i}" for i in range(len(schema)))
-            relation = BACKENDS[case["backend"]](f"S{position}", columns, rows)
+            relation = Relation(f"S{position}", columns, rows)
             bound.append(BoundRelation(schema, relation))
         arguments = (case["start_schema"], case["start"], bound, case["output_schema"])
         before = dict(case["start"])
@@ -328,12 +324,10 @@ class TestCompiledJoin:
             child.relation.invalidate_indexes()
         assert fold_join(*arguments) == nested_loop_join(*arguments)
 
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
-    def test_three_probe_modes_in_one_plan(self, backend):
-        make = BACKENDS[backend]
-        point = BoundRelation(("A", "B"), make("P", ("x", "y"), {(1, 2): 2, (1, 3): 1}))
-        index = BoundRelation(("B", "C"), make("I", ("x", "y"), {(2, 7): 1, (2, 8): 3, (9, 9): 1}))
-        scan = BoundRelation(("D",), make("F", ("x",), {(0,): 1, (5,): 2}))
+    def test_three_probe_modes_in_one_plan(self):
+        point = BoundRelation(("A", "B"), Relation("P", ("x", "y"), {(1, 2): 2, (1, 3): 1}))
+        index = BoundRelation(("B", "C"), Relation("I", ("x", "y"), {(2, 7): 1, (2, 8): 3, (9, 9): 1}))
+        scan = BoundRelation(("D",), Relation("F", ("x",), {(0,): 1, (5,): 2}))
         signature = (("A", "B"), (("A", "B"), ("B", "C"), ("D",)), ("D", "C", "A"))
         plan = compile_join(*signature)
         assert plan.modes == ("point", "index", "scan")

@@ -720,6 +720,28 @@ def test_an_acked_commit_is_visible_in_the_next_snapshot_open():
                 assert reader.read()[0] == acked
 
 
+def test_an_apply_ack_reports_its_own_commit_version():
+    """Another session's commit that lands after the writer thread returns
+    and before the handler resumes is not reported as this commit's version."""
+    with serve() as (serving, handle):
+        tcp = handle.server
+        run = tcp._run
+        interlopers = iter(range(900, 1000))
+
+        async def racing_run(fn, *args, write=False):
+            result = await run(fn, *args, write=write)
+            if fn == serving.commit:
+                serving.commit(Update("S", (0, next(interlopers)), 1))
+            return result
+
+        tcp._run = racing_run
+        with EngineClient("127.0.0.1", handle.port) as client:
+            before = serving.engine.version
+            assert client.apply_update(Update("R", (100, 1), 1)) == before + 1
+            assert client.apply_batch([Update("R", (101, 1), 1)]) == before + 3
+            assert serving.engine.version == before + 4
+
+
 def test_wire_reads_capture_nothing_in_snapshot_mode():
     with serve() as (serving, handle):
         with EngineClient("127.0.0.1", handle.port) as client:

@@ -1,10 +1,12 @@
 """Unit and property tests for relations and secondary indexes."""
 
+from decimal import Decimal
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.relation import Index, Relation
+from repro.data.relation import COW_REPLAY_RATIO, Index, Relation, storage_backend
 from repro.exceptions import RejectedUpdateError, SchemaError
 
 
@@ -153,6 +155,352 @@ class TestIndexes:
         index.remove((3, 2))
         assert not index.contains_key((2,))
         assert index.num_keys() == 0
+
+
+class TestContractEdges:
+    def test_equal_values_are_one_key_in_relation_and_index_probes(self):
+        """1, 1.0, True and Decimal('1') are one dict key — in the relation
+        and in every index probe."""
+        relation = Relation("R", ("A", "B"))
+        for value in (1, 1.0, True, Decimal("1")):
+            relation.apply_delta((value, "x"), 1)
+        assert relation.as_dict() == {(1, "x"): 4}
+        assert relation.contains_key(("A",), (1.0,))
+        assert relation.slice_size(("A",), (True,)) == 1
+        assert relation.slice_size(("A", "B"), (Decimal("1"), "x")) == 1
+        assert not relation.contains_key(("A",), (1.5,))
+
+    def test_delete_and_reinsert_moves_a_tuple_to_the_end(self):
+        relation = Relation("R", ("A", "B"))
+        for i in range(6):
+            relation.apply_delta((i, i % 2), 1)
+        relation.ensure_index(("B",))
+        relation.apply_delta((2, 0), -1)
+        relation.apply_delta((4, 0), -1)
+        relation.apply_delta((10, 0), 1)
+        relation.apply_delta((2, 0), 1)  # re-insert goes to the *end*
+        assert list(relation) == [(0, 0), (1, 1), (3, 1), (5, 1), (10, 0), (2, 0)]
+        assert list(relation.slice(("B",), (0,))) == [(0, 0), (10, 0), (2, 0)]
+
+    def test_merge_rejection_leaves_target_untouched(self):
+        """Regression: a rejected negative merge must not half-apply, even
+        with the over-deleting entry *last* in ``other``'s order."""
+        target = Relation("R", ("A", "B"), {(1, 1): 5, (2, 2): 5, (3, 3): 1})
+        other = Relation("R", ("A", "B"), {(1, 1): 2, (2, 2): 2, (3, 3): 4})
+        before = list(target.items())
+        with pytest.raises(RejectedUpdateError):
+            target.merge(other, sign=-1)
+        assert list(target.items()) == before
+        other.apply_delta((3, 3), -3)
+        target.merge(other, sign=-1)
+        assert target.as_dict() == {(1, 1): 3, (2, 2): 3}
+
+    def test_set_multiplicity_negative_is_value_error(self):
+        """A negative target is a caller error, not an over-delete."""
+        relation = Relation("R", ("A", "B"), {(1, 2): 4})
+        with pytest.raises(ValueError) as excinfo:
+            relation.set_multiplicity((1, 2), -1)
+        assert not isinstance(excinfo.value, RejectedUpdateError)
+        assert relation.as_dict() == {(1, 2): 4}
+
+    def test_apply_delta_contract(self):
+        relation = Relation("R", ("A", "B"))
+        assert relation.apply_delta((1, 2), 0) == 0
+        assert (1, 2) not in relation
+        with pytest.raises(RejectedUpdateError):
+            relation.apply_delta((1, 2), -1)
+        assert relation.apply_delta((1, 2), 2) == 2
+        with pytest.raises(RejectedUpdateError):
+            relation.apply_delta((1, 2), -3)
+        assert relation.apply_delta((1, 2), -2) == 0
+        assert len(relation) == 0
+        with pytest.raises(SchemaError):
+            relation.apply_delta((1, 2, 3), 1)
+
+    def test_index_memo_invalidate_and_live_slices(self):
+        relation = Relation("R", ("A", "B"), {(1, 0): 1, (2, 0): 1, (3, 1): 1})
+        index = relation.ensure_index(("B",))
+        assert relation.ensure_index(["B"]) is index
+        view = relation.slice(("B",), (0,))
+        assert list(view) == list(view) == [(1, 0), (2, 0)]
+        relation.apply_delta((4, 0), 1)
+        assert list(view) == [(1, 0), (2, 0), (4, 0)]  # a live view
+        relation.invalidate_indexes()
+        assert relation.ensure_index(("B",)) is not index
+        assert relation.slice_size(("B",), (0,)) == 3
+
+    def test_multi_column_index_groups(self):
+        relation = Relation("T", ("A", "B", "C"))
+        for row in [(1, 2, 3), (1, 2, 4), (2, 2, 3), (1, 3, 3)]:
+            relation.apply_delta(row, 1)
+        keys = ("A", "B")
+        assert list(relation.slice(keys, (1, 2))) == [(1, 2, 3), (1, 2, 4)]
+        assert relation.slice_size(keys, (2, 2)) == 1
+        relation.apply_delta((1, 2, 3), -1)
+        relation.apply_delta((1, 2, 4), -1)
+        assert not relation.contains_key(keys, (1, 2))
+        assert list(relation.distinct_keys(keys)) == [(2, 2), (1, 3)]
+
+    def test_copy_with_indexes_carries_only_held_indexes(self):
+        relation = Relation("R", ("A", "B"), {(1, 0): 1, (2, 0): 1, (3, 1): 1})
+        relation.ensure_index(("B",))
+        clone = relation.copy_with_indexes([("B",), ("A",)])
+        assert list(clone._indexes) == [("B",)]
+        assert clone._indexes[("B",)] is not relation._indexes[("B",)]
+        clone.apply_delta((1, 0), -1)
+        clone.apply_delta((2, 0), 4)
+        assert list(clone.slice(("B",), (0,))) == [(2, 0)]
+        assert list(relation.slice(("B",), (0,))) == [(1, 0), (2, 0)]
+        assert list(clone._indexes[("B",)].group_items((0,))) == [((2, 0), 5)]
+
+    def test_merge_positive_and_valid_negative(self):
+        target = Relation("R", ("A", "B"), {(1, 1): 2})
+        other = Relation("S", ("A", "B"), {(1, 1): 1, (2, 2): 3})
+        target.merge(other)
+        assert target.as_dict() == {(1, 1): 3, (2, 2): 3}
+        target.merge(other, sign=-1)
+        assert target.as_dict() == {(1, 1): 2}
+
+    def test_set_multiplicity_zero_removes_and_set_updates(self):
+        relation = Relation("R", ("A", "B"), {(1, 2): 4})
+        relation.set_multiplicity((1, 2), 9)
+        assert relation.multiplicity((1, 2)) == 9
+        relation.set_multiplicity((3, 4), 2)
+        relation.set_multiplicity((1, 2), 0)
+        assert relation.as_dict() == {(3, 4): 2}
+
+    def test_clear_resets_storage(self):
+        relation = Relation("R", ("A", "B"), {(1, 2): 2, (3, 4): 1})
+        index = relation.ensure_index(("A",))
+        relation.clear()
+        assert len(relation) == 0
+        assert list(relation.items()) == []
+        assert index.num_keys() == 0
+        relation.apply_delta((5, 6), 1)
+        assert relation.slice_size(("A",), (5,)) == 1
+        assert relation.ensure_index(("A",)) is index
+
+    def test_arity_is_checked_on_the_insert_path(self):
+        relation = Relation("R", ("A", "B"))
+        with pytest.raises(SchemaError):
+            relation.apply_delta((1, 2, 3), 1)
+        with pytest.raises(SchemaError):
+            relation.apply_delta((1,), 1)
+        assert len(relation) == 0
+
+    def test_total_multiplicity(self):
+        relation = Relation("R", ("A", "B"), {(1, 2): 3, (4, 5): 7})
+        assert relation.total_multiplicity() == 10
+
+    def test_index_key_schema_must_be_subset(self):
+        relation = Relation("R", ("A", "B"))
+        with pytest.raises(SchemaError):
+            relation.ensure_index(("A", "Z"))
+        assert relation._indexes == {}
+
+    def test_group_view_is_reiterable_and_sized(self):
+        relation = Relation("R", ("A", "B"), {(1, 0): 1, (2, 0): 1, (3, 1): 1})
+        view = relation.slice(("B",), (0,))
+        assert list(view) == [(1, 0), (2, 0)]
+        assert list(view) == [(1, 0), (2, 0)]  # second pass identical
+        assert len(view) == 2
+
+    def test_absent_probes_with_unseen_and_unhashable_friendly_values(self):
+        relation = Relation("R", ("A", "B"), {(1, 2): 1})
+        keys = ("A",)
+        assert not relation.contains_key(keys, ("never-seen",))
+        assert relation.slice_size(keys, (2.5,)) == 0
+        assert relation.slice_size(keys, (1 << 60,)) == 0
+        assert list(relation.slice(keys, (None,))) == []
+        assert relation.multiplicity((99, 2)) == 0
+
+    @pytest.mark.parametrize(
+        "stored, probe",
+        [
+            (2, 2.0),
+            (1, True),
+            (True, 1),
+            (0, False),
+            (1.0, Decimal("1")),
+            (1 << 50, float(1 << 50)),
+        ],
+    )
+    def test_equal_value_probes_find_the_stored_key(self, stored, probe):
+        """A probe spelled with an equal value of another type finds the key,
+        in the relation and through every index on it."""
+        relation = Relation("R", ("A", "B"), {(stored, 7): 2, (5, 1): 1})
+        assert relation.multiplicity((probe, 7)) == 2
+        assert (probe, 7) in relation
+        assert relation.contains_key(("A",), (probe,))
+        assert relation.slice_size(("A", "B"), (probe, 7)) == 1
+        assert list(relation.slice(("A",), (probe,))) == [(stored, 7)]
+        relation.apply_delta((probe, 7), -2)
+        assert len(relation) == 1
+        assert not relation.contains_key(("A",), (stored,))
+
+    def test_storage_backend_names_the_one_layout(self):
+        with storage_backend("dict"):
+            relation = Relation("R", ("A",), {(1,): 1})
+        assert type(relation) is Relation
+
+    @pytest.mark.parametrize("name", ["columnar", "sqlite", "Dict"])
+    def test_unknown_backend_rejected(self, name):
+        with pytest.raises(ValueError):
+            with storage_backend(name):
+                pass  # pragma: no cover - never entered
+
+
+class TestSnapshotRedoLog:
+    """``apply_delta``'s redo log, as :mod:`repro.snapshot.cow` reads it: one
+    ``(tuple, delta)`` entry per change tick while the tracker keeps a log,
+    dropped once replaying it would cost more than a copy."""
+
+    @staticmethod
+    def logged(rows):
+        relation = Relation("R", ("A", "B"), rows)
+        relation._cow_log = []  # what the tracker sets after a frozen copy
+        return relation, relation._change_ticks
+
+    def test_no_log_is_kept_until_a_frozen_copy_asks_for_one(self):
+        relation = Relation("R", ("A", "B"), {(i, 0): 1 for i in range(100)})
+        ticks = relation._change_ticks
+        relation.apply_delta((1, 0), 1)
+        relation.apply_delta((200, 0), 1)
+        assert relation._cow_log is None
+        assert relation._change_ticks == ticks + 2
+
+    def test_each_effective_mutation_appends_one_entry_per_tick(self):
+        relation, ticks = self.logged({(i, i % 3): 1 for i in range(1000)})
+        relation.apply_delta((1, 1), 2)
+        relation.delete((1, 1), 3)  # to zero: the tuple leaves
+        relation.insert((500, 2))
+        relation.set_multiplicity((2, 2), 4)
+        relation.merge(Relation("S", ("A", "B"), {(3, 0): 1}), sign=-1)
+        assert relation._cow_log == [
+            ((1, 1), 2),
+            ((1, 1), -3),
+            ((500, 2), 1),
+            ((2, 2), 3),
+            ((3, 0), -1),
+        ]
+        assert relation._change_ticks - ticks == len(relation._cow_log)
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda relation: relation.apply_delta((1, 0), 0), None),
+            (lambda relation: relation.apply_delta((1, 0), -2), RejectedUpdateError),
+            (lambda relation: relation.apply_delta((1, 0, 0), 1), SchemaError),
+        ],
+        ids=["zero-delta", "over-delete", "wrong-arity"],
+    )
+    def test_no_op_and_rejected_deltas_neither_tick_nor_log(self, call, error):
+        relation, ticks = self.logged({(i, 0): 1 for i in range(100)})
+        if error is None:
+            call(relation)
+        else:
+            with pytest.raises(error):
+                call(relation)
+        assert relation._cow_log == []
+        assert relation._change_ticks == ticks
+        assert relation.multiplicity((1, 0)) == 1
+
+    @pytest.mark.parametrize("size, kept", [(1, 1), (32, 1), (33, 2), (320, 10)])
+    def test_log_is_dropped_once_replaying_it_would_cost_more_than_a_copy(self, size, kept):
+        assert COW_REPLAY_RATIO == 32
+        relation, ticks = self.logged({(i, 0): 1 for i in range(size)})
+        for _ in range(kept):
+            relation.apply_delta((0, 0), 1)  # the size stays put
+        assert len(relation._cow_log) == kept
+        relation.apply_delta((0, 0), 1)
+        assert relation._cow_log is None
+        relation.apply_delta((0, 0), 1)
+        assert relation._cow_log is None  # only the tracker starts a new one
+        assert relation._change_ticks == ticks + kept + 2
+
+    def test_clear_ticks_without_an_entry(self):
+        relation, ticks = self.logged({(1, 2): 1, (3, 4): 1})
+        relation.clear()
+        assert relation._change_ticks == ticks + 1
+        assert relation._cow_log == []  # shorter than the tick distance: copy
+        relation.clear()  # already empty: no tick
+        assert relation._change_ticks == ticks + 1
+
+    def test_replaying_the_log_onto_a_copy_reproduces_the_relation(self):
+        relation = Relation("R", ("A", "B"), {(i, i % 4): 1 + i % 2 for i in range(1000)})
+        relation.ensure_index(("B",))
+        replica = relation.copy_with_indexes([("B",)])
+        relation._cow_log = []
+        for i in range(0, 6):
+            relation.apply_delta((i, i % 4), -relation.multiplicity((i, i % 4)))
+        relation.apply_delta((3, 3), 5)  # deleted above, re-inserted at the end
+        relation.apply_delta((300, 1), 1)
+        relation.apply_delta((10, 2), 2)
+        for tup, delta in relation._cow_log:
+            replica.apply_delta(tup, delta)
+        assert list(replica.items()) == list(relation.items())
+        for key in relation.distinct_keys(("B",)):
+            assert list(replica.slice(("B",), key)) == list(relation.slice(("B",), key))
+        assert set(replica.distinct_keys(("B",))) == set(relation.distinct_keys(("B",)))
+
+
+class TestCopyWithIndexes:
+    @staticmethod
+    def churned():
+        """A ternary relation whose indexes saw deletes and re-inserts."""
+        relation = Relation("T", ("A", "B", "C"))
+        for i in range(60):
+            relation.apply_delta((i % 5, i % 3, i), 1)
+        for schema in [(), ("A",), ("B",), ("C",), ("A", "B"), ("A", "C"), ("B", "C")]:
+            relation.ensure_index(schema)
+        relation.ensure_index(("A", "B", "C"))
+        for i in range(0, 60, 4):
+            relation.apply_delta((i % 5, i % 3, i), -1)
+        for i in range(0, 60, 8):
+            relation.apply_delta((i % 5, i % 3, i), 2)  # back, at the end
+        relation.apply_delta((9, 9, 9), 1)
+        return relation
+
+    @pytest.mark.parametrize(
+        "key_schema",
+        [(), ("A",), ("B",), ("C",), ("A", "B"), ("A", "C"), ("B", "C"), ("A", "B", "C")],
+    )
+    def test_carried_groups_list_members_as_a_fresh_build_would(self, key_schema):
+        relation = self.churned()
+        clone = relation.copy_with_indexes([key_schema])
+        assert list(clone._indexes) == [key_schema]
+        fresh = relation.copy()  # no index: the probes below build one
+        assert set(clone.distinct_keys(key_schema)) == set(fresh.distinct_keys(key_schema))
+        for key in fresh.distinct_keys(key_schema):
+            assert list(clone.slice(key_schema, key)) == list(fresh.slice(key_schema, key))
+            assert dict(clone._indexes[key_schema].group_items(key)) == {
+                tup: relation.multiplicity(tup) for tup in fresh.slice(key_schema, key)
+            }
+
+    def test_carried_index_is_independent_of_the_source(self):
+        relation = self.churned()
+        before = {
+            key: list(relation.slice(("A",), key)) for key in relation.distinct_keys(("A",))
+        }
+        clone = relation.copy_with_indexes([("A",)])
+        relation.apply_delta((9, 9, 9), -1)
+        relation.apply_delta((0, 7, 7), 1)
+        clone.apply_delta((1, 1, 1), 3)
+        assert {
+            key: list(clone.slice(("A",), key)) for key in clone.distinct_keys(("A",))
+        } == before
+        assert clone.multiplicity((1, 1, 1)) == 4
+        assert relation.multiplicity((1, 1, 1)) == 1
+        assert list(relation.slice(("A",), (9,))) == []
+        assert list(relation.slice(("A",), (0,)))[-1] == (0, 7, 7)
+
+    def test_plain_copy_carries_no_index(self):
+        relation = self.churned()
+        clone = relation.copy("U")
+        assert clone.name == "U" and clone._indexes == {}
+        assert list(clone.items()) == list(relation.items())
+        assert list(clone.slice(("C",), (9,))) == [(4, 0, 9), (9, 9, 9)]
+        assert clone._cow_log is None and clone._cow_cache is None
 
 
 @st.composite

@@ -19,13 +19,7 @@ from repro.conformance import (
     random_update_stream,
 )
 from repro.core.serving import EngineServer
-from repro.data.relation import (
-    COW_REPLAY_RATIO,
-    backend_class,
-    get_default_backend,
-    storage_backend,
-)
-from repro.data.storage import ColumnarIndex, ColumnarRelation
+from repro.data.relation import COW_REPLAY_RATIO, Relation
 from repro.exceptions import ReproError, StaleStateError
 from repro.sharding import ShardedEngine
 from repro.snapshot import CowTracker
@@ -389,8 +383,8 @@ def assert_same_frozen_content(frozen, expected):
 class ReplicaHarness:
     """One relation under a bare tracker, with a ``copy()`` oracle per capture."""
 
-    def __init__(self, backend: str, prefill: int) -> None:
-        self.relation = backend_class(backend)("R", ("A", "B"))
+    def __init__(self, prefill: int) -> None:
+        self.relation = Relation("R", ("A", "B"))
         for i in range(prefill):
             self.relation.apply_delta((i, i % 7), 1)
         self.tracker = CowTracker()
@@ -453,7 +447,6 @@ replica_rounds = st.lists(
 class TestTrailingReplica:
     @settings(max_examples=300, deadline=None)
     @given(
-        backend=st.sampled_from(("columnar", "columnar", "dict")),
         prefill=st.sampled_from((0, 40, 600, 600)),
         rounds=replica_rounds,
     )
@@ -462,7 +455,6 @@ class TestTrailingReplica:
     # still lists the B = 0 group first where a fresh build lists it last —
     # the key sequences differ, every group sequence does not
     @example(
-        backend="columnar",
         prefill=600,
         rounds=[
             ("publish", [("insert", (5, 3))], [("read", 0)]),
@@ -470,13 +462,13 @@ class TestTrailingReplica:
             ("publish", [("insert", (20, 0))], [("read", 0)]),
         ],
     )
-    def test_frozen_content_equals_copy_at_capture(self, backend, prefill, rounds):
+    def test_frozen_content_equals_copy_at_capture(self, prefill, rounds):
         """Random insert/delete/re-insert streams with interleaved captures,
         reads, closes, drops and held-open snapshots: whichever branch
         (replay or copy) produced a frozen relation, it equals the
         ``copy()`` taken at the capture point — entries, index key sets and
         per-key group sequences."""
-        harness = ReplicaHarness(backend, prefill)
+        harness = ReplicaHarness(prefill)
         relation = harness.relation
         for capture, writes, follow_ups in rounds:
             if capture == "publish":
@@ -501,12 +493,10 @@ class TestTrailingReplica:
                     getattr(harness, op)(arg)
         harness.read_all()
 
-    @pytest.mark.parametrize("backend", ["columnar", "dict"])
-    def test_replay_and_fallback_branches(self, backend):
+    def test_replay_and_fallback_branches(self):
         """Deterministic walk through every branch of the replay-or-copy rule."""
-        harness = ReplicaHarness(backend, prefill=800)
+        harness = ReplicaHarness(prefill=800)
         relation, tracker = harness.relation, harness.tracker
-        columnar = backend == "columnar"
 
         def commit(base: int, count: int = 5) -> None:
             harness.capture()
@@ -522,12 +512,8 @@ class TestTrailingReplica:
             harness.read_all()
             while harness.open:
                 harness.close(0)
-        if columnar:
-            assert tracker.full_copies == 1
-            assert tracker.replayed_entries == 9 * 7
-        else:
-            assert tracker.full_copies == 10
-            assert tracker.replayed_entries == 0
+        assert tracker.full_copies == 1
+        assert tracker.replayed_entries == 9 * 7
 
         # a snapshot that resolved the replica and stays open pins it: the
         # writer falls back to one copy, then trails the new replica
@@ -541,23 +527,23 @@ class TestTrailingReplica:
             while len(harness.open) > 1:
                 harness.close(1)
         assert harness.open == [held]
-        assert tracker.full_copies == copies + 1 or not columnar
+        assert tracker.full_copies == copies + 1
         harness.read(0)
 
         # a log longer than len(relation) / COW_REPLAY_RATIO stops being
         # kept (bounded memory) and the next freeze copies
         copies = tracker.full_copies
         commit(30_000, count=len(relation) // COW_REPLAY_RATIO + 50)
-        assert relation._cow_log is None or not columnar
+        assert relation._cow_log is None
         harness.capture()
         relation.apply_delta((40_000, 1), 1)
-        assert tracker.full_copies == copies + 1 or not columnar
+        assert tracker.full_copies == copies + 1
         # ... and a relation that just outran the bound is not logged for
         # the round that follows: one more copy, then replays resume
         assert relation._cow_log is None
         harness.capture()
         relation.apply_delta((40_001, 1), 1)
-        assert tracker.full_copies == copies + 2 or not columnar
+        assert tracker.full_copies == copies + 2
         assert relation._cow_log is not None
         harness.read_all()
 
@@ -570,27 +556,27 @@ class TestTrailingReplica:
         relation.clear()
         harness.capture()
         relation.apply_delta((50_000, 2), 1)
-        assert tracker.full_copies == copies + 1 or not columnar
+        assert tracker.full_copies == copies + 1
         harness.read_all()
 
     def test_tracker_refuses_to_freeze_for_a_released_state(self):
         """``close()`` racing a reader that already passed its validity
         check must not hand out (unprotected) live content."""
-        harness = ReplicaHarness("columnar", prefill=10)
+        harness = ReplicaHarness(prefill=10)
         harness.capture()
         state, _ = harness.open[0]
         harness.close(0)
         with pytest.raises(StaleStateError):
             harness.tracker.freeze(state, harness.relation)
 
-    def test_replay_across_auto_compaction(self):
-        """A stream freeing >1024 rows: ``compact()`` fires inside a replay."""
-        harness = ReplicaHarness("columnar", prefill=2000)
+    def test_replay_keeps_a_reader_index_across_a_long_stream(self):
+        """1 600 deletes replayed in short rounds onto one replica: the index
+        a reader built on it before the stream is maintained, never rebuilt."""
+        harness = ReplicaHarness(prefill=2000)
         relation, tracker = harness.relation, harness.tracker
         victims = list(relation.tuples())[:1600]
-        rows_before = len(relation._row_tuples)
         # a reader's index on the replica, built before the stream: every
-        # replay below maintains it, the compacting one remaps it
+        # replay below maintains it
         harness.capture()
         replica = tracker.freeze(harness.open[0][0], relation)
         index = replica.ensure_index(("B",))
@@ -601,12 +587,10 @@ class TestTrailingReplica:
             harness.capture()
             for tup in victims[start : start + chunk]:
                 relation.apply_delta(tup, -1)
-            relation.apply_delta((9_000, start), 1)  # reuses a free row
+            relation.apply_delta((9_000, start), 1)
             relation.apply_delta((9_000, start), -1)
             harness.read_all()
             harness.close(0)
-        assert len(relation._row_tuples) < rows_before  # compacted
-        assert len(replica._row_tuples) < rows_before  # ... inside a replay
         harness.capture()
         harness.read_all()
         assert tracker.full_copies == 1
@@ -671,8 +655,6 @@ class TestServedCommitCopies:
         assert engine.version == 200
         assert engine.rebalance_stats.major_rebalances == 0
         assert server.read().result() == truth
-        if get_default_backend() != "columnar":
-            return  # no redo log: every commit copies, by design
         assert len(copies) <= 2  # parent: one per commit
         # the counters /metrics exports tell the same story: the view's
         # ~110 changed tuples per commit are replayed; what is still copied
@@ -683,7 +665,6 @@ class TestServedCommitCopies:
 
     def test_held_snapshot_forces_exactly_one_fallback_copy(self):
         engine, server, copies, _ = self.served_engine()
-        columnar = get_default_backend() == "columnar"
         self.commits(server, 1_000, 20)
         held = server.snapshot()
         truth = held.result()
@@ -691,31 +672,30 @@ class TestServedCommitCopies:
         before = len(copies)
         self.commits(server, 2_000, 200)
         # the held snapshot pins the replica it resolved; the writer copies
-        # once and trails the new replica from then on (without a redo log,
-        # the dict backend, it copies per commit either way)
-        assert len(copies) == before + 1 or not columnar
+        # once and trails the new replica from then on
+        assert len(copies) == before + 1
         assert held.version == 20
         assert held.result() == truth
         assert list(held.enumerate()) == sequence
         held.close()
         self.commits(server, 3_000, 20)
-        assert len(copies) == before + 1 or not columnar
+        assert len(copies) == before + 1
 
 
 def count_frozen_index_builds(monkeypatch):
-    """Record ``(relation name, key schema)`` of every :class:`ColumnarIndex`
-    built from now on over a relation no tracker watches.  Called once the
+    """Record ``(relation name, key schema)`` of every index ``ensure_index``
+    builds from now on over a relation no tracker watches.  Called once the
     engine's first snapshot exists (from then on every live relation is
     watched), those are the builds on frozen copies."""
     builds = []
-    build = ColumnarIndex.__init__
+    ensure = Relation.ensure_index
 
-    def counting(index, relation, key_schema):
-        if relation._cow is None:
-            builds.append((relation.name, key_schema))
-        build(index, relation, key_schema)
+    def counting(relation, key_schema):
+        if relation._cow is None and not relation.has_index(key_schema):
+            builds.append((relation.name, relation._normalise_key_schema(key_schema)))
+        return ensure(relation, key_schema)
 
-    monkeypatch.setattr(ColumnarIndex, "__init__", counting)
+    monkeypatch.setattr(Relation, "ensure_index", counting)
     return builds
 
 
@@ -740,70 +720,68 @@ class TestFrozenIndexBuilds:
                 assert len(server.read(limit=100).pairs) == 100
 
     def test_single_tuple_commits_build_each_probed_index_once(self, monkeypatch):
-        with storage_backend("columnar"):
-            engine, server = self.served_engine()
-            builds = count_frozen_index_builds(monkeypatch)
-            self.singles(server, 1_000, 10)
-            warm = list(builds)
-            assert warm and len(warm) == len(set(warm))
-            self.singles(server, 2_000, 60)
-            assert builds == warm  # parent: grows with every version read
-            assert engine.snapshot_stats["replayed_entries"] >= 60
-            assert engine.rebalance_stats.major_rebalances == 0
+        engine, server = self.served_engine()
+        builds = count_frozen_index_builds(monkeypatch)
+        self.singles(server, 1_000, 10)
+        warm = list(builds)
+        assert warm and len(warm) == len(set(warm))
+        self.singles(server, 2_000, 60)
+        assert builds == warm  # parent: grows with every version read
+        assert engine.snapshot_stats["replayed_entries"] >= 60
+        assert engine.rebalance_stats.major_rebalances == 0
 
     def test_fallback_copies_inherit_and_replaced_replicas_are_not_garbage(
         self, monkeypatch
     ):
-        with storage_backend("columnar"):
-            engine, server = self.served_engine()
-            builds = count_frozen_index_builds(monkeypatch)
-            self.singles(server, 1_000, 10)
-            warm = list(builds)
-            # what readers probe, the live relations index too (the
-            # partition key): every fallback copy below can inherit
-            assert warm and all(
-                engine.database.relation(name).has_index(key) for name, key in warm
-            )
+        engine, server = self.served_engine()
+        builds = count_frozen_index_builds(monkeypatch)
+        self.singles(server, 1_000, 10)
+        warm = list(builds)
+        # what readers probe, the live relations index too (the
+        # partition key): every fallback copy below can inherit
+        assert warm and all(
+            engine.database.relation(name).has_index(key) for name, key in warm
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            # batches that outgrow the redo log of R (660 / 32 entries)
+            before = dict(engine.snapshot_stats)
+            for round_ in range(6):
+                base = 2_000 + 100 * round_
+                rows = [(base + i, i % 3) for i in range(40)]
+                for sign in (1, -1):
+                    server.apply_batch([Update("R", row, sign) for row in rows])
+                    assert len(server.read(limit=100).pairs) == 100
+            stats = engine.snapshot_stats
+            assert stats["replayed_entries"] == before["replayed_entries"]
+            assert stats["full_copies"] >= before["full_copies"] + 12
+            assert stats["carried_indexes"] >= before["carried_indexes"] + 12
+            assert builds == warm
+            # a snapshot held open across 50 commits pins the replicas
+            # it resolved: one fallback copy each, inheriting again
+            held = server.snapshot()
+            sequence = list(held.enumerate())
+            carried = stats["carried_indexes"]
+            self.singles(server, 3_000, 50)
+            assert engine.snapshot_stats["carried_indexes"] > carried
+            assert builds == warm
+            assert list(held.enumerate()) == sequence
+            held.close()
+            self.singles(server, 4_000, 4)
+            assert builds == warm
+            assert engine.rebalance_stats.major_rebalances == 0
+            # every replica that was replaced or released is freed by
+            # refcount: nothing is left to the collector
+            del held
+            gc.set_debug(gc.DEBUG_SAVEALL)
             gc.collect()
-            gc.disable()
-            try:
-                # batches that outgrow the redo log of R (660 / 32 entries)
-                before = dict(engine.snapshot_stats)
-                for round_ in range(6):
-                    base = 2_000 + 100 * round_
-                    rows = [(base + i, i % 3) for i in range(40)]
-                    for sign in (1, -1):
-                        server.apply_batch([Update("R", row, sign) for row in rows])
-                        assert len(server.read(limit=100).pairs) == 100
-                stats = engine.snapshot_stats
-                assert stats["replayed_entries"] == before["replayed_entries"]
-                assert stats["full_copies"] >= before["full_copies"] + 12
-                assert stats["carried_indexes"] >= before["carried_indexes"] + 12
-                assert builds == warm
-                # a snapshot held open across 50 commits pins the replicas
-                # it resolved: one fallback copy each, inheriting again
-                held = server.snapshot()
-                sequence = list(held.enumerate())
-                carried = stats["carried_indexes"]
-                self.singles(server, 3_000, 50)
-                assert engine.snapshot_stats["carried_indexes"] > carried
-                assert builds == warm
-                assert list(held.enumerate()) == sequence
-                held.close()
-                self.singles(server, 4_000, 4)
-                assert builds == warm
-                assert engine.rebalance_stats.major_rebalances == 0
-                # every replica that was replaced or released had its index
-                # cycle broken by hand: nothing is left to the collector
-                del held
-                gc.set_debug(gc.DEBUG_SAVEALL)
-                gc.collect()
-                leaked = [o for o in gc.garbage if isinstance(o, ColumnarRelation)]
-            finally:
-                gc.set_debug(0)
-                gc.garbage.clear()
-                gc.enable()
-            assert leaked == []
+            leaked = [o for o in gc.garbage if isinstance(o, Relation)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert leaked == []
 
 
 # ----------------------------------------------------------------------
@@ -861,14 +839,13 @@ tree_steps = st.lists(
 class TestTreeOrderAcrossBranches:
     @settings(max_examples=40, deadline=None)
     @given(
-        backend=st.sampled_from(("columnar", "columnar", "dict")),
         query=st.sampled_from(TREE_QUERIES),
         epsilon=st.sampled_from((0.0, 0.5, 1.0)),
         seed=st.integers(min_value=0, max_value=1 << 16),
         steps=tree_steps,
     )
     def test_snapshot_enumerates_like_the_interpreter_over_fresh_copies(
-        self, backend, query, epsilon, seed, steps
+        self, query, epsilon, seed, steps
     ):
         """Insert / delete streams with reads at random points, snapshots
         held open (the fallback branch) and batches that outgrow the redo
@@ -876,72 +853,71 @@ class TestTreeOrderAcrossBranches:
         a snapshot enumerates the sequence the live engine did at capture,
         which is the interpreter's over index-free copies of that content."""
         rng = random.Random(seed)
-        with storage_backend(backend):
-            engine = HierarchicalEngine(query, epsilon=epsilon)
-            names = [atom.relation for atom in engine.query.atoms]
-            present = {name: {} for name in names}
+        engine = HierarchicalEngine(query, epsilon=epsilon)
+        names = [atom.relation for atom in engine.query.atoms]
+        present = {name: {} for name in names}
 
-            def fresh_row(name):
-                # B is the join variable of every atom: a few hot values
-                a, b = rng.randrange(40), min(rng.randrange(8), rng.randrange(8))
-                return (a, b) if name == "R" else (b, a)
+        def fresh_row(name):
+            # B is the join variable of every atom: a few hot values
+            a, b = rng.randrange(40), min(rng.randrange(8), rng.randrange(8))
+            return (a, b) if name == "R" else (b, a)
 
-            def insert(name):
-                row = fresh_row(name)
-                present[name][row] = present[name].get(row, 0) + 1
-                return Update(name, row, 1)
+        def insert(name):
+            row = fresh_row(name)
+            present[name][row] = present[name].get(row, 0) + 1
+            return Update(name, row, 1)
 
-            def delete(name, pick):
-                rows = list(present[name])
-                row = rows[pick % len(rows)]
-                present[name][row] -= 1
-                if not present[name][row]:
-                    del present[name][row]
-                return Update(name, row, -1)
+        def delete(name, pick):
+            rows = list(present[name])
+            row = rows[pick % len(rows)]
+            present[name][row] -= 1
+            if not present[name][row]:
+                del present[name][row]
+            return Update(name, row, -1)
 
-            engine.load(
-                Database.from_dict(
-                    {
-                        name: (
-                            ("A", "B") if name == "R" else ("B", name),
-                            [insert(name).tuple for _ in range(70)],
-                        )
-                        for name in names
-                    }
-                )
+        engine.load(
+            Database.from_dict(
+                {
+                    name: (
+                        ("A", "B") if name == "R" else ("B", name),
+                        [insert(name).tuple for _ in range(70)],
+                    )
+                    for name in names
+                }
             )
-            held = []  # (snapshot, list(engine.enumerate()) at its capture)
+        )
+        held = []  # (snapshot, list(engine.enumerate()) at its capture)
 
-            def check(snapshot, live):
-                got = list(snapshot.enumerate())
-                assert got == live
-                assert got == reference_sequence(snapshot)
+        def check(snapshot, live):
+            got = list(snapshot.enumerate())
+            assert got == live
+            assert got == reference_sequence(snapshot)
 
-            def capture():
-                return engine.snapshot(), list(engine.enumerate())
+        def capture():
+            return engine.snapshot(), list(engine.enumerate())
 
-            for write, read, pick in steps:
-                name = names[pick % len(names)]
-                if write == "insert":
-                    engine.apply(insert(name))
-                elif write == "delete" and present[name]:
-                    engine.apply(delete(name, pick))
-                elif write == "batch":
-                    # 12 changes against ~70 tuples: no log survives it
-                    engine.apply_batch([insert(name) for _ in range(12)])
-                if read == "read":
-                    snapshot, live = capture()
-                    check(snapshot, live)
-                    snapshot.close()
-                elif read == "hold":
-                    held.append(capture())
-                    check(*held[-1])
-                elif held:
-                    snapshot, live = held[pick % len(held)]
-                    check(snapshot, live)
-                    if read == "close":
-                        held.remove((snapshot, live))
-                        snapshot.close()
-            for snapshot, live in held + [capture()]:
+        for write, read, pick in steps:
+            name = names[pick % len(names)]
+            if write == "insert":
+                engine.apply(insert(name))
+            elif write == "delete" and present[name]:
+                engine.apply(delete(name, pick))
+            elif write == "batch":
+                # 12 changes against ~70 tuples: no log survives it
+                engine.apply_batch([insert(name) for _ in range(12)])
+            if read == "read":
+                snapshot, live = capture()
                 check(snapshot, live)
                 snapshot.close()
+            elif read == "hold":
+                held.append(capture())
+                check(*held[-1])
+            elif held:
+                snapshot, live = held[pick % len(held)]
+                check(snapshot, live)
+                if read == "close":
+                    held.remove((snapshot, live))
+                    snapshot.close()
+        for snapshot, live in held + [capture()]:
+            check(snapshot, live)
+            snapshot.close()

@@ -1,19 +1,19 @@
-"""Observational equivalence of the dict and columnar storage backends.
+"""Relation storage against a plain ``{tuple: multiplicity}`` model.
 
-The columnar backend is a drop-in replacement for the dict backend: same
-results, same enumeration order, same index key/group orders, same
-rejection points.  A Hypothesis property drives both backends through the
-same random interleaving of inserts, deletes, clears, multiplicity writes,
-index builds, probes and (columnar-only) compactions and diffs every
-observable after every step; an engine-level test replays a rebalance-heavy
-workload through :class:`~repro.core.api.HierarchicalEngine` under both
-backends, retune included.
+A Hypothesis property drives one :class:`~repro.data.relation.Relation`
+and a plain dict model through the same random interleaving of inserts,
+deletes, clears, multiplicity writes, index builds and drops, probes and
+index-carrying copies, and after every step diffs content and enumeration
+order, and every held index — ``slice`` / ``slice_size`` /
+``contains_key`` / ``distinct_keys`` — against projections of the model.
+An over-delete must raise :class:`~repro.exceptions.RejectedUpdateError`
+at exactly the step where the model goes negative.  An engine-level test
+replays a rebalance-heavy workload, retune included, against the naive
+oracle.
 
 Also pins the key-normalisation contract at its audited call sites:
 ``ensure_index`` (and everything routed through it) normalises the *schema*
-to relation order, so key tuples must be built in relation-schema order —
-the tuple-addressed forms (``contains_key_of``/``degree_of``) exist so hot
-callers never build key tuples at all.
+to relation order, so key tuples must be built in relation-schema order.
 """
 
 from __future__ import annotations
@@ -24,15 +24,19 @@ from hypothesis import strategies as st
 
 from repro.core.api import HierarchicalEngine
 from repro.data.partition import Partition
-from repro.data.relation import DictRelation, backend_class
-from repro.data.storage import ColumnarRelation
+from repro.data.relation import Relation
+from repro.data.schema import Projector
+from repro.engine.evaluator import evaluate_query_naive
+from repro.exceptions import RejectedUpdateError
 from repro.workloads.scenarios import get_scenario
 
 SCHEMA = ("A", "B")
+KEY_SCHEMAS = (("A",), ("B",), ("A", "B"))
 
+# 1 == 1.0 == True: equal values are one key in the model and the relation
 _values = st.sampled_from([0, 1, 2, 3, True, 1.0, 2.0, "x", "y", 1 << 50])
 _tuples = st.tuples(_values, _values)
-_key_schemas = st.sampled_from([("A",), ("B",), ("A", "B")])
+_key_schemas = st.sampled_from(KEY_SCHEMAS)
 
 _operations = st.lists(
     st.one_of(
@@ -41,69 +45,90 @@ _operations = st.lists(
         st.tuples(st.just("index"), _key_schemas),
         st.tuples(st.just("probe"), _key_schemas, _tuples),
         st.tuples(st.just("invalidate")),
-        st.tuples(st.just("compact")),
+        st.tuples(st.just("copy")),
         st.tuples(st.just("clear")),
     ),
     max_size=60,
 )
 
 
-def _apply(relation, op):
-    """Run one op; return (tag, payload) capturing every observable effect."""
-    try:
-        if op[0] == "delta":
-            return ("ok", relation.apply_delta(op[1], op[2]))
-        if op[0] == "set":
-            return ("ok", relation.set_multiplicity(op[1], op[2]))
-        if op[0] == "index":
-            relation.ensure_index(op[1])
-            return ("ok", None)
-        if op[0] == "probe":
-            return (
-                "ok",
-                (
-                    relation.contains_key_of(op[1], op[2]),
-                    relation.degree_of(op[1], op[2]),
-                ),
-            )
-        if op[0] == "invalidate":
-            return ("ok", relation.invalidate_indexes())
-        if op[0] == "compact":
-            # Dict backend has no row arrays to compact; equivalence means
-            # compaction must be invisible, so it maps to a no-op there.
-            if hasattr(relation, "compact"):
-                relation.compact()
-            return ("ok", None)
-        if op[0] == "clear":
-            return ("ok", relation.clear())
-        raise AssertionError(f"unknown op {op!r}")
-    except Exception as exc:  # compared by type below
-        return ("raise", type(exc).__name__)
+def _model_delta(model, tup, delta):
+    """Apply ``delta`` to the model; False when it would go negative."""
+    updated = model.get(tup, 0) + delta
+    if updated < 0:
+        return False
+    if updated == 0:
+        model.pop(tup, None)
+    else:
+        # an equal key already present keeps its spelling and position
+        model[tup] = updated
+    return True
 
 
-def _observe(relation):
-    """Everything an engine can see: contents, order, index structure."""
-    state = {"items": list(relation.items()), "len": len(relation)}
-    for key_schema, index in sorted(relation._indexes.items()):
-        keys = list(index.keys())
-        state[("index", key_schema)] = [
-            (key, list(index.group(key)), index.group_size(key)) for key in keys
-        ]
-    return state
+def _assert_matches(relation, model):
+    assert list(relation.items()) == list(model.items())
+    assert len(relation) == len(model)
+    for key_schema in list(relation._indexes):
+        project = Projector(SCHEMA, key_schema)
+        keys = list(relation.distinct_keys(key_schema))
+        assert len(keys) == len(set(keys)) == len({project(t) for t in model})
+        assert set(keys) == {project(t) for t in model}
+        for key in keys:
+            group = [t for t in model if project(t) == key]
+            assert list(relation.slice(key_schema, key)) == group
+            assert list(relation._indexes[key_schema].group_items(key)) == [
+                (t, model[t]) for t in group
+            ]
+            assert relation.slice_size(key_schema, key) == len(group)
+            assert relation.contains_key(key_schema, key)
 
 
 @settings(
-    max_examples=60,
+    max_examples=80,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(operations=_operations)
-def test_backends_observationally_identical(operations):
-    dict_rel = DictRelation("R", SCHEMA)
-    col_rel = ColumnarRelation("R", SCHEMA)
+def test_relation_matches_a_plain_multiplicity_model(operations):
+    relation = Relation("R", SCHEMA)
+    model = {}
     for op in operations:
-        assert _apply(dict_rel, op) == _apply(col_rel, op), op
-        assert _observe(dict_rel) == _observe(col_rel), op
+        kind = op[0]
+        if kind == "delta":
+            _, tup, delta = op
+            expected = model.get(tup, 0) + delta
+            if _model_delta(model, tup, delta):
+                assert relation.apply_delta(tup, delta) == expected
+            else:
+                with pytest.raises(RejectedUpdateError):
+                    relation.apply_delta(tup, delta)
+        elif kind == "set":
+            _, tup, mult = op
+            if mult < 0:
+                with pytest.raises(ValueError):
+                    relation.set_multiplicity(tup, mult)
+            else:
+                _model_delta(model, tup, mult - model.get(tup, 0))
+                relation.set_multiplicity(tup, mult)
+        elif kind == "index":
+            relation.ensure_index(op[1])
+        elif kind == "probe":
+            _, key_schema, tup = op
+            project = Projector(SCHEMA, key_schema)
+            key = project(tup)
+            group = [t for t in model if project(t) == key]
+            assert relation.contains_key(key_schema, key) == bool(group)
+            assert relation.slice_size(key_schema, key) == len(group)
+            assert list(relation.slice(key_schema, key)) == group
+        elif kind == "invalidate":
+            relation.invalidate_indexes()
+        elif kind == "copy":
+            # a copy carrying every held index is the same relation
+            relation = relation.copy_with_indexes(tuple(relation._indexes))
+        else:
+            relation.clear()
+            model.clear()
+        _assert_matches(relation, model)
 
 
 @settings(max_examples=20, deadline=None)
@@ -111,50 +136,36 @@ def test_backends_observationally_identical(operations):
     seed=st.integers(0, 2**16),
     epsilon=st.sampled_from([0.1, 0.3, 0.5]),
 )
-def test_engines_agree_across_backends_with_rebalances(seed, epsilon):
-    """Same adversarial stream, both backends, identical enumerations.
-
-    The adversarial scenario flip-flops one join key across the heavy/light
-    threshold, forcing minor and major rebalances; a mid-stream retune to a
-    different ε exercises the strict repartition path as well.
-    """
+def test_engine_matches_the_oracle_across_rebalances_and_retune(seed, epsilon):
+    """The adversarial scenario flip-flops one join key across the
+    heavy/light threshold, forcing minor and major rebalances; a mid-stream
+    retune to a different ε exercises the strict repartition path as well.
+    The result must equal the naive oracle before and after the retune."""
     scenario = get_scenario("adversarial")
-    sequences = {}
-    for backend in ("dict", "columnar"):
-        cls = backend_class(backend)
-        database = scenario.make_database(seed=seed, scale=0.2)
-        # Rebuild the database under the pinned backend class.
-        rebuilt = {}
-        for relation in database.relations():
-            rebuilt[relation.name] = cls(
-                relation.name, relation.schema, dict(relation.items())
-            )
-        from repro.data.database import Database
-
-        db = Database()
-        for name, relation in rebuilt.items():
-            db.add_relation(relation)
-        updates = list(scenario.make_stream(database, count=120, seed=seed))
-        engine = HierarchicalEngine(scenario.query, epsilon=epsilon).load(db)
-        checkpoints = []
-        for position, update in enumerate(updates):
-            engine.apply(update)
-            if position == len(updates) // 2:
-                engine.retune(0.7)
-                checkpoints.append(list(engine.enumerate()))
-        checkpoints.append(list(engine.enumerate()))
-        engine.check_invariants()
-        sequences[backend] = checkpoints
-    assert sequences["dict"] == sequences["columnar"]
+    database = scenario.make_database(seed=seed, scale=0.2)
+    updates = list(scenario.make_stream(database, count=120, seed=seed))
+    engine = HierarchicalEngine(scenario.query, epsilon=epsilon).load(database.copy())
+    for position, update in enumerate(updates):
+        engine.apply(update)
+        database.relation(update.relation).apply_delta(
+            update.tuple, update.multiplicity
+        )
+        if position == len(updates) // 2:
+            engine.retune(0.7)
+            truth = evaluate_query_naive(engine.query, database).as_dict()
+            assert dict(engine.enumerate()) == truth
+    truth = evaluate_query_naive(engine.query, database).as_dict()
+    assert dict(engine.enumerate()) == truth
+    engine.check_invariants()
 
 
 # ----------------------------------------------------------------------
 # key-normalisation pins (audited slice/slice_size/contains_key callers)
 # ----------------------------------------------------------------------
 
-@pytest.fixture(params=[DictRelation, ColumnarRelation])
-def relation(request):
-    rel = request.param("R", ("A", "B"))
+@pytest.fixture
+def relation():
+    rel = Relation("R", ("A", "B"))
     rel.apply_delta((1, 2), 1)
     rel.apply_delta((1, 3), 1)
     rel.apply_delta((4, 2), 1)
@@ -170,20 +181,6 @@ def test_ensure_index_normalises_caller_schema_order(relation):
     assert not relation.contains_key(("B", "A"), (2, 1))
     assert relation.slice_size(("B", "A"), (1, 2)) == 1
     assert relation.ensure_index(("B", "A")).key_of((1, 2)) == (1, 2)
-
-
-def test_tuple_addressed_probes_match_key_built_probes(relation):
-    # The maintenance pre-state capture and rebalance witness probes use
-    # the tuple-addressed forms; they must agree with building the key by
-    # hand in schema order.
-    for keys in (("A",), ("B",), ("A", "B")):
-        index = relation.ensure_index(keys)
-        for tup in [(1, 2), (4, 3), (9, 9)]:
-            key = index.key_of(tup)
-            assert relation.contains_key_of(keys, tup) == relation.contains_key(
-                keys, key
-            )
-            assert relation.degree_of(keys, tup) == relation.slice_size(keys, key)
 
 
 def test_partition_normalises_key_schema(relation):

@@ -1,6 +1,6 @@
 """Benchmark gate: re-run the asserted throughput claims so they cannot rot.
 
-Nine benchmark modules assert headline performance ratios and record their
+Eight benchmark modules assert headline performance ratios and record their
 tables under ``benchmarks/results/``:
 
 * ``bench_batch_updates``      — batched ingestion ≥ 2× single-update path;
@@ -17,9 +17,6 @@ tables under ``benchmarks/results/``:
 * ``bench_reshard``            — online 2→4 reshard under a live writer:
   longest writer stall ≤ 0.6× the reshard wall-clock, and post-reshard
   ingest throughput ≥ 0.8× a fleet loaded fresh at 4 shards;
-* ``bench_storage``            — columnar backend ≥ 3× the dict backend
-  (geomean over every registered scenario) on the per-tuple maintenance
-  touch path, with both backends reaching identical final state;
 * ``bench_aggregates``         — maintained ring-aggregate reads ≥ 5× the
   enumerate-and-fold path at 10k-group scale on the iot sliding-window
   workload, with maintenance cost staying inside ingestion and aggregate
@@ -64,7 +61,6 @@ GATED_BENCHMARKS = (
     "benchmarks/bench_durability.py",
     "benchmarks/bench_subscriptions.py",
     "benchmarks/bench_reshard.py",
-    "benchmarks/bench_storage.py",
     "benchmarks/bench_aggregates.py",
 )
 

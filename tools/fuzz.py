@@ -53,8 +53,8 @@ checkpoint diffs maintained, enumerate-and-fold, and snapshot aggregate
 answers (a generic spec set plus each scenario's natural aggregates)
 against the fold over the oracle's enumeration, and the
 ``aggregate-equivalence`` metamorphic property asserts aggregate ==
-fold-over-oracle across the case's ε grid, shard counts {1, 2, 4}, a
-mid-stream retune, and both relation-storage backends.
+fold-over-oracle across the case's ε grid, shard counts {1, 2, 4} and a
+mid-stream retune.
 """
 
 from __future__ import annotations

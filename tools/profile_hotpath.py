@@ -11,9 +11,8 @@ documents where maintenance and enumeration time actually go, so a storage,
 propagation or enumeration change can be judged against the real call
 profile instead of intuition::
 
-    python tools/profile_hotpath.py                  # full run, writes report
-    python tools/profile_hotpath.py --smoke          # CI: tiny streams, stdout
-    python tools/profile_hotpath.py --backend dict   # profile the dict backend
+    python tools/profile_hotpath.py           # full run, writes report
+    python tools/profile_hotpath.py --smoke   # CI: tiny streams, stdout
 
 Per-scenario throughput and read numbers in the report are measured *under
 the profiler* and are only comparable to each other, not to the un-profiled
@@ -25,7 +24,6 @@ from __future__ import annotations
 import argparse
 import cProfile
 import io
-import os
 import pstats
 import sys
 import time
@@ -52,9 +50,8 @@ def _top(profile: cProfile.Profile, top: int) -> str:
     return buffer.getvalue().rstrip()
 
 
-def profile_scenarios(count: int, top: int, backend: str, read_limit=None) -> str:
+def profile_scenarios(count: int, top: int, read_limit=None) -> str:
     from repro.core.api import HierarchicalEngine
-    from repro.data import storage_backend
     from repro.workloads.scenarios import SCENARIOS, get_scenario
 
     profile = cProfile.Profile()
@@ -68,41 +65,40 @@ def profile_scenarios(count: int, top: int, backend: str, read_limit=None) -> st
         f"  {'scenario':<14} {'tuples':>8} {'page ms':>9} {'full s':>9} {'us/tuple':>9}",
     ]
     lines = [
-        f"Maintenance hot-path profile — backend={backend}, "
+        f"Maintenance hot-path profile — "
         f"{count} updates per scenario, top {top} functions by total time.",
         "",
         "Per-scenario ingestion under the profiler (relative only):",
         "",
         f"  {'scenario':<14} {'updates':>8} {'seconds':>9} {'updates/s':>10}",
     ]
-    with storage_backend(backend):
-        for name in sorted(SCENARIOS):
-            scenario = get_scenario(name)
-            database = scenario.make_database(seed=SEED, scale=1.0)
-            updates = list(scenario.make_stream(database, count=count, seed=SEED))
-            engine = HierarchicalEngine(scenario.query).load(database)
-            started = time.perf_counter()
-            profile.enable()
-            for update in updates:
-                engine.apply(update)
-            profile.disable()
-            elapsed = time.perf_counter() - started
-            lines.append(
-                f"  {name:<14} {len(updates):>8} {elapsed:>9.3f} "
-                f"{len(updates) / elapsed:>10.0f}"
-            )
-            started = time.perf_counter()
-            reads.enable()
-            for _ in islice(engine.enumerate(), PAGE):
-                pass
-            paged = time.perf_counter()
-            tuples = sum(1 for _ in islice(engine.enumerate(), read_limit))
-            reads.disable()
-            full = time.perf_counter() - paged
-            read_lines.append(
-                f"  {name:<14} {tuples:>8} {(paged - started) * 1e3:>9.3f} "
-                f"{full:>9.3f} {full / max(tuples, 1) * 1e6:>9.2f}"
-            )
+    for name in sorted(SCENARIOS):
+        scenario = get_scenario(name)
+        database = scenario.make_database(seed=SEED, scale=1.0)
+        updates = list(scenario.make_stream(database, count=count, seed=SEED))
+        engine = HierarchicalEngine(scenario.query).load(database)
+        started = time.perf_counter()
+        profile.enable()
+        for update in updates:
+            engine.apply(update)
+        profile.disable()
+        elapsed = time.perf_counter() - started
+        lines.append(
+            f"  {name:<14} {len(updates):>8} {elapsed:>9.3f} "
+            f"{len(updates) / elapsed:>10.0f}"
+        )
+        started = time.perf_counter()
+        reads.enable()
+        for _ in islice(engine.enumerate(), PAGE):
+            pass
+        paged = time.perf_counter()
+        tuples = sum(1 for _ in islice(engine.enumerate(), read_limit))
+        reads.disable()
+        full = time.perf_counter() - paged
+        read_lines.append(
+            f"  {name:<14} {tuples:>8} {(paged - started) * 1e3:>9.3f} "
+            f"{full:>9.3f} {full / max(tuples, 1) * 1e6:>9.2f}"
+        )
     lines += ["", _top(profile, top), *read_lines, "", _top(reads, top), ""]
     return "\n".join(lines)
 
@@ -121,12 +117,6 @@ def main(argv=None) -> int:
         "--top", type=int, default=30, help="functions to report (default 30)"
     )
     parser.add_argument(
-        "--backend",
-        default=os.environ.get("REPRO_STORAGE", "columnar"),
-        choices=("dict", "columnar"),
-        help="storage backend to profile (default: active backend)",
-    )
-    parser.add_argument(
         "--output",
         default=None,
         help=f"report path (default {DEFAULT_OUTPUT.relative_to(REPO_ROOT)}; "
@@ -143,7 +133,7 @@ def main(argv=None) -> int:
         SMOKE_COUNT if args.smoke else DEFAULT_COUNT
     )
     report = profile_scenarios(
-        count, args.top, args.backend, SMOKE_READ if args.smoke else None
+        count, args.top, SMOKE_READ if args.smoke else None
     )
     output = args.output
     if output is None:
