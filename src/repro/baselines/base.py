@@ -3,10 +3,12 @@
 Baselines implement the same external interface as
 :class:`repro.core.api.HierarchicalEngine` — ``load``, the update API of
 :class:`~repro.data.update.MutationSurface` over one ``commit(event)``,
-``enumerate``, ``result`` — so the benchmark harness can swap them in and
-out when reproducing the comparison tables (Figures 4 and 5 of the paper),
-and so batched-ingestion comparisons stay apples-to-apples across all
-engines.
+``enumerate`` and the read surface derived from it
+(:class:`~repro.enumeration.result.ReadSurface`: ``result``,
+``count_distinct``, iteration, ``aggregate``) — so the benchmark harness
+can swap them in and out when reproducing the comparison tables (Figures 4
+and 5 of the paper), and so batched-ingestion comparisons stay
+apples-to-apples across all engines.
 
 Subclasses implement three hooks: ``_preprocess`` (build whatever state the
 strategy maintains), ``_apply_update`` (absorb one single-tuple update), and
@@ -32,7 +34,7 @@ Usage::
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.core.planner import coerce_query
 from repro.data.database import Database
@@ -45,10 +47,11 @@ from repro.data.update import (
     UpdateBatch,
     as_batch,
 )
+from repro.enumeration.result import ReadSurface
 from repro.exceptions import ReproError, UnsupportedQueryError
 
 
-class BaselineEngine(MutationSurface):
+class BaselineEngine(ReadSurface, MutationSurface):
     """Abstract base class of the baseline evaluation strategies."""
 
     name = "baseline"
@@ -103,16 +106,6 @@ class BaselineEngine(MutationSurface):
             self._apply_update(event)
         else:
             self._apply_batch(as_batch(event))
-
-    def result(self) -> Dict[ValueTuple, int]:
-        """Materialize the result as ``{tuple: multiplicity}``."""
-        return {tup: mult for tup, mult in self.enumerate()}
-
-    def count_distinct(self) -> int:
-        return sum(1 for _ in self.enumerate())
-
-    def __iter__(self) -> Iterator[Tuple[ValueTuple, int]]:
-        return self.enumerate()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.query!s})"

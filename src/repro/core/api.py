@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.data.database import Database
 from repro.data.schema import ValueTuple
@@ -66,7 +66,7 @@ from repro.data.update import (
     check_epsilon,
 )
 from repro.engine.materialize import materialize_plan, total_view_size
-from repro.enumeration.result import ResultEnumerator
+from repro.enumeration.result import ReadSurface, ResultEnumerator
 from repro.exceptions import (
     DurabilityError,
     InvariantViolationError,
@@ -87,21 +87,14 @@ from repro.core.planner import (
     instantiate_plan,
     plan_query,
 )
-from repro.rings.base import Ring
-from repro.rings.spec import (
-    AggregateSpec,
-    Elements,
-    MaintainedAggregate,
-    answer_map,
-    fold_result,
-)
+from repro.rings.spec import AggregateSpec, Elements, MaintainedAggregate
 from repro.snapshot.cow import CowTracker
 from repro.snapshot.versioned import Snapshot, capture_snapshot
 from repro.views.build import DYNAMIC_MODE, STATIC_MODE
 from repro.views.skew import SkewAwarePlan
 
 
-class HierarchicalEngine(MutationSurface):
+class HierarchicalEngine(ReadSurface, MutationSurface):
     """Static and dynamic evaluation of hierarchical queries with the ε trade-off."""
 
     def __init__(
@@ -470,17 +463,6 @@ class HierarchicalEngine(MutationSurface):
             telemetry=self.telemetry,
         )
 
-    def result(self) -> Dict[ValueTuple, int]:
-        """Materialize the full result as ``{tuple: multiplicity}``."""
-        return self.enumerate().to_dict()
-
-    def count_distinct(self) -> int:
-        """Number of distinct result tuples."""
-        return sum(1 for _ in self.enumerate())
-
-    def __iter__(self) -> Iterator[Tuple[ValueTuple, int]]:
-        return iter(self.enumerate())
-
     # ------------------------------------------------------------------
     # snapshots
     # ------------------------------------------------------------------
@@ -645,55 +627,19 @@ class HierarchicalEngine(MutationSurface):
         """Specs currently maintained by this engine (registration order)."""
         return tuple(state.spec for state in self._aggregates.values())
 
-    def aggregate(
-        self,
-        ring: Union[Ring, str, AggregateSpec],
-        value=None,
-        group_by=None,
-        *,
-        maintained: bool = True,
-    ) -> Dict[ValueTuple, Any]:
-        """Answer one aggregate over the query result as ``{group: answer}``.
-
-        ``ring`` is a :class:`~repro.rings.base.Ring` (or registered ring
-        name, or a prebuilt :class:`~repro.rings.spec.AggregateSpec`);
-        ``value`` selects what each result tuple contributes (a head
-        variable name/position, a tuple of them, a local callable, or
-        ``None`` for count-style rings); ``group_by`` names the head
-        variables forming the group key (``None`` = one global group,
-        keyed ``()``)::
-
-            engine.aggregate("sum", value="price", group_by="region")
-            engine.aggregate("max", value="score")      # {(): best score}
-
-        With ``maintained=True`` (the default, dynamic mode) the spec is
-        registered once and answered from its maintained state in
-        O(groups), exact across updates, batches, rebalances, retunes,
-        and recovery.  With ``maintained=False`` — and always in static
-        mode — the answer is one enumerate-and-fold over a fresh
-        enumerator, which also serves as the oracle the conformance
-        harness checks maintained answers against.  Both paths record
-        their read cost into the engine's workload telemetry.  A group
-        holding a value the spec's ring cannot lift raises that ring's
-        error here, on read; the commits that put it there succeeded.
-        """
-        spec = AggregateSpec.coerce(ring, value, group_by)
-        return answer_map(spec, self.aggregate_elements(spec, maintained))
-
     def aggregate_elements(
         self, spec: AggregateSpec, maintained: bool = True
     ) -> Elements:
-        """Raw ``{group: (support, element)}`` for this engine's result.
+        """Raw ``{group: (support, element)}``, maintained when dynamic.
 
-        The read behind :meth:`aggregate`, and the shard-merge / wire
-        shape: supports and un-finalized ring elements, combinable across
-        engines with :func:`repro.rings.spec.merge_elements`.  The sharded
-        facade, the shard servers and the serving layer call this; local
-        callers normally want :meth:`aggregate`.
+        The read behind the inherited ``aggregate``; the sharded facade, the
+        shard servers and the serving layer call it directly.  A maintained
+        read registers ``spec`` on first use and records its cost into the
+        workload telemetry; the fold records through ``enumerate()``.
         """
         self._require_loaded()
         if not maintained or self._driver is None:
-            return fold_result(spec, self.query.head, self.enumerate())
+            return super().aggregate_elements(spec)
         state = self.register_aggregate(spec)
         started = time.perf_counter()
         elements = state.elements()

@@ -12,7 +12,10 @@ currently published handle and enumerates it with *no* lock at all.  The
 write lock is held only for maintenance plus capture, never for
 enumeration, so readers overlap batch maintenance and each other, serving
 the last committed version while the next batch is mid-flight;
-copy-on-write keeps every published version intact.  (The classical
+copy-on-write keeps every published version intact.  Each published
+version is a :class:`~repro.snapshot.versioned.PinCount` around its
+snapshot: readers pin it (:meth:`EngineServer.pin`), the next publish
+retires it, and the snapshot closes once, when the last pin drains.  (The classical
 alternative — one lock held around each commit and around each whole
 enumeration — is the baseline ``benchmarks/bench_concurrent_serving.py``
 builds for itself and measures this against.)
@@ -46,6 +49,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from repro.data.schema import ValueTuple
 from repro.data.update import Event, MutationSurface
 from repro.exceptions import WriterFailedError
+from repro.snapshot.versioned import PinCount
 
 # A commit listener: called after every committed ingestion event with
 # ``(version, result_delta)`` — see EngineServer.on_commit.
@@ -82,44 +86,6 @@ class ServingStats:
     def count_reshard(self) -> None:
         with self._lock:
             self.reshards_applied += 1
-
-
-class _PublishedVersion:
-    """One published snapshot plus the pin accounting that retires it.
-
-    Readers pin the entry for the duration of their read; the writer calls
-    :meth:`retire` when a newer version supersedes it.  The underlying
-    snapshot's ``close()`` runs exactly once, as soon as it is both retired
-    and unpinned — so shard-local snapshot registries (which hold strong
-    references) drain at the pace readers finish, never later.
-    """
-
-    __slots__ = ("snapshot", "_lock", "_pins", "_retired", "_closed")
-
-    def __init__(self, snapshot, lock: threading.Lock) -> None:
-        self.snapshot = snapshot
-        self._lock = lock
-        self._pins = 0
-        self._retired = False
-        self._closed = False
-
-    def unpin(self) -> None:
-        with self._lock:
-            self._pins -= 1
-            close_now = self._retired and self._pins == 0 and not self._closed
-            if close_now:
-                self._closed = True
-        if close_now:
-            self.snapshot.close()
-
-    def retire(self) -> None:
-        with self._lock:
-            self._retired = True
-            close_now = self._pins == 0 and not self._closed
-            if close_now:
-                self._closed = True
-        if close_now:
-            self.snapshot.close()
 
 
 class PinnedVersion:
@@ -208,7 +174,7 @@ class EngineServer(MutationSurface):
         # tracker is weak).  Every read pins the published entry for its
         # duration; the writer retires the old entry on publish, and the
         # entry's close() runs as soon as the pin count drains to zero.
-        self._published: Optional[_PublishedVersion] = None
+        self._published: Optional[PinCount] = None
         self._publish_lock = threading.Lock()
         # Commit listeners (the push-based serving hook): called after
         # every committed ingestion event, under the write lock, with the
@@ -223,9 +189,9 @@ class EngineServer(MutationSurface):
     # ------------------------------------------------------------------
     # writer side
     # ------------------------------------------------------------------
-    def _publish_locked(self) -> "_PublishedVersion":
+    def _publish_locked(self) -> PinCount:
         """Swap in a fresh capture; caller holds the write lock."""
-        entry = _PublishedVersion(self.engine.snapshot(), self._publish_lock)
+        entry = PinCount(self.engine.snapshot())
         with self._publish_lock:
             previous, self._published = self._published, entry
         if previous is not None:
@@ -300,7 +266,7 @@ class EngineServer(MutationSurface):
                 self._resharding = False
         return version
 
-    def reshard(self, new_count: int) -> None:
+    def reshard(self, new_count: int) -> int:
         """Change the sharded engine's shard count while serving.
 
         Drives the engine's three-phase protocol so the write lock is
@@ -313,7 +279,9 @@ class EngineServer(MutationSurface):
         unchanged by construction — a reshard moves tuples between
         shards, never in or out of the result), so mirrors advance their
         version stamp without phantom updates.  Readers pinned on the
-        pre-reshard snapshot finish against the retired fleet.
+        pre-reshard snapshot finish against the retired fleet.  Returns the
+        version the swap published, read under the write lock, like
+        :meth:`commit`.
         """
         if not hasattr(self.engine, "begin_reshard"):
             raise ValueError(
@@ -331,11 +299,11 @@ class EngineServer(MutationSurface):
         with self._write_lock:
             self.engine.finish_reshard(plan)
             self._publish_locked()
-            if self._commit_listeners:
-                version = self.engine.version
-                for listener in self._commit_listeners:
-                    listener(version, {})
+            version = self.engine.version
+            for listener in self._commit_listeners:
+                listener(version, {})
         self.stats.count_reshard()
+        return version
 
     def start_writer(self, batches: Iterable) -> threading.Thread:
         """Run a writer loop ingesting ``batches`` on a background thread.
@@ -410,16 +378,6 @@ class EngineServer(MutationSurface):
     # ------------------------------------------------------------------
     # reader side
     # ------------------------------------------------------------------
-    def snapshot(self):
-        """Capture a private snapshot, write lock held only for the capture.
-
-        Unlike :meth:`read`, this waits for any in-flight batch (a capture
-        is only meaningful at a commit boundary); the caller owns the
-        returned handle and should ``close()`` it when done.
-        """
-        with self._write_lock:
-            return self.engine.snapshot()
-
     def pin(self) -> PinnedVersion:
         """Hold the last committed version for one reader; ``close()`` it.
 
@@ -436,8 +394,8 @@ class EngineServer(MutationSurface):
             with self._publish_lock:
                 entry = self._published
                 if entry is not None:
-                    entry._pins += 1
-                    return PinnedVersion(entry.snapshot, entry.unpin)
+                    entry.pin()
+                    return PinnedVersion(entry.resource, entry.unpin)
             with self._write_lock:
                 if self._published is None:
                     self._publish_locked()

@@ -24,6 +24,10 @@ survives its process.  :class:`ShardSupervisor` closes the loop:
   process, and re-sending would double-apply — so it is skipped.  Any
   other version is a real divergence and raises
   :class:`~repro.exceptions.DurabilityError`.
+* a read (the materialised ``enumerate`` and ``aggregate_elements``; the
+  rest of the read API is inherited from
+  :class:`~repro.enumeration.result.ReadSurface`) that trips on a dead
+  worker recovers it and is asked again;
 * an optional watcher thread polls ``executor.dead_shards()`` so an
   *idle* worker's death is repaired before the next command trips on it.
 
@@ -51,10 +55,11 @@ import threading
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.data.update import Event, MutationSurface
+from repro.enumeration.result import ReadSurface
 from repro.exceptions import DurabilityError, WorkerDiedError
 
 
-class ShardSupervisor(MutationSurface):
+class ShardSupervisor(ReadSurface, MutationSurface):
     """Routes commands to a sharded engine, repairing dead workers en route."""
 
     def __init__(self, engine, watch_interval: Optional[float] = None) -> None:
@@ -170,17 +175,13 @@ class ShardSupervisor(MutationSurface):
                 self._recover_shards(exc.shard_indexes)
                 return operation()
 
-    def result(self) -> Dict[Tuple, int]:
-        """Merged result; a dead shard is recovered and the read retried."""
-        return self._read(self.engine.result)
-
     def enumerate(self) -> Iterator[Tuple[Tuple, int]]:
         """Materialized merged enumeration (recovering, hence not lazy)."""
         return iter(self._read(lambda: list(self.engine.enumerate())))
 
-    def count_distinct(self) -> int:
-        """Number of distinct result tuples across all shards."""
-        return self._read(self.engine.count_distinct)
+    def aggregate_elements(self, spec, maintained: bool = True):
+        """The merged aggregate read, with recovery retry."""
+        return self._read(lambda: self.engine.aggregate_elements(spec, maintained))
 
     def check_invariants(self) -> None:
         """Every shard's deep probe plus placement, with recovery retry."""

@@ -9,21 +9,41 @@ Each tree is enumerated by the plan compiled for its shape
 iteration starts: an enumerator that is never consumed opens nothing.
 
 The enumerator yields ``(tuple, multiplicity)`` pairs where the tuple follows
-the order of the query head.  It also offers ``to_dict``/``count`` helpers;
-the enumeration delay is timed by
+the order of the query head; the enumeration delay is timed by
 :func:`repro.bench.timing.measure_enumeration_delay`, from outside.
+
+That sequence is the one read of the paper.  :class:`ReadSurface` writes
+everything else a caller reads once over it: the materialised ``result()``,
+``count_distinct()``, iteration, and ring aggregates — ``aggregate`` is
+:func:`~repro.rings.spec.answer_map` over ``aggregate_elements``, whose
+default folds the enumeration and which the two engines override with
+their maintained state.  Engines, sharded engines, snapshots, baselines and
+the shard supervisor inherit it and provide ``enumerate()``.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.data.relation import Relation
 from repro.data.schema import ValueTuple
 from repro.enumeration.plan import compile_enumeration
 from repro.enumeration.union import CallbackSource, UnionIterator
 from repro.query.conjunctive import ConjunctiveQuery
+from repro.rings.base import Ring
+from repro.rings.spec import AggregateSpec, Elements, answer_map, fold_result
 
 # One strategy tree bound to its relations: ``open()`` and ``lookup(key)``.
 _BoundTree = Tuple[Callable[[], Iterator], Callable[[ValueTuple], int]]
@@ -157,11 +177,74 @@ class ResultEnumerator:
                 return 0
         return total
 
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[ValueTuple, int]:
-        """Materialize the enumeration into ``{tuple: multiplicity}``."""
-        return {tup: mult for tup, mult in self}
+
+class ReadSurface:
+    """The read side of the engine facade, written once over ``enumerate()``.
+
+    A subclass provides ``enumerate()`` — an iterable of distinct
+    ``(tuple, multiplicity)`` pairs in head order — and, for the default
+    :meth:`aggregate_elements`, a ``query`` attribute.  The engines override
+    :meth:`aggregate_elements` to answer from their maintained state.
+    """
+
+    def enumerate(self) -> Iterable[Tuple[ValueTuple, int]]:  # pragma: no cover
+        raise NotImplementedError
+
+    def result(self) -> Dict[ValueTuple, int]:
+        """Materialize the result as ``{tuple: multiplicity}``."""
+        return dict(self.enumerate())
 
     def count_distinct(self) -> int:
         """Number of distinct result tuples."""
-        return sum(1 for _ in self)
+        return sum(1 for _ in self.enumerate())
+
+    def __iter__(self) -> Iterator[Tuple[ValueTuple, int]]:
+        return iter(self.enumerate())
+
+    def aggregate_elements(
+        self, spec: AggregateSpec, maintained: bool = True
+    ) -> Elements:
+        """Raw ``{group: (support, element)}`` of the result.
+
+        The read behind :meth:`aggregate`, and the shard-merge / wire shape:
+        supports and un-finalized ring elements, combinable across engines
+        with :func:`repro.rings.spec.merge_elements`.  This default folds
+        one enumeration (``maintained`` has nothing to choose from here);
+        the engines answer from maintained state when it is set.
+        """
+        return fold_result(spec, tuple(self.query.head), self.enumerate())
+
+    def aggregate(
+        self,
+        ring: Union[Ring, str, AggregateSpec],
+        value=None,
+        group_by=None,
+        *,
+        maintained: bool = True,
+    ) -> Dict[ValueTuple, Any]:
+        """Answer one aggregate over the query result as ``{group: answer}``.
+
+        ``ring`` is a :class:`~repro.rings.base.Ring` (or registered ring
+        name, or a prebuilt :class:`~repro.rings.spec.AggregateSpec`);
+        ``value`` selects what each result tuple contributes (a head
+        variable name/position, a tuple of them, a local callable, or
+        ``None`` for count-style rings); ``group_by`` names the head
+        variables forming the group key (``None`` = one global group,
+        keyed ``()``)::
+
+            engine.aggregate("sum", value="price", group_by="region")
+            engine.aggregate("max", value="score")      # {(): best score}
+
+        With ``maintained=True`` (the default) a dynamic engine registers
+        the spec once and answers from its maintained state in O(groups),
+        exact across updates, batches, rebalances, retunes, resharding and
+        recovery.  With ``maintained=False`` — and always on a static
+        engine, a snapshot or a baseline — the answer is one
+        enumerate-and-fold, which also serves as the oracle the conformance
+        harness checks maintained answers against.  On an engine both paths
+        record their read cost into its workload telemetry.  A group
+        holding a value the spec's ring cannot lift raises that ring's
+        error here, on read; the commits that put it there succeeded.
+        """
+        spec = AggregateSpec.coerce(ring, value, group_by)
+        return answer_map(spec, self.aggregate_elements(spec, maintained))

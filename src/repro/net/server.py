@@ -701,16 +701,14 @@ class EngineTCPServer:
         Runs on the pool, not on the writer thread, so commits and reads
         keep flowing during the build phase; the serving layer publishes the
         post-swap version with an empty delta (same contract as a retune).
+        The reply carries the version the swap published, not whatever
+        commit has landed since.
         """
         shards = message.get("shards")
         if not isinstance(shards, int) or isinstance(shards, bool) or shards <= 0:
             raise ProtocolError(f"shards must be a positive integer, got {shards!r}")
-        await self._run(self.serving.reshard, shards)
-        engine = self.serving.engine
-        return {
-            "shards": getattr(engine, "shards", 1),
-            "version": getattr(engine, "version", 0),
-        }
+        version = await self._run(self.serving.reshard, shards)
+        return {"shards": shards, "version": version}
 
     # -- snapshot paging ------------------------------------------------
     async def _pin(self):

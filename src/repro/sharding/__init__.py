@@ -24,7 +24,6 @@ from repro.sharding.engine import (
     SMALL_N_THRESHOLD,
     ShardedEngine,
     ShardedSnapshot,
-    ShardMergeEnumerator,
 )
 from repro.sharding.executor import (
     EXECUTORS,
@@ -41,7 +40,6 @@ __all__ = [
     "ProcessExecutor",
     "SerialExecutor",
     "ShardExecutor",
-    "ShardMergeEnumerator",
     "ShardRouter",
     "ShardedEngine",
     "ShardedSnapshot",

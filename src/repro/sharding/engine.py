@@ -14,10 +14,14 @@ facade over a fleet of per-shard engines:
   part as one ``commit`` command in one executor round; live commits, the
   reshard tail replay and
   :class:`~repro.durability.supervisor.ShardSupervisor` all share it;
-* **enumeration** — every shard enumerates its result in the canonical
+* **reads** — every shard enumerates its result in the canonical
   order and :func:`repro.enumeration.union.merge_shards` performs an
   order-preserving k-way merge, summing multiplicities of tuples produced
-  by several shards (possible only when the shard key is bound);
+  by several shards (possible only when the shard key is bound); that
+  merge is ``enumerate()``, and ``aggregate_elements`` merges the shards'
+  partial aggregates — the rest of the read API (``result``,
+  ``count_distinct``, iteration, ``aggregate``) is inherited from
+  :class:`~repro.enumeration.result.ReadSurface`, as on the single engine;
 * **invariants** — ``check_invariants`` runs every shard's deep probe plus
   the cross-shard placement check (every stored tuple hashes to the shard
   holding it);
@@ -29,7 +33,9 @@ facade over a fleet of per-shard engines:
   a snapshot-consistent cut is exported, re-routed into a fresh fleet at
   the new count, the tail of updates committed since the cut is replayed,
   and the fleet swaps atomically — live snapshots stay pinned on the old
-  fleet, and durable deployments write a barrier record so ``recover()``
+  fleet (its :class:`~repro.snapshot.versioned.PinCount`, the close-once
+  count a served version has too, shuts it down when the last one
+  closes), and durable deployments write a barrier record so ``recover()``
   comes back at the new count (see ``docs/architecture.md`` §14).
 
 Why shard at all?  Each shard plans against its own (four-times-smaller, at
@@ -49,7 +55,6 @@ from __future__ import annotations
 
 import os
 import shutil
-import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
@@ -74,6 +79,7 @@ from repro.durability.manager import (
     read_fleet_meta,
     write_fleet_meta,
 )
+from repro.enumeration.result import ReadSurface
 from repro.enumeration.union import merge_shards
 from repro.exceptions import (
     DurabilityError,
@@ -83,16 +89,10 @@ from repro.exceptions import (
 )
 from repro.ivm.delta import merge_delta
 from repro.ivm.rebalance import RebalanceStats
-from repro.rings.base import Ring
-from repro.rings.spec import (
-    AggregateSpec,
-    Elements,
-    answer_map,
-    fold_result,
-    merge_elements,
-)
+from repro.rings.spec import AggregateSpec, Elements, merge_elements
 from repro.sharding.executor import EXECUTORS, ShardExecutor
 from repro.sharding.router import ShardRouter
+from repro.snapshot.versioned import PinCount
 from repro.views.build import DYNAMIC_MODE
 
 # Below this database size the automatic executor stays in-process: the
@@ -108,42 +108,11 @@ def _map_round(
     executor.map(commands)
 
 
-class ShardMergeEnumerator:
-    """Iterable over the merged shard enumerations (mirrors ResultEnumerator)."""
+class _FleetHandle(PinCount):
+    """One shard fleet (executor + router), closed through its pin count.
 
-    def __init__(self, engine: "ShardedEngine") -> None:
-        self._engine = engine
-        self._generation = engine._generation
-
-    def __iter__(self) -> Iterator[Tuple[ValueTuple, int]]:
-        self._engine._check_generation(self._generation)
-        # Facade-level read telemetry: the clock covers the per-shard
-        # enumeration broadcast AND the k-way merge, partial (page) reads
-        # included.  Like ResultEnumerator, the shard work is deferred to
-        # the first next() of the generator.
-        telemetry = self._engine.telemetry
-        if telemetry is None:
-            return self._merged()
-        return telemetry.recorded_read(self._merged())
-
-    def _merged(self) -> Iterator[Tuple[ValueTuple, int]]:
-        yield from merge_shards(self._engine._sorted_shard_results())
-
-    def to_dict(self) -> Dict[ValueTuple, int]:
-        """Materialize the merged enumeration into ``{tuple: multiplicity}``."""
-        return {tup: mult for tup, mult in self}
-
-    def count_distinct(self) -> int:
-        """Number of distinct result tuples across all shards."""
-        return sum(1 for _ in self)
-
-
-class _FleetHandle:
-    """One shard fleet (executor + router) with pin-based retirement.
-
-    Mirrors the serving layer's ``_PublishedVersion`` close-once idiom: a
-    reshard retires the old fleet, but :class:`ShardedSnapshot`\\ s captured
-    before the swap hold pins and keep reading their per-shard
+    A reshard retires the old fleet, but :class:`ShardedSnapshot`\\ s
+    captured before the swap hold pins and keep reading their per-shard
     copy-on-write captures through the old executor; the executor shuts
     down when the last pin drains.  ``load()``/``close()`` force-close
     regardless of pins — snapshots from a replaced *load* already raise
@@ -151,16 +120,7 @@ class _FleetHandle:
     existed.
     """
 
-    __slots__ = (
-        "executor",
-        "router",
-        "executor_name",
-        "epoch",
-        "_lock",
-        "_pins",
-        "_retired",
-        "_closed",
-    )
+    __slots__ = ("router", "executor_name", "epoch")
 
     def __init__(
         self,
@@ -169,49 +129,14 @@ class _FleetHandle:
         executor_name: str,
         epoch: int,
     ) -> None:
-        self.executor = executor
+        super().__init__(executor)
         self.router = router
         self.executor_name = executor_name
         self.epoch = epoch
-        self._lock = threading.Lock()
-        self._pins = 0
-        self._retired = False
-        self._closed = False
 
     @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def pin(self) -> None:
-        with self._lock:
-            self._pins += 1
-
-    def unpin(self) -> None:
-        with self._lock:
-            self._pins -= 1
-            should_close = self._retired and self._pins <= 0 and not self._closed
-            if should_close:
-                self._closed = True
-        if should_close:
-            self.executor.close()
-
-    def retire(self) -> None:
-        """No new pins will arrive; close as soon as the held ones drain."""
-        with self._lock:
-            self._retired = True
-            should_close = self._pins <= 0 and not self._closed
-            if should_close:
-                self._closed = True
-        if should_close:
-            self.executor.close()
-
-    def force_close(self) -> None:
-        """Close now, pins or not (load()/close() semantics)."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        self.executor.close()
+    def executor(self) -> ShardExecutor:
+        return self.resource
 
 
 class _ReshardPlan:
@@ -232,7 +157,7 @@ class _ReshardPlan:
         self.epoch = 0
 
 
-class ShardedSnapshot:
+class ShardedSnapshot(ReadSurface):
     """An immutable handle onto one version of a sharded deployment.
 
     Capture takes one shard-local :class:`repro.snapshot.Snapshot` per shard
@@ -254,6 +179,7 @@ class ShardedSnapshot:
         version: int,
     ) -> None:
         self._engine = engine
+        self.query = engine.query
         self._generation = engine._generation
         # Pin the fleet the capture was taken on: a later reshard retires
         # the fleet but cannot close it while this snapshot reads through
@@ -288,26 +214,6 @@ class ShardedSnapshot:
         )
         return merge_shards([results[shard] for shard in sorted(results)])
 
-    def result(self) -> Dict[ValueTuple, int]:
-        """Materialize the captured result as ``{tuple: multiplicity}``."""
-        return {tup: mult for tup, mult in self.enumerate()}
-
-    def count_distinct(self) -> int:
-        """Number of distinct result tuples in the captured version."""
-        return sum(1 for _ in self.enumerate())
-
-    def aggregate(self, ring, value=None, group_by=None) -> Dict[ValueTuple, Any]:
-        """Aggregate the captured merged result as ``{group: answer}``.
-
-        Folds over this snapshot's own merged enumeration (the same
-        fold as :meth:`HierarchicalEngine.aggregate` with
-        ``maintained=False``), so the answer is frozen at the captured
-        version regardless of how far the live fleet has moved on.
-        """
-        spec = AggregateSpec.coerce(ring, value, group_by)
-        head = tuple(self._engine.query.head)
-        return answer_map(spec, fold_result(spec, head, self.enumerate()))
-
     def lookup(self, tup: ValueTuple) -> int:
         """Multiplicity of one full result tuple (summed across shards)."""
         executor = self._executor()
@@ -319,9 +225,6 @@ class ShardedSnapshot:
             }
         )
         return sum(results.values())
-
-    def __iter__(self) -> Iterator[Tuple[ValueTuple, int]]:
-        return self.enumerate()
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -350,7 +253,7 @@ class ShardedSnapshot:
         self.close()
 
 
-class ShardedEngine(MutationSurface):
+class ShardedEngine(ReadSurface, MutationSurface):
     """Hash-partitioned evaluation of one hierarchical query over k shards."""
 
     def __init__(
@@ -718,30 +621,27 @@ class ShardedEngine(MutationSurface):
     # ------------------------------------------------------------------
     # enumeration
     # ------------------------------------------------------------------
-    def _sorted_shard_results(self) -> List[List[Tuple[ValueTuple, int]]]:
-        return self._require_loaded().broadcast("enumerate")
-
-    def enumerate(self) -> ShardMergeEnumerator:
+    def enumerate(self) -> Iterator[Tuple[ValueTuple, int]]:
         """Enumerate distinct result tuples in canonical order.
 
         The merged sequence contains exactly the single-engine result —
         same tuples, same multiplicities — ordered by
         :func:`repro.enumeration.union.canonical_sort_key` instead of the
-        single engine's tree order.
+        single engine's tree order.  Like the single engine's enumerator,
+        the shard work starts at the first ``next()``, a :meth:`load` in
+        between raises :class:`StaleStateError`, and the read — broadcast
+        plus merge, partial reads included — records into the facade's
+        telemetry.
         """
         self._require_loaded()
-        return ShardMergeEnumerator(self)
+        merged = self._merged(self._generation)
+        if self.telemetry is None:
+            return merged
+        return self.telemetry.recorded_read(merged)
 
-    def result(self) -> Dict[ValueTuple, int]:
-        """Materialize the full result as ``{tuple: multiplicity}``."""
-        return self.enumerate().to_dict()
-
-    def count_distinct(self) -> int:
-        """Number of distinct result tuples."""
-        return self.enumerate().count_distinct()
-
-    def __iter__(self) -> Iterator[Tuple[ValueTuple, int]]:
-        return iter(self.enumerate())
+    def _merged(self, generation: int) -> Iterator[Tuple[ValueTuple, int]]:
+        self._check_generation(generation)
+        yield from merge_shards(self._require_loaded().broadcast("enumerate"))
 
     # ------------------------------------------------------------------
     # snapshots
@@ -814,16 +714,6 @@ class ShardedEngine(MutationSurface):
     # ------------------------------------------------------------------
     # ring-annotated aggregates
     # ------------------------------------------------------------------
-    @staticmethod
-    def _coerce_spec(
-        ring: Union[Ring, str, AggregateSpec], value=None, group_by=None
-    ) -> AggregateSpec:
-        spec = AggregateSpec.coerce(ring, value, group_by)
-        # Fail the way the shard pipe would, but at the facade: callable
-        # value selectors cannot cross a worker boundary.
-        spec.to_wire()
-        return spec
-
     def register_aggregate(self, spec: AggregateSpec) -> None:
         """Install the maintained state for ``spec`` on every shard.
 
@@ -838,7 +728,9 @@ class ShardedEngine(MutationSurface):
                 "maintained aggregates require the dynamic engine; a static "
                 "deployment answers by enumerate-and-fold via aggregate()"
             )
-        spec = self._coerce_spec(spec)
+        # Fail the way the shard pipe would, but at the facade: callable
+        # value selectors cannot cross a worker boundary.
+        spec.to_wire()
         self._agg_specs[spec.key()] = spec
         if self._executor is not None:
             self._executor.broadcast("register_aggregate", spec.to_wire())
@@ -857,45 +749,23 @@ class ShardedEngine(MutationSurface):
         (supports + un-finalized ring elements), then
         :func:`~repro.rings.spec.merge_elements` adds them up — grouped
         aggregation is a ring homomorphism of the shard decomposition, so
-        the merge is O(groups), never an enumeration.
+        the merge is O(groups), never an enumeration.  Answers do not
+        compose across shards in general, so they are finalized only by the
+        inherited ``aggregate``, at the facade edge.  The read — broadcast
+        plus merge — records into the facade's telemetry like a merged
+        enumeration, whoever calls it.
         """
         executor = self._require_loaded()
+        started = time.perf_counter()
         if maintained and self.mode == DYNAMIC_MODE:
             if spec.key() not in self._agg_specs:
                 self.register_aggregate(spec)
         merged: Elements = {}
         for partial in executor.broadcast("aggregate", (spec.to_wire(), maintained)):
             merge_elements(spec.ring, merged, partial.items())
-        return merged
-
-    def aggregate(
-        self,
-        ring: Union[Ring, str, AggregateSpec],
-        value=None,
-        group_by=None,
-        *,
-        maintained: bool = True,
-    ) -> Dict[ValueTuple, Any]:
-        """Answer one aggregate over the merged result as ``{group: answer}``.
-
-        Same surface as :meth:`HierarchicalEngine.aggregate`; the answer
-        equals the single-engine aggregate over the union of the shards.
-        Partial aggregates cross the shard boundary as raw supports and
-        ring elements and are finalized (``ring.answer``) only here at
-        the facade edge, because answers do not compose across shards in
-        general.  The read — shard broadcast plus merge — records into
-        the facade's workload telemetry like a merged enumeration.
-        """
-        self._require_loaded()
-        spec = self._coerce_spec(ring, value, group_by)
-        started = time.perf_counter() if self.telemetry is not None else 0.0
-        merged = self.aggregate_elements(spec, maintained=maintained)
-        answers = answer_map(spec, merged)
         if self.telemetry is not None:
-            self.telemetry.record_read(
-                len(answers), time.perf_counter() - started
-            )
-        return answers
+            self.telemetry.record_read(len(merged), time.perf_counter() - started)
+        return merged
 
     # ------------------------------------------------------------------
     # elastic resharding

@@ -25,18 +25,27 @@ the database, every older snapshot raises
 and new state — and so does a snapshot that has been closed: ``close()``
 hands its frozen copies back to the tracker, which rolls them forward to
 later versions (see :mod:`repro.snapshot.cow`).
+
+:class:`Snapshot` (and :class:`~repro.sharding.ShardedSnapshot`) inherit the
+read surface of :class:`~repro.enumeration.result.ReadSurface`, so a
+snapshot answers ``result`` / ``count_distinct`` / ``aggregate`` / iteration
+exactly as an engine does, from its own frozen enumeration.
+
+A handle shared by several readers closes through one :class:`PinCount`:
+the serving layer's published version and a sharded engine's retired fleet
+both close exactly once, when retired and no longer pinned.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+import threading
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.data.relation import Relation
 from repro.data.schema import ValueTuple
-from repro.enumeration.result import ResultEnumerator
+from repro.enumeration.result import ReadSurface, ResultEnumerator
 from repro.exceptions import StaleStateError
 from repro.query.conjunctive import ConjunctiveQuery
-from repro.rings.spec import AggregateSpec, answer_map, fold_result
 from repro.snapshot.cow import CowTracker, SnapshotState
 from repro.views.view import ViewTreeNode
 
@@ -67,14 +76,69 @@ class _SnapshotEnumerator(ResultEnumerator):
         return tuple([freeze(state, relation) for relation in spec.relations()])
 
 
-class Snapshot:
+class PinCount:
+    """Close-once retirement of a resource shared by pinning readers.
+
+    Readers :meth:`pin` and :meth:`unpin`; the owner calls :meth:`retire`
+    when nothing will pin it any more (a newer version was published, a
+    reshard swapped the fleet).  ``resource.close()`` runs exactly once, as
+    soon as the resource is both retired and unpinned, or at once on
+    :meth:`force_close` (a reload or shutdown that must not wait for
+    readers).
+    """
+
+    __slots__ = ("resource", "_lock", "_pins", "_retired", "_closed")
+
+    def __init__(self, resource) -> None:
+        self.resource = resource
+        self._lock = threading.Lock()
+        self._pins = 0
+        self._retired = False
+        self._closed = False
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
+    def pin(self) -> None:
+        with self._lock:
+            self._pins += 1
+
+    def unpin(self) -> None:
+        with self._lock:
+            self._pins -= 1
+            close_now = self._retired and self._pins <= 0 and not self._closed
+            self._closed |= close_now
+        if close_now:
+            self.resource.close()
+
+    def retire(self) -> None:
+        """No new pins will arrive; close as soon as the held ones drain."""
+        with self._lock:
+            self._retired = True
+            close_now = self._pins <= 0 and not self._closed
+            self._closed |= close_now
+        if close_now:
+            self.resource.close()
+
+    def force_close(self) -> None:
+        """Close now, pins or not; a later unpin or retire closes nothing."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+        self.resource.close()
+
+
+class Snapshot(ReadSurface):
     """An immutable view of one engine version.
 
     Exposes the read side of the engine facade — :meth:`enumerate`,
-    :meth:`result`, :meth:`lookup`, :meth:`count_distinct` — with the same
-    enumeration order as the live engine had at capture time.  Reads never
-    block the engine's writer and the writer never blocks reads; the only
-    shared lock is the tracker's, held for individual relation copies.
+    :meth:`lookup` and the inherited ``result`` / ``count_distinct`` /
+    ``aggregate`` — with the same enumeration order as the live engine had
+    at capture time.  Reads never block the engine's writer and the writer
+    never blocks reads; the only shared lock is the tracker's, held for
+    individual relation copies.
     """
 
     def __init__(
@@ -90,7 +154,7 @@ class Snapshot:
         self._state = state
         # (``component_trees`` is the name ResultEnumerator binds from)
         self.component_trees = self._component_specs = component_specs
-        self._query = query
+        self.query = query
         self._head: Tuple[str, ...] = tuple(query.head)
         self.version = version
         self._validity = validity
@@ -114,30 +178,7 @@ class Snapshot:
         # snapshot is closed, and keeps the snapshot (hence its open state,
         # which is what protects the frozen copies from being rolled
         # forward) alive for as long as the enumerator is.
-        return _SnapshotEnumerator(self, self._query, validator=self._check_valid)
-
-    def result(self) -> Dict[ValueTuple, int]:
-        """Materialize the captured result as ``{tuple: multiplicity}``."""
-        return self.enumerate().to_dict()
-
-    def count_distinct(self) -> int:
-        """Number of distinct result tuples in the captured version."""
-        return self.enumerate().count_distinct()
-
-    def aggregate(self, ring, value=None, group_by=None) -> Dict[ValueTuple, object]:
-        """Aggregate the captured result as ``{group: answer}``.
-
-        Accepts the same ``ring``/``value``/``group_by`` shapes (or a
-        prebuilt :class:`~repro.rings.spec.AggregateSpec`) as
-        :meth:`repro.core.api.HierarchicalEngine.aggregate` and folds over
-        this snapshot's own enumeration, so the answer is frozen at the
-        capture version no matter how far the live engine has moved on.
-        A snapshot outliving ``load()`` raises
-        :class:`~repro.exceptions.StaleStateError`, exactly like its
-        enumeration.
-        """
-        spec = AggregateSpec.coerce(ring, value, group_by)
-        return answer_map(spec, fold_result(spec, self._head, self.enumerate()))
+        return _SnapshotEnumerator(self, self.query, validator=self._check_valid)
 
     def lookup(self, tup: ValueTuple) -> int:
         """Multiplicity of one full result tuple in the captured version."""
@@ -148,10 +189,7 @@ class Snapshot:
                 f"lookup tuple {tup!r} has arity {len(tup)}; the query head "
                 f"is {self._head!r}"
             )
-        return _SnapshotEnumerator(self, self._query).lookup(tup)
-
-    def __iter__(self) -> Iterator[Tuple[ValueTuple, int]]:
-        return iter(self.enumerate())
+        return _SnapshotEnumerator(self, self.query).lookup(tup)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -169,7 +207,7 @@ class Snapshot:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Snapshot({self._query!s}, version={self.version})"
+        return f"Snapshot({self.query!s}, version={self.version})"
 
 
 def capture_snapshot(

@@ -122,7 +122,8 @@ class TestHierarchicalStress:
         def reader() -> None:
             try:
                 for _ in range(8):
-                    snapshot = server.snapshot()
+                    with server._write_lock:  # a capture at a commit boundary
+                        snapshot = engine.snapshot()
                     result = dict(snapshot.result())
                     assert result == prefix[snapshot.version]
                     observed.append(snapshot.version)

@@ -37,6 +37,7 @@ from repro.net import (
 )
 from repro.net.client import AsyncSubscription
 from repro.rings.spec import AggregateSpec
+from repro.sharding import ShardedEngine
 from repro.net.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -656,7 +657,7 @@ def test_connection_limit_refuses_with_error_frame():
 # snapshot_open pins the published version
 # ----------------------------------------------------------------------
 def record_published(serving) -> list:
-    """Every ``_PublishedVersion`` the server publishes from now on."""
+    """Every published entry (a ``PinCount``) the server publishes from now on."""
     published = [serving._published] if serving._published is not None else []
     publish = serving._publish_locked
 
@@ -742,6 +743,29 @@ def test_an_apply_ack_reports_its_own_commit_version():
             assert serving.engine.version == before + 4
 
 
+def test_a_reshard_ack_reports_its_own_swap_version():
+    """A commit that lands after the reshard returns on the pool and before
+    the handler resumes is not reported as the reshard's version."""
+    engine = ShardedEngine(PATH_QUERY, shards=2, executor="serial")
+    engine.load(make_database())
+    with serve(engine=engine) as (serving, handle):
+        tcp = handle.server
+        run = tcp._run
+
+        async def racing_run(fn, *args, write=False):
+            result = await run(fn, *args, write=write)
+            if fn == serving.reshard:
+                serving.commit(Update("S", (0, 901), 1))
+            return result
+
+        tcp._run = racing_run
+        with EngineClient("127.0.0.1", handle.port) as client:
+            before = engine.version
+            assert client.reshard(3) == before + 1
+            assert engine.version == before + 2 and engine.shards == 3
+    engine.close()
+
+
 def test_wire_reads_capture_nothing_in_snapshot_mode():
     with serve() as (serving, handle):
         with EngineClient("127.0.0.1", handle.port) as client:
@@ -795,7 +819,7 @@ def test_sessions_leave_no_pin_behind():
             current = serving._published
             for entry in published:
                 assert entry._closed == (entry is not current)
-                assert entry.snapshot._state.closed == (entry is not current)
+                assert entry.resource._state.closed == (entry is not current)
 
 
 def test_pin_close_is_idempotent_across_threads():
@@ -819,7 +843,7 @@ def test_pin_close_is_idempotent_across_threads():
         assert not any(thread.is_alive() for thread in threads)
         assert entry._pins == 0 and not entry._closed
         serving.apply_update(Update("R", (0, 0), 1))  # retires it
-        assert entry._closed and entry.snapshot._state.closed
+        assert entry._closed and entry.resource._state.closed
 
 
 def test_commits_and_the_cold_read_share_the_writer_thread():

@@ -775,7 +775,8 @@ class TestSessionTeardownAccounting:
             server._pool = None  # the pool died before this session's teardown
             session = _Session(_DeadWriter())
             for index in range(3):
-                session.snapshots[index] = serving.snapshot()
+                with serving._write_lock:  # a private capture, as a session held
+                    session.snapshots[index] = engine.snapshot()
             assert shard_side_snapshot_count(engine) == 3 * 2
             await server._teardown_session(session)
 
@@ -808,7 +809,8 @@ class TestSessionTeardownAccounting:
             try:
                 session = _Session(_DeadWriter())
                 for index in range(3):
-                    session.snapshots[index] = serving.snapshot()
+                    with serving._write_lock:  # a private capture, as a session held
+                        session.snapshots[index] = engine.snapshot()
                 task = loop.create_task(server._teardown_session(session))
                 await asyncio.sleep(0)  # let it reach the first pool await
                 task.cancel()

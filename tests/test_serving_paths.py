@@ -23,8 +23,9 @@ import time
 import pytest
 
 from repro import Database, HierarchicalEngine, Update
-from repro.core.serving import EngineServer, _PublishedVersion
+from repro.core.serving import EngineServer
 from repro.exceptions import WriterFailedError
+from repro.snapshot.versioned import PinCount
 
 PATH_QUERY = "Q(A, C) = R(A, B), S(B, C)"
 
@@ -272,12 +273,10 @@ def test_publish_retire_race_closes_each_snapshot_exactly_once():
 def test_published_version_close_once_under_direct_race():
     """Hammer unpin/retire directly: the close body runs exactly once."""
     for _ in range(200):
-        lock = threading.Lock()
         log = []
         snapshot = TrackedSnapshot(0, log)
-        entry = _PublishedVersion(snapshot, lock)
-        with lock:
-            entry._pins += 1
+        entry = PinCount(snapshot)
+        entry.pin()
         barrier = threading.Barrier(2)
 
         def unpin() -> None:

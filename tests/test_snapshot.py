@@ -666,7 +666,8 @@ class TestServedCommitCopies:
     def test_held_snapshot_forces_exactly_one_fallback_copy(self):
         engine, server, copies, _ = self.served_engine()
         self.commits(server, 1_000, 20)
-        held = server.snapshot()
+        pinned = server.pin()
+        held = pinned.snapshot
         truth = held.result()
         sequence = list(held.enumerate())
         before = len(copies)
@@ -677,7 +678,7 @@ class TestServedCommitCopies:
         assert held.version == 20
         assert held.result() == truth
         assert list(held.enumerate()) == sequence
-        held.close()
+        pinned.close()
         self.commits(server, 3_000, 20)
         assert len(copies) == before + 1
 
@@ -760,20 +761,20 @@ class TestFrozenIndexBuilds:
             assert builds == warm
             # a snapshot held open across 50 commits pins the replicas
             # it resolved: one fallback copy each, inheriting again
-            held = server.snapshot()
-            sequence = list(held.enumerate())
+            pinned = server.pin()
+            sequence = list(pinned.snapshot.enumerate())
             carried = stats["carried_indexes"]
             self.singles(server, 3_000, 50)
             assert engine.snapshot_stats["carried_indexes"] > carried
             assert builds == warm
-            assert list(held.enumerate()) == sequence
-            held.close()
+            assert list(pinned.snapshot.enumerate()) == sequence
+            pinned.close()
             self.singles(server, 4_000, 4)
             assert builds == warm
             assert engine.rebalance_stats.major_rebalances == 0
             # every replica that was replaced or released is freed by
             # refcount: nothing is left to the collector
-            del held
+            del pinned
             gc.set_debug(gc.DEBUG_SAVEALL)
             gc.collect()
             leaked = [o for o in gc.garbage if isinstance(o, Relation)]
@@ -819,7 +820,7 @@ def reference_sequence(snapshot):
         ]
         for specs in snapshot._component_specs
     ]
-    return list(reference_enumerate(trees, tuple(snapshot._query.head)))
+    return list(reference_enumerate(trees, tuple(snapshot.query.head)))
 
 
 # One step: a write, then what a reader does — read-and-close is what a
