@@ -35,10 +35,9 @@ from typing import Dict, Iterator, Tuple
 
 from repro.baselines.base import BaselineEngine
 from repro.data.schema import ValueTuple
-from repro.data.update import Update, UpdateBatch
+from repro.data.update import Update, UpdateBatch, validate_groups
 from repro.engine.evaluator import evaluate_query_naive
 from repro.engine.join import BoundRelation, delta_join
-from repro.exceptions import RejectedUpdateError
 
 
 class FirstOrderIVMEngine(BaselineEngine):
@@ -70,18 +69,12 @@ class FirstOrderIVMEngine(BaselineEngine):
             raise KeyError(
                 f"relation {relation!r} does not occur in {self.query}"
             )
-        # Reject over-deletes before any state is touched: the delta query is
-        # merged into the materialized result *before* the base relation
-        # absorbs the group, so a late rejection would leave the two
-        # inconsistent.
+        # Reject malformed tuples and over-deletes before any state is
+        # touched: the delta query is merged into the materialized result
+        # *before* the base relation absorbs the group, so a late rejection
+        # would leave the two inconsistent.
+        validate_groups({relation: group}, self.database)
         base = self.database.relation(relation)
-        for tup, mult in group.items():
-            if mult < 0 and base.multiplicity(tup) + mult < 0:
-                raise RejectedUpdateError(
-                    f"delete of {-mult} copies of {tup!r} rejected: relation "
-                    f"{relation!r} holds only {base.multiplicity(tup)}; "
-                    "no state was modified"
-                )
         siblings = [
             BoundRelation(other.variables, self.database.relation(other.relation))
             for other in self.query.atoms
@@ -94,10 +87,8 @@ class FirstOrderIVMEngine(BaselineEngine):
             tuple(self.query.head),
         )
         # apply the delta to the materialized result, then to the base relation
-        for tup, mult in delta.items():
-            self._result.apply_delta(tup, mult)
-        for tup, mult in group.items():
-            base.apply_delta(tup, mult)
+        self._result.apply_deltas(delta.items())
+        base.apply_deltas(group.items())
 
     def enumerate(self) -> Iterator[Tuple[ValueTuple, int]]:
         self._require_loaded()

@@ -44,8 +44,7 @@ class Database:
         database = cls()
         for name, (schema, tuples) in contents.items():
             relation = Relation(name, schema)
-            for tup in tuples:
-                relation.insert(tuple(tup))
+            relation.apply_deltas((tuple(tup), 1) for tup in tuples)
             database.add_relation(relation)
         return database
 
@@ -67,8 +66,7 @@ class Database:
                 relation = self._relations[name]
             else:
                 relation = self.create_relation(name, tuple(schema))
-            for tup, mult in rows:
-                relation.apply_delta(tuple(tup), mult)
+            relation.apply_deltas((tuple(tup), mult) for tup, mult in rows)
         return self
 
     def to_rows(self) -> DatabaseRows:

@@ -148,10 +148,13 @@ class Partition:
         """
         self.light.clear()
         index = self.base.ensure_index(self.keys)
-        for key in index.keys():
-            if index.group_size(key) < threshold:
-                for tup in index.group(key):
-                    self.light.apply_delta(tup, self.base.multiplicity(tup))
+        multiplicity = self.base.multiplicity
+        self.light.apply_deltas(
+            (tup, multiplicity(tup))
+            for key in index.keys()
+            if index.group_size(key) < threshold
+            for tup in index.group(key)
+        )
 
     def move_key_to_light(self, key: ValueTuple) -> Dict[ValueTuple, int]:
         """Copy all base tuples of ``key`` into the light part.
@@ -159,11 +162,9 @@ class Partition:
         Returns the applied deltas ``{tuple: +multiplicity}`` so the caller
         (minor rebalancing) can propagate the same deltas to the view trees.
         """
-        deltas: Dict[ValueTuple, int] = {}
-        for tup in list(self.base.slice(self.keys, key)):
-            mult = self.base.multiplicity(tup)
-            self.light.apply_delta(tup, mult)
-            deltas[tup] = mult
+        multiplicity = self.base.multiplicity
+        deltas = {tup: multiplicity(tup) for tup in self.base.slice(self.keys, key)}
+        self.light.apply_deltas(deltas.items())
         return deltas
 
     def move_key_to_heavy(self, key: ValueTuple) -> Dict[ValueTuple, int]:
@@ -171,11 +172,9 @@ class Partition:
 
         Returns the applied deltas ``{tuple: -multiplicity}``.
         """
-        deltas: Dict[ValueTuple, int] = {}
-        for tup in list(self.light.slice(self.keys, key)):
-            mult = self.light.multiplicity(tup)
-            self.light.apply_delta(tup, -mult)
-            deltas[tup] = -mult
+        multiplicity = self.light.multiplicity
+        deltas = {tup: -multiplicity(tup) for tup in self.light.slice(self.keys, key)}
+        self.light.apply_deltas(deltas.items())
         return deltas
 
     # ------------------------------------------------------------------
@@ -183,33 +182,24 @@ class Partition:
     # ------------------------------------------------------------------
     def check_strict(self, threshold: float) -> None:
         """Assert the strict partition conditions of Definition 11."""
-        for key in self.light_keys():
-            if self.light_degree(key) >= threshold:
-                raise InvariantViolationError(
-                    f"light key {key!r} of {self.base.name} has degree "
-                    f"{self.light_degree(key)} ≥ threshold {threshold}"
-                )
-        for key in self.heavy_keys():
-            if self.base_degree(key) < threshold:
-                raise InvariantViolationError(
-                    f"heavy key {key!r} of {self.base.name} has degree "
-                    f"{self.base_degree(key)} < threshold {threshold}"
-                )
-        self.check_consistency()
+        self._check_degrees(threshold, threshold)
 
     def check_loose(self, threshold: float) -> None:
-        """Assert the loose partition conditions of Definition 11."""
+        """Assert the loose conditions of Definition 11 (3θ/2 and θ/2)."""
+        self._check_degrees(1.5 * threshold, 0.5 * threshold)
+
+    def _check_degrees(self, light_below: float, heavy_from: float) -> None:
         for key in self.light_keys():
-            if self.light_degree(key) >= 1.5 * threshold:
+            if self.light_degree(key) >= light_below:
                 raise InvariantViolationError(
                     f"light key {key!r} of {self.base.name} has degree "
-                    f"{self.light_degree(key)} ≥ 3θ/2 = {1.5 * threshold}"
+                    f"{self.light_degree(key)} ≥ {light_below}"
                 )
         for key in self.heavy_keys():
-            if self.base_degree(key) < 0.5 * threshold:
+            if self.base_degree(key) < heavy_from:
                 raise InvariantViolationError(
                     f"heavy key {key!r} of {self.base.name} has degree "
-                    f"{self.base_degree(key)} < θ/2 = {0.5 * threshold}"
+                    f"{self.base_degree(key)} < {heavy_from}"
                 )
         self.check_consistency()
 

@@ -19,6 +19,12 @@ the hash-table-with-chaining construction of the paper up to amortization.
 Dict equality is Python equality, so ``1``, ``1.0`` and ``True`` are one key
 in the relation and in every index.
 
+**One write loop.**  Every content change — view, base and light-part
+writes, rebalance moves, materialisation, snapshot replay, checkpoint load —
+goes through :meth:`Relation.apply_deltas` (:meth:`Relation.apply_delta` is
+its one-entry case): per entry one dict update, a redo-log append while a
+log is kept, and per index a C-level key projection and a group update.
+
 **What order depends on.**  The relation enumerates in insertion order; a
 tuple deleted and inserted again moves to the end.  A group lists its
 members in the relation's order restricted to the group, whether its index
@@ -48,13 +54,11 @@ from repro.exceptions import RejectedUpdateError, SchemaError
 
 # Snapshot copy-on-write rolls a frozen copy forward from its redo log only
 # while ``len(log) * COW_REPLAY_RATIO <= len(relation)``, and drops a log
-# (bounding its memory) once it outgrows that.  Sized from measurement on this
-# layout (CPython on a 2-vCPU Xeon VM, a binary relation with one index, which
-# a replica carries): replaying one entry (``apply_delta``, index included)
-# takes 1.4-2.8 us, ``copy_with_indexes`` 18-36 ns per tuple up to 10k tuples
-# and 55-80 ns at 140k (the content alone 5-13 ns), so the break-even ratio
-# runs from ~25-35 at 140k tuples, where the saving matters, to 55-130 on
-# smaller relations, where either branch is cheap.
+# (bounding its memory) once it outgrows that.  Measured on CPython 3.11, a
+# 2-vCPU Xeon VM, a binary relation with one index: replaying one entry
+# through ``apply_deltas`` takes 0.45-0.7 us up to 10k tuples and 1.0-1.3 us
+# at 140k, ``copy_with_indexes`` 21-31 ns per tuple and 90-150 ns, so a replay
+# breaks even with a copy at a ratio of ~18-22 and ~7-10: at 32 it always wins.
 COW_REPLAY_RATIO = 32
 
 
@@ -67,7 +71,7 @@ class Index:
     the paper (constant-delay enumeration, constant-time removal).
     """
 
-    __slots__ = ("schema", "key_schema", "_projector", "_groups", "_data")
+    __slots__ = ("schema", "key_schema", "key_of", "_groups", "_data")
 
     def __init__(
         self,
@@ -81,7 +85,8 @@ class Index:
             )
         self.schema = schema
         self.key_schema = key_schema
-        self._projector = Projector(schema, key_schema)
+        # Full tuple -> key tuple, a C-level callable (Projector.key_of).
+        self.key_of = Projector(schema, key_schema).key_of
         # key tuple -> {full tuple: None}
         self._groups: Dict[ValueTuple, Dict[ValueTuple, None]] = {}
         # The owning relation's tuple -> multiplicity map, read (never
@@ -92,26 +97,22 @@ class Index:
 
     def add(self, tup: ValueTuple) -> None:
         """Register ``tup`` under its key (idempotent)."""
-        key = self._projector(tup)
+        key = self.key_of(tup)
         group = self._groups.get(key)
         if group is None:
-            group = {}
-            self._groups[key] = group
-        group[tup] = None
+            self._groups[key] = {tup: None}
+        else:
+            group[tup] = None
 
     def remove(self, tup: ValueTuple) -> None:
         """Remove ``tup`` from its key group (no-op if absent)."""
-        key = self._projector(tup)
+        key = self.key_of(tup)
         group = self._groups.get(key)
         if group is None:
             return
         group.pop(tup, None)
         if not group:
             del self._groups[key]
-
-    def key_of(self, tup: ValueTuple) -> ValueTuple:
-        """Project a full tuple onto the index key schema."""
-        return self._projector(tup)
 
     def contains_key(self, key: ValueTuple) -> bool:
         """Constant-time test ``key ∈ π_S R``."""
@@ -175,26 +176,18 @@ class Relation:
         self.schema: Schema = make_schema(schema)
         self._data: Dict[ValueTuple, int] = {}
         self._indexes: Dict[Schema, Index] = {}
-        # Copy-on-write hooks used by repro.snapshot: `_cow` points at the
-        # engine's CowTracker once the relation has been captured by a
-        # snapshot, `_cow_epoch` is the last tracker epoch this relation was
-        # preserved at, `_change_ticks` counts content mutations (so frozen
-        # copies can be shared between snapshots while the content is
-        # unchanged), `_cow_cache` holds the most recent frozen copy as
-        # ``(change_ticks, Relation)``, and `_cow_log` is the redo log of
-        # that copy: the ``(tuple, delta)`` mutations applied since it was
-        # made, one per tick, which the tracker replays to roll the copy
-        # forward instead of copying again.  A tick without an entry
-        # (``clear()``) leaves the log shorter than the tick distance, which
-        # the tracker reads as "copy instead".
+        # Copy-on-write hooks of repro.snapshot.cow: the engine's tracker
+        # once captured, the last epoch preserved at, a content-change
+        # counter, the cached frozen copy as ``(change_ticks, Relation)`` and
+        # its redo log — one ``(tuple, delta)`` per tick since the copy; a
+        # tick without an entry (``clear()``) means "copy instead".
         self._cow = None
         self._cow_epoch = -1
         self._change_ticks = 0
         self._cow_cache: Optional[Tuple[int, "Relation"]] = None
         self._cow_log: Optional[list] = None
         if tuples:
-            for tup, mult in tuples.items():
-                self.apply_delta(tup, mult)
+            self.apply_deltas(tuples.items())
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -286,12 +279,73 @@ class Relation:
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
-    def _check_arity(self, tup: ValueTuple) -> None:
+    def check_arity(self, tup: ValueTuple) -> None:
+        """Raise :class:`SchemaError` unless ``tup`` has the schema's arity."""
         if len(tup) != len(self.schema):
             raise SchemaError(
                 f"tuple {tup!r} has arity {len(tup)} but relation {self.name!r} "
                 f"has schema {self.schema!r}"
             )
+
+    def apply_deltas(self, pairs: Iterable[Tuple[ValueTuple, int]]) -> None:
+        """Apply each ``(tuple, delta)`` of ``pairs`` in order: the one write loop.
+
+        Each entry behaves as :meth:`apply_delta` alone would (arity check,
+        rejection with the entries before it applied, one tick, one redo-log
+        entry, every index maintained); the copy-on-write guard and the index
+        list are resolved once per call.  ``pairs`` may read this relation but
+        must not change it or its indexes.
+        """
+        data = self._data
+        get = data.get
+        arity = len(self.schema)
+        indexes = self._indexes.values()
+        guarded = False
+        log = None
+        for tup, delta in pairs:
+            if len(tup) != arity:
+                self.check_arity(tup)
+            if delta == 0:
+                continue
+            current = get(tup, 0)
+            updated = current + delta
+            if updated < 0:
+                raise RejectedUpdateError(
+                    f"delete of {-delta} copies of {tup!r} rejected: relation "
+                    f"{self.name!r} holds only {current}"
+                )
+            if not guarded:
+                self._cow_guard()
+                guarded = True
+                log = self._cow_log
+            self._change_ticks += 1
+            # Redo log of the cached frozen copy (see __init__): one entry per
+            # tick, dropped once replaying it would cost more than copying.
+            if log is not None:
+                if len(log) * COW_REPLAY_RATIO < len(data):
+                    log.append((tup, delta))
+                else:
+                    log = self._cow_log = None
+            if updated:
+                data[tup] = updated
+                if not current:
+                    for index in indexes:
+                        key = index.key_of(tup)
+                        groups = index._groups
+                        group = groups.get(key)
+                        if group is None:
+                            groups[key] = {tup: None}
+                        else:
+                            group[tup] = None
+            else:
+                del data[tup]
+                for index in indexes:
+                    groups = index._groups
+                    key = index.key_of(tup)
+                    group = groups[key]
+                    del group[tup]
+                    if not group:
+                        del groups[key]
 
     def apply_delta(self, tup: ValueTuple, delta: int) -> int:
         """Add ``delta`` to the multiplicity of ``tup`` and return the new value.
@@ -299,39 +353,10 @@ class Relation:
         Raises :class:`RejectedUpdateError` if the result would be negative,
         matching the paper's rejection of over-deleting updates.  A resulting
         multiplicity of zero removes the tuple from the relation and from all
-        indexes.
+        indexes.  The one-entry case of :meth:`apply_deltas`.
         """
-        self._check_arity(tup)
-        data = self._data
-        current = data.get(tup, 0)
-        if delta == 0:
-            return current
-        updated = current + delta
-        if updated < 0:
-            raise RejectedUpdateError(
-                f"delete of {-delta} copies of {tup!r} rejected: relation "
-                f"{self.name!r} holds only {current}"
-            )
-        self._cow_guard()
-        self._change_ticks += 1
-        # Redo log of the cached frozen copy (see __init__): one entry per
-        # tick, dropped once replaying it would cost more than copying.
-        log = self._cow_log
-        if log is not None:
-            if len(log) * COW_REPLAY_RATIO < len(data):
-                log.append((tup, delta))
-            else:
-                self._cow_log = None
-        if updated == 0:
-            del data[tup]
-            for index in self._indexes.values():
-                index.remove(tup)
-        else:
-            data[tup] = updated
-            if current == 0:
-                for index in self._indexes.values():
-                    index.add(tup)
-        return updated
+        self.apply_deltas(((tup, delta),))
+        return self._data.get(tup, 0)
 
     def set_multiplicity(self, tup: ValueTuple, mult: int) -> None:
         """Set the multiplicity of ``tup`` to exactly ``mult`` (≥ 0).
@@ -379,8 +404,7 @@ class Relation:
                         f"deleting {-sign * mult} copies of {tup!r} exceeds "
                         f"the {self.multiplicity(tup)} present"
                     )
-        for tup, mult in other.items():
-            self.apply_delta(tup, sign * mult)
+        self.apply_deltas((tup, sign * mult) for tup, mult in other.items())
 
     # ------------------------------------------------------------------
     # indexes
@@ -450,10 +474,9 @@ class Relation:
 
     def project(self, target_schema: Schema, name: Optional[str] = None) -> "Relation":
         """Return a new relation ``π_target R`` summing multiplicities."""
-        projector = Projector(self.schema, target_schema)
+        key_of = Projector(self.schema, target_schema).key_of
         result = Relation(name or f"π({self.name})", target_schema)
-        for tup, mult in self.items():
-            result.apply_delta(projector(tup), mult)
+        result.apply_deltas((key_of(tup), mult) for tup, mult in self.items())
         return result
 
     def as_dict(self) -> Dict[ValueTuple, int]:

@@ -13,6 +13,7 @@ inner loops of joins, delta propagation, and enumeration.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from repro.exceptions import SchemaError
@@ -65,18 +66,27 @@ class Projector:
     """A reusable projection from one schema onto another.
 
     Precomputes the index positions once so projecting many tuples (the hot
-    path in joins and delta propagation) avoids repeated dictionary lookups.
+    path in joins and delta propagation) avoids repeated dictionary lookups;
+    ``key_of`` is the projection itself as a C-level callable, for loops that
+    want no method frame per tuple.  Tuples in, tuples out.
     """
 
-    __slots__ = ("source", "target", "_positions")
+    __slots__ = ("source", "target", "key_of")
 
     def __init__(self, source: Schema, target: Schema) -> None:
         self.source = source
         self.target = target
-        self._positions = positions(source, target)
+        # A run of consecutive positions (zero and one included) is one
+        # slice, anything else an itemgetter: no Python frame per call.
+        pos = positions(source, target)
+        start = pos[0] if pos else 0
+        if pos == tuple(range(start, start + len(pos))):
+            self.key_of = itemgetter(slice(start, start + len(pos)))
+        else:
+            self.key_of = itemgetter(*pos)
 
     def __call__(self, tup: ValueTuple) -> ValueTuple:
-        return tuple(tup[i] for i in self._positions)
+        return self.key_of(tup)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Projector({self.source!r} -> {self.target!r})"

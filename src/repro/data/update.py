@@ -209,22 +209,8 @@ class UpdateBatch:
         return buckets
 
     def validate_against(self, database: Database) -> None:
-        """Raise :class:`RejectedUpdateError` if any net delete over-deletes.
-
-        Checks every entry against the *current* multiplicities without
-        mutating anything, so callers can reject a batch before touching any
-        state (all-or-nothing ingestion).
-        """
-        for relation, group in self._deltas.items():
-            target = database.relation(relation)
-            for tup, mult in group.items():
-                if mult < 0 and target.multiplicity(tup) + mult < 0:
-                    raise RejectedUpdateError(
-                        f"batch rejected: net delete of {-mult} copies of "
-                        f"{tup!r} from {relation!r} exceeds the stored "
-                        f"multiplicity {target.multiplicity(tup)}; "
-                        "no part of the batch was applied"
-                    )
+        """:func:`validate_groups` over this batch's net deltas."""
+        validate_groups(self._deltas, database)
 
     def apply_to(self, database: Database) -> None:
         """Apply every net delta directly to the base relations.
@@ -237,15 +223,37 @@ class UpdateBatch:
         """
         self.validate_against(database)
         for relation, group in self._deltas.items():
-            target = database.relation(relation)
-            for tup, mult in group.items():
-                target.apply_delta(tup, mult)
+            database.relation(relation).apply_deltas(group.items())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"UpdateBatch(relations={len(self._deltas)}, entries={len(self)}, "
             f"source_count={self._source_count})"
         )
+
+
+def validate_groups(
+    groups: Mapping[str, Mapping[ValueTuple, int]], database: Database
+) -> None:
+    """Raise unless every entry of ``groups`` can be applied; touch nothing.
+
+    A tuple of the wrong arity is a :class:`~repro.exceptions.SchemaError`, a
+    net delete beyond the *current* multiplicity a :class:`RejectedUpdateError`
+    — raised before any state changes (all-or-nothing ingestion).
+    """
+    for relation, group in groups.items():
+        target = database.relation(relation)
+        arity = target.arity
+        for tup, mult in group.items():
+            if len(tup) != arity:
+                target.check_arity(tup)
+            if mult < 0 and target.multiplicity(tup) + mult < 0:
+                raise RejectedUpdateError(
+                    f"update rejected: net delete of {-mult} copies of "
+                    f"{tup!r} from {relation!r} exceeds the stored "
+                    f"multiplicity {target.multiplicity(tup)}; "
+                    "nothing was applied"
+                )
 
 
 def as_batch(updates: Union["UpdateBatch", Iterable[Update]]) -> "UpdateBatch":

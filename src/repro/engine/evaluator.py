@@ -32,8 +32,7 @@ def evaluate_query_naive(query: ConjunctiveQuery, database: Database) -> Relatio
     ]
     content = join_children(children, tuple(query.head))
     result = Relation(f"{query.name}_result", tuple(query.head))
-    for tup, mult in content.items():
-        result.apply_delta(tup, mult)
+    result.apply_deltas(content.items())
     return result
 
 

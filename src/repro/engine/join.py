@@ -24,12 +24,16 @@ schemas dictate — *point* lookup when the accumulator binds every sibling
 column, an *index* group on the shared columns when it binds some, a full
 *scan* when it binds none — with the key and the output tuple written as
 literal subscripts of the accumulator tuple ``a`` and the matched sibling
-tuple ``t``.  The output tuple of a step already omits every variable that no
-later step and no output column needs, and the last step emits in output
-order, so each joined tuple is built once and there is no separate projection
-or reordering pass.  A step costs one loop with the index resolved once, then
-one constant-time probe per accumulator tuple and one dictionary update per
-joined tuple — the unit the paper's ``O(N^{δε})`` update bound counts.
+tuple ``t``.  A step reads storage directly: it binds the relation's tuple
+map ``_data`` (and, for an index step, the index's group map ``_groups``)
+once per call, so a probe is one dict lookup and a loop over the group's
+dict, with no generator or method frame per probe.  The output tuple of a
+step already omits every variable that no later step and no output column
+needs, and the last step emits in output order, so each joined tuple is built
+once and there is no separate projection or reordering pass.  A step costs
+one loop with the index resolved once, then one constant-time probe per
+accumulator tuple and one dictionary update per joined tuple — the unit the
+paper's ``O(N^{δε})`` update bound counts.
 
 **No invalidation.**  A plan reads nothing but schemas: not the data, not ε,
 not the heavy/light split, not which relation object stands behind a schema.
@@ -191,41 +195,34 @@ def _compile_step(acc_schema: Schema, child: Schema, out_schema: Schema) -> _Ste
     shared = [v for v in child if v in acc_schema]  # child order = index key order
     key = tuple_source([f"a[{acc_schema.index(v)}]" for v in shared])
     emit = _emit_source(out_schema, acc_schema, child)
-    lines = ["def step(acc, relation):"]
     if len(shared) == len(child):
         mode = "point"
-        lines += [
-            "    multiplicity = relation.multiplicity",
-            "    out = {}",
-            "    get = out.get",
-            "    for a, m in acc.items():",
-            f"        c = multiplicity({key})",
-            "        if c:",
-            f"            k = {emit}",
-            "            out[k] = get(k, 0) + m * c",
+        bind = ["multiplicity = relation._data.get"]
+        probe = [f"c = multiplicity({key})", "if c:"]
+    elif shared:
+        mode = "index"
+        columns = tuple_source([f"schema[{child.index(v)}]" for v in shared])
+        bind = [
+            "schema = relation.schema",
+            f"group = relation.ensure_index({columns})._groups.get",
+            "data = relation._data",
         ]
+        probe = [f"for t in group({key}, ()):", "    c = data[t]"]
     else:
-        if shared:
-            mode = "index"
-            columns = tuple_source([f"schema[{child.index(v)}]" for v in shared])
-            lines += [
-                "    schema = relation.schema",
-                f"    probe = relation.ensure_index({columns}).group_items",
-            ]
-            matches = f"probe({key})"
-        else:
-            mode = "scan"
-            lines.append("    items = list(relation.items())")
-            matches = "items"
-        lines += [
-            "    out = {}",
-            "    get = out.get",
-            "    for a, m in acc.items():",
-            f"        for t, c in {matches}:",
-            f"            k = {emit}",
-            "            out[k] = get(k, 0) + m * c",
-        ]
-    lines.append("    return out")
+        mode = "scan"
+        bind = ["items = list(relation.items())"]
+        probe = ["for t, c in items:"]
+    lines = [
+        "def step(acc, relation):",
+        *["    " + line for line in bind],
+        "    out = {}",
+        "    get = out.get",
+        "    for a, m in acc.items():",
+        *["        " + line for line in probe],
+        f"            k = {emit}",
+        "            out[k] = get(k, 0) + m * c",
+        "    return out",
+    ]
     source = "\n".join(lines)
     return _Step(mode, source, _build(source, _label(acc_schema, child, out_schema)))
 
@@ -357,8 +354,7 @@ def join_to_relation(
 ) -> Relation:
     """Join children into a freshly materialized relation."""
     result = Relation(name, output_schema)
-    for tup, mult in join_children(children, output_schema).items():
-        result.apply_delta(tup, mult)
+    result.apply_deltas(join_children(children, output_schema).items())
     return result
 
 

@@ -35,9 +35,7 @@ def materialize_tree(tree: ViewTreeNode) -> None:
         tree.reset()
         children = [bound(child) for child in tree.children]
         content = join_children(children, tree.schema)
-        relation = tree.relation()
-        for tup, mult in content.items():
-            relation.apply_delta(tup, mult)
+        tree.relation().apply_deltas(content.items())
 
 
 def materialize_indicator_triple(triple: IndicatorTriple) -> None:

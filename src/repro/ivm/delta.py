@@ -89,8 +89,6 @@ def propagate_delta(
         )
         if not delta:
             return tree.schema, {}
-        apply_delta = view.relation().apply_delta
-        for tup, mult in delta.items():
-            apply_delta(tup, mult)
+        view.relation().apply_deltas(delta.items())
         schema = view.schema
     return schema, delta

@@ -50,7 +50,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from repro.data.database import Database
 from repro.data.partition import Partition
 from repro.data.schema import Projector, Schema, ValueTuple
-from repro.data.update import UpdateBatch
+from repro.data.update import validate_groups
 from repro.exceptions import UnknownRelationError, UnsupportedQueryError
 from repro.engine.join import BoundRelation, delta_join
 from repro.ivm.delta import Delta, merge_delta, propagate_delta
@@ -200,16 +200,15 @@ class UpdateProcessor:
     # ------------------------------------------------------------------
     # main entry points
     # ------------------------------------------------------------------
-    def validate(self, batch: UpdateBatch) -> None:
-        """Raise unless every group of ``batch`` can be applied; touch nothing.
+    def validate(self, groups: Mapping[str, Delta]) -> None:
+        """Raise unless every group of one event can be applied; touch nothing.
 
-        What makes a multi-entry event all-or-nothing.  A one-entry group
-        needs no such pass: its only rejections are raised by the first
-        steps of :meth:`apply_group`, before any state changes.
+        A relation outside the query, a tuple of the wrong arity or an
+        over-delete anywhere rejects the event before any group is applied.
         """
-        for relation_name in batch.relations():
+        for relation_name in groups:
             self._atom_for(relation_name)
-        batch.validate_against(self.database)
+        validate_groups(groups, self.database)
 
     def apply_group(self, relation_name: str, group: Delta) -> List[KeyedGroup]:
         """Process ``δR = group`` (Figure 19, without rebalancing).
@@ -245,9 +244,7 @@ class UpdateProcessor:
                 routed.append((partition, light_delta))
 
         # (2) the shared base relation absorbs the group exactly once
-        apply_delta = relation.apply_delta
-        for tup, mult in group.items():
-            apply_delta(tup, mult)
+        relation.apply_deltas(group.items())
         self._capture_group(relation_name, group)
 
         # (3) one traversal per strategy tree and indicator All tree
@@ -258,14 +255,12 @@ class UpdateProcessor:
 
         # (4) light-part routing
         for partition, light_delta in routed:
-            apply_delta = partition.light.apply_delta
-            for tup, mult in light_delta.items():
-                apply_delta(tup, mult)
+            partition.light.apply_deltas(light_delta.items())
             self._propagate_light(partition, light_delta)
 
         # (5) heavy-indicator refresh, once per distinct triple key
         for triple in triples:
-            key_of = Projector(atom.variables, triple.keys)
+            key_of = Projector(atom.variables, triple.keys).key_of
             for key in {key_of(tup) for tup in group}:
                 self._refresh_indicator(triple, key)
         return keyed

@@ -234,12 +234,12 @@ class MaintenanceDriver:
         single updates, where a mid-stream rejection keeps the updates that
         preceded it).
         """
-        self.processor.validate(batch)
         self._ingest(batch.deltas_by_relation(), batch.source_count)
         self.stats.batches += 1
 
     def _ingest(self, groups: Mapping[str, Delta], source_count: int) -> None:
-        """One ingestion event: ``UpdateTrees`` per group, then one trigger."""
+        """One ingestion event: validate, ``UpdateTrees`` per group, one trigger."""
+        self.processor.validate(groups)
         started = time.perf_counter()
         touched: List[KeyedGroup] = []
         for relation_name, group in groups.items():

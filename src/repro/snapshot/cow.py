@@ -49,7 +49,7 @@ back on, at the price of one more copy.
 **Indexes.**  A reader never rebuilds an index an earlier reader already
 built for that relation.  A frozen copy starts without indexes and the
 first reader that probes it builds what it needs (``ensure_index``); from
-then on both branches keep them.  *Replay* runs through ``apply_delta``,
+then on both branches keep them.  *Replay* is one ``apply_deltas(log)``,
 which maintains the replica's indexes exactly as it does a live relation's
 — the writer pays per changed tuple, not the next reader per stored tuple.
 The *fallback copy* takes the old replica's index key schemas as the record
@@ -201,8 +201,7 @@ class CowTracker:
             and not self._in_use(relation, cached[1])
         ):
             clone = cached[1]
-            for tup, delta in log:
-                clone.apply_delta(tup, delta)
+            clone.apply_deltas(log)
             self.replayed_entries += len(log)
         else:
             # What readers built on the old replica is what they will probe

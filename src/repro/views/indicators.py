@@ -70,23 +70,18 @@ class IndicatorTriple:
         update, the support of the heavy indicator at the update's key either
         appears, disappears, or stays unchanged.
         """
-        should_exist = self.heavy_support(key)
-        exists_now = self.exists_heavy.multiplicity(key) != 0
-        if should_exist and not exists_now:
-            self.exists_heavy.apply_delta(key, 1)
-            return 1
-        if not should_exist and exists_now:
-            self.exists_heavy.apply_delta(key, -1)
-            return -1
-        return 0
+        change = int(self.heavy_support(key)) - int(key in self.exists_heavy)
+        if change:
+            self.exists_heavy.apply_delta(key, change)
+        return change
 
     def rebuild_support(self) -> None:
         """Recompute the full ``∃H`` support (used after major rebalancing)."""
         self.exists_heavy.clear()
-        light_root = self.light_root()
-        for key in self.all_root().tuples():
-            if light_root.multiplicity(key) == 0:
-                self.exists_heavy.apply_delta(key, 1)
+        light = self.light_root()
+        self.exists_heavy.apply_deltas(
+            (key, 1) for key in self.all_root().tuples() if not light.multiplicity(key)
+        )
 
     def check_support(self) -> bool:
         """Consistency check used by tests: ``∃H`` matches its definition."""

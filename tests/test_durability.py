@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.api import HierarchicalEngine
 from repro.data.database import Database
-from repro.data.update import Retune, Update
+from repro.data.update import Retune, Update, UpdateBatch
 from repro.durability import (
     DurabilityConfig,
     coerce_config,
@@ -22,7 +22,7 @@ from repro.durability import (
 )
 from repro.durability import checkpoint as ckpt
 from repro.durability import wal as walmod
-from repro.exceptions import DurabilityError
+from repro.exceptions import DurabilityError, SchemaError
 from repro.views.build import STATIC_MODE
 
 PATH_QUERY = "Q(A, C) = R(A, B), S(B, C)"
@@ -365,6 +365,29 @@ class TestEngineRecovery:
         assert recovered.version == len(STREAM) - 1
         recovered.check_invariants()
         recovered.close()
+
+    def test_batch_with_a_malformed_tuple_is_rejected_whole(self, tmp_path):
+        """A wrong-arity entry late in a batch rejects it before its first
+        group is applied, so the live engine and its WAL stay in step."""
+        engine, config = durable_engine(tmp_path, ratio=None)
+        before = durable_state(engine)
+        with pytest.raises(SchemaError):
+            engine.commit(UpdateBatch([Update("R", (5, 2), 1), Update("S", (2,), 1)]))
+        assert durable_state(engine) == before
+        engine.commit(Update("R", (7, 2), 1))
+        engine.close()
+        recovered, _report = recover_engine(config.directory, config)
+        assert_recovered_like(recovered, engine)
+        recovered.close()
+
+    def test_short_and_long_tuples_are_one_schema_error(self, tmp_path):
+        engine, _config = durable_engine(tmp_path, ratio=None)
+        before = durable_state(engine)
+        for tup in ((5,), (2, 3, 4)):
+            with pytest.raises(SchemaError):
+                engine.commit(Update("R", tup, 1))
+        assert durable_state(engine) == before
+        engine.close()
 
     def test_empty_directory_raises_durability_error(self, tmp_path):
         with pytest.raises(DurabilityError):

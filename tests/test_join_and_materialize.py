@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.database import Database
-from repro.data.relation import Relation
+from repro.data.relation import Index, Relation
 from repro.engine.evaluator import evaluate_query_naive, evaluate_to_dict
 from repro.engine.join import (
     BoundRelation,
@@ -342,6 +342,27 @@ class TestCompiledJoin:
             (0, 7, 1): 2, (0, 8, 1): 6, (5, 7, 1): 4, (5, 8, 1): 12,
         }
         assert fold_join(("A", "B"), delta, [point, index, scan], ("D", "C", "A")) == acc
+
+    def test_steps_read_storage_without_a_per_probe_reader(self, monkeypatch):
+        """Point and index steps bind ``_data`` and the index's ``_groups``
+        once per call: neither ``group_items`` nor ``multiplicity`` runs."""
+        point = BoundRelation(("A", "B"), Relation("P", ("x", "y"), {(1, 2): 2, (1, 3): 1}))
+        index = BoundRelation(("B", "C"), Relation("I", ("x", "y"), {(2, 7): 1, (2, 8): 3, (9, 9): 1}))
+        calls = []
+
+        def forbidden(*args):
+            calls.append(args)
+            raise AssertionError("a compiled step called a per-probe reader")
+
+        monkeypatch.setattr(Index, "group_items", forbidden)
+        monkeypatch.setattr(Relation, "multiplicity", forbidden)
+        plan = compile_join(("A", "B"), (("A", "B"), ("B", "C")), ("C", "A"))
+        assert plan.modes == ("point", "index")
+        acc = {(1, 2): 1, (1, 3): 5, (4, 4): 1, (9, 9): 7}
+        for step, child in zip(plan.steps, (point, index)):
+            acc = step(acc, child.relation)
+        assert acc == {(7, 1): 2, (8, 1): 6}
+        assert calls == []
 
     def test_projection_adds_and_signed_deltas_cancel(self):
         s = BoundRelation(("B", "C"), Relation("S", ("B", "C"), {(1, 5): 2, (2, 5): 2, (3, 6): 1}))

@@ -627,6 +627,21 @@ def test_wire_apply_update_and_rejection_kinds():
             assert client.read()[0] == version
 
 
+def test_wire_short_and_long_tuples_are_one_schema_error():
+    """A short tuple fails like a long one: a SchemaError, nothing applied."""
+    with serve() as (serving, handle):
+        with EngineClient("127.0.0.1", handle.port) as client:
+            version, before = client.read()[0], serving.engine.result()
+            kinds = []
+            for tup in ((5,), (2, 3, 4)):
+                with pytest.raises(RemoteError) as info:
+                    client.apply_update(Update("R", tup, 1))
+                kinds.append(info.value.kind)
+            assert kinds == ["SchemaError", "SchemaError"]
+            assert client.read()[0] == version
+            assert serving.engine.result() == before
+
+
 def test_unknown_op_and_bad_snapshot_handle():
     with serve() as (_, handle):
         with EngineClient("127.0.0.1", handle.port) as client:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.data.relation import COW_REPLAY_RATIO, Index, Relation, storage_backend
 from repro.exceptions import RejectedUpdateError, SchemaError
+from repro.snapshot.cow import CowTracker
 
 
 class TestRelationBasics:
@@ -554,3 +555,91 @@ class TestRelationProperties:
             relation.apply_delta(tup, delta)
             reference[tup] = reference.get(tup, 0) + delta
         assert relation.total_multiplicity() == sum(v for v in reference.values())
+
+
+_TERNARY_KEYS = [(), ("A",), ("B",), ("C",), ("A", "C"), ("B", "C"), ("A", "B", "C")]
+_ternary = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 3))
+
+
+def _bulk_write_state(relation, state, error):
+    """Everything a write leaves behind that the bulk and the one-by-one
+    paths must agree on."""
+    frozen = state.frozen.get(relation) if state is not None else None
+    return (
+        list(relation._data.items()),
+        {
+            key: [(value, list(group)) for value, group in index._groups.items()]
+            for key, index in relation._indexes.items()
+        },
+        relation._change_ticks,
+        relation._cow_log,
+        None if frozen is None else list(frozen.items()),
+        error,
+    )
+
+
+class TestApplyDeltas:
+    @given(
+        rows=st.dictionaries(_ternary, st.integers(1, 3), max_size=25),
+        churn=st.lists(_ternary, max_size=6),
+        keys=st.lists(st.sampled_from(_TERNARY_KEYS), max_size=4),
+        pairs=st.lists(
+            st.tuples(
+                st.one_of(_ternary, _ternary, _ternary, st.just((1, 2))),
+                st.integers(-3, 3),
+            ),
+            max_size=30,
+        ),
+        capture=st.booleans(),
+        logged=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bulk_write_matches_the_same_pairs_one_by_one(
+        self, rows, churn, keys, pairs, capture, logged
+    ):
+        """Content order, index key and group order, ticks, the redo log, the
+        frozen copy a snapshot capture gets, and — on an over-delete or a
+        malformed tuple mid-sequence — the applied prefix and the error."""
+
+        def build():
+            relation = Relation("R", ("A", "B", "C"), rows)
+            for key in keys:
+                relation.ensure_index(key)
+            for tup in churn:  # indexes whose key order remembers history
+                if relation.multiplicity(tup):
+                    relation.apply_delta(tup, -relation.multiplicity(tup))
+                relation.apply_delta(tup, 1)
+            if logged:
+                relation._cow_log = []
+            state = CowTracker().capture([relation]) if capture else None
+            return relation, state
+
+        def outcome(write):
+            relation, state = build()
+            try:
+                write(relation)
+            except (RejectedUpdateError, SchemaError) as exc:
+                return _bulk_write_state(relation, state, (type(exc), str(exc)))
+            return _bulk_write_state(relation, state, None)
+
+        def one_by_one(relation):
+            for tup, delta in pairs:
+                relation.apply_delta(tup, delta)
+
+        assert outcome(lambda relation: relation.apply_deltas(pairs)) == outcome(
+            one_by_one
+        )
+
+    def test_the_guard_runs_once_and_the_log_is_read_after_it(self):
+        relation = Relation("R", ("A", "B"), {(i, 0): 1 for i in range(100)})
+        tracker = CowTracker()
+        state = tracker.capture([relation])
+        calls = []
+        preserve = tracker.preserve
+        tracker.preserve = lambda rel: (calls.append(rel), preserve(rel))
+        relation.apply_deltas([((1, 0), 0), ((1, 0), 1), ((200, 0), 1), ((2, 0), -1)])
+        assert calls == [relation]
+        assert list(state.frozen[relation].items()) == [((i, 0), 1) for i in range(100)]
+        # the tracker started the log in the guard; every change after it is logged
+        assert relation._cow_log == [((1, 0), 1), ((200, 0), 1), ((2, 0), -1)]
+        assert tracker.replayed_entries == 0

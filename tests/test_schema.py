@@ -50,6 +50,19 @@ class TestProjection:
         assert projector((1, 2, 3)) == (2,)
         assert projector((4, 5, 6)) == (5,)
 
+    @pytest.mark.parametrize(
+        "target",
+        [(), ("A",), ("C",), ("B", "C"), ("A", "B", "C"), ("A", "C"), ("C", "A"), ("D", "B")],
+    )
+    def test_projector_key_of_is_a_tuple_projection(self, target):
+        """Slices for consecutive columns, an itemgetter otherwise: always a tuple."""
+        source = ("A", "B", "C", "D")
+        projector = Projector(source, target)
+        for tup in [(1, 2, 3, 4), ("w", "x", "y", "z")]:
+            expected = tuple(tup[source.index(v)] for v in target)
+            assert projector.key_of(tup) == projector(tup) == expected
+            assert type(projector.key_of(tup)) is tuple
+
     def test_paper_example(self):
         # (a, b, c)[(C, A)] = (c, a) — Section 3 of the paper
         assert project(("a", "b", "c"), ("A", "B", "C"), ("C", "A")) == ("c", "a")
