@@ -29,7 +29,7 @@ Only the stdlib is used; no Prometheus client dependency.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 #: (metric name, type, help) per family; values are looked up dynamically.
 _Sample = Tuple[str, str, str, float]
@@ -162,6 +162,8 @@ _NET_HELPS = {
     "agg_subscribers_current": "Aggregate subscriptions currently active.",
     "agg_deltas_pushed": "Folded aggregate delta frames enqueued.",
     "agg_resyncs": "Slow aggregate-subscriber resyncs (queue overflow).",
+    "push_build_us": "Event-loop microseconds spent building push payloads.",
+    "pushes_held": "Commits whose push waited for the reply to their request.",
 }
 
 
@@ -280,29 +282,12 @@ def render_server_metrics(
         # key on rather than the generic repro_net_* prefix.
         aggregate_reads = net_stats.pop("aggregate_reads", None)
         if aggregate_reads is not None:
-            samples.append(
-                (
-                    "repro_aggregate_reads_total",
-                    "counter",
-                    "Aggregate reads served (one-shot ops, subscription "
-                    "snapshots, and resyncs).",
-                    float(aggregate_reads),
-                )
-            )
+            help_text = "Aggregate reads served (one-shot ops, subscription snapshots, and resyncs)."
+            samples.append(("repro_aggregate_reads_total", "counter", help_text, float(aggregate_reads)))
         if "push_bytes" in net_stats:
             net_stats["push_bytes_total"] = net_stats.pop("push_bytes")
-        net_types: Dict[str, str] = {
-            key: "gauge"
-            if key
-            in (
-                "connections_current",
-                "subscribers_current",
-                "agg_subscribers_current",
-                "max_queue_depth",
-            )
-            else "counter"
-            for key in net_stats
-        }
+        gauges = ("connections_current", "subscribers_current", "agg_subscribers_current", "max_queue_depth")
+        net_types = {key: "gauge" if key in gauges else "counter" for key in net_stats}
         samples.extend(_prefixed("repro_net", net_stats, net_types, _NET_HELPS))
 
     page = render_families(samples)

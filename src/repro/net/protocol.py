@@ -75,7 +75,7 @@ import sys
 from array import array
 from itertools import repeat
 from operator import itemgetter
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.data.update import Update
 from repro.exceptions import ReproError
@@ -435,8 +435,9 @@ class PairTable:
         return zip(zip(*values) if values else repeat((), self.count), mults)
 
 
-def wire_pairs(pairs: Iterable[Tuple[Sequence[Any], int]]) -> PairTable:
-    """Encode ``(tuple, multiplicity)`` pairs as a :class:`PairTable`.
+def wire_pairs(pairs: Union[Dict[Any, int], Iterable[Tuple[Sequence[Any], int]]]) -> PairTable:
+    """Encode ``(tuple, multiplicity)`` pairs — or a ``{tuple: multiplicity}``
+    dict, a commit's delta, to the same bytes — as a :class:`PairTable`.
 
     One block per result column plus one for the multiplicities; tuples of
     arity 0 have no column and are counted by the multiplicities alone.
@@ -445,12 +446,14 @@ def wire_pairs(pairs: Iterable[Tuple[Sequence[Any], int]]) -> PairTable:
     # delta is thousands of pairs, and ``zip(*pairs)`` / ``zip(*tuples)`` would
     # keep every pair alive and open one iterator per tuple — thousands of
     # short-lived containers, which the collector answers with extra passes
-    # over the serving process's heap, under the engine's write lock.
-    tuples: List[Sequence[Any]] = []
-    mults: List[int] = []
-    for tup, mult in pairs:
-        tuples.append(tup)
-        mults.append(mult)
+    # over the serving process's heap.  A dict's two lists are copied in C.
+    if type(pairs) is dict:
+        tuples, mults = list(pairs), list(pairs.values())
+    else:
+        tuples, mults = [], []
+        for tup, mult in pairs:
+            tuples.append(tup)
+            mults.append(mult)
     arity = len(tuples[0]) if tuples else 0
     encoded = [encode_column(list(map(itemgetter(i), tuples))) for i in range(arity)]
     encoded.append(encode_column(mults))

@@ -25,8 +25,14 @@ three kinds of traffic:
   O(groups) maintained read instead of a full enumeration.  Both flavours
   are one code path: ``_open_subscription`` registers, reads and replies,
   ``_read_full`` is the full read behind the reply and behind every
-  resync, and a commit reaches the subscribers as one dict of payloads
-  keyed ``None`` (the pair table) or ``spec.key()`` (folded rows).
+  resync, and ``_push`` builds a commit's payloads — the pair table once,
+  one fold per subscribed spec — on the event loop.
+* **Ack before push** — the committing thread only hands ``(version,
+  delta)`` to the loop.  The loop fans commits out in version order, and a
+  commit made by a wire request only after that request's reply is
+  written, so a writer never waits for the push of its own commit.  Any
+  other commit (an in-process ``EngineServer.commit``, a reshard) fans out
+  as soon as every commit before it has.
 * **Plain HTTP** — the server peeks the first four bytes of every
   connection; ``GET `` switches the connection to a minimal HTTP/1.0
   responder so ``GET /metrics`` (Prometheus text format, see
@@ -34,26 +40,30 @@ three kinds of traffic:
   no extra port.
 
 Backpressure contract (the part that keeps memory bounded): every
-subscriber owns a bounded send queue.  While the subscriber keeps up,
-each commit enqueues one delta frame.  When the queue is full at commit
-time the subscriber is marked *lagging*: its queue is cleared, a single
-resync marker takes its place, and subsequent commits only bump the
-server's ``latest_version`` (coalescing — nothing accumulates per lagging
-subscriber).  The sender turns the marker into one full-state resync
-frame, reading the engine repeatedly until the read's version has caught
-up with ``latest_version`` (checked on the event loop, so no commit can
-slip between the check and the subscriber re-arming).  A subscriber
-therefore costs at most ``queue_size`` frames of memory no matter how
-slow its socket drains.
+subscriber owns a bounded send queue.  While the subscriber keeps up, each
+commit enqueues one delta frame.  When the queue is full at fan-out (or
+the payload cannot be built) the subscriber is marked *lagging*: its queue
+is cleared, a single resync marker takes its place, and subsequent commits
+only bump the server's ``latest_version`` (coalescing — nothing accumulates
+per lagging subscriber).  The sender turns the marker into one full-state
+resync frame, reading the engine repeatedly until the read's version has
+caught up with ``latest_version`` (checked on the event loop, so no commit
+can slip between the check and the subscriber re-arming).  A subscriber
+therefore costs at most ``queue_size`` frames of memory no matter how slow
+its socket drains.
 """
 
 from __future__ import annotations
 
 import asyncio
+import logging
+import socket
 import threading
+import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
 
 from repro.core.planner import coerce_query
 from repro.core.serving import EngineServer, check_limit, take
@@ -71,6 +81,8 @@ from repro.net.protocol import (
     wire_pairs,
 )
 from repro.rings.spec import AggregateSpec, fold_delta, wire_elements
+
+LOGGER = logging.getLogger("repro.net")
 
 
 @dataclass(frozen=True)
@@ -123,6 +135,10 @@ class NetServerStats:
         "agg_subscribers_current",
         "agg_deltas_pushed",
         "agg_resyncs",
+        # Event-loop time spent building push payloads (integer µs), and
+        # commits whose push waited for the reply of the request that made it.
+        "push_build_us",
+        "pushes_held",
     )
 
     def __init__(self) -> None:
@@ -167,11 +183,7 @@ class _Subscriber:
     __slots__ = ("sid", "session", "queue", "lagging", "task", "spec")
 
     def __init__(
-        self,
-        sid: int,
-        session: "_Session",
-        queue_size: int,
-        spec: Optional[AggregateSpec] = None,
+        self, sid: int, session: "_Session", queue_size: int, spec: Optional[AggregateSpec]
     ) -> None:
         self.sid = sid
         self.session = session
@@ -188,9 +200,9 @@ class _Session:
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self.writer = writer
-        # One frame writer at a time: StreamWriter.drain() does not support
+        # One drain at a time: StreamWriter.drain() does not support
         # concurrent waiters on every Python version, and senders run
-        # concurrently with the request dispatcher.
+        # concurrently with the request dispatcher.  Writes take no lock.
         self.write_lock = asyncio.Lock()
         self.snapshots: Dict[int, Any] = {}
         self.iterators: Dict[int, Any] = {}
@@ -215,11 +227,12 @@ class EngineTCPServer:
         self._next_session = 0
         self._next_snapshot = 0
         self._next_subscription = 0
-        #: Distinct aggregate specs with live subscribers:
-        #: ``{spec.key(): [spec, refcount]}``.  Mutated only on the event
-        #: loop; the committing thread snapshots it with ``list()`` (atomic
-        #: under the GIL) to fold each commit's delta once per spec.
-        self._agg_specs: Dict[Tuple, list] = {}
+        #: Commits handed to the loop and not yet fanned out, in version
+        #: order, and the versions among them whose reply is not written.
+        self._pending: Deque[Tuple[int, Dict]] = deque()
+        self._held: Set[int] = set()
+        #: The writer lane's ``held`` list while it commits for a request.
+        self._tls = threading.local()
         #: Highest committed version observed by the push hub; lagging
         #: subscribers resync against this ratchet.
         self.latest_version = 0
@@ -234,10 +247,7 @@ class EngineTCPServer:
         if self._server is not None:
             raise RuntimeError("server already started")
         self._loop = asyncio.get_running_loop()
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.config.executor_threads,
-            thread_name_prefix="repro-net",
-        )
+        self._pool = ThreadPoolExecutor(self.config.executor_threads, thread_name_prefix="repro-net")
         self._writer = ThreadPoolExecutor(1, thread_name_prefix="repro-net-writer")
         self._closed = False
         if not self._listener_installed:
@@ -276,94 +286,106 @@ class EngineTCPServer:
             if lane is not None:
                 lane.shutdown(wait=True)
         self._pool = self._writer = None
+        self._pending.clear()
+        self._held.clear()
 
     # ------------------------------------------------------------------
     # commit fan-out (the push hub)
     # ------------------------------------------------------------------
     def _on_engine_commit(self, version: int, delta: Dict) -> None:
-        """EngineServer commit listener: runs in the committing thread.
+        """EngineServer commit listener: hands ``(version, delta)`` to the loop.
 
-        Besides wiring the tuple delta, folds it once per distinct
-        subscribed aggregate spec (ring addition over the commit's net
-        result delta) — the fold happens here, in the committing thread,
-        so the event-loop fan-out stays O(subscribers) and the folded
-        group deltas are exact no matter how the engine maintains its own
-        aggregate state.  The fold does not raise for a value a ring
-        cannot lift (:class:`~repro.rings.spec.Unliftable`), so no
-        subscription can fail the commit it is told about.
+        It runs in the committing thread under the engine's write lock, so
+        it builds nothing; :meth:`_push` does, on the loop.  A commit made
+        for a request (:meth:`_held_commit` set ``_tls.held``) is held until
+        the request's reply is written.
         """
-        if self._closed:
+        if self._closed or self._loop is None:
             return
-        loop = self._loop
-        if loop is None:
-            return
-        # The commit's pair table is built here, once, whatever the number
-        # of subscribers: its column blocks are the bytes every one of
-        # their frames carries, and a sender only formats the small header
-        # around them.  Here and not on the event loop, because the loop is
-        # what every session's reads and acks wait for.
-        # Nobody to serialise the tuple delta for?  Then do not: this runs
-        # under the engine's write lock.  A plain subscriber that registers
-        # after this check needs no frame for this commit — the commit is
-        # already published, and ``_op_subscribe`` registers before it
-        # reads, so its initial read is at this version or a later one.
-        # (``list`` snapshots the dict the event loop mutates.)
-        payloads: Dict[Optional[Tuple], Any] = {}
-        if any(sub.spec is None for sub in list(self._subscribers.values())):
-            payloads[None] = wire_pairs(delta.items())
-        if self._agg_specs:
-            head = tuple(self.serving.engine.query.head)
-            items = list(delta.items())
-            for key, (spec, _count) in list(self._agg_specs.items()):
-                payloads[key] = wire_elements(
-                    spec.ring, fold_delta(spec, head, items)
-                )
+        held = getattr(self._tls, "held", None)
+        if held is not None:
+            self._tls.held = None  # a reshard the commit sets off is not held
+            held.append(version)
         try:
-            loop.call_soon_threadsafe(self._publish_commit, version, payloads)
+            self._loop.call_soon_threadsafe(
+                self._publish_commit, version, delta, held is not None
+            )
         except RuntimeError:  # pragma: no cover - loop torn down mid-commit
             pass
 
-    def _publish_commit(self, version: int, payloads: Dict) -> None:
-        """Fan one commit out to every subscriber; runs on the event loop.
-
-        ``payloads`` holds the commit's pair table under ``None`` and one
-        folded row list per subscribed aggregate under its ``spec.key()``.
-        """
+    def _publish_commit(self, version: int, delta: Dict, held: bool) -> None:
+        """Take one commit in on the event loop, then fan out what is ready."""
         if version > self.latest_version:
             self.latest_version = version
         self.stats.add("commits_observed")
-        wire_delta = payloads.get(None)
-        for sub in list(self._subscribers.values()):
+        if held:
+            self._held.add(version)
+            if self._subscribers:
+                self.stats.add("pushes_held")
+        self._pending.append((version, delta))
+        self._release(())
+
+    def _release(self, versions) -> None:
+        """Unhold ``versions`` (their reply is written), then push the
+        pending commits in version order up to the first one still held.
+
+        A held commit waits for its own reply only, and a reply is written
+        without waiting on the socket (:meth:`_write`).
+        """
+        self._held.difference_update(versions)
+        pending, held = self._pending, self._held
+        while pending and pending[0][0] not in held:
+            self._push(*pending.popleft())
+
+    def _push(self, version: int, delta: Dict) -> None:
+        """Enqueue one commit for every subscriber that keeps up, building
+        its payloads once per flavour: the pair table under ``None``, one
+        folded row list per aggregate spec under ``spec.key()``.  A value a
+        ring cannot lift folds (:class:`~repro.rings.spec.Unliftable`); a
+        payload that fails to build sends its subscribers to resync."""
+        payloads: Dict[Optional[Tuple], Any] = {}
+        head, build_ns = tuple(self.serving.engine.query.head), 0
+        for sub in self._subscribers.values():
             if sub.lagging:
                 # Coalesced: the pending resync marker covers this commit,
                 # because the resync ratchet reads at >= latest_version.
                 continue
-            if sub.spec is None:
-                if wire_delta is None:
-                    continue  # registered after the commit thread's check
-                item = ("delta", version, wire_delta)
-            else:
-                # A spec registered after this commit was folded simply has
-                # no payload here; the subscriber's initial read covers it.
-                item = ("delta", version, payloads.get(sub.spec.key(), []))
+            key = None if sub.spec is None else sub.spec.key()
+            if key not in payloads:
+                started = time.perf_counter_ns()
+                try:
+                    payloads[key] = wire_pairs(delta) if key is None else wire_elements(
+                        sub.spec.ring, fold_delta(sub.spec, head, delta.items())
+                    )
+                except Exception:  # noqa: BLE001 - its subscribers resync instead
+                    LOGGER.exception("cannot build the push of version %d", version)
+                    payloads[key] = None
+                build_ns += time.perf_counter_ns() - started
+            payload = payloads[key]
+            if payload is None:
+                self._lag(sub)
+                continue
             try:
-                sub.queue.put_nowait(item)
+                sub.queue.put_nowait(("delta", version, payload))
             except asyncio.QueueFull:
-                sub.lagging = True
-                while True:
-                    try:
-                        sub.queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                sub.queue.put_nowait(("resync",))
-                self.stats.add("resyncs" if sub.spec is None else "agg_resyncs")
+                self._lag(sub)
+                continue
+            if sub.spec is None:
+                self.stats.add("deltas_pushed")
             else:
-                if sub.spec is None:
-                    self.stats.add("deltas_pushed")
-                else:
-                    self.stats.add("agg_deltas_pushed")
-                    self.stats.add_ring_delta(sub.spec.ring.name)
-                self.stats.note_queue_depth(sub.queue.qsize())
+                self.stats.add("agg_deltas_pushed")
+                self.stats.add_ring_delta(sub.spec.ring.name)
+            self.stats.note_queue_depth(sub.queue.qsize())
+        if payloads:
+            self.stats.add("push_build_us", build_ns // 1000)
+
+    def _lag(self, sub: _Subscriber) -> None:
+        """Coalesce ``sub``: one resync marker replaces its whole queue."""
+        sub.lagging = True
+        while not sub.queue.empty():
+            sub.queue.get_nowait()
+        sub.queue.put_nowait(("resync",))
+        self.stats.add("resyncs" if sub.spec is None else "agg_resyncs")
 
     async def _read_full(self, sub: _Subscriber) -> Tuple[int, Any]:
         """One full read of what ``sub`` mirrors, ``(version, wire result)``:
@@ -382,16 +404,8 @@ class EngineTCPServer:
                 item = await sub.queue.get()
                 if item[0] == "delta":
                     _, version, wire_delta = item
-                    sent = await self._send(
-                        sub.session,
-                        {
-                            "sub": sub.sid,
-                            "kind": "delta",
-                            "version": version,
-                            "delta": wire_delta,
-                        },
-                    )
-                    self.stats.add("push_bytes", sent)
+                    push = {"sub": sub.sid, "kind": "delta", "version": version, "delta": wire_delta}
+                    self.stats.add("push_bytes", await self._send(sub.session, push))
                 else:  # resync marker
                     while True:
                         version, result = await self._read_full(sub)
@@ -401,15 +415,8 @@ class EngineTCPServer:
                             # between, so re-arming here is gap-free.
                             sub.lagging = False
                             break
-                    await self._send(
-                        sub.session,
-                        {
-                            "sub": sub.sid,
-                            "kind": "resync",
-                            "version": version,
-                            "result": result,
-                        },
-                    )
+                    resync = {"sub": sub.sid, "kind": "resync", "version": version, "result": result}
+                    await self._send(sub.session, resync)
         except asyncio.CancelledError:
             raise
         except (ConnectionClosedError, ConnectionError, OSError):
@@ -430,16 +437,42 @@ class EngineTCPServer:
         and replace (docs/architecture.md, Section 13)."""
         assert self._loop is not None and self._pool is not None
         lane = self._writer if write or self.serving.cold else self._pool
+        if write:  # a commit for a request: its push waits for the reply
+            fn, args = self._held_commit, (fn, *args)
         return await self._loop.run_in_executor(lane, fn, *args)
 
-    async def _send(self, session: _Session, message: Dict[str, Any]) -> int:
-        """Write one frame to the session; returns its size in bytes."""
+    def _held_commit(self, commit: Callable, event) -> int:
+        """``commit(event)`` on the writer lane, its push held for the reply.
+
+        The listener adds the commit's version to ``_tls.held``.  If the
+        call fails after that, no reply will release the push, so this does.
+        """
+        self._tls.held = held = []
+        try:
+            return commit(event)
+        except BaseException:
+            self._loop.call_soon_threadsafe(self._release, held)
+            raise
+        finally:
+            self._tls.held = None
+
+    def _write(self, session: _Session, message: Dict[str, Any]) -> int:
+        """Hand one whole frame to the session's transport; returns its size.
+
+        It never waits: frames cannot interleave (each is one ``write``),
+        and a reply is never stuck behind a push its peer has not read.
+        """
         data = encode_frame(message)
-        async with session.write_lock:
-            session.writer.write(data)
-            await session.writer.drain()
+        session.writer.write(data)
         self.stats.add("frames_sent")
         return len(data)
+
+    async def _send(self, session: _Session, message: Dict[str, Any]) -> int:
+        """Write one frame to the session and wait for it to drain."""
+        sent = self._write(session, message)
+        async with session.write_lock:
+            await session.writer.drain()
+        return sent
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -447,38 +480,17 @@ class EngineTCPServer:
         if self._closed:
             writer.close()
             return
-        if self.config.send_buffer_bytes is not None:
-            import socket as socket_module
-
+        buffer_bytes = self.config.send_buffer_bytes
+        if buffer_bytes is not None:
             sock = writer.get_extra_info("socket")
             if sock is not None:
-                sock.setsockopt(
-                    socket_module.SOL_SOCKET,
-                    socket_module.SO_SNDBUF,
-                    self.config.send_buffer_bytes,
-                )
-            writer.transport.set_write_buffer_limits(
-                high=self.config.send_buffer_bytes
-            )
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, buffer_bytes)
+            writer.transport.set_write_buffer_limits(high=buffer_bytes)
         if len(self._sessions) >= self.config.max_connections:
             self.stats.add("connections_refused")
-            try:
-                writer.write(
-                    encode_frame(
-                        {
-                            "ok": False,
-                            "kind": "ServerBusy",
-                            "error": (
-                                "connection limit reached "
-                                f"({self.config.max_connections})"
-                            ),
-                        }
-                    )
-                )
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
-            writer.close()
+            error = f"connection limit reached ({self.config.max_connections})"
+            writer.write(encode_frame({"ok": False, "kind": "ServerBusy", "error": error}))
+            writer.close()  # after the frame: a transport flushes before it closes
             return
         self._next_session += 1
         session = _Session(writer)
@@ -564,11 +576,6 @@ class EngineTCPServer:
                 self.stats.add("subscribers_current", -1)
             else:
                 self.stats.add("agg_subscribers_current", -1)
-                entry = self._agg_specs.get(sub.spec.key())
-                if entry is not None:
-                    entry[1] -= 1
-                    if entry[1] <= 0:
-                        self._agg_specs.pop(sub.spec.key(), None)
         sub.session.subscribers.pop(sub.sid, None)
         if sub.task is not None:
             sub.task.cancel()
@@ -687,13 +694,21 @@ class EngineTCPServer:
             "elements": wire_elements(spec.ring, elements),
         }
 
-    async def _op_apply_batch(self, session: _Session, message: Dict) -> Dict:
-        updates = unwire_updates(message.get("updates"))
-        return {"version": await self._run(self.serving.commit, updates, write=True)}
+    async def _op_apply_batch(self, session: _Session, message: Dict) -> None:
+        await self._commit(session, message, unwire_updates(message.get("updates")))
 
-    async def _op_apply_update(self, session: _Session, message: Dict) -> Dict:
-        updates = unwire_updates([message.get("update")])
-        return {"version": await self._run(self.serving.commit, updates[0], write=True)}
+    async def _op_apply_update(self, session: _Session, message: Dict) -> None:
+        await self._commit(session, message, unwire_updates([message.get("update")])[0])
+
+    async def _commit(self, session: _Session, message: Dict, event) -> None:
+        """Commit ``event`` for a request: its reply is written before its push."""
+        version = await self._run(self.serving.commit, event, write=True)
+        try:
+            self._write(session, {"id": message.get("id"), "ok": True, "version": version})
+        finally:
+            self._release((version,))
+        async with session.write_lock:
+            await session.writer.drain()
 
     async def _op_reshard(self, session: _Session, message: Dict) -> Dict:
         """Reshard the served fleet online; subscribers ride through it.
@@ -777,7 +792,7 @@ class EngineTCPServer:
 
     async def _op_subscribe_aggregate(self, session: _Session, message: Dict) -> None:
         """Open one aggregate subscription: full elements now, folded
-        group deltas per commit after (see :meth:`_on_engine_commit`)."""
+        group deltas per commit after (see :meth:`_push`)."""
         spec = AggregateSpec.from_wire(message.get("spec") or {})
         await self._open_subscription(session, message, spec)
 
@@ -807,18 +822,16 @@ class EngineTCPServer:
             queue_size = min(requested_queue, queue_size)
         self._next_subscription += 1
         sub = _Subscriber(self._next_subscription, session, queue_size, spec)
-        # Register FIRST — subscriber and spec in one event-loop step — then
-        # read: every commit after this point is queued (the committing
-        # thread folds the spec for it), and the read observes at least
-        # every commit before it.  The client skips pushed versions <= the
-        # initial version, so the overlap is deduplicated and there is no gap.
+        # Register FIRST, then read: every commit fanned out after this point
+        # is queued for it, and the read observes at least every commit
+        # before it.  The client skips pushed versions <= the initial
+        # version, so the overlap is deduplicated and there is no gap.
         self._subscribers[sub.sid] = sub
         session.subscribers[sub.sid] = sub
         if spec is None:
             self.stats.add("subscriptions_total")
             self.stats.add("subscribers_current")
         else:
-            self._agg_specs.setdefault(spec.key(), [spec, 0])[1] += 1
             self.stats.add("agg_subscriptions_total")
             self.stats.add("agg_subscribers_current")
         try:
@@ -827,16 +840,8 @@ class EngineTCPServer:
             self._drop_subscriber(sub)
             raise
         # The response goes out here, before the sender could race it.
-        await self._send(
-            session,
-            {
-                "id": message.get("id"),
-                "ok": True,
-                "sub": sub.sid,
-                "version": version,
-                "result": result,
-            },
-        )
+        reply = {"sub": sub.sid, "version": version, "result": result}
+        await self._send(session, {"id": message.get("id"), "ok": True, **reply})
         assert self._loop is not None
         sub.task = self._loop.create_task(self._subscription_sender(sub))
 

@@ -28,7 +28,7 @@ from repro.core.planner import choose_shard_key
 from repro.data.database import Database
 from repro.data.partition import shard_of
 from repro.data.update import Update, UpdateBatch
-from repro.exceptions import InvariantViolationError, UnknownRelationError
+from repro.exceptions import InvariantViolationError, SchemaError, UnknownRelationError
 from repro.query.conjunctive import ConjunctiveQuery
 
 
@@ -75,7 +75,10 @@ class ShardRouter:
 
     def shard_of_tuple(self, relation_name: str, tup: Tuple) -> int:
         """The shard owning one base tuple of ``relation_name``."""
-        return self.shard_of_value(tup[self.column_of(relation_name)])
+        column = self.column_of(relation_name)
+        if len(tup) <= column:  # what the shard would reject, before routing
+            raise SchemaError(f"tuple {tup!r} has arity {len(tup)}, no shard-key column {column}")
+        return self.shard_of_value(tup[column])
 
     def shard_of_update(self, update: Update) -> int:
         """The shard an update routes to."""

@@ -188,6 +188,9 @@ def test_pair_table_roundtrips_through_a_frame(pairs):
     assert unwire_pairs(table) == pairs  # in memory, no frame in between
     assert unwire_pairs(framed(table)) == pairs
     assert unwire_pairs(wire_pairs(dict(pairs).items())) == pairs
+    assert encode_frame({"delta": wire_pairs(dict(pairs))}) == encode_frame(
+        {"delta": wire_pairs(iter(dict(pairs).items()))}
+    )
     oracle = reference.unwire_pairs(json.loads(json.dumps(reference.wire_pairs(pairs))))
     assert oracle == reference.unwire_pairs(reference.wire_pairs(pairs)) == pairs
     assert repr(unwire_pairs(table)) == repr(unwire_pairs(framed(table))) == repr(oracle)
@@ -195,6 +198,30 @@ def test_pair_table_roundtrips_through_a_frame(pairs):
     received = framed(table)
     assert list(iter_pairs(received)) == list(iter_pairs(received)) == pairs
     assert repr(unwire_pairs(framed(received, key="result"))) == repr(oracle)
+
+
+@pytest.mark.parametrize(
+    "tuples",
+    [
+        [(1, 2), (3, -4), (2**40, 0)],
+        [("a", "é"), ("b", "")],
+        [(1.5, -0.0), (float("inf"), 2.25)],
+        [(1, "x"), (2.5, None), (True, 3)],
+        [(None, None), (None, 1)],
+        [(True, False), (False, False)],
+        [()],
+    ],
+    ids=["int", "str", "float", "mixed", "none", "bool", "arity-0"],
+)
+def test_a_delta_dict_encodes_to_the_bytes_of_its_pairs(tuples):
+    """A commit's ``{tuple: multiplicity}`` dict takes the C-level path of
+    ``wire_pairs``; its frame is byte-identical to the one its pairs make."""
+    delta = {tup: (-1) ** i * (i + 1) for i, tup in enumerate(tuples)}
+    pairs = list(delta.items())
+    frame = encode_frame({"delta": wire_pairs(delta)})
+    assert frame == encode_frame({"delta": wire_pairs(iter(pairs))})
+    oracle = reference.unwire_pairs(json.loads(json.dumps(reference.wire_pairs(pairs))))
+    assert repr(unwire_pairs(decode_payload(frame[4:])["delta"])) == repr(oracle)
 
 
 @pytest.mark.parametrize(
@@ -642,6 +669,21 @@ def test_wire_short_and_long_tuples_are_one_schema_error():
             assert serving.engine.result() == before
 
 
+def test_wire_short_tuple_on_a_sharded_engine_is_a_schema_error():
+    """Routing reads the shard-key column, so the router checks it exists."""
+    engine = ShardedEngine(PATH_QUERY, shards=2, executor="serial").load(make_database())
+    with serve(engine=engine) as (serving, handle):
+        with EngineClient("127.0.0.1", handle.port) as client:
+            version, before = client.read()[0], serving.engine.result()
+            for event in ([Update("R", (5,), 1)], [Update("S", (1, 2), 1), Update("R", (5,), 1)]):
+                with pytest.raises(RemoteError) as info:
+                    client.apply_batch(event)
+                assert info.value.kind == "SchemaError"
+            assert client.read()[0] == version
+            assert serving.engine.result() == before
+    engine.close()
+
+
 def test_unknown_op_and_bad_snapshot_handle():
     with serve() as (_, handle):
         with EngineClient("127.0.0.1", handle.port) as client:
@@ -1046,8 +1088,8 @@ def test_commit_delta_is_wired_only_for_plain_subscribers(monkeypatch):
 
 def test_a_commit_is_encoded_once_however_many_subscribers(monkeypatch):
     """Column encodes per commit do not depend on the subscriber count: the
-    commit's table is built once, in the committing thread, and every
-    subscriber's frame carries the same blocks."""
+    commit's table is built once, on the event loop, and every subscriber's
+    frame carries the same blocks."""
     import repro.net.protocol as protocol_module
 
     encodes, threads = [], set()
@@ -1093,9 +1135,9 @@ def test_a_commit_is_encoded_once_however_many_subscribers(monkeypatch):
 
     monkeypatch.setattr(protocol_module, "encode_column", counting_encode_column)
     assert column_encodes(1) == commits * 3  # two result columns and the multiplicities
-    assert threads == {"repro-net-writer_0"}  # the committing thread
+    assert threads == {"repro-net-server"}  # the event loop
     assert column_encodes(20) == commits * 3
-    assert threads == {"repro-net-writer_0"}
+    assert threads == {"repro-net-server"}
 
 
 def test_slow_subscriber_coalesces_to_resync():

@@ -39,6 +39,7 @@ from repro.exceptions import (
     InvariantViolationError,
     RejectedUpdateError,
     ReproError,
+    SchemaError,
     UnsupportedQueryError,
 )
 from repro.ivm.rebalance import RebalanceStats
@@ -132,6 +133,21 @@ class TestShardKeyGate:
             ShardedEngine(PATH, shards=0)
         with pytest.raises(ValueError, match="executor"):
             ShardedEngine(PATH, executor="gpu")
+
+    def test_a_short_tuple_is_a_schema_error_with_nothing_applied(self):
+        """``R``'s shard key ``B`` is column 1: a 1-tuple has none to route by."""
+        short = Update("R", (5,), 1)
+        for event in (
+            short,
+            [Update("R", (1, 2), 1), Update("S", (3, 4), 1), short],
+            UpdateBatch([Update("R", (1, 2), 1), Update("S", (3, 4), 1), short]),
+        ):
+            engine = ShardedEngine(PATH, shards=2, executor="serial")
+            engine.load(small_path_database())
+            before = engine.result()
+            with pytest.raises(SchemaError, match="arity 1"):
+                engine.commit(event)
+            assert engine.version == 0 and engine.result() == before
 
     def test_requires_load_first(self):
         engine = ShardedEngine(PATH, shards=2)

@@ -7,15 +7,18 @@ scripted :class:`~repro.net.client.EngineClient` session —
 
 1. handshake (``ping``) and a paged snapshot enumeration,
 2. one plain subscription plus two ring-aggregate subscriptions,
-3. a burst of mixed insert/delete batches applied through the wire,
+3. a burst of mixed insert/delete batches applied through the wire by two
+   clients writing concurrently,
 4. a one-shot aggregate read, a point lookup, and a ``/metrics`` scrape
    over plain HTTP —
 
 and checks every served artifact against a
 :class:`~repro.baselines.naive.NaiveRecomputeEngine` oracle: the paged
-snapshot equals the oracle's state at capture, the subscription's pushed
-deltas *replayed from the initial result* reproduce the oracle at every
-version stamp, the final mirrored state equals the oracle's final state,
+snapshot equals the oracle's state at capture, the subscription saw every
+version once and in order, its pushed deltas *replayed from the initial
+result* reproduce the oracle (replayed in acked-version order) at every
+version stamp, no push is still held for a reply after the last one, the
+final mirrored state equals the oracle's final state,
 and every aggregate answer — the subscriptions' ring-folded mirrors and
 the one-shot read — equals the one true fold
 (:func:`repro.rings.spec.fold_result`) over the oracle's enumeration.
@@ -33,6 +36,7 @@ from __future__ import annotations
 import random
 import sys
 import tempfile
+import threading
 import urllib.request
 from pathlib import Path
 
@@ -50,7 +54,8 @@ from repro.rings.spec import AggregateSpec, answer_map, fold_result  # noqa: E40
 QUERY = "Q(A, C) = R(A, B), S(B, C)"
 HEAD = ("A", "C")
 DOMAIN = 10
-BATCHES = 30
+BATCHES = 30  # in total, over two concurrent writers
+WRITERS = 2
 BATCH_SIZE = 8
 
 
@@ -100,18 +105,17 @@ def durable_session(durability: DurabilityConfig) -> None:
             initial_version = subscription.version
             initial_result = dict(subscription.result())
             assert initial_result == oracle.result(), "initial result diverged"
-            # The mirror keeps no history: record each applied push here, by
-            # wrapping its apply (nothing is pushed before the first write).
+            # The mirror keeps no history: record every push here, applied
+            # or not, by wrapping its apply (nothing is pushed before the
+            # first write).
             events = []
             apply_push = subscription.state.apply
 
             def recording_apply(message):
-                changed = apply_push(message)
-                if changed:
-                    kind = message["kind"]
-                    pairs = message["delta" if kind == "delta" else "result"]
-                    events.append((kind, message["version"], pairs))
-                return changed
+                kind = message["kind"]
+                pairs = message["delta" if kind == "delta" else "result"]
+                events.append((kind, message["version"], pairs))
+                return apply_push(message)
 
             subscription.state.apply = recording_apply
 
@@ -133,25 +137,44 @@ def durable_session(durability: DurabilityConfig) -> None:
                 "initial counting aggregate diverged"
             )
 
-            rng = random.Random(77)
-            inserted = []
+            # Each writer deletes only what it inserted itself, so every
+            # interleaving of the two is a valid stream.
+            acked = {}  # version -> batch
+
+            def write(seed: int) -> None:
+                rng = random.Random(seed)
+                inserted = []
+                with EngineClient("127.0.0.1", handle.port) as writer:
+                    for _ in range(BATCHES // WRITERS):
+                        batch = []
+                        for _ in range(BATCH_SIZE):
+                            if inserted and rng.random() < 0.4:
+                                relation, tup = inserted.pop(rng.randrange(len(inserted)))
+                                batch.append(Update(relation, tup, -1))
+                            else:
+                                relation = rng.choice(("R", "S"))
+                                tup = (rng.randrange(DOMAIN), rng.randrange(DOMAIN))
+                                inserted.append((relation, tup))
+                                batch.append(Update(relation, tup, 1))
+                        acked[writer.apply_batch(batch)] = batch
+
+            writers = [threading.Thread(target=write, args=(77 + w,)) for w in range(WRITERS)]
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(60)
+            final_version = initial_version + BATCHES
+            assert sorted(acked) == list(range(initial_version + 1, final_version + 1)), (
+                f"acked versions {sorted(acked)}"
+            )
+            assert not handle.server._held and not handle.server._pending, (
+                "a push is still held after the last reply"
+            )
             oracle_trajectory = {}
-            final_version = initial_version
-            for _ in range(BATCHES):
-                batch = []
-                for _ in range(BATCH_SIZE):
-                    if inserted and rng.random() < 0.4:
-                        relation, tup = inserted.pop(rng.randrange(len(inserted)))
-                        batch.append(Update(relation, tup, -1))
-                    else:
-                        relation = rng.choice(("R", "S"))
-                        tup = (rng.randrange(DOMAIN), rng.randrange(DOMAIN))
-                        inserted.append((relation, tup))
-                        batch.append(Update(relation, tup, 1))
-                final_version = client.apply_batch(batch)
-                for update in batch:
+            for version in sorted(acked):
+                for update in acked[version]:
                     oracle.update(update.relation, update.tuple, update.multiplicity)
-                oracle_trajectory[final_version] = oracle.result()
+                oracle_trajectory[version] = oracle.result()
 
             assert subscription.wait_for_version(final_version, timeout=30.0), (
                 f"subscription stuck at version {subscription.version} "
@@ -161,8 +184,12 @@ def durable_session(durability: DurabilityConfig) -> None:
                 "subscription state diverged from the oracle"
             )
 
-            # replay the pushed deltas from the initial result: the mirror
-            # must pass through the oracle's state at every version stamp
+            # every version once, in order; then replay the pushed deltas
+            # from the initial result: the mirror must pass through the
+            # oracle's state at every version stamp
+            assert [version for _, version, _ in events] == sorted(acked), (
+                f"pushed versions {[version for _, version, _ in events]}"
+            )
             replay = dict(initial_result)
             checked = 0
             for kind, version, pairs in events:
