@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Dict, Iterator, Tuple
 
 from repro.baselines.first_order_ivm import FirstOrderIVMEngine
-from repro.data.schema import ValueTuple
 
 
 class FullMaterializationEngine(FirstOrderIVMEngine):

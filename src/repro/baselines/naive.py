@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import Dict, Iterator, Tuple
 
 from repro.baselines.base import BaselineEngine
-from repro.data.database import Database
 from repro.data.schema import ValueTuple
 from repro.data.update import Update, UpdateBatch
 from repro.engine.evaluator import evaluate_query_naive

@@ -55,10 +55,12 @@ from repro.exceptions import RejectedUpdateError, SchemaError
 # Snapshot copy-on-write rolls a frozen copy forward from its redo log only
 # while ``len(log) * COW_REPLAY_RATIO <= len(relation)``, and drops a log
 # (bounding its memory) once it outgrows that.  Measured on CPython 3.11, a
-# 2-vCPU Xeon VM, a binary relation with one index: replaying one entry
-# through ``apply_deltas`` takes 0.45-0.7 us up to 10k tuples and 1.0-1.3 us
-# at 140k, ``copy_with_indexes`` 21-31 ns per tuple and 90-150 ns, so a replay
-# breaks even with a copy at a ratio of ~18-22 and ~7-10: at 32 it always wins.
+# 2-vCPU Xeon VM, a churned binary relation with one index of 20-tuple
+# groups: replaying one entry takes 0.5-1.0 us up to 10k tuples and ~2 us at
+# 140k, ``copy_with_indexes`` 80-90 ns per tuple and ~210 ns, so a replay
+# breaks even with a copy at a ratio of ~9-12: at 32 it wins.  With no index
+# to carry a copy is one ``dict.copy``, 8-16 ns per tuple, and a replay near
+# the bound costs up to ~4x as much (ROADMAP item 8).
 COW_REPLAY_RATIO = 32
 
 
@@ -226,12 +228,12 @@ class Relation:
     def copy(self, name: Optional[str] = None) -> "Relation":
         """Return a deep copy of the relation content (indexes not copied).
 
-        The first probe of the copy builds the index it needs; snapshot
-        copy-on-write, which copies the same relation again and again, uses
-        :meth:`copy_with_indexes` instead.
+        ``dict.copy`` clones the hash table in one pass, under the interpreter
+        lock readers wait on: 1.7 ms for 140k pairs that have seen deletes (on
+        the VM of ``COW_REPLAY_RATIO``), where ``update`` re-inserts each: 11.6.
         """
         clone = Relation(name or self.name, self.schema)
-        clone._data.update(self._data)  # in place: indexes hold this dict
+        clone._data = self._data.copy()  # no index holds the fresh map yet
         return clone
 
     def copy_with_indexes(self, key_schemas: Iterable[Schema]) -> "Relation":

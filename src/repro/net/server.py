@@ -9,9 +9,10 @@ three kinds of traffic:
   (``snapshot_open``/``snapshot_page``/``snapshot_lookup``/
   ``snapshot_close``), ``subscribe``/``subscribe_aggregate``/
   ``unsubscribe``, ``metrics`` and ``stats``.  Each connection's
-  requests are dispatched sequentially;
-  blocking engine work runs on a thread pool (commits on one thread of
-  their own) so the event loop never stalls on enumeration or maintenance.
+  requests are dispatched sequentially; blocking engine work runs on a
+  thread pool (commits on one thread of their own) so the event loop never
+  stalls on maintenance or a whole enumeration — a snapshot page, O(limit)
+  with constant delay like its encoding, is taken on the loop.
 * **Push-based subscriptions** — a subscription receives the full result
   once (in the ``subscribe`` response) and then one consolidated delta
   frame per engine commit, computed from the batch's net effect by the
@@ -758,7 +759,9 @@ class EngineTCPServer:
     async def _op_snapshot_page(self, session: _Session, message: Dict) -> Dict:
         sid, snapshot = self._session_snapshot(session, message)
         limit = check_limit(message.get("limit"), ProtocolError) or 100
-        page = await self._run(take, session.iterators[sid], limit)
+        # On the loop, which encodes the page anyway: a pool thread would wait
+        # twice more for the interpreter lock, behind the commit in flight.
+        page = take(session.iterators[sid], limit)
         return {
             "snap": sid,
             "version": snapshot.version,

@@ -8,7 +8,6 @@ dictionary keys, and members of ``atoms(X)`` sets exactly as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.data.schema import Schema
 from repro.exceptions import SchemaError

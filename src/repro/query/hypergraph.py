@@ -17,7 +17,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
-from repro.query.atom import Atom
 from repro.query.conjunctive import ConjunctiveQuery
 
 

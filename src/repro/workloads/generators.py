@@ -20,7 +20,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.data.database import Database
-from repro.data.schema import ValueTuple
 
 
 def uniform_pairs(

@@ -936,6 +936,29 @@ def test_commits_and_the_cold_read_share_the_writer_thread():
         assert not warm_read.startswith("repro-net-writer")
 
 
+def test_a_snapshot_page_is_taken_on_the_loop(monkeypatch):
+    """A page of an open snapshot is taken where it is encoded, on the
+    event loop: neither the pool nor the writer lane sees it."""
+    from repro.net import server as server_module
+
+    where = []
+    take = server_module.take
+
+    def recording_take(iterator, limit):
+        where.append(threading.current_thread().name)
+        return take(iterator, limit)
+
+    monkeypatch.setattr(server_module, "take", recording_take)
+    with serve() as (serving, handle):
+        with EngineClient("127.0.0.1", handle.port) as client:
+            client.apply_update(Update("R", (200, 1), 1))  # a version is published
+            with client.open_snapshot() as snap:
+                first, _ = snap.page(3)
+                rest = list(snap.pairs(page_size=5))
+            assert dict(first + rest) == serving.engine.result()
+    assert len(where) >= 2 and set(where) == {"repro-net-server"}
+
+
 # ----------------------------------------------------------------------
 # subscriptions
 # ----------------------------------------------------------------------

@@ -503,6 +503,23 @@ class TestCopyWithIndexes:
         assert list(clone.slice(("C",), (9,))) == [(4, 0, 9), (9, 9, 9)]
         assert clone._cow_log is None and clone._cow_cache is None
 
+    def test_plain_copy_of_a_churned_relation_owns_its_map(self):
+        """The copy clones the hash table, deleted slots and all: its own
+        writes and its own indexes touch nothing of the source's."""
+        relation = self.churned()
+        before = list(relation.items())
+        clone = relation.copy()
+        assert clone._data is not relation._data
+        index = clone.ensure_index(("A",))
+        clone.apply_delta((5, 5, 5), 3)
+        clone.apply_delta((4, 0, 9), -1)
+        assert list(relation.items()) == before
+        assert clone.multiplicity((5, 5, 5)) == 3 and (4, 0, 9) not in clone
+        assert dict(index.group_items((5,))) == {(5, 5, 5): 3}
+        assert (4, 0, 9) not in dict(index.group_items((4,)))
+        assert (5, 5, 5) not in relation and relation.multiplicity((4, 0, 9)) == 1
+        assert list(clone.items()) == [p for p in before if p[0] != (4, 0, 9)] + [((5, 5, 5), 3)]
+
 
 @st.composite
 def _update_sequences(draw):
