@@ -30,46 +30,52 @@ worst one event stale, which the smoothing already tolerates).
 
 from __future__ import annotations
 
-import threading
 import time
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
+from repro.stats import LockedFamily, metric
 
-class WorkloadTelemetry:
-    """EWMA-smoothed counters over the update and enumeration traffic."""
 
-    __slots__ = (
-        "alpha",
-        "_lock",
-        "update_events",
-        "update_tuples",
-        "update_seconds",
-        "read_events",
-        "read_tuples",
-        "read_seconds",
-        "ewma_update_seconds",
-        "ewma_read_seconds",
-        "ewma_read_fraction",
+@dataclass(eq=False)
+class WorkloadTelemetry(LockedFamily):
+    """EWMA-smoothed counters over the update and enumeration traffic
+    (``repro_workload_*`` on ``/metrics``)."""
+
+    PREFIX = "repro_workload"
+
+    alpha: float = 0.4
+    update_events: int = metric("Ingestion events recorded by the workload telemetry.")
+    update_tuples: int = metric("Source tuples across all recorded ingestion events.")
+    update_seconds: float = metric(
+        "Wall-clock seconds spent in recorded ingestion.", default=0.0
+    )
+    read_events: int = metric("Enumeration events recorded by the workload telemetry.")
+    read_tuples: int = metric("Tuples produced across all recorded enumerations.")
+    read_seconds: float = metric(
+        "Wall-clock seconds spent in recorded enumeration.", default=0.0
+    )
+    ewma_update_seconds: Optional[float] = metric(
+        "EWMA-smoothed per-event ingestion cost.", "gauge", default=None
+    )
+    ewma_read_seconds: Optional[float] = metric(
+        "EWMA-smoothed per-event enumeration cost.", "gauge", default=None
+    )
+    ewma_read_fraction: Optional[float] = metric(
+        "EWMA-smoothed fraction of events that are reads.",
+        "gauge",
+        default=None,
+        name="repro_workload_read_fraction",
+        read=lambda telemetry: telemetry.read_fraction(),
     )
 
-    def __init__(self, alpha: float = 0.4) -> None:
-        if not 0.0 < alpha <= 1.0:
+    def __post_init__(self) -> None:
+        if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        self.alpha = alpha
-        self._lock = threading.Lock()
-        self.reset()
 
     def reset(self) -> None:
         """Zero every counter and forget the moving averages."""
-        self.update_events = 0
-        self.update_tuples = 0
-        self.update_seconds = 0.0
-        self.read_events = 0
-        self.read_tuples = 0
-        self.read_seconds = 0.0
-        self.ewma_update_seconds: Optional[float] = None
-        self.ewma_read_seconds: Optional[float] = None
-        self.ewma_read_fraction: Optional[float] = None
+        self.restore_state(WorkloadTelemetry(self.alpha).as_dict())
 
     # ------------------------------------------------------------------
     def _smooth(self, previous: Optional[float], value: float) -> float:
@@ -135,62 +141,17 @@ class WorkloadTelemetry:
         return self.ewma_read_fraction
 
     def state_dict(self) -> Dict[str, object]:
-        """Exact, restorable state (unlike :meth:`as_dict`, which rounds).
+        """Exact, restorable state: :meth:`as_dict`, ``alpha`` included.
 
         The ``None`` EWMA seeds are preserved as ``None`` — restoring
         them as ``0.0`` would poison the first smoothed value after a
         recovery.  Used by the durability layer to carry telemetry across
         a checkpoint/restart cycle.
         """
-        with self._lock:
-            return {
-                "alpha": self.alpha,
-                "update_events": self.update_events,
-                "update_tuples": self.update_tuples,
-                "update_seconds": self.update_seconds,
-                "read_events": self.read_events,
-                "read_tuples": self.read_tuples,
-                "read_seconds": self.read_seconds,
-                "ewma_update_seconds": self.ewma_update_seconds,
-                "ewma_read_seconds": self.ewma_read_seconds,
-                "ewma_read_fraction": self.ewma_read_fraction,
-            }
+        return self.as_dict()
 
     def restore_state(self, state: Dict[str, object]) -> None:
         """Overwrite every counter and EWMA from a :meth:`state_dict` dump."""
         with self._lock:
-            self.alpha = float(state["alpha"])
-            self.update_events = int(state["update_events"])
-            self.update_tuples = int(state["update_tuples"])
-            self.update_seconds = float(state["update_seconds"])
-            self.read_events = int(state["read_events"])
-            self.read_tuples = int(state["read_tuples"])
-            self.read_seconds = float(state["read_seconds"])
-            for name in (
-                "ewma_update_seconds",
-                "ewma_read_seconds",
-                "ewma_read_fraction",
-            ):
-                value = state[name]
-                setattr(self, name, None if value is None else float(value))
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat summary (reported by benchmarks and the serving layer)."""
-        return {
-            "update_events": self.update_events,
-            "update_tuples": self.update_tuples,
-            "update_seconds": self.update_seconds,
-            "read_events": self.read_events,
-            "read_tuples": self.read_tuples,
-            "read_seconds": self.read_seconds,
-            "ewma_update_seconds": self.ewma_update_seconds or 0.0,
-            "ewma_read_seconds": self.ewma_read_seconds or 0.0,
-            "read_fraction": self.read_fraction(),
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"WorkloadTelemetry(updates={self.update_events}, "
-            f"reads={self.read_events}, "
-            f"read_fraction={self.read_fraction():.2f})"
-        )
+            for name, value in state.items():
+                setattr(self, name, value)

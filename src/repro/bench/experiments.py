@@ -91,7 +91,9 @@ def scaling_experiment(
     """Fit measured growth exponents against the theory for one ε.
 
     Returns a dict with the per-size points, the fitted exponents per
-    component, and the theoretical exponents for the query's widths.
+    component, and the theoretical exponents for the query's widths.  The
+    delay fit reads each point's p95 delay, not its maximum: one GC pause
+    among the ~1 000 samples of a point would otherwise set the exponent.
     """
     points: List[TradeoffPoint] = []
     for size in sizes:
@@ -108,7 +110,7 @@ def scaling_experiment(
         "preprocessing": fit_exponent(ns, [p.preprocessing_seconds for p in points]),
     }
     if all(p.delay is not None for p in points):
-        fits["delay"] = fit_exponent(ns, [p.delay.maximum for p in points])
+        fits["delay"] = fit_exponent(ns, [p.delay.p95 for p in points])
     if all(p.update is not None for p in points):
         fits["update"] = fit_exponent(ns, [p.update.mean for p in points])
     engine_for_widths = HierarchicalEngine(query, epsilon=epsilon, mode=mode)

@@ -242,13 +242,7 @@ class HierarchicalEngine(ReadSurface, MutationSurface):
         :meth:`load`.  Exported on ``/metrics`` as ``repro_snapshot_*``.
         """
         tracker = self._cow_tracker
-        if tracker is None:
-            return None
-        return {
-            "full_copies": tracker.full_copies,
-            "carried_indexes": tracker.carried_indexes,
-            "replayed_entries": tracker.replayed_entries,
-        }
+        return None if tracker is None else tracker.as_dict()
 
     def expected_exponents(self) -> Dict[str, float]:
         """The asymptotic exponents of Theorems 2/4 for this query and ε."""

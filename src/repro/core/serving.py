@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -50,6 +50,7 @@ from repro.data.schema import ValueTuple
 from repro.data.update import Event, MutationSurface
 from repro.exceptions import WriterFailedError
 from repro.snapshot.versioned import PinCount
+from repro.stats import LockedFamily, metric
 
 # A commit listener: called after every committed ingestion event with
 # ``(version, result_delta)`` — see EngineServer.on_commit.
@@ -57,35 +58,20 @@ CommitListener = Callable[[int, Dict[ValueTuple, int]], None]
 
 
 @dataclass
-class ServingStats:
-    """Thread-safe counters describing one server's traffic.
+class ServingStats(LockedFamily):
+    """Thread-safe counters describing one server's traffic (``repro_serving_*``).
 
     ``batches_applied`` counts *commits* — consolidated batches and
     single-tuple updates alike, since both flow through the same unified
     commit path (:meth:`EngineServer.commit`).
     """
 
-    batches_applied: int = 0
-    reads_served: int = 0
-    retunes_applied: int = 0
-    reshards_applied: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    PREFIX = "repro_serving"
 
-    def count_batch(self) -> None:
-        with self._lock:
-            self.batches_applied += 1
-
-    def count_read(self) -> None:
-        with self._lock:
-            self.reads_served += 1
-
-    def count_retune(self) -> None:
-        with self._lock:
-            self.retunes_applied += 1
-
-    def count_reshard(self) -> None:
-        with self._lock:
-            self.reshards_applied += 1
+    batches_applied: int = metric("Commits applied through the serving commit path.")
+    reads_served: int = metric("Read tickets served.")
+    retunes_applied: int = metric("Auto-retunes triggered by the adaptive controller.")
+    reshards_applied: int = metric("Online reshards applied through the serving layer.")
 
 
 class PinnedVersion:
@@ -236,7 +222,7 @@ class EngineServer(MutationSurface):
             self.engine.commit(event)
             if self.controller is not None:
                 if self.controller.maybe_retune() is not None:
-                    self.stats.count_retune()
+                    self.stats.count("retunes_applied")
                 # The capacity knob: accept at most one proposal at a time
                 # (the flag is only ever set under this lock) and execute
                 # it *after* the commit releases the lock — the expensive
@@ -257,7 +243,7 @@ class EngineServer(MutationSurface):
                 delta = drain() if drain is not None else {}
                 for listener in self._commit_listeners:
                     listener(version, delta)
-        self.stats.count_batch()
+        self.stats.count("batches_applied")
         if pending_reshard is not None:
             try:
                 self.reshard(pending_reshard)
@@ -302,7 +288,7 @@ class EngineServer(MutationSurface):
             version = self.engine.version
             for listener in self._commit_listeners:
                 listener(version, {})
-        self.stats.count_reshard()
+        self.stats.count("reshards_applied")
         return version
 
     def start_writer(self, batches: Iterable) -> threading.Thread:
@@ -429,7 +415,7 @@ class EngineServer(MutationSurface):
         telemetry = getattr(self.engine, "telemetry", None)
         if telemetry is not None:
             telemetry.record_read(len(pairs), time.perf_counter() - started)
-        self.stats.count_read()
+        self.stats.count("reads_served")
         return ReadTicket(version=version, pairs=pairs)
 
     def aggregate(self, spec, maintained: bool = True):
@@ -445,7 +431,7 @@ class EngineServer(MutationSurface):
         with self._write_lock:
             version = getattr(self.engine, "version", 0)
             elements = self.engine.aggregate_elements(spec, maintained=maintained)
-        self.stats.count_read()
+        self.stats.count("reads_served")
         return version, elements
 
     def run_readers(

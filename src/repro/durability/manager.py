@@ -51,6 +51,7 @@ from typing import Any, Callable, Dict, Optional, Union
 from repro.durability import checkpoint as ckpt
 from repro.durability import wal as walmod
 from repro.durability.crashpoints import crash_point
+from repro.stats import Family, metric
 
 
 @dataclass(frozen=True)
@@ -160,26 +161,49 @@ def coerce_config(
 
 
 @dataclass
-class DurabilityStats:
+class DurabilityStats(Family):
     """Durability counters and gauges (``repro_durability_*`` on ``/metrics``).
 
     The checkpoint fields are written by the checkpoint writer once a
     checkpoint is renamed into place.
     """
 
+    PREFIX = "repro_durability"
+
+    #: ``wal_bytes`` when the last checkpoint was captured, and the clock
+    #: when it became durable — the first two gauges count from these.
+    checkpoint_wal_mark: int = metric(
+        "WAL bytes a recovery would replay.",
+        "gauge",
+        name="repro_durability_wal_bytes_since_checkpoint",
+        read=lambda stats: stats.wal_bytes_since_checkpoint,
+    )
+    checkpoint_time: float = metric(
+        "Seconds since the last checkpoint became durable.",
+        "gauge",
+        default=0.0,
+        name="repro_durability_checkpoint_age_seconds",
+        read=lambda stats: stats.checkpoint_age_seconds,
+    )
+    checkpoint_last_seconds: float = metric(
+        "Write-and-prune time of the last checkpoint.", "gauge", default=0.0
+    )
+    checkpoints_written: int = metric(
+        "Checkpoints written.", name="repro_durability_checkpoints_written_total"
+    )
+    checkpoints_skipped_inflight: int = metric(
+        "Due checkpoints skipped: one in flight.",
+        name="repro_durability_checkpoints_skipped_inflight_total",
+    )
+    checkpoint_failures: int = metric(
+        "Checkpoint writes that failed.",
+        name="repro_durability_checkpoint_failures_total",
+    )
     wal_records: int = 0
     wal_bytes: int = 0
-    checkpoints_written: int = 0
-    checkpoints_skipped_inflight: int = 0
-    checkpoint_failures: int = 0
     last_checkpoint_version: int = 0
     checkpoint_bytes: int = 0
-    checkpoint_last_seconds: float = 0.0
     recovered_records: int = 0
-    #: ``wal_bytes`` when the last checkpoint was captured, and the clock
-    #: when it became durable — the two derived gauges count from these.
-    checkpoint_wal_mark: int = 0
-    checkpoint_time: float = 0.0
 
     @property
     def wal_bytes_since_checkpoint(self) -> int:

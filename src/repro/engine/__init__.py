@@ -13,7 +13,6 @@ from repro.engine.materialize import (
     materialize_indicator_triple,
     materialize_plan,
     materialize_tree,
-    rematerialize_plan,
     total_view_size,
 )
 
@@ -29,6 +28,5 @@ __all__ = [
     "materialize_indicator_triple",
     "materialize_plan",
     "materialize_tree",
-    "rematerialize_plan",
     "total_view_size",
 ]

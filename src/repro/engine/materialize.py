@@ -55,11 +55,6 @@ def materialize_plan(plan: SkewAwarePlan, threshold: float) -> None:
         materialize_tree(tree)
 
 
-def rematerialize_plan(plan: SkewAwarePlan, threshold: float) -> None:
-    """Recompute light parts and every view (major rebalancing, Figure 20)."""
-    materialize_plan(plan, threshold)
-
-
 def total_view_size(plan: SkewAwarePlan) -> int:
     """Total number of tuples stored across all materialized views.
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping
+from typing import List, Mapping
 
 from repro.data.database import Database
 from repro.data.partition import Partition
@@ -37,61 +37,28 @@ from repro.data.update import Update, UpdateBatch
 from repro.engine.materialize import materialize_plan
 from repro.ivm.delta import Delta
 from repro.ivm.maintenance import KeyedGroup, UpdateProcessor
+from repro.stats import Family, metric
 from repro.views.skew import SkewAwarePlan
 
 
 @dataclass
-class RebalanceStats:
-    """Counters describing rebalancing activity (reported by benchmarks)."""
+class RebalanceStats(Family):
+    """Counters describing rebalancing activity (``repro_rebalance_*``).
 
-    updates: int = 0
-    batches: int = 0
-    minor_rebalances: int = 0
-    major_rebalances: int = 0
-    moved_to_light: int = 0
-    moved_to_heavy: int = 0
-    retunes: int = 0
+    Sharded execution keeps one :class:`MaintenanceDriver` per shard so
+    minor/major rebalances stay shard-local; the facade reports a fleet view
+    by folding the per-shard counters together (:meth:`Family.merged`).
+    """
 
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "updates": self.updates,
-            "batches": self.batches,
-            "minor_rebalances": self.minor_rebalances,
-            "major_rebalances": self.major_rebalances,
-            "moved_to_light": self.moved_to_light,
-            "moved_to_heavy": self.moved_to_heavy,
-            "retunes": self.retunes,
-        }
+    PREFIX = "repro_rebalance"
 
-    def add(self, other: "RebalanceStats") -> "RebalanceStats":
-        """Accumulate another driver's counters into this one (in place).
-
-        Sharded execution keeps one :class:`MaintenanceDriver` per shard so
-        minor/major rebalances stay shard-local; the facade reports a fleet
-        view by folding the per-shard counters together with this method.
-        Returns ``self`` for chaining.
-        """
-        self.updates += other.updates
-        self.batches += other.batches
-        self.minor_rebalances += other.minor_rebalances
-        self.major_rebalances += other.major_rebalances
-        self.moved_to_light += other.moved_to_light
-        self.moved_to_heavy += other.moved_to_heavy
-        self.retunes += other.retunes
-        return self
-
-    @classmethod
-    def merged(cls, stats: Iterable["RebalanceStats"]) -> "RebalanceStats":
-        """Fold any number of per-shard counters into one aggregate."""
-        total = cls()
-        for entry in stats:
-            total.add(entry)
-        return total
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, int]) -> "RebalanceStats":
-        """Rebuild counters from :meth:`as_dict` (crosses process pipes)."""
-        return cls(**raw)
+    updates: int = metric("Single-tuple updates processed by the maintenance driver.")
+    batches: int = metric("Consolidated batches processed by the maintenance driver.")
+    minor_rebalances: int = metric("Minor (per-key) heavy/light rebalances.")
+    major_rebalances: int = metric("Major (full repartition) rebalances.")
+    moved_to_light: int = metric("Keys demoted from the heavy to the light partition.")
+    moved_to_heavy: int = metric("Keys promoted from the light to the heavy partition.")
+    retunes: int = metric("Explicit epsilon retunes (each is a major rebalance).")
 
 
 class MaintenanceDriver:

@@ -63,7 +63,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
 
 from repro.core.planner import coerce_query
@@ -82,6 +82,7 @@ from repro.net.protocol import (
     wire_pairs,
 )
 from repro.rings.spec import AggregateSpec, fold_delta, wire_elements
+from repro.stats import LockedFamily, metric
 
 LOGGER = logging.getLogger("repro.net")
 
@@ -113,46 +114,42 @@ class ServerConfig:
     send_buffer_bytes: Optional[int] = None
 
 
-class NetServerStats:
-    """Thread-safe counters of the TCP front-end (exported to /metrics)."""
+@dataclass(eq=False)
+class NetServerStats(LockedFamily):
+    """Thread-safe counters of the TCP front-end (``repro_net_*`` on /metrics)."""
 
-    _FIELDS = (
-        "connections_total",
-        "connections_current",
-        "connections_refused",
-        "frames_received",
-        "frames_sent",
-        "requests_failed",
-        "subscriptions_total",
-        "subscribers_current",
-        "deltas_pushed",
-        "push_bytes",
-        "resyncs",
-        "commits_observed",
-        "max_queue_depth",
-        "http_requests",
-        "aggregate_reads",
-        "agg_subscriptions_total",
-        "agg_subscribers_current",
-        "agg_deltas_pushed",
-        "agg_resyncs",
-        # Event-loop time spent building push payloads (integer µs), and
-        # commits whose push waited for the reply of the request that made it.
-        "push_build_us",
-        "pushes_held",
+    PREFIX = "repro_net"
+
+    aggregate_reads: int = metric(
+        "Aggregate reads served (one-shot ops, subscription snapshots, and resyncs).",
+        name="repro_aggregate_reads_total",
     )
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        for field in self._FIELDS:
-            setattr(self, field, 0)
-        # Aggregate delta frames enqueued, keyed by ring name — exported
-        # as one labeled Prometheus family (per-ring traffic breakdown).
-        self._ring_deltas: Dict[str, int] = {}
-
-    def add(self, field: str, amount: int = 1) -> None:
-        with self._lock:
-            setattr(self, field, getattr(self, field) + amount)
+    connections_total: int = metric("TCP connections accepted since server start.")
+    connections_current: int = metric("TCP connections currently open.", "gauge")
+    connections_refused: int = metric("Connections refused at the connection limit.")
+    frames_received: int = metric("Protocol frames received across all connections.")
+    frames_sent: int = metric("Protocol frames sent across all connections.")
+    requests_failed: int = metric("Requests answered with an error frame.")
+    subscriptions_total: int = metric("Subscriptions opened since server start.")
+    subscribers_current: int = metric("Subscriptions currently active.", "gauge")
+    deltas_pushed: int = metric("Per-commit delta frames enqueued to subscribers.")
+    resyncs: int = metric("Slow-subscriber resyncs (queue overflow coalescing).")
+    commits_observed: int = metric("Engine commits observed by the push hub.")
+    max_queue_depth: int = metric("High-water mark of any subscriber send queue.", "gauge")
+    http_requests: int = metric("Plain HTTP requests served on the shared port.")
+    agg_subscriptions_total: int = metric("Aggregate subscriptions opened since start.")
+    agg_subscribers_current: int = metric("Aggregate subscriptions currently active.", "gauge")
+    agg_deltas_pushed: int = metric("Folded aggregate delta frames enqueued.")
+    agg_resyncs: int = metric("Slow aggregate-subscriber resyncs (queue overflow).")
+    push_build_us: int = metric("Event-loop microseconds spent building push payloads.")
+    pushes_held: int = metric("Commits whose push waited for the reply to their request.")
+    push_bytes: int = metric(
+        "Bytes of per-commit delta frames written to subscribers.",
+        name="repro_net_push_bytes_total",
+    )
+    #: Aggregate delta frames enqueued, keyed by ring name — exported as one
+    #: labeled Prometheus family (per-ring traffic breakdown).
+    _ring_deltas: Dict[str, int] = field(default_factory=dict, repr=False)
 
     def add_ring_delta(self, ring_name: str, amount: int = 1) -> None:
         with self._lock:
@@ -166,10 +163,6 @@ class NetServerStats:
         with self._lock:
             if depth > self.max_queue_depth:
                 self.max_queue_depth = depth
-
-    def as_dict(self) -> Dict[str, int]:
-        with self._lock:
-            return {field: getattr(self, field) for field in self._FIELDS}
 
 
 class _Subscriber:
@@ -318,11 +311,11 @@ class EngineTCPServer:
         """Take one commit in on the event loop, then fan out what is ready."""
         if version > self.latest_version:
             self.latest_version = version
-        self.stats.add("commits_observed")
+        self.stats.count("commits_observed")
         if held:
             self._held.add(version)
             if self._subscribers:
-                self.stats.add("pushes_held")
+                self.stats.count("pushes_held")
         self._pending.append((version, delta))
         self._release(())
 
@@ -372,13 +365,13 @@ class EngineTCPServer:
                 self._lag(sub)
                 continue
             if sub.spec is None:
-                self.stats.add("deltas_pushed")
+                self.stats.count("deltas_pushed")
             else:
-                self.stats.add("agg_deltas_pushed")
+                self.stats.count("agg_deltas_pushed")
                 self.stats.add_ring_delta(sub.spec.ring.name)
             self.stats.note_queue_depth(sub.queue.qsize())
         if payloads:
-            self.stats.add("push_build_us", build_ns // 1000)
+            self.stats.count("push_build_us", build_ns // 1000)
 
     def _lag(self, sub: _Subscriber) -> None:
         """Coalesce ``sub``: one resync marker replaces its whole queue."""
@@ -386,7 +379,7 @@ class EngineTCPServer:
         while not sub.queue.empty():
             sub.queue.get_nowait()
         sub.queue.put_nowait(("resync",))
-        self.stats.add("resyncs" if sub.spec is None else "agg_resyncs")
+        self.stats.count("resyncs" if sub.spec is None else "agg_resyncs")
 
     async def _read_full(self, sub: _Subscriber) -> Tuple[int, Any]:
         """One full read of what ``sub`` mirrors, ``(version, wire result)``:
@@ -395,7 +388,7 @@ class EngineTCPServer:
             ticket = await self._run(self.serving.read)
             return ticket.version, wire_pairs(ticket.pairs)
         version, elements = await self._run(self.serving.aggregate, sub.spec)
-        self.stats.add("aggregate_reads")
+        self.stats.count("aggregate_reads")
         return version, wire_elements(sub.spec.ring, elements)
 
     async def _subscription_sender(self, sub: _Subscriber) -> None:
@@ -406,7 +399,7 @@ class EngineTCPServer:
                 if item[0] == "delta":
                     _, version, wire_delta = item
                     push = {"sub": sub.sid, "kind": "delta", "version": version, "delta": wire_delta}
-                    self.stats.add("push_bytes", await self._send(sub.session, push))
+                    self.stats.count("push_bytes", await self._send(sub.session, push))
                 else:  # resync marker
                     while True:
                         version, result = await self._read_full(sub)
@@ -465,7 +458,7 @@ class EngineTCPServer:
         """
         data = encode_frame(message)
         session.writer.write(data)
-        self.stats.add("frames_sent")
+        self.stats.count("frames_sent")
         return len(data)
 
     async def _send(self, session: _Session, message: Dict[str, Any]) -> int:
@@ -488,7 +481,7 @@ class EngineTCPServer:
                 sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, buffer_bytes)
             writer.transport.set_write_buffer_limits(high=buffer_bytes)
         if len(self._sessions) >= self.config.max_connections:
-            self.stats.add("connections_refused")
+            self.stats.count("connections_refused")
             error = f"connection limit reached ({self.config.max_connections})"
             writer.write(encode_frame({"ok": False, "kind": "ServerBusy", "error": error}))
             writer.close()  # after the frame: a transport flushes before it closes
@@ -497,8 +490,8 @@ class EngineTCPServer:
         session = _Session(writer)
         self._sessions[self._next_session] = session
         session_id = self._next_session
-        self.stats.add("connections_total")
-        self.stats.add("connections_current")
+        self.stats.count("connections_total")
+        self.stats.count("connections_current")
         try:
             try:
                 first = await reader.readexactly(HEADER.size)
@@ -511,7 +504,7 @@ class EngineTCPServer:
             while True:
                 message = await read_frame_async(reader, header=header)
                 header = None
-                self.stats.add("frames_received")
+                self.stats.count("frames_received")
                 await self._dispatch(session, message)
         except ConnectionClosedError:
             pass
@@ -519,7 +512,7 @@ class EngineTCPServer:
             pass
         finally:
             self._sessions.pop(session_id, None)
-            self.stats.add("connections_current", -1)
+            self.stats.count("connections_current", -1)
             await self._teardown_session(session)
 
     async def _teardown_session(self, session: _Session) -> None:
@@ -574,9 +567,9 @@ class EngineTCPServer:
     def _drop_subscriber(self, sub: _Subscriber) -> None:
         if self._subscribers.pop(sub.sid, None) is not None:
             if sub.spec is None:
-                self.stats.add("subscribers_current", -1)
+                self.stats.count("subscribers_current", -1)
             else:
-                self.stats.add("agg_subscribers_current", -1)
+                self.stats.count("agg_subscribers_current", -1)
         sub.session.subscribers.pop(sub.sid, None)
         if sub.task is not None:
             sub.task.cancel()
@@ -586,9 +579,7 @@ class EngineTCPServer:
     # ------------------------------------------------------------------
     def _metrics_text(self) -> str:
         """The Prometheus exposition, for ``GET /metrics`` and the ``metrics`` op."""
-        return render_server_metrics(
-            self.serving, self.stats.as_dict(), ring_deltas=self.stats.ring_deltas()
-        )
+        return render_server_metrics(self.serving, self.stats)
 
     async def _serve_http(
         self,
@@ -597,7 +588,7 @@ class EngineTCPServer:
         writer: asyncio.StreamWriter,
     ) -> None:
         """Answer one plain HTTP request (``GET /metrics``) and close."""
-        self.stats.add("http_requests")
+        self.stats.count("http_requests")
         try:
             request_line = first + await reader.readline()
             while True:  # drain headers up to the blank line
@@ -607,7 +598,7 @@ class EngineTCPServer:
             parts = request_line.decode("latin-1").split()
             path = parts[1] if len(parts) >= 2 else "/"
             if path.split("?")[0] == "/metrics":
-                body = self._metrics_text().encode("utf-8")
+                body = (await self._run(self._metrics_text)).encode("utf-8")
                 status = "200 OK"
                 content_type = "text/plain; version=0.0.4; charset=utf-8"
             else:
@@ -647,7 +638,7 @@ class EngineTCPServer:
         except asyncio.CancelledError:
             raise
         except BaseException as exc:  # noqa: BLE001 - reported to the peer
-            self.stats.add("requests_failed")
+            self.stats.count("requests_failed")
             kind = type(exc).__name__ if isinstance(exc, (ReproError, ValueError, KeyError)) else "InternalError"
             await self._send(
                 session,
@@ -689,7 +680,7 @@ class EngineTCPServer:
         version, elements = await self._run(
             self.serving.aggregate, spec, maintained
         )
-        self.stats.add("aggregate_reads")
+        self.stats.count("aggregate_reads")
         return {
             "version": version,
             "elements": wire_elements(spec.ring, elements),
@@ -832,11 +823,11 @@ class EngineTCPServer:
         self._subscribers[sub.sid] = sub
         session.subscribers[sub.sid] = sub
         if spec is None:
-            self.stats.add("subscriptions_total")
-            self.stats.add("subscribers_current")
+            self.stats.count("subscriptions_total")
+            self.stats.count("subscribers_current")
         else:
-            self.stats.add("agg_subscriptions_total")
-            self.stats.add("agg_subscribers_current")
+            self.stats.count("agg_subscriptions_total")
+            self.stats.count("agg_subscribers_current")
         try:
             version, result = await self._read_full(sub)
         except BaseException:
@@ -858,18 +849,12 @@ class EngineTCPServer:
 
     # -- introspection --------------------------------------------------
     async def _op_metrics(self, session: _Session, message: Dict) -> Dict:
-        return {"text": self._metrics_text()}
+        return {"text": await self._run(self._metrics_text)}
 
     async def _op_stats(self, session: _Session, message: Dict) -> Dict:
-        serving = self.serving.stats
         return {
             "net": self.stats.as_dict(),
-            "serving": {
-                "batches_applied": serving.batches_applied,
-                "reads_served": serving.reads_served,
-                "retunes_applied": serving.retunes_applied,
-                "reshards_applied": serving.reshards_applied,
-            },
+            "serving": self.serving.stats.as_dict(),
             "shards": getattr(self.serving.engine, "shards", 1),
             "version": getattr(self.serving.engine, "version", 0),
             "latest_pushed_version": self.latest_version,

@@ -96,10 +96,12 @@ from __future__ import annotations
 import itertools
 import threading
 import weakref
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from repro.data.relation import COW_REPLAY_RATIO, Relation
 from repro.exceptions import StaleStateError
+from repro.stats import Family, metric
 
 # Epochs are globally unique so a relation that survives an ``engine.load()``
 # (``copy_database=False``) can never collide with a fresh tracker's epoch
@@ -118,19 +120,28 @@ class SnapshotState:
         self.closed = False
 
 
-class CowTracker:
-    """Per-engine coordinator between one writer and any number of snapshots."""
+@dataclass(eq=False)
+class CowStats(Family):
+    """How frozen content was produced (``repro_snapshot_*`` on ``/metrics``)."""
+
+    PREFIX = "repro_snapshot"
+
+    full_copies: int = metric("Whole-relation copies made by snapshot copy-on-write.")
+    carried_indexes: int = metric("Indexes those copies inherited from the live relation.")
+    replayed_entries: int = metric("Redo-log entries replayed onto frozen snapshot copies.")
+
+
+class CowTracker(CowStats):
+    """Per-engine coordinator between one writer and any number of snapshots.
+
+    Its :class:`CowStats` counters are updated under :attr:`lock`.
+    """
 
     def __init__(self) -> None:
+        super().__init__()
         self.lock = threading.Lock()
         self.epoch = next(_EPOCHS)
         self._active: List["weakref.ref[SnapshotState]"] = []
-        # How frozen content was produced (exported on /metrics): whole
-        # relation copies, the indexes those copies inherited from the live
-        # relation, and redo-log entries replayed onto a trailing replica.
-        self.full_copies = 0
-        self.carried_indexes = 0
-        self.replayed_entries = 0
 
     # -- capture (snapshot side, serialized against writes by the caller) ---
     def capture(self, relations: Iterable[Relation]) -> SnapshotState:

@@ -155,6 +155,25 @@ class TestExperimentDrivers:
         assert set(result["fits"]) >= {"preprocessing", "delay", "update"}
         assert result["theory"]["preprocessing"] == pytest.approx(1.5)
 
+    def test_scaling_delay_fit_reads_p95_not_the_maximum(self, monkeypatch):
+        """The fitted delay exponent follows the p95 delay, which grows as
+        N^0.5 here, while one noisy maximum per point (a GC pause) is ignored."""
+        import repro.bench.experiments as experiments
+        from repro.bench.timing import TradeoffPoint
+
+        noise = iter([5e-3, 1e-6, 2e-2, 3e-5])
+
+        def fake_point(query, size, epsilon, **_kwargs):
+            p95 = 1e-6 * size**0.5
+            delay = Measurement("delay", 1200, 0.0, p95 / 2, p95 / 2, p95, next(noise))
+            return None, TradeoffPoint(epsilon, size, 1e-6 * size, delay=delay)
+
+        monkeypatch.setattr(experiments, "tradeoff_point", fake_point)
+        result = scaling_experiment(
+            PATH, lambda size: size, sizes=[1_000, 4_000, 16_000, 64_000], epsilon=0.5
+        )
+        assert result["fits"]["delay"].exponent == pytest.approx(0.5, abs=1e-6)
+
     def test_compare_engines_rows(self):
         db = path_query_database(120, seed=10)
         rows = compare_engines(

@@ -1291,6 +1291,30 @@ def test_metrics_over_http_and_op():
             assert stats["version"] == serving.engine.version
 
 
+def test_the_page_renders_off_the_event_loop(monkeypatch):
+    """A sharded fleet's rebalance counters are an executor round; the page
+    must not wait on one where every session's acks and pushes run."""
+    import repro.net.server as server_module
+
+    threads = []
+    real = server_module.render_server_metrics
+
+    def spy(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(server_module, "render_server_metrics", spy)
+    with serve() as (_serving, handle):
+        loop_thread = handle._thread
+        with EngineClient("127.0.0.1", handle.port) as client:
+            urllib.request.urlopen(
+                f"http://127.0.0.1:{handle.port}/metrics", timeout=10
+            ).read()
+            assert "repro_engine_version" in client.metrics()
+    assert len(threads) == 2
+    assert loop_thread is not None and loop_thread not in threads
+
+
 def test_durability_metrics_family_only_when_served_durable(tmp_path):
     from repro.durability import DurabilityConfig
 

@@ -4,7 +4,7 @@ Three bugs fixed in :mod:`repro.core.serving` get pinned here, plus the
 pin/retire race coverage the snapshot-publish accounting always deserved:
 
 1. ``apply_update`` used to bypass the commit path ``apply_batch`` took —
-   no controller consult, no retune counting, no ``stats.count_batch()``
+   no controller consult, no retune counting, no commit counting
    (and in snapshot mode its version was published only as a side effect
    of the *next* batch).  Both now flow through one ``commit``.
 2. A writer-loop exception was swallowed until ``stop_writer``; readers
