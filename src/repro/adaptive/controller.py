@@ -84,10 +84,6 @@ class ShardCapacity:
     def available(self) -> int:
         return self.total - self.used
 
-    @property
-    def over_committed(self) -> bool:
-        return self.used > self.total
-
 
 class CostModel:
     """Telemetry-anchored per-event cost prediction over candidate ε."""

@@ -53,8 +53,10 @@ from repro.snapshot.versioned import PinCount
 from repro.stats import LockedFamily, metric
 
 # A commit listener: called after every committed ingestion event with
-# ``(version, result_delta)`` — see EngineServer.on_commit.
-CommitListener = Callable[[int, Dict[ValueTuple, int]], None]
+# ``(version, result_delta)`` — see EngineServer.on_commit.  The delta is
+# ``None`` when the engine cannot tell it (a sharded fleet that healed a
+# dead worker mid-commit); every mirror must then resync.
+CommitListener = Callable[[int, Optional[Dict[ValueTuple, int]]], None]
 
 
 @dataclass
@@ -190,7 +192,9 @@ class EngineServer(MutationSurface):
         The listener receives ``(version, result_delta)`` — the engine
         version after the commit (auto-retune included) and the commit's
         net result-level delta, drained from the engine's capture hook
-        (:meth:`~repro.core.api.HierarchicalEngine.set_delta_capture`).
+        (:meth:`~repro.core.api.HierarchicalEngine.set_delta_capture`), or
+        ``None`` when the engine lost it
+        (:meth:`~repro.sharding.ShardedEngine.drain_result_delta`).
         Called under the write lock, *after* the new version is published,
         so listeners observe commits serialized and in version order;
         :class:`repro.net.EngineTCPServer` fans these out to its

@@ -1,4 +1,4 @@
-"""Durability: write-ahead logging, checkpoints, recovery, supervision.
+"""Durability: write-ahead logging, checkpoints, recovery.
 
 The engine's views are expensive to build and cheap to lose: everything
 lives in memory, so a process death costs the whole ε-partitioned state.
@@ -28,16 +28,19 @@ Layout:
   verified.
 * :mod:`~repro.durability.crashpoints` — the fault-injection hooks the
   kill-anywhere conformance harness arms at every append/fsync/rename.
-* :mod:`~repro.durability.supervisor` — watches a sharded deployment's
-  worker processes and restart-and-recovers a dead shard from its own
-  durability directory while the others keep serving.
+
+A sharded deployment (``ShardedEngine(..., durability=...)``) keeps one
+such directory per shard, and its facade heals itself: the next shard
+round that finds a dead worker restarts that shard from its directory,
+recovering it, while the others keep serving (see
+:meth:`repro.sharding.ShardedEngine._round`).  Only the live fleet heals;
+a new fleet a reshard is building and fleets a reshard retired do not.
 """
 
 from repro.durability.crashpoints import (
     SITES,
     CrashPointInjector,
     SimulatedCrashError,
-    current_injector,
     injected,
     install_injector,
 )
@@ -48,13 +51,11 @@ from repro.durability.manager import (
     coerce_config,
 )
 from repro.durability.recovery import RecoveryReport, recover_engine
-from repro.durability.supervisor import ShardSupervisor
 
 __all__ = [
     "SITES",
     "CrashPointInjector",
     "SimulatedCrashError",
-    "current_injector",
     "injected",
     "install_injector",
     "DurabilityConfig",
@@ -63,5 +64,4 @@ __all__ = [
     "coerce_config",
     "RecoveryReport",
     "recover_engine",
-    "ShardSupervisor",
 ]

@@ -124,11 +124,6 @@ def install_injector(injector: Optional[CrashPointInjector]) -> None:
     _injector = injector
 
 
-def current_injector() -> Optional[CrashPointInjector]:
-    """The process-wide injector, or ``None`` when fault injection is off."""
-    return _injector
-
-
 @contextmanager
 def injected(injector: CrashPointInjector) -> Iterator[CrashPointInjector]:
     """Install ``injector`` for the duration of the ``with`` block."""

@@ -17,8 +17,8 @@ everything else a caller reads once over it: the materialised ``result()``,
 ``count_distinct()``, iteration, and ring aggregates — ``aggregate`` is
 :func:`~repro.rings.spec.answer_map` over ``aggregate_elements``, whose
 default folds the enumeration and which the two engines override with
-their maintained state.  Engines, sharded engines, snapshots, baselines and
-the shard supervisor inherit it and provide ``enumerate()``.
+their maintained state.  Engines, sharded engines, snapshots and baselines
+inherit it and provide ``enumerate()``.
 """
 
 from __future__ import annotations

@@ -101,9 +101,12 @@ class WriterFailedError(ReproError):
 class WorkerDiedError(ReproError):
     """A shard worker process died while a command was in flight.
 
-    Carries the indexes of the dead shards so a supervisor
-    (:class:`repro.durability.ShardSupervisor`) can restart and recover
-    exactly the affected workers while the rest keep serving.
+    Carries the indexes of the dead shards.  The live fleet of a durable
+    :class:`~repro.sharding.ShardedEngine` catches it and restarts exactly
+    those workers from their durability directories while the rest keep
+    serving (:meth:`~repro.sharding.ShardedEngine._round`); it reaches the
+    caller from a non-durable fleet, from a new fleet a reshard is building,
+    and from a retired fleet that old snapshots still read.
     """
 
     def __init__(self, shard_indexes, message: str = "") -> None:

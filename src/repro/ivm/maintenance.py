@@ -114,13 +114,6 @@ class UpdateProcessor:
         """
         self._delta_listeners.append(listener)
 
-    def remove_delta_listener(self, listener: Callable[[Delta], None]) -> None:
-        """Unregister a listener added by :meth:`add_delta_listener`."""
-        try:
-            self._delta_listeners.remove(listener)
-        except ValueError:
-            pass
-
     def drain_result_delta(self) -> Delta:
         """Return and clear the net result delta accumulated since last drain."""
         if self._result_capture is None:

@@ -122,10 +122,6 @@ class MaintenanceDriver:
         """
         self.processor.add_delta_listener(listener)
 
-    def remove_delta_listener(self, listener) -> None:
-        """Unregister a listener added by :meth:`add_delta_listener`."""
-        self.processor.remove_delta_listener(listener)
-
     # ------------------------------------------------------------------
     @property
     def threshold(self) -> float:

@@ -15,6 +15,8 @@ deployment has, in this order:
   engines only),
 * :class:`~repro.durability.manager.DurabilityStats`
   (``repro_durability_*``; durable single engines only),
+* :class:`~repro.sharding.engine.ShardRestartStats`
+  (``repro_shard_restarts_total``; durable sharded engines only),
 * :class:`~repro.net.server.NetServerStats` (``repro_net_*``), then its
   per-ring breakdown as one labeled family.
 
@@ -99,6 +101,7 @@ def render_server_metrics(serving, net=None) -> str:
         serving.stats,
         None if snapshot is None else CowStats.from_dict(snapshot),
         getattr(engine, "durability_stats", None),
+        getattr(engine, "restart_stats", None),
         net,
     )
     for family in families:

@@ -223,7 +223,7 @@ class EngineTCPServer:
         self._next_subscription = 0
         #: Commits handed to the loop and not yet fanned out, in version
         #: order, and the versions among them whose reply is not written.
-        self._pending: Deque[Tuple[int, Dict]] = deque()
+        self._pending: Deque[Tuple[int, Optional[Dict]]] = deque()
         self._held: Set[int] = set()
         #: The writer lane's ``held`` list while it commits for a request.
         self._tls = threading.local()
@@ -286,7 +286,7 @@ class EngineTCPServer:
     # ------------------------------------------------------------------
     # commit fan-out (the push hub)
     # ------------------------------------------------------------------
-    def _on_engine_commit(self, version: int, delta: Dict) -> None:
+    def _on_engine_commit(self, version: int, delta: Optional[Dict]) -> None:
         """EngineServer commit listener: hands ``(version, delta)`` to the loop.
 
         It runs in the committing thread under the engine's write lock, so
@@ -307,7 +307,7 @@ class EngineTCPServer:
         except RuntimeError:  # pragma: no cover - loop torn down mid-commit
             pass
 
-    def _publish_commit(self, version: int, delta: Dict, held: bool) -> None:
+    def _publish_commit(self, version: int, delta: Optional[Dict], held: bool) -> None:
         """Take one commit in on the event loop, then fan out what is ready."""
         if version > self.latest_version:
             self.latest_version = version
@@ -331,12 +331,18 @@ class EngineTCPServer:
         while pending and pending[0][0] not in held:
             self._push(*pending.popleft())
 
-    def _push(self, version: int, delta: Dict) -> None:
+    def _push(self, version: int, delta: Optional[Dict]) -> None:
         """Enqueue one commit for every subscriber that keeps up, building
         its payloads once per flavour: the pair table under ``None``, one
         folded row list per aggregate spec under ``spec.key()``.  A value a
         ring cannot lift folds (:class:`~repro.rings.spec.Unliftable`); a
-        payload that fails to build sends its subscribers to resync."""
+        payload that fails to build sends its subscribers to resync, and so
+        does a commit whose delta the engine lost (``delta is None``)."""
+        if delta is None:
+            for sub in self._subscribers.values():
+                if not sub.lagging:
+                    self._lag(sub)
+            return
         payloads: Dict[Optional[Tuple], Any] = {}
         head, build_ns = tuple(self.serving.engine.query.head), 0
         for sub in self._subscribers.values():

@@ -11,9 +11,13 @@ facade over a fleet of per-shard engines:
   raw update list, a retune) committed through one protocol,
   :meth:`ShardedEngine._dispatch`, which routes it by type, dry-runs it on
   every involved shard when it spans several, then sends each shard its
-  part as one ``commit`` command in one executor round; live commits, the
-  reshard tail replay and
-  :class:`~repro.durability.supervisor.ShardSupervisor` all share it;
+  part as one ``commit`` command in one executor round; live commits and
+  the reshard tail replay share it;
+* **rounds** — every shard command, reads and snapshot reads included, is
+  one round of :meth:`ShardedEngine._round`; on the live fleet of a
+  durable deployment a round that finds a dead worker restarts it from its
+  durability directory and re-runs (read) or reconciles (commit) the round
+  there (see ``docs/architecture.md`` §12);
 * **reads** — every shard enumerates its result in the canonical
   order and :func:`repro.enumeration.union.merge_shards` performs an
   order-preserving k-way merge, summing multiplicities of tuples produced
@@ -55,9 +59,11 @@ from __future__ import annotations
 
 import os
 import shutil
+import threading
 import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.adaptive.telemetry import WorkloadTelemetry
 from repro.core.planner import QueryPlan, coerce_query, plan_query
@@ -86,6 +92,7 @@ from repro.exceptions import (
     ReproError,
     StaleStateError,
     UnsupportedQueryError,
+    WorkerDiedError,
 )
 from repro.ivm.delta import merge_delta
 from repro.ivm.rebalance import RebalanceStats
@@ -93,6 +100,7 @@ from repro.rings.spec import AggregateSpec, Elements, merge_elements
 from repro.sharding.executor import EXECUTORS, ShardExecutor
 from repro.sharding.router import ShardRouter
 from repro.snapshot.versioned import PinCount
+from repro.stats import Family, metric
 from repro.views.build import DYNAMIC_MODE
 
 # Below this database size the automatic executor stays in-process: the
@@ -101,11 +109,15 @@ from repro.views.build import DYNAMIC_MODE
 SMALL_N_THRESHOLD = 50_000
 
 
-def _map_round(
-    executor: ShardExecutor, commands: Dict[int, Tuple[str, Any]], mutating: bool
-) -> None:
-    """The default round runner: one executor round, a dead worker raises."""
-    executor.map(commands)
+@dataclass
+class ShardRestartStats(Family):
+    """Dead workers a durable fleet restarted, exported on /metrics (counted
+    under the facade's restart lock)."""
+
+    restarts: int = metric(
+        "Dead shard workers restarted from their durability directories.",
+        name="repro_shard_restarts_total",
+    )
 
 
 class _FleetHandle(PinCount):
@@ -120,7 +132,7 @@ class _FleetHandle(PinCount):
     existed.
     """
 
-    __slots__ = ("router", "executor_name", "epoch")
+    __slots__ = ("router", "executor_name", "epoch", "acked", "undrained")
 
     def __init__(
         self,
@@ -133,6 +145,12 @@ class _FleetHandle(PinCount):
         self.router = router
         self.executor_name = executor_name
         self.epoch = epoch
+        # Every shard's engine version as of its last acknowledged commit:
+        # what a healed commit round reconciles against (ShardedEngine._round).
+        self.acked = [0] * router.shards
+        # Shards that committed since the last drain_result_delta: a restart
+        # of one of them loses the delta it had captured.
+        self.undrained: Set[int] = set()
 
     @property
     def executor(self) -> ShardExecutor:
@@ -193,7 +211,14 @@ class ShardedSnapshot(ReadSurface):
         self._closed = False
 
     # ------------------------------------------------------------------
-    def _executor(self) -> ShardExecutor:
+    def _commands(self, command: str, *args) -> Dict[int, Tuple[str, Any]]:
+        return {
+            shard: (command, (snapshot_id, *args) if args else snapshot_id)
+            for shard, snapshot_id in self._snapshot_ids.items()
+        }
+
+    def _read(self, command: str, *args) -> List[Any]:
+        """One ``snap_*`` round over the captured shards, replies in shard order."""
         if self._closed:
             raise StaleStateError("this sharded snapshot has been closed")
         self._engine._check_generation(self._generation)
@@ -201,30 +226,16 @@ class ShardedSnapshot(ReadSurface):
             raise StaleStateError(
                 "the shard fleet this snapshot was captured on has shut down"
             )
-        return self._fleet.executor
+        replies = self._engine._round(self._fleet, self._commands(command, *args))
+        return [replies[shard] for shard in sorted(replies)]
 
     def enumerate(self) -> Iterator[Tuple[ValueTuple, int]]:
         """Merged canonical enumeration of the captured per-shard results."""
-        executor = self._executor()
-        results = executor.map(
-            {
-                shard: ("snap_enumerate", snapshot_id)
-                for shard, snapshot_id in self._snapshot_ids.items()
-            }
-        )
-        return merge_shards([results[shard] for shard in sorted(results)])
+        return merge_shards(self._read("snap_enumerate"))
 
     def lookup(self, tup: ValueTuple) -> int:
         """Multiplicity of one full result tuple (summed across shards)."""
-        executor = self._executor()
-        tup = tuple(tup)
-        results = executor.map(
-            {
-                shard: ("snap_lookup", (snapshot_id, tup))
-                for shard, snapshot_id in self._snapshot_ids.items()
-            }
-        )
-        return sum(results.values())
+        return sum(self._read("snap_lookup", tuple(tup)))
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -235,12 +246,7 @@ class ShardedSnapshot(ReadSurface):
         fleet = self._fleet
         try:
             if self._engine._generation == self._generation and not fleet.closed:
-                fleet.executor.map(
-                    {
-                        shard: ("snap_release", snapshot_id)
-                        for shard, snapshot_id in self._snapshot_ids.items()
-                    }
-                )
+                self._engine._round(fleet, self._commands("snap_release"))
         finally:
             # Always drop the pin — when this was the last pre-reshard
             # snapshot on a retired fleet, the old executor closes here.
@@ -300,11 +306,19 @@ class ShardedEngine(ReadSurface, MutationSurface):
             )
         # Per-shard durability: shard i logs and checkpoints under
         # ``<directory>/shard-<i>`` (see DurabilityConfig.for_shard), so a
-        # dead worker's state survives the process and ShardSupervisor can
-        # restart-and-recover exactly that shard.
+        # dead worker's state survives the process and _round can restart
+        # exactly that shard from it.
         self.durability: Optional[DurabilityConfig] = (
             None if durability is None else coerce_config(durability)
         )
+        self.restart_stats: Optional[ShardRestartStats] = (
+            None if durability is None else ShardRestartStats()
+        )
+        # Serialises restarts: two rounds that trip on one death restart it once.
+        self._restart_lock = threading.Lock()
+        # Set when a restart or a skipped commit lost captured result delta;
+        # the next drain_result_delta reports its delta as unknown.
+        self._delta_lost = False
         # the shard-aware planner gate: raises for unshardable queries
         self.router = ShardRouter(self.query, shards, shard_key)
         self.shard_key = self.router.shard_key
@@ -327,10 +341,6 @@ class ShardedEngine(ReadSurface, MutationSurface):
         # close() force-closes them so worker processes never outlive the
         # deployment.
         self._retired_fleets: List[_FleetHandle] = []
-        # How a live event's shard rounds are executed (see _dispatch).
-        # ShardSupervisor installs its guarded runner here — the whole
-        # interface between supervision and the facade.
-        self._run_round = _map_round
         # Bumped by every load(); snapshots and enumerators created against
         # an earlier load raise StaleStateError instead of silently reading
         # the replaced deployment.
@@ -339,14 +349,14 @@ class ShardedEngine(ReadSurface, MutationSurface):
         # (and per apply_stream chunk), mirroring the single engine's
         # MaintenanceDriver.version.
         self._version = 0
-        # Result-delta capture flag, re-broadcast to the shards on every
-        # load()/recover() so a serving layer that enabled it keeps
-        # receiving per-commit deltas across reloads.
+        # Result-delta capture flag, re-sent to the shards on every
+        # load()/recover() and to every restarted worker, so a serving layer
+        # that enabled it keeps receiving per-commit deltas across reloads.
         self._capture_deltas = False
         # Registered aggregate specs, keyed by AggregateSpec.key().  Like
         # the capture flag, the registry lives on the facade and is
-        # re-broadcast whenever a fleet is (re)built — load, recover, and
-        # reshard — so every worker maintains the same aggregate states.
+        # re-sent whenever a fleet or a worker is (re)built — load, recover,
+        # reshard, restart — so every worker maintains the same aggregate states.
         self._agg_specs: Dict[Tuple, AggregateSpec] = {}
 
     # ------------------------------------------------------------------
@@ -395,12 +405,18 @@ class ShardedEngine(ReadSurface, MutationSurface):
         )
         return _FleetHandle(executor, router, executor_name, epoch)
 
+    def _serving_state(self) -> List[Tuple[str, Any]]:
+        """The facade's serving state as shard commands: sent to every fleet
+        it adopts and to every worker it restarts."""
+        commands = [("set_delta_capture", True)] if self._capture_deltas else []
+        return commands + [
+            ("register_aggregate", spec.to_wire()) for spec in self._agg_specs.values()
+        ]
+
     def _adopt_fleet(self, fleet: _FleetHandle) -> None:
         """Make ``fleet`` the live one, with the facade's serving state on it."""
-        if self._capture_deltas:
-            fleet.executor.broadcast("set_delta_capture", True)
-        for spec in self._agg_specs.values():
-            fleet.executor.broadcast("register_aggregate", spec.to_wire())
+        for command, payload in self._serving_state():
+            self._broadcast(command, payload, fleet)
         self.router = fleet.router
         self.shards = fleet.router.shards
         self.shard_key = fleet.router.shard_key
@@ -485,7 +501,7 @@ class ShardedEngine(ReadSurface, MutationSurface):
         )
         # ε is shard state: a retune committed after the barrier lives only
         # in the shards' WALs, and the next reshard cuts at self.epsilon.
-        epsilons = self._executor.broadcast("epsilon")
+        epsilons = self._broadcast("epsilon")
         if len(set(epsilons)) > 1:
             self.close()
             raise DurabilityError(
@@ -495,6 +511,7 @@ class ShardedEngine(ReadSurface, MutationSurface):
             )
         self.epsilon = epsilons[0]
         shard_versions = self.shard_versions()
+        self._fleet.acked = list(shard_versions)
         if meta is None:
             self._version = max(shard_versions)
         elif baselines is not None:
@@ -536,10 +553,10 @@ class ShardedEngine(ReadSurface, MutationSurface):
         except Exception:
             pass
 
-    def _require_loaded(self) -> ShardExecutor:
-        if self._executor is None:
+    def _require_loaded(self) -> _FleetHandle:
+        if self._fleet is None:
             raise ReproError("the engine has no database; call load() first")
-        return self._executor
+        return self._fleet
 
     def _check_generation(self, generation: int) -> None:
         if self._generation != generation:
@@ -549,11 +566,83 @@ class ShardedEngine(ReadSurface, MutationSurface):
             )
 
     # ------------------------------------------------------------------
+    # shard rounds
+    # ------------------------------------------------------------------
+    def _round(
+        self,
+        fleet: _FleetHandle,
+        commands: Dict[int, Tuple[str, Any]],
+        mutating: bool = False,
+    ) -> Dict[int, Any]:
+        """Run ``{shard: (command, payload)}`` on ``fleet``: every shard round.
+
+        A dead worker raises :class:`WorkerDiedError`, except on the live
+        fleet of a durable deployment.  There each dead shard is restarted
+        from its durability directory (once, under the restart lock, however
+        many rounds tripped on it) and given the facade's serving state;
+        then a read-only round runs again whole, and a ``commit`` round is
+        reconciled per dead shard by its durable version: equal to the
+        acknowledged one, the command never became durable and is re-sent;
+        one ahead, it did and only the acknowledgement died, so re-sending
+        would double-apply it; anything else is another deployment's
+        directory.  A new fleet a reshard is building, and a retired one,
+        are not healed.
+        """
+        executor = fleet.executor
+        try:
+            replies = executor.map(commands)
+        except WorkerDiedError as exc:
+            if self.durability is None or fleet is not self._fleet:
+                raise
+            with self._restart_lock:
+                dead = set(executor.dead_shards())
+                for shard in exc.shard_indexes:
+                    if shard not in dead:
+                        continue  # another round restarted it already
+                    executor.restart_shard(shard)
+                    self.restart_stats.restarts += 1
+                    for command in self._serving_state():
+                        executor.map({shard: command})
+                    if self._capture_deltas and shard in fleet.undrained:
+                        self._delta_lost = True
+            if not mutating:
+                return executor.map(commands)
+            replies = dict.fromkeys(commands)
+            for shard in exc.shard_indexes:
+                durable = executor.map({shard: ("version", None)})[shard]
+                acked = fleet.acked[shard]
+                if durable == acked:
+                    executor.map({shard: commands[shard]})
+                elif durable == acked + 1:
+                    # its delta died with the worker, uncaptured
+                    self._delta_lost = self._delta_lost or self._capture_deltas
+                else:
+                    raise DurabilityError(
+                        f"shard {shard} recovered at version {durable}, but "
+                        f"the fleet last acknowledged {acked}; the shard's "
+                        "durability directory does not belong to this deployment"
+                    ) from exc
+        if mutating:
+            for shard in commands:
+                fleet.acked[shard] += 1
+            fleet.undrained.update(commands)
+        return replies
+
+    def _broadcast(
+        self, command: str, payload: Any = None, fleet: Optional[_FleetHandle] = None
+    ) -> List[Any]:
+        """One round of ``command`` on every shard of ``fleet`` (the live
+        one by default); replies in shard order."""
+        if fleet is None:
+            fleet = self._require_loaded()
+        shards = range(fleet.router.shards)
+        replies = self._round(fleet, {shard: (command, payload) for shard in shards})
+        return [replies[shard] for shard in shards]
+
+    # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
-    def _dispatch(
-        self, fleet: _FleetHandle, event: Event, run_round=_map_round
-    ) -> int:
+    def _dispatch(self, fleet: _FleetHandle, event: Event) -> int:
         """The sharded ingest protocol, once: route, validate round, apply round.
 
         An :class:`Update` goes to its shard; an :class:`UpdateBatch` is
@@ -563,14 +652,11 @@ class ShardedEngine(ReadSurface, MutationSurface):
         and ticks, its shard like the unsharded driver); a :class:`Retune`
         goes to every shard.  Every shard receives its part as one
         ``("commit", event)`` command.  Returns the number of source
-        updates routed.  ``run_round(executor, commands, mutating)``
-        executes one ``{shard: (command, payload)}`` round: live events
-        pass the facade's runner, which a supervisor may have replaced; the
-        reshard tail replay keeps the default.
+        updates routed.
         """
-        executor, router = fleet.executor, fleet.router
+        router = fleet.router
         if isinstance(event, Retune):
-            commands = {shard: ("commit", event) for shard in range(executor.shard_count)}
+            commands = {shard: ("commit", event) for shard in range(router.shards)}
             source_count = 0
         elif isinstance(event, Update):
             commands = {router.shard_of_update(event): ("commit", event)}
@@ -586,11 +672,11 @@ class ShardedEngine(ReadSurface, MutationSurface):
                 # checks before any shard applies anything, so a rejected
                 # sub-batch raises with no shard modified.
                 validations = {shard: ("validate", sub) for shard, sub in subs.items()}
-                run_round(executor, validations, False)
+                self._round(fleet, validations)
             commands = {shard: ("commit", sub) for shard, sub in subs.items()}
             source_count = sum(sub.source_count for sub in subs.values())
         if commands:
-            run_round(executor, commands, True)
+            self._round(fleet, commands, mutating=True)
         return source_count
 
     def commit(self, event: Event) -> None:
@@ -602,9 +688,9 @@ class ShardedEngine(ReadSurface, MutationSurface):
         (each a shard-local retune), and the merged enumeration afterwards
         equals a fresh sharded deployment built at that ε.
         """
-        self._require_loaded()
+        fleet = self._require_loaded()
         started = time.perf_counter()
-        source_count = self._dispatch(self._fleet, event, self._run_round)
+        source_count = self._dispatch(fleet, event)
         if self._reshard_tail is not None:
             # A reshard is in flight: buffer the event for replay onto the
             # new fleet.  Only what the current fleet accepted gets here —
@@ -641,7 +727,7 @@ class ShardedEngine(ReadSurface, MutationSurface):
 
     def _merged(self, generation: int) -> Iterator[Tuple[ValueTuple, int]]:
         self._check_generation(generation)
-        yield from merge_shards(self._require_loaded().broadcast("enumerate"))
+        yield from merge_shards(self._broadcast("enumerate"))
 
     # ------------------------------------------------------------------
     # snapshots
@@ -654,7 +740,7 @@ class ShardedEngine(ReadSurface, MutationSurface):
 
     def shard_versions(self) -> Tuple[int, ...]:
         """Every shard's own ingestion-event counter, in shard order."""
-        return tuple(self._require_loaded().broadcast("version"))
+        return tuple(self._broadcast("version"))
 
     def snapshot(self) -> ShardedSnapshot:
         """Capture every shard at a consistent version in one round.
@@ -668,18 +754,11 @@ class ShardedEngine(ReadSurface, MutationSurface):
         :class:`repro.core.serving.EngineServer` (or any external lock)
         serializes capture against the writer; reads need no lock at all.
         """
-        executor = self._require_loaded()
-        replies = executor.map(
-            {shard: ("snapshot", None) for shard in range(executor.shard_count)}
-        )
-        snapshot_ids = {shard: replies[shard][0] for shard in replies}
-        shard_versions = tuple(
-            replies[shard][1] for shard in range(executor.shard_count)
-        )
-        assert self._fleet is not None  # _require_loaded() passed
-        return ShardedSnapshot(
-            self, self._fleet, snapshot_ids, shard_versions, self._version
-        )
+        fleet = self._require_loaded()
+        replies = self._broadcast("snapshot", fleet=fleet)
+        snapshot_ids = {shard: reply[0] for shard, reply in enumerate(replies)}
+        shard_versions = tuple(reply[1] for reply in replies)
+        return ShardedSnapshot(self, fleet, snapshot_ids, shard_versions, self._version)
 
     # ------------------------------------------------------------------
     # result-delta capture (push-based serving)
@@ -692,7 +771,7 @@ class ShardedEngine(ReadSurface, MutationSurface):
         normal maintenance pass, and :meth:`drain_result_delta` sums the
         shard dicts — joins are shard-local by construction, so the global
         result delta is exactly the sum of the per-shard ones.  Survives
-        :meth:`load` and :meth:`recover`.
+        :meth:`load`, :meth:`recover` and worker restarts.
         """
         if enabled and self.mode != DYNAMIC_MODE:
             raise UnsupportedQueryError(
@@ -700,14 +779,28 @@ class ShardedEngine(ReadSurface, MutationSurface):
                 "deployment has no update stream to capture deltas from"
             )
         self._capture_deltas = bool(enabled)
-        if self._executor is not None:
-            self._executor.broadcast("set_delta_capture", self._capture_deltas)
+        if self._fleet is not None:
+            self._broadcast("set_delta_capture", self._capture_deltas)
 
-    def drain_result_delta(self) -> Dict[ValueTuple, int]:
-        """Return and clear the fleet's net result delta since last drain."""
-        executor = self._require_loaded()
+    def drain_result_delta(self) -> Optional[Dict[ValueTuple, int]]:
+        """Return and clear the fleet's net result delta since last drain.
+
+        ``None`` means the delta is unknown: a worker restarted since the
+        last drain had captured delta it lost, or a commit was reconciled by
+        skipping it (it became durable, but its worker died before
+        answering).  A serving layer resyncs its subscribers then.
+        """
+        fleet = self._require_loaded()
+        # Until every shard has handed its delta over, a worker restarted
+        # in this very round loses part of it (the round runs again whole).
+        fleet.undrained.update(range(fleet.router.shards))
+        replies = self._broadcast("drain_delta", fleet=fleet)
+        fleet.undrained.clear()
+        if self._delta_lost:
+            self._delta_lost = False
+            return None
         merged: Dict[ValueTuple, int] = {}
-        for pairs in executor.broadcast("drain_delta"):
+        for pairs in replies:
             merge_delta(merged, pairs)
         return merged
 
@@ -732,8 +825,8 @@ class ShardedEngine(ReadSurface, MutationSurface):
         # value selectors cannot cross a worker boundary.
         spec.to_wire()
         self._agg_specs[spec.key()] = spec
-        if self._executor is not None:
-            self._executor.broadcast("register_aggregate", spec.to_wire())
+        if self._fleet is not None:
+            self._broadcast("register_aggregate", spec.to_wire())
 
     @property
     def registered_aggregates(self) -> Tuple[AggregateSpec, ...]:
@@ -755,13 +848,13 @@ class ShardedEngine(ReadSurface, MutationSurface):
         plus merge — records into the facade's telemetry like a merged
         enumeration, whoever calls it.
         """
-        executor = self._require_loaded()
+        self._require_loaded()
         started = time.perf_counter()
         if maintained and self.mode == DYNAMIC_MODE:
             if spec.key() not in self._agg_specs:
                 self.register_aggregate(spec)
         merged: Elements = {}
-        for partial in executor.broadcast("aggregate", (spec.to_wire(), maintained)):
+        for partial in self._broadcast("aggregate", (spec.to_wire(), maintained)):
             merge_elements(spec.ring, merged, partial.items())
         if self.telemetry is not None:
             self.telemetry.record_read(len(merged), time.perf_counter() - started)
@@ -819,10 +912,10 @@ class ShardedEngine(ReadSurface, MutationSurface):
         """
         if new_count <= 0:
             raise ValueError(f"shard count must be positive, got {new_count}")
-        executor = self._require_loaded()
+        self._require_loaded()
         if self._reshard_tail is not None:
             raise ReproError("a reshard is already in progress")
-        payloads = executor.broadcast("export")
+        payloads = self._broadcast("export")
         self._reshard_tail = []
         return _ReshardPlan(
             new_count=new_count,
@@ -873,7 +966,6 @@ class ShardedEngine(ReadSurface, MutationSurface):
         self._require_loaded()
         if plan.fleet is None:
             raise ReproError("finish_reshard called before build_reshard")
-        new_executor = plan.fleet.executor
         crash_point("reshard-prepare")
         for event in self._reshard_tail or []:
             crash_point("reshard-tail")
@@ -886,7 +978,7 @@ class ShardedEngine(ReadSurface, MutationSurface):
                     "shards": plan.new_count,
                     "epoch": plan.epoch,
                     "version": version_after,
-                    "shard_versions": list(new_executor.broadcast("version")),
+                    "shard_versions": list(plan.fleet.acked),
                     "epsilon": self.epsilon,
                 },
                 fsync=self.durability.fsync,
@@ -984,7 +1076,7 @@ class ShardedEngine(ReadSurface, MutationSurface):
         hashes to the shard holding it, so a routing bug surfaces even
         before it corrupts a result.
         """
-        self._require_loaded().broadcast("check")
+        self._broadcast("check")
 
     @property
     def rebalance_stats(self) -> Optional[RebalanceStats]:
@@ -997,15 +1089,18 @@ class ShardedEngine(ReadSurface, MutationSurface):
 
     def rebalance_stats_per_shard(self) -> List[Optional[RebalanceStats]]:
         """Per-shard rebalancing counters, in shard order."""
-        return self._require_loaded().stats()
+        return [
+            None if raw is None else RebalanceStats.from_dict(raw)
+            for raw in self._broadcast("stats")
+        ]
 
     def view_size(self) -> int:
         """Total tuples stored across all shards' materialized views."""
-        return sum(self._require_loaded().broadcast("view_size"))
+        return sum(self._broadcast("view_size"))
 
     def shard_sizes(self) -> Tuple[int, ...]:
         """Base-database size of every shard, in shard order."""
-        return tuple(self._require_loaded().broadcast("size"))
+        return tuple(self._broadcast("size"))
 
     def thresholds(self) -> Tuple[float, ...]:
         """Every shard's current heavy/light threshold ``M_shard^ε``.
@@ -1014,7 +1109,7 @@ class ShardedEngine(ReadSurface, MutationSurface):
         single engine's threshold over the union — the source of both the
         update-time win and the extra enumeration-time work.
         """
-        return tuple(self._require_loaded().broadcast("threshold"))
+        return tuple(self._broadcast("threshold"))
 
     def explain(self) -> str:
         """Human-readable description of the sharded deployment."""

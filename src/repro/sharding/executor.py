@@ -55,7 +55,6 @@ from repro.durability.crashpoints import (
 from repro.durability.manager import DurabilityConfig
 from repro.enumeration.union import sort_shard_result
 from repro.exceptions import WorkerDiedError
-from repro.ivm.rebalance import RebalanceStats
 from repro.rings.spec import AggregateSpec
 from repro.sharding.router import ShardRouter
 
@@ -138,8 +137,8 @@ class _ShardServer:
             return list(self.engine.drain_result_delta().items())
         if command == "register_aggregate":
             # Install the maintained state for one spec on this shard; the
-            # facade re-broadcasts its registry on load/recover/reshard so
-            # rebuilt workers maintain the same aggregates.
+            # facade re-sends its registry on load/recover/reshard and to a
+            # restarted worker, so rebuilt workers maintain the same aggregates.
             self.engine.register_aggregate(AggregateSpec.from_wire(payload))
             return None
         if command == "aggregate":
@@ -294,7 +293,7 @@ def _raise_remote(name: str, message: str) -> None:
 
 
 class ShardExecutor:
-    """Common interface: run one command on one shard or on many shards."""
+    """Common interface: run one round of commands, one per shard."""
 
     shard_count: int = 0
 
@@ -306,9 +305,6 @@ class ShardExecutor:
         shard_key: Optional[str] = None,
         durability: Optional[DurabilityConfig] = None,
     ) -> None:
-        raise NotImplementedError
-
-    def call(self, shard_index: int, command: str, payload: Any = None) -> Any:
         raise NotImplementedError
 
     def restart_shard(self, shard_index: int) -> None:
@@ -328,24 +324,15 @@ class ShardExecutor:
     def map(
         self, commands: Dict[int, Tuple[str, Any]]
     ) -> Dict[int, Any]:
-        """Run ``{shard: (command, payload)}``, one command per shard."""
-        raise NotImplementedError
+        """Run ``{shard: (command, payload)}``, one command per shard.
 
-    def broadcast(self, command: str, payload: Any = None) -> List[Any]:
-        """Run the same command on every shard; results in shard order."""
-        results = self.map(
-            {index: (command, payload) for index in range(self.shard_count)}
-        )
-        return [results[index] for index in range(self.shard_count)]
+        A worker that died raises :class:`WorkerDiedError` naming every
+        dead shard, after the survivors have answered.
+        """
+        raise NotImplementedError
 
     def close(self) -> None:
         raise NotImplementedError
-
-    def stats(self) -> List[Optional[RebalanceStats]]:
-        return [
-            None if raw is None else RebalanceStats.from_dict(raw)
-            for raw in self.broadcast("stats")
-        ]
 
 
 class SerialExecutor(ShardExecutor):
@@ -515,24 +502,13 @@ class ProcessExecutor(ShardExecutor):
             _raise_remote(reply[1], reply[2])
         return reply[1]
 
-    def call(self, shard_index, command, payload=None):
-        with self._conn_locks[shard_index]:
-            connection = self._connections[shard_index]
-            try:
-                connection.send((command, payload))
-                reply = connection.recv()
-            except (BrokenPipeError, EOFError, OSError) as exc:
-                raise WorkerDiedError([shard_index]) from exc
-        if reply[0] == "error":
-            _raise_remote(reply[1], reply[2])
-        return reply[1]
-
     def map(self, commands):
         ordered = sorted(commands)
         held = set()
         results: Dict[int, Any] = {}
         first_error: Optional[Tuple[str, str]] = None
         dead: List[int] = []
+        dying = []
         # Every acquired lock is released exactly once even when a pipe
         # dies mid-round (BrokenPipeError on send, EOFError on recv): a
         # leaked lock would deadlock every later command on that shard
@@ -546,15 +522,17 @@ class ProcessExecutor(ShardExecutor):
                     self._connections[index].send((command, payload))
                 except (BrokenPipeError, OSError):
                     dead.append(index)
+                    dying.append(self._processes[index])
             # Drain every reply before raising: leaving a queued reply
             # behind would desynchronize that shard's pipe and corrupt
             # every later command on it.  A dead pipe mid-drain must not
             # abort the round either — the remaining shards' replies are
             # still queued, and skipping them would desynchronize every
             # *surviving* pipe.  Worker deaths collect into one
-            # WorkerDiedError so a supervisor can restart exactly the
+            # WorkerDiedError so the caller can restart exactly the
             # affected shards; a worker-side error is re-raised only when
-            # every worker survived.
+            # every worker survived (the caller re-runs a healed read-only
+            # round whole, so a survivor's rejection surfaces then).
             for index in ordered:
                 if index in dead:
                     self._conn_locks[index].release()
@@ -565,6 +543,7 @@ class ProcessExecutor(ShardExecutor):
                     reply = self._connections[index].recv()
                 except (EOFError, OSError):
                     dead.append(index)
+                    dying.append(self._processes[index])
                 finally:
                     self._conn_locks[index].release()
                     held.discard(index)
@@ -579,6 +558,10 @@ class ProcessExecutor(ShardExecutor):
             for index in held:
                 self._conn_locks[index].release()
         if dead:
+            # A broken pipe can precede the exit by a moment: wait it out,
+            # so dead_shards() lists every shard named here.
+            for process in dying:
+                process.join(timeout=5)
             raise WorkerDiedError(dead)
         if first_error is not None:
             _raise_remote(*first_error)

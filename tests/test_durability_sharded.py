@@ -1,28 +1,39 @@
-"""Process-kill integration tests: ShardSupervisor over real worker deaths.
+"""Process-kill integration tests: a durable ShardedEngine heals worker deaths.
 
 The headline scenario: a sharded deployment with per-shard durability,
-one worker SIGKILLed mid-stream, the supervisor restart-and-recovers
-exactly that shard while the others keep serving, and the merged
-enumeration afterwards equals the never-killed oracle.  The
-deterministic variants arm ``REPRO_CRASH_POINT`` so workers die at an
-exact WAL site, covering both reconciliation outcomes: a crash *before*
-the record is durable (re-send) and a crash *after* fsync but before the
-acknowledgement (skip — re-sending would double-apply).
+one worker SIGKILLed mid-stream; the next shard round that touches the
+dead worker restarts exactly that shard from its durability directory
+while the others keep serving, and the merged enumeration afterwards
+equals the never-killed oracle.  The deterministic variants arm
+``REPRO_CRASH_POINT`` so workers die at an exact WAL site, covering both
+reconciliation outcomes: a crash *before* the record is durable (re-send)
+and a crash *after* fsync but before the acknowledgement (skip —
+re-sending would double-apply).  A non-durable fleet does not heal.
 """
 
 import os
 import signal
-import time
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import pytest
 
 from repro.core.api import HierarchicalEngine
+from repro.core.serving import EngineServer
 from repro.data.database import Database
 from repro.data.update import Update, UpdateStream
-from repro.durability import ShardSupervisor
 from repro.durability.crashpoints import ENV_VAR
-from repro.exceptions import DurabilityError, StaleStateError
+from repro.exceptions import (
+    DurabilityError,
+    RejectedUpdateError,
+    StaleStateError,
+    WorkerDiedError,
+)
+from repro.net.client import EngineClient
+from repro.net.server import ServerConfig, ServerThread
+from repro.rings.spec import AggregateSpec
 from repro.sharding import ShardedEngine
 
 PATH_QUERY = "Q(A, C) = R(A, B), S(B, C)"
@@ -36,6 +47,17 @@ def make_database():
         r.apply_delta(tup, 1)
     for tup in ((1, 10), (2, 11), (3, 12)):
         s.apply_delta(tup, 1)
+    return database
+
+
+def diagonal_database():
+    """``R(b, b)`` and ``S(b, 100 + b)`` for ``b < 20``: both shards hold data."""
+    database = Database()
+    r = database.create_relation("R", ("A", "B"))
+    s = database.create_relation("S", ("B", "C"))
+    for b in range(20):
+        r.apply_delta((b, b), 1)
+        s.apply_delta((b, 100 + b), 1)
     return database
 
 
@@ -72,16 +94,19 @@ def sharded_twin_enumeration(shards, updates=STREAM):
     return merged
 
 
-def start_supervised(tmp_path, shards=2, watch_interval=None):
+def start_fleet(tmp_path, shards=2, database=None, durable=True):
     engine = ShardedEngine(
         PATH_QUERY,
         shards=shards,
         epsilon=0.5,
         executor="process",
-        durability=str(tmp_path / "wal"),
+        durability=str(tmp_path / "wal") if durable else None,
     )
-    engine.load(make_database())
-    return ShardSupervisor(engine, watch_interval=watch_interval)
+    return engine.load(database or make_database())
+
+
+def restarts(engine):
+    return engine.restart_stats.restarts
 
 
 def kill_worker(engine, shard):
@@ -90,6 +115,15 @@ def kill_worker(engine, shard):
     os.kill(process.pid, signal.SIGKILL)
     process.join(timeout=10)
     assert not process.is_alive()
+
+
+def keys_per_shard(engine):
+    """One join key ``b < 20`` routed to shard 0 and one routed to shard 1."""
+    shard_of = {b: engine.router.shard_of_update(Update("R", (b, b), 1)) for b in range(20)}
+    return (
+        next(b for b, shard in shard_of.items() if shard == 0),
+        next(b for b, shard in shard_of.items() if shard == 1),
+    )
 
 
 @contextmanager
@@ -109,26 +143,25 @@ def armed_workers(spec):
 
 class TestSigkillMidStream:
     def test_kill_one_worker_recover_and_match_oracle(self, tmp_path):
-        supervisor = start_supervised(tmp_path, shards=2)
-        engine = supervisor.engine
+        engine = start_fleet(tmp_path, shards=2)
         try:
             for update in STREAM[:4]:
-                supervisor.apply(update)
-            held = supervisor.snapshot()
+                engine.apply(update)
+            held = engine.snapshot()
 
             victim = engine.router.shard_of_update(STREAM[4])
             kill_worker(engine, victim)
 
             # the stream continues: the first command routed to the dead
-            # shard trips WorkerDiedError, the supervisor restarts that
-            # worker in recovery mode and reconciles, others keep serving
+            # shard trips WorkerDiedError, the facade restarts that worker
+            # in recovery mode and reconciles, others keep serving
             for update in STREAM[4:]:
-                supervisor.apply(update)
+                engine.apply(update)
 
-            assert supervisor.recoveries >= 1
-            assert supervisor.result() == oracle_result()
-            assert list(supervisor.enumerate()) == sharded_twin_enumeration(2)
-            supervisor.check_invariants()
+            assert restarts(engine) == 1
+            assert engine.result() == oracle_result()
+            assert list(engine.enumerate()) == sharded_twin_enumeration(2)
+            engine.check_invariants()
 
             # the held snapshot's shard-local capture died with the
             # worker: honest staleness, not silent wrong answers
@@ -136,56 +169,65 @@ class TestSigkillMidStream:
                 dict(held.result())
 
             # a snapshot captured after recovery serves the merged state
-            fresh = supervisor.snapshot()
+            fresh = engine.snapshot()
             assert dict(fresh.result()) == oracle_result()
         finally:
-            supervisor.close()
+            engine.close()
 
     def test_kill_during_batch_round(self, tmp_path):
-        supervisor = start_supervised(tmp_path, shards=2)
-        engine = supervisor.engine
+        engine = start_fleet(tmp_path, shards=2)
         try:
-            supervisor.apply_batch(STREAM[:4])
+            engine.apply_batch(STREAM[:4])
             victim = engine.router.shard_of_update(STREAM[4])
             kill_worker(engine, victim)
             # this batch spans both shards: the survivor applies, the dead
             # shard is recovered and its sub-batch reconciled (re-sent)
-            supervisor.apply_batch(STREAM[4:])
-            assert supervisor.recoveries >= 1
-            assert supervisor.result() == oracle_result()
-            supervisor.check_invariants()
+            engine.apply_batch(STREAM[4:])
+            assert restarts(engine) == 1
+            assert engine.result() == oracle_result()
+            assert list(engine.enumerate()) == sharded_twin_enumeration(2)
+            engine.check_invariants()
         finally:
-            supervisor.close()
-
-    def test_watcher_thread_heals_idle_death(self, tmp_path):
-        supervisor = start_supervised(tmp_path, shards=2, watch_interval=0.05)
-        engine = supervisor.engine
-        try:
-            for update in STREAM[:6]:
-                supervisor.apply(update)
-            kill_worker(engine, 0)
-            deadline = time.monotonic() + 10
-            while supervisor.recoveries == 0 and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert supervisor.recoveries >= 1
-            for update in STREAM[6:]:
-                supervisor.apply(update)
-            assert supervisor.result() == oracle_result()
-        finally:
-            supervisor.close()
+            engine.close()
 
     def test_read_path_recovers_dead_shard(self, tmp_path):
-        supervisor = start_supervised(tmp_path, shards=2)
+        engine = start_fleet(tmp_path, shards=2)
         try:
             for update in STREAM:
-                supervisor.apply(update)
-            kill_worker(supervisor.engine, 1)
+                engine.apply(update)
+            kill_worker(engine, 1)
             # reads broadcast to every shard, trip on the dead pipe, and
-            # retry after recovery — no mutation needed to heal
-            assert supervisor.result() == oracle_result()
-            assert supervisor.recoveries >= 1
+            # run again after the restart — no mutation needed to heal
+            assert engine.result() == oracle_result()
+            assert restarts(engine) == 1
+            assert list(engine.enumerate()) == sharded_twin_enumeration(2)
         finally:
-            supervisor.close()
+            engine.close()
+
+    def test_concurrent_rounds_restart_a_dead_worker_once(self, tmp_path):
+        engine = start_fleet(tmp_path, shards=2)
+        interval = sys.getswitchinterval()
+        readers = 8
+        try:
+            engine.apply_batch(STREAM)
+            expected = engine.shard_versions()
+            kill_worker(engine, 0)
+            barrier = threading.Barrier(readers)
+
+            def read_versions():
+                barrier.wait(timeout=10)
+                return engine.shard_versions()
+
+            sys.setswitchinterval(1e-5)
+            with ThreadPoolExecutor(readers) as pool:
+                futures = [pool.submit(read_versions) for _ in range(readers)]
+                results = [future.result(timeout=60) for future in futures]
+            assert results == [expected] * readers
+            assert restarts(engine) == 1
+            assert engine.result() == oracle_result()
+        finally:
+            sys.setswitchinterval(interval)
+            engine.close()
 
 
 class TestDeterministicCrashSites:
@@ -193,18 +235,17 @@ class TestDeterministicCrashSites:
 
     def _run_stream_with_armed_workers(self, tmp_path, spec):
         with armed_workers(spec):
-            supervisor = start_supervised(tmp_path, shards=2)
+            engine = start_fleet(tmp_path, shards=2)
         # env is clear again: restarted workers must come up unarmed
         assert ENV_VAR not in os.environ
         try:
             for update in STREAM:
-                supervisor.apply(update)
-            result = dict(supervisor.result())
-            recoveries = supervisor.recoveries
-            supervisor.check_invariants()
+                engine.apply(update)
+            result = dict(engine.result())
+            engine.check_invariants()
+            return result, restarts(engine)
         finally:
-            supervisor.close()
-        return result, recoveries
+            engine.close()
 
     def test_crash_before_append_is_resent(self, tmp_path):
         """wal-append crash: nothing durable, reconcile must re-send."""
@@ -233,6 +274,124 @@ class TestDeterministicCrashSites:
         assert result == oracle_result()
 
 
+class TestHealedRoundsStayExact:
+    def test_death_in_the_validate_round_keeps_a_rejection_whole(self, tmp_path):
+        """A survivor's rejection used to be dropped when another worker
+        died in the same validate round: the dead shard alone was asked
+        again, the commit round went ahead, and the batch half-applied."""
+        engine = start_fleet(tmp_path, database=diagonal_database())
+        try:
+            b0, b1 = keys_per_shard(engine)
+            before = dict(engine.result())
+            versions = engine.shard_versions()
+            kill_worker(engine, 0)
+            with pytest.raises(RejectedUpdateError):
+                engine.apply_batch(
+                    [Update("R", (500, b0), 1), Update("R", (b1, b1), -5)]
+                )
+            assert dict(engine.result()) == before
+            assert engine.shard_versions() == versions
+            # the acknowledged versions still agree with the shards, so a
+            # later commit on a restarted worker is re-sent, not skipped
+            kill_worker(engine, 0)
+            engine.apply(Update("R", (600, b0), 1))
+            assert engine.result()[(600, 100 + b0)] == 1
+            assert (500, 100 + b0) not in engine.result()
+            assert restarts(engine) == 2
+        finally:
+            engine.close()
+
+    def test_restarted_worker_keeps_delta_capture_and_aggregates(self, tmp_path):
+        engine = start_fleet(tmp_path, database=diagonal_database())
+        oracle = HierarchicalEngine(PATH_QUERY, epsilon=0.5).load(diagonal_database())
+        spec = AggregateSpec.coerce("sum", "C", "A")
+        try:
+            b0, b1 = keys_per_shard(engine)
+            engine.register_aggregate(spec)
+            engine.set_delta_capture(True)
+            engine.drain_result_delta()
+            kill_worker(engine, 1)
+            update = Update("R", (700, b1), 1)
+            engine.apply(update)
+            oracle.apply(update)
+            assert restarts(engine) == 1
+            assert engine.drain_result_delta() == {(700, 100 + b1): 1}
+            assert engine.aggregate(spec) == oracle.aggregate(spec)
+            assert engine.aggregate(spec) == engine.aggregate(spec, maintained=False)
+        finally:
+            engine.close()
+
+    def test_a_skipped_commit_reports_its_delta_unknown(self, tmp_path):
+        """The ack of a durable commit died with its worker: the commit is
+        reconciled by skipping, and the delta it captured is gone."""
+        with armed_workers("wal-fsync:1"):
+            engine = start_fleet(tmp_path, database=diagonal_database())
+        try:
+            b0, _ = keys_per_shard(engine)
+            engine.set_delta_capture(True)
+            engine.apply(Update("R", (800, b0), 1))
+            assert restarts(engine) == 1
+            assert engine.result()[(800, 100 + b0)] == 1
+            assert engine.drain_result_delta() is None
+            # known again from the next drain on
+            engine.apply(Update("R", (801, b0), 1))
+            assert engine.drain_result_delta() == {(801, 100 + b0): 1}
+        finally:
+            engine.close()
+
+    def test_served_healing_keeps_subscriber_mirrors_exact(self, tmp_path):
+        """Served over TCP, a skipped commit sends every subscriber through
+        the resync path, so each mirror still equals the oracle."""
+        with armed_workers("wal-fsync:3"):
+            engine = start_fleet(tmp_path, shards=2)
+        handle = ServerThread(EngineServer(engine), ServerConfig(port=0))
+        handle.start()
+        client = EngineClient("127.0.0.1", handle.port)
+        try:
+            tuples = client.subscribe()
+            sums = client.subscribe_aggregate("sum", "C", "A")
+            version = 0
+            for update in STREAM:
+                version = client.apply_update(update)
+            assert restarts(engine) >= 1
+            assert tuples.wait_for_version(version, timeout=10.0)
+            assert sums.wait_for_version(version, timeout=10.0)
+            assert tuples.result() == oracle_result()
+            oracle = HierarchicalEngine(PATH_QUERY, epsilon=0.5).load(make_database())
+            oracle.apply_batch(STREAM)
+            assert sums.answers() == oracle.aggregate("sum", "C", "A")
+            assert client.server_stats()["net"]["resyncs"] >= 1
+        finally:
+            client.close()
+            handle.close()
+            engine.close()
+
+
+class TestHealingScope:
+    def test_a_non_durable_fleet_does_not_heal(self, tmp_path):
+        engine = start_fleet(tmp_path, shards=2, durable=False)
+        try:
+            assert engine.restart_stats is None
+            kill_worker(engine, 1)
+            with pytest.raises(WorkerDiedError) as raised:
+                engine.result()
+            assert raised.value.shard_indexes == (1,)
+            assert engine._executor.dead_shards() == [1]
+        finally:
+            engine.close()
+
+    def test_durable_fleet_serves_normally_without_faults(self, tmp_path):
+        engine = start_fleet(tmp_path, shards=2)
+        try:
+            engine.apply_stream(STREAM, batch_size=4)
+            engine.retune(0.25)
+            assert restarts(engine) == 0
+            assert engine.result() == oracle_result()
+            assert engine.count_distinct() == len(oracle_result())
+        finally:
+            engine.close()
+
+
 class TestColdShardedRecovery:
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_recover_matches_closed_deployment(self, tmp_path, executor):
@@ -259,6 +418,7 @@ class TestColdShardedRecovery:
         )
         recovered.recover()
         assert recovered.shard_versions() == expected_versions
+        assert tuple(recovered._fleet.acked) == expected_versions
         assert dict(recovered.result()) == expected
         assert list(recovered.enumerate()) == sharded_twin_enumeration(2)
         recovered.check_invariants()
@@ -334,23 +494,3 @@ class TestColdShardedRecovery:
         with pytest.raises(DurabilityError):
             engine.recover()
         engine.close()
-
-
-class TestSupervisorPreconditions:
-    def test_supervisor_requires_durability(self):
-        engine = ShardedEngine(PATH_QUERY, shards=2, executor="serial")
-        engine.load(make_database())
-        with pytest.raises(DurabilityError):
-            ShardSupervisor(engine)
-        engine.close()
-
-    def test_supervisor_serves_normally_without_faults(self, tmp_path):
-        supervisor = start_supervised(tmp_path, shards=2)
-        try:
-            supervisor.apply_stream(STREAM, batch_size=4)
-            supervisor.retune(0.25)
-            assert supervisor.recoveries == 0
-            assert supervisor.result() == oracle_result()
-            assert supervisor.count_distinct() == len(oracle_result())
-        finally:
-            supervisor.close()

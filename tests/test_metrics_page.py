@@ -2,11 +2,12 @@
 
 Dashboards and alerts key on the exported names, so a change to how the
 counter families are declared or rendered must leave the page's header
-lines byte-identical.  Two deployments are scraped over plain HTTP after
+lines byte-identical.  Three deployments are scraped over plain HTTP after
 one commit that both a tuple subscription and an aggregate subscription
-have received: a durable single engine (every family present) and a
+have received: a durable single engine (every family present), a
 sharded engine on the serial executor (no snapshot or durability family,
-plus the shard-count gauge).  Sample values are checked only where they
+plus the shard-count gauge), and the same sharded engine made durable
+(plus its worker-restart counter).  Sample values are checked only where they
 are deterministic; timings and byte counts are not.
 """
 
@@ -92,12 +93,16 @@ NET = [
     ("repro_net_pushes_held", "counter", "Commits whose push waited for the reply to their request."),
     ("repro_net_push_bytes_total", "counter", "Bytes of per-commit delta frames written to subscribers."),
 ]
+RESTARTS = [
+    ("repro_shard_restarts_total", "counter", "Dead shard workers restarted from their durability directories."),
+]
 RING = [
     ("repro_net_aggregate_deltas_pushed_total", "counter", "Folded aggregate delta frames enqueued, by ring."),
 ]
 
 DURABLE_SINGLE = ENGINE + WORKLOAD + REBALANCE + SERVING + SNAPSHOT + DURABILITY + NET + RING
 SHARDED_SERIAL = ENGINE + SHARDS + WORKLOAD + REBALANCE + SERVING + NET + RING
+DURABLE_SHARDED = ENGINE + SHARDS + WORKLOAD + REBALANCE + SERVING + RESTARTS + NET + RING
 
 #: The ``stats`` op reply's keys, which share the families' declarations.
 NET_KEYS = {
@@ -215,3 +220,18 @@ def test_served_sharded_engine_page():
     finally:
         engine.close()
 
+
+def test_served_durable_sharded_engine_page(tmp_path):
+    engine = ShardedEngine(
+        PATH_QUERY, shards=2, executor="serial", durability=str(tmp_path / "wal")
+    ).load(make_database())
+    try:
+        with scraped(engine) as (page, stats):
+            check(
+                page,
+                stats,
+                DURABLE_SHARDED,
+                {"repro_engine_shards": "2", "repro_shard_restarts_total": "0"},
+            )
+    finally:
+        engine.close()

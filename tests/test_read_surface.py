@@ -4,7 +4,7 @@
 ``enumerate()`` and ``aggregate_elements()`` in one base class
 (:class:`repro.enumeration.result.ReadSurface`).  The contract test checks
 each inheriting class — the single and sharded engines (static and dynamic),
-their snapshots, every baseline and a supervised fleet — against the naive
+their snapshots, every baseline and a durable fleet — against the naive
 oracle; the telemetry test pins the one read path a served aggregate takes;
 the close-once test races the one pin count published versions and retired
 fleets share.
@@ -24,7 +24,6 @@ from repro.baselines import (
     NaiveRecomputeEngine,
 )
 from repro.core.serving import EngineServer
-from repro.durability.supervisor import ShardSupervisor
 from repro.engine.evaluator import evaluate_query_naive
 from repro.exceptions import StaleStateError
 from repro.query import parse_query
@@ -78,12 +77,11 @@ def static_case(query, tmp_path):
     return engine, [engine]
 
 
-def supervised_case(query, tmp_path):
+def durable_sharded_case(query, tmp_path):
     engine = ShardedEngine(query, shards=2, executor="serial", durability=tmp_path / "wal")
     engine.load(fresh_database(query))
-    supervisor = ShardSupervisor(engine)
-    supervisor.apply_batch(UPDATES)
-    return supervisor, [supervisor]
+    engine.apply_batch(UPDATES)
+    return engine, [engine]
 
 
 def sharded(query):
@@ -100,7 +98,7 @@ CASES = {
     "first_order_baseline": engine_case(FirstOrderIVMEngine),
     "full_materialization_baseline": engine_case(FullMaterializationEngine),
     "free_connex_baseline": engine_case(FreeConnexEngine),
-    "supervised_fleet": supervised_case,
+    "durable_sharded_engine": durable_sharded_case,
 }
 SPECS = (("counting", None, None), ("sum", "C", "A"))
 

@@ -732,15 +732,15 @@ def test_write_path_layering():
     """One commit per layer, standing: a shard commits through its engine's
     public ``apply``/``apply_batch`` (nobody outside ``core/api.py`` and the
     checkpoint serialiser reaches for the driver or the durability manager),
-    the facade's ingestion counter is the facade's to tick, and routing is
-    not the supervisor's business."""
+    the facade's ingestion counter is the facade's to tick, and every shard
+    round of the facade runs through ``ShardedEngine._round``."""
     import ast
     from pathlib import Path
 
     import repro
 
     root = Path(repro.__file__).parent
-    reach_ins, version_writes, supervisor_routing = [], [], []
+    reach_ins, version_writes = [], []
     for path in sorted(root.rglob("*.py")):
         where = path.relative_to(root).as_posix()
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -751,19 +751,24 @@ def test_write_path_layering():
                     for target in targets
                 ):
                     version_writes.append(where)
-            if not isinstance(node, ast.Attribute):
-                continue
-            if node.attr in ("_driver", "_durability"):
+            if isinstance(node, ast.Attribute) and node.attr in ("_driver", "_durability"):
                 reach_ins.append(where)
-            if node.attr in ("split_batch", "split_updates", "shard_of_update"):
-                if where == "durability/supervisor.py":
-                    supervisor_routing.append(node.attr)
     allowed = {"core/api.py", "durability/checkpoint.py"}
     assert {
         where for where in reach_ins if not where.startswith("conformance/")
     } == allowed
     assert set(version_writes) == {"sharding/engine.py"}
-    assert supervisor_routing == []
+    engine_module = ast.parse((root / "sharding" / "engine.py").read_text(encoding="utf-8"))
+    rounds_elsewhere = [
+        (function.name, node.func.attr)
+        for function in ast.walk(engine_module)
+        if isinstance(function, ast.FunctionDef) and function.name != "_round"
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("map", "broadcast", "call", "stats")
+    ]
+    assert rounds_elsewhere == []
 
 
 def test_epsilon_validated_at_construction():
