@@ -37,7 +37,7 @@ from repro.baselines.base import BaselineEngine
 from repro.data.schema import ValueTuple
 from repro.data.update import Update, UpdateBatch, validate_groups
 from repro.engine.evaluator import evaluate_query_naive
-from repro.engine.join import BoundRelation, delta_join
+from repro.engine.join import fold_join
 
 
 class FirstOrderIVMEngine(BaselineEngine):
@@ -76,16 +76,11 @@ class FirstOrderIVMEngine(BaselineEngine):
         validate_groups({relation: group}, self.database)
         base = self.database.relation(relation)
         siblings = [
-            BoundRelation(other.variables, self.database.relation(other.relation))
+            (other.variables, self.database.relation(other.relation))
             for other in self.query.atoms
             if other is not atom
         ]
-        delta = delta_join(
-            atom.variables,
-            group,
-            siblings,
-            tuple(self.query.head),
-        )
+        delta = fold_join(atom.variables, group, siblings, tuple(self.query.head))
         # apply the delta to the materialized result, then to the base relation
         self._result.apply_deltas(delta.items())
         base.apply_deltas(group.items())

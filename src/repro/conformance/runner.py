@@ -272,27 +272,27 @@ class _Runner:
         return dict(self.engine.result())
 
 
-def _diff(expected: ResultDict, actual: ResultDict, limit: int = 5) -> Optional[str]:
-    """Human-readable diff of two result dictionaries (None when equal)."""
+def _diff(expected: Dict, actual: Dict, noun: str = "tuple", limit: int = 5) -> Optional[str]:
+    """Human-readable diff of two maps (None when equal): ``{tuple:
+    multiplicity}`` results, or ``{group: answer}`` aggregates with
+    ``noun="group"``."""
     if expected == actual:
         return None
     problems: List[str] = []
-    for tup in expected:
-        if tup not in actual:
-            problems.append(f"missing {tup!r} (expected multiplicity {expected[tup]})")
-        elif actual[tup] != expected[tup]:
-            problems.append(
-                f"{tup!r} has multiplicity {actual[tup]}, expected {expected[tup]}"
-            )
+    for key in expected:
+        if key not in actual:
+            problems.append(f"missing {noun} {key!r} (expected {expected[key]!r})")
+        elif actual[key] != expected[key]:
+            problems.append(f"{noun} {key!r} is {actual[key]!r}, expected {expected[key]!r}")
         if len(problems) >= limit:
             break
     if len(problems) < limit:
-        for tup in actual:
-            if tup not in expected:
-                problems.append(f"extra {tup!r} (multiplicity {actual[tup]})")
+        for key in actual:
+            if key not in expected:
+                problems.append(f"extra {noun} {key!r} ({actual[key]!r})")
             if len(problems) >= limit:
                 break
-    return "; ".join(problems) or "results differ"
+    return "; ".join(problems) or f"{noun}s differ"
 
 
 def _delta(previous: ResultDict, current: ResultDict) -> ResultDict:
@@ -338,30 +338,6 @@ def aggregate_specs_for(
     for spec in specs:
         unique.setdefault(spec.key(), spec)
     return list(unique.values())
-
-
-def _diff_answers(expected: Dict, actual: Dict, limit: int = 5) -> Optional[str]:
-    """Human-readable diff of two ``{group: answer}`` maps (None when equal)."""
-    if expected == actual:
-        return None
-    problems: List[str] = []
-    for group in expected:
-        if group not in actual:
-            problems.append(f"missing group {group!r} (expected {expected[group]!r})")
-        elif actual[group] != expected[group]:
-            problems.append(
-                f"group {group!r} answered {actual[group]!r}, "
-                f"expected {expected[group]!r}"
-            )
-        if len(problems) >= limit:
-            break
-    if len(problems) < limit:
-        for group in actual:
-            if group not in expected:
-                problems.append(f"extra group {group!r} (answer {actual[group]!r})")
-            if len(problems) >= limit:
-                break
-    return "; ".join(problems) or "aggregate answers differ"
 
 
 def _check_enumeration(
@@ -609,7 +585,7 @@ def run_case(case: ConformanceCase, max_mismatches: int = 20) -> ConformanceRepo
                 # the enumerate-and-fold path is diffed once per
                 # checkpoint on the first spec.
                 for spec, expected_answers in zip(agg_specs, agg_truth):
-                    answer_diff = _diff_answers(expected_answers, engine.aggregate(spec))
+                    answer_diff = _diff(expected_answers, engine.aggregate(spec), "group")
                     if answer_diff is not None:
                         mismatches.append(
                             Mismatch(
@@ -620,8 +596,8 @@ def run_case(case: ConformanceCase, max_mismatches: int = 20) -> ConformanceRepo
                             )
                         )
                 if agg_specs:
-                    fold_diff = _diff_answers(
-                        agg_truth[0], engine.aggregate(agg_specs[0], maintained=False)
+                    fold_diff = _diff(
+                        agg_truth[0], engine.aggregate(agg_specs[0], maintained=False), "group"
                     )
                     if fold_diff is not None:
                         mismatches.append(
@@ -652,9 +628,10 @@ def run_case(case: ConformanceCase, max_mismatches: int = 20) -> ConformanceRepo
                             )
                         )
                     if agg_specs:
-                        stale_agg_diff = _diff_answers(
+                        stale_agg_diff = _diff(
                             runner.held_agg_truth,
                             runner.held_snapshot.aggregate(agg_specs[0]),
+                            "group",
                         )
                         if stale_agg_diff is not None:
                             mismatches.append(
@@ -676,8 +653,8 @@ def run_case(case: ConformanceCase, max_mismatches: int = 20) -> ConformanceRepo
                         )
                     )
                 if agg_specs:
-                    snap_agg_diff = _diff_answers(
-                        agg_truth[0], snapshot.aggregate(agg_specs[0])
+                    snap_agg_diff = _diff(
+                        agg_truth[0], snapshot.aggregate(agg_specs[0]), "group"
                     )
                     if snap_agg_diff is not None:
                         mismatches.append(

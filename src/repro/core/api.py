@@ -300,28 +300,7 @@ class HierarchicalEngine(ReadSurface, MutationSurface):
         With ``copy_database=True`` (the default) the engine operates on a
         private copy, so the caller's relations are never mutated by updates.
         """
-        self._generation += 1
-        self._cow_tracker = CowTracker()
-        self._database = database.copy() if self.copy_database else database
-        started = time.perf_counter()
-        self._skew_plan = instantiate_plan(self.plan, self._database)
-        if self.mode == DYNAMIC_MODE:
-            self._driver = MaintenanceDriver(
-                self._skew_plan,
-                self._database,
-                self.epsilon,
-                enable_rebalancing=self.enable_rebalancing,
-                telemetry=self.telemetry,
-            )
-            self._static_threshold_base = None
-            if self._capture_deltas:
-                self._driver.set_delta_capture(True)
-        else:
-            self._driver = None
-            self._static_threshold_base = max(1.0, float(self._database.size))
-        materialize_plan(self._skew_plan, self.threshold)
-        self._reattach_aggregates()
-        self.preprocessing_seconds = time.perf_counter() - started
+        self._build(database.copy() if self.copy_database else database)
         if self.durability is not None:
             if self._durability is not None:
                 self._durability.close()
@@ -334,36 +313,50 @@ class HierarchicalEngine(ReadSurface, MutationSurface):
 
         The recovery counterpart of :meth:`load`: the database is rebuilt
         in its serialized insertion order (which seeds index iteration
-        order and hence enumeration order), the driver's version,
+        order and hence enumeration order), and the driver's version,
         Definition-51 threshold base, and counters are restored *before*
         the views are materialized — materialization must run at the
         restored threshold, not at the fresh ``2N + 1`` the driver's
         constructor picks.  Only :mod:`repro.durability.recovery` calls
         this.
         """
-        database = Database.from_rows(
-            {name: (schema, rows) for name, schema, rows in state["relations"]}
+        self._build(
+            Database.from_rows(
+                {name: (schema, rows) for name, schema, rows in state["relations"]}
+            ),
+            state,
         )
+
+    def _build(self, database: Database, state: Optional[Dict[str, Any]] = None) -> None:
+        """The one build of the loaded state over ``database``: plan, driver,
+        views and aggregates, timed as preprocessing.  ``state`` is a
+        checkpoint's, whose version, threshold base, counters and telemetry
+        the driver takes before anything is materialized."""
         self._generation += 1
         self._cow_tracker = CowTracker()
         self._database = database
         started = time.perf_counter()
-        self._skew_plan = instantiate_plan(self.plan, self._database)
-        self._driver = MaintenanceDriver(
-            self._skew_plan,
-            self._database,
-            self.epsilon,
-            enable_rebalancing=self.enable_rebalancing,
-            telemetry=self.telemetry,
-        )
-        self._driver.version = int(state["version"])
-        self._driver.threshold_base = int(state["threshold_base"])
-        self._driver.stats = RebalanceStats.from_dict(state["stats"])
-        if self._capture_deltas:
-            self._driver.set_delta_capture(True)
-        self._static_threshold_base = None
-        if self.telemetry is not None and state.get("telemetry"):
-            self.telemetry.restore_state(state["telemetry"])
+        self._skew_plan = instantiate_plan(self.plan, database)
+        if self.mode == DYNAMIC_MODE:
+            self._driver = MaintenanceDriver(
+                self._skew_plan,
+                database,
+                self.epsilon,
+                enable_rebalancing=self.enable_rebalancing,
+                telemetry=self.telemetry,
+            )
+            if state is not None:
+                self._driver.version = int(state["version"])
+                self._driver.threshold_base = int(state["threshold_base"])
+                self._driver.stats = RebalanceStats.from_dict(state["stats"])
+                if self.telemetry is not None and state.get("telemetry"):
+                    self.telemetry.restore_state(state["telemetry"])
+            if self._capture_deltas:
+                self._driver.set_delta_capture(True)
+            self._static_threshold_base = None
+        else:
+            self._driver = None
+            self._static_threshold_base = max(1.0, float(database.size))
         materialize_plan(self._skew_plan, self.threshold)
         self._reattach_aggregates()
         self.preprocessing_seconds = time.perf_counter() - started

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.data.database import Database
-from repro.exceptions import SchemaError, UnknownRelationError, UnsupportedQueryError
+from repro.engine.evaluator import validate_database
+from repro.exceptions import UnsupportedQueryError
 from repro.query.classes import QueryClassification, classify
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.parser import parse_query
@@ -105,23 +106,6 @@ def is_shardable(query) -> bool:
     except UnsupportedQueryError:
         return False
     return True
-
-
-def validate_database(query: ConjunctiveQuery, database: Database) -> None:
-    """Check that the database provides every relation with the right arity."""
-    for atom in query.atoms:
-        try:
-            relation = database.relation(atom.relation)
-        except UnknownRelationError:
-            raise UnknownRelationError(
-                f"query atom {atom} references relation {atom.relation!r} "
-                "which is missing from the database"
-            ) from None
-        if len(relation.schema) != atom.arity:
-            raise SchemaError(
-                f"atom {atom} has arity {atom.arity} but relation "
-                f"{atom.relation!r} stores {len(relation.schema)} columns"
-            )
 
 
 @dataclass

@@ -1,15 +1,8 @@
 """Execution engine: joins, view materialization, reference evaluation."""
 
 from repro.engine.evaluator import evaluate_query_naive, evaluate_to_dict
-from repro.engine.join import (
-    BoundRelation,
-    delta_join,
-    fold_join,
-    join_children,
-    join_to_relation,
-)
+from repro.engine.join import fold_join, join_children
 from repro.engine.materialize import (
-    bound,
     materialize_indicator_triple,
     materialize_plan,
     materialize_tree,
@@ -17,14 +10,10 @@ from repro.engine.materialize import (
 )
 
 __all__ = [
-    "BoundRelation",
-    "bound",
-    "delta_join",
     "evaluate_query_naive",
     "evaluate_to_dict",
     "fold_join",
     "join_children",
-    "join_to_relation",
     "materialize_indicator_triple",
     "materialize_plan",
     "materialize_tree",

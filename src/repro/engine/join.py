@@ -1,10 +1,9 @@
 """Multiplicity-aware joins over variable-named relations, compiled per schema.
 
 The view trees name their columns with query variables, while the stored
-relations may use arbitrary column names; :class:`BoundRelation` provides the
-positional aliasing between the two and the probing primitives (point
-lookups and index slices by partial variable assignments) that enumeration
-uses.
+relations may use arbitrary column names: a join operand is a plain
+``(schema, relation)`` pair, the variable at position ``i`` naming the
+relation's ``i``-th column.
 
 Every join in the library — materialization, delta propagation
 (``Apply``, Figure 17), the per-commit result delta, the baselines — is
@@ -52,8 +51,6 @@ from functools import lru_cache
 from typing import (
     Callable,
     Dict,
-    Iterable,
-    Iterator,
     List,
     Mapping,
     NamedTuple,
@@ -66,84 +63,8 @@ from repro.data.relation import Relation
 from repro.data.schema import Schema, ValueTuple
 from repro.exceptions import SchemaError
 
-
-class BoundRelation:
-    """A relation whose columns are (re)named by query variables.
-
-    The variable at position ``i`` corresponds to the ``i``-th column of the
-    underlying relation; tuples exposed by this wrapper are ordered by the
-    variable schema, which coincides with the stored order.
-    """
-
-    __slots__ = ("variables", "relation", "_key_memo")
-
-    def __init__(self, variables: Sequence[str], relation: Relation) -> None:
-        self.variables: Schema = tuple(variables)
-        if len(self.variables) != len(relation.schema):
-            raise SchemaError(
-                f"cannot bind variables {self.variables!r} to relation "
-                f"{relation.name!r} with schema {relation.schema!r}"
-            )
-        self.relation = relation
-        # Memo of _index_key results: enumeration probes the same shared
-        # variable sets over and over, and the normalisation is pure.
-        self._key_memo: Dict[Tuple[str, ...], Tuple[Schema, Tuple[str, ...]]] = {}
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.relation)
-
-    def items(self) -> Iterable[Tuple[ValueTuple, int]]:
-        """All ``(tuple, multiplicity)`` entries, tuples ordered by variables."""
-        return self.relation.items()
-
-    def multiplicity(self, tup: ValueTuple) -> int:
-        """Multiplicity of a tuple given in variable order."""
-        return self.relation.multiplicity(tup)
-
-    # ------------------------------------------------------------------
-    def _index_key(self, shared: Sequence[str]) -> Tuple[Schema, Tuple[str, ...]]:
-        """Translate shared variables into the underlying index key schema.
-
-        Returns ``(column_key_schema, variable_order)`` where the variable
-        order matches the normalised column order of the index, so callers
-        can build probe keys in the right order.
-        """
-        memo_key = tuple(shared)
-        cached = self._key_memo.get(memo_key)
-        if cached is not None:
-            return cached
-        positions = sorted(self.variables.index(v) for v in shared)
-        normalised_columns = tuple(self.relation.schema[p] for p in positions)
-        variable_order = tuple(self.variables[p] for p in positions)
-        self._key_memo[memo_key] = (normalised_columns, variable_order)
-        return normalised_columns, variable_order
-
-    def matching(
-        self, assignment: Mapping[str, object]
-    ) -> Iterator[Tuple[ValueTuple, int]]:
-        """Enumerate tuples agreeing with ``assignment`` on shared variables.
-
-        Uses an index on the shared variables (constant-delay per result).
-        When the assignment covers all variables this degenerates to a point
-        lookup; when it covers none, the whole relation is enumerated.
-        """
-        shared = [v for v in self.variables if v in assignment]
-        if len(shared) == len(self.variables):
-            tup = tuple(assignment[v] for v in self.variables)
-            mult = self.relation.multiplicity(tup)
-            if mult:
-                yield tup, mult
-            return
-        if not shared:
-            yield from self.relation.items()
-            return
-        columns, variable_order = self._index_key(shared)
-        key = tuple(assignment[v] for v in variable_order)
-        yield from self.relation.ensure_index(columns).group_items(key)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BoundRelation({self.variables!r} -> {self.relation.name!r})"
+#: One join operand: the variables naming a relation's columns, and the relation.
+Operand = Tuple[Schema, Relation]
 
 
 # ----------------------------------------------------------------------
@@ -301,28 +222,33 @@ def compile_join(
 def fold_join(
     start_schema: Schema,
     start: Mapping[ValueTuple, int],
-    children: Sequence[BoundRelation],
+    children: Sequence[Operand],
     output_schema: Schema,
 ) -> Dict[ValueTuple, int]:
-    """Join ``start`` with every child and project to ``output_schema``.
+    """Join ``start`` with every ``(schema, relation)`` child and project to
+    ``output_schema``.
 
-    Smaller children are probed first so the accumulator stays small; the
-    order only selects which memoised plan runs.  ``start`` is not modified.
-    Entries whose multiplicities cancel are absent from the result.
+    This is also the delta rule of ``Apply`` (Figure 17): the change of a
+    view under a change of one child is the join of that change with the
+    other children, projected to the view schema.  Smaller children are
+    probed first so the accumulator stays small (a stable sort: equal sizes
+    keep their given order); the order only selects which memoised plan
+    runs.  ``start`` is not modified.  Entries whose multiplicities cancel
+    are absent from the result.
     """
     if len(children) > 1:
-        children = sorted(children, key=len)
+        children = sorted(children, key=lambda child: len(child[1]))
     plan = compile_join(
         tuple(start_schema),
-        tuple([child.variables for child in children]),
+        tuple([schema for schema, _ in children]),
         tuple(output_schema),
     )
     if plan.project is not None:
         acc = plan.project(start)
     else:
         acc = start
-        for step, child in zip(plan.steps, children):
-            acc = step(acc, child.relation)
+        for step, (_, relation) in zip(plan.steps, children):
+            acc = step(acc, relation)
             if not acc:
                 return {}
     if not all(acc.values()):
@@ -333,41 +259,18 @@ def fold_join(
 
 
 def join_children(
-    children: Sequence[BoundRelation], output_schema: Schema
+    children: Sequence[Operand], output_schema: Schema
 ) -> Dict[ValueTuple, int]:
-    """Join a list of bound relations and project onto ``output_schema``."""
+    """Join ``(schema, relation)`` children and project onto ``output_schema``."""
     if not children:
         return {(): 1}
-    first, rest = children[0], children[1:]
-    needed = set(output_schema).union(*[child.variables for child in rest])
+    (first_schema, first), rest = children[0], children[1:]
+    needed = set(output_schema).union(*[schema for schema, _ in rest])
     # Aggregate the first child down to what the rest of the join reads
     # before anything probes with it.
-    start_schema = tuple(v for v in first.variables if v in needed)
-    start = first.relation.as_dict()
-    if start_schema != first.variables:
-        start = fold_join(first.variables, start, (), start_schema)
+    start_schema = tuple(v for v in first_schema if v in needed)
+    start = first.as_dict()
+    if start_schema != first_schema:
+        start = fold_join(first_schema, start, (), start_schema)
     return fold_join(start_schema, start, rest, output_schema)
 
-
-def join_to_relation(
-    children: Sequence[BoundRelation], output_schema: Schema, name: str
-) -> Relation:
-    """Join children into a freshly materialized relation."""
-    result = Relation(name, output_schema)
-    result.apply_deltas(join_children(children, output_schema).items())
-    return result
-
-
-def delta_join(
-    delta_schema: Schema,
-    delta: Mapping[ValueTuple, int],
-    siblings: Sequence[BoundRelation],
-    output_schema: Schema,
-) -> Dict[ValueTuple, int]:
-    """Compute ``π_out(δ ⋈ sibling₁ ⋈ … ⋈ siblingₖ)``.
-
-    This is the delta-rule primitive of Figure 17: the change of a view under
-    a change of one of its children is the join of that change with the other
-    children, projected to the view schema.
-    """
-    return fold_join(delta_schema, delta, siblings, output_schema)

@@ -16,15 +16,10 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.engine.join import BoundRelation, join_children
+from repro.engine.join import join_children
 from repro.views.indicators import IndicatorTriple
 from repro.views.skew import SkewAwarePlan
 from repro.views.view import ViewNode, ViewTreeNode
-
-
-def bound(node: ViewTreeNode) -> BoundRelation:
-    """The node's content viewed under its variable schema."""
-    return BoundRelation(node.schema, node.relation())
 
 
 def materialize_tree(tree: ViewTreeNode) -> None:
@@ -33,7 +28,7 @@ def materialize_tree(tree: ViewTreeNode) -> None:
         materialize_tree(child)
     if isinstance(tree, ViewNode):
         tree.reset()
-        children = [bound(child) for child in tree.children]
+        children = [(child.schema, child.relation()) for child in tree.children]
         content = join_children(children, tree.schema)
         tree.relation().apply_deltas(content.items())
 

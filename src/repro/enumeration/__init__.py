@@ -2,13 +2,11 @@
 
 from repro.enumeration.plan import EnumerationPlan, compile_enumeration
 from repro.enumeration.result import ResultEnumerator
-from repro.enumeration.union import CallbackSource, UnionIterator, UnionSource
+from repro.enumeration.union import union
 
 __all__ = [
-    "CallbackSource",
     "EnumerationPlan",
     "ResultEnumerator",
-    "UnionIterator",
-    "UnionSource",
     "compile_enumeration",
+    "union",
 ]

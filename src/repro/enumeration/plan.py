@@ -9,7 +9,7 @@ multiplicities.  Three cases arise, mirroring the paper:
 * **grounded** — the node has a heavy-indicator child ``∃H``: ground the
   indicator (one *bucket* per heavy key matching the context, each the
   Product of the other children) and take the Union of the buckets
-  (:class:`~repro.enumeration.union.UnionIterator`), which sums a tuple's
+  (:func:`~repro.enumeration.union.union`), which sums a tuple's
   multiplicities over the heavy keys producing it (cf. Example 28);
 * **iterate** — otherwise: for every matching entry of the node (each adds
   the node's variables to the context), the Product of the children's
@@ -57,7 +57,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTup
 from repro.data.relation import Relation
 from repro.data.schema import Schema, ValueTuple
 from repro.engine.join import tuple_source
-from repro.enumeration.union import CallbackSource, UnionIterator
+from repro.enumeration.union import union
 from repro.exceptions import EnumerationError
 
 Env = Dict[str, str]  # variable -> source of the expression holding its value
@@ -344,8 +344,7 @@ class _Compiler:
         def ground(_others, grounded_env: Env) -> None:
             f.emit(f"e{i} = {tuple_source([grounded_env[v] for v in context])}")
             f.emit(
-                f"s{i}.append(CallbackSource("
-                f"partial(next, b{i}(e{i}), None), partial(l{i}, e{i})))"
+                f"s{i}.append((partial(next, b{i}(e{i}), None), partial(l{i}, e{i})))"
             )
 
         f.emit(f"s{i} = []")
@@ -357,7 +356,7 @@ class _Compiler:
                 f"k{i}",
                 len(out),
                 f"m{i}",
-                f"UnionIterator(s{i})",
+                f"union(s{i})",
                 lambda: then(values, [f"m{i}"]),
             ),
         )
@@ -427,9 +426,8 @@ def compile_enumeration(shape, head: Schema) -> EnumerationPlan:
     # The generated text holds positions and fixed names only; the schemas
     # appear in the label (what tracebacks and profiles report as the file).
     namespace: Dict[str, object] = {
-        "CallbackSource": CallbackSource,
-        "UnionIterator": UnionIterator,
         "partial": partial,
+        "union": union,
     }
     label = f"<enumerate {_describe(shape)} -> {','.join(head)}>"
     exec(compile(source, label, "exec"), namespace)  # noqa: S102 - own source

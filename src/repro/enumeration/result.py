@@ -40,7 +40,7 @@ from typing import (
 from repro.data.relation import Relation
 from repro.data.schema import ValueTuple
 from repro.enumeration.plan import compile_enumeration
-from repro.enumeration.union import CallbackSource, UnionIterator
+from repro.enumeration.union import union
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.rings.base import Ring
 from repro.rings.spec import AggregateSpec, Elements, answer_map, fold_result
@@ -55,11 +55,7 @@ def _union(trees: Sequence[_BoundTree]) -> Iterator[Tuple[ValueTuple, int]]:
     """The Union of freshly opened strategy trees."""
     if not trees:
         return iter(())
-    return iter(
-        UnionIterator(
-            [CallbackSource(partial(next, open_(), None), lookup) for open_, lookup in trees]
-        )
-    )
+    return union([(partial(next, open_(), None), lookup) for open_, lookup in trees])
 
 
 class ResultEnumerator:

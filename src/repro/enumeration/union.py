@@ -9,7 +9,8 @@ sources, and with delay bounded by the sum of the sources' delays.
 The trick: when the next tuple of the first ``n−1`` sources also occurs in
 the ``n``-th source, output the next tuple of the ``n``-th source instead
 (it is new by construction); the skipped tuple will be produced when the
-``n``-th source reaches it.
+``n``-th source reaches it.  A source is a plain ``(next, lookup)`` pair of
+callables, and :func:`union` returns a generator over them.
 
 The module also hosts the *shard-merging* enumeration path of
 :mod:`repro.sharding`: :func:`merge_shards` performs an order-preserving
@@ -27,48 +28,27 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 from repro.data.schema import ValueTuple
 
 
-class UnionSource:
-    """Interface expected from union inputs.
-
-    ``next`` returns ``(key, multiplicity)`` pairs with pairwise-distinct
-    keys, or ``None`` when exhausted; ``lookup`` returns the multiplicity of
-    a key in this source (0 when absent).
-    """
-
-    def next(self) -> Optional[Tuple[ValueTuple, int]]:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def lookup(self, key: ValueTuple) -> int:  # pragma: no cover - interface
-        raise NotImplementedError
+#: One Union input: ``next()`` returns the source's next ``(key,
+#: multiplicity)`` pair (keys pairwise distinct) or ``None`` once exhausted;
+#: ``lookup(key)`` returns the key's multiplicity in the source (0 when
+#: absent).
+Source = Tuple[
+    Callable[[], Optional[Tuple[ValueTuple, int]]], Callable[[ValueTuple], int]
+]
 
 
-class UnionIterator(UnionSource):
-    """Distinct-tuple enumeration of the union of several sources.
+def union(sources: Sequence[Source]) -> Iterator[Tuple[ValueTuple, int]]:
+    """Distinct-tuple enumeration of the union of ``(next, lookup)`` sources.
 
     Level ``i`` of Figure 15 is the union of sources ``0..i``; its "left"
     input is level ``i − 1``.  The levels are walked in a loop, not by one
     nested iterator per source, so thousands of sources (one per heavy key
-    as ε → 0) cost no Python stack.  Iterate it, or call :meth:`next`.
+    as ε → 0) cost no Python stack.  Raises :class:`ValueError` at once
+    when given no source.
     """
-
-    def __init__(self, sources: Sequence[UnionSource]) -> None:
-        if not sources:
-            raise ValueError("UnionIterator needs at least one source")
-        self._lookups = [source.lookup for source in sources]
-        # The generator holds the sources, not this object: no reference
-        # cycle, so an abandoned enumeration (and the frozen relations its
-        # sources read) is freed by reference count, not by the collector.
-        self._items = _advance([source.next for source in sources], self._lookups)
-
-    def __iter__(self) -> Iterator[Tuple[ValueTuple, int]]:
-        return self._items
-
-    def next(self) -> Optional[Tuple[ValueTuple, int]]:
-        return next(self._items, None)
-
-    def lookup(self, key: ValueTuple) -> int:
-        """Total multiplicity of ``key`` across all sources."""
-        return sum(lookup(key) for lookup in self._lookups)
+    if not sources:
+        raise ValueError("union needs at least one source")
+    return _advance([next_ for next_, _ in sources], [lookup for _, lookup in sources])
 
 
 def _advance(
@@ -196,16 +176,3 @@ def merge_shards(
         if mult != 0:
             yield tup, mult
 
-
-class CallbackSource(UnionSource):
-    """Adapter turning ``next``/``lookup`` callables into a union source."""
-
-    def __init__(
-        self,
-        next_fn: Callable[[], Optional[Tuple[ValueTuple, int]]],
-        lookup_fn: Callable[[ValueTuple], int],
-    ) -> None:
-        # Instance attributes shadow the interface methods, so the union
-        # calls the callables themselves with no frame in between.
-        self.next = next_fn  # type: ignore[method-assign]
-        self.lookup = lookup_fn  # type: ignore[method-assign]

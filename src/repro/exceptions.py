@@ -10,6 +10,8 @@ relations raise :class:`SchemaError`.
 
 from __future__ import annotations
 
+from typing import Any, Dict, Optional
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the :mod:`repro` package."""
@@ -101,7 +103,9 @@ class WriterFailedError(ReproError):
 class WorkerDiedError(ReproError):
     """A shard worker process died while a command was in flight.
 
-    Carries the indexes of the dead shards.  The live fleet of a durable
+    Carries the indexes of the dead shards, the replies of the shards that
+    survived the round (``replies``, by shard) and the first error one of
+    them raised (``error``, or ``None``).  The live fleet of a durable
     :class:`~repro.sharding.ShardedEngine` catches it and restarts exactly
     those workers from their durability directories while the rest keep
     serving (:meth:`~repro.sharding.ShardedEngine._round`); it reaches the
@@ -109,8 +113,16 @@ class WorkerDiedError(ReproError):
     and from a retired fleet that old snapshots still read.
     """
 
-    def __init__(self, shard_indexes, message: str = "") -> None:
+    def __init__(
+        self,
+        shard_indexes,
+        message: str = "",
+        replies: Optional[Dict[int, Any]] = None,
+        error: Optional[BaseException] = None,
+    ) -> None:
         self.shard_indexes = tuple(sorted(shard_indexes))
+        self.replies: Dict[int, Any] = dict(replies or {})
+        self.error = error
         detail = message or (
             f"shard worker(s) {list(self.shard_indexes)} died mid-command"
         )

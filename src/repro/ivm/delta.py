@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.data.schema import Schema, ValueTuple
-from repro.engine.join import BoundRelation, fold_join
+from repro.engine.join import fold_join
 from repro.views.view import ViewTreeNode
 
 #: A delta maps tuples to *counting-ring* elements (signed multiplicities).
@@ -82,10 +82,7 @@ def propagate_delta(
     schema = leaf.schema
     for view, siblings in steps:
         delta = fold_join(
-            schema,
-            delta,
-            [BoundRelation(s.schema, s.relation()) for s in siblings],
-            view.schema,
+            schema, delta, [(s.schema, s.relation()) for s in siblings], view.schema
         )
         if not delta:
             return tree.schema, {}

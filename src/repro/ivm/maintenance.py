@@ -52,7 +52,7 @@ from repro.data.partition import Partition
 from repro.data.schema import Projector, Schema, ValueTuple
 from repro.data.update import validate_groups
 from repro.exceptions import UnknownRelationError, UnsupportedQueryError
-from repro.engine.join import BoundRelation, delta_join
+from repro.engine.join import fold_join
 from repro.ivm.delta import Delta, merge_delta, propagate_delta
 from repro.query.atom import Atom
 from repro.views.indicators import IndicatorTriple
@@ -137,11 +137,11 @@ class UpdateProcessor:
             return
         atom = self._atoms_by_relation[relation_name]
         siblings = [
-            BoundRelation(other.variables, self.database.relation(other.relation))
+            (other.variables, self.database.relation(other.relation))
             for other in self.query.atoms
             if other is not atom
         ]
-        delta = delta_join(atom.variables, group, siblings, self.query.head)
+        delta = fold_join(atom.variables, group, siblings, self.query.head)
         if capture is not None:
             if capture:
                 merge_delta(capture, delta.items())

@@ -579,13 +579,16 @@ class ShardedEngine(ReadSurface, MutationSurface):
         A dead worker raises :class:`WorkerDiedError`, except on the live
         fleet of a durable deployment.  There each dead shard is restarted
         from its durability directory (once, under the restart lock, however
-        many rounds tripped on it) and given the facade's serving state;
-        then a read-only round runs again whole, and a ``commit`` round is
-        reconciled per dead shard by its durable version: equal to the
-        acknowledged one, the command never became durable and is re-sent;
-        one ahead, it did and only the acknowledgement died, so re-sending
-        would double-apply it; anything else is another deployment's
-        directory.  A new fleet a reshard is building, and a retired one,
+        many rounds tripped on it) and given the facade's serving state.
+        The survivors' replies stand: a read-only round re-sends only the
+        dead shards' own commands (a survivor asked twice would, say,
+        register a second snapshot capture and keep the first forever), and
+        a ``commit`` round is reconciled per dead shard by its durable
+        version: equal to the acknowledged one, the command never became
+        durable and is re-sent; one ahead, it did and only the
+        acknowledgement died, so re-sending would double-apply it; anything
+        else is another deployment's directory.  A survivor's error is
+        raised last.  A new fleet a reshard is building, and a retired one,
         are not healed.
         """
         executor = fleet.executor
@@ -605,14 +608,15 @@ class ShardedEngine(ReadSurface, MutationSurface):
                         executor.map({shard: command})
                     if self._capture_deltas and shard in fleet.undrained:
                         self._delta_lost = True
-            if not mutating:
-                return executor.map(commands)
-            replies = dict.fromkeys(commands)
+            resend = []
             for shard in exc.shard_indexes:
+                if not mutating:
+                    resend.append(shard)
+                    continue
                 durable = executor.map({shard: ("version", None)})[shard]
                 acked = fleet.acked[shard]
                 if durable == acked:
-                    executor.map({shard: commands[shard]})
+                    resend.append(shard)
                 elif durable == acked + 1:
                     # its delta died with the worker, uncaptured
                     self._delta_lost = self._delta_lost or self._capture_deltas
@@ -622,6 +626,11 @@ class ShardedEngine(ReadSurface, MutationSurface):
                         f"the fleet last acknowledged {acked}; the shard's "
                         "durability directory does not belong to this deployment"
                     ) from exc
+            replies = exc.replies
+            if resend:
+                replies.update(executor.map({shard: commands[shard] for shard in resend}))
+            if exc.error is not None:
+                raise exc.error
         if mutating:
             for shard in commands:
                 fleet.acked[shard] += 1

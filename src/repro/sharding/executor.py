@@ -281,15 +281,15 @@ def _worker_main(
     connection.close()
 
 
-def _raise_remote(name: str, message: str) -> None:
-    """Re-raise a worker-side failure as its original exception type."""
+def _remote_error(name: str, message: str) -> BaseException:
+    """A worker-side failure rebuilt as its original exception type."""
     exc_type = getattr(repro_exceptions, name, None) or getattr(
         builtins, name, None
     )
     if not (isinstance(exc_type, type) and issubclass(exc_type, BaseException)):
         exc_type = repro_exceptions.ReproError
         message = f"{name}: {message}"
-    raise exc_type(message)
+    return exc_type(message)
 
 
 class ShardExecutor:
@@ -327,7 +327,8 @@ class ShardExecutor:
         """Run ``{shard: (command, payload)}``, one command per shard.
 
         A worker that died raises :class:`WorkerDiedError` naming every
-        dead shard, after the survivors have answered.
+        dead shard, after the survivors have answered; it carries their
+        replies and the first error one of them raised.
         """
         raise NotImplementedError
 
@@ -499,14 +500,14 @@ class ProcessExecutor(ShardExecutor):
     def _receive(self, connection) -> Any:
         reply = connection.recv()
         if reply[0] == "error":
-            _raise_remote(reply[1], reply[2])
+            raise _remote_error(reply[1], reply[2])
         return reply[1]
 
     def map(self, commands):
         ordered = sorted(commands)
         held = set()
         results: Dict[int, Any] = {}
-        first_error: Optional[Tuple[str, str]] = None
+        first_error: Optional[BaseException] = None
         dead: List[int] = []
         dying = []
         # Every acquired lock is released exactly once even when a pipe
@@ -530,9 +531,9 @@ class ProcessExecutor(ShardExecutor):
             # still queued, and skipping them would desynchronize every
             # *surviving* pipe.  Worker deaths collect into one
             # WorkerDiedError so the caller can restart exactly the
-            # affected shards; a worker-side error is re-raised only when
-            # every worker survived (the caller re-runs a healed read-only
-            # round whole, so a survivor's rejection surfaces then).
+            # affected shards; it carries the survivors' replies and their
+            # first error, so the caller re-sends only the dead shards'
+            # commands and still raises a survivor's rejection.
             for index in ordered:
                 if index in dead:
                     self._conn_locks[index].release()
@@ -551,7 +552,7 @@ class ProcessExecutor(ShardExecutor):
                     continue
                 if reply[0] == "error":
                     if first_error is None:
-                        first_error = (reply[1], reply[2])
+                        first_error = _remote_error(reply[1], reply[2])
                 else:
                     results[index] = reply[1]
         finally:
@@ -562,9 +563,9 @@ class ProcessExecutor(ShardExecutor):
             # so dead_shards() lists every shard named here.
             for process in dying:
                 process.join(timeout=5)
-            raise WorkerDiedError(dead)
+            raise WorkerDiedError(dead, replies=results, error=first_error)
         if first_error is not None:
-            _raise_remote(*first_error)
+            raise first_error
         return results
 
     def close(self) -> None:

@@ -42,22 +42,17 @@ def new_view_tree(
     subtrees: Sequence[ViewTreeNode],
     namer: NameGenerator,
     is_aux: bool = False,
-    ring=None,
 ) -> ViewTreeNode:
     """``NewVT`` (Figure 7).
 
     When there is a single subtree whose root already has exactly the
     requested schema, that subtree is returned unchanged; otherwise a new
-    view node over the subtrees is created.  ``ring`` annotates the payload
-    algebra of the created view (:mod:`repro.rings`); the default — and the
-    annotation of a returned-unchanged subtree — is the counting ring, kept
-    byte-identical to the pre-ring engine.  Plan-wide annotation happens
-    through :meth:`repro.views.skew.SkewAwarePlan.annotate_ring`.
+    view node over the subtrees is created.
     """
     schema = _ordered_schema(schema)
     if len(subtrees) == 1 and set(subtrees[0].schema) == set(schema):
         return subtrees[0]
-    return ViewNode(namer.fresh(name), schema, subtrees, is_aux=is_aux, ring=ring)
+    return ViewNode(namer.fresh(name), schema, subtrees, is_aux=is_aux)
 
 
 def aux_view(

@@ -28,8 +28,6 @@ from repro.data.partition import PartitionRegistry
 from repro.query.classes import delta_index, is_hierarchical
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.hypergraph import is_free_connex
-from repro.rings.base import Ring, check_ring_laws
-from repro.rings.library import COUNTING
 from repro.vo.variable_order import AtomNode, VariableNode, VariableOrder, VONode
 from repro.views.build import (
     DYNAMIC_MODE,
@@ -61,11 +59,6 @@ class SkewAwarePlan:
     component_trees: List[List[ViewTreeNode]] = field(default_factory=list)
     indicator_triples: List[IndicatorTriple] = field(default_factory=list)
     partitions: PartitionRegistry = field(default_factory=PartitionRegistry)
-    # Payload algebra of the materialized multiplicities (repro.rings).
-    # Counting — the implicit pre-ring payload — keeps the plan
-    # byte-identical to the pre-ring engine; non-counting rings are carried
-    # by the maintained aggregate states fed from the roots' result deltas.
-    ring: Ring = COUNTING
     # Memos of the three lookups below.  Which trees and triples reference a
     # relation is fixed once the plan is built (only view *contents* change
     # afterwards), and the maintenance layer asks on every update.
@@ -78,20 +71,6 @@ class SkewAwarePlan:
     _triples_by_light_source: Dict[str, Tuple[IndicatorTriple, ...]] = field(
         default_factory=dict, repr=False, compare=False
     )
-
-    def annotate_ring(self, ring: Ring) -> "SkewAwarePlan":
-        """Annotate every tree of the plan with ``ring`` (returns ``self``).
-
-        The ring's abelian-group laws are what the maintenance machinery
-        relies on, so they are spot-checked here rather than assumed — an
-        unlawful ring fails loudly at annotation time instead of silently
-        corrupting maintained payloads.
-        """
-        check_ring_laws(ring, [(1, 1), (2, 2), (3, -3)])
-        self.ring = ring
-        for tree in self.all_trees():
-            tree.annotate_ring(ring)
-        return self
 
     def all_trees(self) -> Tuple[ViewTreeNode, ...]:
         """All skew-aware strategy trees across components."""
@@ -137,7 +116,6 @@ class SkewAwarePlan:
         lines = [
             f"mode: {self.mode}",
             f"query: {self.query}",
-            f"payload ring: {self.ring.name}",
         ]
         for i, trees in enumerate(self.component_trees):
             lines.append(f"component {i}: {len(trees)} strategy tree(s)")

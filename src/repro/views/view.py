@@ -21,8 +21,6 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 from repro.data.relation import Relation
 from repro.data.schema import Schema
 from repro.query.atom import Atom
-from repro.rings.base import Ring
-from repro.rings.library import COUNTING
 
 
 class NameGenerator:
@@ -39,32 +37,19 @@ class NameGenerator:
 class ViewTreeNode:
     """Base class of view-tree nodes.
 
-    Every node carries a *ring annotation* (:mod:`repro.rings`) naming the
-    payload algebra of its materialized multiplicities.  The default is the
-    counting ring — the payload the engine has always carried implicitly,
-    under which annotated trees are byte-identical to the pre-ring engine.
-    Non-counting rings keep the counting payload inside the tree (the view
-    contents *are* supports) and carry their ring element in the payload
-    channel of the maintained aggregate state fed by the root's result
-    deltas; see ``docs/architecture.md`` §16.
+    Views carry counting-ring multiplicities; ring aggregates other than
+    counting live in the maintained aggregate states fed by the root's
+    result deltas (``docs/architecture.md`` §16), not in the tree.
     """
 
-    def __init__(self, name: str, schema: Schema, ring: Optional[Ring] = None) -> None:
+    def __init__(self, name: str, schema: Schema) -> None:
         self.name = name
         self.schema: Schema = tuple(schema)
-        self.ring: Ring = ring if ring is not None else COUNTING
         # Memos of path_from, shape and the pre-order list of descendants:
         # a tree's shape is fixed once it is built.
         self._paths: Dict[str, Optional[PropagationPath]] = {}
         self._shape: Optional[Shape] = None
         self._descendants: Optional[Tuple["ViewTreeNode", ...]] = None
-
-    def annotate_ring(self, ring: Ring) -> "ViewTreeNode":
-        """Annotate this subtree's payload ring (returns ``self``)."""
-        self.ring = ring
-        for child in self.children:
-            child.annotate_ring(ring)
-        return self
 
     # -- structural interface ------------------------------------------------
     @property
@@ -170,10 +155,7 @@ class ViewTreeNode:
     def pretty(self, indent: int = 0) -> str:
         """Render the tree as an indented string (used by ``explain`` and docs)."""
         pad = "  " * indent
-        label = f"{self.name}({', '.join(self.schema)})"
-        if self.ring.name != "counting":
-            label += f" ⟨{self.ring.name}⟩"
-        lines = [f"{pad}{label}"]
+        lines = [f"{pad}{self.name}({', '.join(self.schema)})"]
         for child in self.children:
             lines.append(child.pretty(indent + 1))
         return "\n".join(lines)
@@ -264,9 +246,8 @@ class ViewNode(ViewTreeNode):
         schema: Schema,
         children: Sequence[ViewTreeNode],
         is_aux: bool = False,
-        ring: Optional[Ring] = None,
     ) -> None:
-        super().__init__(name, schema, ring)
+        super().__init__(name, schema)
         self._children: Tuple[ViewTreeNode, ...] = tuple(children)
         self.is_aux = is_aux
         self._relation = Relation(name, schema)
@@ -298,6 +279,4 @@ class ViewNode(ViewTreeNode):
             else:
                 new_children.append(child.copy())  # type: ignore[attr-defined]
         name = namer.fresh(self.name.split("#")[0]) if namer else self.name
-        return ViewNode(
-            name, self.schema, new_children, is_aux=self.is_aux, ring=self.ring
-        )
+        return ViewNode(name, self.schema, new_children, is_aux=self.is_aux)

@@ -18,7 +18,8 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterator, Iterator as TypingIterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.data.schema import ValueTuple
-from repro.engine.join import BoundRelation
+from repro.data.relation import Relation
+from repro.data.schema import Schema
 from repro.exceptions import EnumerationError
 from repro.views.view import IndicatorLeaf, ViewTreeNode
 
@@ -94,21 +95,49 @@ class UnionIterator(UnionSource):
 
 
 # ----------------------------------------------------------------------
+# the probe of engine/join.py's former BoundRelation
+# ----------------------------------------------------------------------
+def _matching(
+    bound: Tuple[Schema, Relation], assignment: Mapping[str, object]
+) -> TypingIterator[Tuple[ValueTuple, int]]:
+    """Entries of a ``(schema, relation)`` pair agreeing with ``assignment``.
+
+    A point lookup when the assignment fixes every variable, the whole
+    relation when it fixes none, otherwise the index group on the fixed
+    variables (index columns in schema order).
+    """
+    variables, relation = bound
+    positions = [p for p, v in enumerate(variables) if v in assignment]
+    if len(positions) == len(variables):
+        tup = tuple(assignment[v] for v in variables)
+        mult = relation.multiplicity(tup)
+        if mult:
+            yield tup, mult
+        return
+    if not positions:
+        yield from relation.items()
+        return
+    columns = tuple(relation.schema[p] for p in positions)
+    key = tuple(assignment[variables[p]] for p in positions)
+    yield from relation.ensure_index(columns).group_items(key)
+
+
+# ----------------------------------------------------------------------
 # lookup.py
 # ----------------------------------------------------------------------
 def _direct_lookup(
     tree: ViewTreeNode, assignment: Mapping[str, object]
 ) -> int:
     """Multiplicity of the assignment in the node's own materialized content."""
-    bound = BoundRelation(tree.schema, tree.relation())
+    bound = (tree.schema, tree.relation())
     missing = [v for v in tree.schema if v not in assignment]
     if not missing:
-        return bound.multiplicity(tuple(assignment[v] for v in tree.schema))
+        return bound[1].multiplicity(tuple(assignment[v] for v in tree.schema))
     # Defensive fallback: some schema variable is not fixed by the assignment
     # (this does not happen for the trees built by τ, but keeps the function
     # total); aggregate over the matching entries.
     total = 0
-    for _tup, mult in bound.matching(assignment):
+    for _tup, mult in _matching(bound, assignment):
         total += mult
     return total
 
@@ -162,9 +191,9 @@ def lookup_multiplicity(
     )
     if indicator is not None:
         others = [c for c in tree.children if c is not indicator]
-        bound = BoundRelation(indicator.schema, indicator.relation())
+        bound = (indicator.schema, indicator.relation())
         total = 0
-        for key_tuple, _mult in bound.matching(assignment):
+        for key_tuple, _mult in _matching(bound, assignment):
             grounded: Dict[str, object] = dict(assignment)
             grounded.update(zip(indicator.schema, key_tuple))
             product = 1
@@ -239,7 +268,7 @@ class DirectIterator(TreeIterator):
 
     def open(self, ctx: Mapping[str, object]) -> None:
         self._set_context(ctx, self._subtree_vars)
-        bound = BoundRelation(self.tree.schema, self.tree.relation())
+        bound = (self.tree.schema, self.tree.relation())
         probe = {v: ctx[v] for v in self.tree.schema if v in ctx}
         out_positions = [
             self.tree.schema.index(v) for v in self.out_vars
@@ -251,7 +280,7 @@ class DirectIterator(TreeIterator):
         ]
         if not extra:
             def stream() -> TypingIterator[Tuple[ValueTuple, int]]:
-                for tup, mult in bound.matching(probe):
+                for tup, mult in _matching(bound, probe):
                     yield tuple(tup[i] for i in out_positions), mult
 
             self._stream = stream()
@@ -259,7 +288,7 @@ class DirectIterator(TreeIterator):
             # Defensive fallback (not reached for τ-built trees): aggregate
             # over the non-free, non-context variables before enumerating.
             grouped: Dict[ValueTuple, int] = {}
-            for tup, mult in bound.matching(probe):
+            for tup, mult in _matching(bound, probe):
                 key = tuple(tup[i] for i in out_positions)
                 grouped[key] = grouped.get(key, 0) + mult
             self._stream = iter(grouped.items())
@@ -375,9 +404,9 @@ class IterateIterator(TreeIterator):
 
     def open(self, ctx: Mapping[str, object]) -> None:
         self._set_context(ctx, self._subtree_vars)
-        bound = BoundRelation(self.tree.schema, self.tree.relation())
+        bound = (self.tree.schema, self.tree.relation())
         probe = {v: ctx[v] for v in self.tree.schema if v in ctx}
-        self._entries = bound.matching(probe)
+        self._entries = _matching(bound, probe)
         self._product = None
 
     def _advance_entry(self) -> bool:
@@ -431,10 +460,10 @@ class GroundedIterator(TreeIterator):
 
     def open(self, ctx: Mapping[str, object]) -> None:
         self._set_context(ctx, self._subtree_vars)
-        bound = BoundRelation(self.indicator.schema, self.indicator.relation())
+        bound = (self.indicator.schema, self.indicator.relation())
         probe = {v: ctx[v] for v in self.indicator.schema if v in ctx}
         buckets: List[_Bucket] = []
-        for key_tuple, _mult in bound.matching(probe):
+        for key_tuple, _mult in _matching(bound, probe):
             grounded_ctx = dict(ctx)
             grounded_ctx.update(zip(self.indicator.schema, key_tuple))
             buckets.append(

@@ -301,6 +301,21 @@ class TestHealedRoundsStayExact:
         finally:
             engine.close()
 
+    def test_a_healed_snapshot_round_asks_each_survivor_once(self, tmp_path):
+        """Only the dead shard's command is re-sent: re-running the round
+        whole made every survivor register a second capture and keep its
+        first one forever (id 2 at each survivor)."""
+        engine = start_fleet(tmp_path, shards=3, database=diagonal_database())
+        try:
+            kill_worker(engine, 1)
+            snapshot = engine.snapshot()
+            assert restarts(engine) == 1
+            assert snapshot._snapshot_ids == {0: 1, 1: 1, 2: 1}
+            assert dict(snapshot.result()) == dict(engine.result())
+            snapshot.close()
+        finally:
+            engine.close()
+
     def test_restarted_worker_keeps_delta_capture_and_aggregates(self, tmp_path):
         engine = start_fleet(tmp_path, database=diagonal_database())
         oracle = HierarchicalEngine(PATH_QUERY, epsilon=0.5).load(diagonal_database())

@@ -7,87 +7,70 @@ from hypothesis import strategies as st
 from repro import Database, HierarchicalEngine
 from repro.bench.timing import measure_enumeration_delay
 from repro.engine import evaluate_query_naive
-from repro.enumeration.union import CallbackSource, UnionIterator
+from repro.enumeration.union import union
 from repro.query import parse_query
 from tests.conftest import random_database, schemas_for
 
 
-class _ListSource:
-    """A deterministic union source backed by a dict of key → multiplicity."""
-
-    def __init__(self, contents):
-        self.contents = dict(contents)
-        self._iter = iter(list(self.contents.items()))
-        self.next_calls = 0
-
-    def next(self):
-        self.next_calls += 1
-        return next(self._iter, None)
-
-    def lookup(self, key):
-        return self.contents.get(key, 0)
+def _list_source(contents):
+    """A deterministic ``(next, lookup)`` source over key → multiplicity."""
+    contents = dict(contents)
+    items = iter(list(contents.items()))
+    return (lambda: next(items, None)), (lambda key: contents.get(key, 0))
 
 
-class TestUnionIterator:
-    def drain(self, union):
+def _union_of(*contents):
+    return union([_list_source(c) for c in contents])
+
+
+class TestUnion:
+    def drain(self, items):
         out = []
         while True:
-            item = union.next()
+            item = next(items, None)
             if item is None:
                 return out
             out.append(item)
 
     def test_disjoint_sources(self):
-        union = UnionIterator([_ListSource({(1,): 1}), _ListSource({(2,): 3})])
-        assert dict(self.drain(union)) == {(1,): 1, (2,): 3}
+        assert dict(self.drain(_union_of({(1,): 1}, {(2,): 3}))) == {(1,): 1, (2,): 3}
 
     def test_overlapping_sources_sum_multiplicities(self):
-        union = UnionIterator(
-            [_ListSource({(1,): 1, (2,): 2}), _ListSource({(2,): 5, (3,): 1})]
-        )
-        result = dict(self.drain(union))
+        result = dict(self.drain(_union_of({(1,): 1, (2,): 2}, {(2,): 5, (3,): 1})))
         assert result == {(1,): 1, (2,): 7, (3,): 1}
 
     def test_distinctness_with_three_sources(self):
-        sources = [
-            _ListSource({(1,): 1, (2,): 1}),
-            _ListSource({(2,): 1, (3,): 1}),
-            _ListSource({(1,): 1, (3,): 1, (4,): 1}),
-        ]
-        produced = self.drain(UnionIterator(sources))
+        produced = self.drain(
+            _union_of({(1,): 1, (2,): 1}, {(2,): 1, (3,): 1}, {(1,): 1, (3,): 1, (4,): 1})
+        )
         keys = [key for key, _ in produced]
         assert len(keys) == len(set(keys))
         assert dict(produced) == {(1,): 2, (2,): 2, (3,): 2, (4,): 1}
 
     def test_single_source_passthrough(self):
-        union = UnionIterator([_ListSource({(5,): 2})])
-        assert self.drain(union) == [((5,), 2)]
+        assert self.drain(_union_of({(5,): 2})) == [((5,), 2)]
 
     def test_subset_source(self):
         """Second source contained in the first still enumerates everything once."""
-        union = UnionIterator(
-            [_ListSource({(1,): 1, (2,): 1, (3,): 1}), _ListSource({(2,): 1})]
-        )
-        assert dict(self.drain(union)) == {(1,): 1, (2,): 2, (3,): 1}
+        items = _union_of({(1,): 1, (2,): 1, (3,): 1}, {(2,): 1})
+        assert dict(self.drain(items)) == {(1,): 1, (2,): 2, (3,): 1}
 
     def test_empty_sources(self):
-        union = UnionIterator([_ListSource({}), _ListSource({})])
-        assert self.drain(union) == []
+        assert self.drain(_union_of({}, {})) == []
 
     def test_lookup_sums_all_sources(self):
-        union = UnionIterator([_ListSource({(1,): 1}), _ListSource({(1,): 4})])
-        assert union.lookup((1,)) == 5
-        assert union.lookup((9,)) == 0
+        produced = dict(self.drain(_union_of({(1,): 1}, {(1,): 4})))
+        assert produced.get((1,), 0) == 5
+        assert produced.get((9,), 0) == 0
 
     def test_requires_at_least_one_source(self):
         with pytest.raises(ValueError):
-            UnionIterator([])
+            union([])
 
-    def test_callback_source_adapter(self):
+    def test_a_pair_of_callables_is_a_source(self):
         items = iter([((1,), 1)])
-        source = CallbackSource(lambda: next(items, None), lambda key: 1 if key == (1,) else 0)
-        union = UnionIterator([source])
-        assert self.drain(union) == [((1,), 1)]
+        source = (lambda: next(items, None)), (lambda key: 1 if key == (1,) else 0)
+        assert self.drain(union([source])) == [((1,), 1)]
 
     @given(
         contents=st.lists(
@@ -101,8 +84,7 @@ class TestUnionIterator:
     @settings(max_examples=80, deadline=None)
     def test_union_property(self, contents):
         """Union enumerates each key exactly once with the summed multiplicity."""
-        union = UnionIterator([_ListSource(c) for c in contents])
-        produced = self.drain(union)
+        produced = self.drain(_union_of(*contents))
         keys = [key for key, _ in produced]
         assert len(keys) == len(set(keys))
         expected = {}

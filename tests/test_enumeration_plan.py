@@ -20,7 +20,7 @@ from repro.conformance.datagen import DataProfile, random_database, random_updat
 from repro.conformance.queries import HEAD_MODES, random_labeled_query
 from repro.data.relation import Relation
 from repro.engine import evaluate_query_naive
-from repro.enumeration import UnionIterator, compile_enumeration
+from repro.enumeration import compile_enumeration, union
 from repro.enumeration import plan as plan_module
 from repro.exceptions import UnsupportedQueryError
 from repro.query import parse_query
@@ -176,14 +176,15 @@ class TestUnionIsALoop:
                 for _ in range(rng.randint(1, 6))
             ]
             logs = ([], [])
-            recursive, iterative = (
-                cls([_LoggedSource(index, c, log) for index, c in enumerate(contents)])
-                for cls, log in zip((reference.UnionIterator, UnionIterator), logs)
-            )
+            sources = [
+                [_LoggedSource(index, c, log) for index, c in enumerate(contents)] for log in logs
+            ]
+            recursive = reference.UnionIterator(sources[0])
+            iterative = union([(source.next, source.lookup) for source in sources[1]])
             # two more calls than there are tuples: exhaustion is sticky
             rounds = len({key for c in contents for key in c}) + 2
             assert [recursive.next() for _ in range(rounds)] == [
-                iterative.next() for _ in range(rounds)
+                next(iterative, None) for _ in range(rounds)
             ]
             for kind in ("next", "lookup"):
                 assert sum(e[0] == kind for e in logs[1]) <= sum(e[0] == kind for e in logs[0])

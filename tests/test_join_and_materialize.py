@@ -1,4 +1,5 @@
-"""Tests for BoundRelation, the fold join, delta joins, and materialization."""
+"""Tests for the fold join over ``(schema, relation)`` pairs, the delta rule,
+materialization, and the oracle's probe."""
 
 import itertools
 
@@ -9,98 +10,88 @@ from hypothesis import strategies as st
 from repro.data.database import Database
 from repro.data.relation import Index, Relation
 from repro.engine.evaluator import evaluate_query_naive, evaluate_to_dict
-from repro.engine.join import (
-    BoundRelation,
-    compile_join,
-    delta_join,
-    fold_join,
-    join_children,
-    join_to_relation,
-)
+from repro.engine.join import compile_join, fold_join, join_children
 from repro.engine.materialize import materialize_plan, total_view_size
 from repro.exceptions import SchemaError
 from repro.query.parser import parse_query
 from repro.views.skew import build_skew_aware_plan
 from repro.vo.variable_order import build_canonical_variable_order
 from tests.conftest import random_database, schemas_for
+from tests.reference_enumeration import _matching
 
 
-class TestBoundRelation:
+class TestOracleProbe:
+    """The order oracle's probe of a ``(schema, relation)`` pair."""
+
     def make_bound(self):
         relation = Relation("R", ("x", "y"), {(1, 2): 1, (1, 3): 2, (4, 2): 1})
-        return BoundRelation(("A", "B"), relation)
-
-    def test_arity_mismatch_raises(self):
-        with pytest.raises(SchemaError):
-            BoundRelation(("A",), Relation("R", ("x", "y")))
+        return ("A", "B"), relation
 
     def test_multiplicity_lookup(self):
-        bound = self.make_bound()
-        assert bound.multiplicity((1, 3)) == 2
+        _, relation = self.make_bound()
+        assert relation.multiplicity((1, 3)) == 2
 
     def test_matching_with_partial_assignment(self):
         bound = self.make_bound()
-        assert dict(bound.matching({"A": 1})) == {(1, 2): 1, (1, 3): 2}
-        assert dict(bound.matching({"B": 2})) == {(1, 2): 1, (4, 2): 1}
+        assert dict(_matching(bound, {"A": 1})) == {(1, 2): 1, (1, 3): 2}
+        assert dict(_matching(bound, {"B": 2})) == {(1, 2): 1, (4, 2): 1}
 
     def test_matching_with_full_assignment(self):
         bound = self.make_bound()
-        assert dict(bound.matching({"A": 1, "B": 3})) == {(1, 3): 2}
-        assert dict(bound.matching({"A": 9, "B": 9})) == {}
+        assert dict(_matching(bound, {"A": 1, "B": 3})) == {(1, 3): 2}
+        assert dict(_matching(bound, {"A": 9, "B": 9})) == {}
 
     def test_matching_with_empty_assignment_enumerates_all(self):
         bound = self.make_bound()
-        assert len(dict(bound.matching({}))) == 3
+        assert len(dict(_matching(bound, {}))) == 3
 
     def test_matching_ignores_unrelated_context_variables(self):
         bound = self.make_bound()
-        assert dict(bound.matching({"Z": 5, "A": 4})) == {(4, 2): 1}
+        assert dict(_matching(bound, {"Z": 5, "A": 4})) == {(4, 2): 1}
 
 
 class TestJoinChildren:
     def test_two_way_join_with_projection(self):
-        r = BoundRelation(("A", "B"), Relation("R", ("A", "B"), {(1, 10): 1, (2, 10): 2}))
-        s = BoundRelation(("B", "C"), Relation("S", ("B", "C"), {(10, 5): 3, (11, 6): 1}))
+        r = (("A", "B"), Relation("R", ("A", "B"), {(1, 10): 1, (2, 10): 2}))
+        s = (("B", "C"), Relation("S", ("B", "C"), {(10, 5): 3, (11, 6): 1}))
         result = join_children([r, s], ("A", "C"))
         assert result == {(1, 5): 3, (2, 5): 6}
 
     def test_projection_aggregates_multiplicities(self):
-        r = BoundRelation(("A", "B"), Relation("R", ("A", "B"), {(1, 10): 1, (1, 11): 1}))
-        s = BoundRelation(("B",), Relation("S", ("B",), {(10,): 1, (11,): 1}))
+        r = (("A", "B"), Relation("R", ("A", "B"), {(1, 10): 1, (1, 11): 1}))
+        s = (("B",), Relation("S", ("B",), {(10,): 1, (11,): 1}))
         result = join_children([r, s], ("A",))
         assert result == {(1,): 2}
 
     def test_empty_child_gives_empty_result(self):
-        r = BoundRelation(("A", "B"), Relation("R", ("A", "B"), {(1, 10): 1}))
-        s = BoundRelation(("B", "C"), Relation("S", ("B", "C")))
+        r = (("A", "B"), Relation("R", ("A", "B"), {(1, 10): 1}))
+        s = (("B", "C"), Relation("S", ("B", "C")))
         assert join_children([r, s], ("A", "C")) == {}
 
     def test_no_children_gives_unit(self):
         assert join_children([], ()) == {(): 1}
 
     def test_cartesian_product_when_no_shared_variables(self):
-        r = BoundRelation(("A",), Relation("R", ("A",), {(1,): 2}))
-        s = BoundRelation(("B",), Relation("S", ("B",), {(7,): 3}))
+        r = (("A",), Relation("R", ("A",), {(1,): 2}))
+        s = (("B",), Relation("S", ("B",), {(7,): 3}))
         assert join_children([r, s], ("A", "B")) == {(1, 7): 6}
 
     def test_output_variable_not_in_any_child_raises(self):
-        r = BoundRelation(("A",), Relation("R", ("A",), {(1,): 1}))
+        r = (("A",), Relation("R", ("A",), {(1,): 1}))
         with pytest.raises(SchemaError):
             join_children([r], ("A", "Z"))
 
-    def test_join_to_relation(self):
-        r = BoundRelation(("A", "B"), Relation("R", ("A", "B"), {(1, 10): 1}))
-        s = BoundRelation(("B", "C"), Relation("S", ("B", "C"), {(10, 5): 1}))
-        relation = join_to_relation([r, s], ("A", "B", "C"), "V")
-        assert relation.as_dict() == {(1, 10, 5): 1}
-        assert relation.schema == ("A", "B", "C")
+    def test_join_keeps_every_output_column(self):
+        r = (("A", "B"), Relation("R", ("A", "B"), {(1, 10): 1}))
+        s = (("B", "C"), Relation("S", ("B", "C"), {(10, 5): 1}))
+        assert join_children([r, s], ("A", "B", "C")) == {(1, 10, 5): 1}
 
     def test_three_way_join_matches_naive_evaluator(self):
         text = "Q(A, D, E) = R(A, B, C), S(A, B, D), T(A, E)"
         database = random_database(schemas_for(text), tuples_per_relation=30, seed=5)
         query = parse_query(text)
         children = [
-            BoundRelation(atom.variables, database.relation(atom.relation))
+            (atom.variables, database.relation(atom.relation))
             for atom in query.atoms
         ]
         assert join_children(children, tuple(query.head)) == evaluate_to_dict(
@@ -109,20 +100,22 @@ class TestJoinChildren:
 
 
 class TestDeltaJoin:
+    """``fold_join`` as the delta rule of Figure 17."""
+
     def test_single_tuple_delta(self):
-        s = BoundRelation(("B", "C"), Relation("S", ("B", "C"), {(10, 5): 2, (11, 6): 1}))
-        delta = delta_join(("A", "B"), {(1, 10): 3}, [s], ("A", "C"))
+        s = (("B", "C"), Relation("S", ("B", "C"), {(10, 5): 2, (11, 6): 1}))
+        delta = fold_join(("A", "B"), {(1, 10): 3}, [s], ("A", "C"))
         assert delta == {(1, 5): 6}
 
     def test_delta_with_negative_multiplicity(self):
-        s = BoundRelation(("B",), Relation("S", ("B",), {(10,): 2}))
-        delta = delta_join(("A", "B"), {(1, 10): -1}, [s], ("A",))
+        s = (("B",), Relation("S", ("B",), {(10,): 2}))
+        delta = fold_join(("A", "B"), {(1, 10): -1}, [s], ("A",))
         assert delta == {(1,): -2}
 
     def test_empty_delta_short_circuits(self):
-        s = BoundRelation(("B",), Relation("S", ("B",)))
-        assert delta_join(("A", "B"), {}, [s], ("A",)) == {}
-        assert delta_join(("A", "B"), {(1, 10): 0}, [s], ("A",)) == {}
+        s = (("B",), Relation("S", ("B",)))
+        assert fold_join(("A", "B"), {}, [s], ("A",)) == {}
+        assert fold_join(("A", "B"), {(1, 10): 0}, [s], ("A",)) == {}
 
     def test_delta_equals_result_difference(self):
         """δ(Q) after inserting x equals Q(D + x) − Q(D) (the delta rule)."""
@@ -131,10 +124,8 @@ class TestDeltaJoin:
         database = random_database(schemas_for(text), tuples_per_relation=25, seed=9)
         before = evaluate_to_dict(query, database)
         new_tuple = (99, 3)
-        siblings = [
-            BoundRelation(("B", "C"), database.relation("S")),
-        ]
-        delta = delta_join(("A", "B"), {new_tuple: 1}, siblings, ("A", "C"))
+        siblings = [(("B", "C"), database.relation("S"))]
+        delta = fold_join(("A", "B"), {new_tuple: 1}, siblings, ("A", "C"))
         database.relation("R").insert(new_tuple)
         after = evaluate_to_dict(query, database)
         expected_delta = {
@@ -208,6 +199,11 @@ class TestNaiveEvaluator:
         query = parse_query("Q() = R(A, B), S(B)")
         assert evaluate_query_naive(query, database).as_dict() == {(): 1}
 
+    def test_arity_mismatch_raises(self):
+        database = Database.from_dict({"R": (("x", "y"), [(1, 2)]), "S": (("B",), [(2,)])})
+        with pytest.raises(SchemaError):
+            evaluate_query_naive(parse_query("Q(A) = R(A), S(A)"), database)
+
 
 # ----------------------------------------------------------------------
 # property-based: fold join against a brute-force nested-loop join
@@ -228,7 +224,7 @@ class TestJoinProperties:
         for row in s_rows:
             s.apply_delta(row, 1)
         result = join_children(
-            [BoundRelation(("A", "B"), r), BoundRelation(("B", "C"), s)], ("A", "C")
+            [(("A", "B"), r), (("B", "C"), s)], ("A", "C")
         )
         expected = {}
         for (a, b), m1 in r.items():
@@ -281,7 +277,7 @@ def nested_loop_join(start_schema, start, siblings, output_schema):
     """Every combination of one entry per input, kept when the shared
     variables agree; multiplicities multiply, projections add, zeros vanish."""
     expected = {}
-    inputs = [(start_schema, start)] + [(b.variables, dict(b.items())) for b in siblings]
+    inputs = [(start_schema, start)] + [(schema, relation.as_dict()) for schema, relation in siblings]
     for combination in itertools.product(*[c.items() for _, c in inputs]):
         assignment, weight, consistent = {}, 1, True
         for (schema, _), (tup, mult) in zip(inputs, combination):
@@ -304,7 +300,7 @@ class TestCompiledJoin:
             # stored column names differ from the variables: binding is positional
             columns = tuple(f"c{position}_{i}" for i in range(len(schema)))
             relation = Relation(f"S{position}", columns, rows)
-            bound.append(BoundRelation(schema, relation))
+            bound.append((schema, relation))
         arguments = (case["start_schema"], case["start"], bound, case["output_schema"])
         before = dict(case["start"])
         result = fold_join(*arguments)
@@ -314,20 +310,20 @@ class TestCompiledJoin:
 
         # the same memoised plan, after the siblings changed under it and
         # after their indexes were dropped
-        for child, (_, rows, more) in zip(bound, case["siblings"]):
+        for (_, relation), (_, rows, more) in zip(bound, case["siblings"]):
             for tup, mult in more.items():
-                child.relation.apply_delta(tup, mult)
+                relation.apply_delta(tup, mult)
             for tup in list(rows)[::2]:
-                child.relation.apply_delta(tup, -child.relation.multiplicity(tup))
+                relation.apply_delta(tup, -relation.multiplicity(tup))
         assert fold_join(*arguments) == nested_loop_join(*arguments)
-        for child in bound:
-            child.relation.invalidate_indexes()
+        for _, relation in bound:
+            relation.invalidate_indexes()
         assert fold_join(*arguments) == nested_loop_join(*arguments)
 
     def test_three_probe_modes_in_one_plan(self):
-        point = BoundRelation(("A", "B"), Relation("P", ("x", "y"), {(1, 2): 2, (1, 3): 1}))
-        index = BoundRelation(("B", "C"), Relation("I", ("x", "y"), {(2, 7): 1, (2, 8): 3, (9, 9): 1}))
-        scan = BoundRelation(("D",), Relation("F", ("x",), {(0,): 1, (5,): 2}))
+        point = (("A", "B"), Relation("P", ("x", "y"), {(1, 2): 2, (1, 3): 1}))
+        index = (("B", "C"), Relation("I", ("x", "y"), {(2, 7): 1, (2, 8): 3, (9, 9): 1}))
+        scan = (("D",), Relation("F", ("x",), {(0,): 1, (5,): 2}))
         signature = (("A", "B"), (("A", "B"), ("B", "C"), ("D",)), ("D", "C", "A"))
         plan = compile_join(*signature)
         assert plan.modes == ("point", "index", "scan")
@@ -336,8 +332,8 @@ class TestCompiledJoin:
         # the steps run directly, in the signature's order (fold_join would
         # probe the smaller ``scan`` relation before ``index``: another plan)
         acc = delta
-        for step, child in zip(plan.steps, (point, index, scan)):
-            acc = step(acc, child.relation)
+        for step, (_, relation) in zip(plan.steps, (point, index, scan)):
+            acc = step(acc, relation)
         assert acc == {
             (0, 7, 1): 2, (0, 8, 1): 6, (5, 7, 1): 4, (5, 8, 1): 12,
         }
@@ -346,8 +342,8 @@ class TestCompiledJoin:
     def test_steps_read_storage_without_a_per_probe_reader(self, monkeypatch):
         """Point and index steps bind ``_data`` and the index's ``_groups``
         once per call: neither ``group_items`` nor ``multiplicity`` runs."""
-        point = BoundRelation(("A", "B"), Relation("P", ("x", "y"), {(1, 2): 2, (1, 3): 1}))
-        index = BoundRelation(("B", "C"), Relation("I", ("x", "y"), {(2, 7): 1, (2, 8): 3, (9, 9): 1}))
+        point = (("A", "B"), Relation("P", ("x", "y"), {(1, 2): 2, (1, 3): 1}))
+        index = (("B", "C"), Relation("I", ("x", "y"), {(2, 7): 1, (2, 8): 3, (9, 9): 1}))
         calls = []
 
         def forbidden(*args):
@@ -359,13 +355,13 @@ class TestCompiledJoin:
         plan = compile_join(("A", "B"), (("A", "B"), ("B", "C")), ("C", "A"))
         assert plan.modes == ("point", "index")
         acc = {(1, 2): 1, (1, 3): 5, (4, 4): 1, (9, 9): 7}
-        for step, child in zip(plan.steps, (point, index)):
-            acc = step(acc, child.relation)
+        for step, (_, relation) in zip(plan.steps, (point, index)):
+            acc = step(acc, relation)
         assert acc == {(7, 1): 2, (8, 1): 6}
         assert calls == []
 
     def test_projection_adds_and_signed_deltas_cancel(self):
-        s = BoundRelation(("B", "C"), Relation("S", ("B", "C"), {(1, 5): 2, (2, 5): 2, (3, 6): 1}))
+        s = (("B", "C"), Relation("S", ("B", "C"), {(1, 5): 2, (2, 5): 2, (3, 6): 1}))
         delta = {("a", 1): 1, ("a", 2): -1, ("a", 3): 4}
         # (a, 5) gets +2 and -2: absent.  (a, 6) survives.
         assert fold_join(("A", "B"), delta, [s], ("A", "C")) == {("a", 6): 4}
@@ -373,7 +369,7 @@ class TestCompiledJoin:
         assert fold_join(("A", "B"), {("a", 1): 1, ("b", 3): 2}, [s], ()) == {(): 4}
 
     def test_empty_sibling_and_no_sibling(self):
-        empty = BoundRelation(("B",), Relation("S", ("B",)))
+        empty = (("B",), Relation("S", ("B",)))
         assert fold_join(("A", "B"), {(1, 2): 1}, [empty], ("A",)) == {}
         assert fold_join(("A", "B"), {(1, 2): 1, (1, 3): 2, (2, 2): 0}, [], ("A",)) == {(1,): 3}
         start = {(1, 2): 1}
@@ -381,7 +377,7 @@ class TestCompiledJoin:
         assert same == start and same is not start
 
     def test_unknown_output_variable_is_a_schema_error(self):
-        s = BoundRelation(("B",), Relation("S", ("B",), {(2,): 1}))
+        s = (("B",), Relation("S", ("B",), {(2,): 1}))
         with pytest.raises(SchemaError):
             fold_join(("A", "B"), {(1, 2): 1}, [s], ("A", "Z"))
         with pytest.raises(SchemaError):
