@@ -19,4 +19,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.8",
+    # numpy: workload generators and repro.bench; scipy: rho* of
+    # non-hierarchical queries; networkx: join_tree.  The serving path
+    # imports none of them.
+    install_requires=["numpy", "scipy", "networkx"],
 )

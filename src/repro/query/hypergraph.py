@@ -7,17 +7,19 @@ either private to the edge or contained in another edge) and isolated
 variables; the query is α-acyclic iff the reduction empties the hypergraph.
 A join tree is produced as a by-product of the reduction, which the tests use
 to validate the free-connex characterisation (the paper's definition via a
-join tree including the head atom).
+join tree including the head atom); ``networkx`` is imported inside those
+two test-facing functions only, so the planner's path never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.query.conjunctive import ConjunctiveQuery
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -128,7 +130,7 @@ def is_free_connex(query: ConjunctiveQuery) -> bool:
     return extended.is_alpha_acyclic()
 
 
-def join_tree(query: ConjunctiveQuery) -> Optional[nx.Graph]:
+def join_tree(query: ConjunctiveQuery) -> Optional["nx.Graph"]:
     """Return a join tree of an α-acyclic query, or ``None`` if cyclic.
 
     The join tree is built by connecting each eliminated ear to its witness
@@ -139,6 +141,7 @@ def join_tree(query: ConjunctiveQuery) -> Optional[nx.Graph]:
     residual, eliminations = graph.gyo_reduction()
     if residual.edges:
         return None
+    import networkx as nx
     tree = nx.Graph()
     for name in graph.edges:
         tree.add_node(name, variables=graph.edges[name])
@@ -152,12 +155,13 @@ def join_tree(query: ConjunctiveQuery) -> Optional[nx.Graph]:
     return tree
 
 
-def verify_running_intersection(tree: nx.Graph) -> bool:
+def verify_running_intersection(tree: "nx.Graph") -> bool:
     """Check the running-intersection property of a candidate join tree.
 
     For every variable, the nodes whose edge contains it must induce a
     connected subtree.  Used by tests to validate :func:`join_tree`.
     """
+    import networkx as nx
     variables: set = set()
     for _node, data in tree.nodes(data=True):
         variables.update(data["variables"])

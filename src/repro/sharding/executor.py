@@ -480,11 +480,11 @@ class ProcessExecutor(ShardExecutor):
         if process.is_alive():  # pragma: no cover - defensive: forced restart
             process.terminate()
         process.join(timeout=5)
-        try:
-            self._connections[shard_index].close()
-        except OSError:  # pragma: no cover - already torn down
-            pass
-        with self._conn_locks[shard_index]:
+        with self._conn_locks[shard_index]:  # a round may still be sending on it
+            try:
+                self._connections[shard_index].close()
+            except OSError:  # pragma: no cover - already torn down
+                pass
             connection, process = self._spawn_worker(shard_index, None)
             self._connections[shard_index] = connection
             self._processes[shard_index] = process

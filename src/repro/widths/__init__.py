@@ -10,7 +10,6 @@ from repro.widths.edge_cover import (
     integral_edge_cover,
     rho,
     rho_star,
-    rho_star_rounded,
 )
 from repro.widths.static_width import (
     static_width,
@@ -26,7 +25,6 @@ __all__ = [
     "integral_edge_cover",
     "rho",
     "rho_star",
-    "rho_star_rounded",
     "static_width",
     "static_width_of_order",
     "static_width_profile",

@@ -7,7 +7,8 @@ For hierarchical queries the free-top transformation of the canonical
 variable order attains the minimum (Lemma 37), and by Proposition 8 the
 dynamic width equals the δ-index of Definition 5, which the test suite
 asserts against :func:`repro.query.classes.delta_index`.  Proposition 17
-(δ ∈ {w−1, w}) is asserted as well.
+(δ ∈ {w−1, w}) is asserted as well.  As for the static width, ``ρ*`` is
+computed as the integral ``ρ`` (exact on hierarchical queries by Lemma 30).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Dict, Tuple
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.vo.free_top import free_top_order
 from repro.vo.variable_order import VariableOrder, build_canonical_variable_order
-from repro.widths.edge_cover import rho_star_rounded
+from repro.widths.edge_cover import rho
 
 
 def dynamic_width_of_order(order: VariableOrder, query: ConjunctiveQuery) -> float:
@@ -27,7 +28,7 @@ def dynamic_width_of_order(order: VariableOrder, query: ConjunctiveQuery) -> flo
         base = {node.variable} | set(order.dep(node.variable))
         for atom in node.subtree_atoms():
             remaining = base - set(atom.variables)
-            width = max(width, rho_star_rounded(query, remaining))
+            width = max(width, float(rho(query, remaining)))
     return width
 
 
@@ -40,7 +41,7 @@ def dynamic_width_profile(query: ConjunctiveQuery) -> Dict[Tuple[str, str], floa
         base = {node.variable} | set(order.dep(node.variable))
         for atom in node.subtree_atoms():
             remaining = base - set(atom.variables)
-            profile[(node.variable, atom.relation)] = rho_star_rounded(query, remaining)
+            profile[(node.variable, atom.relation)] = float(rho(query, remaining))
     return profile
 
 

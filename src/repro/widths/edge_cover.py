@@ -8,18 +8,17 @@ here as a linear program with :func:`scipy.optimize.linprog`.  The integral
 edge cover number ``ρ(F)`` restricts weights to ``{0, 1}`` and is computed by
 exhaustive search over atom subsets (queries are tiny in data complexity).
 
-Lemma 30 of the paper states that ``ρ*(F) = ρ(F)`` for hierarchical queries;
-the property-based tests assert this equality on randomly generated
-hierarchical queries.
+Lemma 30 of the paper states that ``ρ*(F) = ρ(F)`` for hierarchical queries,
+so the width measures, which are defined only for hierarchical queries, use
+``ρ`` and never load the LP solver; ``numpy``/``scipy`` are imported inside
+:func:`fractional_edge_cover` alone.  The tests assert the equality on
+randomly generated hierarchical queries and on every query the planner serves.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Iterable, Optional, Sequence, Tuple
-
-import numpy as np
-from scipy.optimize import linprog
+from typing import Dict, Iterable, Sequence, Tuple
 
 from repro.query.atom import Atom
 from repro.query.conjunctive import ConjunctiveQuery
@@ -40,6 +39,8 @@ def fractional_edge_cover(
     for variable in targets:
         if not any(variable in atom.variables for atom in atoms):
             raise ValueError(f"variable {variable!r} is not covered by any atom")
+    import numpy as np
+    from scipy.optimize import linprog
     n = len(atoms)
     c = np.ones(n)
     # constraints: for each target variable, sum of weights of covering atoms >= 1
@@ -102,12 +103,3 @@ def _atoms_of(query_or_atoms) -> Tuple[Atom, ...]:
     if isinstance(query_or_atoms, ConjunctiveQuery):
         return query_or_atoms.atoms
     return tuple(query_or_atoms)
-
-
-def rho_star_rounded(query_or_atoms, variables: Iterable[str]) -> float:
-    """``ρ*`` rounded to 9 decimal places (LP solutions carry float noise).
-
-    Width measures compare and maximise these values; rounding avoids
-    spurious ``2.0000000001 > 2`` artefacts in tests and planning decisions.
-    """
-    return round(rho_star(query_or_atoms, variables), 9)

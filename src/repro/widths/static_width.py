@@ -7,6 +7,8 @@ variable order attains the minimum (this is how the paper proves the upper
 bounds of Theorem 2 and Proposition 3), so the width is evaluated on that
 order.  Free-connex hierarchical queries get static width 1 (Proposition 3),
 which the test suite asserts for a catalogue of queries from the paper.
+Every ``ρ*`` here is computed as the integral ``ρ``, which Lemma 30 makes
+exact on hierarchical queries.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Dict, Tuple
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.vo.free_top import free_top_order
 from repro.vo.variable_order import VariableOrder, build_canonical_variable_order
-from repro.widths.edge_cover import rho_star_rounded
+from repro.widths.edge_cover import rho
 
 
 def static_width_of_order(order: VariableOrder, query: ConjunctiveQuery) -> float:
@@ -24,7 +26,7 @@ def static_width_of_order(order: VariableOrder, query: ConjunctiveQuery) -> floa
     width = 0.0
     for node in order.iter_variable_nodes():
         variables = {node.variable} | set(order.dep(node.variable))
-        width = max(width, rho_star_rounded(query, variables))
+        width = max(width, float(rho(query, variables)))
     return width
 
 
@@ -39,7 +41,7 @@ def static_width_profile(query: ConjunctiveQuery) -> Dict[str, float]:
     profile: Dict[str, float] = {}
     for node in order.iter_variable_nodes():
         variables = {node.variable} | set(order.dep(node.variable))
-        profile[node.variable] = rho_star_rounded(query, variables)
+        profile[node.variable] = float(rho(query, variables))
     return profile
 
 

@@ -1,8 +1,14 @@
 """Tests for edge covers and the static/dynamic width measures."""
 
+import random
+
 import pytest
 
+from repro.conformance.queries import HEAD_MODES, random_labeled_query
 from repro.query.parser import parse_query
+from repro.vo.free_top import free_top_order
+from repro.vo.variable_order import build_canonical_variable_order
+from repro.workloads.scenarios import SCENARIOS
 from repro.widths.edge_cover import (
     fractional_edge_cover,
     integral_edge_cover,
@@ -51,20 +57,48 @@ class TestEdgeCovers:
         assert {a.relation for a in chosen} == {"R", "S"}
 
     def test_lemma_30_on_paper_queries(self):
-        """ρ* = ρ for hierarchical queries (Lemma 30), on several variable sets."""
+        """ρ* = ρ for hierarchical queries (Lemma 30), on several variable sets.
+
+        The catalogue spans the paper's examples, every scenario query the
+        planner serves and the conformance generator's hierarchical families;
+        the variable sets include each one the width measures cover, so the
+        widths computed with ρ equal the LP-based ones on each query.
+        """
+        rng = random.Random(30)
         catalogue = [
-            "Q(A, C) = R(A, B), S(B, C)",
-            "Q(A, D, E) = R(A, B, C), S(A, B, D), T(A, E)",
-            "Q(C, D, E, F) = R(A, B, D), S(A, B, E), T(A, C, F), U(A, C, G)",
-            "Q(Y0, Y1, Y2) = R0(X, Y0), R1(X, Y1), R2(X, Y2)",
+            parse_query(text)
+            for text in [
+                "Q(A, C) = R(A, B), S(B, C)",
+                "Q(A, D, E) = R(A, B, C), S(A, B, D), T(A, E)",
+                "Q(C, D, E, F) = R(A, B, D), S(A, B, E), T(A, C, F), U(A, C, G)",
+                "Q(Y0, Y1, Y2) = R0(X, Y0), R1(X, Y1), R2(X, Y2)",
+                *sorted({scenario.query for scenario in SCENARIOS.values()}),
+            ]
+        ] + [
+            random_labeled_query(rng, head_mode=mode).query
+            for mode in HEAD_MODES
+            for _ in range(10)
         ]
-        for text in catalogue:
-            q = parse_query(text)
+        for q in catalogue:
             variable_sets = [q.free_variables, q.variables, q.bound_variables]
             for variables in variable_sets:
                 if not variables:
                     continue
                 assert rho_star(q, variables) == pytest.approx(rho(q, variables))
+            order = free_top_order(build_canonical_variable_order(q), q)
+            static_lp = dynamic_lp = 0.0
+            for node in order.iter_variable_nodes():
+                base = {node.variable} | set(order.dep(node.variable))
+                cover = rho_star(q, base)
+                assert cover == pytest.approx(rho(q, base)), (q, base)
+                static_lp = max(static_lp, cover)
+                for atom in node.subtree_atoms():
+                    rest = base - set(atom.variables)
+                    cover = rho_star(q, rest)
+                    assert cover == pytest.approx(rho(q, rest)), (q, rest)
+                    dynamic_lp = max(dynamic_lp, cover)
+            assert static_width(q) == pytest.approx(max(1.0, static_lp)), q
+            assert dynamic_width(q) == pytest.approx(dynamic_lp), q
 
     def test_fractional_can_beat_integral_on_non_hierarchical(self):
         """The triangle query has ρ* = 3/2 < ρ = 2 — showing the LP is real."""
