@@ -24,7 +24,7 @@ every ε.  This package turns that claim into an executable oracle:
   diffs the outcome against the naive oracle and a never-crashed twin;
 * :mod:`repro.conformance.metamorphic` states the metamorphic properties
   (insert-then-delete is a no-op, permuting a consolidated batch is
-  result-invariant, a partitioned stream equals the whole, shard-merged
+  result-invariant, a partitioned stream equals the whole, sharded
   execution is indistinguishable from a single engine, maintained
   aggregates equal the fold over the oracle) checked both by the
   Hypothesis test-suite and the fuzzer;

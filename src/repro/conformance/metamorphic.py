@@ -15,10 +15,11 @@ DBToaster lineage classically check):
 * **a partitioned stream equals the whole** — cutting a stream into
   consecutive consolidated chunks, or consolidating it into one batch,
   must land on the same final result as the one-tuple-at-a-time replay;
-* **shard-merging is invisible** — running the same workload through
+* **sharding is invisible** — running the same workload through
   :class:`~repro.sharding.ShardedEngine` at any shard count must produce
-  exactly the single engine's result, enumerated in canonical order, with
-  every per-shard and cross-shard invariant intact;
+  exactly the single engine's result (same tuples, same multiplicities,
+  each tuple once) in a shard-major Union order that every read repeats,
+  with every per-shard and cross-shard invariant intact;
 * **snapshots are isolated** — a snapshot captured at version ``v``
   enumerates exactly what a fresh engine replayed to ``v`` produces (order
   included), and keeps doing so after the live engine ingests arbitrary
@@ -27,10 +28,11 @@ DBToaster lineage classically check):
 * **retuning is invisible** — switching the live ε after an interleaved
   prefix (``engine.retune``) must leave the engine result- and
   order-equivalent to a fresh engine built at the new ε, through the whole
-  remaining stream, for the single engine and the sharded facade alike;
+  remaining stream; the sharded facade must enumerate the same pairs as a
+  fresh fleet at the new ε;
 * **resharding is invisible** — elastically moving a live fleet from ``k``
-  to ``k′`` shards (``ShardedEngine.reshard``) must leave it result- and
-  order-equivalent to a fresh ``k′``-shard deployment fed the same stream,
+  to ``k′`` shards (``ShardedEngine.reshard``) must leave it enumerating
+  the same pairs as a fresh ``k′``-shard deployment fed the same stream,
   through the whole remaining suffix, while a snapshot captured *before*
   the reshard keeps enumerating its exact capture forever;
 * **maintained aggregates equal the fold** — at every checkpoint of a
@@ -50,6 +52,7 @@ functions over the degree-distribution knobs of
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import Callable, Sequence
 
 from repro.conformance.runner import aggregate_specs_for
@@ -57,7 +60,6 @@ from repro.core.api import HierarchicalEngine
 from repro.core.planner import is_shardable
 from repro.data.database import Database
 from repro.data.update import Update
-from repro.enumeration.union import sort_shard_result
 from repro.exceptions import UnsupportedQueryError
 from repro.query.parser import parse_query
 from repro.rings.spec import answer_map, fold_result
@@ -70,6 +72,15 @@ def _loaded(engine_factory: EngineFactory, database: Database):
     engine = engine_factory()
     engine.load(database)
     return engine
+
+
+def _fleet(query: str, shards: int, epsilon: float, database: Database, events=()):
+    """A serial-executor fleet that loaded ``database`` and committed ``events``."""
+    fleet = ShardedEngine(query, shards=shards, epsilon=epsilon, executor="serial")
+    fleet.load(database)
+    for event in events:
+        fleet.commit(event)
+    return fleet
 
 
 def _maybe_check_invariants(engine) -> None:
@@ -160,11 +171,13 @@ def check_shard_merge(
 ) -> None:
     """Sharded execution must be indistinguishable from a single engine.
 
-    For every shard count: identical result dictionary, enumeration equal
-    to the single engine's result re-sorted canonically (same tuples, same
-    multiplicities, canonical order), and all per-shard plus cross-shard
-    placement invariants intact — after the full stream, so any minor/major
-    rebalances along the way are covered too.  Unshardable queries
+    For every shard count: identical result dictionary, every tuple
+    enumerated once (same tuples, same multiplicities as the single engine),
+    and all per-shard plus cross-shard placement invariants intact — after
+    the full stream, so any minor/major rebalances along the way are
+    covered too.  Sharded enumeration is shard-major Union order, not the
+    single engine's order, and deterministic: a repeated live read and a
+    snapshot read must enumerate the same sequence.  Unshardable queries
     (disconnected bodies) must be *rejected* by the sharded gate while the
     single engine still accepts them.
     """
@@ -182,21 +195,17 @@ def check_shard_merge(
     for update in updates:
         single.apply(update)
     expected = dict(single.result())
-    expected_sequence = sort_shard_result(expected.items())
     for shards in shard_counts:
-        sharded = ShardedEngine(
-            query, shards=shards, epsilon=epsilon, executor="serial"
-        )
-        sharded.load(database)
-        for update in updates:
-            sharded.apply(update)
+        sharded = _fleet(query, shards, epsilon, database, updates)
         merged = list(sharded.enumerate())
-        # equality against the canonically sorted single-engine sequence
-        # covers tuples, multiplicities, AND enumeration order at once
-        assert merged == expected_sequence, (
-            f"shard count {shards}: merged enumeration diverges from the "
-            f"single engine ({len(merged)} vs {len(expected_sequence)} tuples)"
+        assert len(merged) == len(expected) and dict(merged) == expected, (
+            f"shard count {shards}: sharded enumeration diverges from the "
+            f"single engine ({len(merged)} vs {len(expected)} tuples)"
         )
+        with sharded.snapshot() as snapshot:
+            assert list(snapshot.enumerate()) == list(sharded.enumerate()) == merged, (
+                f"shard count {shards}: a repeated read changed the order"
+            )
         sharded.check_invariants()
         sharded.close()
     _maybe_check_invariants(single)
@@ -236,8 +245,9 @@ def check_retune_equivalence(
 
     Both live engines then pass the deep invariant probe and the loose
     partition check.  The sharded facade runs the same protocol at every
-    shard count; merged enumeration is canonical, so sequence equality
-    against a fresh sharded deployment covers result and order at once.
+    shard count against a fresh sharded deployment at ε₂, compared as
+    multisets of pairs: a shard's tree order follows its own history, and
+    sharded enumeration is shard-major Union order over those.
     """
     updates = list(updates)
     batches = _segments(updates, segments)
@@ -279,23 +289,13 @@ def check_retune_equivalence(
     if not is_shardable(retuned.query):
         return
     for shards in shard_counts:
-        sharded = ShardedEngine(
-            query, shards=shards, epsilon=epsilon_before, executor="serial"
-        )
-        sharded.load(database)
-        for batch in prefix:
-            sharded.apply_batch(batch)
+        sharded = _fleet(query, shards, epsilon_before, database, prefix)
         sharded.retune(epsilon_after)
-        fresh = ShardedEngine(
-            query, shards=shards, epsilon=epsilon_after, executor="serial"
-        )
-        fresh.load(database)
-        for batch in prefix:
-            fresh.apply_batch(batch)
+        fresh = _fleet(query, shards, epsilon_after, database, prefix)
         for batch in suffix:
             sharded.apply_batch(batch)
             fresh.apply_batch(batch)
-        assert list(sharded.enumerate()) == list(fresh.enumerate()), (
+        assert Counter(sharded.enumerate()) == Counter(fresh.enumerate()), (
             f"shard count {shards}: retuned sharded enumeration diverges "
             "from a fresh deployment at the new epsilon"
         )
@@ -312,16 +312,16 @@ def check_reshard_equivalence(
     shard_counts: Sequence[int] = (1, 2, 4, 7),
     segments: int = 3,
 ) -> None:
-    """``reshard(k′)`` must equal a fresh ``k′`` fleet — order included.
+    """``reshard(k′)`` must equal a fresh ``k′`` fleet, pair for pair.
 
     For every adjacent pair of shard counts (cyclically, so both splits
     and merges are exercised): a fleet at ``k`` ingests an interleaved
     prefix of batches, captures a snapshot, and reshards to ``k′``; from
     that point on it must be indistinguishable from a fresh ``k′``-shard
-    deployment fed the same prefix — compared by exact merged enumeration
-    (canonical order makes sequence equality cover result, multiplicities,
-    and order at once) right after the swap and again after every suffix
-    batch.  The reshard itself ticks the facade version exactly once,
+    deployment fed the same prefix — compared as exact multisets of
+    enumerated pairs (each shard's tree order follows its own insertion
+    history, which a reshard rewrites) right after the swap and again after
+    every suffix batch.  The reshard itself ticks the facade version exactly once,
     like a retune.  The held snapshot must still enumerate its exact
     pre-reshard capture after the swap *and* after the suffix mutated the
     new fleet underneath it — the retired fleet stays alive precisely as
@@ -340,12 +340,7 @@ def check_reshard_equivalence(
         after = counts[(index + 1) % len(counts)]
         if after == before:
             continue
-        resharded = ShardedEngine(
-            query, shards=before, epsilon=epsilon, executor="serial"
-        )
-        resharded.load(database)
-        for batch in prefix:
-            resharded.apply_batch(batch)
+        resharded = _fleet(query, before, epsilon, database, prefix)
         held = resharded.snapshot()
         held_sequence = list(held.enumerate())
         version_before = resharded.version
@@ -357,20 +352,15 @@ def check_reshard_equivalence(
             f"reshard {before}->{after} ticked the version from "
             f"{version_before} to {resharded.version}, expected exactly one"
         )
-        fresh = ShardedEngine(
-            query, shards=after, epsilon=epsilon, executor="serial"
-        )
-        fresh.load(database)
-        for batch in prefix:
-            fresh.apply_batch(batch)
-        assert list(resharded.enumerate()) == list(fresh.enumerate()), (
-            f"reshard {before}->{after}: merged enumeration diverges from a "
+        fresh = _fleet(query, after, epsilon, database, prefix)
+        assert Counter(resharded.enumerate()) == Counter(fresh.enumerate()), (
+            f"reshard {before}->{after}: sharded enumeration diverges from a "
             "fresh deployment at the new count"
         )
         for batch in suffix:
             resharded.apply_batch(batch)
             fresh.apply_batch(batch)
-            assert list(resharded.enumerate()) == list(fresh.enumerate()), (
+            assert Counter(resharded.enumerate()) == Counter(fresh.enumerate()), (
                 f"reshard {before}->{after}: resharded and fresh fleets "
                 "diverged while ingesting the suffix"
             )
@@ -402,7 +392,7 @@ def check_snapshot_isolation(
     live engine produced at capture time, and its result must equal the
     ground truth of a fresh :class:`NaiveRecomputeEngine` replayed to the
     same prefix.  The sharded facade runs the same protocol at every shard
-    count, its snapshots checked against the canonically sorted truth.
+    count.
     """
     from repro.baselines.naive import NaiveRecomputeEngine
 
@@ -414,54 +404,32 @@ def check_snapshot_isolation(
         oracle.apply_batch(batch)
         truths.append(dict(oracle.result()))
 
-    single = HierarchicalEngine(query, epsilon=epsilon)
-    single.load(database)
-    captured = []
-    for batch in batches:
-        single.apply_batch(batch)
-        captured.append((single.snapshot(), list(single.enumerate())))
-    for index, (snapshot, live_sequence) in enumerate(captured):
-        assert snapshot.version == index + 1, (
-            f"snapshot after batch {index} reports version {snapshot.version}"
-        )
-        sequence = list(snapshot.enumerate())
-        assert sequence == live_sequence, (
-            f"snapshot at version {snapshot.version} enumerates differently "
-            "from the live engine at capture time"
-        )
-        assert dict(snapshot.result()) == truths[index], (
-            f"snapshot at version {snapshot.version} diverges from a fresh "
-            "oracle replayed to the same prefix"
-        )
-        for tup, mult in truths[index].items():
-            assert snapshot.lookup(tup) == mult, (
-                f"snapshot lookup({tup!r}) != {mult} at version "
-                f"{snapshot.version}"
-            )
-            break  # one probe per snapshot keeps the check cheap
-        snapshot.close()
-    _maybe_check_invariants(single)
-
-    if not is_shardable(single.query):
-        return
-    for shards in shard_counts:
-        sharded = ShardedEngine(
-            query, shards=shards, epsilon=epsilon, executor="serial"
-        )
-        sharded.load(database)
-        sharded_captured = []
+    single = HierarchicalEngine(query, epsilon=epsilon).load(database)
+    engines = [("single engine", single)]
+    if is_shardable(single.query):
+        engines += [(f"{n} shards", _fleet(query, n, epsilon, database)) for n in shard_counts]
+    for label, engine in engines:
+        captured = []
         for batch in batches:
-            sharded.apply_batch(batch)
-            sharded_captured.append(sharded.snapshot())
-        for index, snapshot in enumerate(sharded_captured):
-            expected = sort_shard_result(truths[index].items())
-            assert list(snapshot.enumerate()) == expected, (
-                f"shard count {shards}: snapshot at version "
-                f"{snapshot.version} diverges from the oracle prefix"
+            engine.apply_batch(batch)
+            captured.append((engine.snapshot(), list(engine.enumerate())))
+        for index, (snapshot, live_sequence) in enumerate(captured):
+            where = f"{label}: snapshot at version {snapshot.version}"
+            assert snapshot.version == index + 1, f"{where}, taken after batch {index}"
+            sequence = list(snapshot.enumerate())
+            assert sequence == live_sequence, (
+                f"{where} enumerates differently from the live engine at capture time"
             )
+            assert len(sequence) == len(truths[index]) and dict(sequence) == truths[index], (
+                f"{where} diverges from a fresh oracle replayed to the same prefix"
+            )
+            for tup, mult in truths[index].items():
+                assert snapshot.lookup(tup) == mult, f"{where}: lookup({tup!r}) != {mult}"
+                break  # one probe per snapshot keeps the check cheap
             snapshot.close()
-        sharded.check_invariants()
-        sharded.close()
+        engine.check_invariants()
+        if isinstance(engine, ShardedEngine):
+            engine.close()
 
 
 def check_aggregate_equivalence(
@@ -527,14 +495,7 @@ def check_aggregate_equivalence(
     ]
     if is_shardable(probe.query):
         for shards in shard_counts:
-            engines.append(
-                (
-                    f"sharded(n={shards},eps={mid})",
-                    ShardedEngine(
-                        query, shards=shards, epsilon=mid, executor="serial"
-                    ).load(database),
-                )
-            )
+            engines.append((f"sharded(n={shards},eps={mid})", _fleet(query, shards, mid, database)))
     for _name, engine in engines:
         for spec in specs:
             engine.register_aggregate(spec)

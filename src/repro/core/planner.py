@@ -80,7 +80,7 @@ def choose_shard_key(query) -> str:
 
     Among the candidates the planner prefers a *free* variable (result
     tuples then carry the shard key, so shards enumerate disjoint results
-    and the k-way merge never has to sum multiplicities across shards) and
+    and the sharded Union never has to look a tuple up on another shard) and
     breaks remaining ties by sorted order, keeping the choice deterministic.
     """
     cq = coerce_query(query)

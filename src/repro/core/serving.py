@@ -135,7 +135,7 @@ class EngineServer(MutationSurface):
     def __init__(self, engine, mode: str = "snapshot", controller=None) -> None:
         # ``mode`` has one value left.  The keyword stays accepted only
         # because benchmarks/e2e/ passes it and that directory is frozen
-        # outside a [benchmark] PR (ROADMAP item 5(a) drops both).
+        # outside a [benchmark] PR (ROADMAP item 2(d) drops both).
         if mode != "snapshot":
             raise ValueError(
                 f"unknown serving mode {mode!r}; there is only 'snapshot'"

@@ -37,7 +37,7 @@ def canonical_key_value(value: object) -> object:
     """Collapse values that are equal under Python semantics onto one form.
 
     Tuple equality in relations follows ``==``, where ``1 == 1.0 == True``;
-    shard routing and canonical ordering must agree with that, or a delete
+    shard routing must agree with that, or a delete
     written as ``(10, 1.0)`` would route to a different shard than the
     stored ``(10, 1)``.  Booleans become ints and integral floats become
     ints; everything else is returned unchanged.

@@ -153,7 +153,7 @@ def storage_backend(name: str):
 
     A no-op kept because ``benchmarks/e2e/trace.py`` still names the layout;
     it leaves together with ``EngineServer``'s ``mode`` parameter (ROADMAP
-    item 5(a)).
+    item 2(d)).
     """
     if name != "dict":
         raise ValueError(f"unknown storage backend {name!r}; the one layout is 'dict'")

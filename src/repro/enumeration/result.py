@@ -163,15 +163,19 @@ class ResultEnumerator:
         view lookups plus heavy-indicator passes — never an enumeration —
         within the ``O(N^{1−ε})`` budget of Proposition 22.
         """
-        position = {v: p for p, v in enumerate(self.head)}
-        components = self._components()
-        total = 1 if components else 0
-        for out_vars, trees in components:
-            key = tuple([tup[position[v]] for v in out_vars])
-            total *= sum(lookup(key) for _, lookup in trees)
-            if total == 0:
-                return 0
-        return total
+        return lookup_bound(self._components(), self.head, tup)
+
+
+def lookup_bound(components: List[_Component], head: Sequence[str], tup: ValueTuple) -> int:
+    """:meth:`ResultEnumerator.lookup` over plans already bound to relations."""
+    position = {v: p for p, v in enumerate(head)}
+    total = 1 if components else 0
+    for out_vars, trees in components:
+        key = tuple([tup[position[v]] for v in out_vars])
+        total *= sum(lookup(key) for _, lookup in trees)
+        if total == 0:
+            return 0
+    return total
 
 
 class ReadSurface:

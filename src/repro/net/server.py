@@ -11,8 +11,9 @@ three kinds of traffic:
   ``unsubscribe``, ``metrics`` and ``stats``.  Each connection's
   requests are dispatched sequentially; blocking engine work runs on a
   thread pool (commits on one thread of their own) so the event loop never
-  stalls on maintenance or a whole enumeration — a snapshot page, O(limit)
-  with constant delay like its encoding, is taken on the loop.
+  stalls on maintenance or a whole enumeration — a single engine's
+  snapshot page, O(limit) with constant delay like its encoding, is taken
+  on the loop; a sharded one runs shard rounds, so it goes to the pool.
 * **Push-based subscriptions** — a subscription receives the full result
   once (in the ``subscribe`` response) and then one consolidated delta
   frame per engine commit, computed from the batch's net effect by the
@@ -232,6 +233,7 @@ class EngineTCPServer:
         self.latest_version = 0
         self._closed = False
         self._listener_installed = False
+        self._sharded = hasattr(serving.engine, "begin_reshard")
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -758,7 +760,9 @@ class EngineTCPServer:
         limit = check_limit(message.get("limit"), ProtocolError) or 100
         # On the loop, which encodes the page anyway: a pool thread would wait
         # twice more for the interpreter lock, behind the commit in flight.
-        page = take(session.iterators[sid], limit)
+        # A sharded page runs shard rounds, so it goes off the loop.
+        iterator = session.iterators[sid]
+        page = await self._run(take, iterator, limit) if self._sharded else take(iterator, limit)
         return {
             "snap": sid,
             "version": snapshot.version,

@@ -4,7 +4,8 @@ The subsystem splits one hierarchical query's data across ``k`` independent
 :class:`~repro.core.api.HierarchicalEngine` instances by hashing the
 planner-chosen shard key (a variable occurring in every atom, so joins and
 rebalancing stay shard-local), routes single updates and batches to their
-shards, and answers enumeration through an order-preserving k-way merge.
+shards, and answers enumeration with Figure 15's Union over one page cursor
+per shard.
 
 Entry point::
 

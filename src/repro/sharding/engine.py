@@ -18,21 +18,16 @@ facade over a fleet of per-shard engines:
   durable deployment a round that finds a dead worker restarts it from its
   durability directory and re-runs (read) or reconciles (commit) the round
   there (see ``docs/architecture.md`` §12);
-* **reads** — every shard enumerates its result in the canonical
-  order and :func:`repro.enumeration.union.merge_shards` performs an
-  order-preserving k-way merge, summing multiplicities of tuples produced
-  by several shards (possible only when the shard key is bound); that
-  merge is ``enumerate()``, and ``aggregate_elements`` merges the shards'
-  partial aggregates — the rest of the read API (``result``,
-  ``count_distinct``, iteration, ``aggregate``) is inherited from
+* **reads** — ``snapshot`` captures every shard at one version in one
+  round, and ``enumerate()`` reads such a :class:`ShardedSnapshot`: Figure
+  15's Union (:func:`repro.enumeration.union.union`) over one page cursor
+  per shard (:class:`_ShardCursors`), so maintenance keeps flowing under
+  readers; ``aggregate_elements`` merges the shards' partial aggregates,
+  and the rest of the read API is inherited from
   :class:`~repro.enumeration.result.ReadSurface`, as on the single engine;
 * **invariants** — ``check_invariants`` runs every shard's deep probe plus
   the cross-shard placement check (every stored tuple hashes to the shard
   holding it);
-* **snapshots** — ``snapshot`` captures every shard at a consistent
-  version in one executor round and answers reads through the same k-way
-  merge, so maintenance keeps flowing while readers enumerate an immutable
-  :class:`ShardedSnapshot` (see :mod:`repro.snapshot`);
 * **resharding** — ``reshard(new_count)`` changes the shard count online:
   a snapshot-consistent cut is exported, re-routed into a fresh fleet at
   the new count, the tail of updates committed since the cut is replayed,
@@ -42,28 +37,27 @@ facade over a fleet of per-shard engines:
   closes), and durable deployments write a barrier record so ``recover()``
   comes back at the new count (see ``docs/architecture.md`` §14).
 
-Why shard at all?  Each shard plans against its own (four-times-smaller, at
-four shards) database, so its heavy/light threshold ``M_shard^ε`` drops:
-join keys whose degree sits between the per-shard and the global threshold
-flip from the light regime (every update pays ``O(degree)`` propagation
-into materialized join views) to the heavy regime (updates cost ``O(1)``;
-the work is deferred to enumeration).  On skewed update traffic this is a
-superlinear win per shard *before* any parallelism — and the process
-executor adds real parallelism on multi-core hosts.  The flip side: more
-heavy keys means more enumeration-time work and the merge gives up the
-single engine's native enumeration order for the canonical one; see
-``docs/architecture.md`` §9 for when shard count > 1 loses.
+Why shard at all?  Each shard plans against its own, smaller database, so
+its heavy/light threshold ``M_shard^ε`` drops: join keys whose degree sits
+between the per-shard and the global threshold flip from the light regime
+(``O(degree)`` propagation per update) to the heavy one (``O(1)``, the work
+deferred to enumeration) — a superlinear win per shard on skewed update
+traffic before any parallelism.  ``docs/architecture.md`` §9 says when
+shard count > 1 loses.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import shutil
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.adaptive.telemetry import WorkloadTelemetry
 from repro.core.planner import QueryPlan, coerce_query, plan_query
@@ -86,7 +80,7 @@ from repro.durability.manager import (
     write_fleet_meta,
 )
 from repro.enumeration.result import ReadSurface
-from repro.enumeration.union import merge_shards
+from repro.enumeration.union import Source, union
 from repro.exceptions import (
     DurabilityError,
     ReproError,
@@ -107,6 +101,10 @@ from repro.views.build import DYNAMIC_MODE
 # per-update pipe/pickle overhead of worker processes only amortizes once
 # shards hold enough data for maintenance work to dominate dispatch.
 SMALL_N_THRESHOLD = 50_000
+
+# Pairs per ``snap_page`` round.  On ``fraud`` (4 shards, bound key) a first
+# read of 100 took 10 ms at pages of 50 or 100 and 31 ms at 200.
+PAGE_SIZE = 100
 
 
 @dataclass
@@ -132,7 +130,7 @@ class _FleetHandle(PinCount):
     existed.
     """
 
-    __slots__ = ("router", "executor_name", "epoch", "acked", "undrained")
+    __slots__ = ("router", "executor_name", "epoch", "acked", "undrained", "ids", "_dropped")
 
     def __init__(
         self,
@@ -151,10 +149,26 @@ class _FleetHandle(PinCount):
         # Shards that committed since the last drain_result_delta: a restart
         # of one of them loses the delta it had captured.
         self.undrained: Set[int] = set()
+        # Snapshot and cursor ids, and per shard the ids let go of without a
+        # round, which that shard's next snapshot round releases.
+        self.ids = itertools.count(1)
+        self._dropped: List[Deque[int]] = [deque() for _ in range(router.shards)]
 
     @property
     def executor(self) -> ShardExecutor:
         return self.resource
+
+    def drop(self, shards: Iterable[int], handle_id: int) -> None:
+        for shard in shards:
+            self._dropped[shard].append(handle_id)
+
+    def drops(self, shard: int) -> List[int]:
+        queue, taken = self._dropped[shard], []
+        while True:  # popleft is atomic; another round may be taking too
+            try:
+                taken.append(queue.popleft())
+            except IndexError:
+                return taken
 
 
 class _ReshardPlan:
@@ -179,11 +193,9 @@ class ShardedSnapshot(ReadSurface):
     """An immutable handle onto one version of a sharded deployment.
 
     Capture takes one shard-local :class:`repro.snapshot.Snapshot` per shard
-    in a single executor round (cheap: no view content is copied); reads
-    fetch each shard snapshot's canonical enumeration and run them through
-    the same order-preserving k-way merge as live sharded enumeration, so
-    the sequence is exactly what ``engine.enumerate()`` produced at the
-    captured version.  ``version`` counts the facade's ingestion events
+    in a single executor round (cheap: no view content is copied); each
+    :meth:`enumerate` call opens its own cursors, so one published snapshot
+    serves many readers.  ``version`` counts the facade's ingestion events
     (one per ``apply`` / ``apply_batch`` / ``apply_stream`` chunk), and
     ``shard_versions`` records each shard's own event counter at capture.
     """
@@ -192,7 +204,7 @@ class ShardedSnapshot(ReadSurface):
         self,
         engine: "ShardedEngine",
         fleet: _FleetHandle,
-        snapshot_ids: Dict[int, int],
+        snapshot_id: int,
         shard_versions: Tuple[int, ...],
         version: int,
     ) -> None:
@@ -205,20 +217,14 @@ class ShardedSnapshot(ReadSurface):
         # closes (the COW/pin retirement contract).
         self._fleet = fleet
         fleet.pin()
-        self._snapshot_ids = dict(snapshot_ids)
+        self._id = snapshot_id
         self.shard_versions = shard_versions
         self.version = version
         self._closed = False
 
     # ------------------------------------------------------------------
-    def _commands(self, command: str, *args) -> Dict[int, Tuple[str, Any]]:
-        return {
-            shard: (command, (snapshot_id, *args) if args else snapshot_id)
-            for shard, snapshot_id in self._snapshot_ids.items()
-        }
-
-    def _read(self, command: str, *args) -> List[Any]:
-        """One ``snap_*`` round over the captured shards, replies in shard order."""
+    def _read(self, command: str, args: Dict[int, Tuple]) -> Dict[int, Any]:
+        """A ``(command, (id, *args[shard], queued drops))`` round, per shard."""
         if self._closed:
             raise StaleStateError("this sharded snapshot has been closed")
         self._engine._check_generation(self._generation)
@@ -226,27 +232,48 @@ class ShardedSnapshot(ReadSurface):
             raise StaleStateError(
                 "the shard fleet this snapshot was captured on has shut down"
             )
-        replies = self._engine._round(self._fleet, self._commands(command, *args))
-        return [replies[shard] for shard in sorted(replies)]
+        fleet = self._fleet
+        commands = {s: (command, (self._id, *rest, fleet.drops(s))) for s, rest in args.items()}
+        return self._engine._round(fleet, commands)
 
     def enumerate(self) -> Iterator[Tuple[ValueTuple, int]]:
-        """Merged canonical enumeration of the captured per-shard results."""
-        return merge_shards(self._read("snap_enumerate"))
+        """Figure 15's Union over one page cursor per shard: the single
+        engine's tuples and multiplicities at the captured version, in
+        shard-major Union order — deterministic for a given shard count and
+        the same under every executor.  No shard work before ``next()``."""
+        cursors = _ShardCursors(self)
+        try:
+            yield from union(cursors.sources())
+        finally:
+            cursors.abandon()
 
     def lookup(self, tup: ValueTuple) -> int:
-        """Multiplicity of one full result tuple (summed across shards)."""
-        return sum(self._read("snap_lookup", tuple(tup)))
+        """Multiplicity of one full result tuple: with a free shard key the
+        shard its key value hashes to answers, with a bound one every shard."""
+        tup, router = tuple(tup), self._fleet.router
+        if router.head_column is not None and router.head_column < len(tup):
+            shards: Iterable[int] = (router.shard_of_value(tup[router.head_column]),)
+        else:  # a short tuple goes everywhere, and every shard rejects it
+            shards = range(router.shards)
+        replies = self._read("snap_lookup", {shard: ([tup],) for shard in shards})
+        return sum(answers[0] for answers in replies.values())
 
     # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release the per-shard snapshots (idempotent; survives re-loads)."""
+    def close(self, round_trip: bool = True) -> None:
+        """Release the per-shard snapshots (idempotent; survives re-loads).
+        ``round_trip=False`` leaves the release to the fleet's next snapshot
+        round to each shard: a finaliser may run inside a round on this very
+        thread, and the pipe locks are not re-entrant."""
         if self._closed:
             return
         self._closed = True
-        fleet = self._fleet
+        fleet, shards = self._fleet, range(self._fleet.router.shards)
         try:
-            if self._engine._generation == self._generation and not fleet.closed:
-                self._engine._round(fleet, self._commands("snap_release"))
+            if not round_trip:
+                fleet.drop(shards, self._id)
+            elif self._engine._generation == self._generation and not fleet.closed:
+                releases = {s: ("snap_release", (self._id, fleet.drops(s))) for s in shards}
+                self._engine._round(fleet, releases)
         finally:
             # Always drop the pin — when this was the last pre-reshard
             # snapshot on a retired fleet, the old executor closes here.
@@ -257,6 +284,76 @@ class ShardedSnapshot(ReadSurface):
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+class _ShardCursors:
+    """One enumeration of a :class:`ShardedSnapshot`: a Union source per shard.
+
+    ``next`` pops the shard's buffered page, fetching the next one when it
+    runs dry.  With a free shard key the shards' results are disjoint and
+    every ``lookup`` is 0.  With a bound key each page's new tuples are
+    looked up on every other shard in one round; Union asks about a tuple
+    only between the ``next()`` that emits it and the following one, so
+    the answers go once every shard holding the tuple has emitted it.
+    """
+
+    def __init__(self, snapshot: ShardedSnapshot) -> None:
+        router = snapshot._fleet.router
+        self._snapshot, self._id, self._shards = snapshot, next(snapshot._fleet.ids), router.shards
+        self._bound = not router.key_is_free and self._shards > 1
+        self._pages: List[Deque] = [deque() for _ in range(self._shards)]
+        self._done = [False] * self._shards
+        self._open: Set[int] = set()  # shards holding this cursor
+        # Bound key: a fetched tuple's multiplicity on every shard, and how
+        # many of the shards holding it have yet to emit it.
+        self._known: Dict[ValueTuple, List[int]] = {}
+        self._left: Dict[ValueTuple, int] = {}
+        self._spent: Optional[ValueTuple] = None
+
+    def sources(self) -> List[Source]:
+        zero = lambda tup: 0  # noqa: E731 - disjoint shards: nothing to look up
+        return [
+            (partial(self._next, shard), partial(self._lookup, shard) if self._bound else zero)
+            for shard in range(self._shards)
+        ]
+
+    def abandon(self) -> None:  # no round: see ShardedSnapshot.close
+        self._snapshot._fleet.drop(self._open, self._id)
+
+    def _next(self, shard: int) -> Optional[Tuple[ValueTuple, int]]:
+        page = self._pages[shard]
+        if not page and not self._done[shard]:
+            self._fetch(shard)
+        if not page:
+            return None
+        item = page.popleft()
+        if self._bound:
+            self._known.pop(self._spent, None)
+            left = self._left.pop(item[0], 1) - 1
+            if left:
+                self._left[item[0]] = left
+            self._spent = None if left else item[0]
+        return item
+
+    def _lookup(self, shard: int, tup: ValueTuple) -> int:
+        return self._known[tup][shard]
+
+    def _fetch(self, shard: int) -> None:
+        self._open.add(shard)  # before the round: a failed page may have opened it
+        page = self._snapshot._read("snap_page", {shard: (self._id, PAGE_SIZE)})[shard]
+        if len(page) < PAGE_SIZE:  # ran out: the shard dropped the cursor
+            self._done[shard] = True
+            self._open.discard(shard)
+        fresh = [pair for pair in page if pair[0] not in self._known] if self._bound else []
+        if fresh:
+            tuples = [tup for tup, _ in fresh]
+            others = {other: (tuples,) for other in range(self._shards) if other != shard}
+            answers = self._snapshot._read("snap_lookup", others)
+            for index, (tup, mult) in enumerate(fresh):
+                known = [answers[o][index] if o in answers else mult for o in range(self._shards)]
+                self._known[tup] = known
+                self._left[tup] = sum(1 for value in known if value)
+        self._pages[shard].extend(page)
 
 
 class ShardedEngine(ReadSurface, MutationSurface):
@@ -289,7 +386,7 @@ class ShardedEngine(ReadSurface, MutationSurface):
         self.mode = mode
         self.enable_rebalancing = enable_rebalancing
         self.executor_choice = executor
-        # Facade-level workload telemetry: ingestion and merged-enumeration
+        # Facade-level workload telemetry: ingestion and sharded-read
         # events are recorded here (per-shard engines keep their own), so
         # an AdaptiveController can drive the whole deployment.  Pass
         # ``telemetry=False`` to opt out, as on HierarchicalEngine.
@@ -694,8 +791,8 @@ class ShardedEngine(ReadSurface, MutationSurface):
         Ingestion is all-or-nothing across shards: a rejected sub-batch
         raises with no shard modified.  The facade version ticks once per
         event; a :class:`Retune` switches every shard's ε in one round
-        (each a shard-local retune), and the merged enumeration afterwards
-        equals a fresh sharded deployment built at that ε.
+        (each a shard-local retune), and the enumerated pairs afterwards
+        equal a fresh sharded deployment's built at that ε.
         """
         fleet = self._require_loaded()
         started = time.perf_counter()
@@ -717,26 +814,27 @@ class ShardedEngine(ReadSurface, MutationSurface):
     # enumeration
     # ------------------------------------------------------------------
     def enumerate(self) -> Iterator[Tuple[ValueTuple, int]]:
-        """Enumerate distinct result tuples in canonical order.
-
-        The merged sequence contains exactly the single-engine result —
-        same tuples, same multiplicities — ordered by
-        :func:`repro.enumeration.union.canonical_sort_key` instead of the
-        single engine's tree order.  Like the single engine's enumerator,
-        the shard work starts at the first ``next()``, a :meth:`load` in
-        between raises :class:`StaleStateError`, and the read — broadcast
-        plus merge, partial reads included — records into the facade's
-        telemetry.
-        """
+        """A snapshot's enumeration, then its release: the single engine's
+        tuples and multiplicities in shard-major Union order, deterministic
+        for a given shard count and the same under every executor, not the
+        single engine's order.  As there, the shard work starts at the first
+        ``next()``, a :meth:`load` in between raises :class:`StaleStateError`,
+        and the read records into the facade's telemetry."""
         self._require_loaded()
-        merged = self._merged(self._generation)
+        pages = self._pages(self._generation)
         if self.telemetry is None:
-            return merged
-        return self.telemetry.recorded_read(merged)
+            return pages
+        return self.telemetry.recorded_read(pages)
 
-    def _merged(self, generation: int) -> Iterator[Tuple[ValueTuple, int]]:
+    def _pages(self, generation: int) -> Iterator[Tuple[ValueTuple, int]]:
         self._check_generation(generation)
-        yield from merge_shards(self._broadcast("enumerate"))
+        snapshot = self.snapshot()
+        finished = False
+        try:
+            yield from snapshot.enumerate()
+            finished = True
+        finally:  # an abandoned read may be finalised inside a round
+            snapshot.close(round_trip=finished)
 
     # ------------------------------------------------------------------
     # snapshots
@@ -755,19 +853,18 @@ class ShardedEngine(ReadSurface, MutationSurface):
         """Capture every shard at a consistent version in one round.
 
         Each shard takes a local :meth:`HierarchicalEngine.snapshot` (no
-        view content is copied) and the facade records the handle ids;
-        reads merge the per-shard captures through the canonical k-way
-        merge, so the snapshot enumerates exactly what live sharded
-        enumeration produced at this version.  Like the single-engine
+        view content is copied) under one fleet-wide id, and releases what
+        readers let go of without a round.  Like the single-engine
         capture, this must not race a mutating call —
         :class:`repro.core.serving.EngineServer` (or any external lock)
         serializes capture against the writer; reads need no lock at all.
         """
         fleet = self._require_loaded()
-        replies = self._broadcast("snapshot", fleet=fleet)
-        snapshot_ids = {shard: reply[0] for shard, reply in enumerate(replies)}
-        shard_versions = tuple(reply[1] for reply in replies)
-        return ShardedSnapshot(self, fleet, snapshot_ids, shard_versions, self._version)
+        snapshot_id, shards = next(fleet.ids), range(fleet.router.shards)
+        commands = {s: ("snapshot", (snapshot_id, fleet.drops(s))) for s in shards}
+        replies = self._round(fleet, commands)
+        shard_versions = tuple(replies[shard] for shard in shards)
+        return ShardedSnapshot(self, fleet, snapshot_id, shard_versions, self._version)
 
     # ------------------------------------------------------------------
     # result-delta capture (push-based serving)
@@ -894,9 +991,10 @@ class ShardedEngine(ReadSurface, MutationSurface):
             engine.build_reshard(plan)       # lock released; writes flow
             engine.finish_reshard(plan)      # under the write lock
 
-        Afterwards the merged enumeration, result, and invariants equal a
-        fresh deployment at ``new_count`` over the same data (the
-        conformance bar); the facade version ticks once, like
+        Afterwards the enumerated pairs, result, and invariants equal a
+        fresh deployment's at ``new_count`` over the same data (the
+        conformance bar; the order follows each new shard's insertion
+        history, so it is not compared); the facade version ticks once, like
         :meth:`retune`.  Snapshots captured before the reshard keep
         reading their version through the retired fleet, which shuts
         down when the last of them closes.

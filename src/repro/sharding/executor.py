@@ -3,17 +3,17 @@
 The sharded engine talks to its shards through a tiny command set — one
 mutating command, ``commit`` (the shard's part of one update, batch or
 retune event, see :mod:`repro.data.update`), plus ``validate`` (its
-dry-run), ``enumerate`` (sorted), ``export``, ``check`` (engine invariants
-+ placement), ``stats``, ``view_size``, ``size``, ``threshold``,
-``version``, ``epsilon``,
+dry-run), ``export``, ``check`` (engine invariants + placement), ``stats``,
+``view_size``, ``size``, ``threshold``, ``version``, ``epsilon``,
 the aggregate pair ``register_aggregate`` / ``aggregate`` (per-shard
 partial aggregates as raw supports and ring elements, merged at the
 facade with :func:`repro.rings.spec.merge_elements`),
 plus the snapshot quartet
-``snapshot`` / ``snap_enumerate`` / ``snap_lookup`` / ``snap_release``
-(shard-local :class:`repro.snapshot.Snapshot` handles held in a per-worker
-registry and addressed by integer id, so they work identically in-process
-and across a worker pipe) — so the same facade drives three deployments:
+``snapshot`` / ``snap_page`` / ``snap_lookup`` / ``snap_release`` —
+shard-local :class:`repro.snapshot.Snapshot` handles and page cursors over
+their tree-order enumeration, held in a per-worker registry under integer
+ids the facade allocates, so they work identically in-process and across a
+worker pipe — so the same facade drives three deployments:
 
 * :class:`SerialExecutor` — per-shard engines in-process, commands run in a
   loop.  Zero overhead, no parallelism; the default for small databases and
@@ -30,9 +30,9 @@ and across a worker pipe) — so the same facade drives three deployments:
   separate cores when the host has them).
 
 Every executor is deterministic from the engine's point of view: shard
-state depends only on the sub-stream routed to that shard, and enumeration
-merges per-shard results sorted by the canonical order, so scheduling can
-never leak into results.
+state depends only on the sub-stream routed to that shard, and a sharded
+read walks the shards in index order, so scheduling can never leak into
+results.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ import multiprocessing
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import repro.exceptions as repro_exceptions
 from repro.core.api import HierarchicalEngine
@@ -53,7 +54,6 @@ from repro.durability.crashpoints import (
     install_injector,
 )
 from repro.durability.manager import DurabilityConfig
-from repro.enumeration.union import sort_shard_result
 from repro.exceptions import WorkerDiedError
 from repro.rings.spec import AggregateSpec
 from repro.sharding.router import ShardRouter
@@ -76,15 +76,16 @@ class _ShardServer:
         self.engine = engine or HierarchicalEngine(query_text, **engine_kwargs)
         self.router = ShardRouter(self.engine.query, shard_count, shard_key)
         self.shard_index = shard_index
-        # Shard-local snapshot registry: handles cannot cross a process
-        # pipe, so the facade holds integer ids and reads through the
-        # snap_* commands below.  Entries are ``[snapshot, sorted_result]``
-        # — snapshots are immutable, so the canonical enumeration is
-        # computed once and replayed on every later read of the same id.
-        self._snapshots: Dict[int, List[Any]] = {}
-        self._snapshot_seq = 0
+        # Handles cannot cross a process pipe: the facade names snapshots and
+        # page cursors ``(snapshot id, enumerator)`` by integer ids.
+        self._snapshots: Dict[int, Any] = {}
+        self._cursors: Dict[int, Tuple[int, Iterator]] = {}
 
     def handle(self, command: str, payload: Any) -> Any:
+        if command.startswith("snap"):
+            # each ends with the ids the facade let go of without a round
+            *payload, drops = payload
+            self._release(drops)
         if command == "commit":
             # the shard's part of one facade event — an Update, a sub-batch
             # or a Retune — through the shard engine's own public commit,
@@ -102,38 +103,39 @@ class _ShardServer:
             self.engine._require_dynamic()
             payload.validate_against(self.engine.database)
             return None
-        if command == "enumerate":
-            return sort_shard_result(self.engine.enumerate())
         if command == "export":
             # Reshard cut: the shard's full base data as a picklable
             # payload.  The caller stops routing writes to this fleet
             # before exporting, so the payload is a consistent cut.
             return self.engine.database.to_rows()
         if command == "snapshot":
-            self._snapshot_seq += 1
-            self._snapshots[self._snapshot_seq] = [self.engine.snapshot(), None]
-            return (self._snapshot_seq, self.engine.version)
-        if command == "snap_enumerate":
-            entry = self._snapshot(payload)
-            if entry[1] is None:
-                entry[1] = sort_shard_result(entry[0].enumerate())
-            return entry[1]
+            self._snapshots[payload[0]] = self.engine.snapshot()
+            return self.engine.version
+        if command == "snap_page":
+            # The next ``limit`` pairs of one cursor, opened by its first
+            # page; a short page means it ran out, and it is dropped here.
+            snapshot_id, cursor_id, limit = payload
+            cursor = self._cursors.get(cursor_id)
+            if cursor is None:
+                enumerator = iter(self._snapshot(snapshot_id).enumerate())
+                cursor = self._cursors[cursor_id] = (snapshot_id, enumerator)
+            page = list(islice(cursor[1], limit))
+            if len(page) < limit:  # (a concurrent release may have dropped it)
+                self._cursors.pop(cursor_id, None)
+            return page
         if command == "snap_lookup":
-            snapshot_id, tup = payload
-            return self._snapshot(snapshot_id)[0].lookup(tuple(tup))
+            snapshot_id, tuples = payload
+            return [self._snapshot(snapshot_id).lookup(tup) for tup in tuples]
         if command == "snap_release":
-            entry = self._snapshots.pop(payload, None)
-            if entry is not None:
-                entry[0].close()
+            self._release(payload)
             return None
         if command == "set_delta_capture":
             self.engine.set_delta_capture(bool(payload))
             return None
         if command == "drain_delta":
             # per-shard net result delta since the last drain; the facade
-            # sums the shard dicts (shard results are disjoint up to
-            # shard-key collisions, which summing handles like the k-way
-            # merge does)
+            # sums the shard dicts (with a bound shard key, shard results
+            # overlap; summing adds their multiplicities, as Union does)
             return list(self.engine.drain_result_delta().items())
         if command == "register_aggregate":
             # Install the maintained state for one spec on this shard; the
@@ -168,6 +170,19 @@ class _ShardServer:
         if command == "threshold":
             return self.engine.threshold
         raise ValueError(f"unknown shard command {command!r}")
+
+    def _release(self, ids: Iterable[int]) -> None:
+        """Drop cursors and snapshots by id, a snapshot with its cursors;
+        an unknown id (a cursor that ran out, or never opened here) is fine."""
+        for handle_id in ids:
+            self._cursors.pop(handle_id, None)
+            snapshot = self._snapshots.pop(handle_id, None)
+            if snapshot is not None:
+                snapshot.close()
+                # in place: an in-process shard serves concurrent readers
+                for key, cursor in list(self._cursors.items()):
+                    if cursor[0] == handle_id:
+                        self._cursors.pop(key, None)
 
     def _snapshot(self, snapshot_id: int):
         try:

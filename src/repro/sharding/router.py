@@ -55,6 +55,8 @@ class ShardRouter:
                 )
             self.columns[atom.relation] = atom.variables.index(self.shard_key)
         self.key_is_free = self.shard_key in query.free_variables
+        # A free key's column in result tuples: its value names their shard.
+        self.head_column = query.head.index(self.shard_key) if self.key_is_free else None
 
     # ------------------------------------------------------------------
     # single-item routing

@@ -14,8 +14,8 @@ same ordering guarantees as the live engine while updates keep flowing.
   captured tree shapes and relations its reads bind compiled plans to.
 
 Entry points: :meth:`repro.core.api.HierarchicalEngine.snapshot`,
-:meth:`repro.sharding.ShardedEngine.snapshot` (per-shard capture merged
-through the canonical k-way merge), and the serving facade
+:meth:`repro.sharding.ShardedEngine.snapshot` (per-shard captures read
+through Union over one page cursor per shard), and the serving facade
 :class:`repro.core.serving.EngineServer`.
 """
 

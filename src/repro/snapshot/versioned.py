@@ -43,7 +43,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.data.relation import Relation
 from repro.data.schema import ValueTuple
-from repro.enumeration.result import ReadSurface, ResultEnumerator
+from repro.enumeration.result import ReadSurface, ResultEnumerator, lookup_bound
 from repro.exceptions import StaleStateError
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.snapshot.cow import CowTracker, SnapshotState
@@ -158,6 +158,7 @@ class Snapshot(ReadSurface):
         self._head: Tuple[str, ...] = tuple(query.head)
         self.version = version
         self._validity = validity
+        self._lookup_plans: Optional[list] = None
 
     # ------------------------------------------------------------------
     def _check_valid(self) -> None:
@@ -189,7 +190,9 @@ class Snapshot(ReadSurface):
                 f"lookup tuple {tup!r} has arity {len(tup)}; the query head "
                 f"is {self._head!r}"
             )
-        return _SnapshotEnumerator(self, self.query).lookup(tup)
+        if self._lookup_plans is None:  # once: the frozen relations never change
+            self._lookup_plans = _SnapshotEnumerator(self, self.query)._components()
+        return lookup_bound(self._lookup_plans, self._head, tup)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

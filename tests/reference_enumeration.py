@@ -5,7 +5,7 @@ compiled per view-tree shape (``iterators.py``, ``lookup.py``, the recursive
 ``UnionIterator`` and the component/source glue of ``result.py``), moved
 here unchanged: it interprets the view tree per tuple with assignment
 dicts.  Enumeration *order* is a contract (recovery byte-identity, snapshot
-== live order, the sharded canonical merge), so the compiled plans are
+== live order, the sharded Union order), so the compiled plans are
 tested against this interpreter as sequences, never against themselves —
 see ``tests/test_enumeration_plan.py``.
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -267,7 +268,8 @@ class TestRetune:
         for update in updates[20:]:
             sharded.apply(update)
             fresh.apply(update)
-        assert list(sharded.enumerate()) == list(fresh.enumerate())
+        # the same pairs; a retuned shard's tree order follows its history
+        assert Counter(sharded.enumerate()) == Counter(fresh.enumerate())
         sharded.check_invariants()
         # per-shard retune counters fold up through the facade
         stats = sharded.rebalance_stats

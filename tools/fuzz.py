@@ -173,8 +173,8 @@ def metamorphic_failure(case: ConformanceCase, prop: str):
     if prop not in METAMORPHIC_PROPERTIES:
         # reject bad property names eagerly, *outside* the try below — an
         # exception raised by the property itself (including a ValueError
-        # such as merge_shards' out-of-order-source error) is a finding to
-        # record and shrink, never something to re-raise
+        # such as a snapshot lookup's arity error) is a finding to record
+        # and shrink, never something to re-raise
         raise ValueError(f"unknown metamorphic property {prop!r}")
     epsilon = case.epsilons[0] if case.epsilons else 0.5
     factory = lambda: HierarchicalEngine(case.query, epsilon=epsilon)  # noqa: E731
