@@ -14,20 +14,22 @@ every ε.  This package turns that claim into an executable oracle:
   knobs as :mod:`repro.workloads.generators`;
 * :mod:`repro.conformance.runner` executes one workload through
   :class:`~repro.core.api.HierarchicalEngine` across an ε grid — single-tuple
-  and batched paths — plus all four baselines, and diffs full results, result
-  deltas, enumeration invariants, internal structure invariants, and
-  ring-aggregate answers (maintained, enumerate-and-fold, and snapshot
-  paths against the fold over the oracle) at every checkpoint; its kill-mid-batch mode (:func:`run_crash_recovery_case`)
-  crashes a *durable* engine at a case-deterministic fault-injection point
-  (the checkpoint writer's included, stepped at a case-deterministic lag),
-  recovers it from checkpoint + WAL, replays the rest of the workload, and
-  diffs the outcome against the naive oracle and a never-crashed twin;
-* :mod:`repro.conformance.metamorphic` states the metamorphic properties
-  (insert-then-delete is a no-op, permuting a consolidated batch is
-  result-invariant, a partitioned stream equals the whole, sharded
-  execution is indistinguishable from a single engine, maintained
-  aggregates equal the fold over the oracle) checked both by the
-  Hypothesis test-suite and the fuzzer;
+  and batched paths — plus all four baselines and sharded fleets at four
+  shard counts, and diffs full results, result deltas, enumeration
+  invariants, internal structure invariants, versions, and ring-aggregate
+  answers at every checkpoint.  It is the one place compositions are
+  checked: a mid-case retune (a retuned engine must equal a fresh engine at
+  the new ε, order included), a mid-case reshard, and snapshots held from
+  capture to the end of the case; its kill-mid-batch mode
+  (:func:`run_crash_recovery_case`) crashes a *durable* engine at a
+  case-deterministic fault-injection point (the checkpoint writer's
+  included, stepped at a case-deterministic lag), recovers it from
+  checkpoint + WAL, replays the rest of the workload, and diffs the outcome
+  against the naive oracle and a never-crashed twin;
+* :mod:`repro.conformance.metamorphic` states the three metamorphic
+  identities that need no oracle (insert-then-delete is a no-op, permuting
+  a consolidated batch is result-invariant, a partitioned stream equals
+  the whole), checked both by the Hypothesis test-suite and the fuzzer;
 * :mod:`repro.conformance.shrink` reduces a failing case to a minimal repro
   and serializes it to a JSON file that ``tools/fuzz.py --repro`` replays.
 
@@ -37,14 +39,9 @@ subset runs in tier-1 CI (``tests/test_conformance_*.py``).
 
 from repro.conformance.datagen import DataProfile, random_database, random_update_stream
 from repro.conformance.metamorphic import (
-    check_aggregate_equivalence,
     check_batch_permutation_invariance,
     check_insert_delete_noop,
     check_partition_union,
-    check_reshard_equivalence,
-    check_retune_equivalence,
-    check_shard_merge,
-    check_snapshot_isolation,
 )
 from repro.conformance.queries import (
     LabeledQuery,
@@ -56,7 +53,6 @@ from repro.conformance.runner import (
     ConformanceCase,
     ConformanceReport,
     Mismatch,
-    aggregate_specs_for,
     case_failure,
     count_crash_sites,
     crash_recovery_failure,
@@ -71,17 +67,11 @@ __all__ = [
     "DataProfile",
     "LabeledQuery",
     "Mismatch",
-    "aggregate_specs_for",
     "case_failure",
-    "check_aggregate_equivalence",
     "check_batch_permutation_invariance",
     "check_insert_delete_noop",
     "check_partition_union",
     "check_query_conformance",
-    "check_reshard_equivalence",
-    "check_retune_equivalence",
-    "check_shard_merge",
-    "check_snapshot_isolation",
     "count_crash_sites",
     "crash_recovery_failure",
     "load_case",

@@ -19,16 +19,22 @@ case executes the same workload through:
 
 At every checkpoint the runner diffs each engine's full result against the
 oracle, diffs the *result delta* since the previous checkpoint (so a
-mismatch is localized to the segment that introduced it), checks the
-enumeration invariants of the engine (deterministic order across passes, no
-duplicate tuples, strictly positive multiplicities), probes the engine's
-internal structures via
-:meth:`~repro.core.api.HierarchicalEngine.check_invariants`, and exercises
-snapshot isolation: a fresh ``engine.snapshot()`` must match the oracle at
-the current version, and the snapshot *held since the previous checkpoint*
-must still match the oracle's capture-time result even though the engine
-has since ingested another segment (rebalances included).  Shrunk repro
-JSON files therefore replay snapshot reads exactly like live reads.
+mismatch is localized to the segment that introduced it), and asks every
+IVM engine (single and sharded) for more:
+
+* **enumeration** — deterministic order across passes, no duplicate
+  tuples, strictly positive multiplicities, and the internal structures
+  sound (:meth:`~repro.core.api.HierarchicalEngine.check_invariants`);
+* **versions** — ``engine.version`` equals the number of events it
+  committed (an update, a batch, the retune and the reshard each count
+  once);
+* **snapshots** — a fresh ``engine.snapshot()`` carries the live version
+  and is held to the end of the case; one segment later and again at the
+  end it must enumerate the live sequence at its capture, answer
+  ``lookup`` for a result tuple and for an absent one, and keep its
+  capture-time aggregate, rebalances, the retune and the reshard
+  included.  Shrunk repro JSON files therefore replay snapshot reads
+  exactly like live reads.
 
 Every checkpoint also diffs **aggregate answers**: a generic spec set
 derived from the query head (:func:`aggregate_specs_for` — counting grouped
@@ -38,19 +44,24 @@ head position) plus any case-specific ``(ring, value, group_by)`` triples
 on every dynamic engine, so ``engine.aggregate()`` answers from maintained
 ring state — across segments, the retune, and the reshard — and must equal
 the one true fold (:func:`repro.rings.spec.fold_result`) over the oracle's
-result.  The enumerate-and-fold path (``maintained=False``), the fresh
-snapshot's frozen aggregate, and the *held* snapshot's aggregate after
-further segments are diffed the same way.
+result.  The enumerate-and-fold path (``maintained=False``) and every held
+snapshot's aggregate are diffed the same way.
 
 At one case-deterministic checkpoint, every dynamic IVM engine (single and
-sharded) additionally **retunes** to a different ε mid-case
-(:meth:`~repro.core.api.HierarchicalEngine.retune`) — so every fuzzed
-workload also exercises live ε switching, including the interaction with
-snapshots held across the retune.  At a second case-deterministic
+sharded) additionally **retunes** mid-case to an ε from :data:`RETUNE_EPSILONS`
+(:meth:`~repro.core.api.HierarchicalEngine.retune`), so every fuzzed
+workload also exercises live ε switching.  A retuned single engine must
+equal a fresh engine built at the new ε over its current database — same
+threshold base, same enumeration sequence — right after the retune and
+while both ingest the rest of the case.  At a second case-deterministic
 checkpoint every sharded runner **reshards** to a different count from
 :data:`SHARD_COUNTS` (:meth:`~repro.sharding.ShardedEngine.reshard`), so
 elastic split/merge is diffed against the oracle on every fuzzed workload
-too, snapshots held across the swap included.
+too; the snapshots captured before the swap read through the retired
+fleet.  A sharded enumeration is shard-major Union order over the shard
+cursors, deterministic for a fleet but not the single engine's order, so
+sharded runners are diffed against the oracle by result and against
+themselves by sequence.
 
 Non-hierarchical cases are differential too: the planner must *reject* the
 query (the fragment gate is part of the contract), after which the
@@ -67,7 +78,7 @@ import tempfile
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.baselines.first_order_ivm import FirstOrderIVMEngine
 from repro.baselines.free_connex import FreeConnexEngine
@@ -252,24 +263,27 @@ class _Runner:
         self.engine = engine
         self.batched = batched
         self.previous: ResultDict = {}
-        # The snapshot captured at the previous checkpoint and the oracle's
-        # result at that moment: after the next segment mutates the engine,
-        # the held snapshot must still enumerate exactly this result.
-        self.held_snapshot = None
-        self.held_truth: ResultDict = {}
-        # The first aggregate spec's oracle answers at capture time: the
-        # held snapshot's frozen aggregate must keep answering exactly this.
-        self.held_agg_truth: Dict = {}
+        # Events committed so far (an update, a batch, the retune, the
+        # reshard): an IVM engine's version must equal this count.
+        self.events = 0
+        # From the retune on, a fresh engine built at the target ε over the
+        # retuned engine's database and fed every later segment the same way.
+        self.shadow: Optional[HierarchicalEngine] = None
+        # Every snapshot captured so far, held to the end of the case, with
+        # the live engine's sequence and the oracle's answers to the first
+        # aggregate spec at its capture.
+        self.held: List[Tuple[object, List[Tuple[ValueTuple, int]], Dict]] = []
 
     def ingest(self, segment: List[Update]) -> None:
-        if self.batched:
-            self.engine.apply_batch(segment)
-        else:
-            for update in segment:
-                self.engine.apply(update)
-
-    def result(self) -> ResultDict:
-        return dict(self.engine.result())
+        for engine in (self.engine, self.shadow):
+            if engine is None:
+                continue
+            if self.batched:
+                engine.apply_batch(segment)
+            else:
+                for update in segment:
+                    engine.apply(update)
+        self.events += 1 if self.batched else len(segment)
 
 
 def _diff(expected: Dict, actual: Dict, noun: str = "tuple", limit: int = 5) -> Optional[str]:
@@ -341,12 +355,11 @@ def aggregate_specs_for(
 
 
 def _check_enumeration(
-    engine: Union[HierarchicalEngine, ShardedEngine]
+    engine: Union[HierarchicalEngine, ShardedEngine], first: List[Tuple[ValueTuple, int]]
 ) -> Optional[str]:
-    """Enumeration-order invariants: deterministic, duplicate-free, positive."""
-    first = list(engine.enumerate())
-    second = list(engine.enumerate())
-    if first != second:
+    """Enumeration-order invariants of ``first``, one pass over ``engine``:
+    deterministic, duplicate-free, positive."""
+    if list(engine.enumerate()) != first:
         return "two enumeration passes yielded different sequences"
     seen = set()
     for tup, mult in first:
@@ -487,63 +500,82 @@ def run_case(case: ConformanceCase, max_mismatches: int = 20) -> ConformanceRepo
 
     # Retune rehearsal: at one pseudo-random (but case-deterministic, so
     # seeds and shrunk repros replay identically) checkpoint, every dynamic
-    # IVM engine switches to a different ε mid-case.  All the existing
-    # probes then apply to the retuned engines — result and delta diffs
-    # against the oracle, enumeration invariants, the deep invariant probe,
-    # and crucially snapshot isolation: the snapshot held since the
-    # previous checkpoint must survive the retune's strict repartition and
-    # view recompute untouched.
+    # IVM engine switches to a different ε mid-case.  All the probes below
+    # then apply to the retuned engines, snapshots held across the retune's
+    # strict repartition and view recompute included.
     digest = zlib.crc32(case.to_json().encode("utf-8"))
     retune_checkpoint = 1 + digest % len(segments) if segments else None
 
     # Reshard rehearsal: at a second case-deterministic checkpoint (kept
     # distinct from the retune checkpoint whenever the case has more than
     # one segment), every sharded runner elastically reshards to a
-    # different count from SHARD_COUNTS.  All the probes below then apply
-    # to the post-swap fleet — result and delta diffs against the oracle,
-    # enumeration invariants, cross-shard placement invariants, and
-    # snapshot isolation: the snapshot held since the previous checkpoint
-    # stays pinned on the *retired* fleet and must still enumerate its
-    # capture-time oracle result.
+    # different count from SHARD_COUNTS.  The probes below then apply to
+    # the post-swap fleet, while the snapshots captured before the swap
+    # stay pinned on the *retired* fleet and keep enumerating their capture.
     reshard_checkpoint = None
     if segments:
         reshard_checkpoint = 1 + (digest // 7) % len(segments)
         if reshard_checkpoint == retune_checkpoint and len(segments) > 1:
             reshard_checkpoint = 1 + (reshard_checkpoint % len(segments))
 
+    def finish(checkpoints_run: int) -> ConformanceReport:
+        for runner in runners:
+            for snapshot, _sequence, _answers in runner.held:
+                snapshot.close()
+        return ConformanceReport(
+            query=case.query,
+            supported=supported,
+            engines=tuple(r.name for r in runners),
+            checkpoints_run=checkpoints_run,
+            mismatches=mismatches,
+        )
+
     oracle_previous: ResultDict = {}
-    checkpoint = 0
     # checkpoint 0 observes the preprocessing output, before any update
-    for index in range(len(segments) + 1):
-        if index > 0:
-            segment = segments[index - 1]
+    for checkpoint in range(len(segments) + 1):
+        if checkpoint > 0:
+            segment = segments[checkpoint - 1]
             oracle.apply_stream(segment)
             for runner in runners:
                 runner.ingest(segment)
-            if index == retune_checkpoint:
-                for offset, runner in enumerate(runners):
-                    if isinstance(runner.engine, (HierarchicalEngine, ShardedEngine)):
-                        runner.engine.retune(
-                            RETUNE_EPSILONS[(digest + offset) % len(RETUNE_EPSILONS)]
+        if checkpoint == retune_checkpoint:
+            for offset, runner in enumerate(runners):
+                engine = runner.engine
+                if isinstance(engine, (HierarchicalEngine, ShardedEngine)):
+                    target = RETUNE_EPSILONS[(digest + offset) % len(RETUNE_EPSILONS)]
+                    engine.retune(target)
+                    runner.events += 1
+                    if isinstance(engine, HierarchicalEngine):
+                        runner.shadow = HierarchicalEngine(case.query, epsilon=target)
+                        runner.shadow.load(engine.database)
+        if checkpoint == reshard_checkpoint:
+            for offset, runner in enumerate(runners):
+                engine = runner.engine
+                if isinstance(engine, ShardedEngine):
+                    target = SHARD_COUNTS[(digest + offset) % len(SHARD_COUNTS)]
+                    if target == engine.shards:
+                        target = SHARD_COUNTS[(digest + offset + 1) % len(SHARD_COUNTS)]
+                    engine.reshard(target)
+                    runner.events += 1
+                    if engine.shards != target:
+                        mismatches.append(
+                            Mismatch(
+                                runner.name,
+                                checkpoint,
+                                "reshard",
+                                f"reshard({target}) left the fleet at {engine.shards} shards",
+                            )
                         )
-            if index == reshard_checkpoint:
-                for offset, runner in enumerate(runners):
-                    engine = runner.engine
-                    if isinstance(engine, ShardedEngine):
-                        target = SHARD_COUNTS[(digest + offset) % len(SHARD_COUNTS)]
-                        if target == engine.shards:
-                            target = SHARD_COUNTS[
-                                (digest + offset + 1) % len(SHARD_COUNTS)
-                            ]
-                        engine.reshard(target)
         truth = dict(oracle.result())
         truth_delta = _delta(oracle_previous, truth)
         agg_truth = [
             answer_map(spec, fold_result(spec, head_vars, truth.items()))
             for spec in agg_specs
         ]
+        final = checkpoint == len(segments)
         for runner in runners:
-            observed = runner.result()
+            sequence = list(runner.engine.enumerate())
+            observed = dict(sequence)
             diff = _diff(truth, observed)
             if diff is not None:
                 mismatches.append(
@@ -565,130 +597,104 @@ def run_case(case: ConformanceCase, max_mismatches: int = 20) -> ConformanceRepo
                         )
                     )
             runner.previous = observed
-            engine = runner.engine
-            if isinstance(engine, (HierarchicalEngine, ShardedEngine)):
-                enumeration_problem = _check_enumeration(engine)
-                if enumeration_problem is not None:
-                    mismatches.append(
-                        Mismatch(runner.name, checkpoint, "enumeration", enumeration_problem)
-                    )
-                try:
-                    engine.check_invariants()
-                except ReproError as exc:
-                    mismatches.append(
-                        Mismatch(runner.name, checkpoint, "invariant", str(exc))
-                    )
-                # Aggregate differential: every spec's maintained answer
-                # (registered on first use, then carried by ring-delta
-                # maintenance through segments, the retune, and the
-                # reshard) must equal the fold over the oracle's result;
-                # the enumerate-and-fold path is diffed once per
-                # checkpoint on the first spec.
-                for spec, expected_answers in zip(agg_specs, agg_truth):
-                    answer_diff = _diff(expected_answers, engine.aggregate(spec), "group")
-                    if answer_diff is not None:
-                        mismatches.append(
-                            Mismatch(
-                                runner.name,
-                                checkpoint,
-                                "aggregate",
-                                f"{spec.describe()}: {answer_diff}",
-                            )
-                        )
-                if agg_specs:
-                    fold_diff = _diff(
-                        agg_truth[0], engine.aggregate(agg_specs[0], maintained=False), "group"
-                    )
-                    if fold_diff is not None:
-                        mismatches.append(
-                            Mismatch(
-                                runner.name,
-                                checkpoint,
-                                "aggregate-fold",
-                                f"{agg_specs[0].describe()}: {fold_diff}",
-                            )
-                        )
-                # Snapshot isolation: the snapshot held since the previous
-                # checkpoint must still enumerate the oracle's result *at
-                # capture time*, even though this checkpoint's segment has
-                # mutated the live engine underneath it; then capture a new
-                # snapshot and diff it against the oracle right now.
-                if runner.held_snapshot is not None:
-                    stale_diff = _diff(
-                        runner.held_truth, dict(runner.held_snapshot.result())
-                    )
-                    if stale_diff is not None:
-                        mismatches.append(
-                            Mismatch(
-                                runner.name,
-                                checkpoint,
-                                "snapshot-isolation",
-                                f"held snapshot drifted from its capture-time "
-                                f"oracle result: {stale_diff}",
-                            )
-                        )
-                    if agg_specs:
-                        stale_agg_diff = _diff(
-                            runner.held_agg_truth,
-                            runner.held_snapshot.aggregate(agg_specs[0]),
-                            "group",
-                        )
-                        if stale_agg_diff is not None:
-                            mismatches.append(
-                                Mismatch(
-                                    runner.name,
-                                    checkpoint,
-                                    "aggregate-isolation",
-                                    f"held snapshot's {agg_specs[0].describe()} "
-                                    f"aggregate drifted: {stale_agg_diff}",
-                                )
-                            )
-                    runner.held_snapshot.close()
-                snapshot = engine.snapshot()
-                snapshot_diff = _diff(truth, dict(snapshot.result()))
-                if snapshot_diff is not None:
-                    mismatches.append(
-                        Mismatch(
-                            runner.name, checkpoint, "snapshot", snapshot_diff
-                        )
-                    )
-                if agg_specs:
-                    snap_agg_diff = _diff(
-                        agg_truth[0], snapshot.aggregate(agg_specs[0]), "group"
-                    )
-                    if snap_agg_diff is not None:
-                        mismatches.append(
-                            Mismatch(
-                                runner.name,
-                                checkpoint,
-                                "aggregate-snapshot",
-                                f"{agg_specs[0].describe()}: {snap_agg_diff}",
-                            )
-                        )
-                runner.held_snapshot = snapshot
-                runner.held_truth = truth
-                runner.held_agg_truth = agg_truth[0] if agg_specs else {}
+            if isinstance(runner.engine, (HierarchicalEngine, ShardedEngine)):
+                probes = _probe_engine(runner, sequence, final, agg_specs, agg_truth)
+                for kind, detail in probes:
+                    mismatches.append(Mismatch(runner.name, checkpoint, kind, detail))
             if len(mismatches) >= max_mismatches:
-                return ConformanceReport(
-                    query=case.query,
-                    supported=supported,
-                    engines=tuple(r.name for r in runners),
-                    checkpoints_run=checkpoint + 1,
-                    mismatches=mismatches,
-                )
+                return finish(checkpoint + 1)
         oracle_previous = truth
-        checkpoint += 1
+    return finish(len(segments) + 1)
 
-    for runner in runners:
-        if runner.held_snapshot is not None:
-            runner.held_snapshot.close()
-    return ConformanceReport(
-        query=case.query,
-        supported=supported,
-        engines=tuple(r.name for r in runners),
-        checkpoints_run=checkpoint,
-        mismatches=mismatches,
-    )
+
+#: A value no generated database holds: the snapshot lookup probe asks for
+#: a tuple of it and expects multiplicity 0.
+_ABSENT = "<absent>"
+
+
+def _probe_engine(
+    runner: _Runner,
+    sequence: List[Tuple[ValueTuple, int]],
+    final: bool,
+    agg_specs: List[AggregateSpec],
+    agg_truth: List[Dict],
+) -> Iterator[Tuple[str, str]]:
+    """Everything a checkpoint asks of one IVM engine beyond its result
+    (enumerated as ``sequence``), as ``(kind, detail)`` mismatches:
+    enumeration, invariants, version, the retune shadow, maintained
+    aggregates, and snapshots."""
+    engine = runner.engine
+    enumeration_problem = _check_enumeration(engine, sequence)
+    if enumeration_problem is not None:
+        yield "enumeration", enumeration_problem
+    try:
+        engine.check_invariants()
+    except ReproError as exc:
+        yield "invariant", str(exc)
+    # Versions: one tick per committed event — an update, a batch, the
+    # retune and the reshard each count once.
+    if engine.version != runner.events:
+        yield "version", f"version {engine.version} after {runner.events} committed events"
+    # Retune-as-reload: retune(ε₂) equals a fresh engine built at ε₂ over
+    # the current database — same M = 2N + 1 anchor, same strict
+    # partitions, same enumeration sequence, order included — and stays
+    # equal to it while both ingest every later segment the same way.
+    shadow = runner.shadow
+    if shadow is not None:
+        reloaded = list(shadow.enumerate())
+        if (engine.epsilon, engine.threshold_base) != (shadow.epsilon, shadow.threshold_base):
+            yield "retune", (
+                f"retuned engine runs at eps={engine.epsilon}, M={engine.threshold_base}; "
+                f"a fresh engine at eps={shadow.epsilon} has M={shadow.threshold_base}"
+            )
+        elif sequence != reloaded:
+            detail = _diff(dict(reloaded), dict(sequence)) or "same tuples, another order"
+            yield "retune", (
+                f"retuned engine enumerates differently from a fresh engine at "
+                f"eps={shadow.epsilon} over the same database: {detail}"
+            )
+    # Aggregate differential: every spec's maintained answer (registered on
+    # first use, then carried by ring-delta maintenance through segments,
+    # the retune, and the reshard) must equal the fold over the oracle's
+    # result; the enumerate-and-fold path is diffed on the first spec.
+    for spec, expected_answers in zip(agg_specs, agg_truth):
+        answer_diff = _diff(expected_answers, engine.aggregate(spec), "group")
+        if answer_diff is not None:
+            yield "aggregate", f"{spec.describe()}: {answer_diff}"
+    if agg_specs:
+        fold_diff = _diff(agg_truth[0], engine.aggregate(agg_specs[0], maintained=False), "group")
+        if fold_diff is not None:
+            yield "aggregate-fold", f"{agg_specs[0].describe()}: {fold_diff}"
+    # Snapshots: a new one carries the live version, and is held to the end
+    # of the case with the live sequence at its capture.  It is first read
+    # one segment later — a read at capture would freeze every relation it
+    # touches from the reader side and hide one the capture failed to
+    # register — and again at the end, however many segments, rebalances,
+    # the retune and the reshard (a sharded snapshot reads through the
+    # retired fleet) have hit the live engine since.  Each read must repeat
+    # the captured sequence, order included (a sharded sequence is
+    # shard-major Union order over the shard cursors, not the single
+    # engine's order), answer lookup for a result tuple and for an absent
+    # one, and keep the first spec's aggregate at its capture.
+    snapshot = engine.snapshot()
+    if snapshot.version != engine.version:
+        yield "snapshot", f"snapshot stamped version {snapshot.version}, engine at {engine.version}"
+    runner.held.append((snapshot, sequence, agg_truth[0] if agg_specs else {}))
+    arity = len(engine.query.head)
+    for held, captured, captured_answers in runner.held if final else runner.held[-2:-1]:
+        where = f"snapshot at version {held.version}"
+        now = list(held.enumerate())
+        if now != captured:
+            detail = _diff(dict(captured), dict(now)) or "same tuples, another order"
+            yield "snapshot", f"{where} differs from the live engine at its capture: {detail}"
+        for tup, expected in captured[:1] + ([((_ABSENT,) * arity, 0)] if arity else []):
+            answer = held.lookup(tup)
+            if answer != expected:
+                yield "snapshot-lookup", f"{where}: lookup({tup!r}) is {answer}, expected {expected}"
+        if agg_specs:
+            agg_diff = _diff(captured_answers, held.aggregate(agg_specs[0]), "group")
+            if agg_diff is not None:
+                yield "aggregate-snapshot", f"{where}: {agg_specs[0].describe()}: {agg_diff}"
 
 
 def case_failure(case: ConformanceCase) -> Optional[Mismatch]:

@@ -240,8 +240,9 @@ class ReadSurface:
         exact across updates, batches, rebalances, retunes, resharding and
         recovery.  With ``maintained=False`` — and always on a static
         engine, a snapshot or a baseline — the answer is one
-        enumerate-and-fold, which also serves as the oracle the conformance
-        harness checks maintained answers against.  On an engine both paths
+        enumerate-and-fold.  The conformance harness's differential run
+        holds both paths to the same fold over the naive oracle's result
+        (:func:`repro.conformance.run_case`).  On an engine both paths
         record their read cost into its workload telemetry.  A group
         holding a value the spec's ring cannot lift raises that ring's
         error here, on read; the commits that put it there succeeded.

@@ -273,9 +273,3 @@ class MaintenanceDriver:
             self.processor.move_partition_key(
                 partition, key, False, witness, relation_name
             )
-
-    # ------------------------------------------------------------------
-    def check_partitions(self) -> None:
-        """Assert the loose partition invariants (used by property tests)."""
-        for partition in self.plan.partitions:
-            partition.check_loose(self.threshold)

@@ -19,7 +19,7 @@ from repro import (
 )
 from repro.adaptive import CostModel
 from repro.baselines import NaiveRecomputeEngine
-from repro.conformance import check_retune_equivalence
+from repro.conformance import ConformanceCase, run_case
 from repro.core.serving import EngineServer
 from repro.exceptions import UnsupportedQueryError
 from repro.sharding import ShardedEngine
@@ -289,6 +289,16 @@ class TestRetune:
         sharded.close()
 
 
+def assert_conformant(query, epsilons, database, updates):
+    """One differential run over the ε grid ``epsilons``: every engine equals
+    the oracle, and each engine retuned mid-case (to a target the case's
+    digest picks) equals a fresh engine at that target over the same
+    database, order included."""
+    case = ConformanceCase.build(query, database, updates, epsilons=epsilons, checkpoints=3)
+    report = run_case(case)
+    assert report.ok, [str(m) for m in report.mismatches]
+
+
 class TestRetuneEquivalenceProperty:
     """Satellite: Hypothesis property — retune(ε₂) ≡ fresh engine at ε₂."""
 
@@ -301,14 +311,7 @@ class TestRetuneEquivalenceProperty:
     def test_retune_equivalence_random_churn(self, seed, eps_before, eps_after):
         database = path_db(seed=seed, size=40)
         updates = churn_updates(seed + 1, 36)
-        check_retune_equivalence(
-            PATH_QUERY,
-            eps_before,
-            eps_after,
-            database,
-            updates,
-            shard_counts=(1, 2, 4),
-        )
+        assert_conformant(PATH_QUERY, (eps_before, eps_after), database, updates)
 
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=1_000))
@@ -320,9 +323,7 @@ class TestRetuneEquivalenceProperty:
             Update("R", (rng.randrange(50), rng.randrange(6)), 1)
             for _ in range(3 * database.size)
         ]
-        check_retune_equivalence(
-            PATH_QUERY, 0.5, 1.0, database, updates, shard_counts=(1, 2)
-        )
+        assert_conformant(PATH_QUERY, (0.5, 1.0), database, updates)
 
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=1_000))
@@ -330,9 +331,7 @@ class TestRetuneEquivalenceProperty:
         """The flip-flop stream drags one key across the threshold repeatedly."""
         database = path_db(seed=seed, size=50, domain=10)
         updates = list(heavy_flipflop_stream(cycles=2, burst=20, hot_key=3, seed=seed))
-        check_retune_equivalence(
-            PATH_QUERY, 0.5, 0.25, database, updates, shard_counts=(1, 2)
-        )
+        assert_conformant(PATH_QUERY, (0.5, 0.25), database, updates)
 
     def test_star_query_retune_equivalence(self):
         rng = random.Random(0)
@@ -346,9 +345,7 @@ class TestRetuneEquivalenceProperty:
         updates = [
             Update("T", (rng.randrange(6), rng.randrange(20)), 1) for _ in range(24)
         ]
-        check_retune_equivalence(
-            STAR2_QUERY, 0.0, 1.0, database, updates, shard_counts=(1, 2)
-        )
+        assert_conformant(STAR2_QUERY, (0.0, 1.0), database, updates)
 
 
 class TestCostModel:

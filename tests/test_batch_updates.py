@@ -114,9 +114,8 @@ class TestBatchSequentialEquivalence:
 
         assert batched.result() == sequential.result() == truth
         # the deferred rebalance check restored every partition invariant
-        batched._driver.check_partitions()
-        for triple in batched._skew_plan.indicator_triples:
-            assert triple.check_support()
+        # and every indicator support
+        batched.check_invariants()
 
     def test_apply_stream_batch_size_argument(self):
         database = random_database(schemas_for(PATH), seed=9)
@@ -233,7 +232,7 @@ class TestBatchRebalancing:
         assert stats.moved_to_heavy > 0
         # the key came back below the threshold at the end of the stream
         assert stats.moved_to_light > 0
-        engine._driver.check_partitions()
+        engine.check_invariants()
 
     def test_major_rebalance_fires_when_batch_outgrows_threshold_base(self):
         engine = self._skewed_engine()
@@ -249,7 +248,7 @@ class TestBatchRebalancing:
         assert stats.batches == 1
         assert driver.threshold_base > 2 * base_before
         assert driver._size_invariant_holds()
-        engine._driver.check_partitions()
+        engine.check_invariants()
         # result still matches ground truth after the rebuild
         shadow = engine.database.copy()
         truth = evaluate_query_naive(parse_query(PATH), shadow).as_dict()

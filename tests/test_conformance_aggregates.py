@@ -1,6 +1,6 @@
 """Conformance coverage of ring aggregates: the checks check, bugs trip.
 
-Three layers: the `check_aggregate_equivalence` metamorphic property runs
+Three layers: a differential run with a case-specific aggregate runs
 clean on a real workload (every engine variant, a mid-stream retune,
 sharded facades); case JSON stays digest-stable by
 omitting empty aggregate triples while round-tripping non-empty ones; and
@@ -16,7 +16,6 @@ import random
 from repro.conformance import (
     ConformanceCase,
     DataProfile,
-    check_aggregate_equivalence,
     random_database,
     random_update_stream,
     run_case,
@@ -41,14 +40,16 @@ def _workload(seed: int = 2, count: int = 24):
 
 def test_aggregate_equivalence_property_runs_clean():
     database, stream = _workload()
-    check_aggregate_equivalence(
+    case = ConformanceCase.build(
         PATH_QUERY,
-        (0.25, 0.75),
         database,
         stream,
-        shard_counts=(2,),
-        extra_specs=(("min", "C", ("A",)),),
+        epsilons=(0.25, 0.75),
+        checkpoints=3,
+        aggregates=(("min", "C", ("A",)),),
     )
+    report = run_case(case)
+    assert report.ok, [str(m) for m in report.mismatches]
 
 
 def test_case_json_omits_empty_triples_and_round_trips_full_ones():
@@ -109,6 +110,6 @@ def test_injected_maintenance_bug_trips_the_aggregate_diff(monkeypatch):
     report = run_case(case)
     assert not report.ok
     kinds = {m.kind for m in report.mismatches}
-    assert kinds & {"aggregate", "aggregate-snapshot", "aggregate-isolation"}, (
+    assert kinds & {"aggregate", "aggregate-snapshot"}, (
         kinds
     )

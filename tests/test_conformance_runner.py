@@ -21,6 +21,7 @@ from repro.conformance import (
 )
 from repro.exceptions import InvariantViolationError
 from repro.core.api import HierarchicalEngine
+from repro.data.update import Update
 from repro.query.parser import parse_query
 from repro.workloads import get_scenario, scenario_names
 
@@ -144,6 +145,36 @@ def test_injected_delta_bug_is_caught_shrunk_and_reproducible(monkeypatch, tmp_p
     assert path.exists()
     replayed = load_case(path)
     assert case_failure(replayed) is not None, "the shrunk repro no longer fails"
+
+
+def test_retune_that_skips_its_reanchor_is_caught(monkeypatch):
+    """A retune that keeps the drifted threshold base instead of
+    re-anchoring at M = 2N + 1 no longer equals a fresh engine at the
+    target ε over the same database."""
+    from repro.ivm.rebalance import MaintenanceDriver
+
+    def retune_without_reanchor(self, epsilon):
+        self.epsilon = epsilon
+        self.stats.retunes += 1
+        self.version += 1
+        self.rematerialize()
+
+    monkeypatch.setattr(MaintenanceDriver, "retune", retune_without_reanchor)
+    # a growth stream that triples the database: majors double M before the
+    # retune, so the drifted base and 2N + 1 differ
+    rng = random.Random(0)
+    database = random_database(
+        parse_query(PATH_QUERY), DataProfile(tuples_per_relation=15, domain=6), seed=0
+    )
+    updates = [
+        Update("R", (rng.randrange(50), rng.randrange(6)), 1) for _ in range(45)
+    ]
+    case = ConformanceCase.build(
+        PATH_QUERY, database, updates, epsilons=(0.5, 1.0), checkpoints=3
+    )
+    report = run_case(case)
+    assert not report.ok, "the differential runner missed a retune without re-anchor"
+    assert {m.kind for m in report.mismatches} == {"retune"}
 
 
 def test_injected_bug_repro_is_clean_without_the_bug(tmp_path):

@@ -100,3 +100,54 @@ def test_unknown_metamorphic_property_rejected_eagerly():
     )
     with pytest.raises(ValueError, match="unknown metamorphic property"):
         fuzz_cli.metamorphic_failure(case, "no-such-property")
+
+
+def test_repro_naming_a_removed_property_replays_as_a_differential_run(
+    tmp_path, monkeypatch, capsys
+):
+    """Properties that left the mix (shard merge, snapshot isolation,
+    retune/reshard/aggregate equivalence) are checked by the differential
+    run now; their old repro files replay through ``case_failure``."""
+    import importlib.util
+    import json
+    import sys as _sys
+
+    _sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.conformance import ConformanceCase
+
+    spec = importlib.util.spec_from_file_location(
+        "fuzz_cli_removed_property", REPO_ROOT / "tools" / "fuzz.py"
+    )
+    fuzz_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fuzz_cli)
+    replayed = []
+    real_case_failure = fuzz_cli.case_failure
+
+    def spy(case):
+        replayed.append(case)
+        return real_case_failure(case)
+
+    monkeypatch.setattr(fuzz_cli, "case_failure", spy)
+
+    case = ConformanceCase(
+        query="Q(A, C) = R(A, B), S(B, C)",
+        relations={
+            "R": (("A", "B"), [((1, 2), 1)]),
+            "S": (("B", "C"), [((2, 3), 1)]),
+        },
+        updates=[("R", (4, 2), 1)],
+        epsilons=(0.5,),
+        checkpoints=1,
+    )
+    payload = json.loads(case.to_json())
+    payload["failure"] = {
+        "kind": "metamorphic:shard-merge",
+        "engine": "ivm(eps=0.5)",
+        "checkpoint": -1,
+        "detail": "synthetic",
+    }
+    path = tmp_path / "case-shard-merge.json"
+    path.write_text(json.dumps(payload))
+    assert fuzz_cli.run_repro(path) == 0
+    assert replayed == [case]
+    assert "no longer fails" in capsys.readouterr().out

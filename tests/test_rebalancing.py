@@ -61,7 +61,7 @@ class TestMajorRebalancing:
         engine = DynamicEngine(PATH, epsilon=0.5).load(empty_path_database())
         engine.apply_stream(growth_stream("R", 2, 64, domain=8, seed=4))
         # right after the last major rebalancing the loose invariant must hold
-        engine._driver.check_partitions()
+        engine.check_invariants()
 
 
 class TestMinorRebalancing:
@@ -83,7 +83,7 @@ class TestMinorRebalancing:
         assert stats.moved_to_heavy > 0
         assert stats.moved_to_light > 0
         assert engine.result() == evaluate_query_naive(query, shadow).as_dict()
-        engine._driver.check_partitions()
+        engine.check_invariants()
 
     def test_indicator_supports_stay_consistent(self):
         database = Database.from_dict(

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from repro import Database, HierarchicalEngine, StaticEngine, Update
 from repro.baselines import NaiveRecomputeEngine
 from repro.conformance import (
+    ConformanceCase,
     DataProfile,
-    check_snapshot_isolation,
     random_database,
     random_labeled_query,
     random_update_stream,
+    run_case,
 )
 from repro.core.serving import EngineServer
 from repro.data.relation import COW_REPLAY_RATIO, Relation
@@ -204,9 +205,11 @@ class TestSnapshotPropertyBased:
         stream = random_update_stream(
             database, 24, profile, delete_fraction=0.4, seed=rng.randrange(1 << 30)
         )
-        check_snapshot_isolation(
-            str(labeled.query), epsilon, database, list(stream), shard_counts=(1, 2, 4)
+        case = ConformanceCase.build(
+            str(labeled.query), database, stream, epsilons=(epsilon,), checkpoints=3
         )
+        report = run_case(case)
+        assert report.ok, [str(m) for m in report.mismatches]
 
     @settings(max_examples=8, deadline=None)
     @given(seed=seeds)

@@ -28,33 +28,20 @@ twin: result, version, ε, threshold base, base relations in insertion
 order, invariants, and — after normalising both — enumeration order.
 ``recovery*`` repro files replay the same crash point deterministically.
 
-Differential runs put :class:`repro.sharding.ShardedEngine` under test at
-shard counts {1, 2, 4, 7} next to the single engines and the baselines, and
-the ``shard-merge`` metamorphic property asserts sharded == single directly
-— so a shrunk repro JSON replays against both the sharded and unsharded
-paths with one ``--repro`` invocation.  Every differential checkpoint also
-captures an ``engine.snapshot()`` and diffs it against the oracle at that
-version — re-checking the previous checkpoint's snapshot after further
-segments mutate the engine — and the ``snapshot-isolation`` metamorphic
-property asserts snapshot == fresh-replay-to-version for the single engine
-and the sharded facade at shard counts {1, 2, 4}, so shrunk repros replay
-snapshot reads too.  Live ε switching is fuzzed from two sides: every
-differential run retunes its dynamic engines at one case-deterministic
-checkpoint, and the ``retune-equivalence`` metamorphic property asserts
-retune(ε₂) == fresh-engine-at-ε₂ (order included) at shard counts
-{1, 2, 4}.  Elastic resharding is fuzzed the same two ways: every
-differential run reshards its sharded runners at a second
-case-deterministic checkpoint, and the ``reshard-equivalence`` metamorphic
-property asserts reshard(k′) == fresh-fleet-at-k′ (order included, held
-snapshots preserved) over the shard-count cycle {1, 2, 4, 7}.
-
-Ring aggregates are fuzzed from both sides too: every differential
-checkpoint diffs maintained, enumerate-and-fold, and snapshot aggregate
-answers (a generic spec set plus each scenario's natural aggregates)
-against the fold over the oracle's enumeration, and the
-``aggregate-equivalence`` metamorphic property asserts aggregate ==
-fold-over-oracle across the case's ε grid, shard counts {1, 2, 4} and a
-mid-stream retune.
+Every composition is checked in one place, the differential run
+(:func:`repro.conformance.run_case`): it puts
+:class:`repro.sharding.ShardedEngine` under test at shard counts
+{1, 2, 4, 7} next to the single engines and the baselines, retunes every
+IVM engine at one case-deterministic checkpoint (a retuned single engine
+must equal a fresh engine at the new ε, order included), reshards every
+fleet at a second one, captures an ``engine.snapshot()`` at every
+checkpoint and holds it to the end of the case, and diffs maintained,
+enumerate-and-fold and snapshot aggregate answers against the fold over
+the oracle's result.  A shrunk repro JSON therefore replays all of it with
+one ``--repro`` invocation.  The metamorphic properties are the three pure
+identities that need no oracle; a repro file naming a property that
+has since left the mix (``metamorphic:shard-merge`` and the like) replays
+as a differential run.
 """
 
 from __future__ import annotations
@@ -75,15 +62,10 @@ from repro.conformance import (  # noqa: E402 - sys.path bootstrap above
     Mismatch,
     case_failure,
     crash_recovery_failure,
-    check_aggregate_equivalence,
     check_batch_permutation_invariance,
     check_insert_delete_noop,
     check_partition_union,
     check_query_conformance,
-    check_reshard_equivalence,
-    check_retune_equivalence,
-    check_shard_merge,
-    check_snapshot_isolation,
     load_case,
     random_database,
     random_labeled_query,
@@ -100,14 +82,7 @@ METAMORPHIC_PROPERTIES = (
     "insert-delete-noop",
     "batch-permutation",
     "partition-union",
-    "shard-merge",
-    "snapshot-isolation",
-    "retune-equivalence",
-    "reshard-equivalence",
-    "aggregate-equivalence",
 )
-
-RETUNE_TARGETS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def _random_profile(rng: random.Random) -> DataProfile:
@@ -172,9 +147,8 @@ def metamorphic_failure(case: ConformanceCase, prop: str):
     """Run one metamorphic property on a case; normalize failures."""
     if prop not in METAMORPHIC_PROPERTIES:
         # reject bad property names eagerly, *outside* the try below — an
-        # exception raised by the property itself (including a ValueError
-        # such as a snapshot lookup's arity error) is a finding to record
-        # and shrink, never something to re-raise
+        # exception raised by the property itself (a ValueError included)
+        # is a finding to record and shrink, never something to re-raise
         raise ValueError(f"unknown metamorphic property {prop!r}")
     epsilon = case.epsilons[0] if case.epsilons else 0.5
     factory = lambda: HierarchicalEngine(case.query, epsilon=epsilon)  # noqa: E731
@@ -189,27 +163,6 @@ def metamorphic_failure(case: ConformanceCase, prop: str):
             )
         elif prop == "partition-union":
             check_partition_union(factory, database, updates, parts=3)
-        elif prop == "shard-merge":
-            check_shard_merge(case.query, epsilon, database, updates)
-        elif prop == "snapshot-isolation":
-            check_snapshot_isolation(case.query, epsilon, database, updates)
-        elif prop == "retune-equivalence":
-            # the retune target is case-derived so a repro file replays the
-            # same epsilon pair without carrying extra state
-            target = RETUNE_TARGETS[
-                (len(case.updates) + int(4 * epsilon)) % len(RETUNE_TARGETS)
-            ]
-            check_retune_equivalence(case.query, epsilon, target, database, updates)
-        elif prop == "reshard-equivalence":
-            check_reshard_equivalence(case.query, epsilon, database, updates)
-        elif prop == "aggregate-equivalence":
-            check_aggregate_equivalence(
-                case.query,
-                case.epsilons or (0.5,),
-                database,
-                updates,
-                extra_specs=case.aggregates,
-            )
     except AssertionError as exc:
         return Mismatch(
             engine=f"ivm(eps={epsilon})",
@@ -287,13 +240,14 @@ def run_repro(path: Path) -> int:
     failure = raw.get("failure") or {}
     kind = failure.get("kind", "")
     case = load_case(path)
-    if kind.startswith("metamorphic:"):
-        # kind is "metamorphic:<prop>" or "metamorphic:<prop>:crash" — the
-        # middle segment is the property name either way
-        mismatch = metamorphic_failure(case, kind.split(":")[1])
+    # kind is "metamorphic:<prop>" or "metamorphic:<prop>:crash" — the
+    # middle segment is the property name either way
+    prop = kind.split(":")[1] if kind.startswith("metamorphic:") else ""
+    if prop in METAMORPHIC_PROPERTIES:
+        mismatch = metamorphic_failure(case, prop)
     elif kind.startswith("recovery"):
         mismatch = crash_recovery_failure(case)
-    else:
+    else:  # a differential kind, or a property the differential run covers now
         mismatch = case_failure(case)
     if mismatch is None:
         print(f"{path}: case no longer fails")
