@@ -234,12 +234,12 @@ class HierarchicalEngine(ReadSurface, MutationSurface):
     def snapshot_stats(self) -> Optional[Dict[str, int]]:
         """How snapshot copy-on-write produced frozen content since ``load()``.
 
-        ``full_copies`` counts whole-relation copies, ``carried_indexes``
-        the indexes those copies inherited from the live relation instead of
-        leaving them to a reader to rebuild, ``replayed_entries`` the
-        redo-log entries replayed onto trailing replicas in place of a copy
-        (see :mod:`repro.snapshot.cow`); ``None`` before
-        :meth:`load`.  Exported on ``/metrics`` as ``repro_snapshot_*``.
+        ``full_copies`` whole-relation copies, ``copied_tuples`` their
+        tuples, ``carried_indexes`` the indexes they inherited from the live
+        relation, ``replayed_entries`` the redo-log entries replayed in place
+        of a copy (:mod:`repro.snapshot.cow`): the work done is
+        ``copied_tuples + replayed_entries``.  ``None`` before :meth:`load`;
+        ``repro_snapshot_*`` on ``/metrics``.
         """
         tracker = self._cow_tracker
         return None if tracker is None else tracker.as_dict()
@@ -463,14 +463,12 @@ class HierarchicalEngine(ReadSurface, MutationSurface):
         """Capture an immutable handle onto the engine's current version.
 
         The capture is ``O(plan)`` — it records the strategy-tree structure
-        and registers the reachable relations with the copy-on-write
-        tracker; no view content is copied until either the maintenance
-        path is about to overwrite it or the snapshot reads it.  The
-        returned :class:`~repro.snapshot.versioned.Snapshot` answers
-        ``enumerate()`` / ``result()`` / ``lookup()`` with the same ordering
-        guarantees as this engine had at capture time, while further
-        updates/batches (including minor and major rebalances) keep flowing
-        through the live engine.
+        and registers with the copy-on-write tracker the relations the
+        compiled enumeration plans read, each copied only once the
+        maintenance path is about to overwrite it or the snapshot reads it.
+        The :class:`~repro.snapshot.versioned.Snapshot` answers
+        ``enumerate()`` / ``result()`` / ``lookup()`` in this engine's order
+        at capture while updates and rebalances keep flowing.
 
         Must not be called concurrently with a mutating call on the same
         engine; :class:`repro.core.serving.EngineServer` serializes capture

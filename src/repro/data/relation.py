@@ -52,16 +52,42 @@ from repro.data.schema import (
 from repro.exceptions import RejectedUpdateError, SchemaError
 
 
-# Snapshot copy-on-write rolls a frozen copy forward from its redo log only
-# while ``len(log) * COW_REPLAY_RATIO <= len(relation)``, and drops a log
-# (bounding its memory) once it outgrows that.  Measured on CPython 3.11, a
-# 2-vCPU Xeon VM, a churned binary relation with one index of 20-tuple
-# groups: replaying one entry takes 0.5-1.0 us up to 10k tuples and ~2 us at
-# 140k, ``copy_with_indexes`` 80-90 ns per tuple and ~210 ns, so a replay
-# breaks even with a copy at a ratio of ~9-12: at 32 it wins.  With no index
-# to carry a copy is one ``dict.copy``, 8-16 ns per tuple, and a replay near
-# the bound costs up to ~4x as much (ROADMAP item 8).
+# Snapshot copy-on-write refreshes a cached frozen copy by replaying its redo
+# log or by copying the relation, whichever :func:`cow_replay_weights` finds
+# cheaper, in units of one tuple of a plain ``dict.copy``: a replayed entry
+# costs COW_REPLAY_RATIO, and as much again per index it maintains; a copied
+# tuple 1, plus COW_INDEX_COPY_COST per index.  CPython 3.11 on a 2-vCPU Xeon
+# VM, a churned binary relation, index 1 on B (20-tuple groups), index 2 on A
+# (one-tuple groups), logs of n/16 entries (half deletes), best of 7:
+#
+#   tuples  indexes  copy ns/tuple  replay ns/entry  break-even log
+#    1 500     0           8.4            300            n/36
+#    1 500     1          71              808            n/11
+#    1 500     2         307            1 291            n/4.2
+#   10 000     0          10.1            353            n/35
+#   10 000     1          73              960            n/13
+#   10 000     2         560            2 000            n/3.6
+#  140 000     0          29.6            892            n/30
+#  140 000     1         130            1 508            n/12
+#  140 000     2         666            2 747            n/4.1
+#
+# The rule's bound is n/32 with no index, n * 6/64 = n/10.7 with one, and
+# n/8.7 with two, where the one-tuple groups make copies dearer than it says.
 COW_REPLAY_RATIO = 32
+COW_INDEX_COPY_COST = 5
+
+
+def cow_replay_weights(relation: "Relation") -> Tuple[int, int]:
+    """``(replay, copy)``: a redo log of ``e`` entries is replayed onto
+    ``relation``'s cached frozen copy, rather than ``relation`` copied, iff
+    ``e * replay <= len(relation) * copy``.  Both sides pay for each index
+    the cached copy holds: replay maintains it, a copy carries it
+    (:meth:`Relation.copy_with_indexes`) or leaves it for its next reader to
+    rebuild, which costs no less.  The one rule of :meth:`Relation.apply_deltas`
+    (keep the log?) and ``CowTracker._frozen_copy`` (replay it?)."""
+    cached = relation._cow_cache
+    indexes = len(cached[1]._indexes) if cached is not None else 0
+    return COW_REPLAY_RATIO * (1 + indexes), 1 + COW_INDEX_COPY_COST * indexes
 
 
 class Index:
@@ -178,11 +204,10 @@ class Relation:
         self.schema: Schema = make_schema(schema)
         self._data: Dict[ValueTuple, int] = {}
         self._indexes: Dict[Schema, Index] = {}
-        # Copy-on-write hooks of repro.snapshot.cow: the engine's tracker
-        # once captured, the last epoch preserved at, a content-change
+        # Copy-on-write hooks of repro.snapshot.cow: the tracker once a
+        # capture registered it, the last epoch preserved at, a change
         # counter, the cached frozen copy as ``(change_ticks, Relation)`` and
-        # its redo log — one ``(tuple, delta)`` per tick since the copy; a
-        # tick without an entry (``clear()``) means "copy instead".
+        # its redo log, one ``(tuple, delta)`` per tick since the copy.
         self._cow = None
         self._cow_epoch = -1
         self._change_ticks = 0
@@ -228,9 +253,8 @@ class Relation:
     def copy(self, name: Optional[str] = None) -> "Relation":
         """Return a deep copy of the relation content (indexes not copied).
 
-        ``dict.copy`` clones the hash table in one pass, under the interpreter
-        lock readers wait on: 1.7 ms for 140k pairs that have seen deletes (on
-        the VM of ``COW_REPLAY_RATIO``), where ``update`` re-inserts each: 11.6.
+        ``dict.copy`` clones the hash table in one pass (1.7 ms for 140k
+        pairs that have seen deletes, where ``update`` re-inserts each: 11.6).
         """
         clone = Relation(name or self.name, self.schema)
         clone._data = self._data.copy()  # no index holds the fresh map yet
@@ -320,14 +344,9 @@ class Relation:
                 self._cow_guard()
                 guarded = True
                 log = self._cow_log
+                if log is not None:
+                    replay_cost, copy_cost = cow_replay_weights(self)
             self._change_ticks += 1
-            # Redo log of the cached frozen copy (see __init__): one entry per
-            # tick, dropped once replaying it would cost more than copying.
-            if log is not None:
-                if len(log) * COW_REPLAY_RATIO < len(data):
-                    log.append((tup, delta))
-                else:
-                    log = self._cow_log = None
             if updated:
                 data[tup] = updated
                 if not current:
@@ -348,6 +367,11 @@ class Relation:
                     del group[tup]
                     if not group:
                         del groups[key]
+            # The redo log, dropped once a freeze would copy rather than replay.
+            if log is not None:
+                log.append((tup, delta))
+                if len(log) * replay_cost > len(data) * copy_cost:
+                    log = self._cow_log = None
 
     def apply_delta(self, tup: ValueTuple, delta: int) -> int:
         """Add ``delta`` to the multiplicity of ``tup`` and return the new value.

@@ -41,6 +41,11 @@ pre-order — live ones, or a snapshot's frozen copies — and returns
 columns) and nothing else; indexes are resolved where a loop is entered,
 data is touched only once ``open()`` is iterated.
 
+**Reads.**  ``plan.reads`` are the positions :meth:`_Compiler.probe` read;
+``bind`` ignores the others (the subtree of a node enumerated *direct*, a
+*grounded* node's own view), which may be ``None``.  A snapshot registers,
+copies and freezes only ``reads`` (:mod:`repro.snapshot.versioned`).
+
 **No invalidation.**  As with :func:`repro.engine.join.compile_join`, a plan
 reads nothing but shape: not the data, not ε, not the heavy/light split, not
 which relation object stands behind a node.  Updates, rebalances, retunes
@@ -52,7 +57,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache, partial
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.data.relation import Relation
 from repro.data.schema import Schema, ValueTuple
@@ -74,11 +79,13 @@ MAX_LOOP_DEPTH = 10
 class EnumerationPlan(NamedTuple):
     """Enumeration of one tree shape, compiled: ``bind(relations)`` returns
     ``(open, lookup)`` — ``open()`` generates ``(key, multiplicity)`` over
-    ``out_vars``, ``lookup(key)`` is one key's multiplicity; ``source`` is
-    the generated code."""
+    ``out_vars``, ``lookup(key)`` is one key's multiplicity; ``reads`` are
+    the pre-order positions those two read; ``source`` is the generated
+    code."""
 
-    bind: Callable[[Sequence[Relation]], Tuple[Callable[[], Iterator], Callable[[ValueTuple], int]]]
+    bind: Callable[[Sequence[Optional[Relation]]], Tuple[Callable[[], Iterator], Callable[[ValueTuple], int]]]
     out_vars: Tuple[str, ...]
+    reads: Tuple[int, ...]
     source: str
 
 
@@ -176,6 +183,7 @@ class _Compiler:
         self.free = frozenset(head)
         self.bound_names: Dict[str, str] = {}  # evaluated once per bind()
         self.functions: List[str] = []
+        self.reads: Set[int] = set()  # every R{i} the source names
 
     def out_vars(self, variables: Iterable[str], context: Iterable[str]) -> Tuple[str, ...]:
         """Free variables among ``variables`` the context leaves open, head order."""
@@ -198,6 +206,7 @@ class _Compiler:
         the index group on the bound columns, or everything.
         """
         i, schema = node.index, node.schema
+        self.reads.add(i)
         shared = [p for p, v in enumerate(schema) if v in env]
         if len(shared) == len(schema):
             self.bound_names[f"M{i}"] = f"R{i}.multiplicity"
@@ -416,8 +425,8 @@ def compile_enumeration(shape, head: Schema) -> EnumerationPlan:
     value = compiler.lookup(look, root, {v: f"k[{p}]" for p, v in enumerate(out)})
     look.emit(f"return {value}")
     compiler.functions.append(look.source())
-    lines = ["def bind(relations):"]
-    lines.append(f"    {', '.join(f'R{i}' for i in range(count))}, = relations")
+    names = [f"R{i}" if i in compiler.reads else "_" for i in range(count)]
+    lines = ["def bind(relations):", f"    {', '.join(names)}, = relations"]
     lines += [f"    {name} = {value}" for name, value in compiler.bound_names.items()]
     for function in compiler.functions:
         lines += ["    " + line for line in function.split("\n")]
@@ -431,7 +440,8 @@ def compile_enumeration(shape, head: Schema) -> EnumerationPlan:
     }
     label = f"<enumerate {_describe(shape)} -> {','.join(head)}>"
     exec(compile(source, label, "exec"), namespace)  # noqa: S102 - own source
-    return EnumerationPlan(namespace["bind"], out, source)  # type: ignore[arg-type]
+    reads = tuple(sorted(compiler.reads))
+    return EnumerationPlan(namespace["bind"], out, reads, source)  # type: ignore[arg-type]
 
 
 def _describe(shape) -> str:

@@ -93,8 +93,8 @@ class ResultEnumerator:
             return self._iterate()
         return self._telemetry.recorded_read(self._iterate())
 
-    def _relations(self, tree) -> Tuple[Relation, ...]:
-        """The relations a read of ``tree`` walks, in pre-order."""
+    def _relations(self, tree) -> Sequence[Optional[Relation]]:
+        """The relations a read of ``tree`` binds, in pre-order."""
         return tree.relations()
 
     def _components(self) -> List[_Component]:

@@ -1,94 +1,52 @@
 """Copy-on-write capture of relation contents.
 
-A snapshot must observe the engine exactly as it was at capture time while
-maintenance keeps mutating the same :class:`~repro.data.relation.Relation`
-objects in place.  Copying every relation at capture would make ``snapshot()``
-cost ``O(state)``; instead the tracker freezes relations lazily, from
-whichever side touches them first:
+A snapshot must observe the engine as it was at capture while maintenance
+mutates the same :class:`~repro.data.relation.Relation` objects in place.
+The tracker freezes relations lazily, from whichever side touches them
+first:
 
-* **writer side** — every relation reachable from a snapshot carries a
-  ``_cow`` pointer to its engine's :class:`CowTracker`.  The first mutation
-  after a capture (the relation's ``_cow_epoch`` trails the tracker's
-  ``epoch``) calls :meth:`CowTracker.preserve`, which stores a frozen copy of
-  the *pre-mutation* content into every active snapshot that does not hold
-  one yet.  Later mutations in the same epoch skip the tracker entirely, so
-  the steady-state overhead per mutation is one attribute load and one int
-  comparison;
-* **reader side** — a snapshot read resolves a relation through
-  :meth:`CowTracker.freeze`.  If the writer already preserved it, the frozen
-  copy is returned; otherwise the relation provably has not changed since the
-  capture (the writer guard fires on the *first* post-capture mutation), so
-  copying its current content under the tracker lock yields exactly the
-  capture-time state.
+* **writer side** — a capture registers the relations its compiled plans
+  read (:attr:`repro.enumeration.plan.EnumerationPlan.reads`), which carry
+  a ``_cow`` pointer to the tracker from then on (one never registered
+  keeps ``None`` and pays no guard).  The first mutation after a capture
+  calls :meth:`CowTracker.preserve`, which stores the *pre-mutation*
+  content into every open snapshot that registered the relation and holds
+  no copy of it yet; later mutations in the epoch cost one int comparison;
+* **reader side** — :meth:`CowTracker.freeze` returns that copy, or copies
+  the current content under the lock: the guard fires on the *first*
+  post-capture mutation, so that content is the captured one.
 
-Frozen copies are cached per relation keyed by its ``_change_ticks`` mutation
-counter, so consecutive snapshots of a quiescent relation share one copy
-instead of re-copying per capture.  The cache lives on the relation object
-itself (``_cow_cache``), which sidesteps ``id()`` aliasing after major
-rebalances replace view relations and lets dead relations take their cache
-entries with them.
+**Cost of the first write after a capture.**  The frozen copy is cached on
+the relation (``_cow_cache``, keyed by ``_change_ticks``) as a *trailing
+replica*: the relation logs each ``(tuple, delta)`` it applies afterwards
+(``_cow_log``), and the next freeze replays the log onto the replica —
+``O(mutations since the previous capture)``, indexes maintained — when no
+open snapshot still resolves the relation to it and **the rule**,
+:func:`~repro.data.relation.cow_replay_weights`, finds replay cheaper:
+``len(log) * replay <= len(relation) * copy``, a log of ``len / 32`` with
+no index, ``len / 10.7`` with one.  The writer keeps the log only while it
+passes the same rule at the same size, and a reader can only add an index
+to a replica, which raises the bound: a kept log is a replayed log.
 
-**Cost of the first write after a capture.**  The cached copy is a *trailing
-replica*: the relation logs every ``(tuple, delta)`` it applies after the
-copy was made (``_cow_log``), and when the content is next frozen the
-tracker replays that log onto the copy — ``O(mutations since the previous
-capture)`` — instead of copying the relation again.  The replica is rolled
-forward only when it is free, i.e. no *open* snapshot still resolves the
-relation to it (a reader pinned on an older version keeps its copy
-untouched), and when replay is cheaper than copying
-(``len(log) * COW_REPLAY_RATIO <= len(relation)``).
+Everything else — no log, a log dropped at the bound, a ``clear()`` (a tick
+without an entry), a replica in use — takes the fallback: a copy inheriting
+the live relation's index on each key the old replica held
+(:meth:`~repro.data.relation.Relation.copy_with_indexes`; a key the live
+relation lacks is built by the next reader) and a fresh log, skipped after
+a round too long to replay.  Neither branch changes what a snapshot
+enumerates: plans read ``items()``, ``multiplicity()`` and index groups,
+which list the relation's order however their index was kept; only
+``index.keys()`` order differs, and it is not part of the contract
+(``docs/architecture.md`` §10).
 
-Everything else — no log yet, a log that outgrew that bound and was dropped,
-a ``clear()`` (ticks without a log entry), a replica still in use — takes
-the one fallback: an ``O(|relation|)`` copy and a fresh log.  The fresh log
-is skipped when the round that just ended was itself too long to replay: a
-batch writer that rewrites a large share of a view between captures should
-not pay for log entries that are thrown away.  A short round turns logging
-back on, at the price of one more copy.
-
-**Indexes.**  A reader never rebuilds an index an earlier reader already
-built for that relation.  A frozen copy starts without indexes and the
-first reader that probes it builds what it needs (``ensure_index``); from
-then on both branches keep them.  *Replay* is one ``apply_deltas(log)``,
-which maintains the replica's indexes exactly as it does a live relation's
-— the writer pays per changed tuple, not the next reader per stored tuple.
-The *fallback copy* takes the old replica's index key schemas as the record
-of what readers probe and inherits, for each, the live relation's index on
-the same key when it has one (
-:meth:`~repro.data.relation.Relation.copy_with_indexes`: a copy of each
-group, counted in ``carried_indexes``); a key the live relation does not
-index is built by the next reader, as before.
-
-None of this can change what a snapshot enumerates.  The compiled plans read
-a relation through ``items()``, ``multiplicity()`` and
-``ensure_index(cols).group_items(key)`` only, and a group lists its members
-in the relation's own order whether its index was built, maintained or
-copied (:mod:`repro.data.relation` states the invariant).  What does differ
-is the order of ``index.keys()`` — a maintained index remembers the order in
-which groups appeared, a fresh build does not — so that order is *not* part
-of a frozen copy's contract: content, per-key group sequences and the
-enumerated sequence of a whole tree are
-(``tests/test_snapshot.py::TestTrailingReplica``).
-
-An index holds its relation's tuple map, not the relation, so a replica the
-tracker lets go of — replaced by a fallback copy, or released by the last
-snapshot that held a superseded one — is freed by refcount, indexes and
-all.  Memory stays one cached copy per relation, its indexes, plus a log of
-at most ``len(relation) / COW_REPLAY_RATIO`` entries.  Because a replica is
-reused once its last open snapshot is released, a snapshot must not be read
-after ``close()`` (:class:`~repro.snapshot.versioned.Snapshot` raises
-:class:`~repro.exceptions.StaleStateError`).
-
-Thread-safety relies on the tracker lock plus CPython's GIL: the lock makes
-"check whether a frozen copy exists, else copy the content" atomic against
-the writer guard (the copy runs entirely under the lock).  A held replica
-may be in a reader's hands — ``ensure_index`` inserting into its
-``_indexes`` — while the tracker reads its key schemas, so it takes them in
-one step (``tuple(old._indexes)``); the live relation's indexes only change
-with its content, which the guard holds still.  Captures
-(:meth:`CowTracker.capture`) must not run concurrently with a mutating call —
-:class:`repro.core.serving.EngineServer` serializes capture against its
-writer for exactly this reason.
+A replica the tracker lets go of is freed by refcount, indexes and all, and
+since a released replica is rolled forward, a closed snapshot raises
+:class:`~repro.exceptions.StaleStateError`.  Thread-safety is the tracker
+lock plus the GIL: "check for a frozen copy, else copy" runs under the
+lock, and a held replica's key schemas are read in one step
+(``tuple(old._indexes)``) as a reader may be adding one.  Captures must
+not run concurrently with a mutating call —
+:class:`repro.core.serving.EngineServer` serializes them against its writer.
 """
 
 from __future__ import annotations
@@ -97,9 +55,9 @@ import itertools
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
-from repro.data.relation import COW_REPLAY_RATIO, Relation
+from repro.data.relation import Relation, cow_replay_weights
 from repro.exceptions import StaleStateError
 from repro.stats import Family, metric
 
@@ -110,12 +68,12 @@ _EPOCHS = itertools.count(1)
 
 
 class SnapshotState:
-    """The frozen overlay of one snapshot: live relation → frozen copy."""
+    """The frozen overlay of one snapshot: live relation → frozen copy, over
+    the relations its capture registered.  Keyed by the Relation object, as
+    ``id()`` reuse after garbage collection could alias two relations."""
 
-    def __init__(self) -> None:
-        # Keyed by the live Relation object (identity hash): id() reuse after
-        # garbage collection could alias two different relations, an object
-        # key cannot.
+    def __init__(self, registered: FrozenSet[Relation]) -> None:
+        self.registered = registered
         self.frozen: Dict[Relation, Relation] = {}
         self.closed = False
 
@@ -127,6 +85,7 @@ class CowStats(Family):
     PREFIX = "repro_snapshot"
 
     full_copies: int = metric("Whole-relation copies made by snapshot copy-on-write.")
+    copied_tuples: int = metric("Tuples those copies copied.")
     carried_indexes: int = metric("Indexes those copies inherited from the live relation.")
     replayed_entries: int = metric("Redo-log entries replayed onto frozen snapshot copies.")
 
@@ -147,16 +106,17 @@ class CowTracker(CowStats):
     def capture(self, relations: Iterable[Relation]) -> SnapshotState:
         """Open a new snapshot over ``relations`` and bump the epoch.
 
-        Cost is ``O(#relations)`` bookkeeping — no content is copied here.
+        Only ``relations`` are preserved for it.  Cost is ``O(#relations)``
+        bookkeeping — no content is copied here.
         """
-        state = SnapshotState()
+        state = SnapshotState(frozenset(relations))
         with self.lock:
             self.epoch = next(_EPOCHS)
             self._active = [
                 ref for ref in self._active if self._live(ref) is not None
             ]
             self._active.append(weakref.ref(state))
-            for relation in relations:
+            for relation in state.registered:
                 if relation._cow is not self:
                     # Adopted from an older tracker (``load()`` without
                     # copying the database): that tracker's snapshots may
@@ -171,9 +131,7 @@ class CowTracker(CowStats):
     @staticmethod
     def _live(ref: "weakref.ref[SnapshotState]") -> Optional[SnapshotState]:
         state = ref()
-        if state is None or state.closed:
-            return None
-        return state
+        return None if state is None or state.closed else state
 
     def release(self, state: SnapshotState) -> None:
         """Close a snapshot so the writer stops preserving into it."""
@@ -188,21 +146,19 @@ class CowTracker(CowStats):
     def _frozen_copy(self, relation: Relation) -> Relation:
         """Return an immutable-by-convention copy of ``relation``'s content.
 
-        Reuses the cached copy when the content has not changed since it was
-        made, rolls it forward from the redo log when it is free and the log
-        is short, and copies the relation otherwise (see the module
-        docstring).  Must be called under the tracker lock.
+        The cached copy if the content is unchanged, else the cached copy
+        rolled forward from the redo log or a new copy, by the rule (see the
+        module docstring).  Must be called under the tracker lock.
         """
         ticks = relation._change_ticks
         cached = relation._cow_cache
         if cached is not None and cached[0] == ticks:
             return cached[1]
-        # Mutations since the cached copy was made.  A relation that took
-        # more of them than a replay may cost is not logged for the next
-        # round either: its writer would pay for entries that are thrown
-        # away (one without a cached copy yet is logged, optimistically).
+        # Mutations since the cached copy.  A round too long to replay is not
+        # logged for the next round either: its entries would be thrown away.
         distance = ticks - cached[0] if cached is not None else 0
-        replayable = distance * COW_REPLAY_RATIO <= len(relation)
+        replay_cost, copy_cost = cow_replay_weights(relation)
+        replayable = distance * replay_cost <= len(relation) * copy_cost
         log = relation._cow_log
         if (
             cached is not None
@@ -222,6 +178,7 @@ class CowTracker(CowStats):
                 tuple(old._indexes) if old is not None else ()
             )
             self.full_copies += 1
+            self.copied_tuples += len(clone)
             self.carried_indexes += len(clone._indexes)
         relation._cow_cache = (ticks, clone)
         relation._cow_log = [] if replayable else None
@@ -229,15 +186,13 @@ class CowTracker(CowStats):
 
     def _in_use(self, relation: Relation, clone: Relation) -> bool:
         """Whether an open snapshot still resolves ``relation`` to ``clone``."""
-        for ref in self._active:
-            state = self._live(ref)
-            if state is not None and state.frozen.get(relation) is clone:
-                return True
-        return False
+        states = [self._live(ref) for ref in self._active]
+        return any(state is not None and state.frozen.get(relation) is clone for state in states)
 
     # -- writer side --------------------------------------------------------
     def preserve(self, relation: Relation) -> None:
-        """Store ``relation``'s current content into every open snapshot.
+        """Store ``relation``'s current content into every open snapshot
+        that registered it.
 
         Called by :meth:`repro.data.relation.Relation._cow_guard` immediately
         *before* the first mutation of a new epoch, so the copied content is
@@ -246,7 +201,11 @@ class CowTracker(CowStats):
         with self.lock:
             for ref in self._active:
                 state = self._live(ref)
-                if state is not None and relation not in state.frozen:
+                if (
+                    state is not None
+                    and relation in state.registered
+                    and relation not in state.frozen
+                ):
                     state.frozen[relation] = self._frozen_copy(relation)
 
     # -- reader side --------------------------------------------------------

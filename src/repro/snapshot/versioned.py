@@ -2,18 +2,15 @@
 
 :meth:`repro.core.api.HierarchicalEngine.snapshot` records, for every
 strategy tree of the plan, its *shape* and the relation object behind each
-of its nodes, and registers those relations with the engine's
-:class:`~repro.snapshot.cow.CowTracker` — an ``O(plan)`` capture that copies
-no data.  The returned :class:`Snapshot` then answers ``enumerate()`` /
-``result()`` / ``lookup()`` with the plan compiled for that shape
-(:mod:`repro.enumeration.plan`, the one the live engine runs), bound on every
-read to the relations' frozen capture-time content, resolved through the
-tracker.
-
-Because the compiled plan and the frozen contents are those of the live
-engine at the moment of capture, a snapshot enumerates with the same
-Union/Product order guarantees: same tuples, same multiplicities, same
-sequence.
+node the plan compiled for that shape reads (``plan.reads``), and registers
+those relations with the engine's :class:`~repro.snapshot.cow.CowTracker` —
+an ``O(plan)`` capture that copies no data.  The returned :class:`Snapshot`
+then answers ``enumerate()`` / ``result()`` / ``lookup()`` with that plan
+(:mod:`repro.enumeration.plan`, the one the live engine runs), bound on
+every read to their frozen capture-time content, resolved through the
+tracker; no other relation is registered, copied or frozen.  Plan and
+frozen contents being the live engine's at capture, a snapshot enumerates
+the same tuples and multiplicities in the same sequence.
 
 The version stamp comes from the engine's
 :class:`~repro.ivm.rebalance.MaintenanceDriver`, which counts ingestion
@@ -43,6 +40,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.data.relation import Relation
 from repro.data.schema import ValueTuple
+from repro.enumeration.plan import compile_enumeration
 from repro.enumeration.result import ReadSurface, ResultEnumerator, lookup_bound
 from repro.exceptions import StaleStateError
 from repro.query.conjunctive import ConjunctiveQuery
@@ -52,28 +50,31 @@ from repro.views.view import ViewTreeNode
 
 class _Spec:
     """Capture-time record of one strategy tree: its shape and, in
-    pre-order, the live relations that were behind its nodes."""
+    pre-order, the live relations behind the nodes its compiled plan reads
+    (:attr:`~repro.enumeration.plan.EnumerationPlan.reads`), ``None`` at
+    the others."""
 
     __slots__ = ("_shape", "_relations")
 
-    def __init__(self, tree: ViewTreeNode) -> None:
+    def __init__(self, tree: ViewTreeNode, head: Tuple[str, ...]) -> None:
         self._shape = tree.shape()
-        self._relations = tree.relations()
+        reads = compile_enumeration(self._shape, head).reads
+        self._relations = tuple(r if p in reads else None for p, r in enumerate(tree.relations()))
 
     def shape(self):
         return self._shape
 
-    def relations(self) -> Tuple[Relation, ...]:
+    def relations(self) -> Tuple[Optional[Relation], ...]:
         return self._relations
 
 
 class _SnapshotEnumerator(ResultEnumerator):
     """Enumerates a snapshot: every relation read is its frozen content."""
 
-    def _relations(self, spec: _Spec) -> Tuple[Relation, ...]:
+    def _relations(self, spec: _Spec) -> List[Optional[Relation]]:
         snapshot: Snapshot = self.plan
         freeze, state = snapshot._tracker.freeze, snapshot._state
-        return tuple([freeze(state, relation) for relation in spec.relations()])
+        return [r if r is None else freeze(state, r) for r in spec.relations()]
 
 
 class PinCount:
@@ -222,17 +223,21 @@ def capture_snapshot(
 ) -> Snapshot:
     """Capture the current engine version (``O(plan)``; no data copied).
 
-    Must not run concurrently with a mutating call on the same engine — the
-    serving layer (:class:`repro.core.serving.EngineServer`) holds its write
-    lock around captures; single-threaded callers need nothing extra.
+    Registers with ``tracker`` only the relations the trees' compiled plans
+    read, the only ones a reader can reach.  Must not run concurrently with
+    a mutating call on the same engine — the serving layer
+    (:class:`repro.core.serving.EngineServer`) holds its write lock around
+    captures; single-threaded callers need nothing extra.
     """
+    head = tuple(query.head)
     component_specs = [
-        [_Spec(tree) for tree in trees] for trees in component_trees
+        [_Spec(tree, head) for tree in trees] for trees in component_trees
     ]
     state = tracker.capture(
         relation
         for specs in component_specs
         for spec in specs
         for relation in spec.relations()
+        if relation is not None
     )
     return Snapshot(tracker, state, component_specs, query, version, validity)

@@ -177,6 +177,30 @@ def test_retune_that_skips_its_reanchor_is_caught(monkeypatch):
     assert {m.kind for m in report.mismatches} == {"retune"}
 
 
+def test_a_capture_that_drops_a_read_relation_is_caught(monkeypatch):
+    """A capture that leaves one relation its plans read unregistered: the
+    writer never preserves it, so the held snapshot, first read one segment
+    later, reads the live content instead of the captured one."""
+    from repro.snapshot.cow import CowTracker
+
+    capture = CowTracker.capture
+
+    def capture_dropping_the_largest(self, relations):
+        relations = list(relations)
+        relations.remove(max(relations, key=len))
+        return capture(self, relations)
+
+    monkeypatch.setattr(CowTracker, "capture", capture_dropping_the_largest)
+    query = parse_query(PATH_QUERY)
+    profile = DataProfile(tuples_per_relation=15, domain=5)
+    database = random_database(query, profile, seed=1)
+    stream = random_update_stream(database, 25, profile, delete_fraction=0.5, seed=2)
+    case = ConformanceCase.build(PATH_QUERY, database, stream, epsilons=(0.5,), checkpoints=3)
+    report = run_case(case)
+    assert not report.ok, "the differential runner missed a capture that drops a read relation"
+    assert {m.kind for m in report.mismatches} <= {"snapshot", "snapshot-lookup", "aggregate-snapshot"}
+
+
 def test_injected_bug_repro_is_clean_without_the_bug(tmp_path):
     """A repro shrunk under a bug must pass once the bug is gone."""
     query = parse_query(PATH_QUERY)

@@ -59,6 +59,7 @@ SERVING = [
 ]
 SNAPSHOT = [
     ("repro_snapshot_full_copies", "counter", "Whole-relation copies made by snapshot copy-on-write."),
+    ("repro_snapshot_copied_tuples", "counter", "Tuples those copies copied."),
     ("repro_snapshot_carried_indexes", "counter", "Indexes those copies inherited from the live relation."),
     ("repro_snapshot_replayed_entries", "counter", "Redo-log entries replayed onto frozen snapshot copies."),
 ]

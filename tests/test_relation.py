@@ -406,7 +406,8 @@ class TestSnapshotRedoLog:
         assert relation._change_ticks == ticks
         assert relation.multiplicity((1, 0)) == 1
 
-    @pytest.mark.parametrize("size, kept", [(1, 1), (32, 1), (33, 2), (320, 10)])
+    # an entry is checked once it is applied, at the size a freeze would see
+    @pytest.mark.parametrize("size, kept", [(1, 0), (32, 1), (33, 1), (320, 10)])
     def test_log_is_dropped_once_replaying_it_would_cost_more_than_a_copy(self, size, kept):
         assert COW_REPLAY_RATIO == 32
         relation, ticks = self.logged({(i, 0): 1 for i in range(size)})

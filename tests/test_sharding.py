@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from repro import (
@@ -440,12 +440,19 @@ def path_workload(draw):
     return tuples, hot, bursts, operations, shards, epsilon
 
 
+# A failing differential run reports its first failing example as found:
+# each shrink step would be a whole ``run_case``, and its mismatch list
+# already names the engine, checkpoint and tuple.
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
+
+
 class TestShardMergeProperty:
     @given(path_workload())
     @settings(
         max_examples=25,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+        phases=NO_SHRINK,
     )
     def test_sharded_indistinguishable_from_single(self, workload):
         # the differential run drives fleets at every count of SHARD_COUNTS,
