@@ -80,6 +80,7 @@ from repro.durability.manager import (
     DurabilityManager,
     coerce_config,
 )
+from repro.ivm.delta import merge_delta
 from repro.ivm.rebalance import MaintenanceDriver, RebalanceStats
 from repro.core.planner import (
     QueryPlan,
@@ -137,15 +138,16 @@ class HierarchicalEngine(ReadSurface, MutationSurface):
         # against an earlier load raise StaleStateError instead of silently
         # reading the replaced state.
         self._generation = 0
-        # Result-delta capture flag, re-applied to the driver on every
-        # load() so a serving layer that enabled it keeps receiving
-        # per-commit deltas across reloads.
-        self._capture_deltas = False
+        # Result-delta capture: None when off, otherwise the net result
+        # delta since the last drain, folded by the _capture listener.  Like
+        # the aggregates below, it is registered with every driver a load()
+        # builds (see _listen), and starts empty there.
+        self._captured: Optional[Dict[ValueTuple, int]] = None
         # Maintained aggregates keyed by AggregateSpec.key().  Each state
         # folds the per-commit result deltas of the maintenance layer into
-        # {group: (support, ring element)}; like the capture flag above,
-        # the registry survives load()/recovery — the states are refolded
-        # from a fresh enumeration and re-subscribed to the new driver.
+        # {group: (support, ring element)}; the registry survives
+        # load()/recovery — the states are refolded from a fresh
+        # enumeration and re-subscribed to the new driver.
         self._aggregates: Dict[Tuple, MaintainedAggregate] = {}
         self._cow_tracker: Optional[CowTracker] = None
         # Durability: a directory (or DurabilityConfig) makes every accepted
@@ -351,14 +353,14 @@ class HierarchicalEngine(ReadSurface, MutationSurface):
                 self._driver.stats = RebalanceStats.from_dict(state["stats"])
                 if self.telemetry is not None and state.get("telemetry"):
                     self.telemetry.restore_state(state["telemetry"])
-            if self._capture_deltas:
-                self._driver.set_delta_capture(True)
+            if self._captured is not None:
+                self._captured = {}
             self._static_threshold_base = None
         else:
             self._driver = None
             self._static_threshold_base = max(1.0, float(database.size))
         materialize_plan(self._skew_plan, self.threshold)
-        self._reattach_aggregates()
+        self._reattach_listeners()
         self.preprocessing_seconds = time.perf_counter() - started
 
     def _attach_durability(self, manager: DurabilityManager) -> None:
@@ -529,26 +531,36 @@ class HierarchicalEngine(ReadSurface, MutationSurface):
     def set_delta_capture(self, enabled: bool) -> None:
         """Start (or stop) accumulating per-commit result-level deltas.
 
-        With capture on, every ingestion event folds the induced change of
-        the *query result* — the first-order delta of the commit's net
-        per-relation groups, computed inside the normal maintenance pass —
-        into a net accumulator that :meth:`drain_result_delta` returns and
-        clears.  This is what powers push-based subscriptions
-        (:mod:`repro.net`): subscribers receive the drained delta per
-        commit instead of re-enumerating.  Rebalances and retunes never
-        contribute (they reorganize views without changing the result).
-        Dynamic mode only; survives :meth:`load`.  The caller owns the
-        drain cadence — an enabled capture that is never drained grows
-        with the net result churn.
+        With capture on, the engine's accumulator is one more result-delta
+        listener of the maintenance layer (:mod:`repro.ivm.maintenance`):
+        it folds the induced change of the *query result* — the first-order
+        delta of each of a commit's net per-relation groups, computed inside
+        the normal maintenance pass — into a net delta that
+        :meth:`drain_result_delta` returns and clears.  This is what powers
+        push-based subscriptions (:mod:`repro.net`): subscribers receive the
+        drained delta per commit instead of re-enumerating.  Rebalances and
+        retunes never contribute (they reorganize views without changing the
+        result).  Dynamic mode only; survives :meth:`load`, which starts the
+        accumulator empty.  The caller owns the drain cadence — an enabled
+        capture that is never drained grows with the net result churn.
         """
         if enabled and self.mode != DYNAMIC_MODE:
             raise UnsupportedQueryError(
                 "delta capture requires mode='dynamic'; a static engine has "
                 "no update stream to capture deltas from"
             )
-        self._capture_deltas = bool(enabled)
-        if self._driver is not None:
-            self._driver.set_delta_capture(self._capture_deltas)
+        if bool(enabled) != (self._captured is not None):
+            self._captured = {} if enabled else None
+            self._listen()
+
+    def _capture(self, delta: Dict[ValueTuple, int]) -> None:
+        """The capture listener: fold one group's result delta in.  A
+        commit's first group (its only one, for a commit on a single
+        relation) is adopted, not re-added entry by entry."""
+        if self._captured:
+            merge_delta(self._captured, delta.items())
+        else:
+            self._captured = delta
 
     def drain_result_delta(self) -> Dict[ValueTuple, int]:
         """Return and clear the net result delta accumulated since last drain.
@@ -556,35 +568,42 @@ class HierarchicalEngine(ReadSurface, MutationSurface):
         Empty when capture is off (see :meth:`set_delta_capture`) or when
         the commits since the last drain cancelled out.
         """
-        if self._driver is None:
+        if self._captured is None:
             return {}
-        return self._driver.drain_result_delta()
+        drained, self._captured = self._captured, {}
+        return drained
 
     # ------------------------------------------------------------------
     # ring-annotated aggregates
     # ------------------------------------------------------------------
-    def _reattach_aggregates(self) -> None:
-        """Refold and re-subscribe maintained aggregates after a (re)load.
+    def _reattach_listeners(self) -> None:
+        """Refold the maintained aggregates after a (re)load and register
+        them, after the capture listener, with the new driver.
 
         Every load rebuilds the maintenance driver, dropping its delta
-        listeners; the spec registry lives on the engine, so — mirroring
-        how ``_capture_deltas`` is re-applied above — each state is
-        refolded from one fresh enumeration of the new database and
-        re-registered with the new driver.  The internal enumeration
-        bypasses telemetry: rebuilds are preprocessing, not workload reads.
+        listeners; the capture accumulator and the spec registry live on
+        the engine, so each state is refolded from one fresh enumeration of
+        the new database.  The internal enumeration bypasses telemetry:
+        rebuilds are preprocessing, not workload reads.
         """
-        if not self._aggregates:
-            return
         if self._driver is None:
             # A static reload cannot maintain state; drop the registry so
             # reads fall back to enumerate-and-fold instead of serving a
             # frozen aggregate as if it were live.
             self._aggregates.clear()
             return
-        assert self._skew_plan is not None
         for state in self._aggregates.values():
             state.rebuild(ResultEnumerator(self._skew_plan, self.query))
-            self._driver.add_delta_listener(state.on_delta)
+        self._listen()
+
+    def _listen(self) -> None:
+        """Hand the driver the engine's result-delta listeners: the capture
+        accumulator when on, then every maintained aggregate."""
+        if self._driver is not None:
+            capture = [] if self._captured is None else [self._capture]
+            self._driver.processor.delta_listeners = capture + [
+                state.on_delta for state in self._aggregates.values()
+            ]
 
     def register_aggregate(self, spec: AggregateSpec) -> MaintainedAggregate:
         """Install (or fetch) the maintained state for ``spec``.
@@ -603,8 +622,8 @@ class HierarchicalEngine(ReadSurface, MutationSurface):
         if state is None:
             state = MaintainedAggregate(spec, self.query.head)
             state.rebuild(ResultEnumerator(self._skew_plan, self.query))
-            self._driver.add_delta_listener(state.on_delta)
             self._aggregates[key] = state
+            self._listen()
         return state
 
     @property

@@ -191,7 +191,8 @@ class EngineServer(MutationSurface):
 
         The listener receives ``(version, result_delta)`` — the engine
         version after the commit (auto-retune included) and the commit's
-        net result-level delta, drained from the engine's capture hook
+        net result-level delta, drained from the engine's capture
+        accumulator
         (:meth:`~repro.core.api.HierarchicalEngine.set_delta_capture`), or
         ``None`` when the engine lost it
         (:meth:`~repro.sharding.ShardedEngine.drain_result_delta`).
@@ -202,10 +203,8 @@ class EngineServer(MutationSurface):
         on the engine (dynamic engines only; on a static engine listeners
         simply receive empty deltas).
         """
-        if not self._commit_listeners:
-            set_capture = getattr(self.engine, "set_delta_capture", None)
-            if set_capture is not None and getattr(self.engine, "mode", None) == "dynamic":
-                set_capture(True)
+        if not self._commit_listeners and self.engine.mode == "dynamic":
+            self.engine.set_delta_capture(True)
         self._commit_listeners.append(listener)
 
     def commit(self, event: Event) -> int:
@@ -241,10 +240,9 @@ class EngineServer(MutationSurface):
                     if pending_reshard is not None:
                         self._resharding = True
             self._publish_locked()
-            version = getattr(self.engine, "version", 0)
+            version = self.engine.version
             if self._commit_listeners:
-                drain = getattr(self.engine, "drain_result_delta", None)
-                delta = drain() if drain is not None else {}
+                delta = self.engine.drain_result_delta()
                 for listener in self._commit_listeners:
                     listener(version, delta)
         self.stats.count("batches_applied")
@@ -433,7 +431,7 @@ class EngineServer(MutationSurface):
         """
         self.check_writer()
         with self._write_lock:
-            version = getattr(self.engine, "version", 0)
+            version = self.engine.version
             elements = self.engine.aggregate_elements(spec, maintained=maintained)
         self.stats.count("reads_served")
         return version, elements

@@ -205,7 +205,8 @@ class UpdateBatch:
         for relation, group in self._deltas.items():
             for tup, mult in group.items():
                 bucket = buckets.setdefault(classify(relation, tup), UpdateBatch())
-                bucket.add(Update(relation, tup, mult))
+                bucket.add_delta(relation, tup, mult)
+                bucket._source_count += 1
         return buckets
 
     def validate_against(self, database: Database) -> None:

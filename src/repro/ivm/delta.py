@@ -35,9 +35,9 @@ def merge_delta(
     """Fold ``(tuple, multiplicity)`` pairs into ``accumulator`` in place.
 
     The one merge of multiplicities (group addition in the counting
-    ring): a commit's result delta into the capture accumulator, per-shard
-    drains into the fleet's delta, a pushed delta into a subscriber's
-    mirror.  Entries that cancel to the identity are removed rather than
+    ring): a commit's result delta into the capture accumulator, the
+    shards' commit replies into the fleet's, a pushed delta into a
+    subscriber's mirror.  Entries that cancel to the identity are removed rather than
     stored as zeros, keeping "absent" and "present at zero"
     indistinguishable — the invariant every consumer of a drained delta
     relies on.

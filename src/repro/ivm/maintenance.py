@@ -30,22 +30,23 @@ Rebalancing (threshold maintenance) is handled separately by
 step 1 computed.
 
 
-**Result-delta capture** (the push-based serving hook): when enabled via
-:meth:`UpdateProcessor.set_delta_capture`, every ingestion event also
-computes the induced change of the *query result* — the classical
-first-order delta ``π_head(δR ⋈ S ⋈ T ⋈ …)`` of the net per-relation
-group against the other atoms' base relations, evaluated at the same
-group-sequential point the grouped propagation uses — and accumulates it
-into a drainable net delta.  Subscribers of
-:class:`repro.net.EngineTCPServer` receive exactly these per-commit deltas
-instead of re-enumerating; rebalances and retunes never contribute (they
-reorganize views without changing the result).  Disabled, the hook is a
-single ``None`` check per group.
+**Result-delta listeners** (the push-based serving hook): every function
+on :attr:`UpdateProcessor.delta_listeners` receives, per relation group
+applied, the induced change of the *query result* — the classical
+first-order delta ``π_head(δR ⋈ S ⋈ T ⋈ …)`` of the net group against the
+other atoms' base relations, evaluated at the same group-sequential point
+the grouped propagation uses — so summing what one listener sees over a
+commit gives the commit's exact net result delta.  The engine's capture
+accumulator (:meth:`repro.core.api.HierarchicalEngine.set_delta_capture`)
+and every maintained aggregate are such listeners; rebalances and retunes
+never call them (they reorganize views without changing the result).
+With no listener registered the hook is a single emptiness check per
+group, and no result delta is built.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Tuple
 
 from repro.data.database import Database
 from repro.data.partition import Partition
@@ -53,7 +54,7 @@ from repro.data.schema import Projector, Schema, ValueTuple
 from repro.data.update import validate_groups
 from repro.exceptions import UnknownRelationError, UnsupportedQueryError
 from repro.engine.join import fold_join
-from repro.ivm.delta import Delta, merge_delta, propagate_delta
+from repro.ivm.delta import Delta, propagate_delta
 from repro.query.atom import Atom
 from repro.views.indicators import IndicatorTriple
 from repro.views.skew import SkewAwarePlan
@@ -78,51 +79,14 @@ class UpdateProcessor:
                     "the dynamic engine (paper footnote 2)"
                 )
             self._atoms_by_relation[atom.relation] = atom
-        # Result-delta capture (push-based serving): ``None`` when disabled;
-        # a net ``{result_tuple: multiplicity}`` accumulator otherwise,
-        # drained per commit by the serving layer.
-        self._result_capture: Optional[Delta] = None
-        # Result-delta listeners (ring-annotated aggregate views): each is
-        # called with every group-level first-order result delta as it is
-        # computed.  The delta is computed once and fanned out to the
-        # capture accumulator and every listener, so maintained aggregates
-        # and push subscriptions share one delta evaluation per group.
-        self._delta_listeners: List[Callable[[Delta], None]] = []
+        # Result-delta listeners (the engine's capture accumulator and its
+        # maintained aggregates), each called with every group's first-order
+        # result delta, computed once for all of them.  Like the processor,
+        # they survive retunes and rebalances; load() rebuilds both.
+        self.delta_listeners: List[Callable[[Delta], None]] = []
 
-    # ------------------------------------------------------------------
-    # result-delta capture
-    # ------------------------------------------------------------------
-    def set_delta_capture(self, enabled: bool) -> None:
-        """Start (or stop) accumulating per-commit result-level deltas."""
-        if enabled:
-            if self._result_capture is None:
-                self._result_capture = {}
-        else:
-            self._result_capture = None
-
-    def add_delta_listener(self, listener: Callable[[Delta], None]) -> None:
-        """Register a per-group result-delta consumer (aggregate views).
-
-        Listeners receive the same first-order deltas the capture
-        accumulator folds — called at the group-sequential point inside the
-        commit, so summing everything a listener sees over one commit gives
-        the commit's exact net result delta.  Listeners survive retunes and
-        rebalances (the processor persists; those reorganizations never
-        produce result deltas) but not :meth:`~repro.core.api.HierarchicalEngine.load`,
-        which rebuilds the processor — the engine re-registers its
-        aggregates there.
-        """
-        self._delta_listeners.append(listener)
-
-    def drain_result_delta(self) -> Delta:
-        """Return and clear the net result delta accumulated since last drain."""
-        if self._result_capture is None:
-            return {}
-        drained, self._result_capture = self._result_capture, {}
-        return drained
-
-    def _capture_group(self, relation_name: str, group: Mapping[ValueTuple, int]) -> None:
-        """Fold one relation group's first-order result delta into the capture.
+    def _notify_listeners(self, relation_name: str, group: Mapping[ValueTuple, int]) -> None:
+        """Hand one relation group's first-order result delta to the listeners.
 
         ``π_head(δR ⋈ S ⋈ T ⋈ …)`` against the *base* relations of every
         other atom — which, at the group-sequential point where this runs,
@@ -131,9 +95,8 @@ class UpdateProcessor:
         the commit's exact net result delta (the delta rule is linear in
         ``δR`` for fixed sibling contents).
         """
-        capture = self._result_capture
-        listeners = self._delta_listeners
-        if capture is None and not listeners:
+        listeners = self.delta_listeners
+        if not listeners:
             return
         atom = self._atoms_by_relation[relation_name]
         siblings = [
@@ -142,14 +105,6 @@ class UpdateProcessor:
             if other is not atom
         ]
         delta = fold_join(atom.variables, group, siblings, self.query.head)
-        if capture is not None:
-            if capture:
-                merge_delta(capture, delta.items())
-            else:
-                # The commit's first group (its only one, for a commit on a
-                # single relation): adopt the join's own dict, do not re-add
-                # its entries one by one into an empty accumulator.
-                self._result_capture = delta
         for listener in listeners:
             listener(delta)
 
@@ -238,7 +193,7 @@ class UpdateProcessor:
 
         # (2) the shared base relation absorbs the group exactly once
         relation.apply_deltas(group.items())
-        self._capture_group(relation_name, group)
+        self._notify_listeners(relation_name, group)
 
         # (3) one traversal per strategy tree and indicator All tree
         self._propagate_to_trees(relation_name, schema, group)

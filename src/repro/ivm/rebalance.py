@@ -96,33 +96,6 @@ class MaintenanceDriver:
         self.threshold_base = 2 * database.size + 1
 
     # ------------------------------------------------------------------
-    # result-delta capture (push-based serving)
-    # ------------------------------------------------------------------
-    def set_delta_capture(self, enabled: bool) -> None:
-        """Start (or stop) accumulating per-commit result-level deltas.
-
-        Forwarded to the shared :class:`UpdateProcessor` capture hook —
-        rebalances and retunes driven by this class never contribute (they
-        reorganize views without changing the query result), so the drained
-        delta reflects ingestion events only.
-        """
-        self.processor.set_delta_capture(enabled)
-
-    def drain_result_delta(self):
-        """Return and clear the net result delta accumulated since last drain."""
-        return self.processor.drain_result_delta()
-
-    def add_delta_listener(self, listener) -> None:
-        """Register a result-delta listener (ring-annotated aggregate views).
-
-        Forwarded to the shared :class:`UpdateProcessor`, which persists
-        across retunes and rebalances — those reorganize views without
-        changing the result, so maintained aggregates stay exact through
-        them without re-initialization.
-        """
-        self.processor.add_delta_listener(listener)
-
-    # ------------------------------------------------------------------
     @property
     def threshold(self) -> float:
         """The current heavy/light threshold ``M^ε``."""

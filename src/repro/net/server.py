@@ -251,7 +251,7 @@ class EngineTCPServer:
             # turns this one into a no-op after stop().
             self.serving.on_commit(self._on_engine_commit)
             self._listener_installed = True
-        self.latest_version = getattr(self.serving.engine, "version", 0)
+        self.latest_version = self.serving.engine.version
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
@@ -658,10 +658,10 @@ class EngineTCPServer:
         return {
             "protocol": PROTOCOL_VERSION,
             "query": str(engine.query),
-            "mode": getattr(engine, "mode", None),
-            "epsilon": getattr(engine, "epsilon", None),
+            "mode": engine.mode,
+            "epsilon": engine.epsilon,
             "shards": getattr(engine, "shards", 1),
-            "version": getattr(engine, "version", 0),
+            "version": engine.version,
         }
 
     async def _op_read(self, session: _Session, message: Dict) -> Dict:
@@ -806,11 +806,10 @@ class EngineTCPServer:
         """Register a subscriber, answer with the full state, start its sender."""
         self.serving.check_writer()
         engine = self.serving.engine
-        if getattr(engine, "mode", None) != "dynamic":
+        if engine.mode != "dynamic":
             raise UnsupportedQueryError(
                 "subscriptions require a dynamic engine; this server fronts "
-                f"a {getattr(engine, 'mode', 'unknown')!r}-mode engine with "
-                "no per-commit delta capture"
+                f"a {engine.mode!r}-mode engine with no per-commit delta capture"
             )
         if len(self._subscribers) >= self.config.max_subscriptions:
             raise ProtocolError(
@@ -866,7 +865,7 @@ class EngineTCPServer:
             "net": self.stats.as_dict(),
             "serving": self.serving.stats.as_dict(),
             "shards": getattr(self.serving.engine, "shards", 1),
-            "version": getattr(self.serving.engine, "version", 0),
+            "version": self.serving.engine.version,
             "latest_pushed_version": self.latest_version,
         }
 

@@ -130,7 +130,7 @@ class _FleetHandle(PinCount):
     existed.
     """
 
-    __slots__ = ("router", "executor_name", "epoch", "acked", "undrained", "ids", "_dropped")
+    __slots__ = ("router", "executor_name", "epoch", "acked", "ids", "_dropped")
 
     def __init__(
         self,
@@ -146,9 +146,6 @@ class _FleetHandle(PinCount):
         # Every shard's engine version as of its last acknowledged commit:
         # what a healed commit round reconciles against (ShardedEngine._round).
         self.acked = [0] * router.shards
-        # Shards that committed since the last drain_result_delta: a restart
-        # of one of them loses the delta it had captured.
-        self.undrained: Set[int] = set()
         # Snapshot and cursor ids, and per shard the ids let go of without a
         # round, which that shard's next snapshot round releases.
         self.ids = itertools.count(1)
@@ -387,8 +384,8 @@ class ShardedEngine(ReadSurface, MutationSurface):
         self.enable_rebalancing = enable_rebalancing
         self.executor_choice = executor
         # Facade-level workload telemetry: ingestion and sharded-read
-        # events are recorded here (per-shard engines keep their own), so
-        # an AdaptiveController can drive the whole deployment.  Pass
+        # events are recorded here (shard engines record none), so an
+        # AdaptiveController can drive the whole deployment.  Pass
         # ``telemetry=False`` to opt out, as on HierarchicalEngine.
         if telemetry is False:
             self.telemetry: Optional[WorkloadTelemetry] = None
@@ -413,8 +410,9 @@ class ShardedEngine(ReadSurface, MutationSurface):
         )
         # Serialises restarts: two rounds that trip on one death restart it once.
         self._restart_lock = threading.Lock()
-        # Set when a restart or a skipped commit lost captured result delta;
-        # the next drain_result_delta reports its delta as unknown.
+        # Set when a commit round was reconciled by skipping (durable, but its
+        # reply and the delta in it died with the worker); the next
+        # drain_result_delta reports its delta as unknown.
         self._delta_lost = False
         # the shard-aware planner gate: raises for unshardable queries
         self.router = ShardRouter(self.query, shards, shard_key)
@@ -446,12 +444,13 @@ class ShardedEngine(ReadSurface, MutationSurface):
         # (and per apply_stream chunk), mirroring the single engine's
         # MaintenanceDriver.version.
         self._version = 0
-        # Result-delta capture flag, re-sent to the shards on every
-        # load()/recover() and to every restarted worker, so a serving layer
-        # that enabled it keeps receiving per-commit deltas across reloads.
-        self._capture_deltas = False
+        # Result-delta capture: None when off, otherwise the sum of the
+        # shard deltas the commit replies carried since the last drain.  On,
+        # it is re-sent to every fleet the facade adopts and to every
+        # restarted worker, and load()/recover() start it empty.
+        self._captured: Optional[Dict[ValueTuple, int]] = None
         # Registered aggregate specs, keyed by AggregateSpec.key().  Like
-        # the capture flag, the registry lives on the facade and is
+        # capture, the registry lives on the facade and is
         # re-sent whenever a fleet or a worker is (re)built — load, recover,
         # reshard, restart — so every worker maintains the same aggregate states.
         self._agg_specs: Dict[Tuple, AggregateSpec] = {}
@@ -495,6 +494,8 @@ class ShardedEngine(ReadSurface, MutationSurface):
                 "mode": self.mode,
                 "enable_rebalancing": self.enable_rebalancing,
                 "copy_database": False,
+                # only the facade's telemetry is read (controller, /metrics)
+                "telemetry": False,
             },
             databases,
             router.shard_key,
@@ -505,7 +506,7 @@ class ShardedEngine(ReadSurface, MutationSurface):
     def _serving_state(self) -> List[Tuple[str, Any]]:
         """The facade's serving state as shard commands: sent to every fleet
         it adopts and to every worker it restarts."""
-        commands = [("set_delta_capture", True)] if self._capture_deltas else []
+        commands = [("set_delta_capture", True)] if self._captured is not None else []
         return commands + [
             ("register_aggregate", spec.to_wire()) for spec in self._agg_specs.values()
         ]
@@ -533,6 +534,7 @@ class ShardedEngine(ReadSurface, MutationSurface):
         self._generation += 1
         self._version = 0
         self._reshard_tail = None
+        self._reset_capture()
         if self.durability is not None:
             self._wipe_fleet_history()
         self._adopt_fleet(
@@ -573,6 +575,7 @@ class ShardedEngine(ReadSurface, MutationSurface):
             self.close()
         self._generation += 1
         self._reshard_tail = None
+        self._reset_capture()
         meta = read_fleet_meta(self.durability.directory)
         baselines: Optional[List[int]] = None
         meta_version = 0
@@ -703,8 +706,6 @@ class ShardedEngine(ReadSurface, MutationSurface):
                     self.restart_stats.restarts += 1
                     for command in self._serving_state():
                         executor.map({shard: command})
-                    if self._capture_deltas and shard in fleet.undrained:
-                        self._delta_lost = True
             resend = []
             for shard in exc.shard_indexes:
                 if not mutating:
@@ -715,8 +716,8 @@ class ShardedEngine(ReadSurface, MutationSurface):
                 if durable == acked:
                     resend.append(shard)
                 elif durable == acked + 1:
-                    # its delta died with the worker, uncaptured
-                    self._delta_lost = self._delta_lost or self._capture_deltas
+                    # its delta died with the worker, in the lost reply
+                    self._delta_lost = self._delta_lost or self._captured is not None
                 else:
                     raise DurabilityError(
                         f"shard {shard} recovered at version {durable}, but "
@@ -731,7 +732,6 @@ class ShardedEngine(ReadSurface, MutationSurface):
         if mutating:
             for shard in commands:
                 fleet.acked[shard] += 1
-            fleet.undrained.update(commands)
         return replies
 
     def _broadcast(
@@ -748,7 +748,7 @@ class ShardedEngine(ReadSurface, MutationSurface):
     # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
-    def _dispatch(self, fleet: _FleetHandle, event: Event) -> int:
+    def _dispatch(self, fleet: _FleetHandle, event: Event) -> Tuple[int, Dict[int, Any]]:
         """The sharded ingest protocol, once: route, validate round, apply round.
 
         An :class:`Update` goes to its shard; an :class:`UpdateBatch` is
@@ -758,7 +758,8 @@ class ShardedEngine(ReadSurface, MutationSurface):
         and ticks, its shard like the unsharded driver); a :class:`Retune`
         goes to every shard.  Every shard receives its part as one
         ``("commit", event)`` command.  Returns the number of source
-        updates routed.
+        updates routed and the commit replies, each the shard's result
+        delta of its part (empty unless capture is on).
         """
         router = fleet.router
         if isinstance(event, Retune):
@@ -781,9 +782,8 @@ class ShardedEngine(ReadSurface, MutationSurface):
                 self._round(fleet, validations)
             commands = {shard: ("commit", sub) for shard, sub in subs.items()}
             source_count = sum(sub.source_count for sub in subs.values())
-        if commands:
-            self._round(fleet, commands, mutating=True)
-        return source_count
+        replies = self._round(fleet, commands, mutating=True) if commands else {}
+        return source_count, replies
 
     def commit(self, event: Event) -> None:
         """One live event: the protocol on the current fleet, then bookkeeping.
@@ -796,7 +796,13 @@ class ShardedEngine(ReadSurface, MutationSurface):
         """
         fleet = self._require_loaded()
         started = time.perf_counter()
-        source_count = self._dispatch(fleet, event)
+        source_count, replies = self._dispatch(fleet, event)
+        if self._captured is not None:
+            for delta in replies.values():  # a bound key's overlaps add up
+                if self._captured:
+                    merge_delta(self._captured, delta.items())
+                else:
+                    self._captured = delta
         if self._reshard_tail is not None:
             # A reshard is in flight: buffer the event for replay onto the
             # new fleet.  Only what the current fleet accepted gets here —
@@ -873,42 +879,44 @@ class ShardedEngine(ReadSurface, MutationSurface):
         """Start (or stop) per-commit result-delta capture on every shard.
 
         Mirrors :meth:`HierarchicalEngine.set_delta_capture`: each shard
-        accumulates its shard-local first-order result deltas inside the
-        normal maintenance pass, and :meth:`drain_result_delta` sums the
-        shard dicts — joins are shard-local by construction, so the global
-        result delta is exactly the sum of the per-shard ones.  Survives
-        :meth:`load`, :meth:`recover` and worker restarts.
+        captures its shard-local first-order result delta inside the normal
+        maintenance pass and hands it back in its ``commit`` reply, and the
+        facade sums the replies into one accumulator that
+        :meth:`drain_result_delta` returns and clears — joins are
+        shard-local by construction, so the global result delta is exactly
+        the sum of the per-shard ones.  Survives :meth:`load`,
+        :meth:`recover` (both start the accumulator empty), :meth:`reshard`
+        and worker restarts.
         """
         if enabled and self.mode != DYNAMIC_MODE:
             raise UnsupportedQueryError(
                 "delta capture requires the dynamic engine; a static "
                 "deployment has no update stream to capture deltas from"
             )
-        self._capture_deltas = bool(enabled)
-        if self._fleet is not None:
-            self._broadcast("set_delta_capture", self._capture_deltas)
+        if bool(enabled) != (self._captured is not None):
+            self._captured = {} if enabled else None
+            if self._fleet is not None:
+                self._broadcast("set_delta_capture", bool(enabled))
+
+    def _reset_capture(self) -> None:
+        """A new deployment's capture starts empty and known."""
+        self._delta_lost = False
+        if self._captured is not None:
+            self._captured = {}
 
     def drain_result_delta(self) -> Optional[Dict[ValueTuple, int]]:
         """Return and clear the fleet's net result delta since last drain.
 
-        ``None`` means the delta is unknown: a worker restarted since the
-        last drain had captured delta it lost, or a commit was reconciled by
+        No shard round: the deltas arrived with the commit replies.
+        ``None`` means the delta is unknown: a commit was reconciled by
         skipping it (it became durable, but its worker died before
-        answering).  A serving layer resyncs its subscribers then.
+        answering, and its delta with the reply).  A serving layer resyncs
+        its subscribers then.
         """
-        fleet = self._require_loaded()
-        # Until every shard has handed its delta over, a worker restarted
-        # in this very round loses part of it (the round runs again whole).
-        fleet.undrained.update(range(fleet.router.shards))
-        replies = self._broadcast("drain_delta", fleet=fleet)
-        fleet.undrained.clear()
-        if self._delta_lost:
-            self._delta_lost = False
-            return None
-        merged: Dict[ValueTuple, int] = {}
-        for pairs in replies:
-            merge_delta(merged, pairs)
-        return merged
+        self._require_loaded()
+        drained, lost = self._captured, self._delta_lost
+        self._reset_capture()
+        return None if lost else drained or {}
 
     # ------------------------------------------------------------------
     # ring-annotated aggregates
@@ -1040,9 +1048,8 @@ class ShardedEngine(ReadSurface, MutationSurface):
         under the *next epoch's* directory, so the old fleet's history
         stays authoritative until the barrier record commits the swap.
         Delta capture stays off on the new fleet until the swap: the
-        events it would capture during tail replay were already captured
-        (and drained) on the old fleet, and phantom deltas must never
-        reach subscribers.
+        events of the tail replay were already captured on the old fleet,
+        and :meth:`finish_reshard` discards the replay's replies anyway.
         """
         combined = Database()
         for payload in plan.payloads:
@@ -1076,7 +1083,7 @@ class ShardedEngine(ReadSurface, MutationSurface):
         crash_point("reshard-prepare")
         for event in self._reshard_tail or []:
             crash_point("reshard-tail")
-            self._dispatch(plan.fleet, event)
+            self._dispatch(plan.fleet, event)  # its deltas were captured live
         version_after = self._version + 1  # the reshard ticks once, like retune
         if self.durability is not None:
             write_fleet_meta(

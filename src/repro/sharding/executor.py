@@ -2,10 +2,12 @@
 
 The sharded engine talks to its shards through a tiny command set — one
 mutating command, ``commit`` (the shard's part of one update, batch or
-retune event, see :mod:`repro.data.update`), plus ``validate`` (its
-dry-run), ``export``, ``check`` (engine invariants + placement), ``stats``,
-``view_size``, ``size``, ``threshold``, ``version``, ``epsilon``,
-the aggregate pair ``register_aggregate`` / ``aggregate`` (per-shard
+retune event, see :mod:`repro.data.update`; it replies with that part's
+result delta, empty unless capture is on, which the facade sums into its
+own accumulator), plus ``validate`` (its dry-run), ``export``, ``check``
+(engine invariants + placement), ``stats``, ``view_size``, ``size``,
+``threshold``, ``version``, ``epsilon``, ``set_delta_capture``, the
+aggregate pair ``register_aggregate`` / ``aggregate`` (per-shard
 partial aggregates as raw supports and ring elements, merged at the
 facade with :func:`repro.rings.spec.merge_elements`),
 plus the snapshot quartet
@@ -90,9 +92,11 @@ class _ShardServer:
             # the shard's part of one facade event — an Update, a sub-batch
             # or a Retune — through the shard engine's own public commit,
             # which re-validates a sub-batch (a walk far cheaper than the
-            # apply it precedes) and, when durable, logs it as one WAL record
+            # apply it precedes) and, when durable, logs it as one WAL
+            # record; the reply is the part's result delta (empty unless
+            # capture is on), which the facade sums over the shards
             self.engine.commit(payload)
-            return None
+            return self.engine.drain_result_delta()
         if command == "validate":
             # dry-run over-delete check: the first phase of the sharded
             # engine's two-phase (validate, then apply) batch ingestion.
@@ -132,11 +136,6 @@ class _ShardServer:
         if command == "set_delta_capture":
             self.engine.set_delta_capture(bool(payload))
             return None
-        if command == "drain_delta":
-            # per-shard net result delta since the last drain; the facade
-            # sums the shard dicts (with a bound shard key, shard results
-            # overlap; summing adds their multiplicities, as Union does)
-            return list(self.engine.drain_result_delta().items())
         if command == "register_aggregate":
             # Install the maintained state for one spec on this shard; the
             # facade re-sends its registry on load/recover/reshard and to a

@@ -21,6 +21,7 @@ import pytest
 
 from repro import Database, HierarchicalEngine, Update
 from repro.baselines.naive import NaiveRecomputeEngine
+from repro.core.serving import EngineServer
 from repro.exceptions import RejectedUpdateError, UnsupportedQueryError
 from repro.sharding import ShardedEngine
 
@@ -172,3 +173,42 @@ def test_capture_enabled_before_load_survives_reload():
     engine.apply_batch([Update("R", (1, 1), 1), Update("S", (1, 1), 1)])
     drained = engine.drain_result_delta()
     assert drained.get((1, 1), 0) >= 1
+
+
+def test_sharded_load_starts_capture_empty():
+    """A re-load replaces the deployment: what the old one captured and
+    nobody drained is not the new one's delta."""
+    engine = ShardedEngine(PATH_QUERY, shards=2, executor="serial")
+    engine.set_delta_capture(True)
+    engine.load(make_database())
+    engine.apply_batch([Update("R", (0, 0), 1), Update("S", (0, 0), 1)])
+    engine.load(make_database())
+    assert engine.drain_result_delta() == {}
+    engine.close()
+
+
+def test_served_sharded_commit_runs_no_drain_round():
+    """Each shard's delta rides its commit reply, so a served commit runs
+    the commit round and the publish's snapshot round, and no third round
+    to collect the deltas."""
+    engine = ShardedEngine(PATH_QUERY, shards=4, executor="serial")
+    engine.load(make_database())
+    server = EngineServer(engine)
+    seen = []
+    server.on_commit(lambda version, delta: seen.append(delta))
+    rounds = []
+    send = engine._executor.map
+
+    def recorded(commands):
+        rounds.append(sorted({command for command, _ in commands.values()}))
+        return send(commands)
+
+    engine._executor.map = recorded
+    before = engine.result()
+    rounds.clear()
+    server.apply_update(Update("R", (0, 0), 1))
+    assert rounds == [["commit"], ["snapshot"]]
+    after = engine.result()
+    apply_delta(before, seen[-1])
+    assert before == after
+    engine.close()

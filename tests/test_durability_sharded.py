@@ -25,6 +25,7 @@ from repro.core.api import HierarchicalEngine
 from repro.core.serving import EngineServer
 from repro.data.database import Database
 from repro.data.update import Update, UpdateStream
+from repro.durability.checkpoint import find_checkpoints, load_checkpoint
 from repro.durability.crashpoints import ENV_VAR
 from repro.exceptions import (
     DurabilityError,
@@ -348,6 +349,27 @@ class TestHealedRoundsStayExact:
         finally:
             engine.close()
 
+    def test_a_read_round_heal_keeps_the_commits_delta(self, tmp_path):
+        """A worker killed after acknowledging a commit and healed by a read
+        round: the commit's delta came back with the acknowledgement, so
+        the next drain still holds it.  It used to stay in the dead worker,
+        and the drain reported the delta unknown (``None``)."""
+        engine = start_fleet(tmp_path, database=diagonal_database())
+        oracle = HierarchicalEngine(PATH_QUERY, epsilon=0.5).load(diagonal_database())
+        try:
+            _, b1 = keys_per_shard(engine)
+            engine.set_delta_capture(True)
+            oracle.set_delta_capture(True)
+            update = Update("R", (700, b1), 1)
+            engine.apply(update)
+            oracle.apply(update)
+            kill_worker(engine, 1)
+            engine.view_size()  # the read round that restarts the worker
+            assert restarts(engine) == 1
+            assert engine.drain_result_delta() == oracle.drain_result_delta()
+        finally:
+            engine.close()
+
     def test_a_skipped_commit_reports_its_delta_unknown(self, tmp_path):
         """The ack of a durable commit died with its worker: the commit is
         reconciled by skipping, and the delta it captured is gone."""
@@ -467,6 +489,31 @@ class TestColdShardedRecovery:
         assert dict(engine.result()) == expected
         engine.check_invariants()
         engine.close()
+
+    def test_shard_engines_record_no_telemetry(self, tmp_path):
+        """Only the facade's telemetry is read (the controller, /metrics):
+        shard engines time nothing and checkpoint ``"telemetry": null``, so
+        a recovered shard comes back without telemetry too."""
+        engine = ShardedEngine(
+            PATH_QUERY,
+            shards=2,
+            epsilon=0.5,
+            executor="serial",
+            durability=str(tmp_path / "wal"),
+        )
+        engine.load(make_database())
+        for update in STREAM:
+            engine.apply(update)
+        engine._executor.restart_shard(0)
+        try:
+            assert engine.telemetry is not None
+            for shard, server in enumerate(engine._executor._servers):
+                assert server.engine.telemetry is None
+                checkpoints = find_checkpoints(tmp_path / "wal" / f"shard-{shard}")
+                assert checkpoints
+                assert load_checkpoint(checkpoints[-1][1])["telemetry"] is None
+        finally:
+            engine.close()
 
     def test_recover_adopts_a_durable_retune(self, tmp_path):
         """The facade used to keep its constructor's ε while the recovered

@@ -468,6 +468,22 @@ class TestServingReshard:
         server.apply_update(STREAM[5])
         assert len(seen) == 2 and seen[-1][1] != {}
 
+    def test_undrained_deltas_survive_a_reshard(self):
+        """Deltas captured before a reshard and not yet drained used to stay
+        on the retired fleet: the next drain held only the last commit's."""
+        engine = live_fleet(shards=2, updates=[])
+        oracle = HierarchicalEngine(PATH_QUERY, epsilon=0.5).load(make_database())
+        engine.set_delta_capture(True)
+        oracle.set_delta_capture(True)
+        for update in STREAM[:2]:
+            engine.apply(update)
+            oracle.apply(update)
+        engine.reshard(3)
+        engine.apply(STREAM[2])
+        oracle.apply(STREAM[2])
+        assert engine.drain_result_delta() == oracle.drain_result_delta()
+        engine.close()
+
     def test_auto_reshard_from_capacity_policy(self):
         engine = live_fleet(shards=2, updates=[], telemetry=True)
         policy = ShardCapacityConfig(shard_capacity=2, over_commit_ratio=1.0)

@@ -585,6 +585,12 @@ class TestEmptyNetEffectBatches:
         assert set(split) == {0, 1}
         assert dict(split[0].delta_for("R")) == {(1, 2): 2}
         assert dict(split[1].delta_for("S")) == {(2, 9): 1}
+        # one source per net entry: the cancelled pair counts nowhere
+        assert split[0].source_count == 1
+        assert split[1].source_count == 1
+        wide = UpdateBatch([Update("R", (k, k), 1) for k in range(5)])
+        parity = wide.split_by(lambda relation, tup: tup[0] % 2)
+        assert {bucket: sub.source_count for bucket, sub in parity.items()} == {0: 3, 1: 2}
 
 
 # ----------------------------------------------------------------------
