@@ -20,7 +20,6 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.8",
     # numpy: workload generators and repro.bench; scipy: rho* of
-    # non-hierarchical queries; networkx: join_tree.  The serving path
-    # imports none of them.
-    install_requires=["numpy", "scipy", "networkx"],
+    # non-hierarchical queries.  The serving path imports neither.
+    install_requires=["numpy", "scipy"],
 )

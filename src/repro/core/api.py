@@ -105,7 +105,7 @@ class HierarchicalEngine(ReadSurface, MutationSurface):
         mode: str = DYNAMIC_MODE,
         enable_rebalancing: bool = True,
         copy_database: bool = True,
-        telemetry: Union[WorkloadTelemetry, bool, None] = None,
+        telemetry: bool = True,
         durability: Union[DurabilityConfig, str, Path, None] = None,
     ) -> None:
         self.epsilon = check_epsilon(epsilon)
@@ -116,16 +116,12 @@ class HierarchicalEngine(ReadSurface, MutationSurface):
         self.query = self.plan.query
         # Workload telemetry: every ingestion event and every enumeration
         # records its size and wall-clock cost here, feeding the adaptive ε
-        # controller (repro.adaptive).  Callers may share one collector
-        # across engines by passing their own, or pass ``telemetry=False``
-        # to opt out entirely — updates then skip the timing calls and
-        # enumeration skips the recording wrapper.
-        if telemetry is False:
-            self.telemetry: Optional[WorkloadTelemetry] = None
-        elif telemetry is None or telemetry is True:
-            self.telemetry = WorkloadTelemetry()
-        else:
-            self.telemetry = telemetry
+        # controller (repro.adaptive).  ``telemetry=False`` opts out
+        # entirely — updates then skip the timing calls and enumeration
+        # skips the recording wrapper.
+        if not isinstance(telemetry, bool):
+            raise TypeError(f"telemetry must be a bool, got {telemetry!r}")
+        self.telemetry = WorkloadTelemetry() if telemetry else None
         self._database: Optional[Database] = None
         self._skew_plan: Optional[SkewAwarePlan] = None
         self._driver: Optional[MaintenanceDriver] = None
@@ -661,26 +657,14 @@ class HierarchicalEngine(ReadSurface, MutationSurface):
 class StaticEngine(HierarchicalEngine):
     """Convenience subclass for static evaluation (Theorem 2)."""
 
-    def __init__(self, query, epsilon: float = 0.5, copy_database: bool = True) -> None:
-        super().__init__(
-            query, epsilon=epsilon, mode=STATIC_MODE, copy_database=copy_database
-        )
+    def __init__(self, query, epsilon: float = 0.5) -> None:
+        super().__init__(query, epsilon=epsilon, mode=STATIC_MODE)
 
 
 class DynamicEngine(HierarchicalEngine):
     """Convenience subclass for dynamic evaluation (Theorem 4)."""
 
-    def __init__(
-        self,
-        query,
-        epsilon: float = 0.5,
-        enable_rebalancing: bool = True,
-        copy_database: bool = True,
-    ) -> None:
+    def __init__(self, query, epsilon: float = 0.5, enable_rebalancing: bool = True) -> None:
         super().__init__(
-            query,
-            epsilon=epsilon,
-            mode=DYNAMIC_MODE,
-            enable_rebalancing=enable_rebalancing,
-            copy_database=copy_database,
+            query, epsilon=epsilon, mode=DYNAMIC_MODE, enable_rebalancing=enable_rebalancing
         )

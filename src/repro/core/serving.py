@@ -436,17 +436,13 @@ class EngineServer(MutationSurface):
         self.stats.count("reads_served")
         return version, elements
 
-    def run_readers(
-        self,
-        count: int,
-        duration_seconds: float,
-        limit: Optional[int] = None,
-    ) -> List[ReadTicket]:
+    def run_readers(self, count: int, duration_seconds: float) -> List[ReadTicket]:
         """Run ``count`` reader sessions in parallel for a wall-clock window.
 
-        Each session loops :meth:`read` until the deadline; the tickets of
-        every session are returned (used by the stress tests and the
-        concurrent-serving benchmark).  Reader exceptions propagate — and
+        Each session loops :meth:`read` of the full result until the
+        deadline; the tickets of every session are returned (used by the
+        stress tests and the concurrent-serving benchmark).  Reader
+        exceptions propagate — and
         the *first* error aborts every peer session via a shared abort
         event, so a failed reader surfaces after at most one in-flight
         read per peer instead of burning the full wall-clock window.
@@ -459,7 +455,7 @@ class EngineServer(MutationSurface):
         def session(slot: int) -> None:
             try:
                 while not abort.is_set() and time.perf_counter() < deadline:
-                    tickets[slot].append(self.read(limit))
+                    tickets[slot].append(self.read())
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
                 abort.set()

@@ -22,14 +22,16 @@ A commit is one value — an :class:`Update`, an :class:`UpdateBatch`, a raw
 update list, or a :class:`Retune` (the live ε switch, reusing major
 rebalancing) — passed unchanged through every engine-shaped class's one
 ``commit(event)`` (:class:`MutationSurface` spells the update API over it),
-the shard pipe, the reshard tail and the WAL codec.
+the shard pipe, the reshard tail and the WAL codec.  What each shard of a
+sharded deployment receives of it is decided in one place,
+:meth:`repro.sharding.router.ShardRouter.route`, which folds a batch's net
+entries, or a raw list's source updates, into per-shard sub-batches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -133,6 +135,11 @@ class UpdateBatch:
         for update in updates:
             self.add(update)
 
+    def add_source(self, relation: str, tup: ValueTuple, multiplicity: int) -> None:
+        """Fold one source update, given by its parts, into the batch."""
+        self.add_delta(relation, tup, multiplicity)
+        self._source_count += 1
+
     def add_delta(self, relation: str, tup: ValueTuple, multiplicity: int) -> None:
         """Merge a raw delta entry without counting it as a source update."""
         if multiplicity == 0:
@@ -180,34 +187,6 @@ class UpdateBatch:
         for relation, group in self._deltas.items():
             for tup, mult in group.items():
                 yield Update(relation, tup, mult)
-
-    def split_by(
-        self, classify: Callable[[str, ValueTuple], int]
-    ) -> Dict[int, "UpdateBatch"]:
-        """Partition the net deltas into sub-batches by a routing function.
-
-        ``classify(relation, tuple)`` names the bucket (e.g. the shard index)
-        of one net entry; entries are folded into one sub-batch per bucket
-        via :meth:`add_delta`.  Buckets that receive no entry are absent from
-        the result — in particular, a batch whose net effect is empty splits
-        into an *empty mapping*, never into empty sub-batches, so routing a
-        fully-cancelled batch dispatches no work anywhere (the boundary
-        contract shared with :meth:`UpdateStream.batches`, which *does* yield
-        fully-cancelled batches so source-update accounting stays exact).
-
-        Each sub-batch's ``source_count`` equals its number of net entries:
-        the original per-update attribution cannot be reconstructed from net
-        deltas, so callers that need exact per-bucket source counts should
-        route the raw updates *before* consolidating (the sharded engine does
-        this when handed a stream rather than a batch).
-        """
-        buckets: Dict[int, "UpdateBatch"] = {}
-        for relation, group in self._deltas.items():
-            for tup, mult in group.items():
-                bucket = buckets.setdefault(classify(relation, tup), UpdateBatch())
-                bucket.add_delta(relation, tup, mult)
-                bucket._source_count += 1
-        return buckets
 
     def validate_against(self, database: Database) -> None:
         """:func:`validate_groups` over this batch's net deltas."""
@@ -418,22 +397,6 @@ class UpdateStream:
     def consolidated(self) -> UpdateBatch:
         """Consolidate the entire stream into a single batch."""
         return UpdateBatch(self._updates)
-
-    def split_by(
-        self, classify: Callable[[Update], int]
-    ) -> Dict[int, "UpdateStream"]:
-        """Partition the stream into sub-streams by a routing function.
-
-        Order is preserved within each sub-stream.  Unlike
-        :meth:`UpdateBatch.split_by` this routes *source* updates, so
-        per-bucket ``source_count`` accounting stays exact after the
-        sub-streams are consolidated — including updates that later cancel
-        inside a bucket's batch.
-        """
-        buckets: Dict[int, "UpdateStream"] = {}
-        for update in self._updates:
-            buckets.setdefault(classify(update), UpdateStream()).append(update)
-        return buckets
 
     def apply_to(self, database: Database) -> None:
         """Apply every update directly to the base relations of ``database``.

@@ -143,7 +143,7 @@ def recover_engine(
         mode=state["mode"],
         enable_rebalancing=bool(state["enable_rebalancing"]),
         copy_database=False,
-        telemetry=False if state.get("telemetry") is None else True,
+        telemetry=state.get("telemetry") is not None,
     )
     engine._restore_from_checkpoint(state)
 

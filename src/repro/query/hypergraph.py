@@ -7,19 +7,20 @@ either private to the edge or contained in another edge) and isolated
 variables; the query is α-acyclic iff the reduction empties the hypergraph.
 A join tree is produced as a by-product of the reduction, which the tests use
 to validate the free-connex characterisation (the paper's definition via a
-join tree including the head atom); ``networkx`` is imported inside those
-two test-facing functions only, so the planner's path never loads it.
+join tree including the head atom); it is a plain dict, checked with a
+breadth-first search.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.query.conjunctive import ConjunctiveQuery
 
-if TYPE_CHECKING:
-    import networkx as nx
+#: A join tree: every atom label ``R#i`` maps to ``(variables, neighbours)``.
+JoinTree = Dict[str, Tuple[FrozenSet[str], Set[str]]]
 
 
 @dataclass
@@ -130,7 +131,7 @@ def is_free_connex(query: ConjunctiveQuery) -> bool:
     return extended.is_alpha_acyclic()
 
 
-def join_tree(query: ConjunctiveQuery) -> Optional["nx.Graph"]:
+def join_tree(query: ConjunctiveQuery) -> Optional[JoinTree]:
     """Return a join tree of an α-acyclic query, or ``None`` if cyclic.
 
     The join tree is built by connecting each eliminated ear to its witness
@@ -141,33 +142,30 @@ def join_tree(query: ConjunctiveQuery) -> Optional["nx.Graph"]:
     residual, eliminations = graph.gyo_reduction()
     if residual.edges:
         return None
-    import networkx as nx
-    tree = nx.Graph()
-    for name in graph.edges:
-        tree.add_node(name, variables=graph.edges[name])
+    tree: JoinTree = {name: (variables, set()) for name, variables in graph.edges.items()}
     for removed, witness in eliminations:
         if witness is not None:
-            tree.add_edge(removed, witness)
-    # eliminations may connect an ear to a witness that was itself removed
-    # later; the result is still a forest over the atom labels.  Connect any
-    # remaining isolated roots arbitrarily to keep a single tree per
-    # connected component of the query.
+            tree[removed][1].add(witness)
+            tree[witness][1].add(removed)
     return tree
 
 
-def verify_running_intersection(tree: "nx.Graph") -> bool:
+def verify_running_intersection(tree: JoinTree) -> bool:
     """Check the running-intersection property of a candidate join tree.
 
     For every variable, the nodes whose edge contains it must induce a
-    connected subtree.  Used by tests to validate :func:`join_tree`.
+    connected subtree: a breadth-first search from one of them, through
+    them only, reaches them all.  Used by tests to validate :func:`join_tree`.
     """
-    import networkx as nx
-    variables: set = set()
-    for _node, data in tree.nodes(data=True):
-        variables.update(data["variables"])
+    variables = set().union(*(names for names, _ in tree.values()))
     for variable in variables:
-        nodes = [n for n, d in tree.nodes(data=True) if variable in d["variables"]]
-        subgraph = tree.subgraph(nodes)
-        if nodes and not nx.is_connected(subgraph):
+        holders = {label for label, (names, _) in tree.items() if variable in names}
+        start = next(iter(holders))
+        reached, frontier = {start}, deque([start])
+        while frontier:
+            for neighbour in (tree[frontier.popleft()][1] & holders) - reached:
+                reached.add(neighbour)
+                frontier.append(neighbour)
+        if reached != holders:
             return False
     return True

@@ -9,10 +9,11 @@ facade over a fleet of per-shard engines:
   and minor/major rebalancing are shard-local by construction;
 * **updates** — every mutation is one *event* value (an update, a batch, a
   raw update list, a retune) committed through one protocol,
-  :meth:`ShardedEngine._dispatch`, which routes it by type, dry-runs it on
-  every involved shard when it spans several, then sends each shard its
-  part as one ``commit`` command in one executor round; live commits and
-  the reshard tail replay share it;
+  :meth:`ShardedEngine._dispatch`: the router decides each shard's part
+  (:meth:`~repro.sharding.router.ShardRouter.route`), every involved shard
+  dry-runs its sub-batch when a batch spans several, then each shard gets
+  its part as one ``commit`` command in one executor round; live commits
+  and the reshard tail replay share it;
 * **rounds** — every shard command, reads and snapshot reads included, is
   one round of :meth:`ShardedEngine._round`; on the live fleet of a
   durable deployment a round that finds a dead worker restarts it from its
@@ -354,7 +355,13 @@ class _ShardCursors:
 
 
 class ShardedEngine(ReadSurface, MutationSurface):
-    """Hash-partitioned evaluation of one hierarchical query over k shards."""
+    """Hash-partitioned evaluation of one hierarchical query over k shards.
+
+    The shard key is not an option: it is the planner's
+    (:func:`repro.core.planner.choose_shard_key`, a variable of every atom,
+    free when one is), and every shard worker derives the same key from the
+    query text it parses.  ``shard_key`` names it.
+    """
 
     def __init__(
         self,
@@ -362,10 +369,8 @@ class ShardedEngine(ReadSurface, MutationSurface):
         shards: int = 4,
         epsilon: float = 0.5,
         mode: str = DYNAMIC_MODE,
-        enable_rebalancing: bool = True,
         executor: str = "auto",
-        shard_key: Optional[str] = None,
-        telemetry: Union[WorkloadTelemetry, bool, None] = None,
+        telemetry: bool = True,
         durability: Union[DurabilityConfig, str, Path, None] = None,
     ) -> None:
         if shards <= 0:
@@ -381,18 +386,14 @@ class ShardedEngine(ReadSurface, MutationSurface):
         # fail here like the single-engine facade, not in a worker process
         self.epsilon = check_epsilon(epsilon)
         self.mode = mode
-        self.enable_rebalancing = enable_rebalancing
         self.executor_choice = executor
         # Facade-level workload telemetry: ingestion and sharded-read
         # events are recorded here (shard engines record none), so an
         # AdaptiveController can drive the whole deployment.  Pass
         # ``telemetry=False`` to opt out, as on HierarchicalEngine.
-        if telemetry is False:
-            self.telemetry: Optional[WorkloadTelemetry] = None
-        elif telemetry is None or telemetry is True:
-            self.telemetry = WorkloadTelemetry()
-        else:
-            self.telemetry = telemetry
+        if not isinstance(telemetry, bool):
+            raise TypeError(f"telemetry must be a bool, got {telemetry!r}")
+        self.telemetry = WorkloadTelemetry() if telemetry else None
         if durability is not None and mode != DYNAMIC_MODE:
             raise DurabilityError(
                 "durability requires the dynamic engine (the WAL is keyed "
@@ -415,11 +416,8 @@ class ShardedEngine(ReadSurface, MutationSurface):
         # drain_result_delta reports its delta as unknown.
         self._delta_lost = False
         # the shard-aware planner gate: raises for unshardable queries
-        self.router = ShardRouter(self.query, shards, shard_key)
+        self.router = ShardRouter(self.query, shards)
         self.shard_key = self.router.shard_key
-        # The caller's shard-key choice (None = planner-chosen), kept so a
-        # reshard builds its new router from the same constraint.
-        self._shard_key_choice = shard_key
         self._executor: Optional[ShardExecutor] = None
         # The current fleet handle (executor + router + retirement pins)
         # and the fleet epoch: 0 at load, +1 per completed reshard.  The
@@ -492,13 +490,11 @@ class ShardedEngine(ReadSurface, MutationSurface):
             {
                 "epsilon": epsilon,
                 "mode": self.mode,
-                "enable_rebalancing": self.enable_rebalancing,
                 "copy_database": False,
                 # only the facade's telemetry is read (controller, /metrics)
                 "telemetry": False,
             },
             databases,
-            router.shard_key,
             None if self.durability is None else self.durability.for_epoch(epoch),
         )
         return _FleetHandle(executor, router, executor_name, epoch)
@@ -585,7 +581,7 @@ class ShardedEngine(ReadSurface, MutationSurface):
             epoch = int(meta.get("epoch", 0))
             meta_version = int(meta.get("version", 0))
             if count != self.shards:
-                self.router = ShardRouter(self.query, count, self._shard_key_choice)
+                self.router = ShardRouter(self.query, count)
                 self.shards = count
             raw = meta.get("shard_versions")
             if isinstance(raw, list) and len(raw) == count:
@@ -751,37 +747,34 @@ class ShardedEngine(ReadSurface, MutationSurface):
     def _dispatch(self, fleet: _FleetHandle, event: Event) -> Tuple[int, Dict[int, Any]]:
         """The sharded ingest protocol, once: route, validate round, apply round.
 
-        An :class:`Update` goes to its shard; an :class:`UpdateBatch` is
-        split by net entry (an empty net effect is no shard work at all); a
-        raw update list is routed *before* consolidation, so per-shard
-        ``source_count`` is exact (a sub-batch that cancels still reaches,
-        and ticks, its shard like the unsharded driver); a :class:`Retune`
-        goes to every shard.  Every shard receives its part as one
-        ``("commit", event)`` command.  Returns the number of source
-        updates routed and the commit replies, each the shard's result
-        delta of its part (empty unless capture is on).
+        The router decides every shard's part
+        (:meth:`~repro.sharding.router.ShardRouter.route`: an empty net
+        effect is no shard work at all), and every shard receives its part
+        as one ``("commit", part)`` command.  Returns the number of source
+        updates the event folds in — what the single engine's telemetry
+        counts: a consolidated batch's ``source_count``, a raw list's
+        length — and the commit replies, each the shard's result delta of
+        its part (empty unless capture is on).  A shard's own
+        ``rebalance_stats.updates`` counts the sources of its sub-batch:
+        exact for a raw list, one per net entry for a consolidated batch,
+        whose source updates cannot be attributed to shards.
         """
-        router = fleet.router
-        if isinstance(event, Retune):
-            commands = {shard: ("commit", event) for shard in range(router.shards)}
-            source_count = 0
-        elif isinstance(event, Update):
-            commands = {router.shard_of_update(event): ("commit", event)}
-            source_count = 1
+        parts = fleet.router.route(event)
+        if isinstance(event, (Update, Retune)):
+            source_count = int(isinstance(event, Update))
         else:
-            if isinstance(event, UpdateBatch):
-                subs = router.split_batch(event)
-            else:
-                subs = router.split_updates(event)
-            if len(subs) > 1:
+            if len(parts) > 1:
                 # All-or-nothing across shards, like the single engine's
                 # batch path: every involved shard dry-runs its over-delete
                 # checks before any shard applies anything, so a rejected
                 # sub-batch raises with no shard modified.
-                validations = {shard: ("validate", sub) for shard, sub in subs.items()}
-                self._round(fleet, validations)
-            commands = {shard: ("commit", sub) for shard, sub in subs.items()}
-            source_count = sum(sub.source_count for sub in subs.values())
+                self._round(fleet, {shard: ("validate", part) for shard, part in parts.items()})
+            source_count = (
+                event.source_count
+                if isinstance(event, UpdateBatch)
+                else sum(part.source_count for part in parts.values())
+            )
+        commands = {shard: ("commit", part) for shard, part in parts.items()}
         replies = self._round(fleet, commands, mutating=True) if commands else {}
         return source_count, replies
 
@@ -1054,7 +1047,7 @@ class ShardedEngine(ReadSurface, MutationSurface):
         combined = Database()
         for payload in plan.payloads:
             combined.add_rows(payload)
-        router = ShardRouter(self.query, plan.new_count, self._shard_key_choice)
+        router = ShardRouter(self.query, plan.new_count)
         plan.epoch = self._epoch + 1
         plan.fleet = self._start_fleet(
             router,

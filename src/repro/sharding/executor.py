@@ -70,13 +70,13 @@ class _ShardServer:
         engine_kwargs: Dict[str, Any],
         shard_index: int,
         shard_count: int,
-        shard_key: Optional[str] = None,
         engine: Optional[HierarchicalEngine] = None,
     ) -> None:
         # recovery hands over an already-rebuilt engine; the normal path
-        # constructs a fresh one from the facade's kwargs
+        # constructs a fresh one from the facade's kwargs.  The router picks
+        # the facade's shard key again: the planner's, from the same query.
         self.engine = engine or HierarchicalEngine(query_text, **engine_kwargs)
-        self.router = ShardRouter(self.engine.query, shard_count, shard_key)
+        self.router = ShardRouter(self.engine.query, shard_count)
         self.shard_index = shard_index
         # Handles cannot cross a process pipe: the facade names snapshots and
         # page cursors ``(snapshot id, enumerator)`` by integer ids.
@@ -198,7 +198,6 @@ def _load_server(
     engine_kwargs: Dict[str, Any],
     shard_index: int,
     shard_count: int,
-    shard_key: Optional[str],
     database: Optional[Database],
     durability: Optional[DurabilityConfig] = None,
 ) -> _ShardServer:
@@ -221,20 +220,11 @@ def _load_server(
         from repro.durability.recovery import recover_engine
 
         engine, _report = recover_engine(shard_config.directory, shard_config)
-        return _ShardServer(
-            query_text,
-            engine_kwargs,
-            shard_index,
-            shard_count,
-            shard_key,
-            engine=engine,
-        )
+        return _ShardServer(query_text, engine_kwargs, shard_index, shard_count, engine)
     kwargs = dict(engine_kwargs)
     if shard_config is not None:
         kwargs["durability"] = shard_config
-    server = _ShardServer(
-        query_text, kwargs, shard_index, shard_count, shard_key
-    )
+    server = _ShardServer(query_text, kwargs, shard_index, shard_count)
     server.engine.load(database)
     return server
 
@@ -245,7 +235,6 @@ def _worker_main(
     engine_kwargs: Dict[str, Any],
     shard_index: int,
     shard_count: int,
-    shard_key: Optional[str],
     payload: Optional[DatabaseRows],
     durability: Optional[DurabilityConfig] = None,
 ) -> None:
@@ -269,7 +258,6 @@ def _worker_main(
             engine_kwargs,
             shard_index,
             shard_count,
-            shard_key,
             None if payload is None else Database.from_rows(payload),
             durability,
         )
@@ -316,7 +304,6 @@ class ShardExecutor:
         query_text: str,
         engine_kwargs: Dict[str, Any],
         databases: Sequence[Optional[Database]],
-        shard_key: Optional[str] = None,
         durability: Optional[DurabilityConfig] = None,
     ) -> None:
         raise NotImplementedError
@@ -355,23 +342,15 @@ class SerialExecutor(ShardExecutor):
 
     name = "serial"
 
-    def start(
-        self, query_text, engine_kwargs, databases, shard_key=None, durability=None
-    ) -> None:
+    def start(self, query_text, engine_kwargs, databases, durability=None) -> None:
         self.shard_count = len(databases)
-        self._start_args = (query_text, dict(engine_kwargs), shard_key, durability)
+        self._start_args = (query_text, dict(engine_kwargs), durability)
         # in-process executors take the split databases as-is:
         # split_database already produced private copies, so no
         # payload round-trip is needed
         self._servers = [
             _load_server(
-                query_text,
-                engine_kwargs,
-                index,
-                self.shard_count,
-                shard_key,
-                database,
-                durability,
+                query_text, engine_kwargs, index, self.shard_count, database, durability
             )
             for index, database in enumerate(databases)
         ]
@@ -379,15 +358,9 @@ class SerialExecutor(ShardExecutor):
     def restart_shard(self, shard_index: int) -> None:
         # in-process workers cannot die on their own; this path exists so
         # recovery-mode reload is testable without a process executor
-        query_text, engine_kwargs, shard_key, durability = self._start_args
+        query_text, engine_kwargs, durability = self._start_args
         self._servers[shard_index] = _load_server(
-            query_text,
-            engine_kwargs,
-            shard_index,
-            self.shard_count,
-            shard_key,
-            None,
-            durability,
+            query_text, engine_kwargs, shard_index, self.shard_count, None, durability
         )
 
     def call(self, shard_index, command, payload=None):
@@ -408,10 +381,8 @@ class ThreadExecutor(SerialExecutor):
 
     name = "thread"
 
-    def start(
-        self, query_text, engine_kwargs, databases, shard_key=None, durability=None
-    ) -> None:
-        super().start(query_text, engine_kwargs, databases, shard_key, durability)
+    def start(self, query_text, engine_kwargs, databases, durability=None) -> None:
+        super().start(query_text, engine_kwargs, databases, durability)
         self._pool = ThreadPoolExecutor(
             max_workers=max(1, self.shard_count),
             thread_name_prefix="repro-shard",
@@ -445,12 +416,10 @@ class ProcessExecutor(ShardExecutor):
 
     name = "process"
 
-    def start(
-        self, query_text, engine_kwargs, databases, shard_key=None, durability=None
-    ) -> None:
+    def start(self, query_text, engine_kwargs, databases, durability=None) -> None:
         self.shard_count = len(databases)
         self._context = multiprocessing.get_context()
-        self._start_args = (query_text, dict(engine_kwargs), shard_key, durability)
+        self._start_args = (query_text, dict(engine_kwargs), durability)
         self._connections = []
         self._processes = []
         # One lock per pipe: concurrent reader sessions (snapshot reads) and
@@ -469,7 +438,7 @@ class ProcessExecutor(ShardExecutor):
 
     def _spawn_worker(self, index: int, payload: Optional[DatabaseRows]):
         """Fork one shard worker (``payload=None`` → recovery mode)."""
-        query_text, engine_kwargs, shard_key, durability = self._start_args
+        query_text, engine_kwargs, durability = self._start_args
         parent_end, child_end = self._context.Pipe()
         process = self._context.Process(
             target=_worker_main,
@@ -479,7 +448,6 @@ class ProcessExecutor(ShardExecutor):
                 dict(engine_kwargs),
                 index,
                 self.shard_count,
-                shard_key,
                 payload,
                 durability,
             ),

@@ -6,8 +6,10 @@ per relation, and from there every routing decision is one stable hash
 (:func:`repro.data.partition.shard_of`) of that column's value:
 
 * a base tuple of ``R`` lives on ``shard_of(tup[column[R]], shards)``;
-* an update routes to the shard owning its tuple;
-* a batch splits into per-shard sub-batches of its net deltas;
+* an event's parts come from :meth:`ShardRouter.route`, the one place that
+  decides what a shard receives: an update goes to the shard owning its
+  tuple, a retune to every shard, and a batch or a raw update list through
+  one loop that folds its entries into per-shard sub-batches;
 * a database splits into per-shard sub-databases, each carrying *every*
   relation of the original (possibly empty) so each shard engine can plan
   and maintain independently.
@@ -22,12 +24,12 @@ ignores them.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.planner import choose_shard_key
 from repro.data.database import Database
 from repro.data.partition import shard_of
-from repro.data.update import Update, UpdateBatch
+from repro.data.update import Event, Retune, Update, UpdateBatch
 from repro.exceptions import InvariantViolationError, SchemaError, UnknownRelationError
 from repro.query.conjunctive import ConjunctiveQuery
 
@@ -35,25 +37,16 @@ from repro.query.conjunctive import ConjunctiveQuery
 class ShardRouter:
     """Deterministic hash-routing of one query's data onto ``shards`` shards."""
 
-    def __init__(
-        self,
-        query: ConjunctiveQuery,
-        shards: int,
-        shard_key: Optional[str] = None,
-    ) -> None:
+    def __init__(self, query: ConjunctiveQuery, shards: int) -> None:
         if shards <= 0:
             raise ValueError(f"shard count must be positive, got {shards}")
         self.query = query
         self.shards = shards
-        self.shard_key = shard_key or choose_shard_key(query)
-        self.columns: Dict[str, int] = {}
-        for atom in query.atoms:
-            if self.shard_key not in atom.variables:
-                raise UnknownRelationError(
-                    f"shard key {self.shard_key!r} does not occur in atom "
-                    f"{atom}; it cannot route updates of {atom.relation!r}"
-                )
-            self.columns[atom.relation] = atom.variables.index(self.shard_key)
+        # the planner's key occurs in every atom (or the query is refused)
+        self.shard_key = choose_shard_key(query)
+        self.columns: Dict[str, int] = {
+            atom.relation: atom.variables.index(self.shard_key) for atom in query.atoms
+        }
         self.key_is_free = self.shard_key in query.free_variables
         # A free key's column in result tuples: its value names their shard.
         self.head_column = query.head.index(self.shard_key) if self.key_is_free else None
@@ -110,32 +103,40 @@ class ShardRouter:
                 targets[shard_of(tup[column], self.shards)].apply_delta(tup, mult)
         return parts
 
-    def split_batch(self, batch: UpdateBatch) -> Dict[int, UpdateBatch]:
-        """Split a consolidated batch's net deltas into per-shard batches.
+    def route(self, event: Event) -> Dict[int, Event]:
+        """Each shard's part of one event, keyed by shard: the only place
+        that decides what a shard receives.
 
-        A batch whose net effect is empty yields an empty mapping — no shard
-        receives any work (see :meth:`UpdateBatch.split_by` for the boundary
-        contract with ``UpdateStream.batches``).
+        A :class:`Retune` goes to every shard, an :class:`Update` to the
+        shard owning its tuple.  A consolidated :class:`UpdateBatch` and a
+        raw update list share one loop, which folds ``(relation, tuple,
+        multiplicity)`` entries into per-shard sub-batches and counts each
+        entry as one source.  A batch feeds it its net entries, so an empty
+        net effect routes nowhere; a list feeds it its source updates, so
+        each shard's ``source_count`` is exact, and a sub-batch whose
+        updates cancel still reaches (and ticks) its shard like the
+        unsharded driver.
         """
-        return batch.split_by(
-            lambda relation, tup: self.shard_of_tuple(relation, tup)
-        )
-
-    def split_updates(self, updates: Iterable[Update]) -> Dict[int, UpdateBatch]:
-        """Fold raw source updates into per-shard batches, in stream order.
-
-        Unlike :meth:`split_batch` this sees the updates *before*
-        consolidation, so each shard's ``source_count`` is exact — a
-        sub-batch whose updates all cancel is still returned (empty net,
-        positive source count) and must be dispatched so per-shard
-        throughput accounting matches the unsharded driver.
-        """
-        buckets: Dict[int, UpdateBatch] = {}
-        for update in updates:
-            buckets.setdefault(self.shard_of_update(update), UpdateBatch()).add(
-                update
+        if isinstance(event, Retune):
+            return dict.fromkeys(range(self.shards), event)
+        if isinstance(event, Update):
+            return {self.shard_of_update(event): event}
+        if isinstance(event, UpdateBatch):
+            entries = (
+                (relation, tup, mult)
+                for relation in event.relations()
+                for tup, mult in event.delta_for(relation).items()
             )
-        return buckets
+        else:
+            entries = ((update.relation, update.tuple, update.multiplicity) for update in event)
+        parts: Dict[int, UpdateBatch] = {}
+        for relation, tup, mult in entries:
+            shard = self.shard_of_tuple(relation, tup)
+            part = parts.get(shard)
+            if part is None:
+                part = parts[shard] = UpdateBatch()
+            part.add_source(relation, tup, mult)
+        return parts
 
     # ------------------------------------------------------------------
     # invariants

@@ -161,6 +161,14 @@ class TestWorkloadTelemetry:
         assert sharded.telemetry is None
         sharded.close()
 
+    @pytest.mark.parametrize("value", [None, 0, 1, "yes", WorkloadTelemetry()])
+    def test_telemetry_that_is_not_a_bool_is_refused(self, value):
+        # a collector (or anything else) is never silently replaced by a fresh one
+        with pytest.raises(TypeError, match="telemetry must be a bool"):
+            HierarchicalEngine(PATH_QUERY, telemetry=value)
+        with pytest.raises(TypeError, match="telemetry must be a bool"):
+            ShardedEngine(PATH_QUERY, shards=2, executor="serial", telemetry=value)
+
     def test_concurrent_reader_recording_loses_no_events(self):
         import threading
 

@@ -1,5 +1,7 @@
 """Tests for hypergraphs, α-acyclicity, free-connexity, and join trees."""
 
+import sys
+
 import pytest
 
 from repro.query.hypergraph import (
@@ -79,7 +81,7 @@ class TestJoinTree:
         q = parse_query("Q(A, D, E) = R(A, B, C), S(A, B, D), T(A, E)")
         tree = join_tree(q)
         assert tree is not None
-        assert tree.number_of_nodes() == 3
+        assert len(tree) == 3
         assert verify_running_intersection(tree)
 
     def test_join_tree_of_cyclic_query_is_none(self):
@@ -91,6 +93,29 @@ class TestJoinTree:
         tree = join_tree(q)
         assert tree is not None
         assert verify_running_intersection(tree)
+
+    def test_example12_join_tree_needs_no_networkx(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "networkx", None)  # any import raises
+        q = parse_query("Q(A, C, F) = R(A, B, C), S(A, B, D), T(A, E, F), U(A, E, G)")
+        tree = join_tree(q)
+        assert tree is not None
+        assert {name: variables for name, (variables, _) in tree.items()} == {
+            "R#0": {"A", "B", "C"},
+            "S#1": {"A", "B", "D"},
+            "T#2": {"A", "E", "F"},
+            "U#3": {"A", "E", "G"},
+        }
+        # three edges joining four atoms: a tree
+        assert sum(len(neighbours) for _, neighbours in tree.values()) == 2 * 3
+        assert verify_running_intersection(tree)
+
+    def test_running_intersection_fails_on_a_broken_tree(self):
+        tree = join_tree(parse_query("Q(A) = R(A, B), S(B, C), T(C, D)"))
+        assert verify_running_intersection(tree)
+        # cut the edge between the two atoms that share C
+        tree["S#1"][1].discard("T#2")
+        tree["T#2"][1].discard("S#1")
+        assert not verify_running_intersection(tree)
 
 
 class TestHypergraphClass:

@@ -2,7 +2,8 @@
 
 The width measures use the integral edge cover (exact on hierarchical
 queries by Lemma 30), so the LP solver is imported only when ``ρ*`` of a
-general query is asked for, and ``networkx`` only when a join tree is built.
+general query is asked for; ``networkx`` is no dependency at all (join trees
+are plain dicts), and stays unloaded.
 The guard runs in a fresh interpreter: the test process itself has imported
 both long before this test runs.
 """

@@ -140,7 +140,7 @@ class TestEngineAPI:
         database = Database.from_dict(
             {"R": (("A", "B"), [(1, 0)]), "S": (("B", "C"), [(0, 1)])}
         )
-        engine = DynamicEngine(PATH, copy_database=False).load(database)
+        engine = HierarchicalEngine(PATH, copy_database=False).load(database)
         engine.update("R", (2, 0), 1)
         # the caller's database object was mutated because copy was disabled
         assert database.relation("R").multiplicity((2, 0)) == 1

@@ -188,10 +188,12 @@ class TestThresholdSingleSourceOfTruth:
     def test_static_threshold_frozen_at_load(self):
         """Static mode pins θ at materialization time; later mutation of a
         shared database must not drift the reported threshold."""
-        from repro import StaticEngine
+        from repro import HierarchicalEngine
 
         database = random_database(schemas_for(PATH), tuples_per_relation=20, seed=6)
-        engine = StaticEngine(PATH, epsilon=0.5, copy_database=False).load(database)
+        engine = HierarchicalEngine(
+            PATH, epsilon=0.5, mode="static", copy_database=False
+        ).load(database)
         frozen = engine.threshold
         assert frozen == engine.threshold_base**0.5
         database.relation("R").insert((999, 999))

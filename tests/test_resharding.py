@@ -8,7 +8,7 @@ fleet, the facade version ticks exactly once (like a retune), and a
 durable deployment recovers at exactly the old or the new count after a
 crash anywhere inside the barrier — never a hybrid.  The satellites ride
 along: the exactly-once accounting audit of the routed single-update
-path, the empty-net-effect ``split_by`` boundary (including tail replay),
+path, the empty-net-effect routing boundary (including tail replay),
 the MAAS-style capacity model on :class:`AdaptiveController`, and the
 serving/networking integration.
 """
@@ -212,32 +212,37 @@ class TestReshardEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# satellite: the split_by empty-net-effect boundary
+# satellite: the empty-net-effect routing boundary
 # ---------------------------------------------------------------------------
-class TestSplitByBoundary:
-    def test_batch_split_by_cancelled_net_is_empty_mapping(self):
+class TestRouteBoundary:
+    def test_routing_a_cancelled_batch_is_an_empty_mapping(self):
         batch = UpdateBatch()
         batch.add(Update("R", (4, 1), 1))
         batch.add(Update("R", (4, 1), -1))
-        assert batch.split_by(lambda relation, tup: 0) == {}
+        router = ShardedEngine(PATH_QUERY, shards=2, executor="serial").router
+        assert router.route(batch) == {}
 
-    def test_stream_split_by_keeps_cancelled_sources(self):
+    def test_routing_a_raw_list_keeps_cancelled_sources(self):
+        router = ShardedEngine(PATH_QUERY, shards=4, executor="serial").router
         stream = UpdateStream()
         stream.append(Update("R", (4, 1), 1))
         stream.append(Update("R", (4, 1), -1))
-        stream.append(Update("S", (1, 13), 1))
-        buckets = stream.split_by(lambda update: 0 if update.relation == "R" else 1)
-        assert sorted(buckets) == [0, 1]
-        # the cancelled pair survives as *sources*: exact per-bucket
+        stream.append(Update("S", (2, 13), 1))
+        r_shard, s_shard = router.shard_of_tuple("R", (4, 1)), router.shard_of_tuple("S", (2, 13))
+        assert r_shard != s_shard
+        parts = router.route(list(stream))
+        assert sorted(parts) == sorted([r_shard, s_shard])
+        # the cancelled pair survives as *sources*: exact per-shard
         # accounting is the whole point of routing before consolidation
-        assert len(list(buckets[0])) == 2
+        assert parts[r_shard].source_count == 2
+        assert parts[r_shard].is_empty()
 
-    def test_router_split_updates_keeps_cancelled_sub_batch(self):
+    def test_routing_a_raw_list_keeps_a_cancelled_sub_batch(self):
         engine = ShardedEngine(PATH_QUERY, shards=2, executor="serial")
         cancelled = [Update("R", (4, 1), 1), Update("R", (4, 1), -1)]
-        buckets = engine.router.split_updates(cancelled)
-        assert len(buckets) == 1
-        (batch,) = buckets.values()
+        parts = engine.router.route(cancelled)
+        assert len(parts) == 1
+        (batch,) = parts.values()
         assert batch.source_count == 2
         assert batch.is_empty()
 

@@ -14,6 +14,7 @@ cancelled batches, forced rebalances, worker-process errors).
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
@@ -238,16 +239,16 @@ class TestRouting:
         with pytest.raises(InvariantViolationError, match="hashes to shard"):
             router.check_placement(parts[wrong], wrong)
 
-    def test_split_updates_keeps_exact_source_counts(self):
+    def test_route_keeps_exact_source_counts_of_a_raw_list(self):
         router = ShardRouter(HierarchicalEngine(PATH).query, 4)
         stream = mixed_path_stream(seed=7, count=40)
-        buckets = router.split_updates(stream)
-        assert sum(b.source_count for b in buckets.values()) == len(stream)
-        # the generic data-layer split agrees with the router's batching
-        sub_streams = stream.split_by(router.shard_of_update)
-        assert set(sub_streams) == set(buckets)
-        for shard, sub in sub_streams.items():
-            assert buckets[shard].source_count == len(sub)
+        parts = router.route(list(stream))
+        assert sum(part.source_count for part in parts.values()) == len(stream)
+        # the oracle: how many source updates each shard owns
+        owned = Counter(router.shard_of_update(update) for update in stream)
+        assert set(parts) == set(owned)
+        for shard, part in parts.items():
+            assert part.source_count == owned[shard]
 
 
 # ----------------------------------------------------------------------
@@ -525,7 +526,7 @@ class TestEmptyNetEffectBatches:
         assert all(chunk.is_empty() and chunk.source_count == 2 for chunk in chunks)
         router = ShardRouter(HierarchicalEngine(PATH).query, 4)
         for chunk in chunks:
-            assert router.split_batch(chunk) == {}
+            assert router.route(chunk) == {}
 
     def test_consolidated_empty_batch_is_a_noop_on_every_shard(self):
         database = small_path_database(seed=31)
@@ -551,6 +552,21 @@ class TestEmptyNetEffectBatches:
         assert sharded.rebalance_stats.updates == 2
         assert sharded.result() == single.result()
 
+    def test_consolidated_batch_telemetry_counts_sources_like_the_single_engine(self):
+        database = small_path_database(seed=32)
+        single = HierarchicalEngine(PATH).load(database)
+        sharded = ShardedEngine(PATH, shards=2, executor="serial").load(database)
+        batch = UpdateBatch(
+            [Update("R", (9, 1), 1), Update("R", (9, 1), -1), Update("R", (8, 0), 1)]
+        )
+        single.apply_batch(batch)
+        sharded.apply_batch(batch)
+        assert single.telemetry.update_tuples == batch.source_count == 3
+        assert sharded.telemetry.update_tuples == single.telemetry.update_tuples
+        # the shard's own counter still sees one source per net entry
+        assert sharded.rebalance_stats.updates == 1
+        assert sharded.result() == single.result()
+
     def test_boundary_chunking_equals_whole_for_sharded_and_single(self):
         rng = random.Random(33)
         database = small_path_database(seed=33)
@@ -572,25 +588,29 @@ class TestEmptyNetEffectBatches:
             sharded.check_invariants()
             sharded.close()
 
-    def test_batch_split_by_buckets_net_entries(self):
+    def test_route_buckets_a_batchs_net_entries(self):
+        router = ShardRouter(HierarchicalEngine(PATH).query, 4)
         batch = UpdateBatch(
             [
                 Update("R", (1, 2), 2),
-                Update("S", (2, 9), 1),
+                Update("S", (3, 9), 1),
                 Update("R", (3, 4), 1),
                 Update("R", (3, 4), -1),
             ]
         )
-        split = batch.split_by(lambda relation, tup: 0 if relation == "R" else 1)
-        assert set(split) == {0, 1}
-        assert dict(split[0].delta_for("R")) == {(1, 2): 2}
-        assert dict(split[1].delta_for("S")) == {(2, 9): 1}
+        r_shard, s_shard = router.shard_of_tuple("R", (1, 2)), router.shard_of_tuple("S", (3, 9))
+        assert r_shard != s_shard  # the key B is 2 and 3: two shards
+        parts = router.route(batch)
+        assert set(parts) == {r_shard, s_shard}
+        assert dict(parts[r_shard].delta_for("R")) == {(1, 2): 2}
+        assert dict(parts[s_shard].delta_for("S")) == {(3, 9): 1}
+        assert not parts[r_shard].delta_for("S") and not parts[s_shard].delta_for("R")
         # one source per net entry: the cancelled pair counts nowhere
-        assert split[0].source_count == 1
-        assert split[1].source_count == 1
-        wide = UpdateBatch([Update("R", (k, k), 1) for k in range(5)])
-        parity = wide.split_by(lambda relation, tup: tup[0] % 2)
-        assert {bucket: sub.source_count for bucket, sub in parity.items()} == {0: 3, 1: 2}
+        assert parts[r_shard].source_count == 1
+        assert parts[s_shard].source_count == 1
+        wide = UpdateBatch([Update("R", (k, k), 1) for k in range(12)])
+        owned = Counter(router.shard_of_tuple("R", (k, k)) for k in range(12))
+        assert {shard: part.source_count for shard, part in router.route(wide).items()} == owned
 
 
 # ----------------------------------------------------------------------
